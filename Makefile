@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: ci vet lint lint-fast build test race race-shards bench bench-check bench-baseline api-check api-golden clean
+.PHONY: ci vet lint lint-fast build test race race-shards bench bench-test bench-check bench-baseline api-check api-golden clean
 
-ci: vet lint build race race-shards bench bench-check api-check
+ci: vet lint build race race-shards bench bench-test bench-check api-check
 
 vet:
 	$(GO) vet ./...
@@ -55,6 +55,13 @@ race-shards:
 # compile or panic, without paying for stable numbers.
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkSimulatorThroughput -benchtime 1x -benchmem .
+
+# The host-cost benchmark (bench/) is a module of its own, so ./... above
+# never reaches its tests. They include the bench/golden.json check that
+# pins every workload's Report and Fingerprint digest at seed 1991: a
+# model change that alters any output fails here.
+bench-test:
+	cd bench && $(GO) test ./...
 
 # Perf-regression gate: run the E17 smoke serially (per-run allocation
 # and sim-time accounting need -parallel 1) and compare against the

@@ -63,7 +63,7 @@ func sweep(stations int, seconds float64, size int, seed int64, offered float64,
 	mean := sim.Scale(frameTime, 1/offered)
 	var arm func()
 	arm = func() {
-		sched.After(rng.Exp(mean), "bg", func() {
+		sched.After(rng.Exp(mean), func() {
 			st := sim.Pick(rng, senders)
 			sent := sched.Now()
 			st.Transmit(ring.NewDataFrame(st.Addr(), dst.Addr(), 0, size, nil, nil),
@@ -80,7 +80,7 @@ func sweep(stations int, seconds float64, size int, seed int64, offered float64,
 	// Probe: a 2000-byte high-priority frame every 12 ms (the CTMSP
 	// pattern).
 	probe := senders[0]
-	sched.Every(12*sim.Millisecond, "probe", func() {
+	sched.Every(12*sim.Millisecond, func() {
 		sent := sched.Now()
 		probe.Transmit(ring.NewDataFrame(probe.Addr(), dst.Addr(), 4, 2021, nil, nil),
 			func(s ring.DeliveryStatus) {

@@ -33,11 +33,11 @@ func main() {
 	for i := 0; i < pulses; i++ {
 		n := uint32(i)
 		at := sim.Time(i) * 12 * sim.Millisecond
-		sched.At(at, "pulse", func() {
+		sched.At(at, func() {
 			la.Record(measure.P1VCAIRQ, n)
 			pcat.Record(measure.P1VCAIRQ, n)
 		})
-		sched.At(at+40*sim.Microsecond, "entry", func() {
+		sched.At(at+40*sim.Microsecond, func() {
 			la.Record(measure.P2HandlerEntry, n)
 			pcat.Record(measure.P2HandlerEntry, n)
 			pd.Record(measure.P2HandlerEntry, n)

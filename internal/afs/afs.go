@@ -77,7 +77,7 @@ func (d *Disk) Read(n int, done func()) {
 	d.busyUntil = finish
 	d.Reads++
 	d.BytesRead += uint64(n)
-	d.sched.At(finish, "disk.read", done)
+	d.sched.At(finish, done)
 }
 
 // ServerStats aggregates file-server accounting.

@@ -11,8 +11,7 @@ import (
 
 type tracer struct{}
 
-func (tracer) Add(at int64, what string)                 {}
-func (tracer) Addf(at int64, format string, args ...any) {}
+func (tracer) AddEvent(at int64, kind uint8, a, b int64) {}
 func (tracer) Match(at int64, what string) bool          { return false }
 
 var trace tracer
@@ -44,7 +43,7 @@ func mapOrder(m map[string]int, ch chan string) []string {
 		ch <- k
 	}
 	for k, v := range m { // want `range over map emits a trace event`
-		trace.Addf(int64(v), "%s", k)
+		trace.AddEvent(int64(v), 1, int64(len(k)), 0)
 	}
 
 	total := 0

@@ -175,8 +175,8 @@ func readModulePath(root string) (string, error) {
 
 // modulePackageDirs walks root collecting every directory that holds
 // non-test Go files, as module-relative slash paths ("." for the root
-// package). testdata and dot-directories are skipped, as the go tool
-// does.
+// package). testdata, dot-directories and nested modules (directories
+// with their own go.mod) are skipped, as the go tool does.
 func modulePackageDirs(root string) ([]string, error) {
 	var dirs []string
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
@@ -184,8 +184,14 @@ func modulePackageDirs(root string) ([]string, error) {
 			return err
 		}
 		if d.IsDir() {
+			if path == root {
+				return nil
+			}
 			name := d.Name()
-			if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			if name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
 				return filepath.SkipDir
 			}
 			return nil

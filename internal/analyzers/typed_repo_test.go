@@ -176,6 +176,36 @@ outer:
 	}
 }
 
+// TestModulePackageDirsSkipsNestedModules checks that the walk stops at a
+// directory with its own go.mod, as the go tool does: a nested module's
+// packages belong to that module, not to the root one.
+func TestModulePackageDirsSkipsNestedModules(t *testing.T) {
+	root := t.TempDir()
+	for rel, content := range map[string]string{
+		"go.mod":            "module scratch\n\ngo 1.22\n",
+		"root.go":           "package scratch\n",
+		"inner/inner.go":    "package inner\n",
+		"nested/go.mod":     "module scratch/nested\n\ngo 1.22\n",
+		"nested/nested.go":  "package nested\n",
+		"nested/sub/sub.go": "package sub\n",
+	} {
+		path := filepath.Join(root, filepath.FromSlash(rel))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dirs, err := modulePackageDirs(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(dirs, ","); got != ".,inner" {
+		t.Fatalf("package dirs = %q, want %q (nested module excluded)", got, ".,inner")
+	}
+}
+
 func diagList(diags []Diagnostic) string {
 	var b strings.Builder
 	for _, d := range diags {

@@ -363,7 +363,7 @@ func runE10(s Scale) *Comparison {
 	}
 	for i := 0; i < n; i++ {
 		num := uint32(i)
-		sched.At(sim.Time(i)*12*sim.Millisecond, "pulse", func() {
+		sched.At(sim.Time(i)*12*sim.Millisecond, func() {
 			la.Record(measure.P1VCAIRQ, num)
 			pcat.Record(measure.P1VCAIRQ, num)
 		})
@@ -506,13 +506,13 @@ func dmaInterferenceProbe(kind rtpc.MemoryKind) float64 {
 		sched := sim.NewScheduler()
 		cpu := rtpc.NewCPU(sched, "probe", rtpc.DefaultCostModel().DMASysInterference)
 		if withDMA {
-			dma := rtpc.NewDMA(cpu, rtpc.DefaultCostModel(), "adapter")
+			dma := rtpc.NewDMA(cpu, rtpc.DefaultCostModel())
 			var feed func()
-			feed = func() { dma.Transfer(2000, kind, "rx", feed) }
+			feed = func() { dma.Transfer(2000, kind, feed) }
 			feed()
 		}
 		var doneAt sim.Time
-		cpu.Submit(1, "work", []rtpc.Seg{rtpc.Do("compute", 50*sim.Millisecond)}, func() {
+		cpu.Submit(1, []rtpc.Seg{rtpc.Do(50 * sim.Millisecond)}, func() {
 			doneAt = sched.Now()
 			sched.Stop()
 		})

@@ -69,7 +69,7 @@ func runE14(s Scale) *Comparison {
 		return nil
 	})
 	var n uint32
-	rep := sched.Every(12*sim.Millisecond, "ctms-stream", func() {
+	rep := sched.Every(12*sim.Millisecond, func() {
 		ch := srcK.Pool.AllocNoWait(2000)
 		if ch == nil {
 			return

@@ -155,11 +155,11 @@ func buildEnv(cfg Config) *env {
 // the VCA's higher interrupt level.
 func startKernelActivity(k *kernel.Kernel, rng *sim.RNG) {
 	cpu := k.CPU()
-	k.Sched().Every(10*sim.Millisecond, k.Machine.Name+".hardclock", func() {
+	k.Sched().Every(10*sim.Millisecond, func() {
 		cost := 70*sim.Microsecond + rng.Uniform(0, 40*sim.Microsecond)
-		cpu.Submit(kernel.LevelClock, "hardclock", []rtpc.Seg{rtpc.Do("tick", cost)}, nil)
+		cpu.Submit(kernel.LevelClock, []rtpc.Seg{rtpc.Do(cost)}, nil)
 	})
-	startProtectedActivity(k, rng.Fork("housekeeping"), "housekeeping",
+	startProtectedActivity(k, rng.Fork("housekeeping"),
 		400*sim.Millisecond, 300*sim.Microsecond, 3600*sim.Microsecond)
 }
 
@@ -167,15 +167,15 @@ func startKernelActivity(k *kernel.Kernel, rng *sim.RNG) {
 // network-level interrupts wait for the whole block, higher levels (the
 // VCA) do not. mean is the exponential interarrival; each block's
 // duration is uniform in [durLo, durHi].
-func startProtectedActivity(k *kernel.Kernel, rng *sim.RNG, name string, mean, durLo, durHi sim.Time) {
+func startProtectedActivity(k *kernel.Kernel, rng *sim.RNG, mean, durLo, durHi sim.Time) {
 	cpu := k.CPU()
 	var arm func()
 	arm = func() {
-		k.Sched().After(rng.Exp(mean), k.Machine.Name+"."+name, func() {
+		k.Sched().After(rng.Exp(mean), func() {
 			dur := rng.Uniform(durLo, durHi)
 			var saved int
 			segs := []rtpc.Seg{
-				rtpc.Mark("splimp", func() { saved = cpu.Spl(kernel.LevelNet) }),
+				rtpc.Mark(func() { saved = cpu.Spl(kernel.LevelNet) }),
 			}
 			for dur > 0 {
 				c := 400 * sim.Microsecond
@@ -183,10 +183,10 @@ func startProtectedActivity(k *kernel.Kernel, rng *sim.RNG, name string, mean, d
 					c = dur
 				}
 				dur -= c
-				segs = append(segs, rtpc.Do("protected-scan", c))
+				segs = append(segs, rtpc.Do(c))
 			}
-			segs = append(segs, rtpc.Mark("splx", func() { cpu.SplX(saved) }))
-			cpu.Submit(kernel.LevelSoftNet, name, segs, nil)
+			segs = append(segs, rtpc.Mark(func() { cpu.SplX(saved) }))
+			cpu.Submit(kernel.LevelSoftNet, segs, nil)
 			arm()
 		})
 	}
@@ -195,12 +195,12 @@ func startProtectedActivity(k *kernel.Kernel, rng *sim.RNG, name string, mean, d
 
 // startPhaseLockedScan runs a fixed-duration splnet-protected scan at an
 // exact period, starting at the given offset into the run.
-func startPhaseLockedScan(k *kernel.Kernel, name string, period, offset, dur sim.Time) {
+func startPhaseLockedScan(k *kernel.Kernel, period, offset, dur sim.Time) {
 	cpu := k.CPU()
 	run := func() {
 		var saved int
 		segs := []rtpc.Seg{
-			rtpc.Mark("splnet", func() { saved = cpu.Spl(kernel.LevelNet) }),
+			rtpc.Mark(func() { saved = cpu.Spl(kernel.LevelNet) }),
 		}
 		left := dur
 		for left > 0 {
@@ -209,14 +209,14 @@ func startPhaseLockedScan(k *kernel.Kernel, name string, period, offset, dur sim
 				c = left
 			}
 			left -= c
-			segs = append(segs, rtpc.Do("pcb-scan", c))
+			segs = append(segs, rtpc.Do(c))
 		}
-		segs = append(segs, rtpc.Mark("splx", func() { cpu.SplX(saved) }))
-		cpu.Submit(kernel.LevelSoftNet, name, segs, nil)
+		segs = append(segs, rtpc.Mark(func() { cpu.SplX(saved) }))
+		cpu.Submit(kernel.LevelSoftNet, segs, nil)
 	}
-	k.Sched().After(offset, k.Machine.Name+"."+name+"-start", func() {
+	k.Sched().After(offset, func() {
 		run()
-		k.Sched().Every(period, k.Machine.Name+"."+name, run)
+		k.Sched().Every(period, run)
 	})
 }
 
@@ -317,11 +317,11 @@ func (e *env) addBackground() {
 		// between.
 		// The scan starts 1.75 ms before every eighth VCA tick, so it
 		// already holds splnet when the handler tries to start the copy.
-		startPhaseLockedScan(e.txK, "protocol-scan",
+		startPhaseLockedScan(e.txK,
 			72*sim.Millisecond, 10250*sim.Microsecond, 8650*sim.Microsecond)
-		startProtectedActivity(e.txK, e.rng.Fork("cachemgr-tx"), "cache-manager",
+		startProtectedActivity(e.txK, e.rng.Fork("cachemgr-tx"),
 			40*sim.Millisecond, 2*sim.Millisecond, 6*sim.Millisecond)
-		startProtectedActivity(e.rxK, e.rng.Fork("cachemgr-rx"), "cache-manager",
+		startProtectedActivity(e.rxK, e.rng.Fork("cachemgr-rx"),
 			700*sim.Millisecond, 2*sim.Millisecond, 6*sim.Millisecond)
 	}
 
@@ -343,9 +343,9 @@ func (e *env) addBackground() {
 					return
 				}
 			}
-			e.sched.After(200*sim.Microsecond, "forced-insertion-poll", poll)
+			e.sched.After(200*sim.Microsecond, poll)
 		}
-		e.sched.At(cfg.ForceInsertionAt, "forced-insertion", poll)
+		e.sched.At(cfg.ForceInsertionAt, poll)
 	}
 }
 

@@ -94,8 +94,8 @@ func runStock(cfg Config) (*Results, error) {
 	txRelay.consume = func(item stockItem, done func()) {
 		p := txRelay.proc
 		copyCost := sim.PerByte(cost.CPUCopyUser, item.bytes)
-		p.Syscall("read-vca", copyCost, func() {
-			p.Syscall("write-socket", copyCost, func() {
+		p.Syscall(copyCost, func() {
+			p.Syscall(copyCost, func() {
 				e.record(measure.P3PreTransmit, item.num)
 				conn.Send(item.num, item.bytes, nil)
 				done()
@@ -110,15 +110,15 @@ func runStock(cfg Config) (*Results, error) {
 		num := uint32(n)
 		e.record(measure.P1VCAIRQ, num)
 		segs := []rtpc.Seg{
-			rtpc.Do("irq-dispatch", 28*sim.Microsecond),
-			rtpc.Mark("entry", func() { e.record(measure.P2HandlerEntry, num) }),
-			e.txK.Machine.CopySeg("dma-to-mbuf", cfg.PacketBytes, rtpc.SystemMemory, rtpc.SystemMemory),
-			rtpc.Mark("enqueue", func() {
+			rtpc.Do(28 * sim.Microsecond), // interrupt dispatch
+			rtpc.Mark(func() { e.record(measure.P2HandlerEntry, num) }),
+			e.txK.Machine.CopySeg(cfg.PacketBytes, rtpc.SystemMemory, rtpc.SystemMemory),
+			rtpc.Mark(func() {
 				sent++
 				txRelay.push(stockItem{num: num, bytes: cfg.PacketBytes, at: e.sched.Now()})
 			}),
 		}
-		e.txK.CPU().Submit(kernel.LevelVCA, "vca.stock-intr", segs, nil)
+		e.txK.CPU().Submit(kernel.LevelVCA, segs, nil)
 	}
 
 	// Receive relay: read(socket) → write(vca device).
@@ -128,8 +128,8 @@ func runStock(cfg Config) (*Results, error) {
 		p := rxRelay.proc
 		copyCost := sim.PerByte(cost.CPUCopyUser, item.bytes)
 		devCost := sim.PerByte(cost.CPUCopyDevice, item.bytes)
-		p.Syscall("read-socket", copyCost, func() {
-			p.Syscall("write-vca", devCost, func() {
+		p.Syscall(copyCost, func() {
+			p.Syscall(devCost, func() {
 				delivered++
 				e.record(measure.P4RxClassified, item.num)
 				playout.Deliver(item.bytes, e.sched.Now())

@@ -76,7 +76,7 @@ func (a *ARP) resolve(dst ring.Addr, fn func(ring.Addr, bool)) {
 	}
 	a.sendRequest(dst)
 	// Give up after one second, dropping queued packets.
-	a.s.k.Sched().After(sim.Second, "arp.timeout", func() {
+	a.s.k.Sched().After(sim.Second, func() {
 		waiters := a.pending[dst]
 		if len(waiters) == 0 {
 			return
@@ -113,9 +113,9 @@ func (a *ARP) sendRequest(dst ring.Addr) {
 // input is the driver split-point handler for ARP frames.
 func (a *ARP) input(rcv *tradapter.Received) []rtpc.Seg {
 	return []rtpc.Seg{
-		a.s.k.Machine.CopySeg("dma-to-mbuf", rcv.Size, rcv.Buffer.Kind, rtpc.SystemMemory),
-		rtpc.Mark("release-buf", rcv.Release),
-		rtpc.Then("arp-input", a.s.costs.IPInput, func() {
+		a.s.k.Machine.CopySeg(rcv.Size, rcv.Buffer.Kind, rtpc.SystemMemory),
+		rtpc.Mark(rcv.Release),
+		rtpc.Then(a.s.costs.IPInput, func() {
 			out, ok := rcv.Frame.Payload.(*tradapter.Outgoing)
 			if !ok {
 				return

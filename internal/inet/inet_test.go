@@ -99,7 +99,7 @@ func TestARPResolvesOnFirstSend(t *testing.T) {
 	a.stack.SendDatagram(b.stack.Addr(), 60, nil, nil)
 	// The second send happens after resolution completes, so it hits the
 	// warm cache.
-	sched.After(sim.Second, "second", func() {
+	sched.After(sim.Second, func() {
 		a.stack.SendDatagram(b.stack.Addr(), 60, nil, nil)
 	})
 	sched.Run()
@@ -210,7 +210,7 @@ func TestRDTRecoversFromPurgeLoss(t *testing.T) {
 				}
 			}
 		}
-		sched.After(100*sim.Microsecond, "poll", poll)
+		sched.After(100*sim.Microsecond, poll)
 	}
 	poll()
 	sched.RunUntil(5 * sim.Second)
@@ -255,7 +255,7 @@ func TestRDTFastRetransmitBeatsTimer(t *testing.T) {
 				}
 			}
 		}
-		sched.After(100*sim.Microsecond, "poll", poll)
+		sched.After(100*sim.Microsecond, poll)
 	}
 	poll()
 	sched.RunUntil(5 * sim.Second)

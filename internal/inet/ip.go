@@ -173,9 +173,9 @@ func (s *Stack) output(dg *Datagram, done func()) {
 	total := IPHeaderSize + dg.Bytes
 
 	segs := []rtpc.Seg{
-		rtpc.Do("ip-output", s.costs.IPOutput),
-		rtpc.Do("arp-lookup", s.costs.ARPLookup),
-		rtpc.Mark("ip-enqueue", func() {
+		rtpc.Do(s.costs.IPOutput),
+		rtpc.Do(s.costs.ARPLookup),
+		rtpc.Mark(func() {
 			ch := s.k.Pool.AllocNoWait(total)
 			if ch == nil {
 				s.stats.Dropped++
@@ -212,7 +212,7 @@ func (s *Stack) output(dg *Datagram, done func()) {
 			})
 		}),
 	}
-	s.k.CPU().Submit(kernel.LevelSoftNet, "ip.output", segs, nil)
+	s.k.CPU().Submit(kernel.LevelSoftNet, segs, nil)
 }
 
 // ipInput is the driver split-point handler for IP frames.
@@ -220,10 +220,10 @@ func (s *Stack) ipInput(rcv *tradapter.Received) []rtpc.Seg {
 	// The stock path copies the packet out of the fixed DMA buffer into
 	// mbufs before protocol processing (§2's third copy); the copy loop
 	// is interruptible.
-	segs := s.k.Machine.CopySegs("dma-to-mbuf", rcv.Size, rcv.Buffer.Kind, rtpc.SystemMemory)
+	segs := s.k.Machine.CopySegs(rcv.Size, rcv.Buffer.Kind, rtpc.SystemMemory)
 	return append(segs,
-		rtpc.Mark("release-buf", rcv.Release),
-		rtpc.Then("ip-input", s.costs.IPInput, func() {
+		rtpc.Mark(rcv.Release),
+		rtpc.Then(s.costs.IPInput, func() {
 			out, ok := rcv.Frame.Payload.(*tradapter.Outgoing)
 			if !ok {
 				s.stats.Dropped++

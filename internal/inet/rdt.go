@@ -140,9 +140,9 @@ func (c *RDTConn) transmit(seg *rdtSeg, isRetransmit bool) {
 	}
 	dg.IP = IPHeader{Proto: ProtoRDT, Src: c.s.addr, Dst: c.peer}
 	// Transport processing cost, then the IP output path.
-	c.s.k.CPU().Submit(kernel.LevelSoftNet, "rdt.output", []rtpc.Seg{
-		rtpc.Do("rdt-seg", c.s.costs.TransportSeg),
-		rtpc.Mark("to-ip", func() {
+	c.s.k.CPU().Submit(kernel.LevelSoftNet, []rtpc.Seg{
+		rtpc.Do(c.s.costs.TransportSeg),
+		rtpc.Mark(func() {
 			c.s.output(dg, seg.done)
 			seg.done = nil
 		}),
@@ -157,7 +157,7 @@ func (c *RDTConn) armRTO() {
 	c.rtoArmed = true
 	c.rtoSerial++
 	serial := c.rtoSerial
-	c.s.k.Sched().After(rdtRTO, "rdt.rto", func() {
+	c.s.k.Sched().After(rdtRTO, func() {
 		if c.rtoSerial != serial {
 			return
 		}
@@ -205,9 +205,9 @@ func (c *RDTConn) sendAck() {
 	c.stats.AcksSent++
 	ack := &Datagram{Bytes: rdtAckSize, Ack: true, AckNum: c.rcvNext}
 	ack.IP = IPHeader{Proto: ProtoRDT, Src: c.s.addr, Dst: c.peer}
-	c.s.k.CPU().Submit(kernel.LevelSoftNet, "rdt.ack", []rtpc.Seg{
-		rtpc.Do("rdt-ack", c.s.costs.TransportSeg/2),
-		rtpc.Mark("to-ip", func() { c.s.output(ack, nil) }),
+	c.s.k.CPU().Submit(kernel.LevelSoftNet, []rtpc.Seg{
+		rtpc.Do(c.s.costs.TransportSeg / 2),
+		rtpc.Mark(func() { c.s.output(ack, nil) }),
 	}, nil)
 }
 

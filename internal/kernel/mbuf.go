@@ -302,7 +302,7 @@ func (p *Pool) Free(c *Chain) {
 		p.waiters = p.waiters[1:]
 		ch := p.build(w.small, w.clusters, w.size)
 		// Wakeup is asynchronous, as in the real kernel.
-		p.sched.After(0, "mbuf.wakeup", func() { w.fn(ch) })
+		p.sched.After(0, func() { w.fn(ch) })
 	}
 }
 

@@ -81,7 +81,7 @@ func TestBlockingAllocWaitsForFree(t *testing.T) {
 	if p.Stats().Waits != 1 {
 		t.Fatalf("wait accounting: %+v", p.Stats())
 	}
-	sched.After(sim.Millisecond, "free", func() { p.Free(first) })
+	sched.After(sim.Millisecond, func() { p.Free(first) })
 	sched.Run()
 	if got == nil {
 		t.Fatal("blocked alloc never completed")

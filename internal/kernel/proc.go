@@ -34,7 +34,7 @@ func (k *Kernel) NewProc(name string) *Proc {
 func (p *Proc) Name() string { return p.name }
 
 // userSegs slices a user compute cost into preemptible chunks.
-func (p *Proc) userSegs(label string, cost sim.Time) []rtpc.Seg {
+func (p *Proc) userSegs(cost sim.Time) []rtpc.Seg {
 	chunk := p.k.Costs.UserChunk
 	var segs []rtpc.Seg
 	for cost > 0 {
@@ -43,32 +43,32 @@ func (p *Proc) userSegs(label string, cost sim.Time) []rtpc.Seg {
 			c = cost
 		}
 		cost -= c
-		segs = append(segs, rtpc.Do(label, c))
+		segs = append(segs, rtpc.Do(c))
 	}
 	if len(segs) == 0 {
-		segs = append(segs, rtpc.Do(label, 0))
+		segs = append(segs, rtpc.Do(0))
 	}
 	return segs
 }
 
 // Compute burns user CPU time, then calls done. The process competes at
 // base level with every other process and kernel bottom half.
-func (p *Proc) Compute(label string, cost sim.Time, done func()) {
+func (p *Proc) Compute(cost sim.Time, done func()) {
 	p.UserTime += cost
-	p.k.CPU().Submit(LevelBase, p.name+"."+label, p.userSegs(label, cost), done)
+	p.k.CPU().Submit(LevelBase, p.userSegs(cost), done)
 }
 
 // Syscall models entry into the kernel, a body cost (for example a
 // copyin/copyout), and the return to user mode.
-func (p *Proc) Syscall(label string, body sim.Time, done func()) {
+func (p *Proc) Syscall(body sim.Time, done func()) {
 	p.Syscalls++
 	c := p.k.Costs
 	segs := []rtpc.Seg{
-		rtpc.Do("syscall-entry", c.SyscallEntry),
-		rtpc.Do(label, body),
-		rtpc.Do("syscall-exit", c.SyscallExit),
+		rtpc.Do(c.SyscallEntry),
+		rtpc.Do(body),
+		rtpc.Do(c.SyscallExit),
 	}
-	p.k.CPU().Submit(LevelBase, p.name+"."+label, segs, done)
+	p.k.CPU().Submit(LevelBase, segs, done)
 }
 
 // Sleep blocks the process; Wakeup unblocks it, after the kernel's wakeup
@@ -96,10 +96,10 @@ func (p *Proc) Wakeup() {
 	c := p.k.Costs
 	sleptAt := p.sleptAt
 	segs := []rtpc.Seg{
-		rtpc.Do("wakeup", c.WakeupLatency),
-		rtpc.Do("context-switch", c.ContextSwitch),
+		rtpc.Do(c.WakeupLatency),
+		rtpc.Do(c.ContextSwitch),
 	}
-	p.k.CPU().Submit(LevelBase, p.name+".wake", segs, func() {
+	p.k.CPU().Submit(LevelBase, segs, func() {
 		d := p.k.Sched().Now() - sleptAt
 		if d > p.MaxWakeDelay {
 			p.MaxWakeDelay = d
@@ -116,12 +116,12 @@ func (p *Proc) BackgroundLoad(period sim.Time, busyFrac float64) {
 	burst := sim.Scale(period, busyFrac)
 	var loop func()
 	loop = func() {
-		p.Compute("bg", burst, func() {
+		p.Compute(burst, func() {
 			idle := period - burst
 			if idle < 0 {
 				idle = 0
 			}
-			p.k.Sched().After(idle, p.name+".bg-idle", loop)
+			p.k.Sched().After(idle, loop)
 		})
 	}
 	loop()

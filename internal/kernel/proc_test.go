@@ -62,7 +62,7 @@ func TestProcSyscallCosts(t *testing.T) {
 	sched, k := newKernel()
 	p := k.NewProc("relay")
 	var doneAt sim.Time
-	p.Syscall("read", 100*sim.Microsecond, func() { doneAt = sched.Now() })
+	p.Syscall(100*sim.Microsecond, func() { doneAt = sched.Now() })
 	sched.Run()
 	want := k.Costs.SyscallEntry + 100*sim.Microsecond + k.Costs.SyscallExit
 	if doneAt != want {
@@ -76,12 +76,12 @@ func TestProcSyscallCosts(t *testing.T) {
 func TestProcComputeIsPreemptible(t *testing.T) {
 	sched, k := newKernel()
 	p := k.NewProc("cruncher")
-	p.Compute("crunch", 10*sim.Millisecond, nil)
+	p.Compute(10*sim.Millisecond, nil)
 	// An interrupt arriving mid-compute must be dispatched within one
 	// user chunk (200µs), not after the whole 10ms.
 	var entry sim.Time
-	sched.After(sim.Millisecond, "irq", func() {
-		k.CPU().Submit(LevelNet, "irq", []rtpc.Seg{rtpc.Mark("e", func() { entry = sched.Now() })}, nil)
+	sched.After(sim.Millisecond, func() {
+		k.CPU().Submit(LevelNet, []rtpc.Seg{rtpc.Mark(func() { entry = sched.Now() })}, nil)
 	})
 	sched.Run()
 	latency := entry - sim.Millisecond
@@ -98,7 +98,7 @@ func TestSleepWakeup(t *testing.T) {
 	if !p.Blocked() {
 		t.Fatal("proc should be blocked")
 	}
-	sched.After(sim.Millisecond, "wake", p.Wakeup)
+	sched.After(sim.Millisecond, p.Wakeup)
 	sched.Run()
 	if !woke {
 		t.Fatal("wakeup callback never ran")

@@ -13,8 +13,8 @@ import (
 func TestLogicAnalyzerExact(t *testing.T) {
 	sched := sim.NewScheduler()
 	la := NewLogicAnalyzer(sched)
-	sched.At(100*sim.Microsecond, "e1", func() { la.Record(P1VCAIRQ, 0) })
-	sched.At(12100*sim.Microsecond, "e2", func() { la.Record(P1VCAIRQ, 1) })
+	sched.At(100*sim.Microsecond, func() { la.Record(P1VCAIRQ, 0) })
+	sched.At(12100*sim.Microsecond, func() { la.Record(P1VCAIRQ, 1) })
 	sched.Run()
 	s := la.Samples(P1VCAIRQ)
 	if len(s) != 2 || s[0].T != 100*sim.Microsecond || s[1].T != 12100*sim.Microsecond {
@@ -27,7 +27,7 @@ func TestPseudoDevQuantizesAndPerturbs(t *testing.T) {
 	m := rtpc.NewMachine(sched, "m", rtpc.DefaultCostModel(), 1)
 	k := kernel.New(m)
 	pd := NewPseudoDev(k)
-	sched.At(300*sim.Microsecond, "e", func() { pd.Record(P2HandlerEntry, 0) })
+	sched.At(300*sim.Microsecond, func() { pd.Record(P2HandlerEntry, 0) })
 	sched.Run()
 	s := pd.Samples(P2HandlerEntry)
 	if len(s) != 1 {
@@ -58,7 +58,7 @@ func TestPCATErrorBounds(t *testing.T) {
 	// A perfect 12 ms source, as §5.2.3's validation test.
 	for i := 0; i < 2000; i++ {
 		n := uint32(i)
-		sched.At(sim.Time(i)*12*sim.Millisecond, "pulse", func() { pcat.Record(P1VCAIRQ, n) })
+		sched.At(sim.Time(i)*12*sim.Millisecond, func() { pcat.Record(P1VCAIRQ, n) })
 	}
 	// The marker repeater never drains the queue; bound the run.
 	sched.RunUntil(2000 * 12 * sim.Millisecond)
@@ -87,7 +87,7 @@ func TestPCATRolloverReconstruction(t *testing.T) {
 	times := []sim.Time{10 * sim.Millisecond, 500 * sim.Millisecond, 2 * sim.Second, 10 * sim.Second}
 	for i, at := range times {
 		n := uint32(i)
-		sched.At(at, "ev", func() { pcat.Record(P3PreTransmit, n) })
+		sched.At(at, func() { pcat.Record(P3PreTransmit, n) })
 	}
 	sched.RunUntil(11 * sim.Second)
 	pcat.Stop()
@@ -117,7 +117,7 @@ func TestPCATDecodeProperty(t *testing.T) {
 			want = append(want, at)
 			n := uint32(i)
 			tt := at
-			sched.At(tt, "ev", func() { pcat.Record(P4RxClassified, n) })
+			sched.At(tt, func() { pcat.Record(P4RxClassified, n) })
 		}
 		sched.RunUntil(at + 100*sim.Millisecond)
 		pcat.Stop()
@@ -211,10 +211,10 @@ func TestBuildHistogramsAndMultiRecorder(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		n := uint32(i)
 		base := sim.Time(i) * 12 * sim.Millisecond
-		sched.At(base, "p1", func() { multi.Record(P1VCAIRQ, n) })
-		sched.At(base+40*sim.Microsecond, "p2", func() { multi.Record(P2HandlerEntry, n) })
-		sched.At(base+2640*sim.Microsecond, "p3", func() { multi.Record(P3PreTransmit, n) })
-		sched.At(base+13380*sim.Microsecond, "p4", func() { multi.Record(P4RxClassified, n) })
+		sched.At(base, func() { multi.Record(P1VCAIRQ, n) })
+		sched.At(base+40*sim.Microsecond, func() { multi.Record(P2HandlerEntry, n) })
+		sched.At(base+2640*sim.Microsecond, func() { multi.Record(P3PreTransmit, n) })
+		sched.At(base+13380*sim.Microsecond, func() { multi.Record(P4RxClassified, n) })
 	}
 	sched.Run()
 	hs := BuildHistograms(multi, 100)

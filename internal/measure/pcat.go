@@ -61,7 +61,7 @@ type PCAT struct {
 // NewPCAT powers on the rig. The 50 Hz marker starts immediately.
 func NewPCAT(sched *sim.Scheduler, seed int64) *PCAT {
 	p := &PCAT{sched: sched, rng: sim.NewRNG(seed).Fork("pcat-loop")}
-	p.marker = sched.Every(PCATMarkerPeriod, "pcat.marker", func() {
+	p.marker = sched.Every(PCATMarkerPeriod, func() {
 		p.capture(PCATMarkerChannel, 1, 0) // the timer input needs no service delay draw
 	})
 	return p

@@ -49,8 +49,7 @@ func (d *PseudoDev) Record(p Point, num uint32) {
 	quantized := now / PseudoDevClockGranularity * PseudoDevClockGranularity
 	d.samples[p] = append(d.samples[p], Sample{Point: p, Num: num, T: quantized})
 	// The recording procedure itself runs on the measured CPU.
-	d.k.CPU().Submit(kernel.LevelNet, "pseudodev.record",
-		[]rtpc.Seg{rtpc.Do("timestamp", PseudoDevRecordCost)}, nil)
+	d.k.CPU().Submit(kernel.LevelNet, []rtpc.Seg{rtpc.Do(PseudoDevRecordCost)}, nil)
 }
 
 // Samples implements Recorder.

@@ -150,9 +150,9 @@ func (c *Client) handle(rcv *tradapter.Received) []rtpc.Seg {
 	}
 
 	m := c.k.Machine
-	segs := m.CopySegs("dma-to-mbuf", rcv.Size, rcv.Buffer.Kind, rtpc.SystemMemory)
-	segs = append(segs, rtpc.Mark("release", rcv.Release))
-	segs = append(segs, rtpc.Mark("deliver", func() {
+	segs := m.CopySegs(rcv.Size, rcv.Buffer.Kind, rtpc.SystemMemory)
+	segs = append(segs, rtpc.Mark(rcv.Release))
+	segs = append(segs, rtpc.Mark(func() {
 		ev := c.recv.Accept(pkt.Header, c.k.Sched().Now())
 		switch ev {
 		case ctmsp.Duplicate:

@@ -302,9 +302,9 @@ func TestServerHandlesPurgeLoss(t *testing.T) {
 			rig.ring.Purge()
 			return
 		}
-		rig.sched.After(200*sim.Microsecond, "poll", poll)
+		rig.sched.After(200*sim.Microsecond, poll)
 	}
-	rig.sched.After(200*sim.Millisecond, "arm", poll)
+	rig.sched.After(200*sim.Millisecond, poll)
 	rig.sched.RunUntil(3 * sim.Second)
 	if !purged {
 		t.Fatal("never injected the purge")

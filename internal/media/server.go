@@ -91,7 +91,7 @@ func (s *Server) Start() {
 		} else {
 			at = 0
 		}
-		s.k.Sched().At(s.k.Sched().Now()+at, "media.send-chunk", func() {
+		s.k.Sched().At(s.k.Sched().Now()+at, func() {
 			s.sendChunk(c)
 			remaining--
 			if remaining == 0 {

@@ -230,7 +230,7 @@ func (r *Ring) start(req *txRequest) {
 	if !req.st.inserted {
 		// A de-inserted station cannot transmit; fail immediately.
 		req.done(DeliveryStatus{CompletedAt: now})
-		r.sched.After(0, "ring.next", r.maybeStart)
+		r.sched.After(0, r.maybeStart)
 		return
 	}
 	// Token acquisition: fixed overhead plus jitter for where the token
@@ -254,7 +254,7 @@ func (r *Ring) start(req *txRequest) {
 	req.f.Seq = r.seq
 	r.seq++
 
-	r.sched.At(end, "ring.frame-end", func() {
+	r.sched.At(end, func() {
 		if r.current != req {
 			return // purged mid-flight; purge handler finished it
 		}
@@ -370,7 +370,7 @@ func (r *Ring) finishPurged(req *txRequest) {
 
 func (r *Ring) schedulePurgeEnd() {
 	end := r.purgeEnd
-	r.sched.At(end, "ring.purge-end", func() {
+	r.sched.At(end, func() {
 		if r.purgeEnd > end {
 			r.schedulePurgeEnd() // extended by an overlapping purge
 			return
@@ -404,7 +404,7 @@ func (r *Ring) Insertion(purges int) {
 	r.sched.Trace().AddEvent(r.sched.Now(), EvInsertion, int64(purges), 0)
 	for i := 0; i < purges; i++ {
 		d := sim.Time(i) * r.cfg.PurgeDuration
-		r.sched.After(d, "ring.insertion-purge", r.Purge)
+		r.sched.After(d, r.Purge)
 	}
 }
 

@@ -114,7 +114,7 @@ func TestPriorityPreemptsQueue(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		a.Transmit(NewDataFrame(a.Addr(), rx.Addr(), 0, 1000, nil, "low"), nil)
 	}
-	sched.After(sim.Microsecond, "inject-high", func() {
+	sched.After(sim.Microsecond, func() {
 		b.Transmit(NewDataFrame(b.Addr(), rx.Addr(), 5, 1000, nil, "high"), nil)
 	})
 	sched.Run()
@@ -189,7 +189,7 @@ func TestPurgeLosesInFlightFrameSilently(t *testing.T) {
 	var status DeliveryStatus
 	tx.Transmit(NewDataFrame(tx.Addr(), rx.Addr(), 0, 2000, nil, nil), func(s DeliveryStatus) { status = s })
 	// Purge 1 ms in, while the 2000-byte frame is still on the wire.
-	sched.After(sim.Millisecond, "purge", r.Purge)
+	sched.After(sim.Millisecond, r.Purge)
 	sched.Run()
 	if received != 0 {
 		t.Fatal("purged frame must not be delivered")
@@ -328,7 +328,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		rx.OnReceive(func(_ *Frame, at sim.Time) { times = append(times, at) })
 		for i := 0; i < 50; i++ {
 			i := i
-			sched.At(sim.Time(i)*sim.Millisecond, "send", func() {
+			sched.At(sim.Time(i)*sim.Millisecond, func() {
 				tx.Transmit(NewDataFrame(tx.Addr(), rx.Addr(), 0, 500+i, nil, nil), nil)
 			})
 		}

@@ -130,12 +130,12 @@ func (rt *Router) ingress(port int, class tradapter.Class, rcv *tradapter.Receiv
 
 	m := rt.k.Machine
 	size := rcv.Size
-	segs := []rtpc.Seg{rtpc.Do("switch", rt.SwitchCost)}
+	segs := []rtpc.Seg{rtpc.Do(rt.SwitchCost)}
 	// Copy from the ingress fixed DMA buffer to the egress driver's
 	// mbufs (one CPU copy — routers on this hardware cannot avoid it).
-	segs = append(segs, m.CopySegs("forward-copy", size, rcv.Buffer.Kind, rtpc.SystemMemory)...)
-	segs = append(segs, rtpc.Mark("release", rcv.Release))
-	segs = append(segs, rtpc.Mark("enqueue-egress", func() {
+	segs = append(segs, m.CopySegs(size, rcv.Buffer.Kind, rtpc.SystemMemory)...)
+	segs = append(segs, rtpc.Mark(rcv.Release))
+	segs = append(segs, rtpc.Mark(func() {
 		rt.stats.Forwarded[port]++
 		rt.stats.Bytes += uint64(size)
 		rt.stats.ForwardCost += rt.SwitchCost

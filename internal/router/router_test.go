@@ -123,7 +123,7 @@ func TestRouterKeepsUpWithCTMSRate(t *testing.T) {
 		return nil
 	})
 	n := 0
-	rep := rig.sched.Every(12*sim.Millisecond, "stream", func() {
+	rep := rig.sched.Every(12*sim.Millisecond, func() {
 		rig.send(uint32(n), 2000)
 		n++
 	})

@@ -154,10 +154,10 @@ func (h *Half) ingress(class tradapter.Class, rcv *tradapter.Received) []rtpc.Se
 		Capture: out.Capture,
 	}
 	m := h.k.Machine
-	segs := []rtpc.Seg{rtpc.Do("switch", h.SwitchCost)}
-	segs = append(segs, m.CopySegs("forward-copy", fwd.Size, rcv.Buffer.Kind, rtpc.SystemMemory)...)
-	segs = append(segs, rtpc.Mark("release", rcv.Release))
-	segs = append(segs, rtpc.Mark("hand-off", func() {
+	segs := []rtpc.Seg{rtpc.Do(h.SwitchCost)}
+	segs = append(segs, m.CopySegs(fwd.Size, rcv.Buffer.Kind, rtpc.SystemMemory)...)
+	segs = append(segs, rtpc.Mark(rcv.Release))
+	segs = append(segs, rtpc.Mark(func() {
 		h.stats.Forwarded++
 		h.stats.Bytes += uint64(fwd.Size)
 		h.Forward(fwd)

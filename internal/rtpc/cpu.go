@@ -20,23 +20,22 @@ const NumLevels = 8
 // segments, which are executed (in order) before the task's remaining
 // segments; this lets handlers make data-dependent decisions.
 type Seg struct {
-	Name string
 	Cost sim.Time
 	Fn   func() []Seg
 }
 
 // Do builds a segment with just a cost.
-func Do(name string, cost sim.Time) Seg { return Seg{Name: name, Cost: cost} }
+func Do(cost sim.Time) Seg { return Seg{Cost: cost} }
 
 // Then builds a segment with a cost and a completion action.
-func Then(name string, cost sim.Time, fn func()) Seg {
-	return Seg{Name: name, Cost: cost, Fn: func() []Seg { fn(); return nil }}
+func Then(cost sim.Time, fn func()) Seg {
+	return Seg{Cost: cost, Fn: func() []Seg { fn(); return nil }}
 }
 
 // Mark builds a zero-cost probe segment; fn observes the instant between
 // two segments (used for the paper's measurement points).
-func Mark(name string, fn func()) Seg {
-	return Seg{Name: name, Fn: func() []Seg { fn(); return nil }}
+func Mark(fn func()) Seg {
+	return Seg{Fn: func() []Seg { fn(); return nil }}
 }
 
 // Task is a unit of schedulable work at an interrupt level. Tasks are
@@ -44,8 +43,6 @@ func Mark(name string, fn func()) Seg {
 // from Submit until the last segment completes, and callers never see it.
 type task struct {
 	level     int
-	name      string
-	label     string // cached "<cpu>.<name>", the dispatch event label
 	segs      []Seg
 	next      int // index of the next segment to run; segs is never re-sliced
 	onDone    func()
@@ -108,15 +105,13 @@ type CPU struct {
 	kick    bool    // a dispatch kick event is queued
 
 	// Dispatch runs once per task and segment ends run once per segment —
-	// the busiest paths in the whole simulator — so their event labels and
-	// callbacks are built once here, not per event.
-	kickName string // "<cpu>.dispatch"
-	kickFn   func()
-	segEnd   func()            // shared end-of-segment callback
-	segTask  *task             // task whose segment is in flight (inSeg)
-	segFn    func() []Seg      // that segment's completion action
-	labels   map[string]string // task name → "<cpu>.<name>" label cache
-	free     []*task           // recycled task objects
+	// the busiest paths in the whole simulator — so their callbacks are
+	// built once here, not per event.
+	kickFn  func()
+	segEnd  func()       // shared end-of-segment callback
+	segTask *task        // task whose segment is in flight (inSeg)
+	segFn   func() []Seg // that segment's completion action
+	free    []*task      // recycled task objects
 
 	sysDMAActive int // DMA engines currently targeting system memory
 	interference float64
@@ -136,8 +131,6 @@ func NewCPU(sched *sim.Scheduler, name string, interference float64) *CPU {
 		name:         name,
 		interference: interference,
 		mask:         -1,
-		kickName:     name + ".dispatch",
-		labels:       make(map[string]string),
 		free:         make([]*task, 0, maxFreeTasks),
 	}
 	c.kickFn = func() {
@@ -192,23 +185,9 @@ func (c *CPU) allocTask() *task {
 func (c *CPU) recycleTask(t *task) {
 	t.segs, t.onDone = nil, nil
 	t.next = 0
-	t.name, t.label = "", ""
 	if len(c.free) < maxFreeTasks {
 		c.free = append(c.free, t) //ctmsvet:allow hotpath free list capacity is preallocated at maxFreeTasks and the len guard keeps it there
 	}
-}
-
-// label caches the per-task dispatch label so the hot paths concatenate
-// once per distinct task name, not once per submission.
-//
-//ctmsvet:hotpath
-func (c *CPU) label(name string) string {
-	if l, ok := c.labels[name]; ok {
-		return l
-	}
-	l := c.name + "." + name //ctmsvet:allow hotpath cold miss path, runs once per distinct task name
-	c.labels[name] = l
-	return l
 }
 
 // Now reports simulated time.
@@ -253,12 +232,12 @@ func (c *CPU) Mask() int { return c.mask }
 // there.
 //
 //ctmsvet:hotpath
-func (c *CPU) Submit(level int, name string, segs []Seg, onDone func()) {
+func (c *CPU) Submit(level int, segs []Seg, onDone func()) {
 	if level < 0 || level >= NumLevels {
-		sim.Checkf(false, "task %q level %d out of range", name, level)
+		sim.Checkf(false, "task level %d out of range", level)
 	}
 	t := c.allocTask()
-	t.level, t.name, t.label = level, name, c.label(name)
+	t.level = level
 	t.segs, t.next = segs, 0
 	t.onDone = onDone
 	t.submitted = c.sched.Now()
@@ -270,21 +249,13 @@ func (c *CPU) Submit(level int, name string, segs []Seg, onDone func()) {
 // Busy reports whether a segment is executing right now.
 func (c *CPU) Busy() bool { return c.inSeg }
 
-// Running reports the name of the executing task, or "".
-func (c *CPU) Running() string {
-	if len(c.stack) == 0 {
-		return ""
-	}
-	return c.stack[len(c.stack)-1].name
-}
-
 // QueueDepth reports pending tasks at a level.
 func (c *CPU) QueueDepth(level int) int { return c.pending[level].len() }
 
 // requestKick schedules a dispatch pass. Using a zero-delay event keeps
 // Submit safe to call from inside segment callbacks without re-entering
-// the dispatcher. The event label and callback are the prebuilt
-// kickName/kickFn — this runs once per task and must not allocate.
+// the dispatcher. The callback is the prebuilt kickFn — this runs once
+// per task and must not allocate.
 //
 //ctmsvet:hotpath
 func (c *CPU) requestKick() {
@@ -292,7 +263,7 @@ func (c *CPU) requestKick() {
 		return
 	}
 	c.kick = true
-	c.sched.After(0, c.kickName, c.kickFn)
+	c.sched.After(0, c.kickFn)
 }
 
 // bestPending reports the highest pending level above the spl mask, or -1.
@@ -350,8 +321,8 @@ func (c *CPU) top() *task {
 
 // runSeg executes the current task's next segment. Per-segment work is
 // the simulator's innermost loop: the end-of-segment event reuses the
-// shared segEnd callback and the task's cached label, so a segment costs
-// one (recycled) scheduler event and nothing else.
+// shared segEnd callback, so a segment costs one (recycled) scheduler
+// event and nothing else.
 //
 //ctmsvet:hotpath
 func (c *CPU) runSeg() {
@@ -382,7 +353,7 @@ func (c *CPU) runSeg() {
 	c.stats.BusyTime += dur
 	c.segTask = t
 	c.segFn = seg.Fn
-	c.sched.After(dur, t.label, c.segEnd)
+	c.sched.After(dur, c.segEnd)
 }
 
 // dmaStarted/dmaEnded are called by DMA engines to register cycle steal.
@@ -401,6 +372,6 @@ func (c *CPU) dmaEnded(target MemoryKind) {
 
 // String summarizes the CPU state.
 func (c *CPU) String() string {
-	return fmt.Sprintf("cpu{%s running=%q depth=%d mask=%d util=%.1f%%}",
-		c.name, c.Running(), len(c.stack), c.mask, 100*c.Utilization())
+	return fmt.Sprintf("cpu{%s depth=%d mask=%d util=%.1f%%}",
+		c.name, len(c.stack), c.mask, 100*c.Utilization())
 }

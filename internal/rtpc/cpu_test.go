@@ -15,9 +15,9 @@ func TestTaskRunsSegmentsInOrder(t *testing.T) {
 	sched, cpu := newCPU()
 	var order []string
 	var doneAt sim.Time
-	cpu.Submit(1, "task", []Seg{
-		Then("a", 10*sim.Microsecond, func() { order = append(order, "a") }),
-		Then("b", 20*sim.Microsecond, func() { order = append(order, "b") }),
+	cpu.Submit(1, []Seg{
+		Then(10*sim.Microsecond, func() { order = append(order, "a") }),
+		Then(20*sim.Microsecond, func() { order = append(order, "b") }),
 	}, func() { doneAt = sched.Now() })
 	sched.Run()
 	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
@@ -32,14 +32,14 @@ func TestHigherLevelPreemptsAtSegmentBoundary(t *testing.T) {
 	sched, cpu := newCPU()
 	var order []string
 	// A long low-level task of two 100µs segments.
-	cpu.Submit(1, "low", []Seg{
-		Then("s1", 100*sim.Microsecond, func() { order = append(order, "low1") }),
-		Then("s2", 100*sim.Microsecond, func() { order = append(order, "low2") }),
+	cpu.Submit(1, []Seg{
+		Then(100*sim.Microsecond, func() { order = append(order, "low1") }),
+		Then(100*sim.Microsecond, func() { order = append(order, "low2") }),
 	}, nil)
 	// A high-level interrupt arrives mid-first-segment.
-	sched.After(50*sim.Microsecond, "irq", func() {
-		cpu.Submit(6, "irq", []Seg{
-			Then("h", 10*sim.Microsecond, func() { order = append(order, "irq") }),
+	sched.After(50*sim.Microsecond, func() {
+		cpu.Submit(6, []Seg{
+			Then(10*sim.Microsecond, func() { order = append(order, "irq") }),
 		}, nil)
 	})
 	sched.Run()
@@ -59,11 +59,11 @@ func TestInterruptLatencyBoundedBySegmentLength(t *testing.T) {
 	// Background task with 400µs protected segments, like the kernel's
 	// protected code paths.
 	for i := 0; i < 10; i++ {
-		cpu.Submit(0, "bg", []Seg{Do("crit", 400*sim.Microsecond)}, nil)
+		cpu.Submit(0, []Seg{Do(400 * sim.Microsecond)}, nil)
 	}
 	var entry sim.Time
-	sched.After(100*sim.Microsecond, "irq", func() {
-		cpu.Submit(6, "irq", []Seg{Mark("entry", func() { entry = sched.Now() })}, nil)
+	sched.After(100*sim.Microsecond, func() {
+		cpu.Submit(6, []Seg{Mark(func() { entry = sched.Now() })}, nil)
 	})
 	sched.Run()
 	latency := entry - 100*sim.Microsecond
@@ -75,13 +75,13 @@ func TestInterruptLatencyBoundedBySegmentLength(t *testing.T) {
 func TestEqualLevelDoesNotPreempt(t *testing.T) {
 	sched, cpu := newCPU()
 	var order []string
-	cpu.Submit(3, "first", []Seg{
-		Then("a", 10*sim.Microsecond, func() { order = append(order, "f1") }),
-		Then("b", 10*sim.Microsecond, func() { order = append(order, "f2") }),
+	cpu.Submit(3, []Seg{
+		Then(10*sim.Microsecond, func() { order = append(order, "f1") }),
+		Then(10*sim.Microsecond, func() { order = append(order, "f2") }),
 	}, nil)
-	sched.After(5*sim.Microsecond, "second", func() {
-		cpu.Submit(3, "second", []Seg{
-			Then("c", 10*sim.Microsecond, func() { order = append(order, "s") }),
+	sched.After(5*sim.Microsecond, func() {
+		cpu.Submit(3, []Seg{
+			Then(10*sim.Microsecond, func() { order = append(order, "s") }),
 		}, nil)
 	})
 	sched.Run()
@@ -93,15 +93,15 @@ func TestEqualLevelDoesNotPreempt(t *testing.T) {
 func TestSplMasksDispatch(t *testing.T) {
 	sched, cpu := newCPU()
 	var order []string
-	cpu.Submit(1, "kern", []Seg{
-		Mark("raise", func() { cpu.Spl(6) }),
-		Then("crit1", 50*sim.Microsecond, func() { order = append(order, "crit1") }),
-		Then("crit2", 50*sim.Microsecond, func() { order = append(order, "crit2") }),
-		Mark("lower", func() { cpu.SplX(-1) }),
-		Then("tail", 10*sim.Microsecond, func() { order = append(order, "tail") }),
+	cpu.Submit(1, []Seg{
+		Mark(func() { cpu.Spl(6) }),
+		Then(50*sim.Microsecond, func() { order = append(order, "crit1") }),
+		Then(50*sim.Microsecond, func() { order = append(order, "crit2") }),
+		Mark(func() { cpu.SplX(-1) }),
+		Then(10*sim.Microsecond, func() { order = append(order, "tail") }),
 	}, nil)
-	sched.After(20*sim.Microsecond, "irq", func() {
-		cpu.Submit(5, "irq", []Seg{Mark("h", func() { order = append(order, "irq") })}, nil)
+	sched.After(20*sim.Microsecond, func() {
+		cpu.Submit(5, []Seg{Mark(func() { order = append(order, "irq") })}, nil)
 	})
 	sched.Run()
 	// The level-5 interrupt must wait for SplX even though segment
@@ -120,12 +120,12 @@ func TestSplMasksDispatch(t *testing.T) {
 func TestSegFnCanExtendTask(t *testing.T) {
 	sched, cpu := newCPU()
 	var order []string
-	cpu.Submit(2, "dynamic", []Seg{
-		{Name: "head", Cost: 10 * sim.Microsecond, Fn: func() []Seg {
+	cpu.Submit(2, []Seg{
+		{Cost: 10 * sim.Microsecond, Fn: func() []Seg {
 			order = append(order, "head")
-			return []Seg{Then("inserted", 5*sim.Microsecond, func() { order = append(order, "inserted") })}
+			return []Seg{Then(5*sim.Microsecond, func() { order = append(order, "inserted") })}
 		}},
-		Then("tail", 5*sim.Microsecond, func() { order = append(order, "tail") }),
+		Then(5*sim.Microsecond, func() { order = append(order, "tail") }),
 	}, nil)
 	sched.Run()
 	want := []string{"head", "inserted", "tail"}
@@ -139,12 +139,12 @@ func TestSegFnCanExtendTask(t *testing.T) {
 func TestDMAInterferenceSlowsCPU(t *testing.T) {
 	sched, cpu := newCPU()
 	cost := DefaultCostModel()
-	dma := NewDMA(cpu, cost, "adapter")
+	dma := NewDMA(cpu, cost)
 
 	// Start a long DMA into system memory, then a CPU segment.
-	dma.Transfer(5000, SystemMemory, "rx", nil)
+	dma.Transfer(5000, SystemMemory, nil)
 	var doneAt sim.Time
-	cpu.Submit(1, "work", []Seg{Do("compute", 1000*sim.Microsecond)}, func() { doneAt = sched.Now() })
+	cpu.Submit(1, []Seg{Do(1000 * sim.Microsecond)}, func() { doneAt = sched.Now() })
 	sched.Run()
 	// 30% interference: the 1000µs segment should take 1300µs.
 	if doneAt != 1300*sim.Microsecond {
@@ -155,10 +155,10 @@ func TestDMAInterferenceSlowsCPU(t *testing.T) {
 func TestIOChannelDMADoesNotSlowCPU(t *testing.T) {
 	sched, cpu := newCPU()
 	cost := DefaultCostModel()
-	dma := NewDMA(cpu, cost, "adapter")
-	dma.Transfer(5000, IOChannelMemory, "rx", nil)
+	dma := NewDMA(cpu, cost)
+	dma.Transfer(5000, IOChannelMemory, nil)
 	var doneAt sim.Time
-	cpu.Submit(1, "work", []Seg{Do("compute", 1000*sim.Microsecond)}, func() { doneAt = sched.Now() })
+	cpu.Submit(1, []Seg{Do(1000 * sim.Microsecond)}, func() { doneAt = sched.Now() })
 	sched.Run()
 	if doneAt != 1000*sim.Microsecond {
 		t.Fatalf("IO Channel Memory DMA must not steal CPU cycles: done at %v", doneAt)
@@ -168,10 +168,10 @@ func TestIOChannelDMADoesNotSlowCPU(t *testing.T) {
 func TestDMASerializesTransfers(t *testing.T) {
 	sched, cpu := newCPU()
 	cost := DefaultCostModel()
-	dma := NewDMA(cpu, cost, "adapter")
+	dma := NewDMA(cpu, cost)
 	var ends []sim.Time
-	dma.Transfer(1000, IOChannelMemory, "a", func() { ends = append(ends, sched.Now()) })
-	dma.Transfer(1000, IOChannelMemory, "b", func() { ends = append(ends, sched.Now()) })
+	dma.Transfer(1000, IOChannelMemory, func() { ends = append(ends, sched.Now()) })
+	dma.Transfer(1000, IOChannelMemory, func() { ends = append(ends, sched.Now()) })
 	sched.Run()
 	per := cost.DMACost(1000, IOChannelMemory)
 	if per <= cost.DMACost(1000, SystemMemory) {
@@ -221,9 +221,9 @@ func TestBufferLifecycle(t *testing.T) {
 
 func TestDispatchWaitAccounting(t *testing.T) {
 	sched, cpu := newCPU()
-	cpu.Submit(0, "bg", []Seg{Do("long", 300*sim.Microsecond)}, nil)
-	sched.After(10*sim.Microsecond, "irq", func() {
-		cpu.Submit(4, "irq", []Seg{Do("h", sim.Microsecond)}, nil)
+	cpu.Submit(0, []Seg{Do(300 * sim.Microsecond)}, nil)
+	sched.After(10*sim.Microsecond, func() {
+		cpu.Submit(4, []Seg{Do(sim.Microsecond)}, nil)
 	})
 	sched.Run()
 	if w := cpu.Stats().MaxDispatchWait[4]; w < 200*sim.Microsecond {
@@ -237,7 +237,7 @@ func TestDispatchWaitAccounting(t *testing.T) {
 func TestMachineHelpers(t *testing.T) {
 	sched := sim.NewScheduler()
 	m := NewMachine(sched, "tx", DefaultCostModel(), 42)
-	seg := m.CopySeg("copy", 1000, SystemMemory, IOChannelMemory)
+	seg := m.CopySeg(1000, SystemMemory, IOChannelMemory)
 	if seg.Cost != sim.Millisecond {
 		t.Fatalf("CopySeg cost wrong: %v", seg.Cost)
 	}
@@ -264,19 +264,19 @@ func TestMachineHelpers(t *testing.T) {
 func TestNestedPreemptionStack(t *testing.T) {
 	sched, cpu := newCPU()
 	var order []string
-	cpu.Submit(1, "l1", []Seg{
-		Then("a", 100*sim.Microsecond, func() { order = append(order, "l1a") }),
-		Then("b", 100*sim.Microsecond, func() { order = append(order, "l1b") }),
+	cpu.Submit(1, []Seg{
+		Then(100*sim.Microsecond, func() { order = append(order, "l1a") }),
+		Then(100*sim.Microsecond, func() { order = append(order, "l1b") }),
 	}, nil)
-	sched.After(50*sim.Microsecond, "mid", func() {
-		cpu.Submit(3, "l3", []Seg{
-			Then("a", 100*sim.Microsecond, func() { order = append(order, "l3a") }),
-			Then("b", 100*sim.Microsecond, func() { order = append(order, "l3b") }),
+	sched.After(50*sim.Microsecond, func() {
+		cpu.Submit(3, []Seg{
+			Then(100*sim.Microsecond, func() { order = append(order, "l3a") }),
+			Then(100*sim.Microsecond, func() { order = append(order, "l3b") }),
 		}, nil)
 	})
-	sched.After(120*sim.Microsecond, "high", func() {
-		cpu.Submit(6, "l6", []Seg{
-			Then("a", 10*sim.Microsecond, func() { order = append(order, "l6") }),
+	sched.After(120*sim.Microsecond, func() {
+		cpu.Submit(6, []Seg{
+			Then(10*sim.Microsecond, func() { order = append(order, "l6") }),
 		}, nil)
 	})
 	sched.Run()
@@ -291,5 +291,35 @@ func TestNestedPreemptionStack(t *testing.T) {
 	}
 	if cpu.Stats().Preemptions < 2 {
 		t.Fatalf("preemption accounting: %+v", cpu.Stats())
+	}
+}
+
+// TestDispatchCycleDoesNotAllocate runs the CPU's per-task path in a warm
+// steady state: Submit, the dispatch kick, each segment's end event and
+// onDone. With a prebuilt segment program the whole cycle must run off
+// the task and event free lists without allocating.
+func TestDispatchCycleDoesNotAllocate(t *testing.T) {
+	sched, cpu := newCPU()
+	marks, done := 0, 0
+	segs := []Seg{
+		Do(40 * sim.Microsecond),
+		Then(60*sim.Microsecond, func() { marks++ }),
+		Mark(func() { marks++ }),
+	}
+	onDone := func() { done++ }
+	cycle := func() {
+		cpu.Submit(3, segs, onDone)
+		sched.Run()
+	}
+	// Warm past one revolution of the scheduler's timing wheel (~537 ms),
+	// so every bucket slice has already grown to its steady-state size.
+	for sched.Now() < 600*sim.Millisecond {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Fatalf("warm Submit→dispatch→segment-end→onDone cycle allocated %v times, want 0", allocs)
+	}
+	if marks != 2*done {
+		t.Fatalf("segment actions ran %d times for %d completed tasks", marks, done)
 	}
 }

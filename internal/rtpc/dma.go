@@ -9,7 +9,6 @@ import "repro/internal/sim"
 type DMA struct {
 	cpu     *CPU
 	cost    CostModel
-	name    string
 	busy    bool
 	queue   []dmaXfer
 	started uint64
@@ -19,14 +18,13 @@ type DMA struct {
 type dmaXfer struct {
 	n      int
 	target MemoryKind
-	name   string
 	done   func()
 }
 
 // NewDMA creates a DMA engine attached to the machine's CPU for
 // interference accounting.
-func NewDMA(cpu *CPU, cost CostModel, name string) *DMA {
-	return &DMA{cpu: cpu, cost: cost, name: name}
+func NewDMA(cpu *CPU, cost CostModel) *DMA {
+	return &DMA{cpu: cpu, cost: cost}
 }
 
 // Busy reports whether a transfer is in progress.
@@ -40,9 +38,9 @@ func (d *DMA) Bytes() uint64 { return d.bytes }
 
 // Transfer moves n bytes to/from a buffer in target memory, then calls
 // done. If the engine is busy the transfer queues behind earlier ones.
-func (d *DMA) Transfer(n int, target MemoryKind, name string, done func()) {
+func (d *DMA) Transfer(n int, target MemoryKind, done func()) {
 	sim.Checkf(n >= 0, "negative DMA length %d", n)
-	d.queue = append(d.queue, dmaXfer{n: n, target: target, name: name, done: done})
+	d.queue = append(d.queue, dmaXfer{n: n, target: target, done: done})
 	d.pump()
 }
 
@@ -56,7 +54,7 @@ func (d *DMA) pump() {
 	d.started++
 	d.bytes += uint64(x.n)
 	d.cpu.dmaStarted(x.target)
-	d.cpu.Scheduler().After(d.cost.DMACost(x.n, x.target), d.name+"."+x.name, func() {
+	d.cpu.Scheduler().After(d.cost.DMACost(x.n, x.target), func() {
 		d.cpu.dmaEnded(x.target)
 		d.busy = false
 		if x.done != nil {

@@ -33,14 +33,14 @@ func (m *Machine) Scheduler() *sim.Scheduler { return m.sched }
 func (m *Machine) RNG() *sim.RNG { return m.rng }
 
 // NewDMA creates a DMA engine on this machine.
-func (m *Machine) NewDMA(name string) *DMA {
-	return NewDMA(m.CPU, m.Cost, m.Name+"."+name)
+func (m *Machine) NewDMA() *DMA {
+	return NewDMA(m.CPU, m.Cost)
 }
 
 // CopySeg builds a CPU segment that models copying n bytes between
-// memories, labelled for tracing.
-func (m *Machine) CopySeg(name string, n int, src, dst MemoryKind) Seg {
-	return Do(name, m.Cost.CopyCost(n, src, dst))
+// memories.
+func (m *Machine) CopySeg(n int, src, dst MemoryKind) Seg {
+	return Do(m.Cost.CopyCost(n, src, dst))
 }
 
 // copyChunkBytes slices large copies into segments of this many bytes.
@@ -52,9 +52,9 @@ func (m *Machine) CopySeg(name string, n int, src, dst MemoryKind) Seg {
 const copyChunkBytes = 400
 
 // CopySegs builds a chunked, interruptible copy of n bytes.
-func (m *Machine) CopySegs(name string, n int, src, dst MemoryKind) []Seg {
+func (m *Machine) CopySegs(n int, src, dst MemoryKind) []Seg {
 	if n <= copyChunkBytes {
-		return []Seg{m.CopySeg(name, n, src, dst)}
+		return []Seg{m.CopySeg(n, src, dst)}
 	}
 	var segs []Seg
 	for n > 0 {
@@ -63,7 +63,7 @@ func (m *Machine) CopySegs(name string, n int, src, dst MemoryKind) []Seg {
 			c = n
 		}
 		n -= c
-		segs = append(segs, m.CopySeg(name, c, src, dst))
+		segs = append(segs, m.CopySeg(c, src, dst))
 	}
 	return segs
 }

@@ -29,8 +29,8 @@ func TestCPUConservationAndFIFOProperty(t *testing.T) {
 			cost := sim.Time(s.Cost) * sim.Microsecond
 			wantBusy += cost
 			delay := sim.Time(s.Delay) * sim.Microsecond
-			sched.At(delay, "submit", func() {
-				cpu.Submit(level, "t", []Seg{Do("c", cost)}, func() {
+			sched.At(delay, func() {
+				cpu.Submit(level, []Seg{Do(cost)}, func() {
 					finishOrder[level] = append(finishOrder[level], i)
 				})
 			})
@@ -67,12 +67,12 @@ func TestSplNestingProperty(t *testing.T) {
 			level := int(l) % NumLevels
 			mask := (int(l) / NumLevels) % NumLevels
 			i := i
-			sched.At(sim.Time(i)*50*sim.Microsecond, "submit", func() {
+			sched.At(sim.Time(i)*50*sim.Microsecond, func() {
 				var saved int
-				cpu.Submit(level, "t", []Seg{
-					Mark("raise", func() { saved = cpu.Spl(mask) }),
-					Do("crit", 100*sim.Microsecond),
-					Mark("lower", func() { cpu.SplX(saved) }),
+				cpu.Submit(level, []Seg{
+					Mark(func() { saved = cpu.Spl(mask) }),
+					Do(100 * sim.Microsecond),
+					Mark(func() { cpu.SplX(saved) }),
 				}, func() { done++ })
 			})
 		}
@@ -93,14 +93,14 @@ func TestWorstCaseDispatchBound(t *testing.T) {
 	// Saturate levels 0..5 with long tasks made of bounded segments.
 	for l := 0; l <= 5; l++ {
 		for i := 0; i < 10; i++ {
-			cpu.Submit(l, "bg", []Seg{Do("a", seg), Do("b", seg), Do("c", seg)}, nil)
+			cpu.Submit(l, []Seg{Do(seg), Do(seg), Do(seg)}, nil)
 		}
 	}
 	worst := sim.Time(0)
 	for i := 0; i < 20; i++ {
 		at := sim.Time(i) * 3 * sim.Millisecond
-		sched.At(at, "irq", func() {
-			cpu.Submit(7, "irq", []Seg{Mark("e", func() {
+		sched.At(at, func() {
+			cpu.Submit(7, []Seg{Mark(func() {
 				if d := sched.Now() - at; d > worst {
 					worst = d
 				}

@@ -442,7 +442,7 @@ func Run(cfg Config) (*Results, error) {
 			(ringCfg.PurgeDuration.Seconds() / cfg.PurgePenaltyWindow.Seconds()))
 		r.OnPurge(func(at sim.Time) {
 			ctrl.AddPenalty(penalty)
-			sched.After(cfg.PurgePenaltyWindow, "session.penalty-expire", func() {
+			sched.After(cfg.PurgePenaltyWindow, func() {
 				ctrl.RemovePenalty(penalty)
 			})
 			for _, id := range ctrl.Overcommitted() {
@@ -454,7 +454,7 @@ func Run(cfg Config) (*Results, error) {
 	}
 
 	if cfg.ForceInsertionAt > 0 {
-		sched.At(cfg.ForceInsertionAt, "session.forced-insertion", func() {
+		sched.At(cfg.ForceInsertionAt, func() {
 			r.Insertion(defaultInsertionPurges)
 		})
 	}
@@ -483,7 +483,7 @@ func Run(cfg Config) (*Results, error) {
 			*res = StreamResult{Spec: spec, Arrived: true, ArrivedAt: a.At, Title: a.Title}
 			arrival := a
 			streamID := id
-			sched.At(a.At, "session.pop-arrive", func() {
+			sched.At(a.At, func() {
 				offered := spec.OfferedBits()
 				cfg.Trace.AddEvent(arrival.At, EvArrive, int64(streamID), offered)
 				var dec Decision
@@ -509,7 +509,7 @@ func Run(cfg Config) (*Results, error) {
 				byID[streamID] = st
 				st.dev.Start()
 				if arrival.DepartAt < cfg.Duration {
-					sched.At(arrival.DepartAt, "session.pop-depart", func() {
+					sched.At(arrival.DepartAt, func() {
 						if st.shed || st.departed {
 							return
 						}
@@ -531,7 +531,7 @@ func Run(cfg Config) (*Results, error) {
 				if at >= cfg.Duration {
 					break
 				}
-				sched.At(at, "session.pop-storm", func() {
+				sched.At(at, func() {
 					r.Insertion(defaultInsertionPurges)
 				})
 			}

@@ -49,13 +49,13 @@ func BenchmarkWheelScheduleCancel(b *testing.B) {
 	eachDepth(b, func(b *testing.B, depth int) {
 		s := NewScheduler()
 		for _, d := range prefillDelays(depth) {
-			s.At(d, "standing", func() {})
+			s.At(d, func() {})
 		}
 		d := 100 * Millisecond
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s.At(d, "churn", func() {}).Cancel()
+			s.At(d, func() {}).Cancel()
 		}
 	})
 }
@@ -81,9 +81,9 @@ func BenchmarkWheelAdvance(b *testing.B) {
 	eachDepth(b, func(b *testing.B, depth int) {
 		s := NewScheduler()
 		var rearm func()
-		rearm = func() { s.After(nearDelay/97, "tick", rearm) }
+		rearm = func() { s.After(nearDelay/97, rearm) }
 		for _, d := range prefillDelays(depth) {
-			s.At(d, "tick", rearm)
+			s.At(d, rearm)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()

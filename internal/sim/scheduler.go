@@ -19,7 +19,6 @@ type Event struct {
 	at        Time
 	seq       uint64
 	fn        func()
-	name      string
 	cancelled bool
 	home      int32      // wheel bucket index, or homeOverflow / homeNone
 	index     int32      // position within the bucket slice or overflow heap
@@ -36,9 +35,6 @@ const (
 
 // When reports the simulated time at which the event is due to fire.
 func (e *Event) When() Time { return e.at }
-
-// Name reports the diagnostic label given when the event was scheduled.
-func (e *Event) Name() string { return e.name }
 
 // Cancel prevents the event from firing and removes it from its queue
 // immediately, so long runs that schedule and cancel many timers do not
@@ -163,12 +159,11 @@ func (s *Scheduler) alloc() *Event {
 }
 
 // recycle returns a popped or cancelled event to the free list, dropping
-// its closure and name so they can be collected.
+// its closure so it can be collected.
 //
 //ctmsvet:hotpath
 func (s *Scheduler) recycle(e *Event) {
 	e.fn = nil
-	e.name = ""
 	e.home = homeNone
 	if len(s.free) < maxFreeEvents {
 		s.free = append(s.free, e) //ctmsvet:allow hotpath free list capacity is preallocated at maxFreeEvents and the len guard keeps it there
@@ -193,8 +188,9 @@ func (s *Scheduler) Now() Time { return s.now }
 // tests and for sanity checks on run size.
 func (s *Scheduler) Fired() uint64 { return s.fired }
 
-// SetTrace attaches a trace log that records each dispatched event.
-// A nil trace disables tracing.
+// SetTrace attaches the structured trace that model components record
+// their domain events into (through Trace). The scheduler itself records
+// nothing. A nil trace disables tracing.
 func (s *Scheduler) SetTrace(t *Trace) { s.trace = t }
 
 // Trace reports the attached trace log, or nil. Model components reach
@@ -211,7 +207,7 @@ func (s *Scheduler) Trace() *Trace { return s.trace }
 func (s *Scheduler) enqueue(e *Event) {
 	tk := int64(e.at) >> tickShift
 	if tk < s.cursor {
-		Checkf(false, "event %q at %v maps to tick %d behind the wheel cursor %d", e.name, e.at, tk, s.cursor)
+		Checkf(false, "event at %v maps to tick %d behind the wheel cursor %d", e.at, tk, s.cursor)
 	}
 	if tk >= s.cursor+wheelSize {
 		heap.Push(&s.overflow, e)
@@ -294,15 +290,15 @@ func (s *Scheduler) firstBucket() ([]*Event, int64) {
 // slice of the event loop's allocations.
 //
 //ctmsvet:hotpath
-func (s *Scheduler) At(t Time, name string, fn func()) *Event {
+func (s *Scheduler) At(t Time, fn func()) *Event {
 	if t < s.now {
-		Checkf(false, "event %q scheduled at %v, before now %v", name, t, s.now)
+		Checkf(false, "event scheduled at %v, before now %v", t, s.now)
 	}
 	if fn == nil {
-		Checkf(false, "event %q scheduled with nil callback", name)
+		Checkf(false, "event at %v scheduled with nil callback", t)
 	}
 	e := s.alloc()
-	e.at, e.seq, e.fn, e.name = t, s.seq, fn, name
+	e.at, e.seq, e.fn = t, s.seq, fn
 	s.seq++
 	s.enqueue(e)
 	return e
@@ -311,18 +307,18 @@ func (s *Scheduler) At(t Time, name string, fn func()) *Event {
 // After schedules fn to run d after the current simulated time.
 //
 //ctmsvet:hotpath
-func (s *Scheduler) After(d Duration, name string, fn func()) *Event {
+func (s *Scheduler) After(d Duration, fn func()) *Event {
 	if d < 0 {
-		Checkf(false, "event %q scheduled with negative delay %v", name, d)
+		Checkf(false, "event scheduled with negative delay %v", d)
 	}
-	return s.At(s.now+d, name, fn)
+	return s.At(s.now+d, fn)
 }
 
 // Every schedules fn to run every period, starting after the first period,
 // until the returned Repeater is stopped or the run ends.
-func (s *Scheduler) Every(period Duration, name string, fn func()) *Repeater {
-	Checkf(period > 0, "repeater %q needs a positive period, got %v", name, period)
-	r := &Repeater{s: s, period: period, name: name, fn: fn}
+func (s *Scheduler) Every(period Duration, fn func()) *Repeater {
+	Checkf(period > 0, "repeater needs a positive period, got %v", period)
+	r := &Repeater{s: s, period: period, fn: fn}
 	// The tick closure is built once here, not per arm: re-arming is a
 	// per-tick hot path and a fresh closure every period is an
 	// allocation the free list cannot absorb.
@@ -342,7 +338,6 @@ func (s *Scheduler) Every(period Duration, name string, fn func()) *Repeater {
 type Repeater struct {
 	s       *Scheduler
 	period  Duration
-	name    string
 	fn      func()
 	tick    func() // wraps fn; built once in Every, reused every arm
 	next    *Event
@@ -351,7 +346,7 @@ type Repeater struct {
 
 //ctmsvet:hotpath
 func (r *Repeater) arm() {
-	r.next = r.s.After(r.period, r.name, r.tick)
+	r.next = r.s.After(r.period, r.tick)
 }
 
 // Stop halts future firings. The callback will not run again.
@@ -429,13 +424,10 @@ func (s *Scheduler) step(bound Time) bool {
 		s.advanceTo(int64(e.at) >> tickShift)
 	}
 	if e.at < s.now {
-		Checkf(false, "time went backwards: event %q at %v, now %v", e.name, e.at, s.now)
+		Checkf(false, "time went backwards: event at %v, now %v", e.at, s.now)
 	}
 	s.now = e.at
 	s.fired++
-	if s.trace != nil {
-		s.trace.Add(s.now, e.name)
-	}
 	fn := e.fn
 	s.recycle(e)
 	fn()

@@ -8,9 +8,9 @@ import (
 func TestSchedulerOrdering(t *testing.T) {
 	s := NewScheduler()
 	var order []int
-	s.At(30*Microsecond, "c", func() { order = append(order, 3) })
-	s.At(10*Microsecond, "a", func() { order = append(order, 1) })
-	s.At(20*Microsecond, "b", func() { order = append(order, 2) })
+	s.At(30*Microsecond, func() { order = append(order, 3) })
+	s.At(10*Microsecond, func() { order = append(order, 1) })
+	s.At(20*Microsecond, func() { order = append(order, 2) })
 	s.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("events fired out of order: %v", order)
@@ -25,7 +25,7 @@ func TestSchedulerSimultaneousFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		s.At(Millisecond, "tie", func() { order = append(order, i) })
+		s.At(Millisecond, func() { order = append(order, i) })
 	}
 	s.Run()
 	for i, v := range order {
@@ -38,9 +38,9 @@ func TestSchedulerSimultaneousFIFO(t *testing.T) {
 func TestSchedulerAfterAndNestedScheduling(t *testing.T) {
 	s := NewScheduler()
 	var got []Time
-	s.After(5*Microsecond, "outer", func() {
+	s.After(5*Microsecond, func() {
 		got = append(got, s.Now())
-		s.After(7*Microsecond, "inner", func() {
+		s.After(7*Microsecond, func() {
 			got = append(got, s.Now())
 		})
 	})
@@ -53,7 +53,7 @@ func TestSchedulerAfterAndNestedScheduling(t *testing.T) {
 func TestSchedulerCancel(t *testing.T) {
 	s := NewScheduler()
 	fired := false
-	e := s.After(Millisecond, "x", func() { fired = true })
+	e := s.After(Millisecond, func() { fired = true })
 	e.Cancel()
 	s.Run()
 	if fired {
@@ -67,9 +67,9 @@ func TestSchedulerCancel(t *testing.T) {
 func TestSchedulerRunUntil(t *testing.T) {
 	s := NewScheduler()
 	var fired []string
-	s.At(10*Microsecond, "a", func() { fired = append(fired, "a") })
-	s.At(20*Microsecond, "b", func() { fired = append(fired, "b") })
-	s.At(30*Microsecond, "c", func() { fired = append(fired, "c") })
+	s.At(10*Microsecond, func() { fired = append(fired, "a") })
+	s.At(20*Microsecond, func() { fired = append(fired, "b") })
+	s.At(30*Microsecond, func() { fired = append(fired, "c") })
 	s.RunUntil(20 * Microsecond)
 	if len(fired) != 2 {
 		t.Fatalf("RunUntil should fire events at or before the bound, got %v", fired)
@@ -90,8 +90,8 @@ func TestSchedulerRunUntil(t *testing.T) {
 func TestSchedulerStop(t *testing.T) {
 	s := NewScheduler()
 	n := 0
-	s.At(1*Microsecond, "a", func() { n++; s.Stop() })
-	s.At(2*Microsecond, "b", func() { n++ })
+	s.At(1*Microsecond, func() { n++; s.Stop() })
+	s.At(2*Microsecond, func() { n++ })
 	s.Run()
 	if n != 1 {
 		t.Fatalf("Stop should halt dispatch, fired %d", n)
@@ -104,13 +104,13 @@ func TestSchedulerStop(t *testing.T) {
 
 func TestSchedulerPastSchedulingPanics(t *testing.T) {
 	s := NewScheduler()
-	s.At(10*Microsecond, "a", func() {
+	s.At(10*Microsecond, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past should panic")
 			}
 		}()
-		s.At(5*Microsecond, "past", func() {})
+		s.At(5*Microsecond, func() {})
 	})
 	s.Run()
 }
@@ -118,7 +118,7 @@ func TestSchedulerPastSchedulingPanics(t *testing.T) {
 func TestRepeaterExactPeriod(t *testing.T) {
 	s := NewScheduler()
 	var ticks []Time
-	r := s.Every(12*Millisecond, "vca", func() { ticks = append(ticks, s.Now()) })
+	r := s.Every(12*Millisecond, func() { ticks = append(ticks, s.Now()) })
 	s.RunUntil(100 * Millisecond)
 	r.Stop()
 	if len(ticks) != 8 {
@@ -136,7 +136,7 @@ func TestRepeaterStopInsideCallback(t *testing.T) {
 	s := NewScheduler()
 	n := 0
 	var r *Repeater
-	r = s.Every(Millisecond, "tick", func() {
+	r = s.Every(Millisecond, func() {
 		n++
 		if n == 3 {
 			r.Stop()
@@ -150,8 +150,8 @@ func TestRepeaterStopInsideCallback(t *testing.T) {
 
 func TestSchedulerPendingCountsLiveEvents(t *testing.T) {
 	s := NewScheduler()
-	e1 := s.After(Millisecond, "a", func() {})
-	s.After(2*Millisecond, "b", func() {})
+	e1 := s.After(Millisecond, func() {})
+	s.After(2*Millisecond, func() {})
 	if s.Pending() != 2 {
 		t.Fatalf("want 2 pending, got %d", s.Pending())
 	}
@@ -163,21 +163,21 @@ func TestSchedulerPendingCountsLiveEvents(t *testing.T) {
 
 func TestSchedulerEventFreeListReuse(t *testing.T) {
 	s := NewScheduler()
-	e1 := s.After(Microsecond, "first", func() {})
+	e1 := s.After(Microsecond, func() {})
 	s.Run()
 	// The fired event must be recycled: the next scheduling reuses the
 	// same object instead of allocating.
-	e2 := s.After(Microsecond, "second", func() {})
+	e2 := s.After(3*Microsecond, func() {})
 	if e1 != e2 {
 		t.Fatal("fired event was not recycled through the free list")
 	}
-	if e2.Cancelled() || e2.Name() != "second" {
-		t.Fatalf("recycled event kept stale state: cancelled=%t name=%q", e2.Cancelled(), e2.Name())
+	if e2.Cancelled() || e2.When() != 4*Microsecond {
+		t.Fatalf("recycled event kept stale state: cancelled=%t when=%v", e2.Cancelled(), e2.When())
 	}
 	fired := false
-	e3 := s.After(Microsecond, "third", func() { fired = true })
+	e3 := s.After(Microsecond, func() { fired = true })
 	e3.Cancel()
-	e4 := s.After(Microsecond, "fourth", func() {})
+	e4 := s.After(Microsecond, func() {})
 	if e3 != e4 {
 		t.Fatal("cancelled event was not recycled")
 	}
@@ -191,7 +191,7 @@ func TestSchedulerCancelRemovesEagerly(t *testing.T) {
 	s := NewScheduler()
 	var events []*Event
 	for i := 0; i < 100; i++ {
-		events = append(events, s.At(Time(i+1)*Millisecond, "e", func() {}))
+		events = append(events, s.At(Time(i+1)*Millisecond, func() {}))
 	}
 	for i, e := range events {
 		if i%2 == 0 {
@@ -225,9 +225,9 @@ func TestSchedulerCancelDuringRun(t *testing.T) {
 	s := NewScheduler()
 	var firedB bool
 	var eb *Event
-	s.At(Millisecond, "a", func() { eb.Cancel() })
-	eb = s.At(2*Millisecond, "b", func() { firedB = true })
-	s.At(3*Millisecond, "c", func() {})
+	s.At(Millisecond, func() { eb.Cancel() })
+	eb = s.At(2*Millisecond, func() { firedB = true })
+	s.At(3*Millisecond, func() {})
 	s.Run()
 	if firedB {
 		t.Fatal("event cancelled mid-run still fired")
@@ -246,7 +246,7 @@ func TestSchedulerMonotoneClockProperty(t *testing.T) {
 		ok := true
 		for i, d := range delays {
 			_ = i
-			s.At(Time(d)*Microsecond, "e", func() {
+			s.At(Time(d)*Microsecond, func() {
 				if s.Now() < last {
 					ok = false
 				}

@@ -29,7 +29,7 @@ func TestTotalsExactUnderConcurrentSchedulers(t *testing.T) {
 				defer wg.Done()
 				s := NewScheduler()
 				s.DeferMetricsFlush(deferred)
-				s.Every(300*Microsecond, "tick", func() {})
+				s.Every(300*Microsecond, func() {})
 				for k := 1; k <= windows; k++ {
 					s.RunUntil(Time(k) * window)
 				}

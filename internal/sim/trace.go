@@ -2,15 +2,8 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
-
-// TraceEntry is one recorded simulation event in its legacy string form.
-type TraceEntry struct {
-	T    Time
-	What string
-}
 
 // EventKind identifies a structured trace event type. Kinds are small
 // integers registered once at init time with RegisterEventKind; the
@@ -59,63 +52,33 @@ func (e EventEntry) String() string {
 	return fmt.Sprintf("%v a=%d b=%d", e.Kind, e.A, e.B)
 }
 
-// Trace is a bounded in-memory log of simulation events, useful for
-// debugging model behaviour in tests. It records two streams: legacy
-// string entries (Add/Addf) and structured entries (AddEvent) kept in a
-// preallocated ring. When either bound is exceeded the oldest entries are
-// discarded, mirroring the fixed-size capture buffers of the measurement
-// hardware the paper used.
+// Trace is a bounded in-memory log of structured simulation events
+// (AddEvent), kept in a preallocated ring. When the ring is full the
+// oldest entries are overwritten, mirroring the fixed-size capture
+// buffers of the measurement hardware the paper used.
 //
 // All recording methods are safe on a nil *Trace and do nothing, so call
 // sites instrument unconditionally — sched.Trace().AddEvent(...) — and a
 // run with no trace attached pays only the nil test.
 type Trace struct {
-	entries []TraceEntry
-	max     int
-	dropped uint64
+	max int
 
-	// Structured ring: events[ehead] is the oldest of elen live entries,
-	// wrapping at len(events). The backing array is allocated once, on
-	// the first AddEvent, sized to max.
+	// events[ehead] is the oldest of elen live entries, wrapping at
+	// len(events). The backing array is allocated once, on the first
+	// AddEvent, sized to max.
 	events   []EventEntry
 	ehead    int
 	elen     int
 	edropped uint64
 }
 
-// NewTrace returns a trace that keeps at most max entries of each stream
-// (0 means a default of 65536).
+// NewTrace returns a trace that keeps at most max entries (0 means a
+// default of 65536).
 func NewTrace(max int) *Trace {
 	if max <= 0 {
 		max = 65536
 	}
 	return &Trace{max: max}
-}
-
-// Add appends a string entry, evicting the oldest if the trace is full.
-// No-op on a nil trace.
-func (t *Trace) Add(at Time, what string) {
-	if t == nil {
-		return
-	}
-	if len(t.entries) >= t.max {
-		// Drop the oldest half in one go to keep Add amortized O(1).
-		half := len(t.entries) / 2
-		t.dropped += uint64(half)
-		t.entries = append(t.entries[:0], t.entries[half:]...)
-	}
-	t.entries = append(t.entries, TraceEntry{T: at, What: what})
-}
-
-// Addf formats and appends a string entry. The nil check comes before the
-// Sprintf, so call sites that format rich diagnostics cost nothing when no
-// trace is attached; prefer AddEvent on hot paths, where even an attached
-// trace must not format.
-func (t *Trace) Addf(at Time, format string, args ...any) {
-	if t == nil {
-		return
-	}
-	t.Add(at, fmt.Sprintf(format, args...))
 }
 
 // AddEvent records a structured entry: three integer stores into a
@@ -146,30 +109,6 @@ func (t *Trace) AddEvent(at Time, kind EventKind, a, b int64) {
 		t.ehead = 0
 	}
 	t.edropped++
-}
-
-// Len reports the number of retained string entries.
-func (t *Trace) Len() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.entries)
-}
-
-// Dropped reports how many string entries were evicted.
-func (t *Trace) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.dropped
-}
-
-// Entries returns the retained string entries in order.
-func (t *Trace) Entries() []TraceEntry {
-	if t == nil {
-		return nil
-	}
-	return t.entries
 }
 
 // EventLen reports the number of retained structured entries.
@@ -212,48 +151,12 @@ func (t *Trace) EventsOfKind(k EventKind) []EventEntry {
 	return out
 }
 
-// Matching returns the string entries whose label contains substr.
-func (t *Trace) Matching(substr string) []TraceEntry {
-	if t == nil {
-		return nil
-	}
-	var out []TraceEntry
-	for _, e := range t.entries {
-		if strings.Contains(e.What, substr) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// String renders the trace, one entry per line, both streams merged in
-// time order (ties: string entries first, then structured). This is where
-// structured entries finally pay their formatting cost.
+// String renders the trace oldest-first, one entry per line. This is
+// where structured entries finally pay their formatting cost.
 func (t *Trace) String() string {
-	if t == nil {
-		return ""
-	}
-	type line struct {
-		at   Time
-		tie  int
-		text string
-	}
-	lines := make([]line, 0, len(t.entries)+t.elen)
-	for _, e := range t.entries {
-		lines = append(lines, line{at: e.T, tie: 0, text: e.What})
-	}
-	for _, e := range t.Events() {
-		lines = append(lines, line{at: e.T, tie: 1, text: e.String()})
-	}
-	sort.SliceStable(lines, func(i, j int) bool {
-		if lines[i].at != lines[j].at {
-			return lines[i].at < lines[j].at
-		}
-		return lines[i].tie < lines[j].tie
-	})
 	var b strings.Builder
-	for _, l := range lines {
-		fmt.Fprintf(&b, "%12v  %s\n", l.at, l.text)
+	for _, e := range t.Events() {
+		fmt.Fprintf(&b, "%12v  %s\n", e.T, e)
 	}
 	return b.String()
 }

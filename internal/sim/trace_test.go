@@ -5,61 +5,15 @@ import (
 	"testing"
 )
 
-func TestTraceBasics(t *testing.T) {
-	tr := NewTrace(0)
-	tr.Add(Microsecond, "a")
-	tr.Addf(2*Microsecond, "b %d", 7)
-	if tr.Len() != 2 {
-		t.Fatalf("want 2 entries, got %d", tr.Len())
-	}
-	if tr.Entries()[1].What != "b 7" {
-		t.Fatalf("Addf formatting wrong: %q", tr.Entries()[1].What)
-	}
-	if !strings.Contains(tr.String(), "b 7") {
-		t.Fatal("String should include entries")
-	}
-}
-
-func TestTraceEviction(t *testing.T) {
-	tr := NewTrace(10)
-	for i := 0; i < 25; i++ {
-		tr.Addf(Time(i), "e%d", i)
-	}
-	if tr.Len() > 10 {
-		t.Fatalf("trace exceeded bound: %d", tr.Len())
-	}
-	if tr.Dropped() == 0 {
-		t.Fatal("eviction should be reported")
-	}
-	// The newest entry must always survive.
-	last := tr.Entries()[tr.Len()-1]
-	if last.What != "e24" {
-		t.Fatalf("newest entry lost: %q", last.What)
-	}
-}
-
-func TestTraceMatching(t *testing.T) {
-	tr := NewTrace(0)
-	tr.Add(1, "vca irq")
-	tr.Add(2, "ring transmit")
-	tr.Add(3, "vca handler")
-	got := tr.Matching("vca")
-	if len(got) != 2 {
-		t.Fatalf("want 2 vca entries, got %d", len(got))
-	}
-}
-
 func TestTraceNilSafe(t *testing.T) {
 	var tr *Trace
 	// All recording and reading methods must be no-ops on nil so call
 	// sites can instrument unconditionally.
-	tr.Add(1, "x")
-	tr.Addf(2, "y %d", 1)
 	tr.AddEvent(3, 1, 4, 5)
-	if tr.Len() != 0 || tr.EventLen() != 0 || tr.Dropped() != 0 || tr.EventsDropped() != 0 {
+	if tr.EventLen() != 0 || tr.EventsDropped() != 0 {
 		t.Fatal("nil trace should report empty")
 	}
-	if tr.Entries() != nil || tr.Events() != nil || tr.Matching("x") != nil || tr.String() != "" {
+	if tr.Events() != nil || tr.EventsOfKind(1) != nil || tr.String() != "" {
 		t.Fatal("nil trace reads should be empty")
 	}
 }
@@ -97,17 +51,14 @@ func TestTraceStructuredRing(t *testing.T) {
 func TestTraceLazyFormatting(t *testing.T) {
 	tr := NewTrace(8)
 	tr.AddEvent(Millisecond, testKindTick, 7, 9)
-	tr.Add(2*Millisecond, "string entry")
+	tr.AddEvent(2*Millisecond, 200, 1, 2)
 	s := tr.String()
 	if !strings.Contains(s, "test.tick a=7 b=9") {
 		t.Fatalf("structured entry should render its registered kind name:\n%s", s)
 	}
-	if !strings.Contains(s, "string entry") {
-		t.Fatalf("string entry missing:\n%s", s)
-	}
-	// Merged output is time-ordered: the structured entry (1 ms) first.
-	if strings.Index(s, "test.tick") > strings.Index(s, "string entry") {
-		t.Fatalf("streams should merge in time order:\n%s", s)
+	// Output is oldest-first: the 1 ms entry precedes the 2 ms one.
+	if strings.Index(s, "test.tick") > strings.Index(s, "kind(200) a=1 b=2") {
+		t.Fatalf("entries should render oldest-first:\n%s", s)
 	}
 	if got := EventKind(200).String(); got != "kind(200)" {
 		t.Fatalf("unregistered kind placeholder wrong: %q", got)
@@ -137,16 +88,5 @@ func TestSchedulerTraceGetter(t *testing.T) {
 	s.SetTrace(tr)
 	if s.Trace() != tr {
 		t.Fatal("Trace should return the attached trace")
-	}
-}
-
-func TestSchedulerTraceIntegration(t *testing.T) {
-	s := NewScheduler()
-	tr := NewTrace(0)
-	s.SetTrace(tr)
-	s.After(Millisecond, "hello", func() {})
-	s.Run()
-	if len(tr.Matching("hello")) != 1 {
-		t.Fatal("dispatched events should be traced")
 	}
 }

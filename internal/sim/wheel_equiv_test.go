@@ -99,7 +99,7 @@ type wheelDriver struct{ s *Scheduler }
 
 func (d wheelDriver) now() Time { return d.s.Now() }
 func (d wheelDriver) at(t Time, fn func()) func() {
-	e := d.s.At(t, "wl", fn)
+	e := d.s.At(t, fn)
 	return e.Cancel
 }
 func (d wheelDriver) runUntil(t Time)    { d.s.RunUntil(t) }
@@ -264,7 +264,7 @@ func TestWheelEdgeDistributions(t *testing.T) {
 		var got []Time
 		for i := 20; i >= 1; i-- {
 			at := Time(i) * Second
-			s.At(at, "far", func() { got = append(got, s.Now()) })
+			s.At(at, func() { got = append(got, s.Now()) })
 		}
 		s.Run()
 		for i := 1; i < len(got); i++ {
@@ -282,7 +282,7 @@ func TestWheelEdgeDistributions(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			i := i
 			// All inside one tick: distinct at, FIFO-tied pairs included.
-			s.At(Time(i/2), "tied", func() { order = append(order, i) })
+			s.At(Time(i/2), func() { order = append(order, i) })
 		}
 		s.Run()
 		for i, v := range order {

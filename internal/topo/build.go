@@ -149,7 +149,7 @@ func Build(spec Spec) (*Network, error) {
 			purges = defaultInsertionPurges
 		}
 		rg := s.ring
-		s.sched.At(ins.At, "topo.insertion", func() { rg.Insertion(purges) })
+		s.sched.At(ins.At, func() { rg.Insertion(purges) })
 	}
 	return n, nil
 }
@@ -392,7 +392,7 @@ func (n *Network) buildBurst(bi int, bs BurstSpec) {
 		if at > n.spec.Duration {
 			break
 		}
-		src.sched.At(at, "topo.burst", func() {
+		src.sched.At(at, func() {
 			b.attempted++
 			ch := srcK.Pool.AllocNoWait(bs.PacketBytes)
 			if ch == nil {

@@ -229,7 +229,7 @@ func (s *shard) drainInboxes(bound sim.Time, round uint64) {
 			a := s.getArrival()
 			a.egress = m.egress
 			a.frame = m.frame
-			s.sched.At(m.deliverAt, "topo.link-arrive", a.fn)
+			s.sched.At(m.deliverAt, a.fn)
 		}
 	}
 	s.scratch = due[:0]

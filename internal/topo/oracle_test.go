@@ -86,15 +86,15 @@ func applyChaos(n *Network, seed int64) {
 		sched := n.Scheduler(i)
 		for k := 0; k < 6; k++ {
 			at := sim.Time(1+r.Intn(100)) * w
-			victim := sched.At(at+sim.Time(r.Intn(2)), "chaos.victim", func() {})
+			victim := sched.At(at+sim.Time(r.Intn(2)), func() {})
 			if r.Intn(2) == 0 {
 				// Cancel from an event firing at the same boundary.
-				sched.At(at, "chaos.cancel", func() { victim.Cancel() })
+				sched.At(at, func() { victim.Cancel() })
 			} else {
 				victim.Cancel()
 			}
-			sched.At(at, "chaos.respawn", func() {
-				sched.After(sim.Time(1+r.Intn(3))*sim.Microsecond, "chaos.child", func() {})
+			sched.At(at, func() {
+				sched.After(sim.Time(1+r.Intn(3))*sim.Microsecond, func() {})
 			})
 		}
 	}

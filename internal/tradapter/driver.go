@@ -300,8 +300,8 @@ func New(k *kernel.Kernel, st *ring.Station, cfg Config, timing Timing) *Driver 
 		cfg.RxBuffers = 2
 	}
 	d := &Driver{k: k, st: st, cfg: cfg, timing: timing}
-	d.txDMA = k.Machine.NewDMA("trdma-tx")
-	d.rxDMA = k.Machine.NewDMA("trdma-rx")
+	d.txDMA = k.Machine.NewDMA()
+	d.rxDMA = k.Machine.NewDMA()
 	for i := 0; i < cfg.TxBuffers; i++ {
 		d.txBufs = append(d.txBufs, rtpc.NewBuffer(fmt.Sprintf("txdma%d", i), cfg.DMABufferKind, 4096))
 	}
@@ -452,23 +452,23 @@ func (d *Driver) pumpTx() {
 	m := d.k.Machine
 	// Driver entry: queue manipulation, buffer setup, adapter register
 	// programming.
-	segs := []rtpc.Seg{rtpc.Do("driver-entry", 120*sim.Microsecond)}
+	segs := []rtpc.Seg{rtpc.Do(120 * sim.Microsecond)}
 	if !d.cfg.PrecomputeHeader {
 		d.stats.HeaderComps++
-		segs = append(segs, rtpc.Do("compute-ring-header", d.cfg.HeaderComputeCost))
+		segs = append(segs, rtpc.Do(d.cfg.HeaderComputeCost))
 	}
 	if p.NoCopy {
 		// Pointer transfer: only the descriptor list is built by the CPU.
-		segs = append(segs, rtpc.Do("build-descriptors", 60*sim.Microsecond))
+		segs = append(segs, rtpc.Do(60*sim.Microsecond))
 	} else {
 		// The CPU copies the packet from mbufs (system memory) into the
 		// fixed DMA buffer — 1 µs/byte when the buffer is in IO Channel
 		// Memory. The copy loop is interruptible, so it is chunked.
-		segs = append(segs, m.CopySegs("copy-to-dma-buf", copyBytes, rtpc.SystemMemory, d.cfg.DMABufferKind)...)
+		segs = append(segs, m.CopySegs(copyBytes, rtpc.SystemMemory, d.cfg.DMABufferKind)...)
 	}
 	segs = append(segs,
-		rtpc.Do("driver-jitter", m.Jitter(40*sim.Microsecond)),
-		rtpc.Mark("pre-transmit", func() {
+		rtpc.Do(m.Jitter(40*sim.Microsecond)),
+		rtpc.Mark(func() {
 			if p.PreTransmit != nil {
 				p.PreTransmit()
 			}
@@ -478,7 +478,7 @@ func (d *Driver) pumpTx() {
 			d.pumpTx() // another buffer may be free for the next copy
 		}),
 	)
-	d.k.CPU().Submit(kernel.LevelNet, "tr0.start-output", segs, nil)
+	d.k.CPU().Submit(kernel.LevelNet, segs, nil)
 }
 
 // pumpWire starts the adapter on the next fully-copied packet, strictly
@@ -502,9 +502,9 @@ func (d *Driver) issueTransmit(p *Outgoing, buf *rtpc.Buffer) {
 	if p.NoCopy {
 		src = rtpc.SystemMemory // the adapter DMAs straight from mbufs
 	}
-	d.txDMA.Transfer(p.Size, src, "tx", func() {
+	d.txDMA.Transfer(p.Size, src, func() {
 		card := d.timing.TxCardLatency + d.k.Machine.Jitter(d.timing.CardJitterMax)
-		d.k.Sched().After(card, "tr0.tx-card", func() {
+		d.k.Sched().After(card, func() {
 			prio := 0
 			if p.Class == ClassCTMSP {
 				prio = d.cfg.CTMSPRingPriority
@@ -520,8 +520,8 @@ func (d *Driver) issueTransmit(p *Outgoing, buf *rtpc.Buffer) {
 // txComplete is the transmit-complete interrupt.
 func (d *Driver) txComplete(p *Outgoing, buf *rtpc.Buffer, s ring.DeliveryStatus) {
 	segs := []rtpc.Seg{
-		rtpc.Do("intr-dispatch", d.timing.IntrDispatchCost),
-		rtpc.Then("tx-complete", d.timing.CompletionCost, func() {
+		rtpc.Do(d.timing.IntrDispatchCost),
+		rtpc.Then(d.timing.CompletionCost, func() {
 			if s.PurgeLost && d.cfg.PurgeInterrupt {
 				// Hypothetical adapter: retransmit the packet still
 				// sitting in the fixed DMA buffer.
@@ -542,7 +542,7 @@ func (d *Driver) txComplete(p *Outgoing, buf *rtpc.Buffer, s ring.DeliveryStatus
 			d.pumpTx()
 		}),
 	}
-	d.k.CPU().Submit(kernel.LevelNet, "tr0.tx-intr", segs, nil)
+	d.k.CPU().Submit(kernel.LevelNet, segs, nil)
 }
 
 // ---- receive path ----
@@ -582,7 +582,7 @@ func (d *Driver) frameArrived(f *ring.Frame, _ sim.Time) {
 	d.rxPending++
 	size := f.Size - RingOverhead
 	card := d.timing.RxCardLatency + d.k.Machine.Jitter(d.timing.CardJitterMax)
-	d.k.Sched().After(card, "tr0.rx-card", func() {
+	d.k.Sched().After(card, func() {
 		buf := d.claimRxBuf()
 		if buf == nil {
 			// Race: buffers filled since the copy gate passed.
@@ -593,7 +593,7 @@ func (d *Driver) frameArrived(f *ring.Frame, _ sim.Time) {
 		}
 		buf.Fill(size, f)
 		d.rxPending--
-		d.rxDMA.Transfer(size, buf.Kind, "rx", func() {
+		d.rxDMA.Transfer(size, buf.Kind, func() {
 			d.rxInterrupt(f, size, buf)
 		})
 	})
@@ -603,8 +603,8 @@ func (d *Driver) frameArrived(f *ring.Frame, _ sim.Time) {
 // handler's copy path at interrupt level.
 func (d *Driver) rxInterrupt(f *ring.Frame, size int, buf *rtpc.Buffer) {
 	segs := []rtpc.Seg{
-		rtpc.Do("intr-dispatch", d.timing.IntrDispatchCost),
-		{Name: "classify", Cost: d.timing.ClassifyCost, Fn: func() []rtpc.Seg {
+		rtpc.Do(d.timing.IntrDispatchCost),
+		{Cost: d.timing.ClassifyCost, Fn: func() []rtpc.Seg {
 			class := classOf(f)
 			d.stats.RxFrames[class]++
 			rcv := &Received{
@@ -626,7 +626,7 @@ func (d *Driver) rxInterrupt(f *ring.Frame, size int, buf *rtpc.Buffer) {
 			return segs
 		}},
 	}
-	d.k.CPU().Submit(kernel.LevelNet, "tr0.rx-intr", segs, nil)
+	d.k.CPU().Submit(kernel.LevelNet, segs, nil)
 }
 
 // macFrame handles a MAC frame in promiscuous mode: pure interrupt
@@ -634,17 +634,17 @@ func (d *Driver) rxInterrupt(f *ring.Frame, size int, buf *rtpc.Buffer) {
 func (d *Driver) macFrame(f *ring.Frame) {
 	d.stats.RxMACFrames++
 	segs := []rtpc.Seg{
-		rtpc.Do("intr-dispatch", d.timing.IntrDispatchCost),
-		rtpc.Do("parse-mac", d.timing.MACFrameCost),
+		rtpc.Do(d.timing.IntrDispatchCost),
+		rtpc.Do(d.timing.MACFrameCost),
 	}
 	if d.cfg.PurgeInterrupt && f.MAC == ring.MACRingPurge {
-		segs = append(segs, rtpc.Mark("purge-seen", func() {
+		segs = append(segs, rtpc.Mark(func() {
 			// Purge recovery is handled in txComplete via the status
 			// bit; nothing further here.
 			return
 		}))
 	}
-	d.k.CPU().Submit(kernel.LevelNet, "tr0.mac-intr", segs, nil)
+	d.k.CPU().Submit(kernel.LevelNet, segs, nil)
 }
 
 // envelopeSeen releases the receive-side envelope reference once the class

@@ -225,7 +225,7 @@ func TestPurgeLossIsSilentWithoutPurgeInterrupt(t *testing.T) {
 	tx.drv.Output(p)
 	// Purge while the frame is on the wire: it enters ≈7.3 ms after
 	// output (copy 2.2 + DMA 4.2 + card 0.9) and occupies it ≈4 ms.
-	sched.After(8*sim.Millisecond, "purge", r.Purge)
+	sched.After(8*sim.Millisecond, r.Purge)
 	sched.Run()
 	if delivered != 0 {
 		t.Fatal("purged frame must be lost")
@@ -250,7 +250,7 @@ func TestPurgeInterruptAblationRetransmits(t *testing.T) {
 	})
 	p := mkPacket(tx.k, 2000, ClassCTMSP, rx.drv.Station().Addr())
 	tx.drv.Output(p)
-	sched.After(8*sim.Millisecond, "purge", r.Purge)
+	sched.After(8*sim.Millisecond, r.Purge)
 	sched.Run()
 	if delivered != 1 {
 		t.Fatalf("hypothetical purge-interrupt adapter should recover the packet, delivered=%d", delivered)

@@ -55,7 +55,7 @@ func (d *Device) SetPeriod(t sim.Time) {
 // Start programs the DSP to begin interrupting every period.
 func (d *Device) Start() {
 	sim.Checkf(d.rep == nil, "VCA already started")
-	d.rep = d.k.Sched().Every(d.period, "vca.irq", func() {
+	d.rep = d.k.Sched().Every(d.period, func() {
 		tick := d.ticks
 		d.ticks++
 		if d.OnIRQ != nil {
@@ -198,22 +198,22 @@ func (t *TxDriver) interrupt(tick uint64) {
 	t.stats.Interrupts++
 	m := t.k.Machine
 	segs := []rtpc.Seg{
-		rtpc.Do("irq-dispatch", t.cfg.DispatchCost),
-		rtpc.Mark("handler-entry", func() {
+		rtpc.Do(t.cfg.DispatchCost),
+		rtpc.Mark(func() {
 			if t.OnHandlerEntry != nil {
 				t.OnHandlerEntry(tick, t.k.Sched().Now())
 			}
 		}),
-		rtpc.Do("entry", t.cfg.EntryCost+m.Jitter(t.cfg.EntryJitterMax)),
+		rtpc.Do(t.cfg.EntryCost + m.Jitter(t.cfg.EntryJitterMax)),
 	}
 	if t.cfg.CopyVCAToMbufs {
-		segs = append(segs, m.CopySeg("vca-to-mbuf", t.cfg.DataBytes, rtpc.DeviceMemory, rtpc.SystemMemory))
+		segs = append(segs, m.CopySeg(t.cfg.DataBytes, rtpc.DeviceMemory, rtpc.SystemMemory))
 	}
 	segs = append(segs,
-		rtpc.Do("mbuf-alloc", t.cfg.AllocCost),
-		rtpc.Then("stamp-headers", t.cfg.StampCost, func() { t.buildAndSend() }),
+		rtpc.Do(t.cfg.AllocCost),
+		rtpc.Then(t.cfg.StampCost, func() { t.buildAndSend() }),
 	)
-	t.k.CPU().Submit(kernel.LevelVCA, "vca.intr", segs, nil)
+	t.k.CPU().Submit(kernel.LevelVCA, segs, nil)
 }
 
 func (t *TxDriver) buildAndSend() {
@@ -336,18 +336,18 @@ func (r *RxDriver) handle(rcv *tradapter.Received) []rtpc.Seg {
 	m := r.k.Machine
 	var segs []rtpc.Seg
 	if r.cfg.CopyToMbufs {
-		segs = append(segs, m.CopySegs("dma-to-mbuf", rcv.Size, rcv.Buffer.Kind, rtpc.SystemMemory)...)
-		segs = append(segs, rtpc.Mark("release", rcv.Release))
+		segs = append(segs, m.CopySegs(rcv.Size, rcv.Buffer.Kind, rtpc.SystemMemory)...)
+		segs = append(segs, rtpc.Mark(rcv.Release))
 	} else {
 		segs = append(segs,
-			rtpc.Do("examine-in-place", r.cfg.ExamineCost),
-			rtpc.Mark("release", rcv.Release),
+			rtpc.Do(r.cfg.ExamineCost),
+			rtpc.Mark(rcv.Release),
 		)
 	}
 	if r.cfg.CopyToDevice {
-		segs = append(segs, m.CopySegs("mbuf-to-vca", rcv.Size-ctmsp.HeaderSize, rtpc.SystemMemory, rtpc.DeviceMemory)...)
+		segs = append(segs, m.CopySegs(rcv.Size-ctmsp.HeaderSize, rtpc.SystemMemory, rtpc.DeviceMemory)...)
 	}
-	segs = append(segs, rtpc.Mark("deliver", func() {
+	segs = append(segs, rtpc.Mark(func() {
 		ev := r.recv.Accept(h, r.k.Sched().Now())
 		r.stats.Delivered++
 		if r.OnDelivered != nil {

@@ -197,7 +197,7 @@ func TestMaxOutstandingDropsExcess(t *testing.T) {
 	}
 	// Stall the ring so packets cannot drain: repeated purges.
 	for i := 0; i < 20; i++ {
-		r.sched.At(sim.Time(i)*9*sim.Millisecond, "purge", r.ring.Purge)
+		r.sched.At(sim.Time(i)*9*sim.Millisecond, r.ring.Purge)
 	}
 	r.dev.Start()
 	r.sched.RunUntil(300 * sim.Millisecond)
@@ -249,9 +249,9 @@ func TestPurgeLossShowsAsGap(t *testing.T) {
 			r.ring.Purge()
 			return
 		}
-		r.sched.After(200*sim.Microsecond, "poll", poll)
+		r.sched.After(200*sim.Microsecond, poll)
 	}
-	r.sched.After(50*sim.Millisecond, "arm", poll)
+	r.sched.After(50*sim.Millisecond, poll)
 	r.sched.RunUntil(2 * sim.Second)
 	r.dev.Stop()
 	r.sched.Run()

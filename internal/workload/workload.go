@@ -46,7 +46,7 @@ func (g *MACGen) Frames() uint64 { return g.frames }
 func (g *MACGen) Stop() { g.stop = true }
 
 func (g *MACGen) arm() {
-	g.r.Scheduler().After(g.rng.Exp(g.mean), "mac-gen", func() {
+	g.r.Scheduler().After(g.rng.Exp(g.mean), func() {
 		if g.stop {
 			return
 		}
@@ -89,7 +89,7 @@ func (g *ChatterGen) Frames() uint64 { return g.frames }
 func (g *ChatterGen) Stop() { g.stop = true }
 
 func (g *ChatterGen) arm() {
-	g.r.Scheduler().After(g.rng.Exp(g.mean), "chatter", func() {
+	g.r.Scheduler().After(g.rng.Exp(g.mean), func() {
 		if g.stop {
 			return
 		}
@@ -153,7 +153,7 @@ func (g *FileTransferGen) Bursts() uint64 { return g.bursts }
 func (g *FileTransferGen) Stop() { g.stop = true }
 
 func (g *FileTransferGen) arm() {
-	g.r.Scheduler().After(g.rng.Exp(g.burstMean), "ft-burst", func() {
+	g.r.Scheduler().After(g.rng.Exp(g.burstMean), func() {
 		if g.stop {
 			return
 		}
@@ -173,7 +173,7 @@ func (g *FileTransferGen) sendBurst(left int) {
 	}
 	g.src.Transmit(ring.NewDataFrame(g.src.Addr(), g.dst.Addr(), 0, 1522, nil, nil), nil)
 	g.frames++
-	g.r.Scheduler().After(g.frameGap+g.rng.Uniform(0, g.frameGap), "ft-next", func() {
+	g.r.Scheduler().After(g.frameGap+g.rng.Uniform(0, g.frameGap), func() {
 		g.sendBurst(left - 1)
 	})
 }
@@ -203,7 +203,7 @@ func (g *InsertionGen) Insertions() uint64 { return g.insertions }
 func (g *InsertionGen) Stop() { g.stop = true }
 
 func (g *InsertionGen) arm() {
-	g.r.Scheduler().After(g.rng.Exp(g.mean), "insertion", func() {
+	g.r.Scheduler().After(g.rng.Exp(g.mean), func() {
 		if g.stop {
 			return
 		}
@@ -243,7 +243,7 @@ func (g *KeepAliveGen) Sent() uint64 { return g.sent }
 func (g *KeepAliveGen) Stop() { g.stop = true }
 
 func (g *KeepAliveGen) arm() {
-	g.sched.After(g.rng.Exp(g.mean), "keepalive", func() {
+	g.sched.After(g.rng.Exp(g.mean), func() {
 		if g.stop {
 			return
 		}
