@@ -1,23 +1,21 @@
 // Command ctmsvet runs the repository's custom static-analysis suite
-// (see DESIGN.md §7): the syntactic tier — determinism, units,
-// exhaustive — the typed tier — mbuflife, locking, hotpath — the
-// interprocedural tier — shardowned, seedflow, barrier — and the
-// dimensional-inference tier — dim — of internal/analyzers. It is the
-// `make lint` step of `make ci`.
+// (see DESIGN.md §7): the syntactic tier — determinism, exhaustive —
+// the typed tier — mbuflife, locking, hotpath — the interprocedural
+// tier — shardowned, seedflow, barrier — and the dimensional-inference
+// tier — dim — of internal/analyzers. It is the `make lint` step of
+// `make ci`.
 //
-// When the dim tier runs (the default), the syntactic units analyzer is
-// demoted: dim subsumes it with interprocedural dimension propagation,
-// so running both would double-report clean-tree findings. The fast
-// -typed=false path (make lint-fast) keeps units as the cheap stand-in.
+// The -analyzers selection decides which tiers run. The three
+// type-checked tiers share one go/types load of the module, paid only
+// when the selection is empty or names one of their analyzers, so a
+// syntactic-only selection (make lint-fast) stays a pure-AST pass.
 //
 // Usage:
 //
 //	ctmsvet                     # analyze the enclosing module, all tiers
 //	ctmsvet -root DIR           # analyze the module rooted at DIR
-//	ctmsvet -typed=false        # fast syntactic pass only (make lint-fast)
-//	ctmsvet -inter=false        # skip the interprocedural tier
-//	ctmsvet -dim=false          # skip the dimensional-inference tier
 //	ctmsvet -analyzers a,b,c    # run only the named analyzers
+//	ctmsvet -analyzers determinism,exhaustive  # syntactic tier only (make lint-fast)
 //	ctmsvet -changed HEAD       # report only findings in files differing from a git ref
 //	ctmsvet -json               # machine-readable diagnostics on stdout
 //	ctmsvet -out findings.json  # also write the JSON artifact to a file
@@ -65,9 +63,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		analyzerList = fs.String("analyzers", "", "comma-separated analyzers to run (default: all; see -list)")
 		baselinePath = fs.String("baseline", "", "accepted-findings JSON (a prior -json/-out artifact); only uncovered findings fail")
 		outPath      = fs.String("out", "", "write the findings JSON artifact to this file")
-		typed        = fs.Bool("typed", true, "run the typed tier (mbuflife, locking, hotpath); =false is the fast syntactic pass")
-		inter        = fs.Bool("inter", true, "run the interprocedural tier (shardowned, seedflow, barrier); needs -typed")
-		dim          = fs.Bool("dim", true, "run the dimensional-inference tier (dim); needs -typed; demotes the syntactic units analyzer")
 		changedRef   = fs.String("changed", "", "report only findings in files differing from this git ref (plus untracked files)")
 		list         = fs.Bool("list", false, "print the analyzer names and exit")
 	)
@@ -126,21 +121,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// With the dim tier on and no explicit selection, the syntactic
-	// units analyzer is demoted: dim propagates the same name-derived
-	// dimensions interprocedurally, so units would double-report every
-	// clean-tree finding. An explicit -analyzers selection is honored
-	// verbatim either way.
-	syntacticOnly := only
-	if len(only) == 0 && *typed && *dim {
-		syntacticOnly = []string{"determinism", "exhaustive"}
-	}
-	diags, err := analyzers.RunRepo(dir, syntacticOnly...)
+	diags, err := analyzers.RunRepo(dir, only...)
 	if err != nil {
 		fmt.Fprintf(stderr, "ctmsvet: %v\n", err)
 		return 2
 	}
-	if *typed {
+	if needsTypes(only) {
 		// All type-checked tiers share one module load: the source
 		// importer pass dominates their cost.
 		mod, err := analyzers.LoadTypedModule(dir)
@@ -148,27 +134,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "ctmsvet: typed pass: %v\n", err)
 			return 2
 		}
-		tdiags, err := analyzers.RunModuleTyped(mod, only...)
-		if err != nil {
-			fmt.Fprintf(stderr, "%v\n", err)
-			return 2
-		}
-		diags = analyzers.MergeDiagnostics(diags, tdiags)
-		if *inter {
-			idiags, err := analyzers.RunModuleInter(mod, only...)
+		for _, tier := range []func(*analyzers.Module, ...string) ([]analyzers.Diagnostic, error){
+			analyzers.RunModuleTyped, analyzers.RunModuleInter, analyzers.RunModuleDim,
+		} {
+			tdiags, err := tier(mod, only...)
 			if err != nil {
 				fmt.Fprintf(stderr, "%v\n", err)
 				return 2
 			}
-			diags = analyzers.MergeDiagnostics(diags, idiags)
-		}
-		if *dim {
-			ddiags, err := analyzers.RunModuleDim(mod, only...)
-			if err != nil {
-				fmt.Fprintf(stderr, "%v\n", err)
-				return 2
-			}
-			diags = analyzers.MergeDiagnostics(diags, ddiags)
+			diags = analyzers.MergeDiagnostics(diags, tdiags)
 		}
 	}
 	if changed != nil {
@@ -220,6 +194,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// needsTypes reports whether a selection runs any type-checked tier: an
+// empty selection runs every tier, and any name outside the syntactic
+// tier belongs to one of them.
+func needsTypes(only []string) bool {
+	if len(only) == 0 {
+		return true
+	}
+	syntactic := make(map[string]bool)
+	for _, a := range analyzers.All {
+		syntactic[a.Name] = true
+	}
+	for _, n := range only {
+		if !syntactic[n] {
+			return true
+		}
+	}
+	return false
 }
 
 // changedFiles returns the set of .go files under root that differ from

@@ -68,7 +68,7 @@ func TestCLIRealTreeComesClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	code, stdout, stderr := runCLI(t, "-root", root, "-typed=false")
+	code, stdout, stderr := runCLI(t, "-root", root, "-analyzers", "determinism,exhaustive")
 	if code != 0 {
 		t.Fatalf("exit %d on the real tree\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
 	}
@@ -79,7 +79,7 @@ func TestCLIRealTreeComesClean(t *testing.T) {
 
 func TestCLIFindingExitsOne(t *testing.T) {
 	dir := scratchModule(t)
-	code, stdout, stderr := runCLI(t, "-root", dir, "-typed=false")
+	code, stdout, stderr := runCLI(t, "-root", dir, "-analyzers", "determinism,exhaustive")
 	if code != 1 {
 		t.Fatalf("exit %d, want 1\nstderr:\n%s", code, stderr)
 	}
@@ -95,19 +95,19 @@ func TestCLIAnalyzersFlag(t *testing.T) {
 	dir := scratchModule(t)
 
 	// Selecting an analyzer that cannot fire here passes.
-	code, _, stderr := runCLI(t, "-root", dir, "-typed=false", "-analyzers", "determinism,units")
+	code, _, stderr := runCLI(t, "-root", dir, "-analyzers", "determinism")
 	if code != 0 {
 		t.Fatalf("exit %d with exhaustive deselected\nstderr:\n%s", code, stderr)
 	}
 
 	// Selecting the firing analyzer still fails.
-	code, stdout, _ := runCLI(t, "-root", dir, "-typed=false", "-analyzers", "exhaustive")
+	code, stdout, _ := runCLI(t, "-root", dir, "-analyzers", "exhaustive")
 	if code != 1 || !strings.Contains(stdout, "exhaustive:") {
 		t.Fatalf("exit %d, stdout:\n%s", code, stdout)
 	}
 
 	// Unknown names are a usage error naming the valid set.
-	code, _, stderr = runCLI(t, "-root", dir, "-typed=false", "-analyzers", "bogus")
+	code, _, stderr = runCLI(t, "-root", dir, "-analyzers", "bogus")
 	if code != 2 {
 		t.Fatalf("exit %d for unknown analyzer, want 2", code)
 	}
@@ -120,7 +120,7 @@ func TestCLIBaselineMode(t *testing.T) {
 	dir := scratchModule(t)
 
 	// Record the current findings as the accepted baseline.
-	code, stdout, _ := runCLI(t, "-root", dir, "-typed=false", "-json")
+	code, stdout, _ := runCLI(t, "-root", dir, "-analyzers", "determinism,exhaustive", "-json")
 	if code != 1 {
 		t.Fatalf("exit %d recording baseline, want 1", code)
 	}
@@ -130,7 +130,7 @@ func TestCLIBaselineMode(t *testing.T) {
 	}
 
 	// Under the baseline the same tree gates clean.
-	code, stdout, stderr := runCLI(t, "-root", dir, "-typed=false", "-baseline", baseline)
+	code, stdout, stderr := runCLI(t, "-root", dir, "-analyzers", "determinism,exhaustive", "-baseline", baseline)
 	if code != 0 {
 		t.Fatalf("exit %d under baseline\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
 	}
@@ -158,7 +158,7 @@ func turn(k Knob) int {
 	if err := os.WriteFile(filepath.Join(dir, "extra.go"), []byte(extra), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	code, stdout, _ = runCLI(t, "-root", dir, "-typed=false", "-baseline", baseline)
+	code, stdout, _ = runCLI(t, "-root", dir, "-analyzers", "determinism,exhaustive", "-baseline", baseline)
 	if code != 1 {
 		t.Fatalf("exit %d with a new finding under baseline, want 1", code)
 	}
@@ -170,7 +170,7 @@ func turn(k Knob) int {
 func TestCLIOutArtifact(t *testing.T) {
 	dir := scratchModule(t)
 	artifact := filepath.Join(t.TempDir(), "ctmsvet.json")
-	code, _, _ := runCLI(t, "-root", dir, "-typed=false", "-out", artifact)
+	code, _, _ := runCLI(t, "-root", dir, "-analyzers", "determinism,exhaustive", "-out", artifact)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1", code)
 	}
@@ -197,8 +197,8 @@ func TestCLIListFlag(t *testing.T) {
 			t.Fatalf("-list output missing %q:\n%s", name, stdout)
 		}
 	}
-	// The three tiers are all represented.
-	for _, name := range []string{"determinism", "mbuflife", "shardowned", "seedflow", "barrier"} {
+	// The four tiers are all represented.
+	for _, name := range []string{"determinism", "mbuflife", "shardowned", "seedflow", "barrier", "dim"} {
 		if !strings.Contains(stdout, name) {
 			t.Fatalf("-list output missing tier representative %q:\n%s", name, stdout)
 		}
@@ -231,7 +231,7 @@ func TestCLIChangedFlag(t *testing.T) {
 
 	// Nothing differs from HEAD: exit 0 even though the tree has a
 	// finding — the changed set is empty, so nothing is reported.
-	code, stdout, stderr := runCLI(t, "-root", dir, "-typed=false", "-changed", "HEAD")
+	code, stdout, stderr := runCLI(t, "-root", dir, "-analyzers", "determinism,exhaustive", "-changed", "HEAD")
 	if code != 0 {
 		t.Fatalf("exit %d on unchanged tree\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
 	}
@@ -259,7 +259,7 @@ func spin(d Dial) int {
 	if err := os.WriteFile(filepath.Join(dir, "extra.go"), []byte(extra), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	code, stdout, _ = runCLI(t, "-root", dir, "-typed=false", "-changed", "HEAD")
+	code, stdout, _ = runCLI(t, "-root", dir, "-analyzers", "determinism,exhaustive", "-changed", "HEAD")
 	if code != 1 {
 		t.Fatalf("exit %d with an uncommitted violation, want 1", code)
 	}
@@ -268,7 +268,7 @@ func spin(d Dial) int {
 	}
 
 	// An unusable ref is a usage error, not a silent full run.
-	code, _, stderr = runCLI(t, "-root", dir, "-typed=false", "-changed", "no-such-ref")
+	code, _, stderr = runCLI(t, "-root", dir, "-analyzers", "determinism,exhaustive", "-changed", "no-such-ref")
 	if code != 2 || !strings.Contains(stderr, "no-such-ref") {
 		t.Fatalf("exit %d for a bad ref (stderr %q), want 2 naming the ref", code, stderr)
 	}
@@ -292,7 +292,7 @@ func TestCLIChangedFollowsRenames(t *testing.T) {
 	gitIn(t, dir, "mv", "main.go", "described.go")
 	gitIn(t, dir, "commit", "-qm", "rename")
 
-	code, stdout, stderr := runCLI(t, "-root", dir, "-typed=false", "-changed", "HEAD~1")
+	code, stdout, stderr := runCLI(t, "-root", dir, "-analyzers", "determinism,exhaustive", "-changed", "HEAD~1")
 	if code != 1 {
 		t.Fatalf("exit %d, want 1: the renamed file's finding must survive the filter\nstdout:\n%s\nstderr:\n%s",
 			code, stdout, stderr)
@@ -302,9 +302,10 @@ func TestCLIChangedFollowsRenames(t *testing.T) {
 	}
 }
 
-// TestCLIInterFlag: the interprocedural tier rides on the typed tier's
-// module load, and -inter=false drops exactly its findings.
-func TestCLIInterFlag(t *testing.T) {
+// TestCLISelectionPicksTiers: the -analyzers selection alone decides
+// which tiers run — naming seedflow runs the interprocedural tier, and a
+// syntactic-only selection drops exactly its findings.
+func TestCLISelectionPicksTiers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads a typed module; skipped under -short")
 	}
@@ -337,8 +338,31 @@ func Default() *RNG { return NewRNG(1234) }
 		t.Fatalf("exit %d, want 1 with a seedflow finding\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
 	}
 
-	code, stdout, _ = runCLI(t, "-root", dir, "-analyzers", "seedflow", "-inter=false")
+	code, stdout, _ = runCLI(t, "-root", dir, "-analyzers", "determinism")
 	if code != 0 || stdout != "" {
-		t.Fatalf("-inter=false should drop the interprocedural finding; exit %d\n%s", code, stdout)
+		t.Fatalf("a syntactic-only selection should drop the interprocedural finding; exit %d\n%s", code, stdout)
+	}
+}
+
+// TestCLISyntacticSelectionSkipsTypedLoad: a selection naming only
+// syntactic analyzers never loads the typed module, so it still reports
+// on a tree that does not type-check — the property that keeps
+// `make lint-fast` a pure-AST pass. A full run over the same tree fails
+// in the typed load, proving the fixture really is ill-typed.
+func TestCLISyntacticSelectionSkipsTypedLoad(t *testing.T) {
+	dir := scratchModule(t)
+	broken := "package main\n\nvar mismatch int = \"not an int\"\n"
+	if err := os.WriteFile(filepath.Join(dir, "broken.go"), []byte(broken), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	code, stdout, stderr := runCLI(t, "-root", dir, "-analyzers", "determinism,exhaustive")
+	if code != 1 || !strings.Contains(stdout, "switch over Phase misses Done") {
+		t.Fatalf("exit %d, want 1 with the exhaustive finding\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
+	}
+
+	code, _, stderr = runCLI(t, "-root", dir)
+	if code != 2 || !strings.Contains(stderr, "typed pass") {
+		t.Fatalf("exit %d (stderr %q), want 2 from the typed load of an ill-typed tree", code, stderr)
 	}
 }

@@ -51,6 +51,13 @@ func TestDimBlessedFixture(t *testing.T) {
 	runDimFixture(t, "blessed")
 }
 
+// TestDimNamingFixture: dimensions seeded from names alone catch every
+// bit/byte slip at an assignment, sum, return, call argument and
+// composite field, and a visible *8 or /8 clears each one.
+func TestDimNamingFixture(t *testing.T) {
+	runDimFixture(t, "naming")
+}
+
 // TestDimPolyFixture: untyped constants adapt to the slot they land in
 // and never manufacture a conflict between two differently-dimensioned
 // slots.

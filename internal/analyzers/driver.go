@@ -1,23 +1,21 @@
-// Package analyzers is ctmsvet's static-analysis suite: a small,
-// stdlib-only (go/ast, go/parser, go/token) lint engine plus three
-// analyzers that enforce the reproduction's load-bearing invariants
-// before any simulation runs.
+// Package analyzers is ctmsvet's static-analysis suite. This file is
+// its syntactic tier: a small, stdlib-only (go/ast, go/parser,
+// go/token) lint engine plus two analyzers that enforce the
+// reproduction's load-bearing invariants before any simulation runs.
 //
 //   - determinism: sim-critical packages must not read the wall clock,
 //     draw from the global math/rand generator, or build
 //     iteration-order-dependent output while ranging over a map. These
 //     are exactly the ways a "bit-identical at any -parallel" guarantee
 //     rots silently.
-//   - units: the paper's §1/§3 confusion hazard — 150 KB/s media on a
-//     4 Mbit/s ring — is kept at bay by naming conventions
-//     (...Bits/...Bytes/...BitRate/...BytesPerSec). The analyzer flags
-//     assignments, call arguments, returns and composite literals that
-//     move a *Bits*-named value into a *Bytes*-named slot (or vice
-//     versa) without a literal 8 in the conversion, and identifiers
-//     named rate/budget that carry no unit at all.
 //   - exhaustive: every switch over a root-package enum registered in
 //     enumTable (enummap.go) must cover all values or carry a default,
 //     so adding an enum value cannot silently fall through.
+//
+// The paper's §1/§3 units hazard — 150 KB/s media on a 4 Mbit/s ring —
+// belongs to the type-checked dim tier (dim.go, dimflow.go), which
+// infers every value's dimension instead of matching names one
+// expression at a time.
 //
 // A finding can be suppressed at its line (or the line below the
 // comment) with
@@ -135,25 +133,22 @@ func LoadPackage(fset *token.FileSet, dir string) (*Package, error) {
 	return pkg, nil
 }
 
-// Index is cross-package knowledge the syntactic analyzers need: which
-// declared functions take which parameter names (for unit matching of
-// call arguments) and which names are map-typed (for range-over-map
-// detection). Keys are both bare ("WireTime", same-package calls) and
-// package-qualified ("sim.WireTime", cross-package selector calls).
+// Index is cross-package knowledge the determinism analyzer needs:
+// which names are map-typed, for range-over-map detection. Keys are
+// both bare (same-package uses) and package-qualified ("pkg.Name",
+// cross-package selector uses).
 type Index struct {
-	funcParams map[string][]string
-	mapFields  map[string]bool
-	mapFuncs   map[string]bool
-	mapVars    map[string]bool
+	mapFields map[string]bool
+	mapFuncs  map[string]bool
+	mapVars   map[string]bool
 }
 
 // BuildIndex scans the loaded packages once, before any analyzer runs.
 func BuildIndex(pkgs []*Package) *Index {
 	idx := &Index{
-		funcParams: make(map[string][]string),
-		mapFields:  make(map[string]bool),
-		mapFuncs:   make(map[string]bool),
-		mapVars:    make(map[string]bool),
+		mapFields: make(map[string]bool),
+		mapFuncs:  make(map[string]bool),
+		mapVars:   make(map[string]bool),
 	}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
@@ -171,21 +166,14 @@ func BuildIndex(pkgs []*Package) *Index {
 }
 
 func (idx *Index) indexFunc(pkgName string, d *ast.FuncDecl) {
-	if d.Recv != nil {
-		// Methods are indexed by bare name only: a selector call x.M
-		// cannot be attributed to a package syntactically, so qualified
-		// keys would be wrong more often than right.
-		idx.funcParams[d.Name.Name] = flattenParams(d.Type.Params)
-		if singleMapResult(d.Type.Results) {
-			idx.mapFuncs[d.Name.Name] = true
-		}
+	if !singleMapResult(d.Type.Results) {
 		return
 	}
-	params := flattenParams(d.Type.Params)
-	idx.funcParams[d.Name.Name] = params
-	idx.funcParams[pkgName+"."+d.Name.Name] = params
-	if singleMapResult(d.Type.Results) {
-		idx.mapFuncs[d.Name.Name] = true
+	idx.mapFuncs[d.Name.Name] = true
+	// Methods are indexed by bare name only: a selector call x.M cannot
+	// be attributed to a package syntactically, so qualified keys would
+	// be wrong more often than right.
+	if d.Recv == nil {
 		idx.mapFuncs[pkgName+"."+d.Name.Name] = true
 	}
 }
@@ -216,23 +204,6 @@ func (idx *Index) indexGen(pkgName string, d *ast.GenDecl) {
 			}
 		}
 	}
-}
-
-func flattenParams(fl *ast.FieldList) []string {
-	if fl == nil {
-		return nil
-	}
-	var out []string
-	for _, field := range fl.List {
-		if len(field.Names) == 0 {
-			out = append(out, "_")
-			continue
-		}
-		for _, n := range field.Names {
-			out = append(out, n.Name)
-		}
-	}
-	return out
 }
 
 func singleMapResult(fl *ast.FieldList) bool {

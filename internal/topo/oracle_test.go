@@ -93,8 +93,11 @@ func applyChaos(n *Network, seed int64) {
 			} else {
 				victim.Cancel()
 			}
+			// Draw the child's delay now: the callback fires on whichever
+			// shard worker owns this scheduler, so it must not touch r.
+			delay := sim.Time(1+r.Intn(3)) * sim.Microsecond
 			sched.At(at, func() {
-				sched.After(sim.Time(1+r.Intn(3))*sim.Microsecond, func() {})
+				sched.After(delay, func() {})
 			})
 		}
 	}
