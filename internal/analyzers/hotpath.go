@@ -8,11 +8,14 @@ import (
 )
 
 // Hotpath enforces allocation-freedom for functions marked with a
-// //ctmsvet:hotpath doc-comment line — the scheduler push/pop/free-list,
-// the tradapter tx path, the ctmsp send path and the playout tick. The
-// paper's whole argument is that the data path must run at device rate;
-// a GC allocation per event or per packet is how that budget quietly
-// erodes.
+// //ctmsvet:hotpath doc-comment line — the whole per-frame data path:
+// the scheduler's wheel buckets, free list and guards, sim.FIFO, the
+// rtpc CPU (Submit, Splice, dispatch) and DMA engines, the tradapter
+// tx and rx stages, the ring's transmit-request pool, router ingress
+// and egress, the vca handler programs, kernel Proc programs, the ctmsp
+// send path and the playout tick. The paper's whole argument is that
+// the data path must run at device rate; a GC allocation per event or
+// per packet is how that budget quietly erodes.
 //
 // Flagged inside a hotpath function:
 //   - &T{...} composite-literal pointers, slice and map literals,

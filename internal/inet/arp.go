@@ -112,11 +112,12 @@ func (a *ARP) sendRequest(dst ring.Addr) {
 
 // input is the driver split-point handler for ARP frames.
 func (a *ARP) input(rcv *tradapter.Received) []rtpc.Seg {
+	f := rcv.Frame // the action below runs after Release; rcv is dead by then
 	return []rtpc.Seg{
 		a.s.k.Machine.CopySeg(rcv.Size, rcv.Buffer.Kind, rtpc.SystemMemory),
-		rtpc.Mark(rcv.Release),
+		rcv.ReleaseSeg(),
 		rtpc.Then(a.s.costs.IPInput, func() {
-			out, ok := rcv.Frame.Payload.(*tradapter.Outgoing)
+			out, ok := f.Payload.(*tradapter.Outgoing)
 			if !ok {
 				return
 			}

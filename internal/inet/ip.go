@@ -115,6 +115,7 @@ type Stack struct {
 	rdt   map[ring.Addr]*RDTConn
 	dgRcv func(*Datagram, sim.Time)
 
+	prog  []rtpc.Seg // IP input program scratch; the driver copies it
 	stats StackStats
 }
 
@@ -219,12 +220,14 @@ func (s *Stack) output(dg *Datagram, done func()) {
 func (s *Stack) ipInput(rcv *tradapter.Received) []rtpc.Seg {
 	// The stock path copies the packet out of the fixed DMA buffer into
 	// mbufs before protocol processing (§2's third copy); the copy loop
-	// is interruptible.
-	segs := s.k.Machine.CopySegs(rcv.Size, rcv.Buffer.Kind, rtpc.SystemMemory)
-	return append(segs,
-		rtpc.Mark(rcv.Release),
+	// is interruptible. The protocol action runs after the buffer is
+	// released, so it reads the frame captured here, never rcv.
+	f := rcv.Frame
+	segs := s.k.Machine.CopySegs(s.prog[:0], rcv.Size, rcv.Buffer.Kind, rtpc.SystemMemory)
+	s.prog = append(segs,
+		rcv.ReleaseSeg(),
 		rtpc.Then(s.costs.IPInput, func() {
-			out, ok := rcv.Frame.Payload.(*tradapter.Outgoing)
+			out, ok := f.Payload.(*tradapter.Outgoing)
 			if !ok {
 				s.stats.Dropped++
 				return
@@ -238,6 +241,7 @@ func (s *Stack) ipInput(rcv *tradapter.Received) []rtpc.Seg {
 			s.demux(dg)
 		}),
 	)
+	return s.prog
 }
 
 func (s *Stack) demux(dg *Datagram) {

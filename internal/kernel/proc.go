@@ -15,6 +15,7 @@ type Proc struct {
 	name    string
 	blocked bool
 	wakeFn  func()
+	prog    []rtpc.Seg // program scratch; Submit copies it
 
 	Syscalls     uint64
 	UserTime     sim.Time
@@ -33,26 +34,32 @@ func (k *Kernel) NewProc(name string) *Proc {
 // Name reports the process name.
 func (p *Proc) Name() string { return p.name }
 
-// userSegs slices a user compute cost into preemptible chunks.
+// userSegs slices a user compute cost into preemptible chunks, built in
+// the process's program scratch.
+//
+//ctmsvet:hotpath
 func (p *Proc) userSegs(cost sim.Time) []rtpc.Seg {
 	chunk := p.k.Costs.UserChunk
-	var segs []rtpc.Seg
+	segs := p.prog[:0]
 	for cost > 0 {
 		c := chunk
 		if cost < c {
 			c = cost
 		}
 		cost -= c
-		segs = append(segs, rtpc.Do(c))
+		segs = append(segs, rtpc.Do(c)) //ctmsvet:allow hotpath program scratch grows to the longest compute burst once
 	}
 	if len(segs) == 0 {
-		segs = append(segs, rtpc.Do(0))
+		segs = append(segs, rtpc.Do(0)) //ctmsvet:allow hotpath program scratch grows to the longest compute burst once
 	}
+	p.prog = segs
 	return segs
 }
 
 // Compute burns user CPU time, then calls done. The process competes at
 // base level with every other process and kernel bottom half.
+//
+//ctmsvet:hotpath
 func (p *Proc) Compute(cost sim.Time, done func()) {
 	p.UserTime += cost
 	p.k.CPU().Submit(LevelBase, p.userSegs(cost), done)
@@ -60,15 +67,17 @@ func (p *Proc) Compute(cost sim.Time, done func()) {
 
 // Syscall models entry into the kernel, a body cost (for example a
 // copyin/copyout), and the return to user mode.
+//
+//ctmsvet:hotpath
 func (p *Proc) Syscall(body sim.Time, done func()) {
 	p.Syscalls++
 	c := p.k.Costs
-	segs := []rtpc.Seg{
+	p.prog = append(p.prog[:0],
 		rtpc.Do(c.SyscallEntry),
 		rtpc.Do(body),
 		rtpc.Do(c.SyscallExit),
-	}
-	p.k.CPU().Submit(LevelBase, segs, done)
+	)
+	p.k.CPU().Submit(LevelBase, p.prog, done)
 }
 
 // Sleep blocks the process; Wakeup unblocks it, after the kernel's wakeup
@@ -114,15 +123,15 @@ func (p *Proc) Wakeup() {
 func (p *Proc) BackgroundLoad(period sim.Time, busyFrac float64) {
 	sim.Checkf(busyFrac >= 0 && busyFrac <= 1, "busyFrac %v out of range", busyFrac)
 	burst := sim.Scale(period, busyFrac)
-	var loop func()
-	loop = func() {
-		p.Compute(burst, func() {
-			idle := period - burst
-			if idle < 0 {
-				idle = 0
-			}
-			p.k.Sched().After(idle, loop)
-		})
+	// Both steps of the loop are built once, not once per burst.
+	var loop, rest func()
+	rest = func() {
+		idle := period - burst
+		if idle < 0 {
+			idle = 0
+		}
+		p.k.Sched().After(idle, loop)
 	}
+	loop = func() { p.Compute(burst, rest) }
 	loop()
 }

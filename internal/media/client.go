@@ -101,6 +101,7 @@ type Client struct {
 	kinds     map[uint8]TrackKind
 	prebuffer sim.Time
 	stats     ClientStats
+	prog      []rtpc.Seg // receive program scratch; the driver copies it
 }
 
 // NewClient installs the client on drv's CTMSP split point, expecting the
@@ -150,8 +151,8 @@ func (c *Client) handle(rcv *tradapter.Received) []rtpc.Seg {
 	}
 
 	m := c.k.Machine
-	segs := m.CopySegs(rcv.Size, rcv.Buffer.Kind, rtpc.SystemMemory)
-	segs = append(segs, rtpc.Mark(rcv.Release))
+	segs := m.CopySegs(c.prog[:0], rcv.Size, rcv.Buffer.Kind, rtpc.SystemMemory)
+	segs = append(segs, rcv.ReleaseSeg())
 	segs = append(segs, rtpc.Mark(func() {
 		ev := c.recv.Accept(pkt.Header, c.k.Sched().Now())
 		switch ev {
@@ -171,6 +172,7 @@ func (c *Client) handle(rcv *tradapter.Received) []rtpc.Seg {
 		c.received[frag.Track] = append(c.received[frag.Track], frag.Data...)
 		p.deliver(len(frag.Data), c.k.Sched().Now())
 	}))
+	c.prog = segs
 	return segs
 }
 

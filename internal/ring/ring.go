@@ -42,11 +42,20 @@ func DefaultConfig() Config {
 // monitor does. start/end bracket the frame's time on the wire.
 type Tap func(f *Frame, start, end sim.Time, status DeliveryStatus)
 
+// txRequest is one queued or in-flight transmission. Requests are pooled
+// per ring: each carries a prebuilt end-of-frame callback, and returns to
+// the pool only once nothing can reach it any more — after the transmitter
+// learned the outcome and, for a frame that went on the wire, after its
+// end-of-frame event fired. A purged frame's end event still fires (and
+// finds the request no longer current), so a request is never reused
+// while a stale end event for it is pending.
 type txRequest struct {
-	st     *Station
-	f      *Frame
-	onDone func(DeliveryStatus)
-	queued sim.Time
+	st         *Station
+	f          *Frame
+	onDone     func(DeliveryStatus)
+	queued     sim.Time
+	start, end sim.Time // wire interval, set when the frame starts
+	endFn      func()   // prebuilt end-of-frame callback
 }
 
 // Counters aggregates ring-level accounting.
@@ -91,6 +100,9 @@ type Ring struct {
 	reserved   int64
 	seq        uint64
 	c          Counters
+
+	reqFree      sim.FreeList[txRequest]
+	maybeStartFn func() // prebuilt r.maybeStart for deferred restarts
 }
 
 // New creates a ring driven by sched.
@@ -99,12 +111,43 @@ func New(sched *sim.Scheduler, cfg Config) *Ring {
 	if cfg.PurgeDuration <= 0 {
 		cfg.PurgeDuration = DefaultConfig().PurgeDuration
 	}
-	return &Ring{
+	r := &Ring{
 		sched:  sched,
 		cfg:    cfg,
 		rng:    sim.NewRNG(cfg.Seed).Fork("ring-token-jitter"),
 		byAddr: make(map[Addr]*Station),
 	}
+	r.maybeStartFn = r.maybeStart
+	return r
+}
+
+// getReq pops a free transmit request, building one (with its permanent
+// end-of-frame callback) on the cold path only.
+//
+//ctmsvet:hotpath
+func (r *Ring) getReq() *txRequest {
+	if req := r.reqFree.Get(); req != nil {
+		return req
+	}
+	req := &txRequest{}  //ctmsvet:allow hotpath cold refill path, runs only until the request pool reaches steady state
+	req.endFn = func() { //ctmsvet:allow hotpath the end-of-frame closure is built once per pooled request, not per frame
+		if r.current != req {
+			// Purged mid-flight: the purge handler already finished it,
+			// and this stale event was the last reference.
+			r.putReq(req)
+			return
+		}
+		r.finish(req, req.start, req.end, false)
+	}
+	return req
+}
+
+// putReq clears a finished request and returns it to the pool.
+//
+//ctmsvet:hotpath
+func (r *Ring) putReq(req *txRequest) {
+	req.st, req.f, req.onDone = nil, nil, nil
+	r.reqFree.Put(req)
 }
 
 // Scheduler exposes the driving scheduler (stations and workloads need it).
@@ -178,16 +221,22 @@ func (r *Ring) Station(a Addr) *Station {
 func (r *Ring) Stations() int { return len(r.stations) }
 
 // submit queues a transmit request and starts service if the ring is free.
+//
+//ctmsvet:hotpath
 func (r *Ring) submit(req *txRequest) {
 	p := req.f.Priority
-	sim.Checkf(p >= 0 && p < 8, "frame priority %d out of range", p)
+	if p < 0 || p >= 8 {
+		sim.Checkf(false, "frame priority %d out of range", p)
+	}
 	req.queued = r.sched.Now()
-	r.queues[p] = append(r.queues[p], req)
+	r.queues[p] = append(r.queues[p], req) //ctmsvet:allow hotpath priority queue grows to its backlog high-water mark once, then reuses the array
 	r.maybeStart()
 }
 
 // next dequeues the highest-priority pending request, round-robin within
 // the class so no station starves.
+//
+//ctmsvet:hotpath
 func (r *Ring) next() *txRequest {
 	for p := 7; p >= 0; p-- {
 		q := r.queues[p]
@@ -214,6 +263,7 @@ func (r *Ring) next() *txRequest {
 	return nil
 }
 
+//ctmsvet:hotpath
 func (r *Ring) maybeStart() {
 	if r.busy || r.purging {
 		return
@@ -225,12 +275,14 @@ func (r *Ring) maybeStart() {
 	r.start(req)
 }
 
+//ctmsvet:hotpath
 func (r *Ring) start(req *txRequest) {
 	now := r.sched.Now()
 	if !req.st.inserted {
 		// A de-inserted station cannot transmit; fail immediately.
 		req.done(DeliveryStatus{CompletedAt: now})
-		r.sched.After(0, r.maybeStart)
+		r.putReq(req)
+		r.sched.After(0, r.maybeStartFn)
 		return
 	}
 	// Token acquisition: fixed overhead plus jitter for where the token
@@ -254,16 +306,14 @@ func (r *Ring) start(req *txRequest) {
 	req.f.Seq = r.seq
 	r.seq++
 
-	r.sched.At(end, func() {
-		if r.current != req {
-			return // purged mid-flight; purge handler finished it
-		}
-		r.finish(req, start, end, false)
-	})
+	req.start, req.end = start, end
+	r.sched.At(end, req.endFn)
 }
 
 // finish completes a transmission: delivers the frame, notifies taps and
 // the transmitter, and starts the next pending request.
+//
+//ctmsvet:hotpath
 func (r *Ring) finish(req *txRequest, start, end sim.Time, purged bool) {
 	r.busy = false
 	r.current = nil
@@ -290,9 +340,11 @@ func (r *Ring) finish(req *txRequest, start, end sim.Time, purged bool) {
 		tap(req.f, start, end, status)
 	}
 	req.done(status)
+	r.putReq(req)
 	r.maybeStart()
 }
 
+//ctmsvet:hotpath
 func (r *Ring) deliver(f *Frame, status *DeliveryStatus) {
 	if f.Dst == Broadcast || f.Kind == MAC {
 		for _, st := range r.stations {
@@ -359,6 +411,8 @@ func (r *Ring) Purge() {
 	}
 }
 
+// finishPurged reports a purge loss to the transmitter. The request stays
+// out of the pool: its end-of-frame event is still pending and recycles it.
 func (r *Ring) finishPurged(req *txRequest) {
 	status := DeliveryStatus{PurgeLost: true, CompletedAt: r.sched.Now()}
 	r.c.PurgeLost++

@@ -45,9 +45,13 @@ func (s *Station) canCopy() bool {
 
 // Transmit queues f for transmission. onDone (may be nil) fires when the
 // transmitter learns the outcome from the returning frame's A/C bits.
+//
+//ctmsvet:hotpath
 func (s *Station) Transmit(f *Frame, onDone func(DeliveryStatus)) {
 	f.Src = s.addr
-	s.ring.submit(&txRequest{st: s, f: f, onDone: onDone})
+	req := s.ring.getReq()
+	req.st, req.f, req.onDone = s, f, onDone
+	s.ring.submit(req)
 }
 
 // Remove de-inserts the station without a purge (orderly removal).

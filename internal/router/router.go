@@ -55,6 +55,7 @@ type Router struct {
 	// came from.
 	routes [2]map[ring.Addr]int
 	stats  Stats
+	prog   []rtpc.Seg // ingress program scratch; the driver copies it
 
 	// SwitchCost is the per-frame CPU cost of the forwarding decision
 	// and descriptor shuffling.
@@ -130,11 +131,11 @@ func (rt *Router) ingress(port int, class tradapter.Class, rcv *tradapter.Receiv
 
 	m := rt.k.Machine
 	size := rcv.Size
-	segs := []rtpc.Seg{rtpc.Do(rt.SwitchCost)}
+	segs := append(rt.prog[:0], rtpc.Do(rt.SwitchCost))
 	// Copy from the ingress fixed DMA buffer to the egress driver's
 	// mbufs (one CPU copy — routers on this hardware cannot avoid it).
-	segs = append(segs, m.CopySegs(size, rcv.Buffer.Kind, rtpc.SystemMemory)...)
-	segs = append(segs, rtpc.Mark(rcv.Release))
+	segs = m.CopySegs(segs, size, rcv.Buffer.Kind, rtpc.SystemMemory)
+	segs = append(segs, rcv.ReleaseSeg())
 	segs = append(segs, rtpc.Mark(func() {
 		rt.stats.Forwarded[port]++
 		rt.stats.Bytes += uint64(size)
@@ -160,5 +161,6 @@ func (rt *Router) ingress(port int, class tradapter.Class, rcv *tradapter.Receiv
 			rt.stats.QueueMax = depth
 		}
 	}))
+	rt.prog = segs
 	return segs
 }

@@ -35,6 +35,10 @@ type Half struct {
 	// recycleEnv is the pool-return hook armed on every injected envelope,
 	// built once so the per-frame SetRecycle call boxes no method value.
 	recycleEnv func(*tradapter.Outgoing)
+	// prog is the ingress program scratch (the driver copies it), and
+	// hands the pool of per-frame hand-off records its final mark reads.
+	prog  []rtpc.Seg
+	hands sim.FreeList[handoff]
 
 	// SwitchCost is the per-frame CPU cost of the forwarding decision.
 	SwitchCost sim.Time
@@ -54,7 +58,15 @@ type Half struct {
 //
 //ctmsvet:shardowned
 type envPool struct {
-	free []*tradapter.Outgoing
+	sim.FreeList[tradapter.Outgoing]
+}
+
+// handoff is one frame between the switch decision and the hand-off to
+// the peer shard: the values the final mark forwards, with that mark
+// prebuilt. A record returns to its half's pool when the mark runs.
+type handoff struct {
+	fwd Forwarded
+	fn  func()
 }
 
 // Forwarded is a frame in flight between two halves of a split bridge:
@@ -130,6 +142,8 @@ func (h *Half) SetRoute(dstRing int, via ring.Addr) {
 // half are in transit to another ring. The switch decision and the one
 // unavoidable CPU copy happen here; the hand-off to the peer shard is the
 // final mark, carrying values only.
+//
+//ctmsvet:hotpath
 func (h *Half) ingress(class tradapter.Class, rcv *tradapter.Received) []rtpc.Seg {
 	out, ok := rcv.Frame.Payload.(*tradapter.Outgoing)
 	if !ok || out.RoutedRing == 0 || h.Forward == nil {
@@ -145,7 +159,8 @@ func (h *Half) ingress(class tradapter.Class, rcv *tradapter.Received) []rtpc.Se
 		rcv.Release()
 		return nil
 	}
-	fwd := Forwarded{
+	hd := h.getHandoff()
+	hd.fwd = Forwarded{
 		DstRing: dstRing,
 		Dst:     out.RoutedDst,
 		Size:    rcv.Size,
@@ -153,16 +168,31 @@ func (h *Half) ingress(class tradapter.Class, rcv *tradapter.Received) []rtpc.Se
 		Tag:     out.Chain.Tag,
 		Capture: out.Capture,
 	}
-	m := h.k.Machine
-	segs := []rtpc.Seg{rtpc.Do(h.SwitchCost)}
-	segs = append(segs, m.CopySegs(fwd.Size, rcv.Buffer.Kind, rtpc.SystemMemory)...)
-	segs = append(segs, rtpc.Mark(rcv.Release))
-	segs = append(segs, rtpc.Mark(func() {
+	segs := append(h.prog[:0], rtpc.Do(h.SwitchCost))
+	segs = h.k.Machine.CopySegs(segs, hd.fwd.Size, rcv.Buffer.Kind, rtpc.SystemMemory)
+	segs = append(segs, rcv.ReleaseSeg(), rtpc.Mark(hd.fn)) //ctmsvet:allow hotpath program scratch grows to the longest ingress program once
+	h.prog = segs
+	return segs
+}
+
+// getHandoff pops a free hand-off record, building one (with its
+// permanent forwarding mark) on the cold path only.
+//
+//ctmsvet:hotpath
+func (h *Half) getHandoff() *handoff {
+	if hd := h.hands.Get(); hd != nil {
+		return hd
+	}
+	hd := &handoff{} //ctmsvet:allow hotpath cold refill path, runs only until the hand-off pool reaches steady state
+	hd.fn = func() { //ctmsvet:allow hotpath the forwarding mark is built once per pooled record, not per frame
+		fwd := hd.fwd
+		hd.fwd = Forwarded{}
+		h.hands.Put(hd)
 		h.stats.Forwarded++
 		h.stats.Bytes += uint64(fwd.Size)
 		h.Forward(fwd)
-	}))
-	return segs
+	}
+	return hd
 }
 
 // getEnv pops a free envelope, building one — permanent chain shell,
@@ -170,10 +200,7 @@ func (h *Half) ingress(class tradapter.Class, rcv *tradapter.Received) []rtpc.Se
 //
 //ctmsvet:hotpath
 func (h *Half) getEnv() *tradapter.Outgoing {
-	if n := len(h.envs.free); n > 0 {
-		out := h.envs.free[n-1]
-		h.envs.free[n-1] = nil
-		h.envs.free = h.envs.free[:n-1]
+	if out := h.envs.Get(); out != nil {
 		return out
 	}
 	out := &tradapter.Outgoing{Chain: &kernel.Chain{}} //ctmsvet:allow hotpath cold refill path, runs only until the envelope pool reaches steady state
@@ -190,7 +217,7 @@ func (h *Half) putEnv(out *tradapter.Outgoing) {
 	out.Chain.Tag = nil
 	out.Dst, out.RoutedDst, out.RoutedRing = 0, 0, 0
 	out.Capture = nil
-	h.envs.free = append(h.envs.free, out) //ctmsvet:allow hotpath envelope pool grows to the in-flight high-water mark once, then reuses the array
+	h.envs.Put(out)
 }
 
 // Inject re-transmits a forwarded frame onto this half's ring: the final

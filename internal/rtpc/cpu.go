@@ -16,31 +16,29 @@ const NumLevels = 8
 // system therefore bounds worst-case interrupt dispatch latency — exactly
 // the paper's "execution of protected code segments" jitter source.
 //
-// Fn runs when the segment's cost has elapsed. It may return further
-// segments, which are executed (in order) before the task's remaining
-// segments; this lets handlers make data-dependent decisions.
+// Fn runs when the segment's cost has elapsed. An action that must make a
+// data-dependent decision about what runs next inserts further segments
+// with CPU.Splice.
 type Seg struct {
 	Cost sim.Time
-	Fn   func() []Seg
+	Fn   func()
 }
 
 // Do builds a segment with just a cost.
 func Do(cost sim.Time) Seg { return Seg{Cost: cost} }
 
 // Then builds a segment with a cost and a completion action.
-func Then(cost sim.Time, fn func()) Seg {
-	return Seg{Cost: cost, Fn: func() []Seg { fn(); return nil }}
-}
+func Then(cost sim.Time, fn func()) Seg { return Seg{Cost: cost, Fn: fn} }
 
 // Mark builds a zero-cost probe segment; fn observes the instant between
 // two segments (used for the paper's measurement points).
-func Mark(fn func()) Seg {
-	return Seg{Fn: func() []Seg { fn(); return nil }}
-}
+func Mark(fn func()) Seg { return Seg{Fn: fn} }
 
 // Task is a unit of schedulable work at an interrupt level. Tasks are
 // recycled through a per-CPU free list: the pointer is owned by the CPU
 // from Submit until the last segment completes, and callers never see it.
+// segs is the task's own copy of its program; its backing array survives
+// recycling, so a warm task holds any program without allocating.
 type task struct {
 	level     int
 	segs      []Seg
@@ -48,40 +46,6 @@ type task struct {
 	onDone    func()
 	submitted sim.Time
 	started   bool
-}
-
-// taskq is a FIFO of pending tasks at one interrupt level. Pop advances a
-// head index instead of re-slicing, so the backing array is reused across
-// the run instead of reallocated once per task; it compacts only when the
-// dead prefix dominates.
-type taskq struct {
-	items []*task
-	head  int
-}
-
-func (q *taskq) len() int { return len(q.items) - q.head }
-
-//ctmsvet:hotpath
-func (q *taskq) push(t *task) {
-	q.items = append(q.items, t) //ctmsvet:allow hotpath queue grows to steady-state depth once, then reuses its backing array
-}
-
-//ctmsvet:hotpath
-func (q *taskq) pop() *task {
-	t := q.items[q.head]
-	q.items[q.head] = nil
-	q.head++
-	switch {
-	case q.head == len(q.items):
-		q.items = q.items[:0]
-		q.head = 0
-	case q.head >= 32 && q.head*2 >= len(q.items):
-		n := copy(q.items, q.items[q.head:])
-		clear(q.items[n:])
-		q.items = q.items[:n]
-		q.head = 0
-	}
-	return t
 }
 
 // CPUStats aggregates CPU-level accounting.
@@ -98,7 +62,7 @@ type CPUStats struct {
 type CPU struct {
 	sched   *sim.Scheduler
 	name    string
-	pending [NumLevels]taskq
+	pending [NumLevels]sim.FIFO[*task]
 	stack   []*task // running task stack; top is executing
 	inSeg   bool    // a segment is currently burning cycles
 	mask    int     // spl: tasks at level ≤ mask cannot start
@@ -108,10 +72,11 @@ type CPU struct {
 	// the busiest paths in the whole simulator — so their callbacks are
 	// built once here, not per event.
 	kickFn  func()
-	segEnd  func()       // shared end-of-segment callback
-	segTask *task        // task whose segment is in flight (inSeg)
-	segFn   func() []Seg // that segment's completion action
-	free    []*task      // recycled task objects
+	segEnd  func()  // shared end-of-segment callback
+	segTask *task   // task whose segment is in flight (inSeg)
+	segFn   func()  // that segment's completion action
+	acting  *task   // task whose segment action is running; Splice's target
+	free    []*task // recycled task objects
 
 	sysDMAActive int // DMA engines currently targeting system memory
 	interference float64
@@ -145,19 +110,9 @@ func NewCPU(sched *sim.Scheduler, name string, interference float64) *CPU {
 		t, fn := c.segTask, c.segFn
 		c.segTask, c.segFn = nil, nil
 		if fn != nil {
-			if more := fn(); len(more) > 0 {
-				if t.next >= len(t.segs) {
-					// Common case: the finished segment was the last one;
-					// adopt the returned slice outright.
-					t.segs, t.next = more, 0
-				} else {
-					rest := t.segs[t.next:]
-					ns := make([]Seg, 0, len(more)+len(rest))
-					ns = append(ns, more...)
-					ns = append(ns, rest...)
-					t.segs, t.next = ns, 0
-				}
-			}
+			c.acting = t
+			fn()
+			c.acting = nil
 		}
 		c.dispatch()
 	}
@@ -183,7 +138,8 @@ func (c *CPU) allocTask() *task {
 //
 //ctmsvet:hotpath
 func (c *CPU) recycleTask(t *task) {
-	t.segs, t.onDone = nil, nil
+	clear(t.segs) // drop the actions' captures, keep the backing array
+	t.segs, t.onDone = t.segs[:0], nil
 	t.next = 0
 	if len(c.free) < maxFreeTasks {
 		c.free = append(c.free, t) //ctmsvet:allow hotpath free list capacity is preallocated at maxFreeTasks and the len guard keeps it there
@@ -231,6 +187,11 @@ func (c *CPU) Mask() int { return c.mask }
 // next segment boundary; a higher-level task preempts a lower-level one
 // there.
 //
+// Submit copies segs into the task's own program buffer, so the caller
+// keeps ownership of segs and may reuse it as soon as Submit returns: a
+// device builds each program into one scratch slice instead of a fresh
+// slice per frame.
+//
 //ctmsvet:hotpath
 func (c *CPU) Submit(level int, segs []Seg, onDone func()) {
 	if level < 0 || level >= NumLevels {
@@ -238,19 +199,44 @@ func (c *CPU) Submit(level int, segs []Seg, onDone func()) {
 	}
 	t := c.allocTask()
 	t.level = level
-	t.segs, t.next = segs, 0
+	t.segs = append(t.segs[:0], segs...) //ctmsvet:allow hotpath each recycled task's program buffer grows to the longest program once, then is reused
+	t.next = 0
 	t.onDone = onDone
 	t.submitted = c.sched.Now()
 	t.started = false
-	c.pending[level].push(t)
+	c.pending[level].Push(t)
 	c.requestKick()
+}
+
+// Splice inserts segs into the running task, to execute (in order) right
+// after the segment whose action is calling Splice and before the task's
+// remaining segments; this lets handlers make data-dependent decisions.
+// It may be called only from inside a segment's action. Like Submit it
+// copies segs, so the caller may reuse its slice once Splice returns.
+//
+//ctmsvet:hotpath
+func (c *CPU) Splice(segs []Seg) {
+	t := c.acting
+	if t == nil {
+		sim.Checkf(false, "Splice called outside a segment action")
+	}
+	if len(segs) == 0 {
+		return
+	}
+	n := len(t.segs)
+	t.segs = append(t.segs, segs...) //ctmsvet:allow hotpath the task's program buffer grows to its longest spliced program once, then is reused
+	if t.next < n {
+		// Open a gap at t.next for the spliced segments.
+		copy(t.segs[t.next+len(segs):], t.segs[t.next:n])
+		copy(t.segs[t.next:], segs)
+	}
 }
 
 // Busy reports whether a segment is executing right now.
 func (c *CPU) Busy() bool { return c.inSeg }
 
 // QueueDepth reports pending tasks at a level.
-func (c *CPU) QueueDepth(level int) int { return c.pending[level].len() }
+func (c *CPU) QueueDepth(level int) int { return c.pending[level].Len() }
 
 // requestKick schedules a dispatch pass. Using a zero-delay event keeps
 // Submit safe to call from inside segment callbacks without re-entering
@@ -274,7 +260,7 @@ func (c *CPU) bestPending() int {
 		if l <= c.mask {
 			break
 		}
-		if c.pending[l].len() > 0 {
+		if c.pending[l].Len() > 0 {
 			return l
 		}
 	}
@@ -294,7 +280,7 @@ func (c *CPU) dispatch() {
 		return // idle, nothing to do
 	case cur == nil || best > cur.level:
 		// Start (or preempt into) the highest pending task.
-		t := c.pending[best].pop()
+		t := c.pending[best].Pop()
 		if cur != nil {
 			c.stats.Preemptions++
 		}

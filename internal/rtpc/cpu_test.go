@@ -1,6 +1,7 @@
 package rtpc
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/sim"
@@ -117,23 +118,85 @@ func TestSplMasksDispatch(t *testing.T) {
 	}
 }
 
-func TestSegFnCanExtendTask(t *testing.T) {
+func TestSpliceRunsBeforeRemainingSegments(t *testing.T) {
 	sched, cpu := newCPU()
 	var order []string
 	cpu.Submit(2, []Seg{
-		{Cost: 10 * sim.Microsecond, Fn: func() []Seg {
+		Then(10*sim.Microsecond, func() {
 			order = append(order, "head")
-			return []Seg{Then(5*sim.Microsecond, func() { order = append(order, "inserted") })}
-		}},
+			cpu.Splice([]Seg{
+				Then(5*sim.Microsecond, func() { order = append(order, "inserted1") }),
+				Mark(func() { order = append(order, "inserted2") }),
+			})
+		}),
 		Then(5*sim.Microsecond, func() { order = append(order, "tail") }),
 	}, nil)
 	sched.Run()
-	want := []string{"head", "inserted", "tail"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("dynamic segments out of order: %v", order)
-		}
+	want := []string{"head", "inserted1", "inserted2", "tail"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("spliced segments out of order: %v, want %v", order, want)
 	}
+	if sched.Now() != 20*sim.Microsecond {
+		t.Fatalf("spliced costs not charged: finished at %v", sched.Now())
+	}
+}
+
+func TestSpliceFromLastSegmentExtendsTask(t *testing.T) {
+	sched, cpu := newCPU()
+	var order []string
+	done := false
+	cpu.Submit(2, []Seg{
+		Mark(func() {
+			order = append(order, "last")
+			cpu.Splice([]Seg{Then(7*sim.Microsecond, func() { order = append(order, "inserted") })})
+		}),
+	}, func() {
+		done = true
+		order = append(order, "done")
+	})
+	sched.Run()
+	if !done || fmt.Sprint(order) != "[last inserted done]" {
+		t.Fatalf("splice from the final segment: order %v, done %t", order, done)
+	}
+}
+
+// TestSubmitCopiesProgram: Submit and Splice copy the caller's segments,
+// so a driver may rebuild its scratch program while the submitted task is
+// still pending or running.
+func TestSubmitCopiesProgram(t *testing.T) {
+	sched, cpu := newCPU()
+	var order []string
+	scratch := []Seg{
+		Then(10*sim.Microsecond, func() { order = append(order, "a") }),
+		Then(10*sim.Microsecond, func() { order = append(order, "b") }),
+	}
+	cpu.Submit(2, scratch, nil)
+	scratch[0] = Then(sim.Millisecond, func() { order = append(order, "mutated") })
+	scratch[1] = Do(sim.Millisecond)
+	scratch = scratch[:1]
+
+	splice := []Seg{Then(sim.Microsecond, func() { order = append(order, "spliced") })}
+	cpu.Submit(1, []Seg{Mark(func() {
+		cpu.Splice(splice)
+		splice[0] = Mark(func() { order = append(order, "mutated-splice") })
+	})}, nil)
+	sched.Run()
+	if fmt.Sprint(order) != "[a b spliced]" {
+		t.Fatalf("tasks read the caller's slices after Submit/Splice returned: %v", order)
+	}
+	if sched.Now() != 21*sim.Microsecond {
+		t.Fatalf("mutated costs leaked into the running task: finished at %v", sched.Now())
+	}
+}
+
+func TestSpliceOutsideActionPanics(t *testing.T) {
+	_, cpu := newCPU()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Splice outside a segment action must panic")
+		}
+	}()
+	cpu.Splice([]Seg{Do(sim.Microsecond)})
 }
 
 func TestDMAInterferenceSlowsCPU(t *testing.T) {
@@ -261,6 +324,45 @@ func TestMachineHelpers(t *testing.T) {
 	}
 }
 
+func TestCopySegsAppendsChunks(t *testing.T) {
+	m := NewMachine(sim.NewScheduler(), "tx", DefaultCostModel(), 42)
+	head := Do(7 * sim.Microsecond)
+	segs := m.CopySegs([]Seg{head}, 900, SystemMemory, IOChannelMemory)
+	want := []sim.Time{7 * sim.Microsecond, 400 * sim.Microsecond, 400 * sim.Microsecond, 100 * sim.Microsecond}
+	if len(segs) != len(want) {
+		t.Fatalf("900-byte copy after one segment: %d segments, want %d", len(segs), len(want))
+	}
+	for i, w := range want {
+		if segs[i].Cost != w {
+			t.Fatalf("segment %d costs %v, want %v", i, segs[i].Cost, w)
+		}
+	}
+	if segs := m.CopySegs(nil, 0, SystemMemory, SystemMemory); len(segs) != 1 || segs[0].Cost != 0 {
+		t.Fatalf("an empty copy is still one zero-cost segment: %v", segs)
+	}
+}
+
+// TestDMATransferDoesNotAllocate: a warm engine queues, starts and ends a
+// transfer off its FIFO and its prebuilt end callback.
+func TestDMATransferDoesNotAllocate(t *testing.T) {
+	sched, cpu := newCPU()
+	dma := NewDMA(cpu, DefaultCostModel())
+	n := 0
+	done := func() { n++ }
+	cycle := func() {
+		dma.Transfer(2000, IOChannelMemory, done)
+		dma.Transfer(100, SystemMemory, done)
+		sched.Run()
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Fatalf("warm DMA transfer allocated %v times, want 0", allocs)
+	}
+	if n != 2*202 { // the warm cycle, AllocsPerRun's own warm-up, 200 runs
+		t.Fatalf("%d transfers completed, want %d", n, 2*202)
+	}
+}
+
 func TestNestedPreemptionStack(t *testing.T) {
 	sched, cpu := newCPU()
 	var order []string
@@ -311,11 +413,7 @@ func TestDispatchCycleDoesNotAllocate(t *testing.T) {
 		cpu.Submit(3, segs, onDone)
 		sched.Run()
 	}
-	// Warm past one revolution of the scheduler's timing wheel (~537 ms),
-	// so every bucket slice has already grown to its steady-state size.
-	for sched.Now() < 600*sim.Millisecond {
-		cycle()
-	}
+	cycle()
 	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
 		t.Fatalf("warm Submit→dispatch→segment-end→onDone cycle allocated %v times, want 0", allocs)
 	}

@@ -10,9 +10,15 @@ type DMA struct {
 	cpu     *CPU
 	cost    CostModel
 	busy    bool
-	queue   []dmaXfer
+	queue   sim.FIFO[dmaXfer]
 	started uint64
 	bytes   uint64
+
+	// Only one transfer is in flight per engine (busy), so its end event
+	// reuses one callback reading cur, like CPU.segEnd, built on the
+	// engine's first transfer.
+	cur   dmaXfer
+	endFn func()
 }
 
 type dmaXfer struct {
@@ -38,28 +44,43 @@ func (d *DMA) Bytes() uint64 { return d.bytes }
 
 // Transfer moves n bytes to/from a buffer in target memory, then calls
 // done. If the engine is busy the transfer queues behind earlier ones.
+//
+//ctmsvet:hotpath
 func (d *DMA) Transfer(n int, target MemoryKind, done func()) {
-	sim.Checkf(n >= 0, "negative DMA length %d", n)
-	d.queue = append(d.queue, dmaXfer{n: n, target: target, done: done})
+	if n < 0 {
+		sim.Checkf(false, "negative DMA length %d", n)
+	}
+	d.queue.Push(dmaXfer{n: n, target: target, done: done})
 	d.pump()
 }
 
+//ctmsvet:hotpath
 func (d *DMA) pump() {
-	if d.busy || len(d.queue) == 0 {
+	if d.busy || d.queue.Len() == 0 {
 		return
 	}
-	x := d.queue[0]
-	d.queue = d.queue[1:]
+	x := d.queue.Pop()
 	d.busy = true
 	d.started++
 	d.bytes += uint64(x.n)
 	d.cpu.dmaStarted(x.target)
-	d.cpu.Scheduler().After(d.cost.DMACost(x.n, x.target), func() {
-		d.cpu.dmaEnded(x.target)
-		d.busy = false
-		if x.done != nil {
-			x.done()
-		}
-		d.pump()
-	})
+	d.cur = x
+	if d.endFn == nil {
+		d.endFn = d.end //ctmsvet:allow hotpath built once per engine, on its first transfer
+	}
+	d.cpu.Scheduler().After(d.cost.DMACost(x.n, x.target), d.endFn)
+}
+
+// end completes the in-flight transfer and starts the next queued one.
+//
+//ctmsvet:hotpath
+func (d *DMA) end() {
+	x := d.cur
+	d.cur = dmaXfer{}
+	d.cpu.dmaEnded(x.target)
+	d.busy = false
+	if x.done != nil {
+		x.done()
+	}
+	d.pump()
 }

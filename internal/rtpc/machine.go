@@ -51,19 +51,22 @@ func (m *Machine) CopySeg(n int, src, dst MemoryKind) Seg {
 // latency of 440 µs.
 const copyChunkBytes = 400
 
-// CopySegs builds a chunked, interruptible copy of n bytes.
-func (m *Machine) CopySegs(n int, src, dst MemoryKind) []Seg {
+// CopySegs appends a chunked, interruptible copy of n bytes to segs and
+// returns the extended slice, so a device can build its whole program in
+// one reused scratch slice.
+//
+//ctmsvet:hotpath
+func (m *Machine) CopySegs(segs []Seg, n int, src, dst MemoryKind) []Seg {
 	if n <= copyChunkBytes {
-		return []Seg{m.CopySeg(n, src, dst)}
+		return append(segs, m.CopySeg(n, src, dst)) //ctmsvet:allow hotpath appends into the caller's reused program scratch, which grows once
 	}
-	var segs []Seg
 	for n > 0 {
 		c := copyChunkBytes
 		if n < c {
 			c = n
 		}
 		n -= c
-		segs = append(segs, m.CopySeg(c, src, dst))
+		segs = append(segs, m.CopySeg(c, src, dst)) //ctmsvet:allow hotpath appends into the caller's reused program scratch, which grows once
 	}
 	return segs
 }

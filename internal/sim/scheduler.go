@@ -21,8 +21,11 @@ type Event struct {
 	fn        func()
 	cancelled bool
 	home      int32      // wheel bucket index, or homeOverflow / homeNone
-	index     int32      // position within the bucket slice or overflow heap
+	index     int32      // position within the overflow heap
 	s         *Scheduler // owner, for eager removal and recycling
+	// next and prev link the event into its wheel bucket's intrusive
+	// list, so filing an event into a bucket never allocates.
+	next, prev *Event
 }
 
 const (
@@ -93,7 +96,9 @@ func (h *eventHeap) Pop() any {
 // Timing-wheel geometry. The wheel covers the near future in fixed-width
 // ticks: events within wheelSize ticks of the cursor sit in their tick's
 // bucket (O(1) schedule and cancel); everything farther out waits in the
-// overflow heap and cascades into the wheel as the cursor advances. The
+// overflow heap and cascades into the wheel as the cursor advances. Each
+// bucket is an intrusive doubly-linked list threaded through the events
+// themselves, so filing, cancelling and firing never touch a slice. The
 // dominant events — frame slots, playout ticks, kernel housekeeping,
 // repeater arms — are all well inside the horizon.
 const (
@@ -123,11 +128,11 @@ const maxTime = Time(math.MaxInt64)
 type Scheduler struct {
 	now      Time
 	seq      uint64
-	cursor   int64      // wheel tick of the last dispatched event
-	wheel    [][]*Event // wheelSize buckets; tick t lives at wheel[t&wheelMask]
-	inWheel  int        // events currently in wheel buckets
-	overflow eventHeap  // events at or past cursor+wheelSize ticks
-	free     []*Event   // recycled Event objects, reused by At/After
+	cursor   int64     // wheel tick of the last dispatched event
+	wheel    []*Event  // wheelSize bucket list heads; tick t lives at wheel[t&wheelMask]
+	inWheel  int       // events currently in wheel buckets
+	overflow eventHeap // events at or past cursor+wheelSize ticks
+	free     []*Event  // recycled Event objects, reused by At/After
 	stopped  bool
 	fired    uint64
 	trace    *Trace
@@ -172,11 +177,11 @@ func (s *Scheduler) recycle(e *Event) {
 
 // NewScheduler returns a scheduler with the clock at zero. The event free
 // list is preallocated to its cap so recycle never grows it, and the
-// wheel's bucket table is allocated up front (bucket slices themselves
-// grow to steady-state occupancy on first use).
+// wheel's bucket table is allocated up front; buckets are lists threaded
+// through the events, so they need no storage of their own.
 func NewScheduler() *Scheduler {
 	return &Scheduler{
-		wheel: make([][]*Event, wheelSize),
+		wheel: make([]*Event, wheelSize),
 		free:  make([]*Event, 0, maxFreeEvents),
 	}
 }
@@ -216,19 +221,24 @@ func (s *Scheduler) enqueue(e *Event) {
 	s.bucketPut(e, int(tk&wheelMask))
 }
 
-// bucketPut appends an event to a wheel bucket.
+// bucketPut links an event in at the head of a wheel bucket's list.
+// Order within a bucket is irrelevant: step and NextAt pick the (at, seq)
+// minimum by a full scan.
 //
 //ctmsvet:hotpath
 func (s *Scheduler) bucketPut(e *Event, b int) {
-	bs := s.wheel[b]
+	head := s.wheel[b]
 	e.home = int32(b)
-	e.index = int32(len(bs))
-	s.wheel[b] = append(bs, e) //ctmsvet:allow hotpath bucket slices grow to steady-state occupancy once, then reuse their backing arrays
+	e.prev, e.next = nil, head
+	if head != nil {
+		head.prev = e
+	}
+	s.wheel[b] = e
 	s.inWheel++
 }
 
-// remove takes a pending event out of whichever queue holds it: O(1)
-// swap-delete from its wheel bucket, or heap removal from the overflow.
+// remove takes a pending event out of whichever queue holds it: an O(1)
+// unlink from its wheel bucket's list, or heap removal from the overflow.
 //
 //ctmsvet:hotpath
 func (s *Scheduler) remove(e *Event) {
@@ -236,13 +246,15 @@ func (s *Scheduler) remove(e *Event) {
 		heap.Remove(&s.overflow, int(e.index))
 		return
 	}
-	bs := s.wheel[e.home]
-	last := len(bs) - 1
-	i := int(e.index)
-	bs[i] = bs[last]
-	bs[i].index = int32(i)
-	bs[last] = nil
-	s.wheel[e.home] = bs[:last]
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		s.wheel[e.home] = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	}
+	e.next, e.prev = nil, nil
 	e.home = homeNone
 	s.inWheel--
 }
@@ -264,18 +276,18 @@ func (s *Scheduler) advanceTo(tick int64) {
 }
 
 // firstBucket scans forward from the cursor for the first occupied bucket
-// and reports it with its tick. Within the wheel's horizon every tick maps
+// and reports its list head with its tick. Within the wheel's horizon every tick maps
 // to a distinct bucket, so scanning bucket indices in cursor order visits
 // ticks in increasing order; the scan is read-only (the cursor commits
 // only when an event actually fires, so an aborted bounded step leaves no
 // trace). The caller guarantees the wheel is non-empty.
 //
 //ctmsvet:hotpath
-func (s *Scheduler) firstBucket() ([]*Event, int64) {
+func (s *Scheduler) firstBucket() (*Event, int64) {
 	for k := int64(0); k < wheelSize; k++ {
 		tick := s.cursor + k
-		if bs := s.wheel[tick&wheelMask]; len(bs) > 0 {
-			return bs, tick
+		if head := s.wheel[tick&wheelMask]; head != nil {
+			return head, tick
 		}
 	}
 	Checkf(false, "wheel accounting broken: inWheel > 0 but no bucket is occupied")
@@ -374,9 +386,9 @@ func (s *Scheduler) Pending() int { return s.inWheel + len(s.overflow) }
 // barrier round.
 func (s *Scheduler) NextAt() (Time, bool) {
 	if s.inWheel > 0 {
-		bs, _ := s.firstBucket()
-		at := bs[0].at
-		for _, c := range bs[1:] {
+		head, _ := s.firstBucket()
+		at := head.at
+		for c := head.next; c != nil; c = c.next {
 			if c.at < at {
 				at = c.at
 			}
@@ -404,9 +416,9 @@ func (s *Scheduler) NextAt() (Time, bool) {
 func (s *Scheduler) step(bound Time) bool {
 	var e *Event
 	if s.inWheel > 0 {
-		bs, tick := s.firstBucket()
-		e = bs[0]
-		for _, c := range bs[1:] {
+		head, tick := s.firstBucket()
+		e = head
+		for c := head.next; c != nil; c = c.next {
 			if c.at < e.at || (c.at == e.at && c.seq < e.seq) {
 				e = c
 			}
@@ -444,8 +456,12 @@ func (s *Scheduler) Run() {
 
 // RunUntil dispatches events with timestamps up to and including t, then
 // advances the clock to exactly t. Events scheduled after t remain queued.
+// The sharded engine calls it once per shard per window, so its guard is
+// condition-first like At's.
 func (s *Scheduler) RunUntil(t Time) {
-	Checkf(t >= s.now, "RunUntil(%v) is before now %v", t, s.now)
+	if t < s.now {
+		Checkf(false, "RunUntil(%v) is before now %v", t, s.now)
+	}
 	s.stopped = false
 	for !s.stopped && s.step(t) {
 	}

@@ -204,8 +204,10 @@ func TestSchedulerCancelRemovesEagerly(t *testing.T) {
 		t.Fatalf("want 50 pending after eager removal, got %d", got)
 	}
 	queued := len(s.overflow)
-	for _, bs := range s.wheel {
-		queued += len(bs)
+	for _, head := range s.wheel {
+		for e := head; e != nil; e = e.next {
+			queued++
+		}
 	}
 	if queued != 50 {
 		t.Fatalf("queues still hold %d entries, want 50", queued)
@@ -279,5 +281,37 @@ func TestTimeUnits(t *testing.T) {
 	}
 	if got := PerByte(Microsecond, 2000); got != 2*Millisecond {
 		t.Fatalf("PerByte: got %v", got)
+	}
+}
+
+// TestWheelFirstPassDoesNotAllocate: a fresh scheduler's first walk over
+// every one of its 4096 buckets files and fires one event per tick. With
+// the buckets threaded through the events themselves, nothing grows on
+// that first pass: only the single Event object, which the priming run
+// put on the free list, is ever used.
+func TestWheelFirstPassDoesNotAllocate(t *testing.T) {
+	const runs = 5
+	scheds := make([]*Scheduler, runs+1) // AllocsPerRun adds one warm-up call
+	for i := range scheds {
+		s := NewScheduler()
+		s.After(0, func() {}) // one Event onto the free list
+		s.Run()
+		scheds[i] = s
+	}
+	next := 0
+	tick := Duration(1) << tickShift
+	firstPass := func() {
+		s := scheds[next]
+		next++
+		for k := int64(0); k < wheelSize; k++ {
+			s.After(tick, func() {})
+			s.Run()
+		}
+		if s.cursor != wheelSize {
+			t.Fatalf("pass ended at tick %d, want %d: not every bucket was visited", s.cursor, wheelSize)
+		}
+	}
+	if allocs := testing.AllocsPerRun(runs, firstPass); allocs != 0 {
+		t.Fatalf("first pass over the wheel allocated %v times, want 0", allocs)
 	}
 }

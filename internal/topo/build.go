@@ -64,7 +64,7 @@ type shard struct {
 	// arrivals is the free list of pooled link-arrival events (one per
 	// cross-ring frame in flight into this shard), so steady-state
 	// draining allocates neither closures nor scheduler payloads.
-	arrivals []*arrival
+	arrivals sim.FreeList[arrival]
 }
 
 // link is one bridge: a Half on each ring plus the two directed inboxes.

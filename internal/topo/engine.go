@@ -144,10 +144,7 @@ type arrival struct {
 //
 //ctmsvet:hotpath
 func (s *shard) getArrival() *arrival {
-	if n := len(s.arrivals); n > 0 {
-		a := s.arrivals[n-1]
-		s.arrivals[n-1] = nil
-		s.arrivals = s.arrivals[:n-1]
+	if a := s.arrivals.Get(); a != nil {
 		return a
 	}
 	a := &arrival{owner: s} //ctmsvet:allow hotpath cold refill path, runs only until the arrival pool reaches steady state
@@ -164,7 +161,7 @@ func (s *shard) getArrival() *arrival {
 func (s *shard) putArrival(a *arrival) {
 	a.egress = nil
 	a.frame = router.Forwarded{}
-	s.arrivals = append(s.arrivals, a) //ctmsvet:allow hotpath arrival pool grows to the in-flight high-water mark once, then reuses the array
+	s.arrivals.Put(a)
 }
 
 // barrier is a reusable cyclic barrier: await blocks until all n workers

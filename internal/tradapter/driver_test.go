@@ -46,7 +46,8 @@ func TestEndToEndPacket(t *testing.T) {
 	sched, _, tx, rx := pair(t, DefaultConfig())
 	var got *Received
 	rx.drv.SetHandler(ClassCTMSP, func(rcv *Received) []rtpc.Seg {
-		got = rcv
+		snap := *rcv // the Received belongs to its rx buffer once released
+		got = &snap
 		rcv.Release()
 		return nil
 	})
@@ -361,5 +362,48 @@ func TestBuildRingHeaderEncodesAddresses(t *testing.T) {
 	}
 	if h[8] != 0 || h[9] != 3 {
 		t.Fatalf("source not encoded: % x", h)
+	}
+}
+
+// TestRoundTripAllocations sends one packet from tx to rx on a
+// two-station ring and runs it to completion: transmit copy program,
+// DMA, card latency, the ring, receive card latency, rx DMA, the
+// interrupt, classification, the handler's spliced program and the
+// transmit-complete interrupt. Every one of those runs off prebuilt
+// programs and pooled records; the one allocation left per round trip is
+// the ring's data frame (ring.NewDataFrame).
+func TestRoundTripAllocations(t *testing.T) {
+	sched, _, tx, rx := pair(t, DefaultConfig())
+	var prog []rtpc.Seg
+	delivered := 0
+	rx.drv.SetHandler(ClassCTMSP, func(rcv *Received) []rtpc.Seg {
+		delivered++
+		prog = rx.k.Machine.CopySegs(prog[:0], rcv.Size, rcv.Buffer.Kind, rtpc.SystemMemory)
+		prog = append(prog, rcv.ReleaseSeg())
+		return prog
+	})
+	chain := &kernel.Chain{}
+	done := 0
+	p := &Outgoing{Chain: chain, Class: ClassCTMSP, Dst: rx.drv.Station().Addr()}
+	p.Done = func(ring.DeliveryStatus) {
+		done++
+		tx.k.Pool.Free(chain)
+	}
+	roundTrip := func() {
+		if !tx.k.Pool.AllocInto(chain, 2000) {
+			t.Fatal("mbuf pool exhausted")
+		}
+		p.Size = 2000
+		tx.drv.Output(p)
+		sched.Run()
+	}
+	for i := 0; i < 4; i++ {
+		roundTrip()
+	}
+	if allocs := testing.AllocsPerRun(100, roundTrip); allocs > 1 {
+		t.Fatalf("warm tx→rx round trip allocated %v times, want at most 1 (the ring frame)", allocs)
+	}
+	if delivered != 105 || done != 105 {
+		t.Fatalf("delivered %d, completed %d, want 105 each", delivered, done)
 	}
 }

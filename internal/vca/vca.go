@@ -150,7 +150,32 @@ type TxDriver struct {
 	MaxOutstanding int
 	outstanding    int
 
+	// Per-interrupt and per-packet state lives in pooled records whose
+	// actions are built once, and the handler program is assembled in
+	// one scratch slice (Submit copies it).
+	prog  []rtpc.Seg
+	intrs sim.FreeList[txIntr]
+	sends sim.FreeList[txSend]
+
 	stats TxStats
+}
+
+// txIntr carries one interrupt's tick to the handler-entry probe, with
+// the handler's two actions prebuilt. It returns to the pool when the
+// handler's last action runs.
+type txIntr struct {
+	tick  uint64
+	entry func()
+	send  func()
+}
+
+// txSend is one packet from construction to transmit complete: its
+// number for the probes and its chain for the completion to free.
+type txSend struct {
+	num   uint32
+	chain *kernel.Chain
+	preTx func()
+	done  func(ring.DeliveryStatus)
 }
 
 // DriverName implements kernel.Driver.
@@ -194,60 +219,94 @@ func (t *TxDriver) Stats() TxStats { return t.stats }
 // interrupt is the VCA interrupt: it runs the handler at the VCA's
 // interrupt level. The delay from here to the handler's first segment is
 // measurement points 1→2 (histogram 5).
+//
+//ctmsvet:hotpath
 func (t *TxDriver) interrupt(tick uint64) {
 	t.stats.Interrupts++
 	m := t.k.Machine
-	segs := []rtpc.Seg{
+	in := t.getIntr()
+	in.tick = tick
+	segs := append(t.prog[:0],
 		rtpc.Do(t.cfg.DispatchCost),
-		rtpc.Mark(func() {
-			if t.OnHandlerEntry != nil {
-				t.OnHandlerEntry(tick, t.k.Sched().Now())
-			}
-		}),
-		rtpc.Do(t.cfg.EntryCost + m.Jitter(t.cfg.EntryJitterMax)),
-	}
-	if t.cfg.CopyVCAToMbufs {
-		segs = append(segs, m.CopySeg(t.cfg.DataBytes, rtpc.DeviceMemory, rtpc.SystemMemory))
-	}
-	segs = append(segs,
-		rtpc.Do(t.cfg.AllocCost),
-		rtpc.Then(t.cfg.StampCost, func() { t.buildAndSend() }),
+		rtpc.Mark(in.entry),
+		rtpc.Do(t.cfg.EntryCost+m.Jitter(t.cfg.EntryJitterMax)),
 	)
+	if t.cfg.CopyVCAToMbufs {
+		segs = append(segs, m.CopySeg(t.cfg.DataBytes, rtpc.DeviceMemory, rtpc.SystemMemory)) //ctmsvet:allow hotpath program scratch grows to the longest handler program once
+	}
+	segs = append(segs, //ctmsvet:allow hotpath program scratch grows to the longest handler program once
+		rtpc.Do(t.cfg.AllocCost),
+		rtpc.Then(t.cfg.StampCost, in.send),
+	)
+	t.prog = segs
 	t.k.CPU().Submit(kernel.LevelVCA, segs, nil)
 }
 
+// getIntr pops a free interrupt record, building one (with its permanent
+// actions) on the cold path only.
+//
+//ctmsvet:hotpath
+func (t *TxDriver) getIntr() *txIntr {
+	if in := t.intrs.Get(); in != nil {
+		return in
+	}
+	in := &txIntr{}     //ctmsvet:allow hotpath cold refill path, runs only until the interrupt pool reaches steady state
+	in.entry = func() { //ctmsvet:allow hotpath the probe action is built once per pooled record, not per interrupt
+		if t.OnHandlerEntry != nil {
+			t.OnHandlerEntry(in.tick, t.k.Sched().Now())
+		}
+	}
+	in.send = func() { //ctmsvet:allow hotpath the send action is built once per pooled record, not per interrupt
+		t.intrs.Put(in)
+		t.buildAndSend()
+	}
+	return in
+}
+
+// getSend pops a free packet record, building one (with its permanent
+// probe and completion callbacks) on the cold path only.
+//
+//ctmsvet:hotpath
+func (t *TxDriver) getSend() *txSend {
+	if sd := t.sends.Get(); sd != nil {
+		return sd
+	}
+	sd := &txSend{}     //ctmsvet:allow hotpath cold refill path, runs only until the packet pool reaches steady state
+	sd.preTx = func() { //ctmsvet:allow hotpath the probe is built once per pooled record, not per packet
+		if t.OnPreTransmit != nil {
+			t.OnPreTransmit(sd.num, t.k.Sched().Now())
+		}
+	}
+	sd.done = func(s ring.DeliveryStatus) { //ctmsvet:allow hotpath the completion is built once per pooled record, not per packet
+		t.k.Pool.Free(sd.chain)
+		num := sd.num
+		sd.chain = nil
+		t.sends.Put(sd)
+		t.outstanding--
+		t.stats.PacketsSent++
+		if t.OnTxDone != nil {
+			t.OnTxDone(num, s)
+		}
+	}
+	return sd
+}
+
+//ctmsvet:hotpath
 func (t *TxDriver) buildAndSend() {
 	if t.MaxOutstanding > 0 && t.outstanding >= t.MaxOutstanding {
 		t.stats.QueueDrops++
 		return
 	}
-	var num uint32
-	pkt := t.conn.BuildPacket(t.cfg.DataBytes, t.cfg.CopyHeaderOnly,
-		func() {
-			if t.OnPreTransmit != nil {
-				t.OnPreTransmit(num, t.k.Sched().Now())
-			}
-		},
-		func(s ring.DeliveryStatus) {
-			t.outstanding--
-			t.stats.PacketsSent++
-			if t.OnTxDone != nil {
-				t.OnTxDone(num, s)
-			}
-		},
-	)
+	sd := t.getSend()
+	pkt := t.conn.BuildPacket(t.cfg.DataBytes, t.cfg.CopyHeaderOnly, sd.preTx, sd.done)
 	if pkt == nil {
+		t.sends.Put(sd)
 		t.stats.MbufDrops++
 		return
 	}
-	num = pkt.Chain.Tag.(ctmsp.Header).PacketNum
+	sd.num = pkt.Chain.Tag.(ctmsp.Header).PacketNum
+	sd.chain = pkt.Chain
 	t.outstanding++
-	chain := pkt.Chain
-	oldDone := pkt.Done
-	pkt.Done = func(s ring.DeliveryStatus) {
-		t.k.Pool.Free(chain)
-		oldDone(s)
-	}
 	if t.PatchOutgoing != nil {
 		t.PatchOutgoing(pkt)
 	}
@@ -301,7 +360,17 @@ type RxDriver struct {
 	// presentation device.
 	OnDelivered func(h ctmsp.Header, at sim.Time, ev ctmsp.Event)
 
+	prog    []rtpc.Seg // receive program scratch; the driver copies it
+	accepts sim.FreeList[rxAccept]
+
 	stats RxStats
+}
+
+// rxAccept carries one packet's header to the final delivery mark, which
+// is prebuilt; the record returns to the pool when the mark runs.
+type rxAccept struct {
+	h  ctmsp.Header
+	fn func()
 }
 
 // NewRxDriver installs the receive driver on the TR driver's split point.
@@ -315,6 +384,8 @@ func NewRxDriver(k *kernel.Kernel, trdrv *tradapter.Driver, recv *ctmsp.Receiver
 func (r *RxDriver) Stats() RxStats { return r.stats }
 
 // handle runs at the split point, inside the receive interrupt.
+//
+//ctmsvet:hotpath
 func (r *RxDriver) handle(rcv *tradapter.Received) []rtpc.Seg {
 	out, ok := rcv.Frame.Payload.(*tradapter.Outgoing)
 	if !ok {
@@ -334,25 +405,44 @@ func (r *RxDriver) handle(rcv *tradapter.Received) []rtpc.Seg {
 	}
 
 	m := r.k.Machine
-	var segs []rtpc.Seg
+	size := rcv.Size
+	segs := r.prog[:0]
 	if r.cfg.CopyToMbufs {
-		segs = append(segs, m.CopySegs(rcv.Size, rcv.Buffer.Kind, rtpc.SystemMemory)...)
-		segs = append(segs, rtpc.Mark(rcv.Release))
+		segs = m.CopySegs(segs, size, rcv.Buffer.Kind, rtpc.SystemMemory)
+		segs = append(segs, rcv.ReleaseSeg()) //ctmsvet:allow hotpath program scratch grows to the longest receive program once
 	} else {
-		segs = append(segs,
+		segs = append(segs, //ctmsvet:allow hotpath program scratch grows to the longest receive program once
 			rtpc.Do(r.cfg.ExamineCost),
-			rtpc.Mark(rcv.Release),
+			rcv.ReleaseSeg(),
 		)
 	}
 	if r.cfg.CopyToDevice {
-		segs = append(segs, m.CopySegs(rcv.Size-ctmsp.HeaderSize, rtpc.SystemMemory, rtpc.DeviceMemory)...)
+		segs = m.CopySegs(segs, size-ctmsp.HeaderSize, rtpc.SystemMemory, rtpc.DeviceMemory)
 	}
-	segs = append(segs, rtpc.Mark(func() {
+	a := r.getAccept()
+	a.h = h
+	segs = append(segs, rtpc.Mark(a.fn)) //ctmsvet:allow hotpath program scratch grows to the longest receive program once
+	r.prog = segs
+	return segs
+}
+
+// getAccept pops a free delivery record, building one (with its permanent
+// mark) on the cold path only.
+//
+//ctmsvet:hotpath
+func (r *RxDriver) getAccept() *rxAccept {
+	if a := r.accepts.Get(); a != nil {
+		return a
+	}
+	a := &rxAccept{} //ctmsvet:allow hotpath cold refill path, runs only until the delivery pool reaches steady state
+	a.fn = func() {  //ctmsvet:allow hotpath the delivery mark is built once per pooled record, not per packet
+		h := a.h
+		r.accepts.Put(a)
 		ev := r.recv.Accept(h, r.k.Sched().Now())
 		r.stats.Delivered++
 		if r.OnDelivered != nil {
 			r.OnDelivered(h, r.k.Sched().Now(), ev)
 		}
-	}))
-	return segs
+	}
+	return a
 }
