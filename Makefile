@@ -5,9 +5,13 @@
 
 GO ?= go
 
-.PHONY: ci vet lint lint-fast build test race race-shards bench bench-test bench-check bench-baseline api-check api-golden clean
+.PHONY: ci fmt vet lint lint-fast build test race race-shards bench bench-test bench-check bench-baseline api-check api-golden clean
 
-ci: vet lint build race race-shards bench bench-test bench-check api-check
+ci: fmt vet lint build race race-shards bench bench-test bench-check api-check
+
+# gofmt drift anywhere in the tree, bench/ included, fails the build.
+fmt:
+	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 vet:
 	$(GO) vet ./...

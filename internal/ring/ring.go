@@ -84,8 +84,7 @@ type Ring struct {
 	sched    *sim.Scheduler
 	cfg      Config
 	rng      *sim.RNG
-	stations []*Station
-	byAddr   map[Addr]*Station
+	stations []*Station // stations[a-1] has address a
 	queues   [8][]*txRequest
 	rrCursor int // round-robin start position within a priority class
 
@@ -112,10 +111,9 @@ func New(sched *sim.Scheduler, cfg Config) *Ring {
 		cfg.PurgeDuration = DefaultConfig().PurgeDuration
 	}
 	r := &Ring{
-		sched:  sched,
-		cfg:    cfg,
-		rng:    sim.NewRNG(cfg.Seed).Fork("ring-token-jitter"),
-		byAddr: make(map[Addr]*Station),
+		sched: sched,
+		cfg:   cfg,
+		rng:   sim.NewRNG(cfg.Seed).Fork("ring-token-jitter"),
 	}
 	r.maybeStartFn = r.maybeStart
 	return r
@@ -203,18 +201,29 @@ func (r *Ring) WireTime(n int) sim.Time {
 }
 
 // Attach creates a station, inserts it into the ring quietly (no purge —
-// used for initial topology construction) and returns it.
+// used for initial topology construction) and returns it. Addresses are
+// handed out densely from 1, so a station's address is its index in the
+// ring's station list plus one.
 func (r *Ring) Attach(name string) *Station {
 	addr := Addr(len(r.stations) + 1)
+	if addr == Broadcast {
+		sim.Checkf(false, "ring is full: address %d is the broadcast address", addr)
+	}
 	st := &Station{ring: r, addr: addr, name: name, inserted: true}
 	r.stations = append(r.stations, st)
-	r.byAddr[addr] = st
 	return st
 }
 
-// Station looks up a station by address.
+// Station looks up a station by address. Address 0, Broadcast and
+// addresses no station was given report nil.
+//
+//ctmsvet:hotpath
 func (r *Ring) Station(a Addr) *Station {
-	return r.byAddr[a]
+	i := int(a) - 1
+	if i < 0 || i >= len(r.stations) {
+		return nil
+	}
+	return r.stations[i]
 }
 
 // Stations reports how many stations are attached.
@@ -347,8 +356,9 @@ func (r *Ring) finish(req *txRequest, start, end sim.Time, purged bool) {
 //ctmsvet:hotpath
 func (r *Ring) deliver(f *Frame, status *DeliveryStatus) {
 	if f.Dst == Broadcast || f.Kind == MAC {
+		src := r.Station(f.Src)
 		for _, st := range r.stations {
-			if !st.inserted || st == r.byAddr[f.Src] {
+			if !st.inserted || st == src {
 				continue
 			}
 			if f.Kind == MAC && !st.promiscuousMAC {
@@ -363,7 +373,7 @@ func (r *Ring) deliver(f *Frame, status *DeliveryStatus) {
 		status.FrameCopied = true
 		return
 	}
-	dst := r.byAddr[f.Dst]
+	dst := r.Station(f.Dst)
 	if dst == nil || !dst.inserted {
 		return // A and C bits stay clear
 	}

@@ -345,3 +345,52 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		}
 	}
 }
+
+func TestStationLookupBounds(t *testing.T) {
+	_, r := newTestRing(t)
+	a, b := r.Attach("a"), r.Attach("b")
+	if r.Station(a.Addr()) != a || r.Station(b.Addr()) != b {
+		t.Fatal("Station does not return the attached stations")
+	}
+	for _, addr := range []Addr{0, Broadcast, Addr(r.Stations() + 1)} {
+		if st := r.Station(addr); st != nil {
+			t.Fatalf("Station(%#x) = %q, want nil", addr, st.Name())
+		}
+	}
+}
+
+// A broadcast and a MAC frame reach every inserted station but their
+// sender — here a sender that was removed and reinserted — and skip a
+// station that is out of the ring.
+func TestBroadcastAndMACSkipOnlySender(t *testing.T) {
+	sched, r := newTestRing(t)
+	got := map[*Frame][]Addr{}
+	var sts []*Station
+	for i := 0; i < 6; i++ {
+		st := r.Attach("st")
+		st.SetPromiscuousMAC(true)
+		st.OnReceive(func(f *Frame, _ sim.Time) { got[f] = append(got[f], st.Addr()) })
+		sts = append(sts, st)
+	}
+	sender := sts[2]
+	sender.Remove()
+	sender.Reinsert(1)
+	sts[4].Remove()
+	sched.Run() // the insertion's purge and its Ring Purge MAC frame pass
+	bc := NewDataFrame(sender.Addr(), Broadcast, 0, 100, nil, nil)
+	mac := NewMACFrame(sender.Addr(), MACActiveMonitorPresent)
+	sender.Transmit(bc, nil)
+	sender.Transmit(mac, nil)
+	sched.Run()
+	want := []Addr{1, 2, 4, 6}
+	for _, f := range []*Frame{bc, mac} {
+		if len(got[f]) != len(want) {
+			t.Fatalf("%v frame reached %v, want %v", f.Kind, got[f], want)
+		}
+		for i := range want {
+			if got[f][i] != want[i] {
+				t.Fatalf("%v frame reached %v, want %v", f.Kind, got[f], want)
+			}
+		}
+	}
+}

@@ -239,7 +239,7 @@ func meshSpec(seed int64) Spec {
 	if r.Intn(2) == 0 {
 		spec.Bursts = append(spec.Bursts, BurstSpec{
 			SrcRing: r.Intn(rings), DstRing: r.Intn(rings),
-			At: sim.Time(1+r.Intn(300)) * sim.Millisecond,
+			At:    sim.Time(1+r.Intn(300)) * sim.Millisecond,
 			Count: 40 + r.Intn(120), PacketBytes: 700 + r.Intn(900),
 		})
 	}
