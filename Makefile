@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet lint lint-fast build test race race-shards bench bench-test bench-check bench-baseline api-check api-golden clean
+.PHONY: ci fmt vet lint lint-fast build test race race-shards bench-test bench-check bench-baseline api-check api-golden clean
 
-ci: fmt vet lint build race race-shards bench bench-test bench-check api-check
+ci: fmt vet lint build race race-shards bench-test bench-check api-check
 
 # gofmt drift anywhere in the tree, bench/ included, fails the build.
 fmt:
@@ -53,11 +53,6 @@ race-shards:
 	$(GO) test -race -run 'TestE18ShardedSmoke|TestShardSerialEquivalence|TestE20MeshSmoke|TestMeshOracleWorkerCounts' \
 		./internal/core ./internal/topo
 
-# A one-iteration benchmark smoke: catches benchmarks that no longer
-# compile or panic, without paying for stable numbers.
-bench:
-	$(GO) test -run '^$$' -bench BenchmarkSimulatorThroughput -benchtime 1x -benchmem .
-
 # The host-cost benchmark (bench/) is a module of its own, so ./... above
 # never reaches its tests. They include the bench/golden.json check that
 # pins every workload's Report and Fingerprint digest at seed 1991: a
@@ -65,24 +60,26 @@ bench:
 bench-test:
 	cd bench && $(GO) test ./...
 
-# Perf-regression gate: run the E17 smoke serially (per-run allocation
-# and sim-time accounting need -parallel 1) and compare against the
-# committed baseline. ctmsbench exits nonzero when a sharded mesh run
-# leaves its serial fingerprint, and -compare when mallocs or allocations
-# per forwarded frame grow more than 10%, a population count changes,
-# sim_seconds is not positive, or a lint tier takes more than twice its
-# baseline wall time plus 0.5 s. Raw simulated-seconds-per-second depends
-# on the host, so it is recorded but not gated; bench/ gates
-# host-corrected speed. Refresh the baseline with: make bench-baseline.
+# Determinism gate: run the whole E1–E20 matrix at smoke scale, plus
+# the E20 mesh rows, the E19 population rows and the lint timings, and
+# compare against the committed baseline. ctmsbench exits nonzero when an
+# experiment deviates from the paper's shape or a sharded mesh run leaves
+# its serial fingerprint, and -compare when any count (matrix events and
+# sim_seconds, experiment verdicts, mesh rounds and skips, forwarded
+# frames, population admissions) differs from the baseline by even one,
+# or a lint tier takes more than twice its baseline wall time plus
+# 0.5 s. Every count is the same at any parallelism and on any host, so
+# the gate runs at default parallelism. Host cost (speed, allocations) is
+# bench/'s to gate. Both targets read BENCH_FLAGS, so the check always
+# runs what the baseline recorded. Refresh it with: make bench-baseline.
+BENCH_FLAGS = -minutes 0.5 -topo 4,8 -population -lint
+
 bench-check:
-	$(GO) run ./cmd/ctmsbench -experiment E17 -minutes 0.35 -parallel 1 \
-		-topo 4,8 -population -lint \
+	$(GO) run ./cmd/ctmsbench $(BENCH_FLAGS) \
 		-benchout /tmp/ctmsbench-check.json -compare BENCH.baseline.json
 
 bench-baseline:
-	$(GO) run ./cmd/ctmsbench -experiment E17 -minutes 0.35 -parallel 1 \
-		-topo 4,8 -population -lint \
-		-benchout BENCH.baseline.json
+	$(GO) run ./cmd/ctmsbench $(BENCH_FLAGS) -benchout BENCH.baseline.json
 
 # The public API surface (go doc -all of the root package) is pinned in
 # api/golden.txt: api-check fails on any drift, api-golden accepts it.

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/session"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -48,13 +49,15 @@ func steadyAllocsPerEvent(t *testing.T, short, long sim.Time, build func(sim.Tim
 }
 
 // The budgets sit about a quarter above what the run measures today
-// (TestCaseB ≈0.16, the E20 mesh ≈0.09 allocations per event; before the
-// per-frame path was made allocation-free they were ≈1.08 and ≈2.03).
+// (TestCaseB ≈0.16, the E20 mesh ≈0.09 and E17's nine-stream session
+// ≈0.16 allocations per event; before the per-frame path was made
+// allocation-free the first two were ≈1.08 and ≈2.03).
 // What is left is listed in ROADMAP.md: ctmsp's per-packet Outgoing and
 // header capture, ring frames, and the inet and core activity closures.
 const (
-	testCaseBAllocBudget = 0.20
-	e20MeshAllocBudget   = 0.12
+	testCaseBAllocBudget  = 0.20
+	e20MeshAllocBudget    = 0.12
+	e17SessionAllocBudget = 0.20
 )
 
 func TestTestCaseBAllocationBudget(t *testing.T) {
@@ -82,5 +85,27 @@ func TestE20MeshAllocationBudget(t *testing.T) {
 	})
 	if per > e20MeshAllocBudget {
 		t.Fatalf("the E20 mesh allocates %.4f times per event in steady state, budget %.2f", per, e20MeshAllocBudget)
+	}
+}
+
+// TestE17SessionAllocationBudget covers the multi-stream session window:
+// E17's knee point, nine admitted 347 kbit/s streams sharing one ring.
+func TestE17SessionAllocationBudget(t *testing.T) {
+	per := steadyAllocsPerEvent(t, 5*sim.Second, 15*sim.Second, func(d sim.Time) func() {
+		cfg := session.Config{
+			Name:           "e17-09",
+			Seed:           SweepSeed(1991, 9),
+			Duration:       d,
+			BackgroundUtil: 0.05,
+			Streams:        e17Streams(9),
+		}
+		return func() {
+			if _, err := session.Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if per > e17SessionAllocBudget {
+		t.Fatalf("E17's nine-stream session allocates %.4f times per event in steady state, budget %.2f", per, e17SessionAllocBudget)
 	}
 }

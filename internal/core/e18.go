@@ -30,8 +30,7 @@ const e18Rings = 8
 // E18Topology builds the parameterized E18 backbone: rings in a line,
 // per-ring local streams, bidirectional adjacent-ring voice, two-hop
 // media streams, and a pack of fat transit streams that deliberately
-// overrun the middle ring's admission budget. ctmsbench reuses it for
-// the shard-scaling benchmark.
+// overrun the middle ring's admission budget.
 func E18Topology(rings int, seed int64, duration sim.Time) topo.Spec {
 	spec := topo.Spec{
 		Name:     fmt.Sprintf("e18-%dring", rings),

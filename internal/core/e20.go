@@ -53,7 +53,8 @@ func E20Population() *workload.PopulationSpec {
 // default link latency, plus a higher-latency diagonal trunk — the
 // redundant-path, heterogeneous-latency input the compiled route table
 // and the per-link windows exist for. The population census supplies the
-// streams. ctmsbench reuses it for the -topo mesh-scaling benchmark.
+// streams. ctmsbench reuses it for its -topo rows, and bench/ for the
+// metro-mesh workload.
 func E20Topology(side int, seed int64, duration sim.Time) topo.Spec {
 	rings := side * side
 	spec := topo.Spec{

@@ -329,9 +329,11 @@ func runE9(s Scale) *Comparison {
 	cfg := TestCaseB()
 	cfg.Duration = 3 * sim.Minute
 	cfg.Insertions = false
-	cfg.ForceInsertionAt = 90 * sim.Second // include the worst outage
 	cfg.PlayoutPrebuffer = 130 * sim.Millisecond
-	r := mustRun(s.apply(cfg))
+	cfg = s.apply(cfg)
+	// Include the worst outage: 90 s in, or halfway through a shorter run.
+	cfg.ForceInsertionAt = min(90*sim.Second, cfg.Duration/2)
+	r := mustRun(cfg)
 	c := &Comparison{}
 	h7 := r.Truth.H[measure.H7TxToRx]
 	// The paper's 40 ms worst case EXCLUDES the two 120–130 ms ring
@@ -474,11 +476,13 @@ func runE13(s Scale) *Comparison {
 		cfg := TestCaseB()
 		cfg.Duration = 2 * sim.Minute
 		cfg.Insertions = false
-		// A ring-insertion outage backs the driver queue up ~10 deep,
-		// which is the interleaving the race needs.
-		cfg.ForceInsertionAt = 30 * sim.Second
 		cfg.DriverRaceBug = buggy
-		r := mustRun(s.apply(cfg))
+		cfg = s.apply(cfg)
+		// A ring-insertion outage backs the driver queue up ~10 deep,
+		// which is the interleaving the race needs: 30 s in, or a quarter
+		// of the way through a shorter run.
+		cfg.ForceInsertionAt = min(30*sim.Second, cfg.Duration/4)
+		r := mustRun(cfg)
 		ooo, _ := r.TapMonitor.SequenceCheck(func(capture []byte) (uint32, bool) {
 			h, err := ctmspDecode(capture)
 			if err != nil {

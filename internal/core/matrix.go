@@ -4,8 +4,7 @@ import (
 	"repro/internal/lab"
 )
 
-// MatrixResult is one experiment's outcome from a matrix run. Wall-clock
-// bookkeeping deliberately lives with the caller (ctmsbench): core is
+// MatrixResult is one experiment's outcome from a matrix run. core is
 // clock-free — the determinism analyzer enforces it — so the result
 // table depends only on the experiments and the scale, never on host
 // timing.

@@ -5,7 +5,8 @@ import "sync/atomic"
 // Process-wide accounting of simulated work, aggregated across every
 // scheduler in the process — the main experiment runs, the session
 // layer's per-run schedulers, and any mini-sims tests spin up. ctmsbench
-// reads these to report how much simulated time a wall-clock second buys.
+// records their deltas over a matrix run as its exact sim_seconds and
+// events counts.
 //
 // Each scheduler flushes deltas (not absolutes) when a Run/RunUntil call
 // returns, so a scheduler driven by repeated RunUntil calls — the session

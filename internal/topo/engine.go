@@ -265,8 +265,9 @@ func (e EngineStats) StallFraction(workers int) float64 {
 
 // wallClock, when set, supplies wall-clock nanos for EngineStats. The
 // determinism tier bans time.Now in sim-critical packages, so the clock
-// is injected by callers that live outside them (cmd/ctmsbench); left
-// nil, the engine runs clock-free and the stall columns read zero.
+// is injected by callers that live outside them (the bench/ module, in
+// its traced runs); left nil, the engine runs clock-free and the stall
+// columns read zero.
 var wallClock func() int64
 
 // SetWallClock injects the wall-clock source EngineStats uses. Call it

@@ -284,9 +284,9 @@ func TestMeshOracleWorkerCounts(t *testing.T) {
 
 // TestInboxPoolsSteadyStateZeroAlloc pins the pooled cross-ring data
 // path at the unit level: once warm, an inbox put→drain cycle and an
-// arrival get→put cycle allocate nothing. (The end-to-end claim — zero
-// allocations per forwarded frame through envelope, chain and scheduler
-// — is ctmsbench's allocs/forwarded-frame column; these are the pieces
+// arrival get→put cycle allocate nothing. (The whole-run budget is
+// internal/core's TestE20MeshAllocationBudget, and host cost is the
+// bench/ metro-mesh workload's allocs_per_event; these are the pieces
 // the hotpath analyzer also proves allocation-free statically.)
 func TestInboxPoolsSteadyStateZeroAlloc(t *testing.T) {
 	box := newInbox(0, nil)
