@@ -7,16 +7,12 @@ import (
 	"repro/internal/measure"
 	"repro/internal/ring"
 	"repro/internal/rtpc"
+	"repro/internal/session"
 	"repro/internal/sim"
 	"repro/internal/tradapter"
 	"repro/internal/vca"
 	"repro/internal/workload"
 )
-
-// populationStations is how many other machines sit on the campus ring
-// (the paper's ring had ~70); they contribute repeat latency even when
-// silent.
-const populationStations = 64
 
 // tapCaptureLimit bounds the TAP monitor's capture buffer for long runs.
 const tapCaptureLimit = 1 << 18
@@ -121,7 +117,7 @@ func buildEnv(cfg Config) *env {
 	startKernelActivity(e.rxK, e.rng.Fork("kern-rx"))
 
 	// Populate the campus ring.
-	for i := 0; i < populationStations; i++ {
+	for i := 0; i < session.PopulationStations; i++ {
 		e.ring.Attach("pop")
 	}
 

@@ -15,7 +15,7 @@ import (
 type twoRingRig struct {
 	sched  *sim.Scheduler
 	r0, r1 *ring.Ring
-	rt     *Router
+	rt     [2]*Half
 	srcK   *kernel.Kernel
 	srcDrv *tradapter.Driver
 	dstK   *kernel.Kernel
@@ -30,7 +30,7 @@ func newTwoRings(t *testing.T) *twoRingRig {
 	cfg2 := cfg
 	cfg2.Seed = cfg.Seed + 1
 	r1 := ring.New(sched, cfg2)
-	rt := New(sched, "router", r0, r1, 9)
+	rt := NewPair(sched, "router", r0, r1, 9)
 
 	mk := func(name string, rg *ring.Ring) (*kernel.Kernel, *tradapter.Driver) {
 		m := rtpc.NewMachine(sched, name, rtpc.DefaultCostModel(), 9)
@@ -46,7 +46,6 @@ func newTwoRings(t *testing.T) *twoRingRig {
 	}
 	srcK, srcDrv := mk("src", r0)
 	dstK, dstDrv := mk("dst", r1)
-	rt.AddRoute(0, dstDrv.Station().Addr(), 1)
 	return &twoRingRig{sched: sched, r0: r0, r1: r1, rt: rt, srcK: srcK, srcDrv: srcDrv, dstK: dstK, dstDrv: dstDrv}
 }
 
@@ -56,12 +55,13 @@ func (rig *twoRingRig) send(num uint32, size int) {
 	ch.Tag = ctmsp.Header{PacketNum: num, Length: uint32(size)}
 	pool := rig.srcK.Pool
 	p := &tradapter.Outgoing{
-		Chain:     ch,
-		Size:      size,
-		Class:     tradapter.ClassCTMSP,
-		Dst:       rig.rt.Port(0).Driver.Station().Addr(),
-		RoutedDst: rig.dstDrv.Station().Addr(),
-		Done:      func(ring.DeliveryStatus) { pool.Free(ch) },
+		Chain:      ch,
+		Size:       size,
+		Class:      tradapter.ClassCTMSP,
+		Dst:        rig.rt[0].Station().Addr(),
+		RoutedDst:  rig.dstDrv.Station().Addr(),
+		RoutedRing: 2,
+		Done:       func(ring.DeliveryStatus) { pool.Free(ch) },
 	}
 	rig.srcDrv.Output(p)
 }
@@ -87,26 +87,33 @@ func TestRouterForwardsAcrossRings(t *testing.T) {
 			t.Fatalf("order broken across the router: %v", got)
 		}
 	}
-	st := rig.rt.Stats()
-	if st.Forwarded[0] != 10 || st.Dropped != 0 {
-		t.Fatalf("router stats: %+v", st)
+	a, b := rig.rt[0].Stats(), rig.rt[1].Stats()
+	if a.Forwarded != 10 || b.Injected != 10 || a.Dropped+b.Dropped != 0 {
+		t.Fatalf("router stats: %+v %+v", a, b)
 	}
 }
 
+// TestRouterDropsUnroutable sends the router frames it cannot place: one
+// with no routed ring (RoutedRing 0 means the frame is local to its
+// ring, so a router has no business receiving it) and one claiming its
+// final ring is the one it arrived on.
 func TestRouterDropsUnroutable(t *testing.T) {
 	rig := newTwoRings(t)
-	ch := rig.srcK.Pool.AllocNoWait(500)
-	ch.Tag = ctmsp.Header{}
-	rig.srcDrv.Output(&tradapter.Outgoing{
-		Chain:     ch,
-		Size:      500,
-		Class:     tradapter.ClassCTMSP,
-		Dst:       rig.rt.Port(0).Driver.Station().Addr(),
-		RoutedDst: 250, // no route
-	})
+	for _, routedRing := range []int{0, 1} {
+		ch := rig.srcK.Pool.AllocNoWait(500)
+		ch.Tag = ctmsp.Header{}
+		rig.srcDrv.Output(&tradapter.Outgoing{
+			Chain:      ch,
+			Size:       500,
+			Class:      tradapter.ClassCTMSP,
+			Dst:        rig.rt[0].Station().Addr(),
+			RoutedDst:  rig.dstDrv.Station().Addr(),
+			RoutedRing: routedRing,
+		})
+	}
 	rig.sched.RunUntil(sim.Second)
-	if rig.rt.Stats().Dropped != 1 {
-		t.Fatalf("unroutable frame should drop: %+v", rig.rt.Stats())
+	if st := rig.rt[0].Stats(); st.Dropped != 2 || st.Forwarded != 0 {
+		t.Fatalf("unroutable frames should drop: %+v", st)
 	}
 }
 
@@ -141,7 +148,7 @@ func TestRouterKeepsUpWithCTMSRate(t *testing.T) {
 		t.Fatalf("queueing delay grew: last packet lagged %v", lag)
 	}
 	// Router CPU must be sustainable.
-	util := float64(rig.rt.Kernel().CPU().Stats().BusyTime) / float64(rig.sched.Now())
+	util := float64(rig.rt[0].Kernel().CPU().Stats().BusyTime) / float64(rig.sched.Now())
 	if util > 0.5 {
 		t.Fatalf("router CPU unsustainable: %.2f", util)
 	}
@@ -150,9 +157,6 @@ func TestRouterKeepsUpWithCTMSRate(t *testing.T) {
 
 func TestRouterBidirectional(t *testing.T) {
 	rig := newTwoRings(t)
-	// Add the reverse route and a responder on ring 1.
-	rig.rt.AddRoute(1, rig.srcDrv.Station().Addr(), 0)
-
 	var atSrc, atDst int
 	rig.dstDrv.SetHandler(tradapter.ClassCTMSP, func(rcv *tradapter.Received) []rtpc.Seg {
 		atDst++
@@ -169,19 +173,22 @@ func TestRouterBidirectional(t *testing.T) {
 	ch := rig.dstK.Pool.AllocNoWait(1000)
 	ch.Tag = ctmsp.Header{PacketNum: 2}
 	rig.dstDrv.Output(&tradapter.Outgoing{
-		Chain:     ch,
-		Size:      1000,
-		Class:     tradapter.ClassCTMSP,
-		Dst:       rig.rt.Port(1).Driver.Station().Addr(),
-		RoutedDst: rig.srcDrv.Station().Addr(),
+		Chain:      ch,
+		Size:       1000,
+		Class:      tradapter.ClassCTMSP,
+		Dst:        rig.rt[1].Station().Addr(),
+		RoutedDst:  rig.srcDrv.Station().Addr(),
+		RoutedRing: 1,
 	})
 	rig.sched.RunUntil(2 * sim.Second)
 	if atDst != 1 || atSrc != 1 {
 		t.Fatalf("bidirectional forwarding: src=%d dst=%d", atSrc, atDst)
 	}
-	st := rig.rt.Stats()
-	if st.Forwarded[0] != 1 || st.Forwarded[1] != 1 {
-		t.Fatalf("per-port accounting: %+v", st)
+	if a, b := rig.rt[0].Stats(), rig.rt[1].Stats(); a.Forwarded != 1 || b.Forwarded != 1 {
+		t.Fatalf("per-port accounting: %+v %+v", a, b)
+	}
+	if rig.rt[0].Kernel() != rig.rt[1].Kernel() {
+		t.Fatal("the two halves of one router must share its machine")
 	}
 }
 

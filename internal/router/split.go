@@ -8,23 +8,23 @@ import (
 	"repro/internal/tradapter"
 )
 
-// Half is one port of a split router: the same RT/PC forwarding engine as
-// Router, but owning a single ring attachment so the two ends of a bridge
-// can live on different sim.Schedulers. A sharded topology (internal/topo)
-// gives each ring its own shard; the bridge between two rings is then a
-// pair of Halves whose only coupling is the Forward callback — frames
-// leave one shard as plain values and re-enter the other via Inject after
-// the link's store-and-forward latency, which is what makes the
-// conservative lookahead window real rather than assumed.
+// Half is one port of a router: one ring attachment and the RT/PC
+// forwarding work for frames crossing it. Its only coupling to the other
+// side is the Forward callback, so the two ends of a bridge can share a
+// machine (NewPair) or live on different sim.Schedulers. A sharded
+// topology (internal/topo) gives each ring its own shard; the bridge
+// between two rings is then a pair of Halves whose frames leave one shard
+// as plain values and re-enter the other via Inject after the link's
+// store-and-forward latency, which is what makes the conservative
+// lookahead window real rather than assumed.
 //
-// A Half's ingress does the same work Router.ingress does: the switch
-// decision, one CPU copy out of the fixed DMA buffer, then hand-off. The
-// egress side (Inject) allocates an mbuf chain on the destination shard's
-// kernel and queues the frame on its adapter, re-addressed to either the
-// final station or the next bridge along the path.
+// A Half's ingress makes the switch decision, does one CPU copy out of
+// the fixed DMA buffer, then hands off. The egress side (Inject)
+// allocates an mbuf chain on its own kernel and queues the frame on its
+// adapter, re-addressed to either the final station or the next bridge
+// along the path.
 type Half struct {
 	k       *kernel.Kernel
-	rg      *ring.Ring
 	drv     *tradapter.Driver
 	ringIdx int
 	// nextHop[r] is the station address on THIS ring of the bridge half
@@ -40,8 +40,6 @@ type Half struct {
 	prog  []rtpc.Seg
 	hands sim.FreeList[handoff]
 
-	// SwitchCost is the per-frame CPU cost of the forwarding decision.
-	SwitchCost sim.Time
 	// Forward receives each frame this half decided to forward, after the
 	// switch and copy segments complete. The shard engine wires it to the
 	// cross-shard link; it must not touch this shard's state afterwards.
@@ -95,15 +93,16 @@ type HalfStats struct {
 // NewHalf builds one port of a split bridge on its own machine attached
 // to rg, which is internetwork ring ringIdx of rings total.
 func NewHalf(sched *sim.Scheduler, name string, rg *ring.Ring, ringIdx, rings int, seed int64) *Half {
+	return newHalf(kernel.New(rtpc.NewMachine(sched, name, rtpc.DefaultCostModel(), seed)), name, rg, ringIdx, rings)
+}
+
+// newHalf attaches a half running on kernel k to rg.
+func newHalf(k *kernel.Kernel, name string, rg *ring.Ring, ringIdx, rings int) *Half {
 	sim.Checkf(ringIdx >= 0 && ringIdx < rings, "half %s: ring index %d out of %d rings", name, ringIdx, rings)
-	m := rtpc.NewMachine(sched, name, rtpc.DefaultCostModel(), seed)
-	k := kernel.New(m)
 	h := &Half{
-		k:          k,
-		rg:         rg,
-		ringIdx:    ringIdx,
-		nextHop:    make([]ring.Addr, rings),
-		SwitchCost: DefaultSwitchCost,
+		k:       k,
+		ringIdx: ringIdx,
+		nextHop: make([]ring.Addr, rings),
 	}
 	h.recycleEnv = h.putEnv
 	st := rg.Attach(name)
@@ -168,7 +167,7 @@ func (h *Half) ingress(class tradapter.Class, rcv *tradapter.Received) []rtpc.Se
 		Tag:     out.Chain.Tag,
 		Capture: out.Capture,
 	}
-	segs := append(h.prog[:0], rtpc.Do(h.SwitchCost))
+	segs := append(h.prog[:0], rtpc.Do(DefaultSwitchCost))
 	segs = h.k.Machine.CopySegs(segs, hd.fwd.Size, rcv.Buffer.Kind, rtpc.SystemMemory)
 	segs = append(segs, rcv.ReleaseSeg(), rtpc.Mark(hd.fn)) //ctmsvet:allow hotpath program scratch grows to the longest ingress program once
 	h.prog = segs

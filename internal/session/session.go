@@ -5,14 +5,10 @@ import (
 	"strings"
 
 	"repro/internal/ctmsp"
-	"repro/internal/kernel"
-	"repro/internal/playout"
 	"repro/internal/ring"
-	"repro/internal/rtpc"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/tradapter"
-	"repro/internal/vca"
 	"repro/internal/workload"
 )
 
@@ -28,16 +24,6 @@ const (
 	DefaultPurgePenaltyWindow = 250 * sim.Millisecond
 	// DefaultPrebuffer is the §6 playout prebuffer.
 	DefaultPrebuffer = 40 * sim.Millisecond
-	// defaultInsertionPurges is the paper's "on the order of 10"
-	// back-to-back purges per station insertion.
-	defaultInsertionPurges = 10
-	// populationStations matches internal/core's campus-ring population so
-	// per-station repeat latency is comparable across runners.
-	populationStations = 64
-	// maxOutstanding bounds packets a stream may queue in its Token Ring
-	// driver: past it the VCA handler drops at the device, which is how a
-	// starved stream degrades instead of buffering unboundedly.
-	maxOutstanding = 8
 )
 
 // StreamSpec describes one CTMSP stream a session wants to run.
@@ -61,14 +47,16 @@ func (s StreamSpec) OfferedBits() int64 {
 	return int64(float64(wire*8) / s.Interval.Seconds())
 }
 
-func (s StreamSpec) validate(i int) error {
+// Validate reports a stream shape the machinery cannot run; i is the
+// stream's index, named in the error.
+func (s StreamSpec) Validate(i int) error {
 	switch {
 	case s.PacketBytes <= ctmsp.HeaderSize || s.PacketBytes > 4000:
-		return fmt.Errorf("session: stream %d (%s): packet size %d out of range", i, s.Name, s.PacketBytes)
+		return fmt.Errorf("stream %d (%s): packet size %d out of range", i, s.Name, s.PacketBytes)
 	case s.Interval <= 0:
-		return fmt.Errorf("session: stream %d (%s): interval must be positive", i, s.Name)
+		return fmt.Errorf("stream %d (%s): interval must be positive", i, s.Name)
 	case s.Class < ClassBackground || s.Class >= numClasses:
-		return fmt.Errorf("session: stream %d (%s): unknown class %d", i, s.Name, int(s.Class))
+		return fmt.Errorf("stream %d (%s): unknown class %d", i, s.Name, int(s.Class))
 	}
 	return nil
 }
@@ -131,8 +119,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("session: background utilization %v out of [0,1)", c.BackgroundUtil)
 	}
 	for i, s := range c.Streams {
-		if err := s.validate(i); err != nil {
-			return err
+		if err := s.Validate(i); err != nil {
+			return fmt.Errorf("session: %w", err)
 		}
 	}
 	if c.Population != nil {
@@ -159,6 +147,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// NewController builds the admission controller a run of c uses, so an
+// eager admission check (the root Session's Add) reaches exactly the
+// verdicts Run replays.
+func (c Config) NewController() *Controller {
+	c = c.withDefaults()
+	return NewController(c.RingBitRate, c.UtilizationCap, int64(c.BackgroundUtil*float64(c.RingBitRate)))
+}
+
 // StreamResult is one stream's outcome.
 type StreamResult struct {
 	Spec     StreamSpec
@@ -179,27 +175,11 @@ type StreamResult struct {
 	Departed   bool
 	DepartedAt sim.Time
 
-	// Stream accounting (admitted streams only).
-	Sent       uint64
-	Delivered  uint64
-	Lost       uint64
-	Gaps       uint64
-	Duplicates uint64
-
-	// Playout accounting: ActiveTime is how long the stream ran (until
-	// shed or end of run), the denominator for the glitch rate.
-	Glitches       uint64
-	StarvedTime    sim.Time
-	MaxBufferBytes int
-	ActiveTime     sim.Time
-}
-
-// DeliveredFraction reports Delivered/Sent (0 for streams that never ran).
-func (r StreamResult) DeliveredFraction() float64 {
-	if r.Sent == 0 {
-		return 0
-	}
-	return float64(r.Delivered) / float64(r.Sent)
+	// Stream and playout accounting (admitted streams only).
+	Outcome
+	// ActiveTime is how long the stream ran (until shed, departure or end
+	// of run), the denominator for the glitch rate.
+	ActiveTime sim.Time
 }
 
 // GlitchesPerMinute normalizes the glitch count to the stream's active
@@ -304,14 +284,11 @@ func (r *Results) Report() string {
 	return b.String()
 }
 
-// stream is one admitted stream's live machinery.
+// stream is one admitted stream's live machinery and lifecycle.
 type stream struct {
+	*Stream
 	idx      int
 	spec     StreamSpec
-	dev      *vca.Device
-	txDrv    *vca.TxDriver
-	recv     *ctmsp.Receiver
-	play     *playout.Playout
 	shed     bool
 	shedAt   sim.Time
 	startAt  sim.Time // population arrivals start mid-run
@@ -323,19 +300,6 @@ type stream struct {
 // is ~10 back-to-back purges (≈120 ms of outage), so consecutive
 // insertions land just after the previous outage ends.
 const stormSpacing = 120 * sim.Millisecond
-
-// mixSeed derives an independent seed per stream component so nearby
-// stream indices get unrelated RNG streams (splitmix64-style finalizer,
-// as core.SweepSeed does for sweep points).
-func mixSeed(base int64, salt uint64) int64 {
-	h := uint64(base) + salt*0x9e3779b97f4a7c15
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return int64(h)
-}
 
 // Run executes the session: admission in spec order, then every admitted
 // stream transmits concurrently over one shared ring for cfg.Duration.
@@ -351,35 +315,8 @@ func Run(cfg Config) (*Results, error) {
 	sched.SetTrace(cfg.Trace)
 	rng := sim.NewRNG(cfg.Seed)
 
-	ringCfg := ring.DefaultConfig()
-	ringCfg.Seed = cfg.Seed
-	ringCfg.BitRate = cfg.RingBitRate
-	r := ring.New(sched, ringCfg)
-	for i := 0; i < populationStations; i++ {
-		r.Attach("pop")
-	}
-
-	// Background load: a sliver of MAC chatter plus 1522-byte transfer
-	// frames making up the rest of the declared utilization.
-	var gens []interface{ Stop() }
-	backgroundBitRate := int64(cfg.BackgroundUtil * float64(cfg.RingBitRate))
-	if cfg.BackgroundUtil > 0 {
-		macUtil := cfg.BackgroundUtil * 0.1
-		if macUtil > 0.01 {
-			macUtil = 0.01
-		}
-		mon := r.Attach("monitor")
-		gens = append(gens, workload.NewMACGen(r, mon, macUtil, rng.Fork("bg-mac")))
-		restUtil := cfg.BackgroundUtil - macUtil
-		if restUtil > 0 {
-			src, dst := r.Attach("bg-src"), r.Attach("bg-dst")
-			frameTime := sim.WireTime(1522, cfg.RingBitRate)
-			mean := sim.Scale(frameTime, 1/restUtil)
-			gens = append(gens, workload.NewChatterGen(r, src, dst, 1522, 1522, mean, rng.Fork("bg-data")))
-		}
-	}
-
-	ctrl := NewController(cfg.RingBitRate, cfg.UtilizationCap, backgroundBitRate)
+	r, bg := NewRing(sched, cfg.Seed, cfg.RingBitRate, cfg.BackgroundUtil)
+	ctrl := cfg.NewController()
 
 	results := &Results{Config: cfg, Elapsed: cfg.Duration}
 	results.Streams = make([]StreamResult, len(cfg.Streams))
@@ -394,41 +331,74 @@ func Run(cfg Config) (*Results, error) {
 		results.PlayoutLatency = popHist
 	}
 
-	for i, spec := range cfg.Streams {
+	// admit decides stream id's admission now and, when it is admitted,
+	// reserves its bandwidth and builds its machinery, ready to Start; a
+	// rejected stream returns nil.
+	admit := func(id int, spec StreamSpec, res *StreamResult) (*stream, error) {
+		at := sched.Now()
 		offered := spec.OfferedBits()
-		var dec Decision
-		if cfg.DisableAdmission {
-			dec = Decision{Admitted: true, ReservedBits: offered}
-		} else {
-			dec = ctrl.Admit(i, spec.Class, offered)
+		res.Decision = Decision{Admitted: true, ReservedBits: offered}
+		if !cfg.DisableAdmission {
+			res.Decision = ctrl.Admit(id, spec.Class, offered)
 		}
-		results.Streams[i] = StreamResult{Spec: spec, Decision: dec}
-		if !dec.Admitted {
+		if !res.Decision.Admitted {
 			results.Rejected++
-			cfg.Trace.AddEvent(sched.Now(), EvReject, int64(i), offered)
-			continue
+			cfg.Trace.AddEvent(at, EvReject, int64(id), offered)
+			return nil, nil
 		}
 		results.Admitted++
-		cfg.Trace.AddEvent(sched.Now(), EvAdmit, int64(i), dec.ReservedBits)
+		cfg.Trace.AddEvent(at, EvAdmit, int64(id), res.Decision.ReservedBits)
 		r.ReserveBits(offered)
-		st, err := buildStream(cfg, i, spec, sched, r, 0, popHist)
+		var onDelay func(sim.Time)
+		if popHist != nil {
+			onDelay = func(d sim.Time) {
+				// Packet n was captured at at + (n+1)·Interval (the
+				// device's first interrupt fires one period after Start);
+				// anything past that is transport plus queueing delay.
+				d -= at
+				if d < 0 {
+					d = 0
+				}
+				popHist.Add(d.Microseconds())
+			}
+		}
+		// Both hosts share the session's ring, seeded from the run seed
+		// by the stream index.
+		tx := End{Sched: sched, Ring: r, Seed: sim.MixSeed(cfg.Seed, uint64(id)*2+1)}
+		rx := End{Sched: sched, Ring: r, Seed: sim.MixSeed(cfg.Seed, uint64(id)*2+2)}
+		s, err := NewStream(id, spec, tx, rx, 0, cfg.PlayoutPrebuffer, onDelay)
 		if err != nil {
 			return nil, err
 		}
+		st := &stream{Stream: s, idx: id, spec: spec, startAt: at}
 		live = append(live, st)
-		byID[i] = st
+		byID[id] = st
+		return st, nil
 	}
 
-	shedStream := func(st *stream, at sim.Time) {
+	for i, spec := range cfg.Streams {
+		results.Streams[i] = StreamResult{Spec: spec}
+		if _, err := admit(i, spec, &results.Streams[i]); err != nil {
+			return nil, err
+		}
+	}
+
+	// leave stops a live stream early — a purge-driven shed (EvShed) or a
+	// churn departure (EvDepart) — and releases its reservation. A stream
+	// leaves at most once.
+	leave := func(st *stream, at sim.Time, ev sim.EventKind) {
 		if st.shed || st.departed {
 			return
 		}
-		st.shed = true
-		st.shedAt = at
-		st.dev.Stop()
+		if ev == EvShed {
+			st.shed, st.shedAt = true, at
+		} else {
+			st.departed, st.departAt = true, at
+		}
+		st.Stop()
 		ctrl.Release(st.idx)
 		r.ReserveBits(-st.spec.OfferedBits())
-		cfg.Trace.AddEvent(at, EvShed, int64(st.idx), st.spec.OfferedBits())
+		cfg.Trace.AddEvent(at, ev, int64(st.idx), st.spec.OfferedBits())
 	}
 
 	// Graceful degradation: every Ring Purge charges the budget with its
@@ -438,8 +408,8 @@ func Run(cfg Config) (*Results, error) {
 	// survivors fit again. Shed streams stay shed (no re-admission
 	// flapping); a new session must re-apply.
 	if !cfg.DisableAdmission {
-		penalty := int64(float64(ctrl.EffectiveBits()+backgroundBitRate) *
-			(ringCfg.PurgeDuration.Seconds() / cfg.PurgePenaltyWindow.Seconds()))
+		penalty := int64(float64(ctrl.EffectiveBits()+bg.Bits) *
+			(r.Config().PurgeDuration.Seconds() / cfg.PurgePenaltyWindow.Seconds()))
 		r.OnPurge(func(at sim.Time) {
 			ctrl.AddPenalty(penalty)
 			sched.After(cfg.PurgePenaltyWindow, func() {
@@ -447,7 +417,7 @@ func Run(cfg Config) (*Results, error) {
 			})
 			for _, id := range ctrl.Overcommitted() {
 				if st := byID[id]; st != nil {
-					shedStream(st, at)
+					leave(st, at, EvShed)
 				}
 			}
 		})
@@ -455,7 +425,7 @@ func Run(cfg Config) (*Results, error) {
 
 	if cfg.ForceInsertionAt > 0 {
 		sched.At(cfg.ForceInsertionAt, func() {
-			r.Insertion(defaultInsertionPurges)
+			r.Insertion(DefaultInsertionPurges)
 		})
 	}
 
@@ -486,40 +456,16 @@ func Run(cfg Config) (*Results, error) {
 			sched.At(a.At, func() {
 				offered := spec.OfferedBits()
 				cfg.Trace.AddEvent(arrival.At, EvArrive, int64(streamID), offered)
-				var dec Decision
-				if cfg.DisableAdmission {
-					dec = Decision{Admitted: true, ReservedBits: offered}
-				} else {
-					dec = ctrl.Admit(streamID, spec.Class, offered)
-				}
-				res.Decision = dec
-				if !dec.Admitted {
-					results.Rejected++
-					cfg.Trace.AddEvent(arrival.At, EvReject, int64(streamID), offered)
-					return
-				}
-				results.Admitted++
-				cfg.Trace.AddEvent(arrival.At, EvAdmit, int64(streamID), dec.ReservedBits)
-				r.ReserveBits(offered)
-				st, err := buildStream(cfg, streamID, spec, sched, r, arrival.At, popHist)
+				st, err := admit(streamID, spec, res)
 				// The spec was validated before the run; machinery
 				// construction cannot fail for it.
 				sim.Checkf(err == nil, "population stream %d: %v", streamID, err)
-				live = append(live, st)
-				byID[streamID] = st
-				st.dev.Start()
+				if st == nil {
+					return
+				}
+				st.Start()
 				if arrival.DepartAt < cfg.Duration {
-					sched.At(arrival.DepartAt, func() {
-						if st.shed || st.departed {
-							return
-						}
-						st.departed = true
-						st.departAt = arrival.DepartAt
-						st.dev.Stop()
-						ctrl.Release(streamID)
-						r.ReserveBits(-offered)
-						cfg.Trace.AddEvent(arrival.DepartAt, EvDepart, int64(streamID), offered)
-					})
+					sched.At(arrival.DepartAt, func() { leave(st, arrival.DepartAt, EvDepart) })
 				}
 			})
 		}
@@ -532,24 +478,22 @@ func Run(cfg Config) (*Results, error) {
 					break
 				}
 				sched.At(at, func() {
-					r.Insertion(defaultInsertionPurges)
+					r.Insertion(DefaultInsertionPurges)
 				})
 			}
 		}
 	}
 
 	for _, st := range live {
-		st.dev.Start()
+		st.Start()
 	}
 	sched.RunUntil(cfg.Duration)
 	for _, st := range live {
 		if !st.shed && !st.departed {
-			st.dev.Stop()
+			st.Stop()
 		}
 	}
-	for _, g := range gens {
-		g.Stop()
-	}
+	bg.Stop()
 
 	for _, st := range live {
 		res := &results.Streams[st.idx]
@@ -571,87 +515,11 @@ func Run(cfg Config) (*Results, error) {
 			results.Departed++
 		}
 		res.ActiveTime = end - st.startAt
-		tx := st.txDrv.Stats()
-		rx := st.recv.Stats()
-		res.Sent = tx.PacketsSent
-		res.Delivered = rx.InOrder + rx.Gaps
-		res.Lost = rx.Lost
-		res.Gaps = rx.Gaps
-		res.Duplicates = rx.Duplicates
-		p := st.play.Finish(end)
-		res.Glitches = p.Glitches
-		res.StarvedTime = p.StarvedTime
-		res.MaxBufferBytes = p.MaxBufferBytes
+		res.Outcome = st.Finish(end)
 	}
 
 	results.Ring = r.Counters()
 	results.RingUtilization = r.Utilization()
 	results.ReservedBitsEnd = r.ReservedBits()
 	return results, nil
-}
-
-// buildStream attaches one admitted stream to the ring: its own
-// transmitter and receiver machines (the paper's RT/PC pair), a CTMSP
-// connection with a precomputed ring header, the VCA source interrupting
-// every Interval, and the receive path feeding a playout buffer. startAt
-// is when the stream's device starts ticking (population arrivals start
-// mid-run); lat, when non-nil, receives each delivered packet's delay
-// past its nominal capture schedule.
-func buildStream(cfg Config, i int, spec StreamSpec, sched *sim.Scheduler, r *ring.Ring, startAt sim.Time, lat *stats.Histogram) (*stream, error) {
-	trCfg := tradapter.DefaultConfig()
-	trCfg.CTMSPRingPriority = spec.Class.RingPriority()
-
-	mkHost := func(role string, salt uint64) (*kernel.Kernel, *tradapter.Driver) {
-		name := fmt.Sprintf("%s-%s", spec.Name, role)
-		m := rtpc.NewMachine(sched, name, rtpc.DefaultCostModel(), mixSeed(cfg.Seed, salt))
-		k := kernel.New(m)
-		st := r.Attach(name)
-		drv := tradapter.New(k, st, trCfg, tradapter.DefaultTiming())
-		k.Register(drv)
-		return k, drv
-	}
-	txK, txTR := mkHost("tx", uint64(i)*2+1)
-	rxK, rxTR := mkHost("rx", uint64(i)*2+2)
-
-	// Connection ids are a uint8 namespace; population runs can exceed it,
-	// and the id only disambiguates packets on the shared ring trace, so
-	// wrapping is safe (identical to i+1 for the first 250 streams).
-	conn, err := ctmsp.Dial(txK, txTR, rxTR.Station().Addr(), uint8(i%250+1))
-	if err != nil {
-		return nil, fmt.Errorf("session: stream %d (%s): %w", i, spec.Name, err)
-	}
-
-	dev := vca.NewDevice(txK)
-	dev.SetPeriod(spec.Interval)
-	txCfg := vca.DefaultTxConfig()
-	txCfg.DataBytes = spec.PacketBytes - ctmsp.HeaderSize
-	txDrv, err := vca.NewTxDriver(txK, dev, conn, txCfg)
-	if err != nil {
-		return nil, fmt.Errorf("session: stream %d (%s): %w", i, spec.Name, err)
-	}
-	txDrv.MaxOutstanding = maxOutstanding
-
-	recv := &ctmsp.Receiver{}
-	rxDrv := vca.NewRxDriver(rxK, rxTR, recv, vca.DefaultRxConfigB())
-
-	streamBytesPerSec := float64(spec.PacketBytes-ctmsp.HeaderSize) / spec.Interval.Seconds()
-	play := playout.New(streamBytesPerSec, cfg.PlayoutPrebuffer)
-	play.SetTrace(sched.Trace())
-	rxDrv.OnDelivered = func(h ctmsp.Header, at sim.Time, ev ctmsp.Event) {
-		if ev == ctmsp.InOrder || ev == ctmsp.Gap {
-			play.Deliver(int(h.Length)-ctmsp.HeaderSize, at)
-			if lat != nil {
-				// Packet n was captured at startAt + (n+1)·Interval (the
-				// device's first interrupt fires one period after Start);
-				// anything past that is transport plus queueing delay.
-				d := at - (startAt + sim.Time(h.PacketNum+1)*spec.Interval)
-				if d < 0 {
-					d = 0
-				}
-				lat.Add(d.Microseconds())
-			}
-		}
-	}
-
-	return &stream{idx: i, spec: spec, dev: dev, txDrv: txDrv, recv: recv, play: play, startAt: startAt}, nil
 }

@@ -1,0 +1,214 @@
+package session
+
+import (
+	"fmt"
+
+	"repro/internal/ctmsp"
+	"repro/internal/kernel"
+	"repro/internal/playout"
+	"repro/internal/ring"
+	"repro/internal/rtpc"
+	"repro/internal/sim"
+	"repro/internal/tradapter"
+	"repro/internal/vca"
+	"repro/internal/workload"
+)
+
+const (
+	// DefaultInsertionPurges is the paper's "on the order of 10"
+	// back-to-back purges per station insertion.
+	DefaultInsertionPurges = 10
+	// PopulationStations is how many other machines sit on a campus ring
+	// (the paper's ring had ~70); they contribute repeat latency even when
+	// silent. Every runner's ring carries the same population, so
+	// per-station repeat latency is comparable across them.
+	PopulationStations = 64
+	// maxOutstanding bounds packets a stream may queue in its Token Ring
+	// driver: past it the VCA handler drops at the device, which is how a
+	// starved stream degrades instead of buffering unboundedly.
+	maxOutstanding = 8
+)
+
+// Background is a ring's offered background load: the generators to stop
+// when the run ends, and the bandwidth admission must leave for them.
+type Background struct {
+	gens []interface{ Stop() }
+	// Bits is the offered background load.
+	//
+	//ctmsvet:unit bit/s
+	Bits int64
+}
+
+// Stop halts the background generators.
+func (b Background) Stop() {
+	for _, g := range b.gens {
+		g.Stop()
+	}
+}
+
+// NewRing builds one Token Ring the way every stream runner sees it: the
+// campus population of stations, plus backgroundUtil of the wire as
+// background load — a sliver of MAC chatter and 1522-byte transfer frames
+// making up the rest. The ring and its generators draw from seed alone.
+func NewRing(sched *sim.Scheduler, seed, bitRate int64, backgroundUtil float64) (*ring.Ring, Background) {
+	ringCfg := ring.DefaultConfig()
+	ringCfg.Seed = seed
+	ringCfg.BitRate = bitRate
+	r := ring.New(sched, ringCfg)
+	for i := 0; i < PopulationStations; i++ {
+		r.Attach("pop")
+	}
+	bg := Background{Bits: int64(backgroundUtil * float64(bitRate))}
+	if backgroundUtil > 0 {
+		rng := sim.NewRNG(seed)
+		macUtil := backgroundUtil * 0.1
+		if macUtil > 0.01 {
+			macUtil = 0.01
+		}
+		mon := r.Attach("monitor")
+		bg.gens = append(bg.gens, workload.NewMACGen(r, mon, macUtil, rng.Fork("bg-mac")))
+		restUtil := backgroundUtil - macUtil
+		if restUtil > 0 {
+			src, dst := r.Attach("bg-src"), r.Attach("bg-dst")
+			frameTime := sim.WireTime(1522, bitRate)
+			mean := sim.Scale(frameTime, 1/restUtil)
+			bg.gens = append(bg.gens, workload.NewChatterGen(r, src, dst, 1522, 1522, mean, rng.Fork("bg-data")))
+		}
+	}
+	return r, bg
+}
+
+// End is where one side of a stream runs: the scheduler and ring its host
+// machine lives on, the ring's internetwork index, and the machine's seed.
+type End struct {
+	Sched   *sim.Scheduler
+	Ring    *ring.Ring
+	RingIdx int
+	Seed    int64
+}
+
+// Stream is one admitted stream's machinery: the transmitting host's VCA
+// device and driver, and the receiving host's CTMSP receiver and playout
+// buffer.
+type Stream struct {
+	dev   *vca.Device
+	txDrv *vca.TxDriver
+	recv  *ctmsp.Receiver
+	play  *playout.Playout
+}
+
+// NewStream attaches one admitted stream: its own transmitter and receiver
+// machines (the paper's RT/PC pair), a CTMSP connection with a
+// precomputed ring header, the VCA source interrupting every Interval,
+// and the receive path feeding a playout buffer. When the ends sit on
+// different rings, packets are MAC-addressed to via — the first-hop
+// bridge on the transmitter's ring — and carry their final (ring,
+// station) in the Outgoing's routed fields. onDelay, when non-nil, is
+// called with each delivered packet's delay past (n+1)·Interval, packet
+// n's capture time on the device's clock when the device starts at 0.
+// The stream does not tick until Start.
+func NewStream(id int, spec StreamSpec, tx, rx End, via ring.Addr, prebuffer sim.Time, onDelay func(sim.Time)) (*Stream, error) {
+	trCfg := tradapter.DefaultConfig()
+	trCfg.CTMSPRingPriority = spec.Class.RingPriority()
+	mkHost := func(e End, role string) (*kernel.Kernel, *tradapter.Driver) {
+		name := fmt.Sprintf("%s-%s", spec.Name, role)
+		k := kernel.New(rtpc.NewMachine(e.Sched, name, rtpc.DefaultCostModel(), e.Seed))
+		drv := tradapter.New(k, e.Ring.Attach(name), trCfg, tradapter.DefaultTiming())
+		k.Register(drv)
+		return k, drv
+	}
+	txK, txTR := mkHost(tx, "tx")
+	rxK, rxTR := mkHost(rx, "rx")
+
+	crossRing := tx.RingIdx != rx.RingIdx
+	dialTo := rxTR.Station().Addr()
+	if crossRing {
+		dialTo = via
+	}
+	// Connection ids are a uint8 namespace; population runs can exceed it,
+	// and the id only disambiguates packets on the shared ring trace, so
+	// wrapping is safe (identical to id+1 for the first 250 streams).
+	conn, err := ctmsp.Dial(txK, txTR, dialTo, uint8(id%250+1))
+	if err != nil {
+		return nil, fmt.Errorf("session: stream %d (%s): %w", id, spec.Name, err)
+	}
+
+	dev := vca.NewDevice(txK)
+	dev.SetPeriod(spec.Interval)
+	txCfg := vca.DefaultTxConfig()
+	txCfg.DataBytes = spec.PacketBytes - ctmsp.HeaderSize
+	txDrv, err := vca.NewTxDriver(txK, dev, conn, txCfg)
+	if err != nil {
+		return nil, fmt.Errorf("session: stream %d (%s): %w", id, spec.Name, err)
+	}
+	txDrv.MaxOutstanding = maxOutstanding
+	if crossRing {
+		finalDst, routedRing := rxTR.Station().Addr(), rx.RingIdx+1
+		txDrv.PatchOutgoing = func(out *tradapter.Outgoing) {
+			out.RoutedDst = finalDst
+			out.RoutedRing = routedRing
+		}
+	}
+
+	recv := &ctmsp.Receiver{}
+	rxDrv := vca.NewRxDriver(rxK, rxTR, recv, vca.DefaultRxConfigB())
+	streamBytesPerSec := float64(spec.PacketBytes-ctmsp.HeaderSize) / spec.Interval.Seconds()
+	play := playout.New(streamBytesPerSec, prebuffer)
+	play.SetTrace(rx.Sched.Trace())
+	interval := spec.Interval
+	rxDrv.OnDelivered = func(h ctmsp.Header, at sim.Time, ev ctmsp.Event) {
+		if ev != ctmsp.InOrder && ev != ctmsp.Gap {
+			return
+		}
+		play.Deliver(int(h.Length)-ctmsp.HeaderSize, at)
+		if onDelay != nil {
+			onDelay(at - sim.Time(h.PacketNum+1)*interval)
+		}
+	}
+	return &Stream{dev: dev, txDrv: txDrv, recv: recv, play: play}, nil
+}
+
+// Start begins the stream's capture interrupts, the first one period from
+// now.
+func (s *Stream) Start() { s.dev.Start() }
+
+// Stop halts the stream at its source.
+func (s *Stream) Stop() { s.dev.Stop() }
+
+// Outcome is an admitted stream's transport and playout accounting.
+type Outcome struct {
+	Sent       uint64
+	Delivered  uint64
+	Lost       uint64
+	Gaps       uint64
+	Duplicates uint64
+
+	Glitches       uint64
+	StarvedTime    sim.Time
+	MaxBufferBytes int
+}
+
+// DeliveredFraction reports Delivered/Sent (0 for streams that never ran).
+func (o Outcome) DeliveredFraction() float64 {
+	if o.Sent == 0 {
+		return 0
+	}
+	return float64(o.Delivered) / float64(o.Sent)
+}
+
+// Finish closes the stream's playout at end and reads its accounting.
+func (s *Stream) Finish(end sim.Time) Outcome {
+	tx := s.txDrv.Stats()
+	rx := s.recv.Stats()
+	p := s.play.Finish(end)
+	return Outcome{
+		Sent:           tx.PacketsSent,
+		Delivered:      rx.InOrder + rx.Gaps,
+		Lost:           rx.Lost,
+		Gaps:           rx.Gaps,
+		Duplicates:     rx.Duplicates,
+		Glitches:       p.Glitches,
+		StarvedTime:    p.StarvedTime,
+		MaxBufferBytes: p.MaxBufferBytes,
+	}
+}

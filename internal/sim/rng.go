@@ -48,6 +48,19 @@ func (g *RNG) Fork(label string) *RNG {
 	return NewRNG(int64(h))
 }
 
+// MixSeed derives an independent seed from base and a salt, so nearby
+// salts (stream or ring indices) get unrelated RNG streams. It is a
+// splitmix64-style finalizer over base + salt×φ.
+func MixSeed(base int64, salt uint64) int64 {
+	h := uint64(base) + salt*0x9e3779b97f4a7c15
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return int64(h)
+}
+
 // Float64 returns a uniform variate in [0, 1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }
 

@@ -3,17 +3,13 @@ package topo
 import (
 	"fmt"
 
-	"repro/internal/ctmsp"
 	"repro/internal/kernel"
-	"repro/internal/playout"
 	"repro/internal/ring"
 	"repro/internal/router"
 	"repro/internal/rtpc"
 	"repro/internal/session"
 	"repro/internal/sim"
 	"repro/internal/tradapter"
-	"repro/internal/vca"
-	"repro/internal/workload"
 )
 
 // Network is a built internetwork, ready to Run exactly once. All
@@ -58,7 +54,7 @@ type shard struct {
 	sched   *sim.Scheduler
 	ring    *ring.Ring
 	ctrl    *session.Controller
-	gens    []interface{ Stop() }
+	bg      session.Background
 	in      []*inbox   // inbound link directions terminating on this ring
 	scratch []crossMsg // drain merge buffer, reused across windows
 	// arrivals is the free list of pooled link-arrival events (one per
@@ -74,17 +70,18 @@ type link struct {
 	ab, ba       *inbox // ab carries A→B traffic (drained by B's shard)
 }
 
-// stream is one CTMSP stream's live machinery plus its receive-side
-// latency accounting (owned by the destination shard during the run).
+// stream is one CTMSP stream's admission verdict, its live machinery
+// (nil unless admitted: transmit side on the source shard, receive side
+// on the destination shard) and its receive-side latency accounting
+// (owned by the destination shard during the run).
 type stream struct {
-	idx   int
-	spec  StreamSpec
-	dec   session.Decision
-	path  []int // rings along the route, source first
-	dev   *vca.Device
-	txDrv *vca.TxDriver
-	recv  *ctmsp.Receiver
-	play  *playout.Playout
+	*session.Stream
+	spec StreamSpec
+	dec  session.Decision
+	path []int // rings along the route, source first
+	// refused is the ring whose controller refused the stream (rejected
+	// streams only).
+	refused int
 	// End-to-end delivery delay versus the nominal capture schedule
 	// (packet k is captured at (k+1)×Interval on the device's clock), so
 	// no cross-shard send timestamp is needed.
@@ -146,7 +143,7 @@ func Build(spec Spec) (*Network, error) {
 		s := n.shards[ins.Ring]
 		purges := ins.Purges
 		if purges == 0 {
-			purges = defaultInsertionPurges
+			purges = session.DefaultInsertionPurges
 		}
 		rg := s.ring
 		s.sched.At(ins.At, func() { rg.Insertion(purges) })
@@ -154,40 +151,15 @@ func Build(spec Spec) (*Network, error) {
 	return n, nil
 }
 
-// buildShards gives each ring its own scheduler, population and
-// background load, mirroring the session layer's single-ring setup.
+// buildShards gives each ring its own scheduler and a session-layer ring
+// — population and background load — with its own admission controller.
 func (n *Network) buildShards() {
 	spec := n.spec
 	for i := 0; i < spec.Rings; i++ {
-		seed := mixSeed(spec.Seed, saltRing+uint64(i))
 		sched := sim.NewScheduler()
-		ringCfg := ring.DefaultConfig()
-		ringCfg.Seed = seed
-		ringCfg.BitRate = spec.RingBitRate
-		r := ring.New(sched, ringCfg)
-		for p := 0; p < spec.PopulationStations; p++ {
-			r.Attach("pop")
-		}
-		s := &shard{idx: i, sched: sched, ring: r}
-		backgroundBitRate := int64(spec.BackgroundUtil * float64(spec.RingBitRate))
-		if spec.BackgroundUtil > 0 {
-			rng := sim.NewRNG(seed)
-			macUtil := spec.BackgroundUtil * 0.1
-			if macUtil > 0.01 {
-				macUtil = 0.01
-			}
-			mon := r.Attach("monitor")
-			s.gens = append(s.gens, workload.NewMACGen(r, mon, macUtil, rng.Fork("bg-mac")))
-			restUtil := spec.BackgroundUtil - macUtil
-			if restUtil > 0 {
-				src, dst := r.Attach("bg-src"), r.Attach("bg-dst")
-				frameTime := sim.WireTime(1522, spec.RingBitRate)
-				mean := sim.Scale(frameTime, 1/restUtil)
-				s.gens = append(s.gens, workload.NewChatterGen(r, src, dst, 1522, 1522, mean, rng.Fork("bg-data")))
-			}
-		}
-		s.ctrl = session.NewController(spec.RingBitRate, spec.UtilizationCap, backgroundBitRate)
-		n.shards = append(n.shards, s)
+		r, bg := session.NewRing(sched, sim.MixSeed(spec.Seed, saltRing+uint64(i)), spec.RingBitRate, spec.BackgroundUtil)
+		n.shards = append(n.shards, &shard{idx: i, sched: sched, ring: r, bg: bg,
+			ctrl: session.NewController(spec.RingBitRate, spec.UtilizationCap, bg.Bits)})
 	}
 }
 
@@ -202,9 +174,9 @@ func (n *Network) buildLinks() {
 	for li, ls := range spec.Links {
 		a, b := n.shards[ls.A], n.shards[ls.B]
 		halfA := router.NewHalf(a.sched, fmt.Sprintf("br%d-r%d", li, ls.A),
-			a.ring, ls.A, spec.Rings, mixSeed(spec.Seed, saltHalf+uint64(li)*2))
+			a.ring, ls.A, spec.Rings, sim.MixSeed(spec.Seed, saltHalf+uint64(li)*2))
 		halfB := router.NewHalf(b.sched, fmt.Sprintf("br%d-r%d", li, ls.B),
-			b.ring, ls.B, spec.Rings, mixSeed(spec.Seed, saltHalf+uint64(li)*2+1))
+			b.ring, ls.B, spec.Rings, sim.MixSeed(spec.Seed, saltHalf+uint64(li)*2+1))
 		lk := &link{spec: ls, halfA: halfA, halfB: halfB}
 		lk.ab = newInbox(dir, halfB)
 		dir++
@@ -264,16 +236,15 @@ func (n *Network) pathRings(src, dst int) []int {
 
 // buildStream admits one stream on every ring of its path — rollback on
 // the first refusal, with the refusing hop named in the decision — and,
-// when admitted, attaches the transmit machinery to the source shard and
-// the receive machinery to the destination shard. Cross-ring packets are
-// MAC-addressed to the first-hop bridge and carry their final (ring,
-// station) in the Outgoing's routed fields; the CTMSP header rides the
-// mbuf tag end to end, so the receive path is the session layer's
-// unchanged.
+// when admitted, builds it through the session layer with the transmit
+// host on the source shard and the receive host on the destination
+// shard. Cross-ring packets are MAC-addressed to the first-hop bridge;
+// the CTMSP header rides the mbuf tag end to end, so the receive path is
+// the session layer's unchanged.
 func (n *Network) buildStream(i int, spec StreamSpec) error {
 	offered := spec.OfferedBits()
 	path := n.pathRings(spec.SrcRing, spec.DstRing)
-	st := &stream{idx: i, spec: spec, path: path}
+	st := &stream{spec: spec, path: path}
 	n.streams = append(n.streams, st)
 
 	st.dec = session.Decision{Admitted: true, ReservedBits: offered}
@@ -283,6 +254,7 @@ func (n *Network) buildStream(i int, spec StreamSpec) error {
 		if !d.Admitted {
 			st.dec = session.Decision{Admitted: false,
 				Reason: fmt.Sprintf("ring %d: %s", r, d.Reason)}
+			st.refused = r
 			for _, g := range granted {
 				n.shards[g].ctrl.Release(i)
 			}
@@ -294,72 +266,31 @@ func (n *Network) buildStream(i int, spec StreamSpec) error {
 		n.shards[r].ring.ReserveBits(offered)
 	}
 
-	src, dst := n.shards[spec.SrcRing], n.shards[spec.DstRing]
-	trCfg := tradapter.DefaultConfig()
-	trCfg.CTMSPRingPriority = spec.Class.RingPriority()
-	mkHost := func(s *shard, role string, salt uint64) (*kernel.Kernel, *tradapter.Driver) {
-		name := fmt.Sprintf("%s-%s", spec.Name, role)
-		m := rtpc.NewMachine(s.sched, name, rtpc.DefaultCostModel(),
-			mixSeed(n.spec.Seed, saltStream+salt))
-		k := kernel.New(m)
-		stn := s.ring.Attach(name)
-		drv := tradapter.New(k, stn, trCfg, tradapter.DefaultTiming())
-		k.Register(drv)
-		return k, drv
+	end := func(r int, salt uint64) session.End {
+		s := n.shards[r]
+		return session.End{Sched: s.sched, Ring: s.ring, RingIdx: r,
+			Seed: sim.MixSeed(n.spec.Seed, saltStream+salt)}
 	}
-	txK, txTR := mkHost(src, "tx", uint64(i)*2)
-	rxK, rxTR := mkHost(dst, "rx", uint64(i)*2+1)
-
-	crossRing := spec.SrcRing != spec.DstRing
-	dialTo := rxTR.Station().Addr()
-	if crossRing {
-		dialTo = n.via[spec.SrcRing][spec.DstRing]
-	}
-	conn, err := ctmsp.Dial(txK, txTR, dialTo, uint8(i%250+1))
+	ss, err := session.NewStream(i, spec.StreamSpec,
+		end(spec.SrcRing, uint64(i)*2), end(spec.DstRing, uint64(i)*2+1),
+		n.via[spec.SrcRing][spec.DstRing], n.spec.PlayoutPrebuffer, st.addDelay)
 	if err != nil {
-		return fmt.Errorf("topo: stream %d (%s): %w", i, spec.Name, err)
+		return err
 	}
-
-	dev := vca.NewDevice(txK)
-	dev.SetPeriod(spec.Interval)
-	txCfg := vca.DefaultTxConfig()
-	txCfg.DataBytes = spec.PacketBytes - ctmsp.HeaderSize
-	txDrv, err := vca.NewTxDriver(txK, dev, conn, txCfg)
-	if err != nil {
-		return fmt.Errorf("topo: stream %d (%s): %w", i, spec.Name, err)
-	}
-	txDrv.MaxOutstanding = maxOutstanding
-	if crossRing {
-		finalDst := rxTR.Station().Addr()
-		dstRing := spec.DstRing
-		txDrv.PatchOutgoing = func(out *tradapter.Outgoing) {
-			out.RoutedDst = finalDst
-			out.RoutedRing = dstRing + 1
-		}
-	}
-
-	recv := &ctmsp.Receiver{}
-	rxDrv := vca.NewRxDriver(rxK, rxTR, recv, vca.DefaultRxConfigB())
-	streamBytesPerSec := float64(spec.PacketBytes-ctmsp.HeaderSize) / spec.Interval.Seconds()
-	play := playout.New(streamBytesPerSec, n.spec.PlayoutPrebuffer)
-	interval := spec.Interval
-	rxDrv.OnDelivered = func(h ctmsp.Header, at sim.Time, ev ctmsp.Event) {
-		if ev != ctmsp.InOrder && ev != ctmsp.Gap {
-			return
-		}
-		play.Deliver(int(h.Length)-ctmsp.HeaderSize, at)
-		if lat := at - sim.Time(h.PacketNum+1)*interval; lat > 0 {
-			st.latSum += lat
-			st.latN++
-			if lat > st.latMax {
-				st.latMax = lat
-			}
-		}
-	}
-
-	st.dev, st.txDrv, st.recv, st.play = dev, txDrv, recv, play
-	dev.Start()
+	st.Stream = ss
+	ss.Start()
 	return nil
+}
+
+// addDelay is the stream's per-delivery delay hook.
+func (st *stream) addDelay(lat sim.Time) {
+	if lat > 0 {
+		st.latSum += lat
+		st.latN++
+		if lat > st.latMax {
+			st.latMax = lat
+		}
+	}
 }
 
 // buildBurst schedules a frame burst from a dedicated source host toward
@@ -371,7 +302,7 @@ func (n *Network) buildBurst(bi int, bs BurstSpec) {
 	mk := func(s *shard, role string, salt uint64) (*kernel.Kernel, *tradapter.Driver) {
 		name := fmt.Sprintf("burst%d-%s", bi, role)
 		m := rtpc.NewMachine(s.sched, name, rtpc.DefaultCostModel(),
-			mixSeed(n.spec.Seed, saltBurst+salt))
+			sim.MixSeed(n.spec.Seed, saltBurst+salt))
 		k := kernel.New(m)
 		stn := s.ring.Attach(name)
 		return k, tradapter.New(k, stn, tradapter.DefaultConfig(), tradapter.DefaultTiming())

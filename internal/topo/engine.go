@@ -360,9 +360,7 @@ func (n *Network) Run(workers int) *Results {
 
 	for _, s := range n.shards {
 		s.sched.FlushMetrics()
-		for _, g := range s.gens {
-			g.Stop()
-		}
+		s.bg.Stop()
 	}
 	return n.collect(workers)
 }

@@ -17,12 +17,11 @@ func randomSpec(seed int64) Spec {
 	r := rand.New(rand.NewSource(seed))
 	rings := 2 + r.Intn(7) // 2..8
 	spec := Spec{
-		Name:               fmt.Sprintf("oracle-%d", seed),
-		Seed:               seed,
-		Duration:           600*sim.Millisecond + sim.Time(r.Intn(5))*100*sim.Millisecond,
-		Rings:              rings,
-		PopulationStations: 8,
-		BackgroundUtil:     float64(r.Intn(4)) * 0.08,
+		Name:           fmt.Sprintf("oracle-%d", seed),
+		Seed:           seed,
+		Duration:       600*sim.Millisecond + sim.Time(r.Intn(5))*100*sim.Millisecond,
+		Rings:          rings,
+		BackgroundUtil: float64(r.Intn(4)) * 0.08,
 	}
 	// Spanning tree first so every ring is reachable, then spare links
 	// that create alternative routes (BFS must tie-break identically).

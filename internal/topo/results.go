@@ -18,15 +18,8 @@ type StreamResult struct {
 	// not; rejection names the refusing hop in Decision.Reason).
 	Path []int
 
-	Sent       uint64
-	Delivered  uint64
-	Lost       uint64
-	Gaps       uint64
-	Duplicates uint64
-
-	Glitches       uint64
-	StarvedTime    sim.Time
-	MaxBufferBytes int
+	// Stream and playout accounting (admitted streams only).
+	session.Outcome
 
 	// Delivery delay versus the nominal capture schedule, measured at the
 	// receiver: end-to-end ring access, bridge hops and link latency.
@@ -41,14 +34,6 @@ func (r StreamResult) LatencyMean() sim.Time {
 		return 0
 	}
 	return r.LatencySum / sim.Time(r.LatencyN)
-}
-
-// DeliveredFraction reports Delivered/Sent (0 for streams that never ran).
-func (r StreamResult) DeliveredFraction() float64 {
-	if r.Sent == 0 {
-		return 0
-	}
-	return float64(r.Delivered) / float64(r.Sent)
 }
 
 // RingResult is one ring's accounting.
@@ -121,17 +106,7 @@ func (n *Network) collect(workers int) *Results {
 	for i, st := range n.streams {
 		r := StreamResult{Spec: st.spec, Decision: st.dec, Path: st.path}
 		if st.dec.Admitted {
-			tx := st.txDrv.Stats()
-			rx := st.recv.Stats()
-			r.Sent = tx.PacketsSent
-			r.Delivered = rx.InOrder + rx.Gaps
-			r.Lost = rx.Lost
-			r.Gaps = rx.Gaps
-			r.Duplicates = rx.Duplicates
-			p := st.play.Finish(n.spec.Duration)
-			r.Glitches = p.Glitches
-			r.StarvedTime = p.StarvedTime
-			r.MaxBufferBytes = p.MaxBufferBytes
+			r.Outcome = st.Finish(n.spec.Duration)
 			r.LatencyMax = st.latMax
 			r.LatencySum = st.latSum
 			r.LatencyN = st.latN
@@ -154,11 +129,7 @@ func (n *Network) collect(workers int) *Results {
 				res.Rings[r].Admitted++
 			}
 		} else {
-			// Charge the refusal to the hop that refused: the last ring
-			// the admission walk reached.
-			var refused int
-			fmt.Sscanf(st.dec.Reason, "ring %d:", &refused)
-			res.Rings[refused].Rejected++
+			res.Rings[st.refused].Rejected++
 		}
 	}
 

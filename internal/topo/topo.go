@@ -36,15 +36,6 @@ const (
 	// shards ahead by is the minimum link latency, and the switch cost
 	// alone would mean a barrier every 180 µs of simulated time.
 	DefaultLinkLatency = 2 * sim.Millisecond
-	// defaultPopulation matches internal/core's campus-ring population so
-	// per-station repeat latency is comparable across runners.
-	defaultPopulation = 64
-	// defaultInsertionPurges is the paper's "on the order of 10"
-	// back-to-back purges per station insertion.
-	defaultInsertionPurges = 10
-	// maxOutstanding bounds packets a stream may queue in its Token Ring
-	// driver, as in the session layer.
-	maxOutstanding = 8
 )
 
 // LinkSpec is one internetwork edge: a split bridge joining rings A and B.
@@ -70,10 +61,6 @@ type StreamSpec struct {
 	SrcRing int
 	DstRing int
 }
-
-// SessionSpec returns the embedded session-layer stream shape — the
-// conversion shim for callers that held the old duplicated struct.
-func (s StreamSpec) SessionSpec() session.StreamSpec { return s.StreamSpec }
 
 // BurstSpec injects Count back-to-back frames from a dedicated host on
 // SrcRing to a sink on DstRing — cross-ring pressure for overflow tests:
@@ -113,8 +100,6 @@ type Spec struct {
 	UtilizationCap float64
 	// BackgroundUtil is each ring's offered background load fraction.
 	BackgroundUtil float64
-	// PopulationStations pads each ring's station count (0 = 64).
-	PopulationStations int
 	// PlayoutPrebuffer delays each stream's playback
 	// (0 = session.DefaultPrebuffer; multi-hop paths want more).
 	PlayoutPrebuffer sim.Time
@@ -144,9 +129,6 @@ func (s Spec) withDefaults() Spec {
 	}
 	if s.UtilizationCap == 0 {
 		s.UtilizationCap = session.DefaultUtilizationCap
-	}
-	if s.PopulationStations == 0 {
-		s.PopulationStations = defaultPopulation
 	}
 	if s.PlayoutPrebuffer == 0 {
 		s.PlayoutPrebuffer = session.DefaultPrebuffer
@@ -196,16 +178,13 @@ func (s Spec) validateCompiled() (*routeTable, error) {
 	}
 	rt := compileRoutes(s.Rings, s.Links)
 	for i, st := range s.Streams {
+		if err := st.Validate(i); err != nil {
+			return nil, fmt.Errorf("topo: %w", err)
+		}
 		switch {
 		case st.SrcRing < 0 || st.SrcRing >= s.Rings || st.DstRing < 0 || st.DstRing >= s.Rings:
 			return nil, fmt.Errorf("topo: stream %d (%s) uses rings %d→%d, outside 0..%d",
 				i, st.Name, st.SrcRing, st.DstRing, s.Rings-1)
-		case st.PacketBytes <= ctmsp.HeaderSize || st.PacketBytes > 4000:
-			return nil, fmt.Errorf("topo: stream %d (%s): packet size %d out of range", i, st.Name, st.PacketBytes)
-		case st.Interval <= 0:
-			return nil, fmt.Errorf("topo: stream %d (%s): interval must be positive", i, st.Name)
-		case st.Class < session.ClassBackground || st.Class > session.ClassInteractive:
-			return nil, fmt.Errorf("topo: stream %d (%s): unknown class %d", i, st.Name, int(st.Class))
 		case !rt.reachable(st.SrcRing, st.DstRing):
 			return nil, fmt.Errorf("topo: stream %d (%s): no path from ring %d to ring %d (ring %d %s)",
 				i, st.Name, st.SrcRing, st.DstRing, st.SrcRing, rt.describeComponent(st.SrcRing))
@@ -254,7 +233,7 @@ func (s Spec) validateCompiled() (*routeTable, error) {
 // the census depends only on (Seed, Population, Rings, Duration).
 func expandPopulation(s Spec, rt *routeTable) []StreamSpec {
 	pop := s.Population.WithDefaults()
-	rng := sim.NewRNG(mixSeed(s.Seed, saltPopulation))
+	rng := sim.NewRNG(sim.MixSeed(s.Seed, saltPopulation))
 	census := sim.Time(s.Duration / 2)
 	var out []StreamSpec
 	for _, a := range pop.Compile(rng, s.Duration) {
@@ -283,20 +262,7 @@ func expandPopulation(s Spec, rt *routeTable) []StreamSpec {
 	return out
 }
 
-// mixSeed derives an independent seed per component so nearby indices get
-// unrelated RNG streams (splitmix64-style finalizer, as core.SweepSeed
-// does for sweep points and session does for stream hosts).
-func mixSeed(base int64, salt uint64) int64 {
-	h := uint64(base) + salt*0x9e3779b97f4a7c15
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return int64(h)
-}
-
-// Salt spaces for mixSeed, keeping component seeds disjoint.
+// Salt spaces for sim.MixSeed, keeping component seeds disjoint.
 const (
 	saltRing   = 0x0100_0000
 	saltHalf   = 0x0200_0000

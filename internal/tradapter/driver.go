@@ -153,16 +153,14 @@ type Outgoing struct {
 	Size  int // payload bytes (ring overhead added on the wire)
 	Class Class
 	Dst   ring.Addr
-	// RoutedDst is the final destination when the frame crosses a
-	// router: Dst addresses the router's ingress port (or the target on
-	// the final ring), RoutedDst names the end station. Zero means local
-	// delivery.
-	RoutedDst ring.Addr
-	// RoutedRing is the 1-based internetwork ring index the RoutedDst
-	// address lives on, for topologies with more than two rings (each
-	// ring has its own address space, so RoutedDst alone cannot name a
-	// station across a multi-hop path). Zero means the two-ring legacy
-	// interpretation: RoutedDst is in the egress ring's space.
+	// RoutedDst and RoutedRing name the final destination of a frame
+	// that crosses a router: Dst addresses the router's ingress port,
+	// RoutedDst the end station, and RoutedRing the 1-based
+	// internetwork index of the ring RoutedDst lives on (each ring has
+	// its own address space, so the station address alone cannot name
+	// it). RoutedRing 0 means the frame is local: Dst is the end station
+	// and a router receiving it drops it.
+	RoutedDst  ring.Addr
 	RoutedRing int
 	// CopyBytes is how many bytes the CPU copies into the fixed DMA
 	// buffer (§5.3's "header only" vs "header and data" toggle). Zero

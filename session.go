@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/ring"
 	"repro/internal/session"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -320,23 +319,11 @@ func NewSession(opts SessionOptions) (*Session, error) {
 	}
 	s := &Session{opts: opts, cfg: cfg}
 	if !opts.DisableAdmission {
-		s.probe = s.newController()
+		// The controller session.Run will build, so Add's eager verdicts
+		// match the run's replayed decisions exactly.
+		s.probe = cfg.NewController()
 	}
 	return s, nil
-}
-
-// newController mirrors the controller session.Run will build, so Add's
-// eager verdicts match the run's replayed decisions exactly.
-func (s *Session) newController() *session.Controller {
-	ringBitRate := s.cfg.RingBitRate
-	if ringBitRate == 0 {
-		ringBitRate = ring.DefaultConfig().BitRate
-	}
-	uc := s.cfg.UtilizationCap
-	if uc == 0 {
-		uc = session.DefaultUtilizationCap
-	}
-	return session.NewController(ringBitRate, uc, int64(s.cfg.BackgroundUtil*float64(ringBitRate)))
 }
 
 // Add offers one stream to the session and returns its admission verdict

@@ -84,6 +84,44 @@ func TestPublicSessionAdmits(t *testing.T) {
 	}
 }
 
+// TestPublicSessionAddMatchesRunOn16Mbit checks that Add's eager
+// controller applies Run's defaults: on a 16 Mbit/s ring with the
+// utilization cap left at zero (the default), every verdict Add returned
+// is the decision Run replays, and the knee sits where the 16 Mbit/s
+// budget puts it rather than at the 4 Mbit/s ring's.
+func TestPublicSessionAddMatchesRunOn16Mbit(t *testing.T) {
+	s, err := ctms.NewSession(ctms.SessionOptions{
+		Name:           "16mbit",
+		Seed:           1991,
+		Duration:       time.Second,
+		RingBitRate:    16_000_000,
+		BackgroundUtil: 0.05,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	adms := addStreams(t, s, 48)
+	admitted := 0
+	for _, adm := range adms {
+		if adm.Admitted {
+			admitted++
+		}
+	}
+	// 0.90×16M − 0.05×16M = 13.6 Mbit/s at ≈347 kbit/s per stream.
+	if admitted < 36 || admitted == len(adms) {
+		t.Fatalf("16 Mbit/s knee out of range: %d of %d admitted", admitted, len(adms))
+	}
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, st := range res.Streams {
+		if st.Admission != adms[i] {
+			t.Fatalf("stream %d: Add said %+v, Run said %+v", i, adms[i], st.Admission)
+		}
+	}
+}
+
 func TestPublicSessionValidation(t *testing.T) {
 	if _, err := ctms.NewSession(ctms.SessionOptions{}); err == nil {
 		t.Fatal("zero duration must fail")
