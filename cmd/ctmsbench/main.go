@@ -256,32 +256,37 @@ func addPopulationRows(rec *benchRecord, dur sim.Time, base int64, parallel int)
 	return err
 }
 
-// addLintRows times the four ctmsvet tiers over this module. The typed
-// row includes the go/types load; inter and dim reuse it, as `make lint`.
+// addLintRows times the four ctmsvet tiers over this module, each run
+// as a selection of its analyzers. The typed row includes the go/types
+// load; inter and dim reuse it, as `make lint`.
 func addLintRows(rec *benchRecord) error {
 	root, err := analyzers.FindModuleRoot(".")
 	if err != nil {
 		return fmt.Errorf("-lint: %w", err)
 	}
 	var mod *analyzers.Module
-	for _, tier := range []string{"syntactic", "typed", "inter", "dim"} {
-		start := time.Now()
-		switch tier {
-		case "syntactic":
-			_, err = analyzers.RunRepo(root)
-		case "typed":
-			if mod, err = analyzers.LoadTypedModule(root); err == nil {
-				_, err = analyzers.RunModuleTyped(mod)
+	for _, tier := range []analyzers.Tier{analyzers.TierSyntactic, analyzers.TierTyped, analyzers.TierInter, analyzers.TierDim} {
+		var names []string
+		for _, a := range analyzers.Suite {
+			if a.Tier == tier {
+				names = append(names, a.Name)
 			}
-		case "inter":
-			_, err = analyzers.RunModuleInter(mod)
-		case "dim":
-			_, err = analyzers.RunModuleDim(mod)
+		}
+		start := time.Now()
+		if tier == analyzers.TierSyntactic {
+			_, err = analyzers.RunRepo(root, names...)
+		} else {
+			if mod == nil {
+				mod, err = analyzers.LoadTypedModule(root)
+			}
+			if err == nil {
+				_, err = analyzers.RunModule(mod, names...)
+			}
 		}
 		if err != nil {
 			return fmt.Errorf("-lint %s tier: %w", tier, err)
 		}
-		rec.Rows = append(rec.Rows, benchRow{"lint " + tier, map[string]float64{colWall: time.Since(start).Seconds()}})
+		rec.Rows = append(rec.Rows, benchRow{"lint " + string(tier), map[string]float64{colWall: time.Since(start).Seconds()}})
 	}
 	return nil
 }

@@ -1,14 +1,16 @@
 // Command ctmsvet runs the repository's custom static-analysis suite
-// (see DESIGN.md §7): the syntactic tier — determinism, exhaustive —
-// the typed tier — mbuflife, locking, hotpath — the interprocedural
-// tier — shardowned, seedflow, barrier — and the dimensional-inference
-// tier — dim — of internal/analyzers. It is the `make lint` step of
+// (see DESIGN.md §7), internal/analyzers: one Analyzer type run through
+// one Pass, in four tiers — syntactic (determinism, exhaustive), typed
+// (mbuflife, locking, hotpath), interprocedural (shardowned, seedflow,
+// barrier) and dimensional (dim). It is the `make lint` step of
 // `make ci`.
 //
-// The -analyzers selection decides which tiers run. The three
-// type-checked tiers share one go/types load of the module, paid only
-// when the selection is empty or names one of their analyzers, so a
-// syntactic-only selection (make lint-fast) stays a pure-AST pass.
+// The -analyzers selection decides what runs. The syntactic tier parses
+// the module and validates every //ctmsvet:allow directive on every
+// run; the other three tiers share one go/types load of the module,
+// paid only when the selection is empty or names one of their
+// analyzers, so a syntactic-only selection (make lint-fast) stays a
+// pure-AST pass.
 //
 // Usage:
 //
@@ -19,20 +21,16 @@
 //	ctmsvet -changed HEAD       # report only findings in files differing from a git ref
 //	ctmsvet -json               # machine-readable diagnostics on stdout
 //	ctmsvet -out findings.json  # also write the JSON artifact to a file
-//	ctmsvet -baseline accepted.json  # fail only on findings not in the baseline
+//	ctmsvet -list               # print the analyzer names
 //
 // Exit status: 0 with no findings, 1 when any diagnostic survives
-// suppression (and the baseline, if one is given), 2 on a usage or load
-// error. Each finding prints as file:line:col: analyzer: message, so CI
-// output is directly actionable. A finding can be suppressed in place
-// with
+// suppression, 2 on a usage or load error. Each finding prints as
+// file:line:col: analyzer: message, so CI output is directly
+// actionable. A finding can be suppressed in place with
 //
 //	//ctmsvet:allow <analyzer> <reason>
 //
-// where the reason is mandatory. The -baseline file is a prior -json or
-// -out artifact: its findings are matched by analyzer, root-relative
-// file and message (line-insensitive), so a tree with accepted debt
-// still gates on anything new.
+// where the reason is mandatory.
 package main
 
 import (
@@ -52,8 +50,7 @@ func main() {
 }
 
 // run is the command body, factored for the CLI contract test: parse
-// args, run the selected tiers, subtract the baseline, emit, and return
-// the exit status.
+// args, run the selected tiers, emit, and return the exit status.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ctmsvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -61,7 +58,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		root         = fs.String("root", "", "module root to analyze (default: walk up from the working directory)")
 		jsonMode     = fs.Bool("json", false, "emit diagnostics as a JSON array")
 		analyzerList = fs.String("analyzers", "", "comma-separated analyzers to run (default: all; see -list)")
-		baselinePath = fs.String("baseline", "", "accepted-findings JSON (a prior -json/-out artifact); only uncovered findings fail")
 		outPath      = fs.String("out", "", "write the findings JSON artifact to this file")
 		changedRef   = fs.String("changed", "", "report only findings in files differing from this git ref (plus untracked files)")
 		list         = fs.Bool("list", false, "print the analyzer names and exit")
@@ -127,23 +123,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if needsTypes(only) {
-		// All type-checked tiers share one module load: the source
+		// The type-checked tiers share one module load: the source
 		// importer pass dominates their cost.
 		mod, err := analyzers.LoadTypedModule(dir)
 		if err != nil {
 			fmt.Fprintf(stderr, "ctmsvet: typed pass: %v\n", err)
 			return 2
 		}
-		for _, tier := range []func(*analyzers.Module, ...string) ([]analyzers.Diagnostic, error){
-			analyzers.RunModuleTyped, analyzers.RunModuleInter, analyzers.RunModuleDim,
-		} {
-			tdiags, err := tier(mod, only...)
-			if err != nil {
-				fmt.Fprintf(stderr, "%v\n", err)
-				return 2
-			}
-			diags = analyzers.MergeDiagnostics(diags, tdiags)
+		tdiags, err := analyzers.RunModule(mod, only...)
+		if err != nil {
+			fmt.Fprintf(stderr, "%v\n", err)
+			return 2
 		}
+		diags = analyzers.MergeDiagnostics(diags, tdiags)
 	}
 	if changed != nil {
 		var kept []analyzers.Diagnostic
@@ -153,14 +145,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 		diags = kept
-	}
-	if *baselinePath != "" {
-		b, err := analyzers.LoadBaseline(*baselinePath, dir)
-		if err != nil {
-			fmt.Fprintf(stderr, "ctmsvet: %v\n", err)
-			return 2
-		}
-		diags = b.Filter(diags, dir)
 	}
 
 	if *outPath != "" {
@@ -196,19 +180,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// needsTypes reports whether a selection runs any type-checked tier: an
-// empty selection runs every tier, and any name outside the syntactic
-// tier belongs to one of them.
+// needsTypes reports whether a selection runs any type-checked tier.
+// RunRepo has already rejected unknown names.
 func needsTypes(only []string) bool {
-	if len(only) == 0 {
-		return true
-	}
-	syntactic := make(map[string]bool)
-	for _, a := range analyzers.All {
-		syntactic[a.Name] = true
-	}
-	for _, n := range only {
-		if !syntactic[n] {
+	as, _ := analyzers.Select(only)
+	for _, a := range as {
+		if a.Tier != analyzers.TierSyntactic {
 			return true
 		}
 	}

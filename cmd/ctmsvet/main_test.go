@@ -116,57 +116,6 @@ func TestCLIAnalyzersFlag(t *testing.T) {
 	}
 }
 
-func TestCLIBaselineMode(t *testing.T) {
-	dir := scratchModule(t)
-
-	// Record the current findings as the accepted baseline.
-	code, stdout, _ := runCLI(t, "-root", dir, "-analyzers", "determinism,exhaustive", "-json")
-	if code != 1 {
-		t.Fatalf("exit %d recording baseline, want 1", code)
-	}
-	baseline := filepath.Join(t.TempDir(), "accepted.json")
-	if err := os.WriteFile(baseline, []byte(stdout), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// Under the baseline the same tree gates clean.
-	code, stdout, stderr := runCLI(t, "-root", dir, "-analyzers", "determinism,exhaustive", "-baseline", baseline)
-	if code != 0 {
-		t.Fatalf("exit %d under baseline\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
-	}
-
-	// A new finding is not covered: add a second bad switch with a
-	// different message and the gate fails again.
-	extra := `package main
-
-//ctmsvet:enum
-type Knob int
-
-const (
-	KnobA Knob = iota
-	KnobB
-)
-
-func turn(k Knob) int {
-	switch k {
-	case KnobA:
-		return 0
-	}
-	return 1
-}
-`
-	if err := os.WriteFile(filepath.Join(dir, "extra.go"), []byte(extra), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, stdout, _ = runCLI(t, "-root", dir, "-analyzers", "determinism,exhaustive", "-baseline", baseline)
-	if code != 1 {
-		t.Fatalf("exit %d with a new finding under baseline, want 1", code)
-	}
-	if !strings.Contains(stdout, "Knob misses KnobB") || strings.Contains(stdout, "Phase misses Done") {
-		t.Fatalf("only the new finding should survive the baseline:\n%s", stdout)
-	}
-}
-
 func TestCLIOutArtifact(t *testing.T) {
 	dir := scratchModule(t)
 	artifact := filepath.Join(t.TempDir(), "ctmsvet.json")

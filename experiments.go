@@ -10,7 +10,7 @@ import (
 
 // ExperimentInfo describes one entry of the reproduction matrix.
 type ExperimentInfo struct {
-	ID     string // "E1".."E17"
+	ID     string // "E1".."E20"
 	Source string // figure/table/section in the paper
 	Title  string
 }
@@ -43,7 +43,7 @@ func (r *ExperimentResult) AllOK() bool {
 }
 
 // Experiments lists the reproduction matrix (DESIGN.md §4): every figure,
-// table and headline claim of the paper, plus the extensions (E12–E17).
+// table and headline claim of the paper, plus the extensions (E12–E20).
 func Experiments() []ExperimentInfo {
 	var out []ExperimentInfo
 	for _, e := range core.Experiments() {
@@ -63,7 +63,7 @@ func RunExperiment(id string, duration time.Duration) (*ExperimentResult, error)
 	return resultFromComparison(e, e.Run(core.Scale{Duration: sim.Time(duration)})), nil
 }
 
-// RunAllExperiments runs the full reproduction matrix (E1–E17) across
+// RunAllExperiments runs the full reproduction matrix (E1–E20) across
 // parallelism worker goroutines — 1 runs serially on the calling
 // goroutine, 0 selects GOMAXPROCS — and returns the results in matrix
 // order. duration scales the long scenarios exactly as in RunExperiment.

@@ -40,13 +40,14 @@ import (
 
 // Barrier flags inbox pushes and drains that violate the declared
 // window discipline.
-var Barrier = &InterAnalyzer{
+var Barrier = &Analyzer{
 	Name: "barrier",
 	Doc:  "flag inbox pushes without now+latency delivery, pushes reachable from Run, and drains outside the barrier step",
+	Tier: TierInter,
 	Run:  runBarrier,
 }
 
-func runBarrier(p *InterPass) {
+func runBarrier(p *Pass) {
 	// Gather this package's crossing-annotated functions by role, and
 	// the object for Run (the barrier-stepping entry point), if any.
 	var runObj types.Object
@@ -147,7 +148,7 @@ func runBarrier(p *InterPass) {
 // file: call sites live in the caller's package, but the pass runs per
 // crossing-declaring package. The diagnostic carries the caller file so
 // the finding lands where the fix goes.
-func reportAt(p *InterPass, site callSite, pos token.Position, format string, args ...any) {
+func reportAt(p *Pass, site callSite, pos token.Position, format string, args ...any) {
 	*p.diags = append(*p.diags, Diagnostic{
 		Analyzer: p.Analyzer.Name,
 		File:     pos.Filename,
@@ -159,7 +160,7 @@ func reportAt(p *InterPass, site callSite, pos token.Position, format string, ar
 
 // checkDeliverAt enforces rule 1 on one push call: the first argument
 // is the delivery time and must be now + latency.
-func checkDeliverAt(p *InterPass, site callSite) {
+func checkDeliverAt(p *Pass, site callSite) {
 	if len(site.call.Args) == 0 {
 		return
 	}
@@ -207,7 +208,7 @@ func exprContains(e ast.Expr, pred func(ast.Expr) bool) bool {
 // operand whose text mentions Latency against an identifier whose name
 // mentions SwitchCost (rule 5's shape: `l.Latency < router.
 // DefaultSwitchCost` in the engine's Validate).
-func hasFloorGuard(p *InterPass) bool {
+func hasFloorGuard(p *Pass) bool {
 	found := false
 	for _, f := range p.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {

@@ -21,6 +21,7 @@ import "go/ast"
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc:  "forbid wall-clock, global math/rand, and order-dependent map iteration in sim-critical packages",
+	Tier: TierSyntactic,
 	Run:  runDeterminism,
 }
 

@@ -1,74 +1,40 @@
 package analyzers
 
-import (
-	"path/filepath"
-	"sync"
-	"testing"
-)
+import "testing"
 
 // The dim fixtures are a real, compiling mini-module (testdata/dim,
-// module dimfix), loaded once and shared across tests. The solver always
-// runs module-wide; each test scopes reporting to its own fixture
-// package, mirroring how the repo run scopes to the sim-critical
-// packages.
-var (
-	dimFixtureOnce sync.Once
-	dimFixtureMod  *Module
-	dimFixtureErr  error
-)
-
-func loadDimFixture(t *testing.T) *Module {
-	t.Helper()
-	dimFixtureOnce.Do(func() {
-		dimFixtureMod, dimFixtureErr = LoadTypedModule(filepath.Join("testdata", "dim"))
-	})
-	if dimFixtureErr != nil {
-		t.Fatalf("load dim fixture module: %v", dimFixtureErr)
-	}
-	return dimFixtureMod
-}
-
-func runDimFixture(t *testing.T, pkgPath string) {
-	t.Helper()
-	mod := loadDimFixture(t)
-	tp := mod.pkgs["dimfix/"+pkgPath]
-	if tp == nil {
-		t.Fatalf("fixture package dimfix/%s not loaded", pkgPath)
-	}
-	diags := RunDim(mod, map[string]bool{tp.Dir: true})
-	matchWants(t, diags, parseWants(t, tp.Package))
-}
+// module dimfix).
 
 // TestDimConflictFixture: a byte-seeded value crossing a call boundary
 // into a bit-seeded parameter is a conflict at the call site.
 func TestDimConflictFixture(t *testing.T) {
-	runDimFixture(t, "conflict")
+	runModuleFixture(t, "dim", "conflict", Dimensional)
 }
 
 // TestDimBlessedFixture: *8 and /8 convert between bytes and bits; the
 // bare assignment without either still conflicts.
 func TestDimBlessedFixture(t *testing.T) {
-	runDimFixture(t, "blessed")
+	runModuleFixture(t, "dim", "blessed", Dimensional)
 }
 
 // TestDimNamingFixture: dimensions seeded from names alone catch every
 // bit/byte slip at an assignment, sum, return, call argument and
 // composite field, and a visible *8 or /8 clears each one.
 func TestDimNamingFixture(t *testing.T) {
-	runDimFixture(t, "naming")
+	runModuleFixture(t, "dim", "naming", Dimensional)
 }
 
 // TestDimPolyFixture: untyped constants adapt to the slot they land in
 // and never manufacture a conflict between two differently-dimensioned
 // slots.
 func TestDimPolyFixture(t *testing.T) {
-	runDimFixture(t, "poly")
+	runModuleFixture(t, "dim", "poly", Dimensional)
 }
 
 // TestDimDirectiveFixture: malformed //ctmsvet:unit directives are
 // validated whenever the package is in scope.
 func TestDimDirectiveFixture(t *testing.T) {
-	runDimFixture(t, "directives")
+	runModuleFixture(t, "dim", "directives", Dimensional)
 }
 
 // TestDimStringRoundTrip: Dim.String renders every dimension in the

@@ -16,15 +16,7 @@ func TestRepoComesCleanDim(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dimensional pass loads the whole module; skipped under -short")
 	}
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatalf("module root: %v", err)
-	}
-	diags, err := RunRepoDim(root)
-	if err != nil {
-		t.Fatalf("RunRepoDim: %v", err)
-	}
-	for _, d := range diags {
+	for _, d := range runRealTree(t, "dim") {
 		t.Errorf("repo finding: %s", d)
 	}
 }
@@ -65,10 +57,7 @@ func Split(n int64) (int64, int64) { return n, n }
 func Grow(n int64) int64 { return n + 1 }
 `)
 
-	diags, err := RunRepoDim(root)
-	if err != nil {
-		t.Fatalf("RunRepoDim: %v", err)
-	}
+	diags := runScratch(t, root, "dim")
 	wants := []struct {
 		line   int
 		substr string
@@ -150,15 +139,12 @@ func charge(b *Budget, f sim.Frame) {
 }
 `)
 
-	diags, err := RunRepoDim(root)
-	if err != nil {
-		t.Fatalf("RunRepoDim: %v", err)
-	}
+	diags := runScratch(t, root, "dim")
 	wantFile := filepath.Join("internal", "topo", "engine.go")
 	const wantLine = 20
 	var hit *Diagnostic
 	for i, d := range diags {
-		if d.Analyzer == DimAnalyzerName && strings.HasSuffix(d.File, wantFile) && d.Line == wantLine {
+		if d.Analyzer == "dim" && strings.HasSuffix(d.File, wantFile) && d.Line == wantLine {
 			hit = &diags[i]
 			continue
 		}

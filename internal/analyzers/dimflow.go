@@ -1,10 +1,10 @@
 package analyzers
 
 // This file is the solver half of the dimensional-inference tier (the
-// algebra and the //ctmsvet:unit directive live in dim.go). It runs
-// over the whole type-checked module — reusing the typed tier's
-// LoadTypedModule, so cmd/ctmsvet pays for one load across the typed,
-// interprocedural and dim tiers — and works in three phases:
+// algebra and the //ctmsvet:unit directive live in dim.go) and its one
+// analyzer, dim. The solve runs once per RunModule run over the whole
+// loaded module, cached on the World, and each package's dim pass
+// reports the findings in its own files. It works in three phases:
 //
 //  1. scan: collect //ctmsvet:unit directives (fields, const/var
 //     specs, type declarations, function params and results),
@@ -41,9 +41,37 @@ import (
 	"strings"
 )
 
-// DimAnalyzerName is the dim tier's analyzer name, for -analyzers
-// selection and //ctmsvet:allow suppression.
-const DimAnalyzerName = "dim"
+// Dimensional reports bits/bytes/seconds confusions and malformed
+// //ctmsvet:unit directives.
+var Dimensional = &Analyzer{
+	Name: dimName,
+	Doc:  "infer every value's dimension over the module and flag flows and expressions where two dimensions meet",
+	Tier: TierDim,
+	Run:  runDim,
+}
+
+// dimName is spelled out once for the solver's findings: they are built
+// before any Pass exists.
+const dimName = "dim"
+
+func runDim(p *Pass) {
+	*p.diags = append(*p.diags, inDir(p.World.dimFindings(), p.Pkg.Dir)...)
+}
+
+// dimFindings solves the module's dimensions on first use and returns
+// every conflict and malformed unit directive, module-wide: constraints
+// always span the module (a seed in internal/sim constrains a flow in
+// internal/topo), whichever packages a run reports in.
+func (w *World) dimFindings() []Diagnostic {
+	if w.dim == nil {
+		dw := newDimWorld(w.Mod)
+		dw.scanDirectives()
+		dw.collectFlows()
+		dw.solve()
+		w.dim = append(append([]Diagnostic{}, dw.conflicts...), dw.malformed...)
+	}
+	return w.dim
+}
 
 // dimStep is one hop of a derivation chain.
 type dimStep struct {
@@ -865,7 +893,7 @@ func (w *dimWorld) flowConflict(fl *dimFlow, node *dimNode, val dimVal) {
 	w.conflictSeen[key] = true
 	node.conflicted = true
 	w.conflicts = append(w.conflicts, Diagnostic{
-		Analyzer: DimAnalyzerName,
+		Analyzer: dimName,
 		File:     pos.Filename, Line: pos.Line, Col: pos.Column,
 		Message: fmt.Sprintf("%s: %s value flows into %s slot; value: %s; slot: %s",
 			fl.note, val.d, node.d, w.renderChain(val.steps), w.renderChain(node.steps)),
@@ -880,7 +908,7 @@ func (w *dimWorld) exprConflict(tp *TypedPackage, pos token.Pos, op string, left
 	}
 	w.conflictSeen[key] = true
 	w.conflicts = append(w.conflicts, Diagnostic{
-		Analyzer: DimAnalyzerName,
+		Analyzer: dimName,
 		File:     p.Filename, Line: p.Line, Col: p.Column,
 		Message: fmt.Sprintf("%s %s %s without a *8 or /8 conversion; left: %s; right: %s",
 			left.d, op, right.d, w.renderChain(left.steps), w.renderChain(right.steps)),
@@ -1094,84 +1122,4 @@ func (w *dimWorld) scaleOrConvert(tp *TypedPackage, v dimVal, c constant.Value, 
 		return dimVal{d: d, known: true, steps: appendStep(v.steps, dimStep{pos, "converted bits to bytes (/8)"})}
 	}
 	return v
-}
-
-// ---- entry points ----------------------------------------------------
-
-// RunDim executes the dimensional-inference tier over a loaded module.
-// Constraints are always built module-wide (a seed in internal/sim
-// constrains a flow in internal/topo); scope restricts which package
-// directories findings are reported in (nil means all).
-// //ctmsvet:allow dim suppression applies exactly as in the other
-// tiers.
-func RunDim(mod *Module, scope map[string]bool) []Diagnostic {
-	w := newDimWorld(mod)
-	w.scanDirectives()
-	w.collectFlows()
-	w.solve()
-
-	var diags []Diagnostic
-	var directives []directive
-	inScope := func(file string) bool {
-		return scope == nil || scope[filepath.Dir(file)]
-	}
-	for _, d := range append(w.conflicts, w.malformed...) {
-		if inScope(d.File) {
-			diags = append(diags, d)
-		}
-	}
-	for _, tp := range mod.Packages() {
-		if scope != nil && !scope[tp.Dir] {
-			continue
-		}
-		directives = append(directives, collectDirectives(tp.Package)...)
-	}
-	diags = suppressDiagnostics(diags, directives)
-	sortDiagnostics(diags)
-	return diags
-}
-
-// dimScope is the dim tier's reporting scope: the sim-critical
-// packages plus the module root, where the public Options/Session API
-// carries the same rates.
-func dimScope(root string) map[string]bool {
-	scope := simCriticalScope(root)
-	scope[root] = true
-	return scope
-}
-
-// RunModuleDim runs the dim tier over an already-loaded module with
-// the repo scoping rules, honoring an -analyzers selection.
-func RunModuleDim(mod *Module, only ...string) ([]Diagnostic, error) {
-	if err := SelectNames(only); err != nil {
-		return nil, fmt.Errorf("ctmsvet: %w", err)
-	}
-	if len(only) > 0 && !containsName(only, DimAnalyzerName) {
-		return nil, nil
-	}
-	return RunDim(mod, dimScope(mod.Root)), nil
-}
-
-// RunRepoDim loads the module at root and runs the dim tier.
-func RunRepoDim(root string, only ...string) ([]Diagnostic, error) {
-	if err := SelectNames(only); err != nil {
-		return nil, fmt.Errorf("ctmsvet: %w", err)
-	}
-	if len(only) > 0 && !containsName(only, DimAnalyzerName) {
-		return nil, nil
-	}
-	mod, err := LoadTypedModule(root)
-	if err != nil {
-		return nil, fmt.Errorf("ctmsvet: dim pass: %w", err)
-	}
-	return RunModuleDim(mod, only...)
-}
-
-func containsName(names []string, want string) bool {
-	for _, n := range names {
-		if n == want {
-			return true
-		}
-	}
-	return false
 }

@@ -1,21 +1,23 @@
-// Package analyzers is ctmsvet's static-analysis suite. This file is
-// its syntactic tier: a small, stdlib-only (go/ast, go/parser,
-// go/token) lint engine plus two analyzers that enforce the
-// reproduction's load-bearing invariants before any simulation runs.
+// Package analyzers is ctmsvet's static-analysis suite: one framework
+// carrying four tiers of analyzers that enforce the reproduction's
+// load-bearing invariants before any simulation runs (DESIGN.md §7).
 //
-//   - determinism: sim-critical packages must not read the wall clock,
-//     draw from the global math/rand generator, or build
-//     iteration-order-dependent output while ranging over a map. These
-//     are exactly the ways a "bit-identical at any -parallel" guarantee
-//     rots silently.
-//   - exhaustive: every switch over a root-package enum registered in
-//     enumTable (enummap.go) must cover all values or carry a default,
-//     so adding an enum value cannot silently fall through.
+//   - syntactic (determinism, exhaustive): go/ast only, no module
+//     loading, so it runs in milliseconds and works on fixture packages
+//     that never compile;
+//   - typed (mbuflife, locking, hotpath): go/types facts over the
+//     type-checked module (typed.go);
+//   - interprocedural (shardowned, seedflow, barrier): module-wide
+//     annotations and a call graph held on the run's World (inter.go);
+//   - dimensional (dim): bits/bytes/seconds inference, solved once per
+//     run over the whole module (dim.go, dimflow.go) — the paper's §1/§3
+//     units hazard, 150 KB/s media on a 4 Mbit/s ring.
 //
-// The paper's §1/§3 units hazard — 150 KB/s media on a 4 Mbit/s ring —
-// belongs to the type-checked dim tier (dim.go, dimflow.go), which
-// infers every value's dimension instead of matching names one
-// expression at a time.
+// Every analyzer is an Analyzer run through a Pass, selected by name
+// from Suite and driven by one run loop. RunRepo runs the syntactic
+// tier over parsed packages; RunModule runs the other three over one
+// loaded Module. Which packages an analyzer reports in is the repo's
+// scope rule (repo.go).
 //
 // A finding can be suppressed at its line (or the line below the
 // comment) with
@@ -23,10 +25,8 @@
 //	//ctmsvet:allow <analyzer> <reason>
 //
 // The reason is mandatory: an allow without one, or naming an unknown
-// analyzer, is itself a diagnostic. The engine is deliberately
-// syntactic — no go/types, no module loading — so it runs in
-// milliseconds, works on fixture packages that never compile, and has
-// no dependencies beyond the standard library.
+// analyzer, is itself a diagnostic, reported once by RunRepo over every
+// package.
 package analyzers
 
 import (
@@ -35,8 +35,10 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -66,11 +68,58 @@ func MarshalJSONDiagnostics(diags []Diagnostic) ([]byte, error) {
 	return json.MarshalIndent(diags, "", "  ")
 }
 
+// Tier names the analyzer group an Analyzer belongs to: which facts
+// its Pass carries and which entry point runs it.
+type Tier string
+
+// The four tiers, cheapest first.
+const (
+	TierSyntactic Tier = "syntactic" // go/ast only; Pass.Index is set
+	TierTyped     Tier = "typed"     // go/types facts on Pass.Pkg
+	TierInter     Tier = "inter"     // plus the module-wide World
+	TierDim       Tier = "dim"       // the World's dimension solve
+)
+
 // Analyzer is one named rule set run over a package.
 type Analyzer struct {
 	Name string
 	Doc  string
+	Tier Tier
 	Run  func(*Pass)
+}
+
+// Suite lists every analyzer in suite order. It is the -analyzers
+// vocabulary and the known-set for //ctmsvet:allow validation: a
+// directive naming a typed analyzer stays valid in a syntactic-only
+// run.
+var Suite = []*Analyzer{Determinism, Exhaustive, Mbuflife, Locking, Hotpath, Shardowned, Seedflow, Barrier, Dimensional}
+
+// AnalyzerNames returns the suite's names in suite order.
+func AnalyzerNames() []string {
+	names := make([]string, len(Suite))
+	for i, a := range Suite {
+		names[i] = a.Name
+	}
+	return names
+}
+
+// Select resolves an -analyzers selection to analyzers in suite order;
+// an empty selection is the whole suite. An unknown name is an error
+// listing the valid ones.
+func Select(only []string) ([]*Analyzer, error) {
+	names := AnalyzerNames()
+	for _, n := range only {
+		if !slices.Contains(names, n) {
+			return nil, fmt.Errorf("unknown analyzer %q (valid: %s)", n, strings.Join(names, ", "))
+		}
+	}
+	var out []*Analyzer
+	for _, a := range Suite {
+		if len(only) == 0 || slices.Contains(only, a.Name) {
+			out = append(out, a)
+		}
+	}
+	return out, nil
 }
 
 // Package is one parsed directory of non-test Go files.
@@ -84,8 +133,9 @@ type Package struct {
 // Pass is one analyzer's view of one package.
 type Pass struct {
 	Analyzer *Analyzer
-	Pkg      *Package
-	Index    *Index
+	Pkg      *TypedPackage // Types and Info are nil in the syntactic tier
+	Index    *Index        // syntactic tier: the map-typed names
+	World    *World        // type-checked tiers: the run's module-wide facts
 	diags    *[]Diagnostic
 }
 
@@ -101,11 +151,120 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// LoadPackage parses every non-test .go file directly in dir (no
+// TypeOf returns the type of e, or nil if the checker did not record
+// one.
+func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Pkg.Info.TypeOf(e) }
+
+// ObjectOf resolves an identifier through the Defs and Uses tables.
+func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
+	if o := p.Pkg.Info.Defs[id]; o != nil {
+		return o
+	}
+	return p.Pkg.Info.Uses[id]
+}
+
+// run is the one run loop behind RunRepo, RunModule and the fixture
+// tests. Each analyzer runs over every package it reports in (a nil
+// reports means everywhere); where an inter analyzer ran, the World's
+// malformed crossing directives in that package join the findings.
+// Allow directives then suppress what they cover, and the result is
+// sorted.
+func run(pkgs []*TypedPackage, as []*Analyzer, idx *Index, w *World, reports func(*Analyzer, string) bool) []Diagnostic {
+	var diags []Diagnostic
+	var directives []directive
+	for _, tp := range pkgs {
+		ranInter := false
+		for _, a := range as {
+			if reports == nil || reports(a, tp.Dir) {
+				a.Run(&Pass{Analyzer: a, Pkg: tp, Index: idx, World: w, diags: &diags})
+				ranInter = ranInter || a.Tier == TierInter
+			}
+		}
+		if ranInter {
+			diags = append(diags, inDir(w.malformed, tp.Dir)...)
+		}
+		directives = append(directives, collectDirectives(tp.Package)...)
+	}
+	diags = suppressDiagnostics(diags, directives)
+	sortDiagnostics(diags)
+	return diags
+}
+
+// inDir returns the diagnostics whose file is in the package at dir.
+func inDir(diags []Diagnostic, dir string) []Diagnostic {
+	var out []Diagnostic
+	for _, d := range diags {
+		if filepath.Dir(d.File) == dir {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// RunRepo runs the selected syntactic analyzers over the module rooted
+// at root, without type-checking, and validates the //ctmsvet:allow
+// directives of every package whatever the selection — a typo'd allow
+// in a package no selected analyzer visits must not rot silently. The
+// cross-package Index is built from the packages determinism reports
+// in, so a restricted run sees the same index a full run does.
+func RunRepo(root string, only ...string) ([]Diagnostic, error) {
+	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
+		return nil, fmt.Errorf("ctmsvet: %s is not a module root (no go.mod)", root)
+	}
+	as, err := Select(only)
+	if err != nil {
+		return nil, fmt.Errorf("ctmsvet: %w", err)
+	}
+	as = slices.DeleteFunc(as, func(a *Analyzer) bool { return a.Tier != TierSyntactic })
+	dirs, err := modulePackageDirs(root)
+	if err != nil {
+		return nil, err
+	}
+	reports := repoScope(root)
+	fset := token.NewFileSet()
+	var pkgs []*TypedPackage
+	var indexed []*Package
+	for _, rel := range dirs {
+		dir := filepath.Join(root, filepath.FromSlash(rel))
+		pkg, err := loadPackage(fset, dir)
+		if err != nil {
+			return nil, err
+		}
+		if pkg == nil {
+			continue
+		}
+		pkgs = append(pkgs, &TypedPackage{Package: pkg})
+		if reports(Determinism, dir) {
+			indexed = append(indexed, pkg)
+		}
+	}
+	if len(pkgs) == 0 {
+		return nil, fmt.Errorf("ctmsvet: no Go packages found under %s", root)
+	}
+	return MergeDiagnostics(validateAllows(pkgs), run(pkgs, as, buildIndex(indexed), nil, reports)), nil
+}
+
+// RunModule runs the selected typed, inter and dim analyzers over an
+// already-loaded module, so one go/types load serves all three tiers.
+// Allow directives are not validated here: RunRepo reports each
+// malformed one exactly once.
+func RunModule(mod *Module, only ...string) ([]Diagnostic, error) {
+	as, err := Select(only)
+	if err != nil {
+		return nil, fmt.Errorf("ctmsvet: %w", err)
+	}
+	as = slices.DeleteFunc(as, func(a *Analyzer) bool { return a.Tier == TierSyntactic })
+	if len(as) == 0 {
+		return nil, nil
+	}
+	return run(mod.Packages(), as, nil, newWorld(mod, as), repoScope(mod.Root)), nil
+}
+
+// loadPackage parses every non-test .go file directly in dir (no
 // recursion; testdata and nested packages are separate loads). A dir with
 // no Go files returns a nil package and no error, so optional scope
 // entries cost nothing.
-func LoadPackage(fset *token.FileSet, dir string) (*Package, error) {
+func loadPackage(fset *token.FileSet, dir string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -143,8 +302,8 @@ type Index struct {
 	mapVars   map[string]bool
 }
 
-// BuildIndex scans the loaded packages once, before any analyzer runs.
-func BuildIndex(pkgs []*Package) *Index {
+// buildIndex scans the loaded packages once, before any analyzer runs.
+func buildIndex(pkgs []*Package) *Index {
 	idx := &Index{
 		mapFields: make(map[string]bool),
 		mapFuncs:  make(map[string]bool),
@@ -214,43 +373,19 @@ func singleMapResult(fl *ast.FieldList) bool {
 	return isMap
 }
 
-// Target pairs a package with the analyzers that apply to it; scope
-// policy (which analyzer runs where) lives with the caller.
-type Target struct {
-	p         *Package
-	analyzers []*Analyzer
+// MergeDiagnostics combines RunRepo's and RunModule's findings into one
+// report in sortDiagnostics order.
+func MergeDiagnostics(a, b []Diagnostic) []Diagnostic {
+	out := make([]Diagnostic, 0, len(a)+len(b))
+	out = append(out, a...)
+	out = append(out, b...)
+	sortDiagnostics(out)
+	return out
 }
 
-// NewTarget builds a Target.
-func NewTarget(pkg *Package, as ...*Analyzer) Target {
-	return Target{p: pkg, analyzers: as}
-}
-
-// Run executes every target's analyzers, applies //ctmsvet:allow
-// suppressions, validates the directives themselves, and returns the
-// surviving diagnostics sorted by file, line, column, analyzer. The
-// known-analyzer vocabulary for directive validation spans all tiers
-// (see AnalyzerNames), so an allow for a typed analyzer stays valid in
-// a syntactic-only run.
-func Run(targets []Target, idx *Index) []Diagnostic {
-	var diags []Diagnostic
-	var directives []directive
-	for _, t := range targets {
-		if t.p == nil {
-			continue
-		}
-		for _, a := range t.analyzers {
-			a.Run(&Pass{Analyzer: a, Pkg: t.p, Index: idx, diags: &diags})
-		}
-		directives = append(directives, collectDirectives(t.p)...)
-	}
-	diags = append(validateDirectives(directives, knownAnalyzers()), suppressDiagnostics(diags, directives)...)
-	sortDiagnostics(diags)
-	return diags
-}
-
-// sortDiagnostics orders findings by file, line, column, analyzer — the
-// stable order every tier and the merged CLI report use.
+// sortDiagnostics orders findings by file, line, column, analyzer and
+// message — a total order, so a report never depends on which tier
+// found what first.
 func sortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
@@ -263,7 +398,10 @@ func sortDiagnostics(diags []Diagnostic) {
 		if a.Col != b.Col {
 			return a.Col < b.Col
 		}
-		return a.Analyzer < b.Analyzer
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		return a.Message < b.Message
 	})
 }
 
@@ -282,7 +420,7 @@ type directive struct {
 // parseAllowDirective parses one comment's text. ok reports whether the
 // comment is an allow directive at all; malformed-but-recognized
 // directives return ok with empty analyzer or reason, which
-// validateDirectives turns into findings. This function is the
+// validateAllows turns into findings. This function is the
 // FuzzAllowDirective target: it must be total — any comment text, no
 // matter how mangled, parses without panicking.
 func parseAllowDirective(text string) (analyzer, reason string, ok bool) {
@@ -316,29 +454,25 @@ func collectDirectives(pkg *Package) []directive {
 	return out
 }
 
-// validateDirectives reports malformed directives: no analyzer, an
-// unknown analyzer, or a missing reason. It runs once per lint (in the
-// syntactic tier), never in the typed tier, so a malformed directive is
-// reported exactly once however many tiers scan its package.
-func validateDirectives(directives []directive, known map[string]bool) []Diagnostic {
+// validateAllows reports the malformed allow directives in pkgs: no
+// analyzer, one outside the suite, or a missing reason.
+func validateAllows(pkgs []*TypedPackage) []Diagnostic {
+	names := AnalyzerNames()
 	var out []Diagnostic
-	for _, d := range directives {
-		switch {
-		case d.analyzer == "":
-			out = append(out, Diagnostic{
-				Analyzer: "ctmsvet", File: d.file, Line: d.line, Col: 1,
-				Message: "allow directive names no analyzer (want //ctmsvet:allow <analyzer> <reason>)",
-			})
-		case !known[d.analyzer]:
-			out = append(out, Diagnostic{
-				Analyzer: "ctmsvet", File: d.file, Line: d.line, Col: 1,
-				Message: fmt.Sprintf("allow directive names unknown analyzer %q", d.analyzer),
-			})
-		case d.reason == "":
-			out = append(out, Diagnostic{
-				Analyzer: "ctmsvet", File: d.file, Line: d.line, Col: 1,
-				Message: fmt.Sprintf("allow directive for %q is missing its mandatory reason", d.analyzer),
-			})
+	for _, tp := range pkgs {
+		for _, d := range collectDirectives(tp.Package) {
+			var msg string
+			switch {
+			case d.analyzer == "":
+				msg = "allow directive names no analyzer (want //ctmsvet:allow <analyzer> <reason>)"
+			case !slices.Contains(names, d.analyzer):
+				msg = fmt.Sprintf("allow directive names unknown analyzer %q", d.analyzer)
+			case d.reason == "":
+				msg = fmt.Sprintf("allow directive for %q is missing its mandatory reason", d.analyzer)
+			default:
+				continue
+			}
+			out = append(out, Diagnostic{Analyzer: "ctmsvet", File: d.file, Line: d.line, Col: 1, Message: msg})
 		}
 	}
 	return out

@@ -30,6 +30,7 @@ import (
 var Exhaustive = &Analyzer{
 	Name: "exhaustive",
 	Doc:  "switches over enumTable-registered enum types must cover every value or have a default",
+	Tier: TierSyntactic,
 	Run:  runExhaustive,
 }
 

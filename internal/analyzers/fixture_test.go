@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sync"
 	"testing"
 )
 
@@ -60,23 +61,59 @@ func parseWants(t *testing.T, pkg *Package) []wantComment {
 	return wants
 }
 
-// runFixture loads the fixture package in dir, runs the given analyzers
-// over it, and checks the diagnostics against the // want comments in
-// both directions: every diagnostic must be wanted, every want must
-// fire.
+// runFixture loads the syntactic fixture package in dir, runs the
+// given analyzers over it with allow validation, as RunRepo does, and
+// checks the diagnostics against its // want comments.
 func runFixture(t *testing.T, dir string, as ...*Analyzer) {
 	t.Helper()
 	fset := token.NewFileSet()
-	pkg, err := LoadPackage(fset, dir)
+	pkg, err := loadPackage(fset, dir)
 	if err != nil {
 		t.Fatalf("load %s: %v", dir, err)
 	}
 	if pkg == nil {
 		t.Fatalf("no fixture package in %s", dir)
 	}
-	idx := BuildIndex([]*Package{pkg})
-	diags := Run([]Target{NewTarget(pkg, as...)}, idx)
+	pkgs := []*TypedPackage{{Package: pkg}}
+	diags := MergeDiagnostics(validateAllows(pkgs), run(pkgs, as, buildIndex([]*Package{pkg}), nil, nil))
 	matchWants(t, diags, parseWants(t, pkg))
+}
+
+// moduleLoads caches one type-checked load per module root, shared by
+// every test that reads it: the source importer pulling the standard
+// library from GOROOT dominates a load's cost.
+var moduleLoads sync.Map // root -> *moduleLoad
+
+type moduleLoad struct {
+	once sync.Once
+	mod  *Module
+	err  error
+}
+
+func loadModule(t *testing.T, root string) *Module {
+	t.Helper()
+	v, _ := moduleLoads.LoadOrStore(root, new(moduleLoad))
+	l := v.(*moduleLoad)
+	l.once.Do(func() { l.mod, l.err = LoadTypedModule(root) })
+	if l.err != nil {
+		t.Fatalf("load module %s: %v", root, l.err)
+	}
+	return l.mod
+}
+
+// runModuleFixture runs the given analyzers over one package of the
+// compiling fixture module in testdata/<module> (import path
+// <module>fix/<pkgPath>) and checks its // want comments. The World is
+// module-wide, as in a repo run; only the package under test reports.
+func runModuleFixture(t *testing.T, module, pkgPath string, as ...*Analyzer) {
+	t.Helper()
+	mod := loadModule(t, filepath.Join("testdata", module))
+	tp := mod.pkgs[module+"fix/"+pkgPath]
+	if tp == nil {
+		t.Fatalf("fixture package %sfix/%s not loaded", module, pkgPath)
+	}
+	diags := run([]*TypedPackage{tp}, as, nil, newWorld(mod, as), nil)
+	matchWants(t, diags, parseWants(t, tp.Package))
 }
 
 // matchWants checks diagnostics against want comments in both
@@ -116,5 +153,5 @@ func TestExhaustiveFixture(t *testing.T) {
 }
 
 func TestAllowFixture(t *testing.T) {
-	runFixture(t, filepath.Join("testdata", "allow"), All...)
+	runFixture(t, filepath.Join("testdata", "allow"), Determinism, Exhaustive)
 }

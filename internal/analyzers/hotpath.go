@@ -36,15 +36,16 @@ import (
 // panic(...) or Checkf(false, ...) is the crash path, not the data
 // path, so allocations there (the panic message) are fine. Everything
 // else needs a //ctmsvet:allow hotpath <reason>.
-var Hotpath = &TypedAnalyzer{
+var Hotpath = &Analyzer{
 	Name: "hotpath",
 	Doc:  "functions marked //ctmsvet:hotpath must not allocate",
+	Tier: TierTyped,
 	Run:  runHotpath,
 }
 
 const hotpathDirective = "//ctmsvet:hotpath"
 
-func runHotpath(p *TypedPass) {
+func runHotpath(p *Pass) {
 	for _, f := range p.Pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -68,7 +69,7 @@ func isHotpathFunc(fd *ast.FuncDecl) bool {
 	return false
 }
 
-func checkHotpathBody(p *TypedPass, fd *ast.FuncDecl) {
+func checkHotpathBody(p *Pass, fd *ast.FuncDecl) {
 	// Cold failure branches and immediately-invoked closures need the
 	// parent node, which ast.Inspect does not give us — collect both
 	// up front.
@@ -134,7 +135,7 @@ func checkHotpathBody(p *TypedPass, fd *ast.FuncDecl) {
 	})
 }
 
-func checkHotpathCall(p *TypedPass, fd *ast.FuncDecl, call *ast.CallExpr) {
+func checkHotpathCall(p *Pass, fd *ast.FuncDecl, call *ast.CallExpr) {
 	if checkStringByteConversion(p, fd, call) {
 		return
 	}
@@ -175,7 +176,7 @@ func checkHotpathCall(p *TypedPass, fd *ast.FuncDecl, call *ast.CallExpr) {
 // failure branches are exempt by construction — the walker never
 // descends into them — matching the panic/Checkf rule for every other
 // hotpath check. Reports true when call is such a conversion.
-func checkStringByteConversion(p *TypedPass, fd *ast.FuncDecl, call *ast.CallExpr) bool {
+func checkStringByteConversion(p *Pass, fd *ast.FuncDecl, call *ast.CallExpr) bool {
 	tv, ok := p.Pkg.Info.Types[call.Fun]
 	if !ok || !tv.IsType() || len(call.Args) != 1 {
 		return false
@@ -213,7 +214,7 @@ func isByteSliceType(t types.Type) bool {
 // to interface parameters — each such argument is a heap allocation.
 // Pointer and struct boxing is deliberately not flagged: those are
 // design choices, not accidents.
-func checkBoxing(p *TypedPass, fd *ast.FuncDecl, call *ast.CallExpr) {
+func checkBoxing(p *Pass, fd *ast.FuncDecl, call *ast.CallExpr) {
 	sig, ok := p.TypeOf(call.Fun).(*types.Signature)
 	if !ok {
 		return
@@ -279,7 +280,7 @@ func checkfIsFalse(call *ast.CallExpr) bool {
 // capturesLocal reports whether lit references a function-local
 // variable declared outside it. A closure over locals needs a heap
 // context; one over package state (or nothing) does not allocate.
-func capturesLocal(p *TypedPass, lit *ast.FuncLit) bool {
+func capturesLocal(p *Pass, lit *ast.FuncLit) bool {
 	captured := false
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		if captured {

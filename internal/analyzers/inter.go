@@ -1,15 +1,15 @@
 package analyzers
 
-// This file is ctmsvet's third tier: interprocedural analysis over the
-// whole type-checked module. The syntactic tier (driver.go) reads one
-// package at a time; the typed tier (typed.go) type-checks packages but
-// still reasons function-by-function. The invariants the sharded engine
-// (internal/topo, DESIGN.md §9) stakes its bit-identity claim on are
-// neither: whether a *sim.Scheduler can leak from its owning shard is a
-// question about pointer flow across internal/topo, internal/router and
-// internal/sim together, and whether an inbox drain can run outside the
-// barrier step is a question about the call graph rooted at Run. So
-// this tier builds a World — module-wide facts shared by its analyzers:
+// This file is the World: the module-wide fact base one RunModule run
+// shares between its analyzers. The syntactic and typed tiers reason
+// one package, one function at a time; the invariants the sharded
+// engine (internal/topo, DESIGN.md §9) stakes its bit-identity claim on
+// are neither: whether a *sim.Scheduler can leak from its owning shard
+// is a question about pointer flow across internal/topo,
+// internal/router and internal/sim together, and whether an inbox drain
+// can run outside the barrier step is a question about the call graph
+// rooted at Run. So when a run selects an inter analyzer, the World
+// scans the whole module once for:
 //
 //   - the set of types annotated //ctmsvet:shardowned (a doc-comment
 //     line on the type declaration, like //ctmsvet:enum), plus the
@@ -28,83 +28,22 @@ package analyzers
 //     goroutine, so a closure scheduled from a function shares that
 //     function's ownership context).
 //
-// Three analyzers consume the World: shardowned (ownership escapes),
+// Three analyzers read these facts: shardowned (ownership escapes),
 // seedflow (RNG derivation and sharing) and barrier (inbox discipline).
-// They run over the sim-critical packages only — the same scope the
-// determinism analyzer guards — but the World is always built from the
-// whole module, so an annotation in internal/sim is visible to a check
-// in internal/topo. Both type-checked tiers share one module load:
-// cmd/ctmsvet calls LoadTypedModule once and hands the Module to
-// RunModuleTyped and RunModuleInter.
+// They report in the sim-critical packages only, but the facts are
+// module-wide, so an annotation in internal/sim is visible to a check
+// in internal/topo. The World also caches the dim tier's module-wide
+// solve (dimFindings, dimflow.go), run on the dim analyzer's first
+// package.
 
 import (
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path/filepath"
+	"slices"
 	"strings"
 )
-
-// InterAnalyzer is one named rule set run over a package with the
-// module-wide World in scope.
-type InterAnalyzer struct {
-	Name string
-	Doc  string
-	Run  func(*InterPass)
-}
-
-// InterPass is one interprocedural analyzer's view of one package.
-type InterPass struct {
-	Analyzer *InterAnalyzer
-	Pkg      *TypedPackage
-	World    *World
-	diags    *[]Diagnostic
-}
-
-// Reportf records a finding at pos.
-func (p *InterPass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Pkg.Fset.Position(pos)
-	*p.diags = append(*p.diags, Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		File:     position.Filename,
-		Line:     position.Line,
-		Col:      position.Column,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// TypeOf returns the type of e, or nil if the checker did not record one.
-func (p *InterPass) TypeOf(e ast.Expr) types.Type { return p.Pkg.Info.TypeOf(e) }
-
-// ObjectOf resolves an identifier through the Defs and Uses tables.
-func (p *InterPass) ObjectOf(id *ast.Ident) types.Object {
-	if o := p.Pkg.Info.Defs[id]; o != nil {
-		return o
-	}
-	return p.Pkg.Info.Uses[id]
-}
-
-// AllInter lists the interprocedural-tier analyzers.
-var AllInter = []*InterAnalyzer{Shardowned, Seedflow, Barrier}
-
-// selectInter resolves an -analyzers style selection against the
-// interprocedural suite; an empty selection means all.
-func selectInter(only []string) []*InterAnalyzer {
-	if len(only) == 0 {
-		return AllInter
-	}
-	var out []*InterAnalyzer
-	for _, a := range AllInter {
-		for _, n := range only {
-			if a.Name == n {
-				out = append(out, a)
-				break
-			}
-		}
-	}
-	return out
-}
 
 // The ownership and crossing directives. Both are doc-comment lines,
 // parsed with the same totality discipline as //ctmsvet:allow (the
@@ -165,8 +104,9 @@ type callSite struct {
 	call   *ast.CallExpr
 }
 
-// World is the module-wide fact base the interprocedural analyzers
-// share: annotations, the shard-reachability closure and the call graph.
+// World is the module-wide fact base of one RunModule run: the inter
+// tier's annotations, shard-reachability closure and call graph, and
+// the dim tier's solved findings.
 type World struct {
 	Mod *Module
 
@@ -178,10 +118,14 @@ type World struct {
 	edges map[types.Object]map[types.Object]bool // caller -> callees
 
 	reach map[types.Type]bool // memo: type reaches a shardowned type
+
+	dim []Diagnostic // the dim solve's findings; nil until first asked
 }
 
-// BuildWorld scans every package of the module once.
-func BuildWorld(mod *Module) *World {
+// newWorld starts a run's World. The inter facts are scanned from every
+// package of the module up front when as selects an inter analyzer, and
+// not at all otherwise.
+func newWorld(mod *Module, as []*Analyzer) *World {
 	w := &World{
 		Mod:        mod,
 		shardOwned: make(map[*types.TypeName]bool),
@@ -189,9 +133,11 @@ func BuildWorld(mod *Module) *World {
 		edges:      make(map[types.Object]map[types.Object]bool),
 		reach:      make(map[types.Type]bool),
 	}
-	for _, tp := range mod.Packages() {
-		w.scanAnnotations(tp)
-		w.scanCalls(tp)
+	if slices.ContainsFunc(as, func(a *Analyzer) bool { return a.Tier == TierInter }) {
+		for _, tp := range mod.Packages() {
+			w.scanAnnotations(tp)
+			w.scanCalls(tp)
+		}
 	}
 	return w
 }
@@ -199,7 +145,8 @@ func BuildWorld(mod *Module) *World {
 // scanAnnotations collects //ctmsvet:shardowned type marks and
 // //ctmsvet:crossing function marks, validating placement and shape.
 // Malformed directives become findings (attributed to the suite name,
-// like malformed allows) the moment the package enters a run's scope.
+// like malformed allows); run reports them in a package an inter analyzer
+// ran over.
 func (w *World) scanAnnotations(tp *TypedPackage) {
 	for _, f := range tp.Files {
 		for _, decl := range f.Decls {
@@ -303,7 +250,7 @@ func (w *World) scanCalls(tp *TypedPackage) {
 				if !ok {
 					return true
 				}
-				callee := w.calleeOf(tp, call)
+				callee := calleeObjectOf(tp, call)
 				if callee == nil {
 					return true
 				}
@@ -320,13 +267,6 @@ func (w *World) scanCalls(tp *TypedPackage) {
 			})
 		}
 	}
-}
-
-// calleeOf resolves a call expression to its function object, or nil
-// for calls through function values the graph cannot see into. The dim
-// tier shares the same resolution (calleeObjectOf, dimflow.go).
-func (w *World) calleeOf(tp *TypedPackage, call *ast.CallExpr) types.Object {
-	return calleeObjectOf(tp, call)
 }
 
 // Crossing reports the crossing annotation on a function object.
@@ -406,74 +346,4 @@ func (w *World) reaches(t types.Type, seen map[types.Type]bool) bool {
 		}
 	}
 	return false
-}
-
-// RunInter executes interprocedural analyzers over the scoped packages
-// of a loaded module, building the World once. scope is the set of
-// package directories to report on (nil means every package); the World
-// is always module-wide, so out-of-scope annotations still count.
-// //ctmsvet:allow suppression applies exactly as in the other tiers.
-func RunInter(mod *Module, scope map[string]bool, as []*InterAnalyzer) []Diagnostic {
-	w := BuildWorld(mod)
-	var diags []Diagnostic
-	var directives []directive
-	for _, tp := range mod.Packages() {
-		if scope != nil && !scope[tp.Dir] {
-			continue
-		}
-		for _, a := range as {
-			a.Run(&InterPass{Analyzer: a, Pkg: tp, World: w, diags: &diags})
-		}
-		directives = append(directives, collectDirectives(tp.Package)...)
-		for _, d := range w.malformed {
-			if filepath.Dir(d.File) == tp.Dir {
-				diags = append(diags, d)
-			}
-		}
-	}
-	diags = suppressDiagnostics(diags, directives)
-	sortDiagnostics(diags)
-	return diags
-}
-
-// simCriticalScope maps SimCriticalPackages onto absolute directories
-// under root, plus the root package itself for none — the
-// interprocedural tier guards the simulation core only, like the
-// determinism analyzer.
-func simCriticalScope(root string) map[string]bool {
-	scope := make(map[string]bool, len(SimCriticalPackages))
-	for _, dir := range SimCriticalPackages {
-		scope[filepath.Join(root, filepath.FromSlash(dir))] = true
-	}
-	return scope
-}
-
-// RunModuleInter runs the interprocedural tier — optionally restricted
-// to the named analyzers — over an already-loaded module with the repo
-// scoping rules (sim-critical packages only).
-func RunModuleInter(mod *Module, only ...string) ([]Diagnostic, error) {
-	if err := SelectNames(only); err != nil {
-		return nil, fmt.Errorf("ctmsvet: %w", err)
-	}
-	as := selectInter(only)
-	if len(as) == 0 {
-		return nil, nil
-	}
-	return RunInter(mod, simCriticalScope(mod.Root), as), nil
-}
-
-// RunRepoInter loads the module at root and runs the interprocedural
-// tier over its sim-critical packages.
-func RunRepoInter(root string, only ...string) ([]Diagnostic, error) {
-	if err := SelectNames(only); err != nil {
-		return nil, fmt.Errorf("ctmsvet: %w", err)
-	}
-	if len(selectInter(only)) == 0 {
-		return nil, nil
-	}
-	mod, err := LoadTypedModule(root)
-	if err != nil {
-		return nil, fmt.Errorf("ctmsvet: interprocedural pass: %w", err)
-	}
-	return RunModuleInter(mod, only...)
 }

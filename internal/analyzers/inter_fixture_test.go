@@ -1,64 +1,30 @@
 package analyzers
 
-import (
-	"path/filepath"
-	"sync"
-	"testing"
-)
+import "testing"
 
 // The interprocedural fixtures are a real, compiling mini-module
 // (testdata/inter, module interfix) with a stub sim package whose
-// Scheduler and RNG carry the //ctmsvet:shardowned annotations, loaded
-// once and shared across tests. The World is always built module-wide;
-// each test scopes reporting to its own fixture package, mirroring how
-// the repo run scopes to the sim-critical packages.
-var (
-	interFixtureOnce sync.Once
-	interFixtureMod  *Module
-	interFixtureErr  error
-)
-
-func loadInterFixture(t *testing.T) *Module {
-	t.Helper()
-	interFixtureOnce.Do(func() {
-		interFixtureMod, interFixtureErr = LoadTypedModule(filepath.Join("testdata", "inter"))
-	})
-	if interFixtureErr != nil {
-		t.Fatalf("load inter fixture module: %v", interFixtureErr)
-	}
-	return interFixtureMod
-}
-
-func runInterFixture(t *testing.T, pkgPath string, as ...*InterAnalyzer) {
-	t.Helper()
-	mod := loadInterFixture(t)
-	tp := mod.pkgs["interfix/"+pkgPath]
-	if tp == nil {
-		t.Fatalf("fixture package interfix/%s not loaded", pkgPath)
-	}
-	diags := RunInter(mod, map[string]bool{tp.Dir: true}, as)
-	matchWants(t, diags, parseWants(t, tp.Package))
-}
+// Scheduler and RNG carry the //ctmsvet:shardowned annotations.
 
 func TestShardownedFixture(t *testing.T) {
-	runInterFixture(t, "shardowned", Shardowned)
+	runModuleFixture(t, "inter", "shardowned", Shardowned)
 }
 
 func TestSeedflowFixture(t *testing.T) {
-	runInterFixture(t, "seedflow", Seedflow)
+	runModuleFixture(t, "inter", "seedflow", Seedflow)
 }
 
 func TestBarrierFixture(t *testing.T) {
-	runInterFixture(t, "barrier", Barrier)
+	runModuleFixture(t, "inter", "barrier", Barrier)
 }
 
 func TestBarrierFloorFixture(t *testing.T) {
-	runInterFixture(t, "barrierfloor", Barrier)
+	runModuleFixture(t, "inter", "barrierfloor", Barrier)
 }
 
 // TestCrossingDirectiveFixture: malformed //ctmsvet:crossing directives
-// are validated whenever the package is in scope, regardless of which
-// analyzers were selected.
+// are reported in every package an inter analyzer runs over, whichever
+// inter analyzer it is.
 func TestCrossingDirectiveFixture(t *testing.T) {
-	runInterFixture(t, "directives", Shardowned)
+	runModuleFixture(t, "inter", "directives", Shardowned)
 }

@@ -16,15 +16,7 @@ func TestRepoComesCleanInter(t *testing.T) {
 	if testing.Short() {
 		t.Skip("interprocedural pass loads the whole module; skipped under -short")
 	}
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatalf("module root: %v", err)
-	}
-	diags, err := RunRepoInter(root)
-	if err != nil {
-		t.Fatalf("RunRepoInter: %v", err)
-	}
-	for _, d := range diags {
+	for _, d := range runRealTree(t, "shardowned", "seedflow", "barrier") {
 		t.Errorf("repo finding: %s", d)
 	}
 }
@@ -122,10 +114,7 @@ func badPush(b *inbox, s *shard, m msg) {
 }
 `)
 
-	diags, err := RunRepoInter(root)
-	if err != nil {
-		t.Fatalf("RunRepoInter: %v", err)
-	}
+	diags := runScratch(t, root, "shardowned", "seedflow", "barrier")
 	type want struct {
 		analyzer, file string
 		line           int

@@ -24,9 +24,10 @@ import (
 //
 // Methods whose name ends in "Locked" are exempt from the hold check —
 // the convention is that their caller holds the lock.
-var Locking = &TypedAnalyzer{
+var Locking = &Analyzer{
 	Name: "locking",
 	Doc:  "fields marked `// guarded by <mu>` must only be touched with the named mutex held",
+	Tier: TierTyped,
 	Run:  runLocking,
 }
 
@@ -39,7 +40,7 @@ const (
 	lockUnclear                    // branches disagree; no reports either way
 )
 
-func runLocking(p *TypedPass) {
+func runLocking(p *Pass) {
 	guarded := collectGuarded(p)
 	for _, f := range p.Pkg.Files {
 		for _, decl := range f.Decls {
@@ -54,7 +55,7 @@ func runLocking(p *TypedPass) {
 // collectGuarded maps each field carrying a "guarded by <mu>" comment
 // to its guard's field name, validating that the guard is a sibling
 // sync.Mutex or sync.RWMutex.
-func collectGuarded(p *TypedPass) map[*types.Var]string {
+func collectGuarded(p *Pass) map[*types.Var]string {
 	out := make(map[*types.Var]string)
 	for _, f := range p.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -99,7 +100,7 @@ func guardComment(field *ast.Field) string {
 	return ""
 }
 
-func hasMutexSibling(p *TypedPass, st *ast.StructType, guard string) bool {
+func hasMutexSibling(p *Pass, st *ast.StructType, guard string) bool {
 	for _, field := range st.Fields.List {
 		for _, name := range field.Names {
 			if name.Name != guard {
@@ -156,11 +157,11 @@ func mergeLockEnvs(a, b lockEnv) lockEnv {
 }
 
 type lockWalker struct {
-	p       *TypedPass
+	p       *Pass
 	guarded map[*types.Var]string
 }
 
-func checkLockDiscipline(p *TypedPass, fd *ast.FuncDecl, guarded map[*types.Var]string) {
+func checkLockDiscipline(p *Pass, fd *ast.FuncDecl, guarded map[*types.Var]string) {
 	if len(guarded) == 0 {
 		return
 	}
@@ -454,7 +455,7 @@ func (w *lockWalker) checkAccess(sel *ast.SelectorExpr, env lockEnv) {
 
 // checkLockCopies flags by-value copies of lock-bearing structs: value
 // receivers, value parameters, and `x := *p` dereference copies.
-func checkLockCopies(p *TypedPass) {
+func checkLockCopies(p *Pass) {
 	for _, f := range p.Pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)

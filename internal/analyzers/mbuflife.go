@@ -27,9 +27,10 @@ import (
 // Pool.Free, and a chain freed twice. The nil-result contract of
 // AllocNoWait is modeled — `if ch == nil { return }` does not count as
 // a leak.
-var Mbuflife = &TypedAnalyzer{
+var Mbuflife = &Analyzer{
 	Name: "mbuflife",
 	Doc:  "chains from Pool.Alloc/AllocNoWait must be freed, returned, stored or handed off exactly once on every path",
+	Tier: TierTyped,
 	Run:  runMbuflife,
 }
 
@@ -58,11 +59,11 @@ func (e mbufEnv) clone() mbufEnv {
 }
 
 type mbufWalker struct {
-	p        *TypedPass
+	p        *Pass
 	reported map[token.Pos]bool // alloc sites already reported as leaks
 }
 
-func runMbuflife(p *TypedPass) {
+func runMbuflife(p *Pass) {
 	w := &mbufWalker{p: p, reported: make(map[token.Pos]bool)}
 	for _, f := range p.Pkg.Files {
 		for _, decl := range f.Decls {

@@ -2,7 +2,6 @@ package analyzers
 
 import (
 	"fmt"
-	"go/token"
 	"os"
 	"path/filepath"
 )
@@ -45,82 +44,29 @@ var SimCriticalExemptions = map[string]string{
 	"internal/analyzers": "the lint tool itself: runs at lint time, not inside a simulation; iterates maps and reads the filesystem by design",
 }
 
-// All lists every syntactic-tier analyzer, for scope policy and
-// tooling; AnalyzerNames (typed.go) spans all four tiers.
-var All = []*Analyzer{Determinism, Exhaustive}
-
-// selectSyntactic intersects a scope's analyzer list with an -analyzers
-// selection; an empty selection means everything.
-func selectSyntactic(only []string, as ...*Analyzer) []*Analyzer {
-	if len(only) == 0 {
-		return as
-	}
-	var out []*Analyzer
-	for _, a := range as {
-		for _, n := range only {
-			if a.Name == n {
-				out = append(out, a)
-				break
-			}
-		}
-	}
-	return out
-}
-
-// RunRepo runs the syntactic tier with its repo scoping rules, rooted
-// at the module root: determinism over the sim-critical packages only
-// (commands and the measurement harness legitimately read the host
-// clock); exhaustive over every package, since //ctmsvet:enum
-// registration is per-package and self-gating. Every package joining
-// the run also gets its //ctmsvet:allow directives validated — a
-// typo'd allow in a typed-tier-only package must not rot silently. An
-// optional selection restricts which analyzers run; the cross-package
-// Index is built from the sim-critical packages either way, so a
-// restricted run sees the same index a full run does.
-func RunRepo(root string, only ...string) ([]Diagnostic, error) {
-	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
-		return nil, fmt.Errorf("ctmsvet: %s is not a module root (no go.mod)", root)
-	}
-	if err := SelectNames(only); err != nil {
-		return nil, fmt.Errorf("ctmsvet: %w", err)
-	}
-	simCritical := make(map[string]bool)
+// repoScope is the repo's reporting rule for the module rooted at
+// root: determinism and the inter tier report only in the sim-critical
+// packages (commands and the measurement harness legitimately read the
+// host clock and spawn goroutines); dim reports in those plus the root
+// package, where the public Options/Session API carries the same rates;
+// exhaustive and the typed tier report everywhere — exhaustive only
+// fires on enums a package registered itself, so the wide scope costs
+// nothing where nothing is registered.
+func repoScope(root string) func(a *Analyzer, dir string) bool {
+	root = filepath.Clean(root)
+	simCritical := make(map[string]bool, len(SimCriticalPackages))
 	for _, dir := range SimCriticalPackages {
-		simCritical[filepath.Join(root, dir)] = true
+		simCritical[filepath.Join(root, filepath.FromSlash(dir))] = true
 	}
-	dirs, err := modulePackageDirs(root)
-	if err != nil {
-		return nil, err
+	return func(a *Analyzer, dir string) bool {
+		switch {
+		case a == Determinism || a.Tier == TierInter:
+			return simCritical[dir]
+		case a.Tier == TierDim:
+			return simCritical[dir] || dir == root
+		}
+		return true
 	}
-	fset := token.NewFileSet()
-	var pkgs []*Package
-	var targets []Target
-	for _, rel := range dirs {
-		dir := root
-		if rel != "." {
-			dir = filepath.Join(root, filepath.FromSlash(rel))
-		}
-		pkg, err := LoadPackage(fset, dir)
-		if err != nil {
-			return nil, err
-		}
-		if pkg == nil {
-			continue
-		}
-		// exhaustive runs everywhere: it only fires on switches over types
-		// a package registered itself (//ctmsvet:enum), so the wider scope
-		// costs nothing where nothing is registered
-		as := selectSyntactic(only, Exhaustive)
-		if simCritical[dir] {
-			as = selectSyntactic(only, Determinism, Exhaustive)
-			pkgs = append(pkgs, pkg)
-		}
-		targets = append(targets, NewTarget(pkg, as...))
-	}
-	if len(targets) == 0 {
-		return nil, fmt.Errorf("ctmsvet: no Go packages found under %s", root)
-	}
-	return Run(targets, BuildIndex(pkgs)), nil
 }
 
 // FindModuleRoot walks up from dir to the nearest directory containing

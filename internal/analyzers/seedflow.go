@@ -32,14 +32,15 @@ import (
 
 // Seedflow flags RNG constructions and uses that can break
 // fingerprint determinism.
-var Seedflow = &InterAnalyzer{
+var Seedflow = &Analyzer{
 	Name: "seedflow",
 	Doc:  "flag literal RNG seeds, RNGs shared by two consumers, and draws inside map iteration",
+	Tier: TierInter,
 	Run:  runSeedflow,
 }
 
-func runSeedflow(p *InterPass) {
-	// LoadPackage never parses _test.go files, so the "no literals
+func runSeedflow(p *Pass) {
+	// loadPackage never parses _test.go files, so the "no literals
 	// outside tests" scoping is structural: everything this pass sees
 	// is non-test code.
 	for _, f := range p.Pkg.Files {
@@ -53,7 +54,7 @@ func runSeedflow(p *InterPass) {
 	}
 }
 
-func checkSeedBody(p *InterPass, fd *ast.FuncDecl) {
+func checkSeedBody(p *Pass, fd *ast.FuncDecl) {
 	// locals maps simple `x := expr` definitions so seed-ness can be
 	// traced one level back through a local temporary (sim.RNG's own
 	// Fork builds its child seed in a local before calling NewRNG).
@@ -100,7 +101,7 @@ func checkSeedBody(p *InterPass, fd *ast.FuncDecl) {
 }
 
 // isNewRNGCall matches a call to func NewRNG in a package named sim.
-func isNewRNGCall(p *InterPass, call *ast.CallExpr) bool {
+func isNewRNGCall(p *Pass, call *ast.CallExpr) bool {
 	var id *ast.Ident
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -135,7 +136,7 @@ func isRNGType(t types.Type) bool {
 // provenance: an identifier or selector whose name mentions "seed", a
 // call to Fork or a mix/splitmix helper, or an arithmetic combination
 // of such parts. depth bounds back-substitution through locals.
-func seedDerived(p *InterPass, e ast.Expr, locals map[types.Object]ast.Expr, depth int) bool {
+func seedDerived(p *Pass, e ast.Expr, locals map[types.Object]ast.Expr, depth int) bool {
 	if depth > 4 || e == nil {
 		return false
 	}
@@ -189,7 +190,7 @@ func callName(call *ast.CallExpr) string {
 // to a call that is not one of the RNG's own methods, storing it into
 // a struct field, or placing it in a composite literal. More than one
 // handoff means two consumers share draw order; each should get a Fork.
-func checkRNGHandoffs(p *InterPass, fd *ast.FuncDecl) {
+func checkRNGHandoffs(p *Pass, fd *ast.FuncDecl) {
 	type handoff struct {
 		pos   ast.Node
 		count int
@@ -251,7 +252,7 @@ func checkRNGHandoffs(p *InterPass, fd *ast.FuncDecl) {
 
 // checkMapRangeDraws flags RNG method calls lexically inside a
 // range-over-map body.
-func checkMapRangeDraws(p *InterPass, fd *ast.FuncDecl) {
+func checkMapRangeDraws(p *Pass, fd *ast.FuncDecl) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		rng, ok := n.(*ast.RangeStmt)
 		if !ok {

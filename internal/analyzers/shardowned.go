@@ -30,13 +30,14 @@ import (
 )
 
 // Shardowned flags shard-owned state escaping its owning goroutine.
-var Shardowned = &InterAnalyzer{
+var Shardowned = &Analyzer{
 	Name: "shardowned",
 	Doc:  "flag //ctmsvet:shardowned state reaching globals, other goroutines, or unblessed mutex sections",
+	Tier: TierInter,
 	Run:  runShardowned,
 }
 
-func runShardowned(p *InterPass) {
+func runShardowned(p *Pass) {
 	for _, f := range p.Pkg.Files {
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
@@ -54,7 +55,7 @@ func runShardowned(p *InterPass) {
 
 // checkShardGlobals flags package-level variables that can reach
 // shard-owned state (rule 1).
-func checkShardGlobals(p *InterPass, d *ast.GenDecl) {
+func checkShardGlobals(p *Pass, d *ast.GenDecl) {
 	for _, spec := range d.Specs {
 		vs, ok := spec.(*ast.ValueSpec)
 		if !ok {
@@ -76,7 +77,7 @@ func checkShardGlobals(p *InterPass, d *ast.GenDecl) {
 }
 
 // checkShardBody walks one function for rules 2-5.
-func checkShardBody(p *InterPass, fd *ast.FuncDecl) {
+func checkShardBody(p *Pass, fd *ast.FuncDecl) {
 	locksMutex := false
 	var shardTouch ast.Node // first shard-reachable expression seen
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -119,7 +120,7 @@ func checkShardBody(p *InterPass, fd *ast.FuncDecl) {
 // package-level variables (rule 2). Field stores into locals stay
 // legal: ownership is about which goroutine can see the value, and a
 // local composite is still confined.
-func checkShardAssign(p *InterPass, as *ast.AssignStmt) {
+func checkShardAssign(p *Pass, as *ast.AssignStmt) {
 	for i, lhs := range as.Lhs {
 		if i >= len(as.Rhs) && len(as.Rhs) != 1 {
 			break
@@ -147,7 +148,7 @@ func checkShardAssign(p *InterPass, as *ast.AssignStmt) {
 // checkShardGo flags go statements that hand shard-reachable state to
 // the new goroutine (rule 3): by argument, by method receiver, or by
 // closure capture.
-func checkShardGo(p *InterPass, g *ast.GoStmt) {
+func checkShardGo(p *Pass, g *ast.GoStmt) {
 	for _, arg := range g.Call.Args {
 		if p.World.ShardReachable(p.TypeOf(arg)) {
 			p.Reportf(g.Pos(),
@@ -172,7 +173,7 @@ func checkShardGo(p *InterPass, g *ast.GoStmt) {
 // shardCapture finds a free identifier of the function literal whose
 // type is shard-reachable: a variable used inside the literal but
 // declared outside it.
-func shardCapture(p *InterPass, lit *ast.FuncLit) (*ast.Ident, types.Type) {
+func shardCapture(p *Pass, lit *ast.FuncLit) (*ast.Ident, types.Type) {
 	var found *ast.Ident
 	var foundType types.Type
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
@@ -201,7 +202,7 @@ func shardCapture(p *InterPass, lit *ast.FuncLit) (*ast.Ident, types.Type) {
 
 // isMutexLock reports whether the call is (*sync.Mutex).Lock/Unlock or
 // the RWMutex equivalents, on any receiver.
-func isMutexLock(p *InterPass, call *ast.CallExpr) bool {
+func isMutexLock(p *Pass, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return false

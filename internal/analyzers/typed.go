@@ -1,20 +1,15 @@
 package analyzers
 
-// This file is ctmsvet's second tier: a go/types-backed pass over the
-// real, compiling module. The syntactic tier (driver.go) stays as the
-// fast path — it runs in milliseconds and works on fixture packages
-// that never compile — while this tier type-checks the module with the
-// standard library's own machinery (go/types plus the go/importer
-// source importer; still zero external dependencies) and feeds the
-// dataflow analyzers that need real type identity: mbuflife, locking
-// and hotpath.
+// This file loads the module the typed, inter and dim tiers share:
+// every package type-checked once with the standard library's own
+// machinery (go/types plus the go/importer source importer; still zero
+// external dependencies). RunModule then runs any selection of those
+// tiers' analyzers over the one Module.
 //
 // Module-local import paths are resolved by mapping them onto
 // directories under the module root and type-checking recursively;
 // everything else (the standard library) is loaded from GOROOT source
-// by importer.ForCompiler(fset, "source", nil). Both tiers share the
-// Diagnostic type, the //ctmsvet:allow protocol and the sorting rules,
-// so cmd/ctmsvet can merge their findings into one report.
+// by importer.ForCompiler(fset, "source", nil).
 
 import (
 	"fmt"
@@ -30,49 +25,11 @@ import (
 
 // TypedPackage is one type-checked package: the parsed syntax plus the
 // go/types object and the expression-type tables the typed analyzers
-// query.
+// query. The syntactic tier's packages leave Types and Info nil.
 type TypedPackage struct {
 	*Package
 	Types *types.Package
 	Info  *types.Info
-}
-
-// TypedAnalyzer is one named rule set run over a type-checked package.
-type TypedAnalyzer struct {
-	Name string
-	Doc  string
-	Run  func(*TypedPass)
-}
-
-// TypedPass is one typed analyzer's view of one package.
-type TypedPass struct {
-	Analyzer *TypedAnalyzer
-	Pkg      *TypedPackage
-	diags    *[]Diagnostic
-}
-
-// Reportf records a finding at pos.
-func (p *TypedPass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Pkg.Fset.Position(pos)
-	*p.diags = append(*p.diags, Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		File:     position.Filename,
-		Line:     position.Line,
-		Col:      position.Column,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// TypeOf returns the type of e, or nil if the checker did not record
-// one.
-func (p *TypedPass) TypeOf(e ast.Expr) types.Type { return p.Pkg.Info.TypeOf(e) }
-
-// ObjectOf resolves an identifier through the Defs and Uses tables.
-func (p *TypedPass) ObjectOf(id *ast.Ident) types.Object {
-	if o := p.Pkg.Info.Defs[id]; o != nil {
-		return o
-	}
-	return p.Pkg.Info.Uses[id]
 }
 
 // Module is a type-checked view of one Go module, loaded without the go
@@ -123,7 +80,7 @@ func (m *Module) load(path string) (*TypedPackage, error) {
 	m.loading[path] = true
 	defer delete(m.loading, path)
 
-	pkg, err := LoadPackage(m.Fset, m.dirOf(path))
+	pkg, err := loadPackage(m.Fset, m.dirOf(path))
 	if err != nil {
 		return nil, err
 	}
@@ -252,116 +209,4 @@ func LoadTypedModule(root string) (*Module, error) {
 		}
 	}
 	return m, nil
-}
-
-// AllTyped lists the typed-tier analyzers.
-var AllTyped = []*TypedAnalyzer{Mbuflife, Locking, Hotpath}
-
-// AnalyzerNames returns the names of every analyzer in all four tiers, in
-// suite order. This is the -analyzers vocabulary and the known-set for
-// //ctmsvet:allow validation: a directive naming a typed analyzer must
-// stay valid even when only the syntactic tier runs.
-func AnalyzerNames() []string {
-	var names []string
-	for _, a := range All {
-		names = append(names, a.Name)
-	}
-	for _, a := range AllTyped {
-		names = append(names, a.Name)
-	}
-	for _, a := range AllInter {
-		names = append(names, a.Name)
-	}
-	names = append(names, DimAnalyzerName)
-	return names
-}
-
-func knownAnalyzers() map[string]bool {
-	known := make(map[string]bool)
-	for _, n := range AnalyzerNames() {
-		known[n] = true
-	}
-	return known
-}
-
-// selectTyped resolves an -analyzers style selection against the typed
-// suite; an empty selection means all. Unknown names are the caller's
-// problem (validated centrally by SelectNames).
-func selectTyped(only []string) []*TypedAnalyzer {
-	if len(only) == 0 {
-		return AllTyped
-	}
-	var out []*TypedAnalyzer
-	for _, a := range AllTyped {
-		for _, n := range only {
-			if a.Name == n {
-				out = append(out, a)
-				break
-			}
-		}
-	}
-	return out
-}
-
-// SelectNames validates an -analyzers selection against all tiers,
-// returning an error that lists the valid names for any unknown entry.
-func SelectNames(only []string) error {
-	known := knownAnalyzers()
-	for _, n := range only {
-		if !known[n] {
-			return fmt.Errorf("unknown analyzer %q (valid: %s)", n, strings.Join(AnalyzerNames(), ", "))
-		}
-	}
-	return nil
-}
-
-// RunTyped executes typed analyzers over the module's packages,
-// applies //ctmsvet:allow suppressions (validation is the syntactic
-// tier's job, so directives are not double-reported), and returns the
-// diagnostics sorted like Run's.
-func RunTyped(pkgs []*TypedPackage, as []*TypedAnalyzer) []Diagnostic {
-	var diags []Diagnostic
-	var directives []directive
-	for _, tp := range pkgs {
-		for _, a := range as {
-			a.Run(&TypedPass{Analyzer: a, Pkg: tp, diags: &diags})
-		}
-		directives = append(directives, collectDirectives(tp.Package)...)
-	}
-	diags = suppressDiagnostics(diags, directives)
-	sortDiagnostics(diags)
-	return diags
-}
-
-// RunRepoTyped loads the module at root and runs the typed tier —
-// optionally restricted to the named analyzers — over every package.
-func RunRepoTyped(root string, only ...string) ([]Diagnostic, error) {
-	if err := SelectNames(only); err != nil {
-		return nil, fmt.Errorf("ctmsvet: %w", err)
-	}
-	as := selectTyped(only)
-	if len(as) == 0 {
-		// A valid selection naming only syntactic analyzers: the typed
-		// tier has nothing to do, which is not an error.
-		return nil, nil
-	}
-	mod, err := LoadTypedModule(root)
-	if err != nil {
-		return nil, fmt.Errorf("ctmsvet: typed pass: %w", err)
-	}
-	return RunTyped(mod.Packages(), as), nil
-}
-
-// RunModuleTyped runs the typed tier over an already-loaded module, so
-// callers running both type-checked tiers (the CLI, ctmsbench) pay for
-// one load instead of two.
-func RunModuleTyped(mod *Module, only ...string) ([]Diagnostic, error) {
-	if err := SelectNames(only); err != nil {
-		return nil, fmt.Errorf("ctmsvet: %w", err)
-	}
-	as := selectTyped(only)
-	if len(as) == 0 {
-		return nil, nil
-	}
-	return RunTyped(mod.Packages(), as), nil
 }

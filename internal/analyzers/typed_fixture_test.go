@@ -1,51 +1,18 @@
 package analyzers
 
-import (
-	"path/filepath"
-	"sync"
-	"testing"
-)
+import "testing"
 
 // The typed fixtures are a real, compiling mini-module
-// (testdata/typed, module typedfix) with a stub kernel package, loaded
-// once and shared: the source importer pulls fmt and sync from GOROOT,
-// which dominates the cost.
-var (
-	typedFixtureOnce sync.Once
-	typedFixtureMod  *Module
-	typedFixtureErr  error
-)
-
-func loadTypedFixture(t *testing.T) *Module {
-	t.Helper()
-	typedFixtureOnce.Do(func() {
-		typedFixtureMod, typedFixtureErr = LoadTypedModule(filepath.Join("testdata", "typed"))
-	})
-	if typedFixtureErr != nil {
-		t.Fatalf("load typed fixture module: %v", typedFixtureErr)
-	}
-	return typedFixtureMod
-}
-
-func runTypedFixture(t *testing.T, pkgPath string, as ...*TypedAnalyzer) {
-	t.Helper()
-	mod := loadTypedFixture(t)
-	tp := mod.pkgs["typedfix/"+pkgPath]
-	if tp == nil {
-		t.Fatalf("fixture package typedfix/%s not loaded", pkgPath)
-	}
-	diags := RunTyped([]*TypedPackage{tp}, as)
-	matchWants(t, diags, parseWants(t, tp.Package))
-}
+// (testdata/typed, module typedfix) with a stub kernel package.
 
 func TestMbuflifeFixture(t *testing.T) {
-	runTypedFixture(t, "mbuflife", Mbuflife)
+	runModuleFixture(t, "typed", "mbuflife", Mbuflife)
 }
 
 func TestLockingFixture(t *testing.T) {
-	runTypedFixture(t, "locking", Locking)
+	runModuleFixture(t, "typed", "locking", Locking)
 }
 
 func TestHotpathFixture(t *testing.T) {
-	runTypedFixture(t, "hotpath", Hotpath)
+	runModuleFixture(t, "typed", "hotpath", Hotpath)
 }

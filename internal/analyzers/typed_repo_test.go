@@ -15,17 +15,40 @@ func TestRepoComesCleanTyped(t *testing.T) {
 	if testing.Short() {
 		t.Skip("typed pass loads the whole module; skipped under -short")
 	}
+	for _, d := range runRealTree(t, "mbuflife", "locking", "hotpath") {
+		t.Errorf("repo finding: %s", d)
+	}
+}
+
+// runRealTree runs the named analyzers over this repository with the
+// repo scope. The typed, inter and dim clean-tree tests share one
+// type-checked load of the tree.
+func runRealTree(t *testing.T, only ...string) []Diagnostic {
+	t.Helper()
 	root, err := FindModuleRoot(".")
 	if err != nil {
 		t.Fatalf("module root: %v", err)
 	}
-	diags, err := RunRepoTyped(root)
+	diags, err := RunModule(loadModule(t, root), only...)
 	if err != nil {
-		t.Fatalf("RunRepoTyped: %v", err)
+		t.Fatalf("RunModule: %v", err)
 	}
-	for _, d := range diags {
-		t.Errorf("repo finding: %s", d)
+	return diags
+}
+
+// runScratch type-checks the scratch module at root and runs the named
+// analyzers over it with the repo scope.
+func runScratch(t *testing.T, root string, only ...string) []Diagnostic {
+	t.Helper()
+	mod, err := LoadTypedModule(root)
+	if err != nil {
+		t.Fatalf("load %s: %v", root, err)
 	}
+	diags, err := RunModule(mod, only...)
+	if err != nil {
+		t.Fatalf("RunModule: %v", err)
+	}
+	return diags
 }
 
 // TestInjectedViolationsTyped is the typed acceptance check in reverse:
@@ -138,10 +161,7 @@ func Describe(n int) string {
 }
 `)
 
-	diags, err := RunRepoTyped(root)
-	if err != nil {
-		t.Fatalf("RunRepoTyped: %v", err)
-	}
+	diags := runScratch(t, root, "mbuflife", "locking", "hotpath")
 	type want struct {
 		analyzer, file string
 		line           int

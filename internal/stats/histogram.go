@@ -169,8 +169,9 @@ func coalescePeaks(peaks []float64, minGap float64) []float64 {
 	return out
 }
 
-// Samples returns a copy of the raw samples in insertion order is NOT
-// guaranteed; they may have been sorted by a quantile query.
+// Samples returns a copy of the raw samples. Their order is not
+// guaranteed to be insertion order: a quantile query may have sorted
+// them.
 func (h *Histogram) Samples() []float64 {
 	out := make([]float64, len(h.samples))
 	copy(out, h.samples)
