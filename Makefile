@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet lint lint-fast build test race race-shards bench-test bench-check bench-baseline api-check api-golden clean
+.PHONY: ci fmt vet lint lint-fast build examples test race race-shards bench-test bench-check bench-baseline api-check api-golden clean
 
-ci: fmt vet lint build race race-shards bench-test bench-check api-check
+ci: fmt vet lint build examples race race-shards bench-test bench-check api-check
 
 # gofmt drift anywhere in the tree, bench/ included, fails the build.
 fmt:
@@ -36,6 +36,17 @@ lint-fast:
 
 build:
 	$(GO) build ./...
+
+# The example programs and tapdump, run end to end: build only compiles
+# them, and any nonzero exit fails here. tapdump saves a short capture
+# and reads it back.
+EXAMPLES = quickstart cdaudio baseline toolcheck document
+
+examples:
+	for e in $(EXAMPLES); do $(GO) run ./examples/$$e > /dev/null || exit 1; done
+	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+		$(GO) run ./cmd/tapdump -seconds 2 -o "$$tmp/capture.ctap" > /dev/null && \
+		$(GO) run ./cmd/tapdump -i "$$tmp/capture.ctap" > /dev/null
 
 test:
 	$(GO) test ./...

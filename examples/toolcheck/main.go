@@ -23,8 +23,6 @@ func main() {
 
 	la := measure.NewLogicAnalyzer(sched)
 	pcat := measure.NewPCAT(sched, 42)
-	pcat.Wire(measure.P1VCAIRQ, 0)
-	pcat.Wire(measure.P2HandlerEntry, 1)
 	pd := measure.NewPseudoDev(k)
 
 	// A perfect 12 ms source, as the logic analyzer verified the VCA to
@@ -53,11 +51,12 @@ func main() {
 	}
 
 	fmt.Println("inter-occurrence of a source the logic analyzer proved exact:")
-	report("logic analyzer", la.Samples(measure.P1VCAIRQ))
-	report("PC/AT rig", pcat.Samples(measure.P1VCAIRQ))
-	report("pseudo-device", pd.Samples(measure.P2HandlerEntry))
+	pcatIRQ := pcat.Samples()[measure.P1VCAIRQ]
+	report("logic analyzer", la.Samples()[measure.P1VCAIRQ])
+	report("PC/AT rig", pcatIRQ)
+	report("pseudo-device", pd.Samples()[measure.P2HandlerEntry])
 
-	h := measure.InterOccurrence(pcat.Samples(measure.P1VCAIRQ), 2, "pcat")
+	h := measure.InterOccurrence(pcatIRQ, 2, "pcat")
 	spread := (h.Max() - h.Min()) / 2
 	fmt.Printf("\nPC/AT spread ±%.0f µs — the paper measured ±120 µs and derived a\n", spread)
 	fmt.Printf("60 µs worst-case polling loop; our model uses %v.\n", measure.PCATLoopMax)

@@ -357,7 +357,6 @@ func runE10(s Scale) *Comparison {
 	// logic-analyzer-verified 12 ms source and look at the spread.
 	sched := sim.NewScheduler()
 	pcat := measure.NewPCAT(sched, 42)
-	pcat.Wire(measure.P1VCAIRQ, 0)
 	la := measure.NewLogicAnalyzer(sched)
 	n := 5000
 	if s.Duration > 0 {
@@ -373,8 +372,8 @@ func runE10(s Scale) *Comparison {
 	sched.RunUntil(sim.Time(n) * 12 * sim.Millisecond)
 	pcat.Stop()
 
-	hLA := measure.InterOccurrence(la.Samples(measure.P1VCAIRQ), 2, "logic analyzer")
-	hPC := measure.InterOccurrence(pcat.Samples(measure.P1VCAIRQ), 2, "pcat")
+	hLA := measure.InterOccurrence(la.Samples()[measure.P1VCAIRQ], 2, "logic analyzer")
+	hPC := measure.InterOccurrence(pcat.Samples()[measure.P1VCAIRQ], 2, "pcat")
 	c.addf("VCA source (logic analyzer)", "12 ms, no detectable variation",
 		hLA.Min() == 12000 && hLA.Max() == 12000, "[%.1f, %.1f] µs", hLA.Min(), hLA.Max())
 	spread := (hPC.Max() - hPC.Min()) / 2
@@ -482,8 +481,11 @@ func runE13(s Scale) *Comparison {
 		// which is the interleaving the race needs: 30 s in, or a quarter
 		// of the way through a shorter run.
 		cfg.ForceInsertionAt = min(30*sim.Second, cfg.Duration/4)
-		r := mustRun(cfg)
-		ooo, _ := r.TapMonitor.SequenceCheck(func(capture []byte) (uint32, bool) {
+		r, tap, err := RunWithTAP(cfg)
+		if err != nil {
+			panic("core: experiment run failed: " + err.Error())
+		}
+		ooo, _ := tap.SequenceCheck(func(capture []byte) (uint32, bool) {
 			h, err := ctmspDecode(capture)
 			if err != nil {
 				return 0, false

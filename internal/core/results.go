@@ -6,9 +6,9 @@ import (
 
 	"repro/internal/ctmsp"
 	"repro/internal/measure"
+	"repro/internal/playout"
 	"repro/internal/ring"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/tradapter"
 )
 
@@ -26,17 +26,13 @@ type Results struct {
 	Sent      uint64
 	Delivered uint64
 	RxStats   ctmsp.RxStats
-	Playout   PlayoutStats
+	Playout   playout.Stats
 
 	// Substrate accounting.
-	Ring ring.Counters
-	TAP  measure.TAPStats
-	// TapMonitor is the live TAP capture for tools that want the raw
-	// per-frame records.
-	TapMonitor *measure.TAP
-	TxDriver   tradapter.Stats
-	TxCPUUtil  float64
-	RxCPUUtil  float64
+	Ring      ring.Counters
+	TxDriver  tradapter.Stats
+	TxCPUUtil float64
+	RxCPUUtil float64
 
 	Copies CopyLedger
 }
@@ -56,9 +52,6 @@ func (r *Results) DeliveredFraction() float64 {
 	}
 	return float64(r.Delivered) / float64(r.Sent)
 }
-
-// H returns one measured histogram by ID.
-func (r *Results) H(id measure.HistogramID) *stats.Histogram { return r.Hists.H[id] }
 
 // Report renders a human-readable summary of the run.
 func (r *Results) Report() string {

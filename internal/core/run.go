@@ -5,6 +5,7 @@ import (
 	"repro/internal/inet"
 	"repro/internal/kernel"
 	"repro/internal/measure"
+	"repro/internal/playout"
 	"repro/internal/ring"
 	"repro/internal/rtpc"
 	"repro/internal/session"
@@ -22,23 +23,35 @@ const tapCaptureLimit = 1 << 18
 // flushes into sim.TotalSimulated when a run returns), so Run needs no
 // bookkeeping here and mini-sims like the session layer's are counted too.
 func Run(cfg Config) (*Results, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Protocol == ProtocolStockUnix {
-		return runStock(cfg)
-	}
-	return runCTMSP(cfg)
+	r, _, err := run(cfg, false)
+	return r, err
 }
 
-// RunWithTAP runs the scenario and also returns the live TAP monitor so
-// callers can inspect the raw frame capture.
+// RunWithTAP runs the scenario with the TAP ring monitor attached and
+// also returns its raw frame capture. The monitor is a passive observer:
+// the results are exactly Run's.
 func RunWithTAP(cfg Config) (*Results, *measure.TAP, error) {
-	r, err := Run(cfg)
+	return run(cfg, true)
+}
+
+func run(cfg Config, withTAP bool) (*Results, *measure.TAP, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
+	}
+	e := buildEnv(cfg)
+	var tap *measure.TAP
+	if withTAP {
+		tap = measure.NewTAP(e.ring, tapCaptureLimit)
+	}
+	scenario := runCTMSP
+	if cfg.Protocol == ProtocolStockUnix {
+		scenario = runStock
+	}
+	r, err := scenario(e)
 	if err != nil {
 		return nil, nil, err
 	}
-	return r, r.TapMonitor, nil
+	return r, tap, nil
 }
 
 // env is the common scenario substrate.
@@ -47,7 +60,6 @@ type env struct {
 	sched *sim.Scheduler
 	rng   *sim.RNG
 	ring  *ring.Ring
-	tap   *measure.TAP
 
 	txK, rxK     *kernel.Kernel
 	txDrv, rxDrv *tradapter.Driver
@@ -121,18 +133,12 @@ func buildEnv(cfg Config) *env {
 		e.ring.Attach("pop")
 	}
 
-	e.tap = measure.NewTAP(e.ring, tapCaptureLimit)
-
 	// Instruments: the logic analyzer always watches (ground truth);
 	// the configured tool is what "the paper" reads.
 	e.truth = measure.NewLogicAnalyzer(e.sched)
 	switch cfg.Tool {
 	case ToolPCAT:
 		e.pcat = measure.NewPCAT(e.sched, cfg.Seed)
-		e.pcat.Wire(measure.P1VCAIRQ, 0)
-		e.pcat.Wire(measure.P2HandlerEntry, 1)
-		e.pcat.Wire(measure.P3PreTransmit, 2)
-		e.pcat.Wire(measure.P4RxClassified, 3)
 		e.rec = e.pcat
 	case ToolPseudoDev:
 		e.rec = measure.NewPseudoDev(e.txK)
@@ -159,61 +165,44 @@ func startKernelActivity(k *kernel.Kernel, rng *sim.RNG) {
 		400*sim.Millisecond, 300*sim.Microsecond, 3600*sim.Microsecond)
 }
 
-// startProtectedActivity schedules recurring kernel work done at splimp:
-// network-level interrupts wait for the whole block, higher levels (the
-// VCA) do not. mean is the exponential interarrival; each block's
+// startProtectedActivity schedules recurring protected kernel work (see
+// submitProtected). mean is the exponential interarrival; each block's
 // duration is uniform in [durLo, durHi].
 func startProtectedActivity(k *kernel.Kernel, rng *sim.RNG, mean, durLo, durHi sim.Time) {
-	cpu := k.CPU()
 	var arm func()
 	arm = func() {
 		k.Sched().After(rng.Exp(mean), func() {
-			dur := rng.Uniform(durLo, durHi)
-			var saved int
-			segs := []rtpc.Seg{
-				rtpc.Mark(func() { saved = cpu.Spl(kernel.LevelNet) }),
-			}
-			for dur > 0 {
-				c := 400 * sim.Microsecond
-				if dur < c {
-					c = dur
-				}
-				dur -= c
-				segs = append(segs, rtpc.Do(c))
-			}
-			segs = append(segs, rtpc.Mark(func() { cpu.SplX(saved) }))
-			cpu.Submit(kernel.LevelSoftNet, segs, nil)
+			submitProtected(k, rng.Uniform(durLo, durHi))
 			arm()
 		})
 	}
 	arm()
 }
 
-// startPhaseLockedScan runs a fixed-duration splnet-protected scan at an
-// exact period, starting at the given offset into the run.
+// startPhaseLockedScan runs a fixed-duration protected scan at an exact
+// period, starting at the given offset into the run.
 func startPhaseLockedScan(k *kernel.Kernel, period, offset, dur sim.Time) {
-	cpu := k.CPU()
-	run := func() {
-		var saved int
-		segs := []rtpc.Seg{
-			rtpc.Mark(func() { saved = cpu.Spl(kernel.LevelNet) }),
-		}
-		left := dur
-		for left > 0 {
-			c := 400 * sim.Microsecond
-			if left < c {
-				c = left
-			}
-			left -= c
-			segs = append(segs, rtpc.Do(c))
-		}
-		segs = append(segs, rtpc.Mark(func() { cpu.SplX(saved) }))
-		cpu.Submit(kernel.LevelSoftNet, segs, nil)
-	}
+	run := func() { submitProtected(k, dur) }
 	k.Sched().After(offset, func() {
 		run()
 		k.Sched().Every(period, run)
 	})
+}
+
+// submitProtected submits dur of kernel work done at splnet: network-level
+// interrupts wait for the whole block, higher levels (the VCA) do not.
+// The work runs in 400 µs chunks.
+func submitProtected(k *kernel.Kernel, dur sim.Time) {
+	cpu := k.CPU()
+	var saved int
+	segs := []rtpc.Seg{rtpc.Mark(func() { saved = cpu.Spl(kernel.LevelNet) })}
+	for dur > 0 {
+		c := min(dur, 400*sim.Microsecond)
+		dur -= c
+		segs = append(segs, rtpc.Do(c))
+	}
+	segs = append(segs, rtpc.Mark(func() { cpu.SplX(saved) }))
+	cpu.Submit(kernel.LevelSoftNet, segs, nil)
 }
 
 // record sends a probe event to both the configured tool and the truth
@@ -354,10 +343,40 @@ func (e *env) stopGens() {
 	}
 }
 
-// runCTMSP executes the prototype path.
-func runCTMSP(cfg Config) (*Results, error) {
-	e := buildEnv(cfg)
+// finish runs the scenario to its end: it starts the background and the
+// stream source, stops them at cfg.Duration, builds the histograms and
+// fills the results both protocols share. When the logic analyzer is the
+// configured tool, Hists is the truth set itself.
+func (e *env) finish(dev *vca.Device, play *playout.Playout) *Results {
+	cfg := e.cfg
+	e.addBackground()
+	dev.Start()
+	e.sched.RunUntil(cfg.Duration)
+	dev.Stop()
+	e.stopGens()
 
+	truth := measure.BuildHistograms(e.truth, cfg.HistogramBinWidth)
+	hists := truth
+	if e.rec != e.truth {
+		hists = measure.BuildHistograms(e.rec, cfg.HistogramBinWidth)
+	}
+	return &Results{
+		Config:    cfg,
+		Elapsed:   cfg.Duration,
+		Hists:     hists,
+		Truth:     truth,
+		Playout:   play.Finish(cfg.Duration),
+		Ring:      e.ring.Counters(),
+		TxDriver:  e.txDrv.Stats(),
+		TxCPUUtil: float64(e.txK.CPU().Stats().BusyTime) / float64(cfg.Duration),
+		RxCPUUtil: float64(e.rxK.CPU().Stats().BusyTime) / float64(cfg.Duration),
+		Copies:    CopiesFor(cfg),
+	}
+}
+
+// runCTMSP executes the prototype path.
+func runCTMSP(e *env) (*Results, error) {
+	cfg := e.cfg
 	conn, err := ctmsp.Dial(e.txK, e.txDrv, e.rxDrv.Station().Addr(), 1)
 	if err != nil {
 		return nil, err
@@ -382,7 +401,7 @@ func runCTMSP(cfg Config) (*Results, error) {
 	rxDrv := vca.NewRxDriver(e.rxK, e.rxDrv, recv, rxCfg)
 
 	streamBytesPerSec := float64(cfg.PacketBytes-ctmsp.HeaderSize) / cfg.Interval.Seconds()
-	playout := NewPlayout(streamBytesPerSec, cfg.PlayoutPrebuffer)
+	play := playout.New(streamBytesPerSec, cfg.PlayoutPrebuffer)
 
 	// Probe wiring.
 	dev.OnIRQ = func(tick uint64, _ sim.Time) { e.record(measure.P1VCAIRQ, uint32(tick)) }
@@ -391,7 +410,7 @@ func runCTMSP(cfg Config) (*Results, error) {
 	rxDrv.OnClassified = func(h ctmsp.Header, _ sim.Time) { e.record(measure.P4RxClassified, h.PacketNum) }
 	rxDrv.OnDelivered = func(h ctmsp.Header, at sim.Time, ev ctmsp.Event) {
 		if ev == ctmsp.InOrder || ev == ctmsp.Gap {
-			playout.Deliver(int(h.Length)-ctmsp.HeaderSize, at)
+			play.Deliver(int(h.Length)-ctmsp.HeaderSize, at)
 		}
 	}
 
@@ -400,28 +419,9 @@ func runCTMSP(cfg Config) (*Results, error) {
 		txDrv.PatchOutgoing = func(p *tradapter.Outgoing) { p.NoCopy = true }
 	}
 
-	e.addBackground()
-	dev.Start()
-	e.sched.RunUntil(cfg.Duration)
-	dev.Stop()
-	e.stopGens()
-
-	r := &Results{
-		Config:     cfg,
-		Elapsed:    cfg.Duration,
-		Hists:      measure.BuildHistograms(e.rec, cfg.HistogramBinWidth),
-		Truth:      measure.BuildHistograms(e.truth, cfg.HistogramBinWidth),
-		Sent:       txDrv.Stats().PacketsSent,
-		Delivered:  recv.Stats().InOrder + recv.Stats().Gaps,
-		RxStats:    recv.Stats(),
-		Playout:    playout.Finish(cfg.Duration),
-		Ring:       e.ring.Counters(),
-		TAP:        e.tap.Stats(),
-		TapMonitor: e.tap,
-		TxDriver:   e.txDrv.Stats(),
-		TxCPUUtil:  float64(e.txK.CPU().Stats().BusyTime) / float64(cfg.Duration),
-		RxCPUUtil:  float64(e.rxK.CPU().Stats().BusyTime) / float64(cfg.Duration),
-		Copies:     CopiesFor(cfg),
-	}
+	r := e.finish(dev, play)
+	r.Sent = txDrv.Stats().PacketsSent
+	r.RxStats = recv.Stats()
+	r.Delivered = r.RxStats.InOrder + r.RxStats.Gaps
 	return r, nil
 }

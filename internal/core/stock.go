@@ -3,6 +3,7 @@ package core
 import (
 	"repro/internal/kernel"
 	"repro/internal/measure"
+	"repro/internal/playout"
 	"repro/internal/rtpc"
 	"repro/internal/sim"
 	"repro/internal/vca"
@@ -70,8 +71,8 @@ func (r *stockRelay) kick() {
 }
 
 // runStock executes the unmodified-UNIX baseline of §1.
-func runStock(cfg Config) (*Results, error) {
-	e := buildEnv(cfg)
+func runStock(e *env) (*Results, error) {
+	cfg := e.cfg
 
 	txStack := e.stack(e.txK, e.txDrv)
 	rxStack := e.stack(e.rxK, e.rxDrv)
@@ -79,7 +80,7 @@ func runStock(cfg Config) (*Results, error) {
 	rconn := rxStack.RDTOpen(txStack.Addr())
 
 	streamBytesPerSec := float64(cfg.PacketBytes) / cfg.Interval.Seconds()
-	playout := NewPlayout(streamBytesPerSec, cfg.PlayoutPrebuffer)
+	play := playout.New(streamBytesPerSec, cfg.PlayoutPrebuffer)
 
 	queueCap := vca.DeviceBufferBytes / cfg.PacketBytes
 	if queueCap < 1 {
@@ -132,7 +133,7 @@ func runStock(cfg Config) (*Results, error) {
 			p.Syscall(devCost, func() {
 				delivered++
 				e.record(measure.P4RxClassified, item.num)
-				playout.Deliver(item.bytes, e.sched.Now())
+				play.Deliver(item.bytes, e.sched.Now())
 				done()
 			})
 		})
@@ -156,28 +157,9 @@ func runStock(cfg Config) (*Results, error) {
 	// the CTMSP driver-to-driver path).
 	dev.SetIRQ(stockIRQ)
 
-	e.addBackground()
-	dev.Start()
-	e.sched.RunUntil(cfg.Duration)
-	dev.Stop()
-	e.stopGens()
-
-	r := &Results{
-		Config:     cfg,
-		Elapsed:    cfg.Duration,
-		Hists:      measure.BuildHistograms(e.rec, cfg.HistogramBinWidth),
-		Truth:      measure.BuildHistograms(e.truth, cfg.HistogramBinWidth),
-		Sent:       sent,
-		Delivered:  delivered,
-		Playout:    playout.Finish(cfg.Duration),
-		Ring:       e.ring.Counters(),
-		TAP:        e.tap.Stats(),
-		TapMonitor: e.tap,
-		TxDriver:   e.txDrv.Stats(),
-		TxCPUUtil:  float64(e.txK.CPU().Stats().BusyTime) / float64(cfg.Duration),
-		RxCPUUtil:  float64(e.rxK.CPU().Stats().BusyTime) / float64(cfg.Duration),
-		Copies:     CopiesFor(cfg),
-	}
+	r := e.finish(dev, play)
+	r.Sent = sent
+	r.Delivered = delivered
 	r.RxStats.Received = delivered
 	r.RxStats.InOrder = delivered
 	if sent > delivered {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/measure"
@@ -44,6 +45,57 @@ func TestPseudoDevTool(t *testing.T) {
 	if r.TxCPUUtil <= r2.TxCPUUtil {
 		t.Fatalf("pseudo device must perturb the measured machine: %.4f vs %.4f",
 			r.TxCPUUtil, r2.TxCPUUtil)
+	}
+}
+
+// TestRunWithTAPIsPassive checks that the TAP monitor only observes:
+// RunWithTAP gives Run's results exactly, plus a capture of the ring, for
+// both protocols and every tool.
+func TestRunWithTAPIsPassive(t *testing.T) {
+	for _, base := range []Config{TestCaseB(), StockUnix(16_000)} {
+		for _, tool := range []Tool{ToolPCAT, ToolPseudoDev, ToolLogicAnalyzer} {
+			cfg := base
+			cfg.Duration = 5 * sim.Second
+			cfg.Tool = tool
+			plain, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tapped, tap, err := RunWithTAP(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(plain, tapped) {
+				t.Fatalf("%s/%v: the TAP changed the run:\n%s\nvs\n%s", cfg.Name, tool, plain.Report(), tapped.Report())
+			}
+			if n := len(tap.Entries()); n == 0 || uint64(n) < tapped.Ring.FramesSent {
+				t.Fatalf("%s/%v: capture holds %d frames, ring sent %d", cfg.Name, tool, n, tapped.Ring.FramesSent)
+			}
+		}
+	}
+}
+
+// TestLogicAnalyzerToolSharesTruth checks that when the logic analyzer is
+// the configured tool, its histograms are built once and serve as both
+// Hists and Truth.
+func TestLogicAnalyzerToolSharesTruth(t *testing.T) {
+	for _, cfg := range []Config{TestCaseA(), StockUnix(16_000)} {
+		cfg.Duration = 5 * sim.Second
+		cfg.Tool = ToolLogicAnalyzer
+		r, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Hists != r.Truth {
+			t.Fatalf("%s: Hists and Truth are separate builds", cfg.Name)
+		}
+		cfg.Tool = ToolPCAT
+		if r, err = Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if r.Hists == r.Truth {
+			t.Fatalf("%s: the PC/AT's histograms must not be the truth set", cfg.Name)
+		}
 	}
 }
 

@@ -92,10 +92,8 @@ type HistogramSet struct {
 // BuildHistograms assembles all seven §5.3 histograms from a recorder's
 // samples. Points the tool cannot see produce empty histograms.
 func BuildHistograms(rec Recorder, binWidth float64) *HistogramSet {
-	p1 := rec.Samples(P1VCAIRQ)
-	p2 := rec.Samples(P2HandlerEntry)
-	p3 := rec.Samples(P3PreTransmit)
-	p4 := rec.Samples(P4RxClassified)
+	s := rec.Samples()
+	p1, p2, p3, p4 := s[P1VCAIRQ], s[P2HandlerEntry], s[P3PreTransmit], s[P4RxClassified]
 
 	hs := &HistogramSet{}
 	hs.H[H1InterIRQ] = InterOccurrence(p1, binWidth, histLabels[H1InterIRQ])
@@ -108,29 +106,6 @@ func BuildHistograms(rec Recorder, binWidth float64) *HistogramSet {
 	return hs
 }
 
-// MultiRecorder fans probe events out to several tools at once, the way
-// the paper ran the PC/AT rig and the TAP monitor under one central
-// control point.
-type MultiRecorder struct {
-	Recorders []Recorder
-}
-
-// Record implements Recorder.
-func (m *MultiRecorder) Record(p Point, num uint32) {
-	for _, r := range m.Recorders {
-		r.Record(p, num)
-	}
-}
-
-// Samples implements Recorder by returning the first recorder's samples.
-func (m *MultiRecorder) Samples(p Point) []Sample {
-	if len(m.Recorders) == 0 {
-		return nil
-	}
-	return m.Recorders[0].Samples(p)
-}
-
-var _ Recorder = (*MultiRecorder)(nil)
 var _ Recorder = (*LogicAnalyzer)(nil)
 var _ Recorder = (*PseudoDev)(nil)
 var _ Recorder = (*PCAT)(nil)

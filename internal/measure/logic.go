@@ -18,8 +18,8 @@ func NewLogicAnalyzer(sched *sim.Scheduler) *LogicAnalyzer {
 
 // Record implements Recorder with an exact timestamp.
 func (l *LogicAnalyzer) Record(p Point, num uint32) {
-	l.samples[p] = append(l.samples[p], Sample{Point: p, Num: num, T: l.sched.Now()})
+	l.samples[p] = append(l.samples[p], Sample{Num: num, T: l.sched.Now()})
 }
 
 // Samples implements Recorder.
-func (l *LogicAnalyzer) Samples(p Point) []Sample { return l.samples[p] }
+func (l *LogicAnalyzer) Samples() [NumPoints][]Sample { return l.samples }

@@ -16,7 +16,7 @@ func TestLogicAnalyzerExact(t *testing.T) {
 	sched.At(100*sim.Microsecond, func() { la.Record(P1VCAIRQ, 0) })
 	sched.At(12100*sim.Microsecond, func() { la.Record(P1VCAIRQ, 1) })
 	sched.Run()
-	s := la.Samples(P1VCAIRQ)
+	s := la.Samples()[P1VCAIRQ]
 	if len(s) != 2 || s[0].T != 100*sim.Microsecond || s[1].T != 12100*sim.Microsecond {
 		t.Fatalf("logic analyzer must be exact: %+v", s)
 	}
@@ -29,7 +29,7 @@ func TestPseudoDevQuantizesAndPerturbs(t *testing.T) {
 	pd := NewPseudoDev(k)
 	sched.At(300*sim.Microsecond, func() { pd.Record(P2HandlerEntry, 0) })
 	sched.Run()
-	s := pd.Samples(P2HandlerEntry)
+	s := pd.Samples()[P2HandlerEntry]
 	if len(s) != 1 {
 		t.Fatal("sample lost")
 	}
@@ -41,20 +41,14 @@ func TestPseudoDevQuantizesAndPerturbs(t *testing.T) {
 	}
 	// The pseudo device cannot see the IRQ line.
 	pd.Record(P1VCAIRQ, 0)
-	if len(pd.Samples(P1VCAIRQ)) != 0 || pd.Dropped() != 1 {
+	if len(pd.Samples()[P1VCAIRQ]) != 0 || pd.Dropped() != 1 {
 		t.Fatal("P1 is hardware-only")
-	}
-	pd.SetEnabled(false)
-	pd.Record(P2HandlerEntry, 1)
-	if len(pd.Samples(P2HandlerEntry)) != 1 {
-		t.Fatal("disabled recorder must not record")
 	}
 }
 
 func TestPCATErrorBounds(t *testing.T) {
 	sched := sim.NewScheduler()
 	pcat := NewPCAT(sched, 1)
-	pcat.Wire(P1VCAIRQ, 0)
 	// A perfect 12 ms source, as §5.2.3's validation test.
 	for i := 0; i < 2000; i++ {
 		n := uint32(i)
@@ -63,7 +57,7 @@ func TestPCATErrorBounds(t *testing.T) {
 	// The marker repeater never drains the queue; bound the run.
 	sched.RunUntil(2000 * 12 * sim.Millisecond)
 	pcat.Stop()
-	s := pcat.Samples(P1VCAIRQ)
+	s := pcat.Samples()[P1VCAIRQ]
 	if len(s) != 2000 {
 		t.Fatalf("want 2000 samples, got %d", len(s))
 	}
@@ -83,7 +77,6 @@ func TestPCATRolloverReconstruction(t *testing.T) {
 	// marker must let the decoder reconstruct absolute times.
 	sched := sim.NewScheduler()
 	pcat := NewPCAT(sched, 2)
-	pcat.Wire(P3PreTransmit, 1)
 	times := []sim.Time{10 * sim.Millisecond, 500 * sim.Millisecond, 2 * sim.Second, 10 * sim.Second}
 	for i, at := range times {
 		n := uint32(i)
@@ -91,9 +84,12 @@ func TestPCATRolloverReconstruction(t *testing.T) {
 	}
 	sched.RunUntil(11 * sim.Second)
 	pcat.Stop()
-	s := pcat.Samples(P3PreTransmit)
+	s := pcat.Samples()[P3PreTransmit]
 	if len(s) != len(times) {
 		t.Fatalf("want %d samples, got %d", len(times), len(s))
+	}
+	if got := strobedChannels(pcat); got != 1<<P3PreTransmit {
+		t.Fatalf("P3 strobed channel mask %08b, want channel %d", got, P3PreTransmit)
 	}
 	for i, smp := range s {
 		err := smp.T - times[i]
@@ -109,7 +105,6 @@ func TestPCATDecodeProperty(t *testing.T) {
 	f := func(gaps []uint16) bool {
 		sched := sim.NewScheduler()
 		pcat := NewPCAT(sched, 3)
-		pcat.Wire(P4RxClassified, 2)
 		at := sim.Time(0)
 		var want []sim.Time
 		for i, gp := range gaps {
@@ -121,8 +116,8 @@ func TestPCATDecodeProperty(t *testing.T) {
 		}
 		sched.RunUntil(at + 100*sim.Millisecond)
 		pcat.Stop()
-		s := pcat.Samples(P4RxClassified)
-		if len(s) != len(want) {
+		s := pcat.Samples()[P4RxClassified]
+		if len(s) != len(want) || (len(s) > 0 && strobedChannels(pcat) != 1<<P4RxClassified) {
 			return false
 		}
 		for i := range s {
@@ -203,21 +198,28 @@ func TestInterOccurrence(t *testing.T) {
 	}
 }
 
+// One probe feeds two recorders, as a run feeds the logic analyzer and
+// the configured tool: both build all seven histograms from the same
+// events, the analyzer exactly and the PC/AT rig within its error.
 func TestBuildHistogramsAndMultiRecorder(t *testing.T) {
 	sched := sim.NewScheduler()
 	la := NewLogicAnalyzer(sched)
-	la2 := NewLogicAnalyzer(sched)
-	multi := &MultiRecorder{Recorders: []Recorder{la, la2}}
+	pcat := NewPCAT(sched, 4)
+	probe := func(p Point, n uint32) {
+		la.Record(p, n)
+		pcat.Record(p, n)
+	}
 	for i := 0; i < 50; i++ {
 		n := uint32(i)
 		base := sim.Time(i) * 12 * sim.Millisecond
-		sched.At(base, func() { multi.Record(P1VCAIRQ, n) })
-		sched.At(base+40*sim.Microsecond, func() { multi.Record(P2HandlerEntry, n) })
-		sched.At(base+2640*sim.Microsecond, func() { multi.Record(P3PreTransmit, n) })
-		sched.At(base+13380*sim.Microsecond, func() { multi.Record(P4RxClassified, n) })
+		sched.At(base, func() { probe(P1VCAIRQ, n) })
+		sched.At(base+40*sim.Microsecond, func() { probe(P2HandlerEntry, n) })
+		sched.At(base+2640*sim.Microsecond, func() { probe(P3PreTransmit, n) })
+		sched.At(base+13380*sim.Microsecond, func() { probe(P4RxClassified, n) })
 	}
-	sched.Run()
-	hs := BuildHistograms(multi, 100)
+	sched.RunUntil(51 * 12 * sim.Millisecond)
+	pcat.Stop()
+	hs := BuildHistograms(la, 100)
 	if hs.H[H1InterIRQ].Mean() != 12000 {
 		t.Fatalf("H1 mean %v", hs.H[H1InterIRQ].Mean())
 	}
@@ -231,12 +233,18 @@ func TestBuildHistogramsAndMultiRecorder(t *testing.T) {
 		t.Fatalf("H7 mean %v", hs.H[H7TxToRx].Mean())
 	}
 	// The second recorder saw everything too.
-	if len(la2.Samples(P4RxClassified)) != 50 {
-		t.Fatal("multi-recorder fan-out broken")
-	}
+	pc := BuildHistograms(pcat, 100)
 	for id := H1InterIRQ; id < NumHistograms; id++ {
 		if id.Label() == "" {
 			t.Fatal("histogram labels must exist")
+		}
+		want, got := hs.H[id], pc.H[id]
+		if got.N() != want.N() {
+			t.Fatalf("%s: PC/AT n=%d, analyzer n=%d", id.Label(), got.N(), want.N())
+		}
+		tol := (PCATLoopMax + PCATClockTick).Microseconds()
+		if d := got.Mean() - want.Mean(); d < -tol || d > tol {
+			t.Fatalf("%s: PC/AT mean %v, analyzer %v", id.Label(), got.Mean(), want.Mean())
 		}
 	}
 }
@@ -308,5 +316,40 @@ func TestTAPCaptureLimit(t *testing.T) {
 	sched.Run()
 	if len(tap.Entries()) != 3 || tap.Dropped() != 7 {
 		t.Fatalf("capture limit: %d entries, %d dropped", len(tap.Entries()), tap.Dropped())
+	}
+}
+
+// strobedChannels ORs the masks of the PC/AT's non-marker records.
+func strobedChannels(pcat *PCAT) uint8 {
+	var m uint8
+	for _, r := range pcat.Records() {
+		m |= r.Mask &^ (1 << PCATMarkerChannel)
+	}
+	return m
+}
+
+// Every point strobes its own channel, point p on channel p, carrying the
+// low 7 bits of the packet number.
+func TestPCATPointsStrobeOwnChannels(t *testing.T) {
+	sched := sim.NewScheduler()
+	pcat := NewPCAT(sched, 6)
+	for p := P1VCAIRQ; p < NumPoints; p++ {
+		pcat.Record(p, 0x80|uint32(10+p))
+	}
+	pcat.Stop()
+	recs := pcat.Records()
+	if len(recs) != int(NumPoints) {
+		t.Fatalf("%d records, want %d", len(recs), NumPoints)
+	}
+	for p, r := range recs {
+		if r.Mask != 1<<p || r.Vals[p] != uint8(10+p) {
+			t.Fatalf("P%d: mask %08b vals %v, want channel %d value %d", p+1, r.Mask, r.Vals, p, 10+p)
+		}
+	}
+	s := pcat.Samples()
+	for p := P1VCAIRQ; p < NumPoints; p++ {
+		if len(s[p]) != 1 || s[p][0].Num != uint32(10+p) {
+			t.Fatalf("%v samples %+v", p, s[p])
+		}
 	}
 }

@@ -41,7 +41,8 @@ type PCATRecord struct {
 // PCAT models the two-machine PC/AT measurement rig. Instrumented kernel
 // code writes a 7-bit value to a channel and toggles the strobe line;
 // the tool's polling loop timestamps it with the 2 µs clock after a
-// service delay bounded by the loop's execution time.
+// service delay bounded by the loop's execution time. Each measurement
+// point has its own channel: point p strobes channel p.
 //
 // The tool is external: it costs the measured machines nothing (the
 // in-line port write is folded into the instrumented code's existing
@@ -54,16 +55,6 @@ type PCAT struct {
 	records []PCATRecord
 	lastAt  sim.Time // service times are monotone: the loop reads in order
 	marker  *sim.Repeater
-	// chanPoint maps channels to measurement points for Recorder use.
-	chanPoint [PCATChannels]Point
-	wired     [PCATChannels]bool
-
-	// decoded caches DecodePCAT over the first decodedN records, so the
-	// points a histogram build asks for share one decode; records are only
-	// ever appended, so a longer log means the cache is stale.
-	decoded   [PCATChannels][]PCATEvent
-	decodeErr error
-	decodedN  int
 }
 
 // NewPCAT powers on the rig. The 50 Hz marker starts immediately.
@@ -78,22 +69,14 @@ func NewPCAT(sched *sim.Scheduler, seed int64) *PCAT {
 // Stop halts the marker (end of a measurement run).
 func (p *PCAT) Stop() { p.marker.Stop() }
 
-// Wire connects a measurement point to a channel, so the Recorder
-// interface can be used directly by the probe hooks.
-func (p *PCAT) Wire(point Point, channel int) {
-	sim.Checkf(channel >= 0 && channel < PCATChannels && channel != PCATMarkerChannel,
-		"channel %d not usable", channel)
-	p.chanPoint[channel] = point
-	p.wired[channel] = true
-}
-
-// Strobe is the instrumented-code entry: the last 7 bits of the packet
-// number are written to the channel and the strobe line is toggled. The
-// polling loop picks it up after its current iteration completes.
-func (p *PCAT) Strobe(channel int, val uint8) {
-	sim.Checkf(channel >= 0 && channel < PCATChannels, "bad channel %d", channel)
+// Record implements Recorder: the instrumented code writes the last 7
+// bits of the packet number to the point's channel and toggles the
+// strobe line. The polling loop picks it up after its current iteration
+// completes.
+func (p *PCAT) Record(point Point, num uint32) {
+	sim.Checkf(point >= 0 && point < NumPoints, "bad point %d", point)
 	delay := p.rng.Uniform(PCATLoopMin, PCATLoopMax)
-	p.capture(channel, val&0x7F, delay)
+	p.capture(int(point), uint8(num&0x7F), delay)
 }
 
 func (p *PCAT) capture(channel int, val uint8, delay sim.Time) {
@@ -110,33 +93,18 @@ func (p *PCAT) capture(channel int, val uint8, delay sim.Time) {
 	p.records = append(p.records, rec)
 }
 
-// Record implements Recorder for a wired point.
-func (p *PCAT) Record(point Point, num uint32) {
-	for ch := 0; ch < PCATChannels; ch++ {
-		if p.wired[ch] && p.chanPoint[ch] == point {
-			p.Strobe(ch, uint8(num&0x7F))
-			return
-		}
+// Samples implements Recorder by decoding the raw record stream once:
+// each point's samples are its channel's events.
+func (p *PCAT) Samples() [NumPoints][]Sample {
+	var out [NumPoints][]Sample
+	decoded, err := DecodePCAT(p.records)
+	if err != nil {
+		return out
 	}
-}
-
-// Samples implements Recorder by decoding the raw record stream. The
-// decode is cached until further records arrive.
-func (p *PCAT) Samples(point Point) []Sample {
-	if p.decodedN != len(p.records) {
-		p.decoded, p.decodeErr = DecodePCAT(p.records)
-		p.decodedN = len(p.records)
-	}
-	if p.decodeErr != nil {
-		return nil
-	}
-	var out []Sample
-	for ch := 0; ch < PCATChannels; ch++ {
-		if !p.wired[ch] || p.chanPoint[ch] != point {
-			continue
-		}
-		for _, ev := range p.decoded[ch] {
-			out = append(out, Sample{Point: point, Num: uint32(ev.Val), T: ev.T})
+	for pt := range out {
+		out[pt] = make([]Sample, len(decoded[pt]))
+		for i, ev := range decoded[pt] {
+			out[pt][i] = Sample{Num: uint32(ev.Val), T: ev.T}
 		}
 	}
 	return out

@@ -52,18 +52,17 @@ func (p Point) String() string {
 	return fmt.Sprintf("Point(%d)", int(p))
 }
 
-// Sample is one recorded event: a point, the packet (or tick) number it
-// belongs to, and a timestamp whose accuracy depends on the tool that
-// recorded it.
+// Sample is one recorded event: the packet (or tick) number it belongs
+// to, and a timestamp whose accuracy depends on the tool that recorded
+// it. The point is the index of the log it sits in.
 type Sample struct {
-	Point Point
-	Num   uint32
-	T     sim.Time
+	Num uint32
+	T   sim.Time
 }
 
 // Recorder is anything that can be attached to the probe hooks.
 type Recorder interface {
 	Record(p Point, num uint32)
-	// Samples returns everything recorded for a point, in record order.
-	Samples(p Point) []Sample
+	// Samples returns everything recorded, per point, in record order.
+	Samples() [NumPoints][]Sample
 }
