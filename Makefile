@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet lint lint-fast build examples test race race-shards bench-test bench-check bench-baseline api-check api-golden clean
+.PHONY: ci fmt vet lint lint-fast build examples examples-golden test race race-shards bench-test bench-check bench-baseline api-check api-golden clean
 
 ci: fmt vet lint build examples race race-shards bench-test bench-check api-check
 
@@ -37,16 +37,15 @@ lint-fast:
 build:
 	$(GO) build ./...
 
-# The example programs and tapdump, run end to end: build only compiles
-# them, and any nonzero exit fails here. tapdump saves a short capture
-# and reads it back.
-EXAMPLES = quickstart cdaudio baseline toolcheck document
-
+# The example programs and the tools (tapdump -o and -i, ringsim,
+# ctmsplot), run end to end: build only compiles them. Each one's stdout
+# must match its golden in examples/testdata/, and any difference or
+# nonzero exit fails here. examples-golden re-pins the goldens.
 examples:
-	for e in $(EXAMPLES); do $(GO) run ./examples/$$e > /dev/null || exit 1; done
-	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-		$(GO) run ./cmd/tapdump -seconds 2 -o "$$tmp/capture.ctap" > /dev/null && \
-		$(GO) run ./cmd/tapdump -i "$$tmp/capture.ctap" > /dev/null
+	bash examples/run.sh
+
+examples-golden:
+	bash examples/run.sh -update
 
 test:
 	$(GO) test ./...
