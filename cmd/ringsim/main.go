@@ -42,10 +42,7 @@ func main() {
 // queue-to-delivery latency for both.
 func sweep(stations int, seconds float64, size int, seed int64, offered float64, bitRate int64) (util float64, frames uint64, lo, hi *stats.Histogram) {
 	sched := sim.NewScheduler()
-	cfg := ring.DefaultConfig()
-	cfg.Seed = seed
-	cfg.BitRate = bitRate
-	r := ring.New(sched, cfg)
+	r := ring.New(sched, ring.Config{BitRate: bitRate, Seed: seed})
 
 	var senders []*ring.Station
 	for i := 0; i < stations; i++ {
@@ -59,7 +56,7 @@ func sweep(stations int, seconds float64, size int, seed int64, offered float64,
 	rng := sim.NewRNG(seed)
 
 	// Background: exponential arrivals totalling the offered load.
-	frameTime := sim.WireTime(size, cfg.BitRate)
+	frameTime := sim.WireTime(size, bitRate)
 	mean := sim.Scale(frameTime, 1/offered)
 	var arm func()
 	arm = func() {

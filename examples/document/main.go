@@ -27,12 +27,12 @@ func main() {
 	r := ring.New(sched, ring.DefaultConfig())
 
 	mk := func(name string, kind rtpc.MemoryKind) (*kernel.Kernel, *tradapter.Driver) {
-		m := rtpc.NewMachine(sched, name, rtpc.DefaultCostModel(), 7)
+		m := rtpc.NewMachine(sched, name, 7)
 		k := kernel.New(m)
 		st := r.Attach(name)
 		cfg := tradapter.DefaultConfig()
 		cfg.DMABufferKind = kind
-		drv := tradapter.New(k, st, cfg, tradapter.DefaultTiming())
+		drv := tradapter.New(k, st, cfg)
 		k.Register(drv)
 		return k, drv
 	}
@@ -59,12 +59,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fileServer := afs.NewServer(inet.NewStack(afsK, afsDrv, inet.DefaultCosts()), afs.NewDisk(sched))
+	fileServer := afs.NewServer(inet.NewStack(afsK, afsDrv), afs.NewDisk(sched))
 	fileServer.Put("/afs/itc/documents/demo.ctms", encoded)
 
 	// The CTMS server is an AFS client: it fetches the document over the
 	// ring, decodes it, then streams it.
-	cacheMgr := afs.NewClient(inet.NewStack(serverK, serverDrv, inet.DefaultCosts()), afsDrv.Station().Addr())
+	cacheMgr := afs.NewClient(inet.NewStack(serverK, serverDrv), afsDrv.Station().Addr())
 	sched.RunUntil(200 * sim.Millisecond) // let the AFS hello land
 
 	var stored *media.Document

@@ -18,7 +18,7 @@ func main() {
 	const pulses = 5000
 
 	sched := sim.NewScheduler()
-	m := rtpc.NewMachine(sched, "host", rtpc.DefaultCostModel(), 1)
+	m := rtpc.NewMachine(sched, "host", 1)
 	k := kernel.New(m)
 
 	la := measure.NewLogicAnalyzer(sched)

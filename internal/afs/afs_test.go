@@ -26,12 +26,12 @@ func newAFSRig(t *testing.T, clientNames ...string) *afsRig {
 	sched := sim.NewScheduler()
 	r := ring.New(sched, ring.DefaultConfig())
 	mkStack := func(name string) (*kernel.Kernel, *inet.Stack) {
-		m := rtpc.NewMachine(sched, name, rtpc.DefaultCostModel(), 17)
+		m := rtpc.NewMachine(sched, name, 17)
 		k := kernel.New(m)
 		st := r.Attach(name)
-		drv := tradapter.New(k, st, tradapter.StockConfig(), tradapter.DefaultTiming())
+		drv := tradapter.New(k, st, tradapter.StockConfig())
 		k.Register(drv)
-		return k, inet.NewStack(k, drv, inet.DefaultCosts())
+		return k, inet.NewStack(k, drv)
 	}
 	_, srvStack := mkStack("fileserver")
 	disk := NewDisk(sched)
@@ -210,12 +210,12 @@ func TestFetchGeneratesFileTransferClassTraffic(t *testing.T) {
 		}
 	})
 	mkStack := func(name string) *inet.Stack {
-		m := rtpc.NewMachine(sched, name, rtpc.DefaultCostModel(), 3)
+		m := rtpc.NewMachine(sched, name, 3)
 		k := kernel.New(m)
 		st := r.Attach(name)
-		drv := tradapter.New(k, st, tradapter.StockConfig(), tradapter.DefaultTiming())
+		drv := tradapter.New(k, st, tradapter.StockConfig())
 		k.Register(drv)
-		return inet.NewStack(k, drv, inet.DefaultCosts())
+		return inet.NewStack(k, drv)
 	}
 	srv := NewServer(mkStack("srv"), NewDisk(sched))
 	srv.Put("/compile-output", bytes.Repeat([]byte("obj"), 20_000)) // 60 KB

@@ -290,7 +290,7 @@ func runE7(s Scale) *Comparison {
 		sched.RunUntil(dur)
 		g.Stop()
 		perSec := float64(g.Frames()) / dur.Seconds()
-		want := util * 4_000_000 / 8 / 20
+		want := util * ring.DefaultBitRate / 8 / 20
 		label := fmt.Sprintf("MAC interrupts/s at %.1f%% ring load", 100*util)
 		paper := "50/s at 0.2%, 250/s at 1.0%"
 		c.addf(label, paper, within(perSec, want*0.8, want*1.2), "%.0f/s", perSec)
@@ -510,9 +510,9 @@ func runE13(s Scale) *Comparison {
 func dmaInterferenceProbe(kind rtpc.MemoryKind) float64 {
 	run := func(withDMA bool) sim.Time {
 		sched := sim.NewScheduler()
-		cpu := rtpc.NewCPU(sched, "probe", rtpc.DefaultCostModel().DMASysInterference)
+		cpu := rtpc.NewCPU(sched, "probe")
 		if withDMA {
-			dma := rtpc.NewDMA(cpu, rtpc.DefaultCostModel())
+			dma := rtpc.NewDMA(cpu)
 			var feed func()
 			feed = func() { dma.Transfer(2000, kind, feed) }
 			feed()

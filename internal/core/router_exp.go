@@ -64,12 +64,12 @@ func simulateE14(s Scale) e14Run {
 	rt := router.NewPair(sched, "router", r0, r1, seed)
 
 	mk := func(name string, rg *ring.Ring, kind rtpc.MemoryKind) (*kernel.Kernel, *tradapter.Driver) {
-		m := rtpc.NewMachine(sched, name, rtpc.DefaultCostModel(), seed)
+		m := rtpc.NewMachine(sched, name, seed)
 		k := kernel.New(m)
 		st := rg.Attach(name)
 		cfg := tradapter.DefaultConfig()
 		cfg.DMABufferKind = kind
-		drv := tradapter.New(k, st, cfg, tradapter.DefaultTiming())
+		drv := tradapter.New(k, st, cfg)
 		k.Register(drv)
 		return k, drv
 	}

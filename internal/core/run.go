@@ -81,7 +81,7 @@ func (e *env) stack(k *kernel.Kernel, drv *tradapter.Driver) *inet.Stack {
 	if s, ok := e.stacks[k]; ok {
 		return s
 	}
-	s := inet.NewStack(k, drv, inet.DefaultCosts())
+	s := inet.NewStack(k, drv)
 	e.stacks[k] = s
 	return s
 }
@@ -111,10 +111,10 @@ func buildEnv(cfg Config) *env {
 	trCfg.UnprotectedQueueBug = cfg.DriverRaceBug
 
 	mkHost := func(name string, trCfg tradapter.Config) (*kernel.Kernel, *tradapter.Driver) {
-		m := rtpc.NewMachine(e.sched, name, rtpc.DefaultCostModel(), cfg.Seed)
+		m := rtpc.NewMachine(e.sched, name, cfg.Seed)
 		k := kernel.New(m)
 		st := e.ring.Attach(name)
-		drv := tradapter.New(k, st, trCfg, tradapter.DefaultTiming())
+		drv := tradapter.New(k, st, trCfg)
 		k.Register(drv)
 		return k, drv
 	}
@@ -259,11 +259,11 @@ func (e *env) addBackground() {
 		// traffic "an artifact of the test set up" and blames it for
 		// part of Figure 5-2's second peak).
 		control := e.ring.Attach("control")
-		ctlM := rtpc.NewMachine(e.sched, "control", rtpc.DefaultCostModel(), cfg.Seed)
+		ctlM := rtpc.NewMachine(e.sched, "control", cfg.Seed)
 		ctlK := kernel.New(ctlM)
-		ctlDrv := tradapter.New(ctlK, control, tradapter.StockConfig(), tradapter.DefaultTiming())
+		ctlDrv := tradapter.New(ctlK, control, tradapter.StockConfig())
 		ctlK.Register(ctlDrv)
-		inet.NewStack(ctlK, ctlDrv, inet.DefaultCosts())
+		inet.NewStack(ctlK, ctlDrv)
 
 		txStack := e.stack(e.txK, e.txDrv)
 		rxStack := e.stack(e.rxK, e.rxDrv)
@@ -396,7 +396,6 @@ func runCTMSP(e *env) (*Results, error) {
 	rxCfg := vca.RxConfig{
 		CopyToMbufs:  cfg.RxCopyToMbufs,
 		CopyToDevice: cfg.RxCopyToVCA,
-		ExamineCost:  40 * sim.Microsecond,
 	}
 	rxDrv := vca.NewRxDriver(e.rxK, e.rxDrv, recv, rxCfg)
 

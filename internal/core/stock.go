@@ -88,13 +88,12 @@ func runStock(e *env) (*Results, error) {
 	}
 
 	var sent uint64
-	cost := e.txK.Machine.Cost
 
 	// Transmit relay: read(vca) → write(socket).
 	txRelay := newStockRelay(e.txK, "relay-tx", queueCap, nil)
 	txRelay.consume = func(item stockItem, done func()) {
 		p := txRelay.proc
-		copyCost := sim.PerByte(cost.CPUCopyUser, item.bytes)
+		copyCost := sim.PerByte(rtpc.CPUCopyUser, item.bytes)
 		p.Syscall(copyCost, func() {
 			p.Syscall(copyCost, func() {
 				e.record(measure.P3PreTransmit, item.num)
@@ -127,8 +126,8 @@ func runStock(e *env) (*Results, error) {
 	rxRelay := newStockRelay(e.rxK, "relay-rx", 64, nil)
 	rxRelay.consume = func(item stockItem, done func()) {
 		p := rxRelay.proc
-		copyCost := sim.PerByte(cost.CPUCopyUser, item.bytes)
-		devCost := sim.PerByte(cost.CPUCopyDevice, item.bytes)
+		copyCost := sim.PerByte(rtpc.CPUCopyUser, item.bytes)
+		devCost := sim.PerByte(rtpc.CPUCopyDevice, item.bytes)
 		p.Syscall(copyCost, func() {
 			p.Syscall(devCost, func() {
 				delivered++

@@ -116,7 +116,7 @@ func (a *ARP) input(rcv *tradapter.Received) []rtpc.Seg {
 	return []rtpc.Seg{
 		a.s.k.Machine.CopySeg(rcv.Size, rcv.Buffer.Kind, rtpc.SystemMemory),
 		rcv.ReleaseSeg(),
-		rtpc.Then(a.s.costs.IPInput, func() {
+		rtpc.Then(IPInput, func() {
 			out, ok := f.Payload.(*tradapter.Outgoing)
 			if !ok {
 				return

@@ -68,12 +68,12 @@ func inetPair(t *testing.T) (*sim.Scheduler, *ring.Ring, *inetHost, *inetHost) {
 	sched := sim.NewScheduler()
 	r := ring.New(sched, ring.DefaultConfig())
 	mk := func(name string) *inetHost {
-		m := rtpc.NewMachine(sched, name, rtpc.DefaultCostModel(), 3)
+		m := rtpc.NewMachine(sched, name, 3)
 		k := kernel.New(m)
 		st := r.Attach(name)
-		drv := tradapter.New(k, st, tradapter.StockConfig(), tradapter.DefaultTiming())
+		drv := tradapter.New(k, st, tradapter.StockConfig())
 		k.Register(drv)
-		return &inetHost{k: k, drv: drv, stack: NewStack(k, drv, DefaultCosts())}
+		return &inetHost{k: k, drv: drv, stack: NewStack(k, drv)}
 	}
 	return sched, r, mk("a"), mk("b")
 }

@@ -69,28 +69,18 @@ func DecodeIPHeader(b []byte) (IPHeader, error) {
 	}, nil
 }
 
-// Costs are the per-packet CPU costs of the stack.
-type Costs struct {
+// The per-packet CPU costs of the stack: 1990-class software figures.
+const (
 	// IPOutput covers route lookup, header build and checksum.
-	IPOutput sim.Time
+	IPOutput = 180 * sim.Microsecond
 	// IPInput covers validation and demux.
-	IPInput sim.Time
+	IPInput = 140 * sim.Microsecond
 	// TransportSeg covers transport-layer processing per segment.
-	TransportSeg sim.Time
+	TransportSeg = 260 * sim.Microsecond
 	// ARPLookup is a cache hit; a miss additionally queues the packet
 	// and emits a request frame.
-	ARPLookup sim.Time
-}
-
-// DefaultCosts returns 1990-class software costs.
-func DefaultCosts() Costs {
-	return Costs{
-		IPOutput:     180 * sim.Microsecond,
-		IPInput:      140 * sim.Microsecond,
-		TransportSeg: 260 * sim.Microsecond,
-		ARPLookup:    15 * sim.Microsecond,
-	}
-}
+	ARPLookup = 15 * sim.Microsecond
+)
 
 // Datagram is one transport message travelling through the stack.
 type Datagram struct {
@@ -104,12 +94,11 @@ type Datagram struct {
 
 // Stack is one machine's IP instance bound to its Token Ring driver.
 type Stack struct {
-	k     *kernel.Kernel
-	drv   *tradapter.Driver
-	addr  ring.Addr
-	costs Costs
-	arp   *ARP
-	ipID  uint16
+	k    *kernel.Kernel
+	drv  *tradapter.Driver
+	addr ring.Addr
+	arp  *ARP
+	ipID uint16
 
 	// listeners by protocol
 	rdt   map[ring.Addr]*RDTConn
@@ -130,13 +119,12 @@ type StackStats struct {
 
 // NewStack builds the IP instance and installs its receive handlers on
 // the driver's split point.
-func NewStack(k *kernel.Kernel, drv *tradapter.Driver, costs Costs) *Stack {
+func NewStack(k *kernel.Kernel, drv *tradapter.Driver) *Stack {
 	s := &Stack{
-		k:     k,
-		drv:   drv,
-		addr:  drv.Station().Addr(),
-		costs: costs,
-		rdt:   make(map[ring.Addr]*RDTConn),
+		k:    k,
+		drv:  drv,
+		addr: drv.Station().Addr(),
+		rdt:  make(map[ring.Addr]*RDTConn),
 	}
 	s.arp = newARP(s)
 	drv.SetHandler(tradapter.ClassIP, s.ipInput)
@@ -174,8 +162,8 @@ func (s *Stack) output(dg *Datagram, done func()) {
 	total := IPHeaderSize + dg.Bytes
 
 	segs := []rtpc.Seg{
-		rtpc.Do(s.costs.IPOutput),
-		rtpc.Do(s.costs.ARPLookup),
+		rtpc.Do(IPOutput),
+		rtpc.Do(ARPLookup),
 		rtpc.Mark(func() {
 			ch := s.k.Pool.AllocNoWait(total)
 			if ch == nil {
@@ -226,7 +214,7 @@ func (s *Stack) ipInput(rcv *tradapter.Received) []rtpc.Seg {
 	segs := s.k.Machine.CopySegs(s.prog[:0], rcv.Size, rcv.Buffer.Kind, rtpc.SystemMemory)
 	s.prog = append(segs,
 		rcv.ReleaseSeg(),
-		rtpc.Then(s.costs.IPInput, func() {
+		rtpc.Then(IPInput, func() {
 			out, ok := f.Payload.(*tradapter.Outgoing)
 			if !ok {
 				s.stats.Dropped++

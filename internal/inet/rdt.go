@@ -141,7 +141,7 @@ func (c *RDTConn) transmit(seg *rdtSeg, isRetransmit bool) {
 	dg.IP = IPHeader{Proto: ProtoRDT, Src: c.s.addr, Dst: c.peer}
 	// Transport processing cost, then the IP output path.
 	c.s.k.CPU().Submit(kernel.LevelSoftNet, []rtpc.Seg{
-		rtpc.Do(c.s.costs.TransportSeg),
+		rtpc.Do(TransportSeg),
 		rtpc.Mark(func() {
 			c.s.output(dg, seg.done)
 			seg.done = nil
@@ -206,7 +206,7 @@ func (c *RDTConn) sendAck() {
 	ack := &Datagram{Bytes: rdtAckSize, Ack: true, AckNum: c.rcvNext}
 	ack.IP = IPHeader{Proto: ProtoRDT, Src: c.s.addr, Dst: c.peer}
 	c.s.k.CPU().Submit(kernel.LevelSoftNet, []rtpc.Seg{
-		rtpc.Do(c.s.costs.TransportSeg / 2),
+		rtpc.Do(TransportSeg / 2),
 		rtpc.Mark(func() { c.s.output(ack, nil) }),
 	}, nil)
 }

@@ -39,10 +39,9 @@ func (p *Proc) Name() string { return p.name }
 //
 //ctmsvet:hotpath
 func (p *Proc) userSegs(cost sim.Time) []rtpc.Seg {
-	chunk := p.k.Costs.UserChunk
 	segs := p.prog[:0]
 	for cost > 0 {
-		c := chunk
+		c := UserChunk
 		if cost < c {
 			c = cost
 		}
@@ -71,11 +70,10 @@ func (p *Proc) Compute(cost sim.Time, done func()) {
 //ctmsvet:hotpath
 func (p *Proc) Syscall(body sim.Time, done func()) {
 	p.Syscalls++
-	c := p.k.Costs
 	p.prog = append(p.prog[:0],
-		rtpc.Do(c.SyscallEntry),
+		rtpc.Do(SyscallEntry),
 		rtpc.Do(body),
-		rtpc.Do(c.SyscallExit),
+		rtpc.Do(SyscallExit),
 	)
 	p.k.CPU().Submit(LevelBase, p.prog, done)
 }
@@ -102,11 +100,10 @@ func (p *Proc) Wakeup() {
 	fn := p.wakeFn
 	p.wakeFn = nil
 	p.Wakeups++
-	c := p.k.Costs
 	sleptAt := p.sleptAt
 	segs := []rtpc.Seg{
-		rtpc.Do(c.WakeupLatency),
-		rtpc.Do(c.ContextSwitch),
+		rtpc.Do(WakeupLatency),
+		rtpc.Do(ContextSwitch),
 	}
 	p.k.CPU().Submit(LevelBase, segs, func() {
 		d := p.k.Sched().Now() - sleptAt

@@ -10,7 +10,7 @@ import (
 
 func newKernel() (*sim.Scheduler, *Kernel) {
 	sched := sim.NewScheduler()
-	m := rtpc.NewMachine(sched, "test", rtpc.DefaultCostModel(), 1)
+	m := rtpc.NewMachine(sched, "test", 1)
 	return sched, New(m)
 }
 
@@ -64,7 +64,7 @@ func TestProcSyscallCosts(t *testing.T) {
 	var doneAt sim.Time
 	p.Syscall(100*sim.Microsecond, func() { doneAt = sched.Now() })
 	sched.Run()
-	want := k.Costs.SyscallEntry + 100*sim.Microsecond + k.Costs.SyscallExit
+	want := SyscallEntry + 100*sim.Microsecond + SyscallExit
 	if doneAt != want {
 		t.Fatalf("syscall cost: got %v want %v", doneAt, want)
 	}
@@ -85,7 +85,7 @@ func TestProcComputeIsPreemptible(t *testing.T) {
 	})
 	sched.Run()
 	latency := entry - sim.Millisecond
-	if latency > k.Costs.UserChunk {
+	if latency > UserChunk {
 		t.Fatalf("user compute blocked an interrupt for %v", latency)
 	}
 }
@@ -123,7 +123,7 @@ func TestWakeupPaysSchedulingCosts(t *testing.T) {
 	p.Sleep(func() { wokeAt = sched.Now() })
 	p.Wakeup()
 	sched.Run()
-	want := k.Costs.WakeupLatency + k.Costs.ContextSwitch
+	want := WakeupLatency + ContextSwitch
 	if wokeAt != want {
 		t.Fatalf("wakeup should cost %v, took %v", want, wokeAt)
 	}

@@ -200,12 +200,12 @@ func newMediaRig(t *testing.T) *mediaRig {
 	sched := sim.NewScheduler()
 	r := ring.New(sched, ring.DefaultConfig())
 	mk := func(name string, kind rtpc.MemoryKind) (*kernel.Kernel, *tradapter.Driver) {
-		m := rtpc.NewMachine(sched, name, rtpc.DefaultCostModel(), 5)
+		m := rtpc.NewMachine(sched, name, 5)
 		k := kernel.New(m)
 		st := r.Attach(name)
 		cfg := tradapter.DefaultConfig()
 		cfg.DMABufferKind = kind
-		drv := tradapter.New(k, st, cfg, tradapter.DefaultTiming())
+		drv := tradapter.New(k, st, cfg)
 		k.Register(drv)
 		return k, drv
 	}

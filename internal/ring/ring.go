@@ -6,36 +6,34 @@ import (
 	"repro/internal/sim"
 )
 
-// Config sets the physical parameters of the ring.
-type Config struct {
-	// BitRate is the signalling rate; the paper's ring runs at 4 Mbit/s.
-	BitRate int64
+// The ring's physical constants.
+const (
+	// DefaultBitRate is the paper's signalling rate: 4 Mbit/s.
+	DefaultBitRate = 4_000_000
 	// StationLatency is the per-station repeat delay (≈1 bit plus elastic
 	// buffer). With 70 stations this contributes ~20–40 µs of ring latency.
-	StationLatency sim.Time
+	StationLatency = 300 * sim.Nanosecond // ~1.2 bits per station
 	// CableLatency is the propagation delay around the cable itself.
-	CableLatency sim.Time
+	CableLatency = 5 * sim.Microsecond
 	// TokenOverhead is the fixed cost of capturing a free token.
-	TokenOverhead sim.Time
+	TokenOverhead = 30 * sim.Microsecond
 	// PurgeDuration is the outage caused by one Ring Purge (token lost,
 	// purge MAC frame circulates, new token issued) — ~10 ms per the
 	// paper's §5.3 analysis of the 120–130 ms outliers.
-	PurgeDuration sim.Time
+	PurgeDuration = 10 * sim.Millisecond
+)
+
+// Config sets the ring's rate and jitter stream.
+type Config struct {
+	// BitRate is the signalling rate; the paper's ring runs at 4 Mbit/s.
+	BitRate int64
 	// Seed drives the token-wait jitter stream.
 	Seed int64
 }
 
-// DefaultConfig returns the parameters of the paper's ring: 4 Mbit/s,
-// 70 stations' worth of repeat latency, 10 ms purge outage.
+// DefaultConfig returns the parameters of the paper's ring: 4 Mbit/s.
 func DefaultConfig() Config {
-	return Config{
-		BitRate:        4_000_000,
-		StationLatency: 300 * sim.Nanosecond, // ~1.2 bits per station
-		CableLatency:   5 * sim.Microsecond,
-		TokenOverhead:  30 * sim.Microsecond,
-		PurgeDuration:  10 * sim.Millisecond,
-		Seed:           1,
-	}
+	return Config{BitRate: DefaultBitRate, Seed: 1}
 }
 
 // Tap observes every frame on the ring (data and MAC), as IBM's TAP
@@ -107,9 +105,6 @@ type Ring struct {
 // New creates a ring driven by sched.
 func New(sched *sim.Scheduler, cfg Config) *Ring {
 	sim.Checkf(cfg.BitRate > 0, "ring bit rate must be positive")
-	if cfg.PurgeDuration <= 0 {
-		cfg.PurgeDuration = DefaultConfig().PurgeDuration
-	}
 	r := &Ring{
 		sched: sched,
 		cfg:   cfg,
@@ -196,7 +191,7 @@ func (r *Ring) ReservedBits() int64 { return r.reserved }
 // WireTime reports how long a frame of n bytes occupies the ring,
 // including per-station repeat and cable latency.
 func (r *Ring) WireTime(n int) sim.Time {
-	lat := sim.Time(len(r.stations))*r.cfg.StationLatency + r.cfg.CableLatency
+	lat := sim.Time(len(r.stations))*StationLatency + CableLatency
 	return sim.WireTime(n, r.cfg.BitRate) + lat
 }
 
@@ -296,8 +291,8 @@ func (r *Ring) start(req *txRequest) {
 	}
 	// Token acquisition: fixed overhead plus jitter for where the token
 	// happens to be on the ring.
-	rotation := sim.Time(len(r.stations))*r.cfg.StationLatency + r.cfg.CableLatency
-	tokenWait := r.cfg.TokenOverhead + r.rng.Uniform(0, rotation)
+	rotation := sim.Time(len(r.stations))*StationLatency + CableLatency
+	tokenWait := TokenOverhead + r.rng.Uniform(0, rotation)
 	if w := now - req.queued + tokenWait; w > r.c.QueueWaitMax {
 		r.c.QueueWaitMax = w
 	}
@@ -400,7 +395,7 @@ func (req *txRequest) done(s DeliveryStatus) {
 func (r *Ring) Purge() {
 	now := r.sched.Now()
 	r.c.PurgeCount++
-	r.sched.Trace().AddEvent(now, EvPurge, int64(r.c.PurgeCount), int64(r.cfg.PurgeDuration))
+	r.sched.Trace().AddEvent(now, EvPurge, int64(r.c.PurgeCount), int64(PurgeDuration))
 	for _, fn := range r.purgeHooks {
 		fn(now)
 	}
@@ -410,7 +405,7 @@ func (r *Ring) Purge() {
 		r.busy = false
 		r.finishPurged(req)
 	}
-	end := now + r.cfg.PurgeDuration
+	end := now + PurgeDuration
 	if r.purging && end <= r.purgeEnd {
 		return
 	}
@@ -467,7 +462,7 @@ func (r *Ring) Insertion(purges int) {
 	r.c.InsertionSeen++
 	r.sched.Trace().AddEvent(r.sched.Now(), EvInsertion, int64(purges), 0)
 	for i := 0; i < purges; i++ {
-		d := sim.Time(i) * r.cfg.PurgeDuration
+		d := sim.Time(i) * PurgeDuration
 		r.sched.After(d, r.Purge)
 	}
 }

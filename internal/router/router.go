@@ -41,7 +41,7 @@ const DefaultSwitchCost = 180 * sim.Microsecond
 // station and setting the Outgoing's routed fields (RoutedRing 2), and
 // vice versa.
 func NewPair(sched *sim.Scheduler, name string, r0, r1 *ring.Ring, seed int64) [2]*Half {
-	k := kernel.New(rtpc.NewMachine(sched, name, rtpc.DefaultCostModel(), seed))
+	k := kernel.New(rtpc.NewMachine(sched, name, seed))
 	a := newHalf(k, name+"-p0", r0, 0, 2)
 	b := newHalf(k, name+"-p1", r1, 1, 2)
 	a.Forward, b.Forward = b.Inject, a.Inject

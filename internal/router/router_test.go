@@ -33,14 +33,14 @@ func newTwoRings(t *testing.T) *twoRingRig {
 	rt := NewPair(sched, "router", r0, r1, 9)
 
 	mk := func(name string, rg *ring.Ring) (*kernel.Kernel, *tradapter.Driver) {
-		m := rtpc.NewMachine(sched, name, rtpc.DefaultCostModel(), 9)
+		m := rtpc.NewMachine(sched, name, 9)
 		k := kernel.New(m)
 		st := rg.Attach(name)
 		c := tradapter.DefaultConfig()
 		if name != "src" {
 			c.DMABufferKind = rtpc.SystemMemory
 		}
-		drv := tradapter.New(k, st, c, tradapter.DefaultTiming())
+		drv := tradapter.New(k, st, c)
 		k.Register(drv)
 		return k, drv
 	}

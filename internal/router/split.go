@@ -93,7 +93,7 @@ type HalfStats struct {
 // NewHalf builds one port of a split bridge on its own machine attached
 // to rg, which is internetwork ring ringIdx of rings total.
 func NewHalf(sched *sim.Scheduler, name string, rg *ring.Ring, ringIdx, rings int, seed int64) *Half {
-	return newHalf(kernel.New(rtpc.NewMachine(sched, name, rtpc.DefaultCostModel(), seed)), name, rg, ringIdx, rings)
+	return newHalf(kernel.New(rtpc.NewMachine(sched, name, seed)), name, rg, ringIdx, rings)
 }
 
 // newHalf attaches a half running on kernel k to rg.
@@ -108,7 +108,7 @@ func newHalf(k *kernel.Kernel, name string, rg *ring.Ring, ringIdx, rings int) *
 	st := rg.Attach(name)
 	cfg := tradapter.DefaultConfig()
 	cfg.DMABufferKind = rtpc.SystemMemory // routers copy; keep DMA fast
-	h.drv = tradapter.New(k, st, cfg, tradapter.DefaultTiming())
+	h.drv = tradapter.New(k, st, cfg)
 	for _, class := range []tradapter.Class{tradapter.ClassCTMSP, tradapter.ClassIP, tradapter.ClassARP} {
 		class := class
 		h.drv.SetHandler(class, func(rcv *tradapter.Received) []rtpc.Seg {

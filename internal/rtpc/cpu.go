@@ -85,7 +85,6 @@ type CPU struct {
 	free    []*task // recycled task objects
 
 	sysDMAActive int // DMA engines currently targeting system memory
-	interference float64
 
 	stats CPUStats
 }
@@ -94,15 +93,14 @@ type CPU struct {
 // many tasks as can be simultaneously pending plus stacked.
 const maxFreeTasks = 256
 
-// NewCPU creates a CPU driven by sched. interference is the fractional
-// slowdown applied to segment execution per active system-memory DMA.
-func NewCPU(sched *sim.Scheduler, name string, interference float64) *CPU {
+// NewCPU creates a CPU driven by sched. Each active system-memory DMA
+// slows segment execution by DMASysInterference.
+func NewCPU(sched *sim.Scheduler, name string) *CPU {
 	c := &CPU{
-		sched:        sched,
-		name:         name,
-		interference: interference,
-		mask:         -1,
-		free:         make([]*task, 0, maxFreeTasks),
+		sched: sched,
+		name:  name,
+		mask:  -1,
+		free:  make([]*task, 0, maxFreeTasks),
 	}
 	c.kickFn = func() {
 		c.kick = false
@@ -335,8 +333,8 @@ func (c *CPU) runSeg() {
 	t.next++
 
 	dur := seg.Cost
-	if c.sysDMAActive > 0 && c.interference > 0 {
-		dur = sim.Scale(dur, 1+c.interference*float64(c.sysDMAActive))
+	if c.sysDMAActive > 0 {
+		dur = sim.Scale(dur, 1+DMASysInterference*float64(c.sysDMAActive))
 	}
 	c.inSeg = true
 	c.stats.SegsRun++

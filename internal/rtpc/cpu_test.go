@@ -9,7 +9,7 @@ import (
 
 func newCPU() (*sim.Scheduler, *CPU) {
 	sched := sim.NewScheduler()
-	return sched, NewCPU(sched, "cpu", 0.3)
+	return sched, NewCPU(sched, "cpu")
 }
 
 func TestTaskRunsSegmentsInOrder(t *testing.T) {
@@ -201,8 +201,7 @@ func TestSpliceOutsideActionPanics(t *testing.T) {
 
 func TestDMAInterferenceSlowsCPU(t *testing.T) {
 	sched, cpu := newCPU()
-	cost := DefaultCostModel()
-	dma := NewDMA(cpu, cost)
+	dma := NewDMA(cpu)
 
 	// Start a long DMA into system memory, then a CPU segment.
 	dma.Transfer(5000, SystemMemory, nil)
@@ -217,8 +216,7 @@ func TestDMAInterferenceSlowsCPU(t *testing.T) {
 
 func TestIOChannelDMADoesNotSlowCPU(t *testing.T) {
 	sched, cpu := newCPU()
-	cost := DefaultCostModel()
-	dma := NewDMA(cpu, cost)
+	dma := NewDMA(cpu)
 	dma.Transfer(5000, IOChannelMemory, nil)
 	var doneAt sim.Time
 	cpu.Submit(1, []Seg{Do(1000 * sim.Microsecond)}, func() { doneAt = sched.Now() })
@@ -230,14 +228,13 @@ func TestIOChannelDMADoesNotSlowCPU(t *testing.T) {
 
 func TestDMASerializesTransfers(t *testing.T) {
 	sched, cpu := newCPU()
-	cost := DefaultCostModel()
-	dma := NewDMA(cpu, cost)
+	dma := NewDMA(cpu)
 	var ends []sim.Time
 	dma.Transfer(1000, IOChannelMemory, func() { ends = append(ends, sched.Now()) })
 	dma.Transfer(1000, IOChannelMemory, func() { ends = append(ends, sched.Now()) })
 	sched.Run()
-	per := cost.DMACost(1000, IOChannelMemory)
-	if per <= cost.DMACost(1000, SystemMemory) {
+	per := DMACost(1000, IOChannelMemory)
+	if per <= DMACost(1000, SystemMemory) {
 		t.Fatal("IO Channel Bus DMA should be slower than system-memory DMA")
 	}
 	if len(ends) != 2 || ends[0] != per || ends[1] != 2*per {
@@ -249,14 +246,13 @@ func TestDMASerializesTransfers(t *testing.T) {
 }
 
 func TestCopyCostModel(t *testing.T) {
-	c := DefaultCostModel()
-	if got := c.CopyCost(2000, SystemMemory, IOChannelMemory); got != 2*sim.Millisecond {
+	if got := CopyCost(2000, SystemMemory, IOChannelMemory); got != 2*sim.Millisecond {
 		t.Fatalf("2000-byte copy into IO Channel Memory must cost 2000µs (the paper's 1µs/byte), got %v", got)
 	}
-	if c.CopyCost(100, SystemMemory, SystemMemory) >= c.CopyCost(100, SystemMemory, IOChannelMemory) {
+	if CopyCost(100, SystemMemory, SystemMemory) >= CopyCost(100, SystemMemory, IOChannelMemory) {
 		t.Fatal("system-to-system copies should be cheaper than crossing the IOCC")
 	}
-	if c.CopyCost(100, DeviceMemory, SystemMemory) <= c.CopyCost(100, SystemMemory, IOChannelMemory) {
+	if CopyCost(100, DeviceMemory, SystemMemory) <= CopyCost(100, SystemMemory, IOChannelMemory) {
 		t.Fatal("byte-wide device IO should be the slowest path")
 	}
 }
@@ -299,7 +295,7 @@ func TestDispatchWaitAccounting(t *testing.T) {
 
 func TestMachineHelpers(t *testing.T) {
 	sched := sim.NewScheduler()
-	m := NewMachine(sched, "tx", DefaultCostModel(), 42)
+	m := NewMachine(sched, "tx", 42)
 	seg := m.CopySeg(1000, SystemMemory, IOChannelMemory)
 	if seg.Cost != sim.Millisecond {
 		t.Fatalf("CopySeg cost wrong: %v", seg.Cost)
@@ -312,7 +308,7 @@ func TestMachineHelpers(t *testing.T) {
 	}
 	// Two machines with the same seed but different names draw different
 	// jitter streams.
-	m2 := NewMachine(sched, "rx", DefaultCostModel(), 42)
+	m2 := NewMachine(sched, "rx", 42)
 	same := true
 	for i := 0; i < 16; i++ {
 		if m.Jitter(sim.Millisecond) != m2.Jitter(sim.Millisecond) {
@@ -325,7 +321,7 @@ func TestMachineHelpers(t *testing.T) {
 }
 
 func TestCopySegsAppendsChunks(t *testing.T) {
-	m := NewMachine(sim.NewScheduler(), "tx", DefaultCostModel(), 42)
+	m := NewMachine(sim.NewScheduler(), "tx", 42)
 	head := Do(7 * sim.Microsecond)
 	segs := m.CopySegs([]Seg{head}, 900, SystemMemory, IOChannelMemory)
 	want := []sim.Time{7 * sim.Microsecond, 400 * sim.Microsecond, 400 * sim.Microsecond, 100 * sim.Microsecond}
@@ -346,7 +342,7 @@ func TestCopySegsAppendsChunks(t *testing.T) {
 // transfer off its FIFO and its prebuilt end callback.
 func TestDMATransferDoesNotAllocate(t *testing.T) {
 	sched, cpu := newCPU()
-	dma := NewDMA(cpu, DefaultCostModel())
+	dma := NewDMA(cpu)
 	n := 0
 	done := func() { n++ }
 	cycle := func() {

@@ -8,7 +8,6 @@ import "repro/internal/sim"
 // IO Channel Memory proceeds entirely on the IO Channel Bus.
 type DMA struct {
 	cpu     *CPU
-	cost    CostModel
 	busy    bool
 	queue   sim.FIFO[dmaXfer]
 	started uint64
@@ -29,8 +28,8 @@ type dmaXfer struct {
 
 // NewDMA creates a DMA engine attached to the machine's CPU for
 // interference accounting.
-func NewDMA(cpu *CPU, cost CostModel) *DMA {
-	return &DMA{cpu: cpu, cost: cost}
+func NewDMA(cpu *CPU) *DMA {
+	return &DMA{cpu: cpu}
 }
 
 // Busy reports whether a transfer is in progress.
@@ -68,7 +67,7 @@ func (d *DMA) pump() {
 	if d.endFn == nil {
 		d.endFn = d.end //ctmsvet:allow hotpath built once per engine, on its first transfer
 	}
-	d.cpu.Scheduler().After(d.cost.DMACost(x.n, x.target), d.endFn)
+	d.cpu.Scheduler().After(DMACost(x.n, x.target), d.endFn)
 }
 
 // end completes the in-flight transfer and starts the next queued one.

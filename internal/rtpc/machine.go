@@ -2,12 +2,11 @@ package rtpc
 
 import "repro/internal/sim"
 
-// Machine bundles one RT/PC: a CPU, its cost model, and a per-machine
-// random stream for code-path cost jitter.
+// Machine bundles one RT/PC: a CPU and a per-machine random stream for
+// code-path cost jitter.
 type Machine struct {
 	Name string
 	CPU  *CPU
-	Cost CostModel
 
 	sched *sim.Scheduler
 	rng   *sim.RNG
@@ -16,11 +15,10 @@ type Machine struct {
 // NewMachine builds a machine driven by sched. The RNG stream is derived
 // from seed and the machine name, so adding a machine does not perturb
 // the others.
-func NewMachine(sched *sim.Scheduler, name string, cost CostModel, seed int64) *Machine {
+func NewMachine(sched *sim.Scheduler, name string, seed int64) *Machine {
 	return &Machine{
 		Name:  name,
-		CPU:   NewCPU(sched, name, cost.DMASysInterference),
-		Cost:  cost,
+		CPU:   NewCPU(sched, name),
 		sched: sched,
 		rng:   sim.NewRNG(seed).Fork("machine/" + name),
 	}
@@ -34,13 +32,13 @@ func (m *Machine) RNG() *sim.RNG { return m.rng }
 
 // NewDMA creates a DMA engine on this machine.
 func (m *Machine) NewDMA() *DMA {
-	return NewDMA(m.CPU, m.Cost)
+	return NewDMA(m.CPU)
 }
 
 // CopySeg builds a CPU segment that models copying n bytes between
 // memories.
 func (m *Machine) CopySeg(n int, src, dst MemoryKind) Seg {
-	return Do(m.Cost.CopyCost(n, src, dst))
+	return Do(CopyCost(n, src, dst))
 }
 
 // copyChunkBytes slices large copies into segments of this many bytes.

@@ -40,36 +40,36 @@ func (m MemoryKind) String() string {
 	return fmt.Sprintf("MemoryKind(%d)", uint8(m))
 }
 
-// CostModel holds the calibrated data-movement costs. All per-byte values
+// The calibrated data-movement costs (DESIGN.md §5). All per-byte values
 // are simulated time per byte.
-type CostModel struct {
+const (
 	// CPUCopySys is a CPU copy within system memory (mbuf shuffling,
 	// copyin/copyout).
 	//
 	//ctmsvet:unit s/byte
-	CPUCopySys sim.Time
+	CPUCopySys = 400 * sim.Nanosecond
 	// CPUCopyIOCh is a CPU copy that crosses the IOCC into IO Channel
 	// Memory. The paper measures this at 1 µs/byte (§5.3: 2000 bytes of a
 	// CTMSP packet account for 2000 µs of the 2600 µs send path).
 	//
 	//ctmsvet:unit s/byte
-	CPUCopyIOCh sim.Time
+	CPUCopyIOCh = 1 * sim.Microsecond
 	// CPUCopyDevice is programmed IO over a byte-wide device interface
 	// (the VCA). Slowest of all.
 	//
 	//ctmsvet:unit s/byte
-	CPUCopyDevice sim.Time
+	CPUCopyDevice = 2 * sim.Microsecond
 	// CPUCopyUser is a copyin/copyout crossing the user/kernel boundary
 	// (uiomove): access checks and page handling make it far slower than
 	// a kernel-internal bcopy on this class of machine.
 	//
 	//ctmsvet:unit s/byte
-	CPUCopyUser sim.Time
+	CPUCopyUser = 1400 * sim.Nanosecond
 	// DMAPerByteSys is an adapter's DMA rate to/from a buffer in system
 	// memory: the fast path through the IOCC (which steals CPU cycles).
 	//
 	//ctmsvet:unit s/byte
-	DMAPerByteSys sim.Time
+	DMAPerByteSys = 420 * sim.Nanosecond
 	// DMAPerByteIOCh is the DMA rate to/from IO Channel Memory: two
 	// devices arbitrating for the same IO Channel Bus, much slower, but
 	// invisible to the CPU. Calibrated (with DMAPerByteSys) so that a
@@ -78,47 +78,33 @@ type CostModel struct {
 	// 12 ms packet interval, both per §5.3.
 	//
 	//ctmsvet:unit s/byte
-	DMAPerByteIOCh sim.Time
+	DMAPerByteIOCh = 1050 * sim.Nanosecond
 	// DMASysInterference is the fractional CPU slowdown while a DMA
 	// engine is targeting system memory (bus arbitration against the
 	// CPU). Zero when the target is IO Channel Memory — that is the whole
 	// point of the paper's third modification.
-	DMASysInterference float64
-}
-
-// DefaultCostModel returns the calibration described in DESIGN.md §5.
-func DefaultCostModel() CostModel {
-	return CostModel{
-		CPUCopySys:         400 * sim.Nanosecond,
-		CPUCopyIOCh:        1 * sim.Microsecond,
-		CPUCopyDevice:      2 * sim.Microsecond,
-		CPUCopyUser:        1400 * sim.Nanosecond,
-		DMAPerByteSys:      420 * sim.Nanosecond,
-		DMAPerByteIOCh:     1050 * sim.Nanosecond,
-		DMASysInterference: 0.30,
-	}
-}
+	DMASysInterference = 0.30
+)
 
 // CopyCost reports the CPU time to copy n bytes from src to dst memory.
 // The slower side of the transfer dominates.
-func (c CostModel) CopyCost(n int, src, dst MemoryKind) sim.Time {
-	per := c.CPUCopySys
-	if src == IOChannelMemory || dst == IOChannelMemory {
-		per = c.CPUCopyIOCh
-	}
+func CopyCost(n int, src, dst MemoryKind) sim.Time {
 	if src == DeviceMemory || dst == DeviceMemory {
-		per = c.CPUCopyDevice
+		return sim.PerByte(CPUCopyDevice, n)
 	}
-	return sim.PerByte(per, n)
+	if src == IOChannelMemory || dst == IOChannelMemory {
+		return sim.PerByte(CPUCopyIOCh, n)
+	}
+	return sim.PerByte(CPUCopySys, n)
 }
 
 // DMACost reports the bus time for a DMA engine to move n bytes to or
 // from a buffer in the given memory.
-func (c CostModel) DMACost(n int, kind MemoryKind) sim.Time {
+func DMACost(n int, kind MemoryKind) sim.Time {
 	if kind == IOChannelMemory {
-		return sim.PerByte(c.DMAPerByteIOCh, n)
+		return sim.PerByte(DMAPerByteIOCh, n)
 	}
-	return sim.PerByte(c.DMAPerByteSys, n)
+	return sim.PerByte(DMAPerByteSys, n)
 }
 
 // Buffer is a named region of memory used as a fixed DMA buffer or a

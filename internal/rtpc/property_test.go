@@ -20,7 +20,7 @@ func TestCPUConservationAndFIFOProperty(t *testing.T) {
 			specs = specs[:40]
 		}
 		sched := sim.NewScheduler()
-		cpu := NewCPU(sched, "p", 0)
+		cpu := NewCPU(sched, "p")
 		var wantBusy sim.Time
 		finishOrder := map[int][]int{}
 		for i, s := range specs {
@@ -61,7 +61,7 @@ func TestSplNestingProperty(t *testing.T) {
 			levels = levels[:16]
 		}
 		sched := sim.NewScheduler()
-		cpu := NewCPU(sched, "p", 0)
+		cpu := NewCPU(sched, "p")
 		done := 0
 		for i, l := range levels {
 			level := int(l) % NumLevels
@@ -88,7 +88,7 @@ func TestSplNestingProperty(t *testing.T) {
 // a level-7 task is dispatched within one segment length.
 func TestWorstCaseDispatchBound(t *testing.T) {
 	sched := sim.NewScheduler()
-	cpu := NewCPU(sched, "p", 0)
+	cpu := NewCPU(sched, "p")
 	const seg = 400 * sim.Microsecond
 	// Saturate levels 0..5 with long tasks made of bounded segments.
 	for l := 0; l <= 5; l++ {

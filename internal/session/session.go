@@ -17,14 +17,16 @@ const (
 	// DefaultUtilizationCap leaves ~10% of the wire for token rotation,
 	// MAC frames and the jitter the admission budget cannot see.
 	DefaultUtilizationCap = 0.90
-	// DefaultPurgePenaltyWindow amortizes one purge's outage: each purge
-	// subtracts capacity × (PurgeDuration / window) from the budget until
-	// the window expires, so a back-to-back burst (a station insertion)
-	// stacks into a real capacity loss while a lone purge barely dents it.
-	DefaultPurgePenaltyWindow = 250 * sim.Millisecond
 	// DefaultPrebuffer is the §6 playout prebuffer.
 	DefaultPrebuffer = 40 * sim.Millisecond
 )
+
+// PurgePenaltyWindow is how long one purge's capacity penalty lasts. It
+// amortizes one purge's outage: each purge subtracts capacity ×
+// (ring.PurgeDuration / window) from the budget until the window expires,
+// so a back-to-back burst (a station insertion) stacks into a real
+// capacity loss while a lone purge barely dents it.
+const PurgePenaltyWindow = 250 * sim.Millisecond
 
 // StreamSpec describes one CTMSP stream a session wants to run.
 type StreamSpec struct {
@@ -82,9 +84,6 @@ type Config struct {
 	// ForceInsertionAt injects one station insertion (a burst of
 	// back-to-back Ring Purges) at the given offset; zero disables.
 	ForceInsertionAt sim.Time
-	// PurgePenaltyWindow is how long one purge's capacity penalty lasts
-	// (0 = DefaultPurgePenaltyWindow).
-	PurgePenaltyWindow sim.Time
 	// PlayoutPrebuffer delays each stream's playback after its first
 	// packet (0 = DefaultPrebuffer).
 	PlayoutPrebuffer sim.Time
@@ -133,13 +132,10 @@ func (c Config) Validate() error {
 
 func (c Config) withDefaults() Config {
 	if c.RingBitRate == 0 {
-		c.RingBitRate = ring.DefaultConfig().BitRate
+		c.RingBitRate = ring.DefaultBitRate
 	}
 	if c.UtilizationCap == 0 {
 		c.UtilizationCap = DefaultUtilizationCap
-	}
-	if c.PurgePenaltyWindow == 0 {
-		c.PurgePenaltyWindow = DefaultPurgePenaltyWindow
 	}
 	if c.PlayoutPrebuffer == 0 {
 		c.PlayoutPrebuffer = DefaultPrebuffer
@@ -409,10 +405,10 @@ func Run(cfg Config) (*Results, error) {
 	// flapping); a new session must re-apply.
 	if !cfg.DisableAdmission {
 		penalty := int64(float64(ctrl.EffectiveBits()+bg.Bits) *
-			(r.Config().PurgeDuration.Seconds() / cfg.PurgePenaltyWindow.Seconds()))
+			(ring.PurgeDuration.Seconds() / PurgePenaltyWindow.Seconds()))
 		r.OnPurge(func(at sim.Time) {
 			ctrl.AddPenalty(penalty)
-			sched.After(cfg.PurgePenaltyWindow, func() {
+			sched.After(PurgePenaltyWindow, func() {
 				ctrl.RemovePenalty(penalty)
 			})
 			for _, id := range ctrl.Overcommitted() {

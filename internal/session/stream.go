@@ -51,10 +51,7 @@ func (b Background) Stop() {
 // background load — a sliver of MAC chatter and 1522-byte transfer frames
 // making up the rest. The ring and its generators draw from seed alone.
 func NewRing(sched *sim.Scheduler, seed, bitRate int64, backgroundUtil float64) (*ring.Ring, Background) {
-	ringCfg := ring.DefaultConfig()
-	ringCfg.Seed = seed
-	ringCfg.BitRate = bitRate
-	r := ring.New(sched, ringCfg)
+	r := ring.New(sched, ring.Config{BitRate: bitRate, Seed: seed})
 	for i := 0; i < PopulationStations; i++ {
 		r.Attach("pop")
 	}
@@ -112,8 +109,8 @@ func NewStream(id int, spec StreamSpec, tx, rx End, via ring.Addr, prebuffer sim
 	trCfg.CTMSPRingPriority = spec.Class.RingPriority()
 	mkHost := func(e End, role string) (*kernel.Kernel, *tradapter.Driver) {
 		name := fmt.Sprintf("%s-%s", spec.Name, role)
-		k := kernel.New(rtpc.NewMachine(e.Sched, name, rtpc.DefaultCostModel(), e.Seed))
-		drv := tradapter.New(k, e.Ring.Attach(name), trCfg, tradapter.DefaultTiming())
+		k := kernel.New(rtpc.NewMachine(e.Sched, name, e.Seed))
+		drv := tradapter.New(k, e.Ring.Attach(name), trCfg)
 		k.Register(drv)
 		return k, drv
 	}

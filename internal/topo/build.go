@@ -301,11 +301,10 @@ func (n *Network) buildBurst(bi int, bs BurstSpec) {
 	src, dst := n.shards[bs.SrcRing], n.shards[bs.DstRing]
 	mk := func(s *shard, role string, salt uint64) (*kernel.Kernel, *tradapter.Driver) {
 		name := fmt.Sprintf("burst%d-%s", bi, role)
-		m := rtpc.NewMachine(s.sched, name, rtpc.DefaultCostModel(),
-			sim.MixSeed(n.spec.Seed, saltBurst+salt))
+		m := rtpc.NewMachine(s.sched, name, sim.MixSeed(n.spec.Seed, saltBurst+salt))
 		k := kernel.New(m)
 		stn := s.ring.Attach(name)
-		return k, tradapter.New(k, stn, tradapter.DefaultConfig(), tradapter.DefaultTiming())
+		return k, tradapter.New(k, stn, tradapter.DefaultConfig())
 	}
 	srcK, srcTR := mk(src, "src", uint64(bi)*2)
 	_, sinkTR := mk(dst, "sink", uint64(bi)*2+1)

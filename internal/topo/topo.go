@@ -125,7 +125,7 @@ type Spec struct {
 
 func (s Spec) withDefaults() Spec {
 	if s.RingBitRate == 0 {
-		s.RingBitRate = ring.DefaultConfig().BitRate
+		s.RingBitRate = ring.DefaultBitRate
 	}
 	if s.UtilizationCap == 0 {
 		s.UtilizationCap = session.DefaultUtilizationCap

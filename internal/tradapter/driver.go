@@ -67,8 +67,6 @@ type Config struct {
 	// PrecomputeHeader caches the ring header per connection; when false
 	// every packet pays HeaderComputeCost, as IP's routing model forces.
 	PrecomputeHeader bool
-	// HeaderComputeCost is the CPU cost to build a Token Ring header.
-	HeaderComputeCost sim.Time
 	// TxBuffers and RxBuffers are the number of fixed DMA buffers.
 	TxBuffers, RxBuffers int
 	// PurgeInterrupt enables the hypothetical adapter that interrupts on
@@ -93,7 +91,6 @@ func DefaultConfig() Config {
 		DriverPriority:    true,
 		CTMSPRingPriority: 4,
 		PrecomputeHeader:  true,
-		HeaderComputeCost: 120 * sim.Microsecond,
 		TxBuffers:         2,
 		RxBuffers:         4,
 	}
@@ -110,42 +107,31 @@ func StockConfig() Config {
 	return c
 }
 
-// Timing holds the adapter hardware constants, calibrated in DESIGN.md §5
-// so a 2000-byte frame's minimum transmitter-to-receiver latency matches
+// The adapter hardware constants, calibrated in DESIGN.md §5 so a
+// 2000-byte frame's minimum transmitter-to-receiver latency matches
 // Figure 5-3's 10 740 µs.
-type Timing struct {
+const (
 	// TxCardLatency is adapter firmware processing before transmission.
-	TxCardLatency sim.Time
+	TxCardLatency = 540 * sim.Microsecond
 	// RxCardLatency is adapter firmware processing on reception.
-	RxCardLatency sim.Time
+	RxCardLatency = 3075 * sim.Microsecond
 	// CardJitterMax is the per-frame firmware-latency variation added to
 	// each of the card latencies (uniform in [0, max]).
-	CardJitterMax sim.Time
+	CardJitterMax = 120 * sim.Microsecond
 	// IntrDispatchCost is the fixed cost at the top of the interrupt
 	// handler (register save, status read).
-	IntrDispatchCost sim.Time
+	IntrDispatchCost = 60 * sim.Microsecond
 	// ClassifyCost is the "shortest possible test" that recognizes a
 	// CTMSP packet at the split point.
-	ClassifyCost sim.Time
+	ClassifyCost = 25 * sim.Microsecond
 	// CompletionCost is the transmit-complete interrupt's work.
-	CompletionCost sim.Time
+	CompletionCost = 80 * sim.Microsecond
 	// MACFrameCost is the interrupt + header parse per MAC frame in
 	// promiscuous mode (§4 calls this overhead unacceptable).
-	MACFrameCost sim.Time
-}
-
-// DefaultTiming returns the calibrated constants.
-func DefaultTiming() Timing {
-	return Timing{
-		TxCardLatency:    540 * sim.Microsecond,
-		RxCardLatency:    3075 * sim.Microsecond,
-		CardJitterMax:    120 * sim.Microsecond,
-		IntrDispatchCost: 60 * sim.Microsecond,
-		ClassifyCost:     25 * sim.Microsecond,
-		CompletionCost:   80 * sim.Microsecond,
-		MACFrameCost:     110 * sim.Microsecond,
-	}
-}
+	MACFrameCost = 110 * sim.Microsecond
+	// HeaderComputeCost is the CPU cost to build a Token Ring header.
+	HeaderComputeCost = 120 * sim.Microsecond
+)
 
 // Outgoing is one packet handed to the driver for transmission.
 type Outgoing struct {
@@ -275,10 +261,9 @@ type Stats struct {
 
 // Driver is the Token Ring device driver plus adapter.
 type Driver struct {
-	k      *kernel.Kernel
-	st     *ring.Station
-	cfg    Config
-	timing Timing
+	k   *kernel.Kernel
+	st  *ring.Station
+	cfg Config
 	// The adapter has independent transmit and receive DMA channels;
 	// only the host bus (and the CPU, for system-memory targets) is
 	// shared between them.
@@ -345,14 +330,14 @@ type rxArrival struct {
 }
 
 // New builds a driver for machine k attached to station st.
-func New(k *kernel.Kernel, st *ring.Station, cfg Config, timing Timing) *Driver {
+func New(k *kernel.Kernel, st *ring.Station, cfg Config) *Driver {
 	if cfg.TxBuffers <= 0 {
 		cfg.TxBuffers = 1
 	}
 	if cfg.RxBuffers <= 0 {
 		cfg.RxBuffers = 2
 	}
-	d := &Driver{k: k, st: st, cfg: cfg, timing: timing}
+	d := &Driver{k: k, st: st, cfg: cfg}
 	d.txDMA = k.Machine.NewDMA()
 	d.rxDMA = k.Machine.NewDMA()
 	d.txBufs = make([]*rtpc.Buffer, cfg.TxBuffers)
@@ -488,8 +473,8 @@ func (d *Driver) initTx() {
 		cardDone:     d.cardDone,
 		transmitDone: d.txComplete,
 		complete: [2]rtpc.Seg{
-			rtpc.Do(d.timing.IntrDispatchCost),
-			rtpc.Then(d.timing.CompletionCost, d.completeTx),
+			rtpc.Do(IntrDispatchCost),
+			rtpc.Then(CompletionCost, d.completeTx),
 		},
 	}
 }
@@ -531,7 +516,7 @@ func (d *Driver) pumpTx() {
 	segs := append(d.prog[:0], rtpc.Do(120*sim.Microsecond))
 	if !d.cfg.PrecomputeHeader {
 		d.stats.HeaderComps++
-		segs = append(segs, rtpc.Do(d.cfg.HeaderComputeCost)) //ctmsvet:allow hotpath program scratch grows to the longest tx program once
+		segs = append(segs, rtpc.Do(HeaderComputeCost)) //ctmsvet:allow hotpath program scratch grows to the longest tx program once
 	}
 	if p.NoCopy {
 		// Pointer transfer: only the descriptor list is built by the CPU.
@@ -596,7 +581,7 @@ func (d *Driver) issueTransmit() {
 
 //ctmsvet:hotpath
 func (d *Driver) txDMADone() {
-	card := d.timing.TxCardLatency + d.k.Machine.Jitter(d.timing.CardJitterMax)
+	card := TxCardLatency + d.k.Machine.Jitter(CardJitterMax)
 	d.k.Sched().After(card, d.tx.cardDone)
 }
 
@@ -684,8 +669,8 @@ func (d *Driver) claimRxSlot() *rxSlot {
 func (d *Driver) initRxSlot(sl *rxSlot) {
 	sl.dmaDone = func() { d.k.CPU().Submit(kernel.LevelNet, sl.intr[:], nil) }
 	sl.intr = [2]rtpc.Seg{
-		rtpc.Do(d.timing.IntrDispatchCost),
-		rtpc.Then(d.timing.ClassifyCost, func() { d.classify(sl) }),
+		rtpc.Do(IntrDispatchCost),
+		rtpc.Then(ClassifyCost, func() { d.classify(sl) }),
 	}
 	sl.clear = sl.buf.Clear
 	sl.rcv.Buffer = sl.buf
@@ -723,7 +708,7 @@ func (d *Driver) frameArrived(f *ring.Frame, _ sim.Time) {
 	d.rxPending++
 	a := d.getArrival()
 	a.f, a.size = f, f.Size-RingOverhead
-	card := d.timing.RxCardLatency + d.k.Machine.Jitter(d.timing.CardJitterMax)
+	card := RxCardLatency + d.k.Machine.Jitter(CardJitterMax)
 	d.k.Sched().After(card, a.fn)
 }
 
@@ -774,8 +759,8 @@ func (d *Driver) classify(sl *rxSlot) {
 func (d *Driver) macFrame(f *ring.Frame) {
 	d.stats.RxMACFrames++
 	segs := append(d.prog[:0],
-		rtpc.Do(d.timing.IntrDispatchCost),
-		rtpc.Do(d.timing.MACFrameCost),
+		rtpc.Do(IntrDispatchCost),
+		rtpc.Do(MACFrameCost),
 	)
 	if d.cfg.PurgeInterrupt && f.MAC == ring.MACRingPurge {
 		segs = append(segs, rtpc.Mark(func() {

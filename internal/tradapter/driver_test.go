@@ -16,10 +16,10 @@ type host struct {
 
 func newHost(t *testing.T, sched *sim.Scheduler, r *ring.Ring, name string, cfg Config) *host {
 	t.Helper()
-	m := rtpc.NewMachine(sched, name, rtpc.DefaultCostModel(), 7)
+	m := rtpc.NewMachine(sched, name, 7)
 	k := kernel.New(m)
 	st := r.Attach(name)
-	drv := New(k, st, cfg, DefaultTiming())
+	drv := New(k, st, cfg)
 	k.Register(drv)
 	return &host{k: k, drv: drv}
 }
@@ -273,7 +273,7 @@ func TestMACFramesCostInterruptsInPromiscuousMode(t *testing.T) {
 	if got := rx.drv.Stats().RxMACFrames; got != 50 {
 		t.Fatalf("promiscuous adapter should see all MAC frames, got %d", got)
 	}
-	if rx.k.CPU().Stats().BusyTime < 50*DefaultTiming().MACFrameCost {
+	if rx.k.CPU().Stats().BusyTime < 50*MACFrameCost {
 		t.Fatal("MAC frames should consume CPU")
 	}
 }

@@ -94,29 +94,29 @@ type TxConfig struct {
 	// mbufs over the byte-wide interface (the paper's tests append
 	// synthetic data instead, leaving this off).
 	CopyVCAToMbufs bool
+}
+
+// DefaultTxConfig returns the transmit driver of the paper's tests:
+// 2000-byte packets, the data appended in place.
+func DefaultTxConfig() TxConfig {
+	return TxConfig{DataBytes: 2000 - ctmsp.HeaderSize}
+}
+
+// The transmit handler's calibrated costs.
+const (
 	// DispatchCost is the hardware vectoring and register-save time
 	// between the IRQ edge and the first handler instruction; the
 	// measured minimum of the points 1→2 delta.
-	DispatchCost sim.Time
-	// EntryCost, AllocCost, StampCost are the handler code segments;
+	DispatchCost = 28 * sim.Microsecond
+	// EntryCost, AllocCost and StampCost are the handler code segments;
 	// their sum plus the driver entry is the ~600 µs of non-copy latency
 	// §5.3 attributes to "execution of the code between the two points".
-	EntryCost, AllocCost, StampCost sim.Time
+	EntryCost = 180 * sim.Microsecond
+	AllocCost = 150 * sim.Microsecond
+	StampCost = 80 * sim.Microsecond
 	// EntryJitterMax adds per-interrupt code-path variation.
-	EntryJitterMax sim.Time
-}
-
-// DefaultTxConfig returns the calibrated transmit driver configuration.
-func DefaultTxConfig() TxConfig {
-	return TxConfig{
-		DataBytes:      2000 - ctmsp.HeaderSize,
-		DispatchCost:   28 * sim.Microsecond,
-		EntryCost:      180 * sim.Microsecond,
-		AllocCost:      150 * sim.Microsecond,
-		StampCost:      80 * sim.Microsecond,
-		EntryJitterMax: 30 * sim.Microsecond,
-	}
-}
+	EntryJitterMax = 30 * sim.Microsecond
+)
 
 // TxStats aggregates transmit-driver accounting.
 type TxStats struct {
@@ -227,16 +227,16 @@ func (t *TxDriver) interrupt(tick uint64) {
 	in := t.getIntr()
 	in.tick = tick
 	segs := append(t.prog[:0],
-		rtpc.Do(t.cfg.DispatchCost),
+		rtpc.Do(DispatchCost),
 		rtpc.Mark(in.entry),
-		rtpc.Do(t.cfg.EntryCost+m.Jitter(t.cfg.EntryJitterMax)),
+		rtpc.Do(EntryCost+m.Jitter(EntryJitterMax)),
 	)
 	if t.cfg.CopyVCAToMbufs {
 		segs = append(segs, m.CopySeg(t.cfg.DataBytes, rtpc.DeviceMemory, rtpc.SystemMemory)) //ctmsvet:allow hotpath program scratch grows to the longest handler program once
 	}
 	segs = append(segs, //ctmsvet:allow hotpath program scratch grows to the longest handler program once
-		rtpc.Do(t.cfg.AllocCost),
-		rtpc.Then(t.cfg.StampCost, in.send),
+		rtpc.Do(AllocCost),
+		rtpc.Then(StampCost, in.send),
 	)
 	t.prog = segs
 	t.k.CPU().Submit(kernel.LevelVCA, segs, nil)
@@ -322,20 +322,14 @@ type RxConfig struct {
 	// CopyToDevice copies the data out of mbufs into the VCA device
 	// buffer; off means the data is dropped after accounting.
 	CopyToDevice bool
-	// ExamineCost is the in-place inspection cost when CopyToMbufs is
-	// off.
-	ExamineCost sim.Time
 }
+
+// ExamineCost is the in-place inspection cost when CopyToMbufs is off.
+const ExamineCost = 40 * sim.Microsecond
 
 // DefaultRxConfigB returns Test Case B's receive path: full copying.
 func DefaultRxConfigB() RxConfig {
-	return RxConfig{CopyToMbufs: true, CopyToDevice: true, ExamineCost: 40 * sim.Microsecond}
-}
-
-// DefaultRxConfigA returns Test Case A's receive path: copy into mbufs
-// but drop instead of feeding the device.
-func DefaultRxConfigA() RxConfig {
-	return RxConfig{CopyToMbufs: true, CopyToDevice: false, ExamineCost: 40 * sim.Microsecond}
+	return RxConfig{CopyToMbufs: true, CopyToDevice: true}
 }
 
 // RxStats aggregates receive-driver accounting.
@@ -412,7 +406,7 @@ func (r *RxDriver) handle(rcv *tradapter.Received) []rtpc.Seg {
 		segs = append(segs, rcv.ReleaseSeg()) //ctmsvet:allow hotpath program scratch grows to the longest receive program once
 	} else {
 		segs = append(segs, //ctmsvet:allow hotpath program scratch grows to the longest receive program once
-			rtpc.Do(r.cfg.ExamineCost),
+			rtpc.Do(ExamineCost),
 			rcv.ReleaseSeg(),
 		)
 	}

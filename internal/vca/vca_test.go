@@ -29,10 +29,10 @@ func newRig(t *testing.T, txCfg TxConfig, rxCfg RxConfig) *rig {
 	r := ring.New(sched, ring.DefaultConfig())
 
 	mkHost := func(name string, trCfg tradapter.Config) (*kernel.Kernel, *tradapter.Driver) {
-		m := rtpc.NewMachine(sched, name, rtpc.DefaultCostModel(), 11)
+		m := rtpc.NewMachine(sched, name, 11)
 		k := kernel.New(m)
 		st := r.Attach(name)
-		drv := tradapter.New(k, st, trCfg, tradapter.DefaultTiming())
+		drv := tradapter.New(k, st, trCfg)
 		k.Register(drv)
 		return k, drv
 	}
@@ -58,7 +58,7 @@ func newRig(t *testing.T, txCfg TxConfig, rxCfg RxConfig) *rig {
 
 func TestVCAInterruptSourceIsExact(t *testing.T) {
 	sched := sim.NewScheduler()
-	m := rtpc.NewMachine(sched, "tx", rtpc.DefaultCostModel(), 1)
+	m := rtpc.NewMachine(sched, "tx", 1)
 	k := kernel.New(m)
 	dev := NewDevice(k)
 	var irqs []sim.Time
@@ -99,7 +99,7 @@ func TestStreamEndToEnd(t *testing.T) {
 }
 
 func TestMeasurementPointsOrdering(t *testing.T) {
-	r := newRig(t, DefaultTxConfig(), DefaultRxConfigA())
+	r := newRig(t, DefaultTxConfig(), RxConfig{CopyToMbufs: true})
 	type rec struct{ p1, p2, p3, p4 sim.Time }
 	recs := map[uint64]*rec{}
 	get := func(n uint64) *rec {
@@ -148,7 +148,7 @@ func TestCopyVCAToMbufsAddsLatency(t *testing.T) {
 	run := func(copyFromDev bool) float64 {
 		cfg := DefaultTxConfig()
 		cfg.CopyVCAToMbufs = copyFromDev
-		r := newRig(t, cfg, DefaultRxConfigA())
+		r := newRig(t, cfg, RxConfig{CopyToMbufs: true})
 		var sum float64
 		var n int
 		var entries = map[uint64]sim.Time{}
@@ -183,7 +183,7 @@ func TestRxExamineInPlaceSkipsCopy(t *testing.T) {
 		return r.rxK.CPU().Stats().BusyTime
 	}
 	full := run(DefaultRxConfigB())
-	inPlace := run(RxConfig{CopyToMbufs: false, CopyToDevice: false, ExamineCost: 40 * sim.Microsecond})
+	inPlace := run(RxConfig{CopyToMbufs: false, CopyToDevice: false})
 	if inPlace >= full {
 		t.Fatalf("in-place examination should use less CPU: %v vs %v", inPlace, full)
 	}
@@ -191,7 +191,7 @@ func TestRxExamineInPlaceSkipsCopy(t *testing.T) {
 
 func TestMaxOutstandingDropsExcess(t *testing.T) {
 	cfg := DefaultTxConfig()
-	r := newRig(t, cfg, DefaultRxConfigA())
+	r := newRig(t, cfg, RxConfig{CopyToMbufs: true})
 	if _, err := r.txK.Ioctl("vca0", "set-max-outstanding", 1); err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestMaxOutstandingDropsExcess(t *testing.T) {
 }
 
 func TestVCAIoctls(t *testing.T) {
-	r := newRig(t, DefaultTxConfig(), DefaultRxConfigA())
+	r := newRig(t, DefaultTxConfig(), RxConfig{CopyToMbufs: true})
 	if _, err := r.txK.Ioctl("vca0", "get-stats", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestVCAIoctls(t *testing.T) {
 
 func TestDoubleStartPanics(t *testing.T) {
 	sched := sim.NewScheduler()
-	k := kernel.New(rtpc.NewMachine(sched, "m", rtpc.DefaultCostModel(), 1))
+	k := kernel.New(rtpc.NewMachine(sched, "m", 1))
 	dev := NewDevice(k)
 	dev.Start()
 	defer func() {
@@ -235,7 +235,7 @@ func TestDoubleStartPanics(t *testing.T) {
 }
 
 func TestPurgeLossShowsAsGap(t *testing.T) {
-	r := newRig(t, DefaultTxConfig(), DefaultRxConfigA())
+	r := newRig(t, DefaultTxConfig(), RxConfig{CopyToMbufs: true})
 	r.dev.Start()
 	// Purge while a CTMSP frame is on the wire, deterministically.
 	purges := 0

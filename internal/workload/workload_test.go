@@ -118,17 +118,17 @@ func TestInsertionRateMatchesPaper(t *testing.T) {
 
 func TestKeepAliveGenLoadsOwnStack(t *testing.T) {
 	sched, r := newRing()
-	m := rtpc.NewMachine(sched, "tx", rtpc.DefaultCostModel(), 5)
+	m := rtpc.NewMachine(sched, "tx", 5)
 	k := kernel.New(m)
 	st := r.Attach("tx")
 	drv := newStockDriver(k, st)
-	stack := inet.NewStack(k, drv, inet.DefaultCosts())
+	stack := inet.NewStack(k, drv)
 
-	peerM := rtpc.NewMachine(sched, "peer", rtpc.DefaultCostModel(), 5)
+	peerM := rtpc.NewMachine(sched, "peer", 5)
 	peerK := kernel.New(peerM)
 	peerSt := r.Attach("peer")
 	peerDrv := newStockDriver(peerK, peerSt)
-	inet.NewStack(peerK, peerDrv, inet.DefaultCosts())
+	inet.NewStack(peerK, peerDrv)
 
 	g := NewKeepAliveGen(sched, stack, peerSt.Addr(), 60, 300, 500*sim.Millisecond, sim.NewRNG(6))
 	sched.RunUntil(30 * sim.Second)
