@@ -79,24 +79,21 @@ func (c *Chain) Clusters() int {
 type PoolStats struct {
 	Allocs        uint64
 	Frees         uint64
-	Failures      uint64 // AllocNoWait with an exhausted pool
-	Waits         uint64 // blocking allocations that had to sleep
+	Failures      uint64 // AllocNoWait or AllocInto with an exhausted pool
 	SmallInUse    int
 	ClustersInUse int
 	SmallHigh     int
 	ClustersHigh  int
 }
 
-// Pool is the kernel's shared mbuf pool. Interrupt-level code uses
-// AllocNoWait (drops on exhaustion); process-level code uses Alloc, which
-// sleeps until buffers return — the unbounded delay §2 warns about.
+// Pool is the kernel's shared mbuf pool. Every allocation is the
+// interrupt-time kind, AllocNoWait or AllocInto: on exhaustion it fails
+// and the caller drops the packet.
 type Pool struct {
-	sched         *sim.Scheduler
 	smallCap      int
 	clusterCap    int
 	smallInUse    int
 	clustersInUse int
-	waiters       []*waiter
 	stats         PoolStats
 	// Node free lists: Free pushes a chain's mbufs here and build pops
 	// them, so the steady state allocates no Mbuf objects. Chain shells
@@ -109,22 +106,16 @@ type Pool struct {
 	freeClusters []*Mbuf
 }
 
-type waiter struct {
-	small, clusters int
-	fn              func(*Chain)
-	size            int
-}
-
 // NewPool builds a pool with the given capacities. The defaults (0,0)
 // give a generously provisioned pool (4096 small, 1024 clusters).
-func NewPool(sched *sim.Scheduler, smallCap, clusterCap int) *Pool {
+func NewPool(smallCap, clusterCap int) *Pool {
 	if smallCap <= 0 {
 		smallCap = 4096
 	}
 	if clusterCap <= 0 {
 		clusterCap = 1024
 	}
-	return &Pool{sched: sched, smallCap: smallCap, clusterCap: clusterCap}
+	return &Pool{smallCap: smallCap, clusterCap: clusterCap}
 }
 
 // Stats returns a snapshot of allocator accounting.
@@ -253,20 +244,7 @@ func (p *Pool) AllocInto(c *Chain, n int) bool {
 	return true
 }
 
-// Alloc allocates a chain for n payload bytes, calling fn when the
-// allocation succeeds. If the pool is exhausted, the caller sleeps until
-// a Free makes room (FIFO order).
-func (p *Pool) Alloc(n int, fn func(*Chain)) {
-	small, clusters := need(n)
-	if p.available(small, clusters) && len(p.waiters) == 0 {
-		fn(p.build(small, clusters, n))
-		return
-	}
-	p.stats.Waits++
-	p.waiters = append(p.waiters, &waiter{small: small, clusters: clusters, fn: fn, size: n})
-}
-
-// Free returns a chain's buffers to the pool and wakes eligible waiters.
+// Free returns a chain's buffers to the pool.
 // The mbuf nodes go onto the node free lists for reuse; the shell keeps
 // its Tag and is never recycled by the pool (see the free-list comment).
 func (p *Pool) Free(c *Chain) {
@@ -293,21 +271,10 @@ func (p *Pool) Free(c *Chain) {
 	c.Head = nil
 	p.stats.Frees++
 	sim.Checkf(p.smallInUse >= 0 && p.clustersInUse >= 0, "mbuf pool underflow")
-
-	for len(p.waiters) > 0 {
-		w := p.waiters[0]
-		if !p.available(w.small, w.clusters) {
-			break
-		}
-		p.waiters = p.waiters[1:]
-		ch := p.build(w.small, w.clusters, w.size)
-		// Wakeup is asynchronous, as in the real kernel.
-		p.sched.After(0, func() { w.fn(ch) })
-	}
 }
 
 // String summarizes pool state.
 func (p *Pool) String() string {
-	return fmt.Sprintf("mbufpool{small=%d/%d clusters=%d/%d waiters=%d}",
-		p.smallInUse, p.smallCap, p.clustersInUse, p.clusterCap, len(p.waiters))
+	return fmt.Sprintf("mbufpool{small=%d/%d clusters=%d/%d}",
+		p.smallInUse, p.smallCap, p.clustersInUse, p.clusterCap)
 }

@@ -3,8 +3,6 @@ package kernel
 import (
 	"testing"
 	"testing/quick"
-
-	"repro/internal/sim"
 )
 
 func TestNeedShapes(t *testing.T) {
@@ -32,8 +30,7 @@ func TestNeedShapes(t *testing.T) {
 }
 
 func TestAllocChainLength(t *testing.T) {
-	sched := sim.NewScheduler()
-	p := NewPool(sched, 0, 0)
+	p := NewPool(0, 0)
 	for _, n := range []int{1, 100, 112, 500, 1024, 2000, 9000} {
 		c := p.AllocNoWait(n)
 		if c == nil {
@@ -51,8 +48,7 @@ func TestAllocChainLength(t *testing.T) {
 }
 
 func TestAllocNoWaitExhaustion(t *testing.T) {
-	sched := sim.NewScheduler()
-	p := NewPool(sched, 4, 2)
+	p := NewPool(4, 2)
 	a := p.AllocNoWait(2000) // needs 2 clusters
 	if a == nil {
 		t.Fatal("first alloc should succeed")
@@ -69,45 +65,8 @@ func TestAllocNoWaitExhaustion(t *testing.T) {
 	}
 }
 
-func TestBlockingAllocWaitsForFree(t *testing.T) {
-	sched := sim.NewScheduler()
-	p := NewPool(sched, 4, 2)
-	first := p.AllocNoWait(2000)
-	var got *Chain
-	p.Alloc(2000, func(c *Chain) { got = c })
-	if got != nil {
-		t.Fatal("alloc should have blocked")
-	}
-	if p.Stats().Waits != 1 {
-		t.Fatalf("wait accounting: %+v", p.Stats())
-	}
-	sched.After(sim.Millisecond, func() { p.Free(first) })
-	sched.Run()
-	if got == nil {
-		t.Fatal("blocked alloc never completed")
-	}
-	if got.Len() != 2000 {
-		t.Fatalf("resumed alloc wrong size: %d", got.Len())
-	}
-}
-
-func TestBlockingAllocFIFO(t *testing.T) {
-	sched := sim.NewScheduler()
-	p := NewPool(sched, 0, 2)
-	first := p.AllocNoWait(2000)
-	var order []int
-	p.Alloc(1024, func(*Chain) { order = append(order, 1) })
-	p.Alloc(1024, func(*Chain) { order = append(order, 2) })
-	p.Free(first)
-	sched.Run()
-	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
-		t.Fatalf("waiters must wake FIFO: %v", order)
-	}
-}
-
 func TestHighWaterMark(t *testing.T) {
-	sched := sim.NewScheduler()
-	p := NewPool(sched, 0, 0)
+	p := NewPool(0, 0)
 	a := p.AllocNoWait(2048)
 	b := p.AllocNoWait(2048)
 	p.Free(a)
@@ -121,8 +80,7 @@ func TestHighWaterMark(t *testing.T) {
 // chain lengths always equal the request.
 func TestPoolProperty(t *testing.T) {
 	f := func(sizes []uint16) bool {
-		sched := sim.NewScheduler()
-		p := NewPool(sched, 0, 0)
+		p := NewPool(0, 0)
 		var chains []*Chain
 		for _, s := range sizes {
 			n := int(s % 8192)
@@ -147,8 +105,7 @@ func TestPoolProperty(t *testing.T) {
 }
 
 func TestChainHelpers(t *testing.T) {
-	sched := sim.NewScheduler()
-	p := NewPool(sched, 0, 0)
+	p := NewPool(0, 0)
 	c := p.AllocNoWait(2100) // 2 clusters + 1 small (52 bytes rem <= 256)
 	if c.Mbufs() != 3 {
 		t.Fatalf("chain shape: %d mbufs", c.Mbufs())
@@ -168,8 +125,7 @@ func TestChainHelpers(t *testing.T) {
 }
 
 func TestDoubleFreeSafe(t *testing.T) {
-	sched := sim.NewScheduler()
-	p := NewPool(sched, 0, 0)
+	p := NewPool(0, 0)
 	c := p.AllocNoWait(100)
 	p.Free(c)
 	p.Free(c) // head is nil after first free; second free is a no-op
@@ -184,8 +140,7 @@ func TestDoubleFreeSafe(t *testing.T) {
 // untouched, failure counted), and its Free→AllocInto steady state
 // recycles nodes instead of allocating.
 func TestAllocIntoFillsCallerShell(t *testing.T) {
-	sched := sim.NewScheduler()
-	p := NewPool(sched, 0, 0)
+	p := NewPool(0, 0)
 	c := &Chain{}
 	for _, n := range []int{1, 112, 500, 2000} {
 		if !p.AllocInto(c, n) {
@@ -201,7 +156,7 @@ func TestAllocIntoFillsCallerShell(t *testing.T) {
 	}
 
 	// Exhaustion: the shell stays empty and the failure is counted.
-	tiny := NewPool(sched, 1, 1)
+	tiny := NewPool(1, 1)
 	hog := tiny.AllocNoWait(2000)
 	if hog != nil {
 		t.Fatal("2-cluster alloc should fail on a 1-cluster pool")
@@ -227,8 +182,7 @@ func TestAllocIntoFillsCallerShell(t *testing.T) {
 // an AllocInto→Free cycle on a reused shell allocates no mbuf objects
 // and no chains — the kernel end of the zero-alloc forwarding chain.
 func TestAllocIntoSteadyStateZeroAlloc(t *testing.T) {
-	sched := sim.NewScheduler()
-	p := NewPool(sched, 0, 0)
+	p := NewPool(0, 0)
 	c := &Chain{}
 	for _, n := range []int{100, 1024, 2000} {
 		n := n
