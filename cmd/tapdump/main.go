@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"time"
@@ -53,7 +54,7 @@ func main() {
 		cfg.Seed = *seed
 	}
 
-	res, tap, err := core.RunWithTAP(cfg)
+	_, tap, err := core.RunWithTAP(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tapdump:", err)
 		os.Exit(1)
@@ -103,20 +104,13 @@ func main() {
 			e.T, e.AC, e.FC, e.Src, e.Dst, e.Len, kind, capture, status)
 	}
 
-	st := tap.Stats()
-	fmt.Printf("\ntraffic breakdown (the paper's three size classes + CTMSP):\n")
-	var keys []string
-	for k := range st.SizeClasses {
-		keys = append(keys, k)
+	rate := cfg.RingBitRate
+	if rate == 0 {
+		rate = ring.DefaultBitRate
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Printf("  %-24s %8d frames\n", k, st.SizeClasses[k])
-	}
-	fmt.Printf("\nring utilization: %.2f%%   MAC frames: %d   lost to purges: %d\n",
-		100*tap.Utilization(4_000_000, cfg.Duration), st.MACFrames, st.LostFrames)
-
-	_ = res
+	a := measure.AnalyzeTrace(entries, rate)
+	fmt.Printf("\ncapture: %d frames over %v\n", a.Frames, a.Span)
+	printAnalysis(a)
 }
 
 // analyzeFile loads a saved trace and prints the offline analysis.
@@ -132,8 +126,16 @@ func analyzeFile(path string) {
 		fmt.Fprintln(os.Stderr, "tapdump:", err)
 		os.Exit(1)
 	}
-	a := measure.AnalyzeTrace(entries, 4_000_000)
+	// The .ctap format does not record the ring's rate; the paper's ring
+	// ran at 4 Mbit/s.
+	a := measure.AnalyzeTrace(entries, ring.DefaultBitRate)
 	fmt.Printf("trace %s: %d frames over %v\n", path, a.Frames, a.Span)
+	printAnalysis(a)
+}
+
+// printAnalysis prints a capture's utilization, frame counts, size
+// classes and inter-arrival times.
+func printAnalysis(a measure.TraceAnalysis) {
 	fmt.Printf("utilization %.2f%%   MAC %d   lost %d\n", 100*a.Utilization, a.MACFrames, a.LostFrames)
 	var keys []string
 	for k := range a.SizeClasses {
@@ -144,7 +146,8 @@ func analyzeFile(path string) {
 		fmt.Printf("  %-24s %8d frames\n", k, a.SizeClasses[k])
 	}
 	if ia := a.InterArrival; ia != nil {
+		over := func(us float64) uint64 { return ia.N() - ia.CountWithin(math.Inf(-1), us) }
 		fmt.Printf("inter-arrival: mean %.0f µs, p99 %.0f µs, max %.0f µs, >10ms: %d, >100ms: %d\n",
-			ia.MeanMicros, ia.P99Micros, ia.MaxMicros, ia.CountOver10ms, ia.CountOver100ms)
+			ia.Mean(), ia.Quantile(0.99), ia.Max(), over(10_000), over(100_000))
 	}
 }

@@ -1,8 +1,6 @@
 package measure
 
 import (
-	"fmt"
-
 	"repro/internal/ring"
 	"repro/internal/sim"
 )
@@ -26,20 +24,10 @@ type TAPEntry struct {
 	Capture []byte
 }
 
-// TAPStats is the monitor's aggregate view of the ring.
-type TAPStats struct {
-	Frames      uint64
-	MACFrames   uint64
-	DataFrames  uint64
-	Bytes       uint64
-	LostFrames  uint64
-	SizeClasses map[string]uint64
-}
-
 // TAP is the ring monitor, equivalent to IBM's Trace and Analysis
 // Program: it records every frame on the ring, including MAC frames,
 // with time stamps, and supports the ordering/loss analysis the paper
-// used it for.
+// used it for. AnalyzeTrace summarizes its Entries.
 type TAP struct {
 	entries []TAPEntry
 	max     int
@@ -84,49 +72,6 @@ func (t *TAP) Entries() []TAPEntry { return t.entries }
 // Dropped reports frames lost to the capture-buffer limit.
 func (t *TAP) Dropped() uint64 { return t.dropped }
 
-// Stats computes aggregate traffic statistics, bucketing frames into the
-// paper's three observed size classes: ~20-byte MAC frames, 60–300-byte
-// keep-alives, and 1522-byte file-transfer packets.
-func (t *TAP) Stats() TAPStats {
-	s := TAPStats{SizeClasses: make(map[string]uint64)}
-	for _, e := range t.entries {
-		s.Frames++
-		s.Bytes += uint64(e.Len)
-		if e.Lost {
-			s.LostFrames++
-		}
-		if e.Kind == ring.MAC {
-			s.MACFrames++
-		} else {
-			s.DataFrames++
-		}
-		switch {
-		case e.Len <= 30:
-			s.SizeClasses["mac(~20B)"]++
-		case e.Len <= 320:
-			s.SizeClasses["keepalive(60-300B)"]++
-		case e.Len <= 1600:
-			s.SizeClasses["filetransfer(~1522B)"]++
-		default:
-			s.SizeClasses["ctmsp(~2000B)"]++
-		}
-	}
-	return s
-}
-
-// Utilization reports the fraction of the observation window the ring
-// carried frames, given the ring's bit rate.
-func (t *TAP) Utilization(bitRate int64, window sim.Time) float64 {
-	if window <= 0 {
-		return 0
-	}
-	var busy sim.Time
-	for _, e := range t.entries {
-		busy += sim.WireTime(e.Len, bitRate)
-	}
-	return float64(busy) / float64(window)
-}
-
 // SequenceCheck scans captured CTMSP frames (recognized by the decoder
 // fn, which extracts a packet number from the capture prefix) for
 // out-of-order delivery and gaps — the analysis that found the original
@@ -154,10 +99,4 @@ func (t *TAP) SequenceCheck(decode func(capture []byte) (uint32, bool)) (outOfOr
 		prev, have = num, true
 	}
 	return outOfOrder, gaps
-}
-
-// String summarizes the capture.
-func (t *TAP) String() string {
-	s := t.Stats()
-	return fmt.Sprintf("tap{frames=%d mac=%d data=%d lost=%d}", s.Frames, s.MACFrames, s.DataFrames, s.LostFrames)
 }

@@ -5,10 +5,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/ring"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // TAP trace file format — the moral equivalent of the recordings IBM's
@@ -111,36 +111,35 @@ func ReadTrace(r io.Reader) ([]TAPEntry, error) {
 	}
 }
 
-// TraceAnalysis is the offline summary of a recorded trace.
+// TraceAnalysis is the summary of a capture, live or read back from a
+// trace file.
 type TraceAnalysis struct {
-	Frames       int
-	Span         sim.Time
-	Utilization  float64 // of a 4 Mbit ring
-	MACFrames    int
-	LostFrames   int
-	SizeClasses  map[string]int
-	InterArrival *Histo
+	Frames      int
+	Span        sim.Time // first frame's start to the last's
+	Utilization float64  // busy wire time over Span, at the given bit rate
+	MACFrames   int
+	LostFrames  int
+	// SizeClasses buckets frames into the paper's three observed size
+	// classes — ~20-byte MAC frames, 60–300-byte keep-alives and
+	// 1522-byte file-transfer packets — plus CTMSP's 2000-byte packets.
+	SizeClasses map[string]int
+	// InterArrival holds the gaps between consecutive frames' starts, in
+	// µs; nil with fewer than two frames.
+	InterArrival *stats.Histogram
 }
 
-// Histo avoids an import cycle by summarizing inline.
-type Histo struct {
-	N              int
-	MeanMicros     float64
-	MaxMicros      float64
-	P99Micros      float64
-	CountOver10ms  int
-	CountOver100ms int
-}
-
-// AnalyzeTrace computes the offline summary the TAP operators read.
+// AnalyzeTrace computes the summary the TAP operators read, for a ring
+// running at bitRate.
 func AnalyzeTrace(entries []TAPEntry, bitRate int64) TraceAnalysis {
 	a := TraceAnalysis{SizeClasses: make(map[string]int)}
 	a.Frames = len(entries)
 	if len(entries) == 0 {
 		return a
 	}
+	if len(entries) > 1 {
+		a.InterArrival = stats.NewHistogram(1000, "inter-arrival")
+	}
 	var busy sim.Time
-	var deltas []float64
 	for i, e := range entries {
 		busy += sim.WireTime(e.Len, bitRate)
 		if e.Kind == ring.MAC {
@@ -160,33 +159,12 @@ func AnalyzeTrace(entries []TAPEntry, bitRate int64) TraceAnalysis {
 			a.SizeClasses["ctmsp(~2000B)"]++
 		}
 		if i > 0 {
-			deltas = append(deltas, (e.T - entries[i-1].T).Microseconds())
+			a.InterArrival.Add((e.T - entries[i-1].T).Microseconds())
 		}
 	}
 	a.Span = entries[len(entries)-1].T - entries[0].T
 	if a.Span > 0 {
 		a.Utilization = float64(busy) / float64(a.Span)
-	}
-	if len(deltas) > 0 {
-		h := &Histo{N: len(deltas)}
-		var sum float64
-		for _, d := range deltas {
-			sum += d
-			if d > h.MaxMicros {
-				h.MaxMicros = d
-			}
-			if d > 10_000 {
-				h.CountOver10ms++
-			}
-			if d > 100_000 {
-				h.CountOver100ms++
-			}
-		}
-		h.MeanMicros = sum / float64(len(deltas))
-		sorted := append([]float64{}, deltas...)
-		sort.Float64s(sorted)
-		h.P99Micros = sorted[len(sorted)*99/100]
-		a.InterArrival = h
 	}
 	return a
 }

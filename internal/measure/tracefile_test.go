@@ -81,11 +81,11 @@ func TestAnalyzeTrace(t *testing.T) {
 	if a.SizeClasses["ctmsp(~2000B)"] != 1 || a.SizeClasses["mac(~20B)"] != 1 || a.SizeClasses["filetransfer(~1522B)"] != 1 {
 		t.Fatalf("classes: %+v", a.SizeClasses)
 	}
-	if a.InterArrival == nil || a.InterArrival.N != 2 {
-		t.Fatalf("inter-arrival: %+v", a.InterArrival)
+	if a.InterArrival == nil || a.InterArrival.N() != 2 {
+		t.Fatalf("inter-arrival: %v", a.InterArrival)
 	}
-	if a.InterArrival.CountOver10ms != 2 {
-		t.Fatalf("both gaps exceed 10 ms: %+v", a.InterArrival)
+	if a.InterArrival.CountWithin(0, 10_000) != 0 {
+		t.Fatalf("both gaps exceed 10 ms: %v", a.InterArrival)
 	}
 	if a.Utilization <= 0 || a.Utilization > 1 {
 		t.Fatalf("utilization: %v", a.Utilization)
