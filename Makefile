@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet lint lint-fast build examples examples-golden test race race-shards bench-test bench-check bench-baseline api-check api-golden clean
+.PHONY: ci fmt vet lint lint-fast build examples examples-golden test race race-shards bench-test bench-check bench-baseline bench-pairs api-check api-golden clean
 
 ci: fmt vet lint build examples race race-shards bench-test bench-check api-check
 
@@ -90,6 +90,20 @@ bench-check:
 
 bench-baseline:
 	$(GO) run ./cmd/ctmsbench $(BENCH_FLAGS) -benchout BENCH.baseline.json
+
+# A perf claim's evidence: PAIRS alternated pairs of one bench/ workload,
+# BASE (a commit) against the working tree, with each side's median and
+# quartiles and the working tree's win count (scripts/benchpairs.sh).
+# Not part of ci: it takes PAIRS × 2 × SECONDS of wall time and more.
+BASE ?= HEAD
+PAIRS ?= 10
+WORKLOAD ?= paper-stream
+SECONDS ?= 8
+SEED ?= 1991
+
+bench-pairs:
+	BASE=$(BASE) PAIRS=$(PAIRS) WORKLOAD=$(WORKLOAD) SECS=$(SECONDS) SEED=$(SEED) \
+		bash scripts/benchpairs.sh
 
 # The public API surface (go doc -all of the root package) is pinned in
 # api/golden.txt: api-check fails on any drift, api-golden accepts it.

@@ -119,3 +119,22 @@ func TestPublicForcedInsertion(t *testing.T) {
 		t.Fatalf("insertion outage should show as a ≥100 ms receive gap, max=%v µs", h4.MaxMicros)
 	}
 }
+
+// With the logic analyzer as the tool, the reported histograms are the
+// truth set, converted once and shared; another tool's are its own.
+func TestPublicResultSharesTruthWithLogicAnalyzer(t *testing.T) {
+	for _, tool := range []ctms.Tool{ctms.LogicAnalyzer, ctms.PCAT} {
+		opts := ctms.TestCaseA()
+		opts.Duration = 5 * time.Second
+		opts.Tool = tool
+		res, err := ctms.Run(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range res.Histograms {
+			if shared := res.Histograms[i] == res.Truth[i]; shared != (tool == ctms.LogicAnalyzer) {
+				t.Fatalf("%s: histogram %d shared with truth is %v", tool, i, shared)
+			}
+		}
+	}
+}

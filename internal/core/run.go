@@ -193,11 +193,13 @@ func startPhaseLockedScan(k *kernel.Kernel, period, offset, dur sim.Time) {
 // interrupts wait for the whole block, higher levels (the VCA) do not.
 // The work runs in 400 µs chunks.
 func submitProtected(k *kernel.Kernel, dur sim.Time) {
+	const chunk = 400 * sim.Microsecond
 	cpu := k.CPU()
 	var saved int
-	segs := []rtpc.Seg{rtpc.Mark(func() { saved = cpu.Spl(kernel.LevelNet) })}
+	segs := make([]rtpc.Seg, 0, 2+(dur+chunk-1)/chunk)
+	segs = append(segs, rtpc.Mark(func() { saved = cpu.Spl(kernel.LevelNet) }))
 	for dur > 0 {
-		c := min(dur, 400*sim.Microsecond)
+		c := min(dur, chunk)
 		dur -= c
 		segs = append(segs, rtpc.Do(c))
 	}

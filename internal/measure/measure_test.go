@@ -286,10 +286,7 @@ func TestTAPRecordsAndAnalyzes(t *testing.T) {
 	if ooo != 0 || gaps != 0 {
 		t.Fatalf("clean run should show no anomalies: ooo=%d gaps=%d", ooo, gaps)
 	}
-	// Utilization is busy time over the span between the first and last
-	// frame starts; the last frame's own wire time falls outside that
-	// span, so over six frames judge the busy time against the run.
-	if u := an.Utilization * float64(an.Span) / float64(sched.Now()); u <= 0 || u > 1 {
+	if u := an.Utilization; u <= 0 || u > 1 {
 		t.Fatalf("utilization implausible: %v", u)
 	}
 }

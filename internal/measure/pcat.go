@@ -98,14 +98,8 @@ func (p *PCAT) capture(channel int, val uint8, delay sim.Time) {
 func (p *PCAT) Samples() [NumPoints][]Sample {
 	var out [NumPoints][]Sample
 	decoded, err := DecodePCAT(p.records)
-	if err != nil {
-		return out
-	}
-	for pt := range out {
-		out[pt] = make([]Sample, len(decoded[pt]))
-		for i, ev := range decoded[pt] {
-			out[pt][i] = Sample{Num: uint32(ev.Val), T: ev.T}
-		}
+	if err == nil {
+		copy(out[:], decoded[:NumPoints])
 	}
 	return out
 }
@@ -113,14 +107,9 @@ func (p *PCAT) Samples() [NumPoints][]Sample {
 // Records exposes the raw stream (what the second PC/AT saved to disk).
 func (p *PCAT) Records() []PCATRecord { return p.records }
 
-// PCATEvent is one decoded observation with a reconstructed absolute time.
-type PCATEvent struct {
-	T   sim.Time
-	Val uint8
-}
-
-// DecodePCAT reconstructs absolute event times from the wrapped 16-bit
-// clock stream. The records are in capture order; whenever the clock
+// DecodePCAT reconstructs each channel's events from the wrapped 16-bit
+// clock stream, as Samples: Num is the 7-bit port value and T the
+// absolute time. The records are in capture order; whenever the clock
 // value decreases, a rollover happened. The 50 Hz marker guarantees at
 // least one record per 20 ms, so a 131 ms rollover period can never pass
 // unobserved — this is exactly why the paper wired the timer to the
@@ -129,8 +118,8 @@ type PCATEvent struct {
 // A first pass counts each channel's events, so every channel's slice is
 // allocated once at its final size. An empty mask is an error; the events
 // before it are still returned.
-func DecodePCAT(records []PCATRecord) ([PCATChannels][]PCATEvent, error) {
-	var out [PCATChannels][]PCATEvent
+func DecodePCAT(records []PCATRecord) ([PCATChannels][]Sample, error) {
+	var out [PCATChannels][]Sample
 	var n [PCATChannels]int
 	valid := len(records)
 	for i, r := range records {
@@ -144,7 +133,7 @@ func DecodePCAT(records []PCATRecord) ([PCATChannels][]PCATEvent, error) {
 	}
 	for ch, k := range n {
 		if k > 0 {
-			out[ch] = make([]PCATEvent, 0, k)
+			out[ch] = make([]Sample, 0, k)
 		}
 	}
 	var wraps int64
@@ -157,7 +146,7 @@ func DecodePCAT(records []PCATRecord) ([PCATChannels][]PCATEvent, error) {
 		abs := sim.Time(wraps*pcatWrap+int64(r.Clock16)) * PCATClockTick
 		for ch := 0; ch < PCATChannels; ch++ {
 			if r.Mask&(1<<ch) != 0 {
-				out[ch] = append(out[ch], PCATEvent{T: abs, Val: r.Vals[ch]})
+				out[ch] = append(out[ch], Sample{Num: uint32(r.Vals[ch]), T: abs})
 			}
 		}
 	}

@@ -49,7 +49,7 @@ func TestPCATSamplesSeeLaterStrobes(t *testing.T) {
 			t.Fatalf("%v: %d samples, channel %d decoded %d events", Point(p), len(s), p, len(decoded[p]))
 		}
 		for i, ev := range decoded[p] {
-			if s[i] != (Sample{Num: uint32(ev.Val), T: ev.T}) {
+			if s[i] != ev {
 				t.Fatalf("%v sample %d is %+v, channel %d decoded %+v", Point(p), i, s[i], p, ev)
 			}
 		}
@@ -94,7 +94,7 @@ func TestPCATDecodeErrorKeepsPrefix(t *testing.T) {
 	if err == nil {
 		t.Fatal("empty mask should be a decode error")
 	}
-	if len(decoded[0]) != 1 || decoded[0][0] != (PCATEvent{T: 10 * PCATClockTick, Val: 3}) {
+	if len(decoded[0]) != 1 || decoded[0][0] != (Sample{Num: 3, T: 10 * PCATClockTick}) {
 		t.Fatalf("decoded prefix %v", decoded[0])
 	}
 }

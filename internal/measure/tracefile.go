@@ -115,7 +115,7 @@ func ReadTrace(r io.Reader) ([]TAPEntry, error) {
 // trace file.
 type TraceAnalysis struct {
 	Frames      int
-	Span        sim.Time // first frame's start to the last's
+	Span        sim.Time // first frame's start to the last one's end on the wire
 	Utilization float64  // busy wire time over Span, at the given bit rate
 	MACFrames   int
 	LostFrames  int
@@ -162,7 +162,8 @@ func AnalyzeTrace(entries []TAPEntry, bitRate int64) TraceAnalysis {
 			a.InterArrival.Add((e.T - entries[i-1].T).Microseconds())
 		}
 	}
-	a.Span = entries[len(entries)-1].T - entries[0].T
+	last := entries[len(entries)-1]
+	a.Span = last.T + sim.WireTime(last.Len, bitRate) - entries[0].T
 	if a.Span > 0 {
 		a.Utilization = float64(busy) / float64(a.Span)
 	}

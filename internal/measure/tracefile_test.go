@@ -96,6 +96,23 @@ func TestAnalyzeTrace(t *testing.T) {
 	}
 }
 
+// The span ends where the last frame leaves the wire, so back-to-back
+// frames read exactly 100% and never more.
+func TestAnalyzeTraceBackToBackIsFull(t *testing.T) {
+	const bitRate = 4_000_000
+	wire := sim.WireTime(2000, bitRate)
+	var entries []TAPEntry
+	for i := 0; i < 6; i++ {
+		entries = append(entries, TAPEntry{T: sim.Time(i) * wire, Kind: ring.LLC, Len: 2000})
+	}
+	if a := AnalyzeTrace(entries, bitRate); a.Span != 6*wire || a.Utilization != 1 {
+		t.Fatalf("six back-to-back frames: span %v, utilization %v, want %v and 1", a.Span, a.Utilization, 6*wire)
+	}
+	if a := AnalyzeTrace(entries[:1], bitRate); a.Span != wire || a.Utilization != 1 {
+		t.Fatalf("one frame: span %v, utilization %v, want %v and 1", a.Span, a.Utilization, wire)
+	}
+}
+
 // Property: any entry list round-trips.
 func TestTraceProperty(t *testing.T) {
 	f := func(ts []uint32, lens []uint16, caps [][]byte) bool {

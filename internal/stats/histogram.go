@@ -9,11 +9,16 @@ import (
 // Histogram retains the raw samples, so exact quantiles and
 // fraction-within-range queries (the form in which the paper states every
 // result) can be answered, and derives its fixed-width bins from them.
+// Only the quantile and fraction queries sort the samples; the bins are
+// counted in one unsorted pass and kept until the next Add.
 type Histogram struct {
 	BinWidth float64 // bin width in microseconds
 	Label    string
 	samples  []float64
 	sorted   bool
+	binned   bool    // keys and bins count every sample
+	keys     []int64 // bin index of each of bins
+	bins     []Bin
 	Summary
 }
 
@@ -30,6 +35,7 @@ func (h *Histogram) Add(x float64) {
 	h.Summary.Add(x)
 	h.samples = append(h.samples, x)
 	h.sorted = false
+	h.binned = false
 }
 
 func (h *Histogram) binOf(x float64) int64 {
@@ -46,31 +52,34 @@ type Bin struct {
 	Count  uint64
 }
 
-// Bins returns the non-empty bins in ascending order.
+// Bins returns a copy of the non-empty bins in ascending order.
 func (h *Histogram) Bins() []Bin {
-	_, bins := h.bins()
-	return bins
+	_, bins := h.binCounts()
+	return slices.Clone(bins)
 }
 
-// bins returns the non-empty bins and their indexes, in ascending order,
-// counted off the sorted samples.
-func (h *Histogram) bins() (keys []int64, bins []Bin) {
-	h.ensureSorted()
-	for _, x := range h.samples {
-		k := h.binOf(x)
-		// The sorted samples give ascending indexes, except where float
-		// rounding in binOf puts a negative sample one bin low.
-		i := len(keys)
-		for i > 0 && keys[i-1] > k {
-			i--
-		}
-		if i > 0 && keys[i-1] == k {
-			bins[i-1].Count++
-			continue
-		}
-		keys = slices.Insert(keys, i, k)
-		bins = slices.Insert(bins, i, Bin{Lo: float64(k) * h.BinWidth, Hi: float64(k+1) * h.BinWidth, Count: 1})
+// binCounts returns the non-empty bins and their indexes, in ascending
+// order. It counts each sample's bin in one pass over the unsorted
+// samples, sorts only the distinct indexes, and keeps the result until the
+// next Add.
+func (h *Histogram) binCounts() (keys []int64, bins []Bin) {
+	if h.binned {
+		return h.keys, h.bins
 	}
+	count := make(map[int64]uint64)
+	for _, x := range h.samples {
+		count[h.binOf(x)]++
+	}
+	keys = h.keys[:0]
+	for k := range count { //ctmsvet:allow determinism keys are sorted immediately below, so output order is independent of map iteration order
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	bins = h.bins[:0]
+	for _, k := range keys {
+		bins = append(bins, Bin{Lo: float64(k) * h.BinWidth, Hi: float64(k+1) * h.BinWidth, Count: count[k]})
+	}
+	h.keys, h.bins, h.binned = keys, bins, true
 	return keys, bins
 }
 
@@ -132,7 +141,7 @@ func (h *Histogram) CountWithin(lo, hi float64) uint64 {
 // Mode returns the midpoint of the fullest bin — the "peak" the paper
 // describes on each figure. Among equally full bins it picks the lowest.
 func (h *Histogram) Mode() float64 {
-	keys, bins := h.bins()
+	keys, bins := h.binCounts()
 	best := -1
 	for i, b := range bins {
 		if best < 0 || b.Count > bins[best].Count {
@@ -149,7 +158,7 @@ func (h *Histogram) Mode() float64 {
 // minFrac of all samples, in ascending position order. It is how tests
 // assert the bimodality of Figure 5-2.
 func (h *Histogram) Peaks(minFrac float64) []float64 {
-	bins := h.Bins()
+	_, bins := h.binCounts()
 	if len(bins) == 0 {
 		return nil
 	}

@@ -135,6 +135,42 @@ func TestHistogramRenderClip(t *testing.T) {
 	}
 }
 
+// Clipping in Render and SVG drops bins from the drawing only, and Bins
+// hands out a copy: Bins still returns every bin, as counted, afterwards.
+func TestHistogramClipKeepsBins(t *testing.T) {
+	h := NewHistogram(100, "clip")
+	for i := 0; i < 50; i++ {
+		h.Add(float64(i * 40))
+	}
+	want := slices.Clone(h.Bins())
+	h.Bins()[0].Count++
+	out := h.Render(RenderOptions{Width: 30, ClipHi: 1000})
+	if !strings.Contains(out, "> 1000") {
+		t.Fatalf("Render dropped no bins:\n%s", out)
+	}
+	if got := h.Bins(); !slices.Equal(got, want) {
+		t.Fatalf("Bins after Render: %v, want %v", got, want)
+	}
+	if svg := h.SVG(SVGOptions{ClipHi: 500}); !strings.Contains(svg, "&gt; 500 µs") {
+		t.Fatalf("SVG dropped no bins:\n%s", svg)
+	}
+	if got := h.Bins(); !slices.Equal(got, want) {
+		t.Fatalf("Bins after SVG: %v, want %v", got, want)
+	}
+}
+
+// The bins are counted once: a second Mode reads them without allocating.
+func TestHistogramModeReusesBins(t *testing.T) {
+	h := NewHistogram(10, "m")
+	for i := 0; i < 1000; i++ {
+		h.Add(float64(i * 7 % 300))
+	}
+	h.Mode()
+	if allocs := testing.AllocsPerRun(100, func() { h.Mode() }); allocs != 0 {
+		t.Fatalf("Mode allocated %v times on a binned histogram, want 0", allocs)
+	}
+}
+
 func TestHistogramRenderEmpty(t *testing.T) {
 	h := NewHistogram(10, "empty")
 	if !strings.Contains(h.Render(RenderOptions{}), "no samples") {
@@ -161,16 +197,25 @@ func TestHistogramTotalProperty(t *testing.T) {
 	}
 }
 
-// Property: Bins and Mode, derived from the sorted samples, agree with a
-// per-sample count of each bin index (the lowest index among the fullest
-// bins for Mode), whatever the insertion order and sign of the samples.
+// Property: Bins and Mode agree with a per-sample count of each bin index
+// (the lowest index among the fullest bins for Mode), whatever the
+// insertion order and sign of the samples. Bin queries between the Adds
+// must not leave the later ones reading stale bins.
 func TestHistogramBinsMatchPerSampleCount(t *testing.T) {
 	check := func(width float64, xs []float64) bool {
 		h := NewHistogram(width, "p")
 		count := map[int64]uint64{}
-		for _, x := range xs {
+		for i, x := range xs {
 			h.Add(x)
 			count[h.binOf(x)]++
+			switch i % 4 {
+			case 0:
+				h.Bins()
+			case 1:
+				h.Mode()
+			case 2:
+				h.Peaks(0.01)
+			}
 		}
 		keys := make([]int64, 0, len(count))
 		for k := range count {

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 )
 
@@ -22,23 +23,12 @@ func (h *Histogram) Render(opts RenderOptions) string {
 	if opts.MaxBins <= 0 {
 		opts.MaxBins = 40
 	}
-	bins := h.Bins()
+	_, bins := h.binCounts()
 	if len(bins) == 0 {
 		return h.Label + ": (no samples)\n"
 	}
 
-	var overflow uint64
-	if opts.ClipHi > 0 {
-		kept := bins[:0]
-		for _, b := range bins {
-			if b.Lo >= opts.ClipHi {
-				overflow += b.Count
-				continue
-			}
-			kept = append(kept, b)
-		}
-		bins = kept
-	}
+	bins, overflow := clipBins(bins, opts.ClipHi)
 	if len(bins) == 0 {
 		return fmt.Sprintf("%s: all %d samples above clip %.0fµs\n", h.Label, overflow, opts.ClipHi)
 	}
@@ -79,6 +69,19 @@ func (h *Histogram) Render(opts RenderOptions) string {
 		fmt.Fprintf(&sb, "%10s    > %.0f µs: %d samples\n", "", opts.ClipHi, overflow)
 	}
 	return sb.String()
+}
+
+// clipBins splits ascending bins at clipHi (0 = no clip): it returns the
+// bins below it, a prefix of bins, and the count of the samples in the rest.
+func clipBins(bins []Bin, clipHi float64) (kept []Bin, overflow uint64) {
+	if clipHi <= 0 {
+		return bins, 0
+	}
+	i := sort.Search(len(bins), func(i int) bool { return bins[i].Lo >= clipHi })
+	for _, b := range bins[i:] {
+		overflow += b.Count
+	}
+	return bins[:i], overflow
 }
 
 func barLen(c, peak uint64, width int, logScale bool) int {

@@ -41,19 +41,8 @@ func (h *Histogram) SVG(opts SVGOptions) string {
 	plotW := float64(opts.Width - padL - padR)
 	plotH := float64(opts.Height - padT - padB)
 
-	bins := h.Bins()
-	var overflow uint64
-	if opts.ClipHi > 0 {
-		kept := bins[:0]
-		for _, b := range bins {
-			if b.Lo >= opts.ClipHi {
-				overflow += b.Count
-				continue
-			}
-			kept = append(kept, b)
-		}
-		bins = kept
-	}
+	_, bins := h.binCounts()
+	bins, overflow := clipBins(bins, opts.ClipHi)
 
 	var sb strings.Builder
 	fmt.Fprintf(&sb, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">`,

@@ -70,7 +70,9 @@ type Result struct {
 	ThroughputBytesPerSec float64
 
 	// Histograms as recorded by the configured tool, indexed by the
-	// Hist* constants; Truth is the logic analyzer's exact view.
+	// Hist* constants; Truth is the logic analyzer's exact view. When the
+	// logic analyzer is the configured tool, the two arrays hold the same
+	// *Histogram values.
 	Histograms [NumHistograms]*Histogram
 	Truth      [NumHistograms]*Histogram
 
@@ -146,9 +148,15 @@ func resultFrom(res *core.Results) *Result {
 		TotalMoves:            res.Copies.Total(),
 		Report:                res.Report(),
 	}
+	// With the logic analyzer as the tool, Hists is the Truth set itself:
+	// convert each distinct histogram once.
 	for id := measure.H1InterIRQ; id < measure.NumHistograms; id++ {
-		r.Histograms[id] = histFrom(res.Hists.H[id])
 		r.Truth[id] = histFrom(res.Truth.H[id])
+		if h := res.Hists.H[id]; h == res.Truth.H[id] {
+			r.Histograms[id] = r.Truth[id]
+		} else {
+			r.Histograms[id] = histFrom(h)
+		}
 	}
 	return r
 }
