@@ -42,15 +42,15 @@ type Header struct {
 	Length    uint32
 }
 
-// Encode serializes the header.
-func (h Header) Encode() []byte {
-	b := make([]byte, HeaderSize)
+// Encode serializes the header into b.
+//
+//ctmsvet:hotpath
+func (h Header) Encode(b *[HeaderSize]byte) {
 	binary.BigEndian.PutUint16(b[0:], Magic)
 	b[2] = Version
 	b[3] = h.DstDevice
 	binary.BigEndian.PutUint32(b[4:], h.PacketNum)
 	binary.BigEndian.PutUint32(b[8:], h.Length)
-	return b
 }
 
 // DecodeHeader parses a CTMSP header.
@@ -130,41 +130,37 @@ func (c *Conn) NextHeader(dataLen int) Header {
 	return h
 }
 
-// BuildPacket allocates an mbuf chain for a packet of total length
-// HeaderSize+dataLen, stamps the precomputed ring header and a CTMSP
-// header into it, and returns the driver-ready Outgoing. Returns nil if
-// the mbuf pool is exhausted (interrupt-time contract).
+// BuildPacket fills the caller-owned envelope out with the next packet,
+// of total length HeaderSize+dataLen: mbufs for out.Chain, which must be
+// an empty shell, and the CTMSP header encoded into capture, which
+// becomes out.Capture. It returns the header, or false, leaving out
+// untouched, if the mbuf pool is exhausted (interrupt-time contract).
+// out's PreTransmit and Done hooks are the caller's.
 //
 // copyHeaderOnly selects §5.3's "copy only header into fixed DMA buffer"
-// variant; preTransmit and done are the measurement hooks.
+// variant: the CPU copies the CTMSP and precomputed ring headers only.
 //
 //ctmsvet:hotpath
-func (c *Conn) BuildPacket(dataLen int, copyHeaderOnly bool, preTransmit func(), done func(ring.DeliveryStatus)) *tradapter.Outgoing {
+func (c *Conn) BuildPacket(out *tradapter.Outgoing, capture *[HeaderSize]byte, dataLen int, copyHeaderOnly bool) (Header, bool) {
 	total := HeaderSize + dataLen
-	ch := c.k.Pool.AllocNoWait(total)
-	if ch == nil {
+	if !c.k.Pool.AllocInto(out.Chain, total) {
 		c.stats.MbufFailures++
-		return nil
+		return Header{}, false
 	}
 	h := c.NextHeader(dataLen)
-	ch.Tag = h
+	h.Encode(capture)
 	c.stats.PacketsBuilt++
 
 	copyBytes := total
 	if copyHeaderOnly {
 		copyBytes = HeaderSize + len(c.ringHeader)
 	}
-	//ctmsvet:allow hotpath one Outgoing descriptor per packet is the driver hand-off contract; the mbuf chain itself is pooled
-	return &tradapter.Outgoing{
-		Chain:       ch,
-		Size:        total,
-		Class:       tradapter.ClassCTMSP,
-		Dst:         c.dst,
-		CopyBytes:   copyBytes,
-		Capture:     h.Encode(),
-		PreTransmit: preTransmit,
-		Done:        done,
-	}
+	out.Size = total
+	out.Class = tradapter.ClassCTMSP
+	out.Dst = c.dst
+	out.CopyBytes = copyBytes
+	out.Capture = capture[:]
+	return h, true
 }
 
 // Packet is a CTMSP packet carrying an application payload — used by
@@ -175,14 +171,15 @@ type Packet struct {
 	Payload any
 }
 
-// BuildDataPacket is BuildPacket for payload-carrying packets: the chain
-// is tagged with a Packet wrapping the payload.
+// BuildDataPacket builds a payload-carrying packet in a fresh envelope:
+// the chain is tagged with a Packet wrapping the payload. Returns nil if
+// the mbuf pool is exhausted.
 func (c *Conn) BuildDataPacket(payload any, dataLen int, preTransmit func(), done func(ring.DeliveryStatus)) *tradapter.Outgoing {
-	out := c.BuildPacket(dataLen, false, preTransmit, done)
-	if out == nil {
+	out := &tradapter.Outgoing{Chain: &kernel.Chain{}, PreTransmit: preTransmit, Done: done}
+	h, ok := c.BuildPacket(out, new([HeaderSize]byte), dataLen, false)
+	if !ok {
 		return nil
 	}
-	h := out.Chain.Tag.(Header)
 	out.Chain.Tag = Packet{Header: h, Payload: payload}
 	return out
 }

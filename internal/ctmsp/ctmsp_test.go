@@ -11,13 +11,16 @@ import (
 	"repro/internal/tradapter"
 )
 
+// encode is Header.Encode into a fresh buffer.
+func encode(h Header) []byte {
+	var b [HeaderSize]byte
+	h.Encode(&b)
+	return b[:]
+}
+
 func TestHeaderRoundTrip(t *testing.T) {
 	h := Header{DstDevice: 3, PacketNum: 123456, Length: 2000}
-	b := h.Encode()
-	if len(b) != HeaderSize {
-		t.Fatalf("encoded size %d", len(b))
-	}
-	got, err := DecodeHeader(b)
+	got, err := DecodeHeader(encode(h))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +32,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 func TestHeaderRoundTripProperty(t *testing.T) {
 	f := func(dev uint8, num uint32, length uint32) bool {
 		h := Header{DstDevice: dev, PacketNum: num, Length: length}
-		got, err := DecodeHeader(h.Encode())
+		got, err := DecodeHeader(encode(h))
 		return err == nil && got == h
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -41,12 +44,12 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := DecodeHeader([]byte{1, 2, 3}); err == nil {
 		t.Fatal("short header should fail")
 	}
-	b := Header{}.Encode()
+	b := encode(Header{})
 	b[0] = 0xFF // break magic
 	if _, err := DecodeHeader(b); err == nil {
 		t.Fatal("bad magic should fail")
 	}
-	b = Header{}.Encode()
+	b = encode(Header{})
 	b[2] = 99 // break version
 	if _, err := DecodeHeader(b); err == nil {
 		t.Fatal("bad version should fail")
@@ -54,7 +57,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 }
 
 func TestClassify(t *testing.T) {
-	if !Classify(Header{}.Encode()) {
+	if !Classify(encode(Header{})) {
 		t.Fatal("CTMSP packet not recognized")
 	}
 	if Classify([]byte{0x08, 0x00, 0x45}) {
@@ -82,6 +85,12 @@ func newConn(t *testing.T) (*sim.Scheduler, *kernel.Kernel, *Conn) {
 	return sched, k, conn
 }
 
+// envelope is a fresh caller-owned envelope and capture buffer, the way
+// BuildDataPacket and the VCA's send records hand them to BuildPacket.
+func envelope() (*tradapter.Outgoing, *[HeaderSize]byte) {
+	return &tradapter.Outgoing{Chain: &kernel.Chain{}}, new([HeaderSize]byte)
+}
+
 func TestDialPrecomputesHeaderOnce(t *testing.T) {
 	_, _, conn := newConn(t)
 	if len(conn.RingHeader()) != 22 {
@@ -91,12 +100,18 @@ func TestDialPrecomputesHeaderOnce(t *testing.T) {
 
 func TestBuildPacketNumbersSequentially(t *testing.T) {
 	_, k, conn := newConn(t)
+	p, capture := envelope()
 	for i := 0; i < 5; i++ {
-		p := conn.BuildPacket(1988, false, nil, nil)
-		if p == nil {
+		h, ok := conn.BuildPacket(p, capture, 1988, false)
+		if !ok {
 			t.Fatal("alloc failed")
 		}
-		h := p.Chain.Tag.(Header)
+		if wire, err := DecodeHeader(p.Capture); err != nil || wire != h {
+			t.Fatalf("capture decodes to %+v (%v), want %+v", wire, err, h)
+		}
+		if p.Chain.Tag != nil {
+			t.Fatalf("the VCA path tags no chain, got %v", p.Chain.Tag)
+		}
 		if h.PacketNum != uint32(i) {
 			t.Fatalf("packet %d numbered %d", i, h.PacketNum)
 		}
@@ -118,8 +133,14 @@ func TestBuildPacketNumbersSequentially(t *testing.T) {
 
 func TestBuildPacketCopyHeaderOnly(t *testing.T) {
 	_, k, conn := newConn(t)
-	full := conn.BuildPacket(1988, false, nil, nil)
-	hdr := conn.BuildPacket(1988, true, nil, nil)
+	full, fullCapture := envelope()
+	hdr, hdrCapture := envelope()
+	if _, ok := conn.BuildPacket(full, fullCapture, 1988, false); !ok {
+		t.Fatal("alloc failed")
+	}
+	if _, ok := conn.BuildPacket(hdr, hdrCapture, 1988, true); !ok {
+		t.Fatal("alloc failed")
+	}
 	if full.CopyBytes != 2000 {
 		t.Fatalf("full copy bytes %d", full.CopyBytes)
 	}
@@ -143,8 +164,12 @@ func TestBuildPacketMbufExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := conn.BuildPacket(1988, false, nil, nil); p != nil {
+	p, capture := envelope()
+	if _, ok := conn.BuildPacket(p, capture, 1988, false); ok {
 		t.Fatal("tiny pool should fail the allocation")
+	}
+	if p.Chain.Head != nil || p.Size != 0 || p.Capture != nil {
+		t.Fatalf("a failed build touched the envelope: %+v", p)
 	}
 	if conn.Stats().MbufFailures != 1 {
 		t.Fatalf("failure accounting: %+v", conn.Stats())
@@ -269,14 +294,14 @@ func TestPoolBalancedAfterExhaustion(t *testing.T) {
 	}
 
 	// A small packet fits even the tiny pool; build it and free it.
-	p := conn.BuildPacket(64, false, nil, nil)
-	if p == nil {
+	p, capture := envelope()
+	if _, ok := conn.BuildPacket(p, capture, 64, false); !ok {
 		t.Fatal("small packet should fit the tiny pool")
 	}
 	k.Pool.Free(p.Chain)
 
 	// A full-size packet exhausts it: counted, and nothing stranded.
-	if q := conn.BuildPacket(1988, false, nil, nil); q != nil {
+	if _, ok := conn.BuildPacket(p, capture, 1988, false); ok {
 		t.Fatal("tiny pool should fail the full-size allocation")
 	}
 	ps := k.Pool.Stats()

@@ -97,11 +97,13 @@ type Pool struct {
 	stats         PoolStats
 	// Node free lists: Free pushes a chain's mbufs here and build pops
 	// them, so the steady state allocates no Mbuf objects. Chain shells
-	// are NOT recycled — receivers read Chain.Tag after the sender's
-	// Free (tradapter's transmit-complete can run before the receive
-	// interrupt), and a recycled shell would let a later packet overwrite
-	// the tag mid-flight. Shell reuse is the caller's business (see
-	// AllocInto); the pool only guarantees Free never scribbles on Tag.
+	// are not recycled by the pool: a sender Frees at tradapter's
+	// transmit-complete, which can run before the receive interrupt reads
+	// the packet, so a shell may be refilled only once its envelope is
+	// dead. That is the envelope owner's call — the VCA's send records and
+	// the router's envelopes refill their permanent shell (AllocInto)
+	// after the two-phase tradapter.Outgoing.SetRecycle — and the pool
+	// only guarantees Free never scribbles on Tag.
 	freeSmall    []*Mbuf
 	freeClusters []*Mbuf
 }

@@ -8,7 +8,7 @@ import (
 // TAPCaptureBytes is how much of each packet the monitor records — "the
 // first Token Ring adapter's buffer of actual packet data (up to 96
 // bytes)".
-const TAPCaptureBytes = 96
+const TAPCaptureBytes = ring.MaxCapture
 
 // TAPEntry is one recorded frame: timestamp, Access Control and Frame
 // Control bytes, total length, delivery outcome and the captured prefix.
@@ -32,7 +32,14 @@ type TAP struct {
 	entries []TAPEntry
 	max     int
 	dropped uint64
+	// arena holds the entries' copies of the captured bytes: a frame's
+	// capture buffer belongs to its sender, which reuses it for a later
+	// packet once the frame is gone.
+	arena []byte
 }
+
+// tapArenaChunk is the size of each block of the capture arena.
+const tapArenaChunk = 64 << 10
 
 // NewTAP attaches a monitor to the ring. max bounds the capture buffer
 // (the real tool had recording limits too); 0 means 2^20 entries.
@@ -50,6 +57,7 @@ func NewTAP(r *ring.Ring, max int) *TAP {
 		if len(cap96) > TAPCaptureBytes {
 			cap96 = cap96[:TAPCaptureBytes]
 		}
+		cap96 = t.keep(cap96)
 		t.entries = append(t.entries, TAPEntry{
 			T:       start,
 			AC:      f.AC,
@@ -64,6 +72,19 @@ func NewTAP(r *ring.Ring, max int) *TAP {
 		})
 	})
 	return t
+}
+
+// keep copies b into the arena and returns the copy, or nil for no bytes.
+func (t *TAP) keep(b []byte) []byte {
+	if len(b) == 0 {
+		return nil
+	}
+	if cap(t.arena)-len(t.arena) < len(b) {
+		t.arena = make([]byte, 0, tapArenaChunk)
+	}
+	n := len(t.arena)
+	t.arena = append(t.arena, b...)
+	return t.arena[n:len(t.arena):len(t.arena)]
 }
 
 // Entries returns the captured frames in wire order.

@@ -81,11 +81,18 @@ type Frame struct {
 	Priority int // ring access priority 0..7 (also encoded in AC)
 	Kind     FrameKind
 	MAC      MACType
-	Size     int    // total bytes on the wire
-	Capture  []byte // up to the first 96 bytes, what a TAP monitor records
-	Payload  any    // opaque model payload (mbuf chain, protocol packet, ...)
-	Seq      uint64 // ring-global sequence number, assigned at transmit
+	Size     int // total bytes on the wire
+	// Capture is up to the first MaxCapture bytes, what a TAP monitor
+	// records. The sender owns them and may reuse them once the frame's
+	// life is over, so anything that keeps them longer copies them.
+	Capture []byte
+	Payload any    // opaque model payload (mbuf chain, protocol packet, ...)
+	Seq     uint64 // ring-global sequence number, assigned at transmit
 }
+
+// MaxCapture is the longest Capture a frame carries: "the first Token
+// Ring adapter's buffer of actual packet data (up to 96 bytes)".
+const MaxCapture = 96
 
 // EncodeAC builds the access-control byte for a priority.
 func EncodeAC(priority int, token bool) byte {
@@ -104,12 +111,15 @@ func EncodeFC(kind FrameKind) byte {
 	return 0x40
 }
 
-// NewDataFrame builds an LLC frame with sensible control bytes.
-func NewDataFrame(src, dst Addr, priority, size int, capture []byte, payload any) *Frame {
-	if len(capture) > 96 {
-		capture = capture[:96]
+// DataFrame builds an LLC frame with sensible control bytes, as a value
+// for a sender that keeps the frame in storage of its own.
+//
+//ctmsvet:hotpath
+func DataFrame(src, dst Addr, priority, size int, capture []byte, payload any) Frame {
+	if len(capture) > MaxCapture {
+		capture = capture[:MaxCapture]
 	}
-	return &Frame{
+	return Frame{
 		AC:       EncodeAC(priority, false),
 		FC:       EncodeFC(LLC),
 		Src:      src,
@@ -120,6 +130,12 @@ func NewDataFrame(src, dst Addr, priority, size int, capture []byte, payload any
 		Capture:  capture,
 		Payload:  payload,
 	}
+}
+
+// NewDataFrame is DataFrame on the heap.
+func NewDataFrame(src, dst Addr, priority, size int, capture []byte, payload any) *Frame {
+	f := DataFrame(src, dst, priority, size, capture, payload)
+	return &f
 }
 
 // NewMACFrame builds a ~20-byte MAC management frame.

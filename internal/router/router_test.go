@@ -1,6 +1,7 @@
 package router
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/ctmsp"
@@ -203,19 +204,20 @@ func TestHalfEnvelopePoolReuses(t *testing.T) {
 	h := NewHalf(sched, "half", rg, 0, 2, 9)
 
 	e1 := h.getEnv()
-	if e1.Chain == nil || e1.Done == nil {
-		t.Fatal("cold-path envelope missing its permanent chain shell or Done")
+	if e1.out.Chain == nil || e1.out.Done == nil || e1.recycle == nil {
+		t.Fatal("cold-path envelope missing its permanent chain shell, Done or recycle hook")
 	}
-	ch1 := e1.Chain
-	e1.Chain.Tag = "stale"
-	e1.RoutedRing = 2
+	ch1 := e1.out.Chain
+	e1.out.Chain.Tag = "stale"
+	e1.out.RoutedRing = 2
+	e1.out.Capture = e1.capture[:4]
 	h.putEnv(e1)
 	e2 := h.getEnv()
-	if e2 != e1 || e2.Chain != ch1 {
+	if e2 != e1 || e2.out.Chain != ch1 {
 		t.Fatalf("pool built a fresh envelope instead of reusing: %p vs %p", e2, e1)
 	}
-	if e2.Chain.Tag != nil || e2.RoutedRing != 0 || e2.Dst != 0 {
-		t.Fatalf("recycled envelope not cleared: %+v", e2)
+	if e2.out.Chain.Tag != nil || e2.out.RoutedRing != 0 || e2.out.Dst != 0 || e2.out.Capture != nil {
+		t.Fatalf("recycled envelope not cleared: %+v", e2.out)
 	}
 	h.putEnv(e2)
 
@@ -257,5 +259,46 @@ func TestHalfIngressDoesNotAllocate(t *testing.T) {
 	}
 	if forwarded != 202 || got.DstRing != 1 || got.Dst != 5 || got.Size != 1500 || got.Tag != "payload" {
 		t.Fatalf("forwarded %d frames, last %+v", forwarded, got)
+	}
+}
+
+// TestForwardedCarriesCaptureByValue overwrites the source envelope's
+// capture bytes once the ingress half has handed the frame on, as the
+// source does when it reuses the envelope for its next packet. The frame
+// Inject puts on the far ring must still carry the original bytes.
+func TestForwardedCarriesCaptureByValue(t *testing.T) {
+	rig := newTwoRings(t)
+	var capture [ctmsp.HeaderSize]byte
+	ctmsp.Header{DstDevice: 1, PacketNum: 77, Length: 1500}.Encode(&capture)
+	want := bytes.Clone(capture[:])
+
+	inject := rig.rt[1].Inject
+	rig.rt[0].Forward = func(f Forwarded) {
+		for i := range capture {
+			capture[i] = 0xFF
+		}
+		inject(f)
+	}
+	var got []byte
+	rig.dstDrv.SetHandler(tradapter.ClassCTMSP, func(rcv *tradapter.Received) []rtpc.Seg {
+		got = bytes.Clone(rcv.Frame.Capture)
+		rcv.Release()
+		return nil
+	})
+	ch := rig.srcK.Pool.AllocNoWait(1500)
+	pool := rig.srcK.Pool
+	rig.srcDrv.Output(&tradapter.Outgoing{
+		Chain:      ch,
+		Size:       1500,
+		Class:      tradapter.ClassCTMSP,
+		Dst:        rig.rt[0].Station().Addr(),
+		RoutedDst:  rig.dstDrv.Station().Addr(),
+		RoutedRing: 2,
+		Capture:    capture[:],
+		Done:       func(ring.DeliveryStatus) { pool.Free(ch) },
+	})
+	rig.sched.RunUntil(sim.Second)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("far ring received capture %x, the source sent %x", got, want)
 	}
 }

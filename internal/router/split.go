@@ -32,9 +32,6 @@ type Half struct {
 	nextHop []ring.Addr
 	stats   HalfStats
 	envs    envPool
-	// recycleEnv is the pool-return hook armed on every injected envelope,
-	// built once so the per-frame SetRecycle call boxes no method value.
-	recycleEnv func(*tradapter.Outgoing)
 	// prog is the ingress program scratch (the driver copies it), and
 	// hands the pool of per-frame hand-off records its final mark reads.
 	prog  []rtpc.Seg
@@ -46,9 +43,7 @@ type Half struct {
 	Forward func(Forwarded)
 }
 
-// envPool is the free list of injected-frame envelopes. Each envelope is
-// an Outgoing with a permanently attached chain shell and a prebuilt Done
-// that frees the chain's mbufs at transmit complete; the envelope itself
+// envPool is the free list of injected-frame envelopes. An envelope
 // returns here only after the driver's two-phase recycle (transmit done
 // AND receive handler returned), so a reused envelope can never be read
 // by a frame still in flight. Every transition happens on the owning
@@ -56,7 +51,17 @@ type Half struct {
 //
 //ctmsvet:shardowned
 type envPool struct {
-	sim.FreeList[tradapter.Outgoing]
+	sim.FreeList[env]
+}
+
+// env is one injected-frame envelope: an Outgoing with a permanently
+// attached chain shell and a prebuilt Done that frees the chain's mbufs
+// at transmit complete, the capture bytes its frame carries, and the
+// prebuilt hook that recycles it.
+type env struct {
+	out     tradapter.Outgoing
+	capture [ring.MaxCapture]byte
+	recycle func(*tradapter.Outgoing)
 }
 
 // handoff is one frame between the switch decision and the hand-off to
@@ -74,11 +79,15 @@ type Forwarded struct {
 	// DstRing is the 0-based internetwork index of the final ring.
 	DstRing int
 	// Dst is the final station address in DstRing's address space.
-	Dst     ring.Addr
-	Size    int
-	Class   tradapter.Class
-	Tag     any
-	Capture []byte
+	Dst   ring.Addr
+	Size  int
+	Class tradapter.Class
+	Tag   any
+	// Capture holds the frame's first CaptureLen monitor bytes by value:
+	// the source envelope's buffer is reused for a later packet once the
+	// frame's life on its ring is over.
+	Capture    [ring.MaxCapture]byte
+	CaptureLen int
 }
 
 // HalfStats aggregates one half's forwarding accounting.
@@ -104,7 +113,6 @@ func newHalf(k *kernel.Kernel, name string, rg *ring.Ring, ringIdx, rings int) *
 		ringIdx: ringIdx,
 		nextHop: make([]ring.Addr, rings),
 	}
-	h.recycleEnv = h.putEnv
 	st := rg.Attach(name)
 	cfg := tradapter.DefaultConfig()
 	cfg.DMABufferKind = rtpc.SystemMemory // routers copy; keep DMA fast
@@ -165,8 +173,8 @@ func (h *Half) ingress(class tradapter.Class, rcv *tradapter.Received) []rtpc.Se
 		Size:    rcv.Size,
 		Class:   class,
 		Tag:     out.Chain.Tag,
-		Capture: out.Capture,
 	}
+	hd.fwd.CaptureLen = copy(hd.fwd.Capture[:], rcv.Frame.Capture)
 	segs := append(h.prog[:0], rtpc.Do(DefaultSwitchCost))
 	segs = h.k.Machine.CopySegs(segs, hd.fwd.Size, rcv.Buffer.Kind, rtpc.SystemMemory)
 	segs = append(segs, rcv.ReleaseSeg(), rtpc.Mark(hd.fn)) //ctmsvet:allow hotpath program scratch grows to the longest ingress program once
@@ -195,50 +203,54 @@ func (h *Half) getHandoff() *handoff {
 }
 
 // getEnv pops a free envelope, building one — permanent chain shell,
-// prebuilt chain-freeing Done — on the cold path only.
+// prebuilt chain-freeing Done and recycle hook — on the cold path only.
 //
 //ctmsvet:hotpath
-func (h *Half) getEnv() *tradapter.Outgoing {
-	if out := h.envs.Get(); out != nil {
-		return out
+func (h *Half) getEnv() *env {
+	if e := h.envs.Get(); e != nil {
+		return e
 	}
-	out := &tradapter.Outgoing{Chain: &kernel.Chain{}} //ctmsvet:allow hotpath cold refill path, runs only until the envelope pool reaches steady state
-	pool, ch := h.k.Pool, out.Chain
-	out.Done = func(ring.DeliveryStatus) { pool.Free(ch) } //ctmsvet:allow hotpath the Done closure is built once per pooled envelope, not per frame
-	return out
+	e := &env{}                   //ctmsvet:allow hotpath cold refill path, runs only until the envelope pool reaches steady state
+	e.out.Chain = &kernel.Chain{} //ctmsvet:allow hotpath the chain shell is built once per pooled envelope, not per frame
+	pool, ch := h.k.Pool, e.out.Chain
+	e.out.Done = func(ring.DeliveryStatus) { pool.Free(ch) } //ctmsvet:allow hotpath the Done closure is built once per pooled envelope, not per frame
+	e.recycle = func(*tradapter.Outgoing) { h.putEnv(e) }    //ctmsvet:allow hotpath the recycle hook is built once per pooled envelope, not per frame
+	return e
 }
 
 // putEnv clears a dead envelope and returns it to the pool. Runs via the
 // driver's recycle callback, on this half's own shard.
 //
 //ctmsvet:hotpath
-func (h *Half) putEnv(out *tradapter.Outgoing) {
+func (h *Half) putEnv(e *env) {
+	out := &e.out
 	out.Chain.Tag = nil
 	out.Dst, out.RoutedDst, out.RoutedRing = 0, 0, 0
 	out.Capture = nil
-	h.envs.Put(out)
+	h.envs.Put(e)
 }
 
 // Inject re-transmits a forwarded frame onto this half's ring: the final
 // delivery hop when DstRing is this ring, or the next bridge otherwise.
 // The shard engine calls it at the frame's arrival time (send time plus
 // the link's store-and-forward latency), from this half's own shard. The
-// whole egress — envelope, chain shell, mbuf nodes, completion hooks —
-// comes from shard-owned free lists, so steady-state forwarding allocates
-// nothing.
+// whole egress — envelope, chain shell, capture bytes, mbuf nodes,
+// completion hooks — comes from shard-owned free lists, so steady-state
+// forwarding allocates nothing.
 //
 //ctmsvet:hotpath
 func (h *Half) Inject(f Forwarded) {
-	out := h.getEnv()
+	e := h.getEnv()
+	out := &e.out
 	if !h.k.Pool.AllocInto(out.Chain, f.Size) {
 		h.stats.Dropped++
-		h.putEnv(out)
+		h.putEnv(e)
 		return
 	}
 	out.Chain.Tag = f.Tag
 	out.Size = f.Size
 	out.Class = f.Class
-	out.Capture = f.Capture
+	out.Capture = e.capture[:copy(e.capture[:], f.Capture[:f.CaptureLen])]
 	if f.DstRing == h.ringIdx {
 		out.Dst = f.Dst
 	} else {
@@ -250,7 +262,7 @@ func (h *Half) Inject(f Forwarded) {
 		out.RoutedDst = f.Dst
 		out.RoutedRing = f.DstRing + 1
 	}
-	out.SetRecycle(h.recycleEnv)
+	out.SetRecycle(e.recycle)
 	h.stats.Injected++
 	h.drv.Output(out)
 	if depth := h.drv.Stats().MaxTxQueue; depth > h.stats.QueueMax {

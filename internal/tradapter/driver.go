@@ -167,6 +167,9 @@ type Outgoing struct {
 	Done func(ring.DeliveryStatus)
 
 	queuedAt sim.Time
+	// frame is the packet's ring frame, built in place at each transmit
+	// command, so it lives exactly as long as the envelope.
+	frame ring.Frame
 	// Pooled-envelope recycling (SetRecycle): refs counts the two points
 	// after which the driver guarantees no further reads of this envelope.
 	recycle func(*Outgoing)
@@ -178,7 +181,8 @@ type Outgoing struct {
 // interrupt has run Done AND the receiving driver's class handler has
 // returned. Receivers read the envelope (class, routed fields, chain tag)
 // only synchronously inside their handler, and transmit-complete can fire
-// before or after that read, so neither side alone may reuse it. Both
+// before or after that read, so neither side alone may reuse it. The
+// envelope's ring frame and the Capture bytes it points at die with it. Both
 // release points run on the same ring's scheduler — no cross-shard access.
 // A frame dropped before classification (rx-buffer exhaustion) never
 // reaches its second release; the envelope is then simply garbage
@@ -279,7 +283,6 @@ type Driver struct {
 	copyActive bool
 	wireQ      sim.FIFO[wireItem]
 	wireBusy   bool
-	lastSent   *Outgoing // survives in the fixed buffer for purge retransmit
 
 	// Each stage serializes its work, so its per-frame state and
 	// callbacks live here, built once on first use instead of once per
@@ -592,8 +595,8 @@ func (d *Driver) cardDone() {
 	if p.Class == ClassCTMSP {
 		prio = d.cfg.CTMSPRingPriority
 	}
-	f := ring.NewDataFrame(d.st.Addr(), p.Dst, prio, p.Size+RingOverhead, p.Capture, p)
-	d.st.Transmit(f, d.tx.transmitDone)
+	p.frame = ring.DataFrame(d.st.Addr(), p.Dst, prio, p.Size+RingOverhead, p.Capture, p)
+	d.st.Transmit(&p.frame, d.tx.transmitDone)
 }
 
 // txComplete is the transmit-complete interrupt.
@@ -617,7 +620,6 @@ func (d *Driver) completeTx() {
 		return
 	}
 	// Real adapter: the driver never learns about a purge loss.
-	d.lastSent = p
 	buf.Clear()
 	d.wireBusy = false
 	d.wireJob, d.wireStatus = wireItem{}, ring.DeliveryStatus{}
@@ -773,9 +775,10 @@ func (d *Driver) macFrame(f *ring.Frame) {
 }
 
 // envelopeSeen releases the receive-side envelope reference once the class
-// handler has returned: handlers read the Outgoing synchronously (routed
-// fields, chain tag) and keep only copied values in the segments they
-// return, so after this point the receiver never touches the envelope.
+// handler has returned: handlers read the Outgoing and its frame
+// synchronously (routed fields, chain tag, capture bytes) and keep only
+// copied values in the segments they return, so after this point the
+// receiver never touches the envelope.
 //
 //ctmsvet:hotpath
 func (d *Driver) envelopeSeen(f *ring.Frame) {

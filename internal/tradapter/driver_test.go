@@ -370,8 +370,8 @@ func TestBuildRingHeaderEncodesAddresses(t *testing.T) {
 // DMA, card latency, the ring, receive card latency, rx DMA, the
 // interrupt, classification, the handler's spliced program and the
 // transmit-complete interrupt. Every one of those runs off prebuilt
-// programs and pooled records; the one allocation left per round trip is
-// the ring's data frame (ring.NewDataFrame).
+// programs and pooled records, and the ring frame lives in the envelope,
+// so a warm round trip allocates nothing.
 func TestRoundTripAllocations(t *testing.T) {
 	sched, _, tx, rx := pair(t, DefaultConfig())
 	var prog []rtpc.Seg
@@ -400,8 +400,8 @@ func TestRoundTripAllocations(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		roundTrip()
 	}
-	if allocs := testing.AllocsPerRun(100, roundTrip); allocs > 1 {
-		t.Fatalf("warm tx→rx round trip allocated %v times, want at most 1 (the ring frame)", allocs)
+	if allocs := testing.AllocsPerRun(100, roundTrip); allocs > 0 {
+		t.Fatalf("warm tx→rx round trip allocated %v times, want 0", allocs)
 	}
 	if delivered != 105 || done != 105 {
 		t.Fatalf("delivered %d, completed %d, want 105 each", delivered, done)

@@ -169,13 +169,17 @@ type txIntr struct {
 	send  func()
 }
 
-// txSend is one packet from construction to transmit complete: its
-// number for the probes and its chain for the completion to free.
+// txSend is one packet from construction until its envelope is dead: the
+// envelope itself, with a permanent chain shell and the probe, completion
+// and recycle callbacks, the header's capture bytes, and the packet number
+// for the probes. The record returns to the pool only through the
+// envelope's two-phase recycle (transmit complete and receive handler
+// returned), so no frame still in flight ever sees it reused.
 type txSend struct {
-	num   uint32
-	chain *kernel.Chain
-	preTx func()
-	done  func(ring.DeliveryStatus)
+	out     tradapter.Outgoing
+	capture [ctmsp.HeaderSize]byte
+	num     uint32
+	recycle func(*tradapter.Outgoing)
 }
 
 // DriverName implements kernel.Driver.
@@ -263,31 +267,30 @@ func (t *TxDriver) getIntr() *txIntr {
 	return in
 }
 
-// getSend pops a free packet record, building one (with its permanent
-// probe and completion callbacks) on the cold path only.
+// getSend pops a free packet record, building one (with its envelope's
+// permanent chain shell and callbacks) on the cold path only.
 //
 //ctmsvet:hotpath
 func (t *TxDriver) getSend() *txSend {
 	if sd := t.sends.Get(); sd != nil {
 		return sd
 	}
-	sd := &txSend{}     //ctmsvet:allow hotpath cold refill path, runs only until the packet pool reaches steady state
-	sd.preTx = func() { //ctmsvet:allow hotpath the probe is built once per pooled record, not per packet
+	sd := &txSend{}                //ctmsvet:allow hotpath cold refill path, runs only until the packet pool reaches steady state
+	sd.out.Chain = &kernel.Chain{} //ctmsvet:allow hotpath the chain shell is built once per pooled record, not per packet
+	sd.out.PreTransmit = func() {  //ctmsvet:allow hotpath the probe is built once per pooled record, not per packet
 		if t.OnPreTransmit != nil {
 			t.OnPreTransmit(sd.num, t.k.Sched().Now())
 		}
 	}
-	sd.done = func(s ring.DeliveryStatus) { //ctmsvet:allow hotpath the completion is built once per pooled record, not per packet
-		t.k.Pool.Free(sd.chain)
-		num := sd.num
-		sd.chain = nil
-		t.sends.Put(sd)
+	sd.out.Done = func(s ring.DeliveryStatus) { //ctmsvet:allow hotpath the completion is built once per pooled record, not per packet
+		t.k.Pool.Free(sd.out.Chain)
 		t.outstanding--
 		t.stats.PacketsSent++
 		if t.OnTxDone != nil {
-			t.OnTxDone(num, s)
+			t.OnTxDone(sd.num, s)
 		}
 	}
+	sd.recycle = func(*tradapter.Outgoing) { t.sends.Put(sd) } //ctmsvet:allow hotpath the recycle hook is built once per pooled record, not per packet
 	return sd
 }
 
@@ -298,19 +301,19 @@ func (t *TxDriver) buildAndSend() {
 		return
 	}
 	sd := t.getSend()
-	pkt := t.conn.BuildPacket(t.cfg.DataBytes, t.cfg.CopyHeaderOnly, sd.preTx, sd.done)
-	if pkt == nil {
+	h, ok := t.conn.BuildPacket(&sd.out, &sd.capture, t.cfg.DataBytes, t.cfg.CopyHeaderOnly)
+	if !ok {
 		t.sends.Put(sd)
 		t.stats.MbufDrops++
 		return
 	}
-	sd.num = pkt.Chain.Tag.(ctmsp.Header).PacketNum
-	sd.chain = pkt.Chain
+	sd.num = h.PacketNum
+	sd.out.SetRecycle(sd.recycle)
 	t.outstanding++
 	if t.PatchOutgoing != nil {
-		t.PatchOutgoing(pkt)
+		t.PatchOutgoing(&sd.out)
 	}
-	t.out(pkt)
+	t.out(&sd.out)
 }
 
 // RxConfig selects the receive-side driver variants of §5.3.
@@ -377,18 +380,14 @@ func NewRxDriver(k *kernel.Kernel, trdrv *tradapter.Driver, recv *ctmsp.Receiver
 // Stats returns a snapshot of receive accounting.
 func (r *RxDriver) Stats() RxStats { return r.stats }
 
-// handle runs at the split point, inside the receive interrupt.
+// handle runs at the split point, inside the receive interrupt. It reads
+// the CTMSP header from the packet's own bytes: the magic check is the
+// "shortest possible test" of measurement point 4.
 //
 //ctmsvet:hotpath
 func (r *RxDriver) handle(rcv *tradapter.Received) []rtpc.Seg {
-	out, ok := rcv.Frame.Payload.(*tradapter.Outgoing)
-	if !ok {
-		r.stats.BadHeader++
-		rcv.Release()
-		return nil
-	}
-	h, ok := out.Chain.Tag.(ctmsp.Header)
-	if !ok {
+	h, err := ctmsp.DecodeHeader(rcv.Frame.Capture)
+	if err != nil {
 		r.stats.BadHeader++
 		rcv.Release()
 		return nil

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/ctmsp"
 	"repro/internal/kernel"
+	"repro/internal/measure"
 	"repro/internal/ring"
 	"repro/internal/rtpc"
 	"repro/internal/sim"
@@ -261,5 +262,48 @@ func TestPurgeLossShowsAsGap(t *testing.T) {
 	}
 	if st.Duplicates != 0 {
 		t.Fatalf("no duplicates expected without purge-interrupt: %+v", st)
+	}
+}
+
+// TestTAPKeepsItsOwnCaptureBytes runs a TAP-monitored ring carrying the
+// pooled VCA stream long enough for every send record, and so every
+// capture buffer, to be used again many times. Each TAP entry must still
+// decode to the packet number that was on the wire when it was captured.
+func TestTAPKeepsItsOwnCaptureBytes(t *testing.T) {
+	r := newRig(t, DefaultTxConfig(), DefaultRxConfigB())
+	tap := measure.NewTAP(r.ring, 0)
+	var onWire []uint32
+	envelopes := map[*tradapter.Outgoing]bool{}
+	r.ring.AddTap(func(f *ring.Frame, _, _ sim.Time, _ ring.DeliveryStatus) {
+		h, err := ctmsp.DecodeHeader(f.Capture)
+		if err != nil {
+			t.Fatalf("frame %d on the wire has no CTMSP header: %v", f.Seq, err)
+		}
+		onWire = append(onWire, h.PacketNum)
+		envelopes[f.Payload.(*tradapter.Outgoing)] = true
+	})
+	r.dev.Start()
+	r.sched.RunUntil(2 * sim.Second)
+	r.dev.Stop()
+	r.sched.Run()
+
+	if len(onWire) < 160 || len(envelopes) > 4 {
+		t.Fatalf("%d packets in %d envelopes: the stream must reuse its few envelopes", len(onWire), len(envelopes))
+	}
+	decode := func(b []byte) (uint32, bool) {
+		h, err := ctmsp.DecodeHeader(b)
+		return h.PacketNum, err == nil
+	}
+	entries := tap.Entries()
+	if len(entries) != len(onWire) {
+		t.Fatalf("TAP recorded %d frames, the wire carried %d", len(entries), len(onWire))
+	}
+	for i, e := range entries {
+		if num, ok := decode(e.Capture); !ok || num != onWire[i] {
+			t.Fatalf("TAP entry %d decodes to packet %d (ok=%t), the wire carried %d", i, num, ok, onWire[i])
+		}
+	}
+	if out, gaps := tap.SequenceCheck(decode); out != 0 || gaps != 0 {
+		t.Fatalf("unpurged stream: %d out of order, %d gaps", out, gaps)
 	}
 }
