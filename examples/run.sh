@@ -38,8 +38,13 @@ check() {
 	fi
 }
 
-for e in quickstart cdaudio baseline toolcheck document; do
-	check "$e" "$tmp/bin/$e"
+# Every directory under examples/ but testdata is an example program, so
+# an example added without a golden fails the diff.
+for dir in "$golden"/../*/; do
+	e=$(basename "$dir")
+	if [ "$e" != testdata ]; then
+		check "$e" "$tmp/bin/$e"
+	fi
 done
 check tapdump "$tmp/bin/tapdump" -seconds 2 -o capture.ctap
 check tapdump-i "$tmp/bin/tapdump" -i capture.ctap

@@ -25,13 +25,10 @@ var SimCriticalPackages = []string{
 	"internal/stats",
 	"internal/kernel",
 	"internal/rtpc",
-	"internal/media",
 	"internal/tradapter",
 	"internal/vca",
 	"internal/measure",
-	"internal/dsp",
 	"internal/inet",
-	"internal/afs",
 }
 
 // SimCriticalExemptions names internal packages deliberately outside the

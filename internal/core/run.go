@@ -5,7 +5,6 @@ import (
 	"repro/internal/inet"
 	"repro/internal/kernel"
 	"repro/internal/measure"
-	"repro/internal/playout"
 	"repro/internal/ring"
 	"repro/internal/rtpc"
 	"repro/internal/session"
@@ -347,9 +346,10 @@ func (e *env) stopGens() {
 
 // finish runs the scenario to its end: it starts the background and the
 // stream source, stops them at cfg.Duration, builds the histograms and
-// fills the results both protocols share. When the logic analyzer is the
-// configured tool, Hists is the truth set itself.
-func (e *env) finish(dev *vca.Device, play *playout.Playout) *Results {
+// fills the results both protocols share; the stream accounting is the
+// caller's. When the logic analyzer is the configured tool, Hists is the
+// truth set itself.
+func (e *env) finish(dev *vca.Device) *Results {
 	cfg := e.cfg
 	e.addBackground()
 	dev.Start()
@@ -367,7 +367,6 @@ func (e *env) finish(dev *vca.Device, play *playout.Playout) *Results {
 		Elapsed:   cfg.Duration,
 		Hists:     hists,
 		Truth:     truth,
-		Playout:   play.Finish(cfg.Duration),
 		Ring:      e.ring.Counters(),
 		TxDriver:  e.txDrv.Stats(),
 		TxCPUUtil: float64(e.txK.CPU().Stats().BusyTime) / float64(cfg.Duration),
@@ -376,53 +375,29 @@ func (e *env) finish(dev *vca.Device, play *playout.Playout) *Results {
 	}
 }
 
-// runCTMSP executes the prototype path.
+// runCTMSP executes the prototype path: the session layer's stream
+// between the two machines under test, with the §5.3 copy toggles and the
+// P1–P4 probes.
 func runCTMSP(e *env) (*Results, error) {
 	cfg := e.cfg
-	conn, err := ctmsp.Dial(e.txK, e.txDrv, e.rxDrv.Station().Addr(), 1)
+	spec := session.StreamSpec{Name: cfg.Name, PacketBytes: cfg.PacketBytes, Interval: cfg.Interval}
+	txCfg := vca.TxConfig{CopyHeaderOnly: cfg.TxCopyHeaderOnly, CopyVCAToMbufs: cfg.TxCopyVCAToMbufs}
+	rxCfg := vca.RxConfig{CopyToMbufs: cfg.RxCopyToMbufs, CopyToDevice: cfg.RxCopyToVCA}
+	st, err := session.Wire(0, spec, e.txDrv, e.rxDrv, e.rxDrv.Station().Addr(), txCfg, rxCfg, cfg.PlayoutPrebuffer, nil)
 	if err != nil {
 		return nil, err
 	}
-
-	dev := vca.NewDevice(e.txK)
-	txCfg := vca.DefaultTxConfig()
-	txCfg.DataBytes = cfg.PacketBytes - ctmsp.HeaderSize
-	txCfg.CopyHeaderOnly = cfg.TxCopyHeaderOnly
-	txCfg.CopyVCAToMbufs = cfg.TxCopyVCAToMbufs
-	txDrv, err := vca.NewTxDriver(e.txK, dev, conn, txCfg)
-	if err != nil {
-		return nil, err
-	}
-
-	recv := &ctmsp.Receiver{}
-	rxCfg := vca.RxConfig{
-		CopyToMbufs:  cfg.RxCopyToMbufs,
-		CopyToDevice: cfg.RxCopyToVCA,
-	}
-	rxDrv := vca.NewRxDriver(e.rxK, e.rxDrv, recv, rxCfg)
-
-	streamBytesPerSec := float64(cfg.PacketBytes-ctmsp.HeaderSize) / cfg.Interval.Seconds()
-	play := playout.New(streamBytesPerSec, cfg.PlayoutPrebuffer)
-
-	// Probe wiring.
-	dev.OnIRQ = func(tick uint64, _ sim.Time) { e.record(measure.P1VCAIRQ, uint32(tick)) }
-	txDrv.OnHandlerEntry = func(tick uint64, _ sim.Time) { e.record(measure.P2HandlerEntry, uint32(tick)) }
-	txDrv.OnPreTransmit = func(num uint32, _ sim.Time) { e.record(measure.P3PreTransmit, num) }
-	rxDrv.OnClassified = func(h ctmsp.Header, _ sim.Time) { e.record(measure.P4RxClassified, h.PacketNum) }
-	rxDrv.OnDelivered = func(h ctmsp.Header, at sim.Time, ev ctmsp.Event) {
-		if ev == ctmsp.InOrder || ev == ctmsp.Gap {
-			play.Deliver(int(h.Length)-ctmsp.HeaderSize, at)
-		}
-	}
-
+	st.Dev.OnIRQ = func(tick uint64, _ sim.Time) { e.record(measure.P1VCAIRQ, uint32(tick)) }
+	st.Tx.OnHandlerEntry = func(tick uint64, _ sim.Time) { e.record(measure.P2HandlerEntry, uint32(tick)) }
+	st.Tx.OnPreTransmit = func(num uint32, _ sim.Time) { e.record(measure.P3PreTransmit, num) }
+	st.Rx.OnClassified = func(h ctmsp.Header, _ sim.Time) { e.record(measure.P4RxClassified, h.PacketNum) }
 	// Pointer-transfer extension (§2): patch packets after build.
 	if cfg.PointerTransfer {
-		txDrv.PatchOutgoing = func(p *tradapter.Outgoing) { p.NoCopy = true }
+		st.Tx.PatchOutgoing = func(p *tradapter.Outgoing) { p.NoCopy = true }
 	}
 
-	r := e.finish(dev, play)
-	r.Sent = txDrv.Stats().PacketsSent
-	r.RxStats = recv.Stats()
-	r.Delivered = r.RxStats.InOrder + r.RxStats.Gaps
+	r := e.finish(st.Dev)
+	out := st.Finish(cfg.Duration)
+	r.Sent, r.Delivered, r.RxStats, r.Playout = out.Sent, out.Delivered, out.RxStats, out.Stats
 	return r, nil
 }

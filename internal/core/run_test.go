@@ -289,3 +289,32 @@ func TestReportRenders(t *testing.T) {
 		t.Fatalf("throughput: %f", r.Throughput())
 	}
 }
+
+// TestIntervalSetsThePacketPeriod runs both protocols at twice the paper's
+// 12 ms period: the source must send half as many packets, and the
+// playout buffer, which drains at PacketBytes per Interval, must stay
+// about as full as at 12 ms instead of filling with packets arriving
+// twice as fast as it plays them.
+func TestIntervalSetsThePacketPeriod(t *testing.T) {
+	for _, base := range []Config{TestCaseA(), StockUnix(16_000)} {
+		t.Run(base.Protocol.String(), func(t *testing.T) {
+			run := func(interval sim.Time) *Results {
+				c := base
+				c.Duration = 6 * sim.Second
+				c.Interval = interval
+				r, err := Run(c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return r
+			}
+			at12, at24 := run(12*sim.Millisecond), run(24*sim.Millisecond)
+			if at24.Sent < 240 || at24.Sent > 260 {
+				t.Fatalf("sent %d packets in 6 s at 24 ms, want ≈250", at24.Sent)
+			}
+			if hw12, hw24 := at12.Playout.MaxBufferBytes, at24.Playout.MaxBufferBytes; hw24 > 2*hw12 {
+				t.Fatalf("playout high-water %d B at 24 ms, %d B at 12 ms", hw24, hw12)
+			}
+		})
+	}
+}

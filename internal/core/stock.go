@@ -106,11 +106,12 @@ func runStock(e *env) (*Results, error) {
 	// The VCA interrupt on the stock path: DMA buffer → mbuf copy at
 	// interrupt level, then wake the relay.
 	dev := vca.NewDevice(e.txK)
+	dev.SetPeriod(cfg.Interval)
 	stockIRQ := func(n uint64) {
 		num := uint32(n)
 		e.record(measure.P1VCAIRQ, num)
 		segs := []rtpc.Seg{
-			rtpc.Do(28 * sim.Microsecond), // interrupt dispatch
+			rtpc.Do(vca.DispatchCost),
 			rtpc.Mark(func() { e.record(measure.P2HandlerEntry, num) }),
 			e.txK.Machine.CopySeg(cfg.PacketBytes, rtpc.SystemMemory, rtpc.SystemMemory),
 			rtpc.Mark(func() {
@@ -156,7 +157,8 @@ func runStock(e *env) (*Results, error) {
 	// the CTMSP driver-to-driver path).
 	dev.SetIRQ(stockIRQ)
 
-	r := e.finish(dev, play)
+	r := e.finish(dev)
+	r.Playout = play.Finish(cfg.Duration)
 	r.Sent = sent
 	r.Delivered = delivered
 	r.RxStats.Received = delivered

@@ -163,27 +163,6 @@ func (c *Conn) BuildPacket(out *tradapter.Outgoing, capture *[HeaderSize]byte, d
 	return h, true
 }
 
-// Packet is a CTMSP packet carrying an application payload — used by
-// higher layers (the media server) that send real data rather than the
-// VCA's synthetic stream. The chain Tag holds one of these.
-type Packet struct {
-	Header
-	Payload any
-}
-
-// BuildDataPacket builds a payload-carrying packet in a fresh envelope:
-// the chain is tagged with a Packet wrapping the payload. Returns nil if
-// the mbuf pool is exhausted.
-func (c *Conn) BuildDataPacket(payload any, dataLen int, preTransmit func(), done func(ring.DeliveryStatus)) *tradapter.Outgoing {
-	out := &tradapter.Outgoing{Chain: &kernel.Chain{}, PreTransmit: preTransmit, Done: done}
-	h, ok := c.BuildPacket(out, new([HeaderSize]byte), dataLen, false)
-	if !ok {
-		return nil
-	}
-	out.Chain.Tag = Packet{Header: h, Payload: payload}
-	return out
-}
-
 // Event classifies what the receiver saw for one arriving packet.
 //
 //ctmsvet:enum

@@ -86,7 +86,7 @@ func newConn(t *testing.T) (*sim.Scheduler, *kernel.Kernel, *Conn) {
 }
 
 // envelope is a fresh caller-owned envelope and capture buffer, the way
-// BuildDataPacket and the VCA's send records hand them to BuildPacket.
+// the VCA's send records hand them to BuildPacket.
 func envelope() (*tradapter.Outgoing, *[HeaderSize]byte) {
 	return &tradapter.Outgoing{Chain: &kernel.Chain{}}, new([HeaderSize]byte)
 }

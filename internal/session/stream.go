@@ -84,44 +84,69 @@ type End struct {
 	Seed    int64
 }
 
-// Stream is one admitted stream's machinery: the transmitting host's VCA
-// device and driver, and the receiving host's CTMSP receiver and playout
-// buffer.
+// Stream is one stream's machinery: the transmitting host's VCA device
+// and drivers, and the receiving host's CTMSP receiver and playout
+// buffer. Dev, Tx and Rx are exported so a caller can set their probe
+// hooks, PatchOutgoing or MaxOutstanding before Start.
 type Stream struct {
-	dev   *vca.Device
-	txDrv *vca.TxDriver
-	recv  *ctmsp.Receiver
-	play  *playout.Playout
+	Dev  *vca.Device
+	Tx   *vca.TxDriver
+	Rx   *vca.RxDriver
+	recv *ctmsp.Receiver
+	play *playout.Playout
 }
 
 // NewStream attaches one admitted stream: its own transmitter and receiver
-// machines (the paper's RT/PC pair), a CTMSP connection with a
-// precomputed ring header, the VCA source interrupting every Interval,
-// and the receive path feeding a playout buffer. When the ends sit on
-// different rings, packets are MAC-addressed to via — the first-hop
-// bridge on the transmitter's ring — and carry their final (ring,
-// station) in the Outgoing's routed fields. onDelay, when non-nil, is
-// called with each delivered packet's delay past (n+1)·Interval, packet
-// n's capture time on the device's clock when the device starts at 0.
-// The stream does not tick until Start.
+// machines (the paper's RT/PC pair) and the stream Wire builds between
+// them, with the default copy paths and at most maxOutstanding packets
+// queued in the transmitter's driver. When the ends sit on different
+// rings, packets are MAC-addressed to via — the first-hop bridge on the
+// transmitter's ring — and carry their final (ring, station) in the
+// Outgoing's routed fields. The stream does not tick until Start.
 func NewStream(id int, spec StreamSpec, tx, rx End, via ring.Addr, prebuffer sim.Time, onDelay func(sim.Time)) (*Stream, error) {
 	trCfg := tradapter.DefaultConfig()
 	trCfg.CTMSPRingPriority = spec.Class.RingPriority()
-	mkHost := func(e End, role string) (*kernel.Kernel, *tradapter.Driver) {
+	mkHost := func(e End, role string) *tradapter.Driver {
 		name := fmt.Sprintf("%s-%s", spec.Name, role)
 		k := kernel.New(rtpc.NewMachine(e.Sched, name, e.Seed))
 		drv := tradapter.New(k, e.Ring.Attach(name), trCfg)
 		k.Register(drv)
-		return k, drv
+		return drv
 	}
-	txK, txTR := mkHost(tx, "tx")
-	rxK, rxTR := mkHost(rx, "rx")
+	txTR := mkHost(tx, "tx")
+	rxTR := mkHost(rx, "rx")
 
 	crossRing := tx.RingIdx != rx.RingIdx
 	dialTo := rxTR.Station().Addr()
 	if crossRing {
 		dialTo = via
 	}
+	s, err := Wire(id, spec, txTR, rxTR, dialTo, vca.DefaultTxConfig(), vca.DefaultRxConfigB(), prebuffer, onDelay)
+	if err != nil {
+		return nil, err
+	}
+	s.Tx.MaxOutstanding = maxOutstanding
+	if crossRing {
+		finalDst, routedRing := rxTR.Station().Addr(), rx.RingIdx+1
+		s.Tx.PatchOutgoing = func(out *tradapter.Outgoing) {
+			out.RoutedDst = finalDst
+			out.RoutedRing = routedRing
+		}
+	}
+	return s, nil
+}
+
+// Wire builds one stream between two hosts that already exist: a CTMSP
+// connection from txTR's machine to dialTo with a precomputed ring
+// header, the VCA device interrupting every spec.Interval into the
+// transmit driver, and the receive driver on rxTR feeding a receiver and
+// a playout buffer. txCfg and rxCfg choose the copy paths; txCfg's
+// DataBytes is set from spec.PacketBytes. onDelay, when non-nil, is
+// called with each delivered packet's delay past (n+1)·Interval, packet
+// n's capture time on the device's clock when the device starts at 0.
+// The stream does not tick until Start.
+func Wire(id int, spec StreamSpec, txTR, rxTR *tradapter.Driver, dialTo ring.Addr, txCfg vca.TxConfig, rxCfg vca.RxConfig, prebuffer sim.Time, onDelay func(sim.Time)) (*Stream, error) {
+	txK, rxK := txTR.Kernel(), rxTR.Kernel()
 	// Connection ids are a uint8 namespace; population runs can exceed it,
 	// and the id only disambiguates packets on the shared ring trace, so
 	// wrapping is safe (identical to id+1 for the first 250 streams).
@@ -132,26 +157,17 @@ func NewStream(id int, spec StreamSpec, tx, rx End, via ring.Addr, prebuffer sim
 
 	dev := vca.NewDevice(txK)
 	dev.SetPeriod(spec.Interval)
-	txCfg := vca.DefaultTxConfig()
 	txCfg.DataBytes = spec.PacketBytes - ctmsp.HeaderSize
 	txDrv, err := vca.NewTxDriver(txK, dev, conn, txCfg)
 	if err != nil {
 		return nil, fmt.Errorf("session: stream %d (%s): %w", id, spec.Name, err)
 	}
-	txDrv.MaxOutstanding = maxOutstanding
-	if crossRing {
-		finalDst, routedRing := rxTR.Station().Addr(), rx.RingIdx+1
-		txDrv.PatchOutgoing = func(out *tradapter.Outgoing) {
-			out.RoutedDst = finalDst
-			out.RoutedRing = routedRing
-		}
-	}
 
 	recv := &ctmsp.Receiver{}
-	rxDrv := vca.NewRxDriver(rxK, rxTR, recv, vca.DefaultRxConfigB())
-	streamBytesPerSec := float64(spec.PacketBytes-ctmsp.HeaderSize) / spec.Interval.Seconds()
+	rxDrv := vca.NewRxDriver(rxK, rxTR, recv, rxCfg)
+	streamBytesPerSec := float64(txCfg.DataBytes) / spec.Interval.Seconds()
 	play := playout.New(streamBytesPerSec, prebuffer)
-	play.SetTrace(rx.Sched.Trace())
+	play.SetTrace(rxK.Sched().Trace())
 	interval := spec.Interval
 	rxDrv.OnDelivered = func(h ctmsp.Header, at sim.Time, ev ctmsp.Event) {
 		if ev != ctmsp.InOrder && ev != ctmsp.Gap {
@@ -162,27 +178,25 @@ func NewStream(id int, spec StreamSpec, tx, rx End, via ring.Addr, prebuffer sim
 			onDelay(at - sim.Time(h.PacketNum+1)*interval)
 		}
 	}
-	return &Stream{dev: dev, txDrv: txDrv, recv: recv, play: play}, nil
+	return &Stream{Dev: dev, Tx: txDrv, Rx: rxDrv, recv: recv, play: play}, nil
 }
 
 // Start begins the stream's capture interrupts, the first one period from
 // now.
-func (s *Stream) Start() { s.dev.Start() }
+func (s *Stream) Start() { s.Dev.Start() }
 
 // Stop halts the stream at its source.
-func (s *Stream) Stop() { s.dev.Stop() }
+func (s *Stream) Stop() { s.Dev.Stop() }
 
-// Outcome is an admitted stream's transport and playout accounting.
+// Outcome is a stream's transport and playout accounting: the packets the
+// transmitter sent, the receiver's and the playout buffer's statistics,
+// and Delivered, the packets that reached playout in order or after a
+// gap.
 type Outcome struct {
-	Sent       uint64
-	Delivered  uint64
-	Lost       uint64
-	Gaps       uint64
-	Duplicates uint64
-
-	Glitches       uint64
-	StarvedTime    sim.Time
-	MaxBufferBytes int
+	Sent      uint64
+	Delivered uint64
+	ctmsp.RxStats
+	playout.Stats
 }
 
 // DeliveredFraction reports Delivered/Sent (0 for streams that never ran).
@@ -195,17 +209,11 @@ func (o Outcome) DeliveredFraction() float64 {
 
 // Finish closes the stream's playout at end and reads its accounting.
 func (s *Stream) Finish(end sim.Time) Outcome {
-	tx := s.txDrv.Stats()
 	rx := s.recv.Stats()
-	p := s.play.Finish(end)
 	return Outcome{
-		Sent:           tx.PacketsSent,
-		Delivered:      rx.InOrder + rx.Gaps,
-		Lost:           rx.Lost,
-		Gaps:           rx.Gaps,
-		Duplicates:     rx.Duplicates,
-		Glitches:       p.Glitches,
-		StarvedTime:    p.StarvedTime,
-		MaxBufferBytes: p.MaxBufferBytes,
+		Sent:      s.Tx.Stats().PacketsSent,
+		Delivered: rx.InOrder + rx.Gaps,
+		RxStats:   rx,
+		Stats:     s.play.Finish(end),
 	}
 }

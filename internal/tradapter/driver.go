@@ -386,6 +386,9 @@ func (d *Driver) Ioctl(cmd string, arg any) (any, error) {
 // Station exposes the underlying ring station.
 func (d *Driver) Station() *ring.Station { return d.st }
 
+// Kernel is the machine the driver belongs to.
+func (d *Driver) Kernel() *kernel.Kernel { return d.k }
+
 // Config reports the active configuration.
 func (d *Driver) Config() Config { return d.cfg }
 
