@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet lint lint-fast build examples examples-golden test race race-shards bench-test bench-check bench-baseline bench-pairs api-check api-golden clean
+.PHONY: ci fmt vet lint lint-fast build examples examples-golden test race race-shards allocs bench-test bench-check bench-baseline bench-pairs api-check api-golden clean
 
-ci: fmt vet lint build examples race race-shards bench-test bench-check api-check
+ci: fmt vet lint build examples race race-shards allocs bench-test bench-check api-check
 
 # gofmt drift anywhere in the tree, bench/ included, fails the build.
 fmt:
@@ -62,6 +62,13 @@ race:
 race-shards:
 	$(GO) test -race -run 'TestE18ShardedSmoke|TestShardSerialEquivalence|TestE20MeshSmoke|TestMeshOracleWorkerCounts' \
 		./internal/core ./internal/topo
+
+# The real-run allocation budgets (internal/core/allocbudget_test.go)
+# hold whole runs to a number of allocations per event. The race
+# detector's instrumentation allocates, so that file is built without it
+# and `race` never runs it; this target does.
+allocs:
+	$(GO) test -count=1 -run AllocationBudget ./internal/core
 
 # The host-cost benchmark (bench/) is a module of its own, so ./... above
 # never reaches its tests. They include the bench/golden.json check that

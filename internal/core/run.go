@@ -165,45 +165,64 @@ func startKernelActivity(k *kernel.Kernel, rng *sim.RNG) {
 }
 
 // startProtectedActivity schedules recurring protected kernel work (see
-// submitProtected). mean is the exponential interarrival; each block's
+// protectedWork). mean is the exponential interarrival; each block's
 // duration is uniform in [durLo, durHi].
 func startProtectedActivity(k *kernel.Kernel, rng *sim.RNG, mean, durLo, durHi sim.Time) {
-	var arm func()
-	arm = func() {
-		k.Sched().After(rng.Exp(mean), func() {
-			submitProtected(k, rng.Uniform(durLo, durHi))
-			arm()
-		})
+	w := newProtectedWork(k)
+	var fire func()
+	fire = func() {
+		w.submit(rng.Uniform(durLo, durHi))
+		k.Sched().After(rng.Exp(mean), fire)
 	}
-	arm()
+	k.Sched().After(rng.Exp(mean), fire)
 }
 
 // startPhaseLockedScan runs a fixed-duration protected scan at an exact
 // period, starting at the given offset into the run.
 func startPhaseLockedScan(k *kernel.Kernel, period, offset, dur sim.Time) {
-	run := func() { submitProtected(k, dur) }
+	w := newProtectedWork(k)
+	run := func() { w.submit(dur) }
 	k.Sched().After(offset, func() {
 		run()
 		k.Sched().Every(period, run)
 	})
 }
 
-// submitProtected submits dur of kernel work done at splnet: network-level
-// interrupts wait for the whole block, higher levels (the VCA) do not.
-// The work runs in 400 µs chunks.
-func submitProtected(k *kernel.Kernel, dur sim.Time) {
+// protectedWork submits blocks of kernel work done at splnet:
+// network-level interrupts wait for the whole block, higher levels (the
+// VCA) do not. The work runs in 400 µs chunks.
+//
+// One activity's blocks share a program scratch and one saved spl level
+// with prebuilt enter and exit actions. That is safe because a block's
+// enter and exit can never straddle another block's: blocks are tasks at
+// LevelSoftNet, a task preempts only a lower-level one, so same-level
+// tasks never nest, and a block that has entered holds splnet, which
+// keeps every other LevelSoftNet task from starting until its exit runs.
+type protectedWork struct {
+	cpu         *rtpc.CPU
+	saved       int
+	enter, exit func()
+	prog        []rtpc.Seg // Submit copies it
+}
+
+func newProtectedWork(k *kernel.Kernel) *protectedWork {
+	w := &protectedWork{cpu: k.CPU()}
+	w.enter = func() { w.saved = w.cpu.Spl(kernel.LevelNet) }
+	w.exit = func() { w.cpu.SplX(w.saved) }
+	return w
+}
+
+// submit queues one protected block of dur.
+func (w *protectedWork) submit(dur sim.Time) {
 	const chunk = 400 * sim.Microsecond
-	cpu := k.CPU()
-	var saved int
-	segs := make([]rtpc.Seg, 0, 2+(dur+chunk-1)/chunk)
-	segs = append(segs, rtpc.Mark(func() { saved = cpu.Spl(kernel.LevelNet) }))
+	segs := append(w.prog[:0], rtpc.Mark(w.enter))
 	for dur > 0 {
 		c := min(dur, chunk)
 		dur -= c
 		segs = append(segs, rtpc.Do(c))
 	}
-	segs = append(segs, rtpc.Mark(func() { cpu.SplX(saved) }))
-	cpu.Submit(kernel.LevelSoftNet, segs, nil)
+	w.prog = append(segs, rtpc.Mark(w.exit))
+	w.cpu.Submit(kernel.LevelSoftNet, w.prog, nil)
 }
 
 // record sends a probe event to both the configured tool and the truth

@@ -13,16 +13,29 @@ import (
 // from the source device and writes them to a socket (transmit side), or
 // reads from the socket and writes to the presentation device (receive
 // side). Every packet crosses the user/kernel boundary twice per machine,
-// which is exactly the pair of copies the paper eliminates.
+// which is exactly the pair of copies the paper eliminates: a read
+// syscall whose body copies at readRate per byte, then a write syscall at
+// writeRate, after which deliver hands the item on.
 type stockRelay struct {
 	k     *kernel.Kernel
 	proc  *kernel.Proc
-	queue []stockItem
+	queue sim.FIFO[stockItem]
 	// queueCap models the source device's on-card buffer: the VCA can
 	// hold DeviceBufferBytes; anything beyond that is overwritten.
 	queueCap int
-	busy     bool
-	consume  func(item stockItem, done func())
+	// readRate and writeRate are the two copies' per-byte costs.
+	//
+	//ctmsvet:unit s/byte
+	readRate sim.Time
+	//ctmsvet:unit s/byte
+	writeRate sim.Time
+	deliver   func(stockItem)
+
+	// The relay serves one item at a time (busy), so the item in service
+	// and the steps that read it are fields built once, not per item.
+	busy        bool
+	cur         stockItem
+	write, done func()
 
 	enqueued uint64
 	dropped  uint64
@@ -34,19 +47,29 @@ type stockItem struct {
 	at    sim.Time
 }
 
-func newStockRelay(k *kernel.Kernel, name string, queueCap int, consume func(stockItem, func())) *stockRelay {
+//ctmsvet:unit s/byte readRate
+//ctmsvet:unit s/byte writeRate
+func newStockRelay(k *kernel.Kernel, name string, queueCap int, readRate, writeRate sim.Time, deliver func(stockItem)) *stockRelay {
 	sim.Checkf(queueCap >= 1, "relay needs at least one buffer slot")
-	return &stockRelay{k: k, proc: k.NewProc(name), queueCap: queueCap, consume: consume}
+	r := &stockRelay{k: k, proc: k.NewProc(name), queueCap: queueCap, readRate: readRate, writeRate: writeRate, deliver: deliver}
+	r.write = func() { r.proc.Syscall(sim.PerByte(r.writeRate, r.cur.bytes), r.done) }
+	r.done = func() {
+		r.deliver(r.cur)
+		r.busy = false
+		// With nothing pending the process sleeps in read().
+		r.kick()
+	}
+	return r
 }
 
 // push is called at interrupt level when a packet is ready. Returns false
 // if the device buffer overflowed and the packet was lost.
 func (r *stockRelay) push(item stockItem) bool {
-	if len(r.queue) >= r.queueCap {
+	if r.queue.Len() >= r.queueCap {
 		r.dropped++
 		return false
 	}
-	r.queue = append(r.queue, item)
+	r.queue.Push(item)
 	r.enqueued++
 	r.proc.Wakeup()
 	r.kick()
@@ -54,20 +77,20 @@ func (r *stockRelay) push(item stockItem) bool {
 }
 
 func (r *stockRelay) kick() {
-	if r.busy || len(r.queue) == 0 {
+	if r.busy || r.queue.Len() == 0 {
 		return
 	}
 	r.busy = true
-	item := r.queue[0]
-	r.queue = r.queue[1:]
-	r.consume(item, func() {
-		r.busy = false
-		if len(r.queue) > 0 {
-			r.kick()
-			return
-		}
-		// Nothing pending: the process sleeps in read().
-	})
+	r.cur = r.queue.Pop()
+	r.proc.Syscall(sim.PerByte(r.readRate, r.cur.bytes), r.write)
+}
+
+// stockIRQ carries one VCA interrupt's packet number through the stock
+// interrupt program, whose two actions are built once per pooled record.
+// The record returns to the pool when the program's last action runs.
+type stockIRQ struct {
+	num         uint32
+	entry, push func()
 }
 
 // runStock executes the unmodified-UNIX baseline of §1.
@@ -87,65 +110,54 @@ func runStock(e *env) (*Results, error) {
 		queueCap = 1
 	}
 
-	var sent uint64
+	var sent, delivered uint64
 
 	// Transmit relay: read(vca) → write(socket).
-	txRelay := newStockRelay(e.txK, "relay-tx", queueCap, nil)
-	txRelay.consume = func(item stockItem, done func()) {
-		p := txRelay.proc
-		copyCost := sim.PerByte(rtpc.CPUCopyUser, item.bytes)
-		p.Syscall(copyCost, func() {
-			p.Syscall(copyCost, func() {
-				e.record(measure.P3PreTransmit, item.num)
-				conn.Send(item.num, item.bytes, nil)
-				done()
-			})
-		})
-	}
+	txRelay := newStockRelay(e.txK, "relay-tx", queueCap, rtpc.CPUCopyUser, rtpc.CPUCopyUser, func(item stockItem) {
+		e.record(measure.P3PreTransmit, item.num)
+		conn.Send(item.num, item.bytes, nil)
+	})
 
 	// The VCA interrupt on the stock path: DMA buffer → mbuf copy at
-	// interrupt level, then wake the relay.
+	// interrupt level, then wake the relay. The program is built in one
+	// scratch slice (Submit copies it).
 	dev := vca.NewDevice(e.txK)
 	dev.SetPeriod(cfg.Interval)
-	stockIRQ := func(n uint64) {
-		num := uint32(n)
-		e.record(measure.P1VCAIRQ, num)
-		segs := []rtpc.Seg{
-			rtpc.Do(vca.DispatchCost),
-			rtpc.Mark(func() { e.record(measure.P2HandlerEntry, num) }),
-			e.txK.Machine.CopySeg(cfg.PacketBytes, rtpc.SystemMemory, rtpc.SystemMemory),
-			rtpc.Mark(func() {
+	var irqs sim.FreeList[stockIRQ]
+	var prog []rtpc.Seg
+	irq := func(n uint64) {
+		in := irqs.Get()
+		if in == nil {
+			in = &stockIRQ{}
+			in.entry = func() { e.record(measure.P2HandlerEntry, in.num) }
+			in.push = func() {
+				num := in.num
+				irqs.Put(in)
 				sent++
 				txRelay.push(stockItem{num: num, bytes: cfg.PacketBytes, at: e.sched.Now()})
-			}),
+			}
 		}
-		e.txK.CPU().Submit(kernel.LevelVCA, segs, nil)
+		in.num = uint32(n)
+		e.record(measure.P1VCAIRQ, in.num)
+		prog = append(prog[:0],
+			rtpc.Do(vca.DispatchCost),
+			rtpc.Mark(in.entry),
+			e.txK.Machine.CopySeg(cfg.PacketBytes, rtpc.SystemMemory, rtpc.SystemMemory),
+			rtpc.Mark(in.push),
+		)
+		e.txK.CPU().Submit(kernel.LevelVCA, prog, nil)
 	}
 
 	// Receive relay: read(socket) → write(vca device).
-	var delivered uint64
-	rxRelay := newStockRelay(e.rxK, "relay-rx", 64, nil)
-	rxRelay.consume = func(item stockItem, done func()) {
-		p := rxRelay.proc
-		copyCost := sim.PerByte(rtpc.CPUCopyUser, item.bytes)
-		devCost := sim.PerByte(rtpc.CPUCopyDevice, item.bytes)
-		p.Syscall(copyCost, func() {
-			p.Syscall(devCost, func() {
-				delivered++
-				e.record(measure.P4RxClassified, item.num)
-				play.Deliver(item.bytes, e.sched.Now())
-				done()
-			})
-		})
-	}
+	rxRelay := newStockRelay(e.rxK, "relay-rx", 64, rtpc.CPUCopyUser, rtpc.CPUCopyDevice, func(item stockItem) {
+		delivered++
+		e.record(measure.P4RxClassified, item.num)
+		play.Deliver(item.bytes, e.sched.Now())
+	})
 
 	// Transport delivery reassembles MTU segments into packets.
 	pending := make(map[uint32]int)
-	rconn.OnDeliver(func(payload any, n int, at sim.Time) {
-		num, ok := payload.(uint32)
-		if !ok {
-			return
-		}
+	rconn.OnDeliver(func(num uint32, n int, at sim.Time) {
 		pending[num] += n
 		if pending[num] >= cfg.PacketBytes {
 			delete(pending, num)
@@ -155,7 +167,7 @@ func runStock(e *env) (*Results, error) {
 
 	// Wire the interrupt action directly (the stock driver does not use
 	// the CTMSP driver-to-driver path).
-	dev.SetIRQ(stockIRQ)
+	dev.SetIRQ(irq)
 
 	r := e.finish(dev)
 	r.Playout = play.Finish(cfg.Duration)

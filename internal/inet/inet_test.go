@@ -42,7 +42,9 @@ func TestChecksumVerifyProperty(t *testing.T) {
 
 func TestIPHeaderRoundTrip(t *testing.T) {
 	h := IPHeader{Proto: ProtoRDT, Src: 3, Dst: 9, Length: 1500, ID: 77}
-	got, err := DecodeIPHeader(h.Encode())
+	var b [IPHeaderSize]byte
+	h.Encode(&b)
+	got, err := DecodeIPHeader(b[:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,9 +52,8 @@ func TestIPHeaderRoundTrip(t *testing.T) {
 		t.Fatalf("round trip: %+v vs %+v", got, h)
 	}
 	// Corrupt a byte: checksum must catch it.
-	b := h.Encode()
 	b[16] ^= 0xFF
-	if _, err := DecodeIPHeader(b); err == nil {
+	if _, err := DecodeIPHeader(b[:]); err == nil {
 		t.Fatal("corrupted header must fail checksum")
 	}
 }
@@ -81,13 +82,13 @@ func inetPair(t *testing.T) (*sim.Scheduler, *ring.Ring, *inetHost, *inetHost) {
 func TestDatagramDelivery(t *testing.T) {
 	sched, _, a, b := inetPair(t)
 	var got *Datagram
-	b.stack.OnDatagram(func(dg *Datagram, _ sim.Time) { got = dg })
-	a.stack.SendDatagram(b.stack.Addr(), 100, "keepalive", nil)
+	b.stack.OnDatagram(func(dg *Datagram, _ sim.Time) { d := *dg; got = &d })
+	a.stack.SendDatagram(b.stack.Addr(), 100, 77, nil)
 	sched.Run()
 	if got == nil {
 		t.Fatal("datagram not delivered")
 	}
-	if got.Payload != "keepalive" || got.Bytes != 100 {
+	if got.Tag != 77 || got.Bytes != 100 {
 		t.Fatalf("wrong datagram: %+v", got)
 	}
 }
@@ -96,11 +97,11 @@ func TestARPResolvesOnFirstSend(t *testing.T) {
 	sched, _, a, b := inetPair(t)
 	delivered := 0
 	b.stack.OnDatagram(func(*Datagram, sim.Time) { delivered++ })
-	a.stack.SendDatagram(b.stack.Addr(), 60, nil, nil)
+	a.stack.SendDatagram(b.stack.Addr(), 60, 0, nil)
 	// The second send happens after resolution completes, so it hits the
 	// warm cache.
 	sched.After(sim.Second, func() {
-		a.stack.SendDatagram(b.stack.Addr(), 60, nil, nil)
+		a.stack.SendDatagram(b.stack.Addr(), 60, 0, nil)
 	})
 	sched.Run()
 	if delivered != 2 {
@@ -123,7 +124,7 @@ func TestARPTimeoutDropsPacket(t *testing.T) {
 	sched, r, a, _ := inetPair(t)
 	ghost := r.Attach("ghost") // on the ring, but no ARP responder
 	done := false
-	a.stack.SendDatagram(ghost.Addr(), 60, nil, func() { done = true })
+	a.stack.SendDatagram(ghost.Addr(), 60, 0, func() { done = true })
 	sched.Run()
 	if !done {
 		t.Fatal("send completion must fire even on ARP failure")
@@ -141,9 +142,9 @@ func TestRDTReliableDelivery(t *testing.T) {
 	sched, _, a, b := inetPair(t)
 	conn := a.stack.RDTOpen(b.stack.Addr())
 	rconn := b.stack.RDTOpen(a.stack.Addr())
-	var got []int
-	rconn.OnDeliver(func(p any, n int, _ sim.Time) { got = append(got, p.(int)) })
-	for i := 0; i < 10; i++ {
+	var got []uint32
+	rconn.OnDeliver(func(tag uint32, n int, _ sim.Time) { got = append(got, tag) })
+	for i := uint32(0); i < 10; i++ {
 		conn.Send(i, 500, nil)
 	}
 	sched.Run()
@@ -151,7 +152,7 @@ func TestRDTReliableDelivery(t *testing.T) {
 		t.Fatalf("want 10 deliveries, got %d", len(got))
 	}
 	for i, v := range got {
-		if v != i {
+		if v != uint32(i) {
 			t.Fatalf("out of order: %v", got)
 		}
 	}
@@ -169,9 +170,9 @@ func TestRDTFragmentsLargePayload(t *testing.T) {
 	conn := a.stack.RDTOpen(b.stack.Addr())
 	rconn := b.stack.RDTOpen(a.stack.Addr())
 	bytes := 0
-	rconn.OnDeliver(func(_ any, n int, _ sim.Time) { bytes += n })
+	rconn.OnDeliver(func(_ uint32, n int, _ sim.Time) { bytes += n })
 	// A 2000-byte CTMS packet does not fit in one MTU: 2 segments.
-	conn.Send("big", 2000, nil)
+	conn.Send(0, 2000, nil)
 	sched.Run()
 	if bytes != 2000 {
 		t.Fatalf("want 2000 bytes delivered, got %d", bytes)
@@ -186,11 +187,11 @@ func TestRDTRecoversFromPurgeLoss(t *testing.T) {
 	conn := a.stack.RDTOpen(b.stack.Addr())
 	rconn := b.stack.RDTOpen(a.stack.Addr())
 	delivered := 0
-	rconn.OnDeliver(func(any, int, sim.Time) { delivered++ })
+	rconn.OnDeliver(func(uint32, int, sim.Time) { delivered++ })
 	// Warm the ARP cache first so the purge hits a data frame.
-	a.stack.SendDatagram(b.stack.Addr(), 60, nil, nil)
+	a.stack.SendDatagram(b.stack.Addr(), 60, 0, nil)
 	sched.RunUntil(100 * sim.Millisecond)
-	for i := 0; i < 5; i++ {
+	for i := uint32(0); i < 5; i++ {
 		conn.Send(i, 500, nil)
 	}
 	// Deterministic fault injection: poll until a DATA frame (not an
@@ -231,13 +232,13 @@ func TestRDTFastRetransmitBeatsTimer(t *testing.T) {
 	rconn := b.stack.RDTOpen(a.stack.Addr())
 	delivered := 0
 	var lastDelivery sim.Time
-	rconn.OnDeliver(func(any, int, sim.Time) { delivered++; lastDelivery = sched.Now() })
+	rconn.OnDeliver(func(uint32, int, sim.Time) { delivered++; lastDelivery = sched.Now() })
 	// Warm ARP.
-	a.stack.SendDatagram(b.stack.Addr(), 60, nil, nil)
+	a.stack.SendDatagram(b.stack.Addr(), 60, 0, nil)
 	sched.RunUntil(100 * sim.Millisecond)
 	// Send a window of segments; kill the FIRST data frame on the wire
 	// so the rest arrive out of order and generate duplicate acks.
-	for i := 0; i < 6; i++ {
+	for i := uint32(0); i < 6; i++ {
 		conn.Send(i, 500, nil)
 	}
 	killed := false
@@ -276,11 +277,45 @@ func TestRDTFastRetransmitBeatsTimer(t *testing.T) {
 	}
 }
 
+// TestRDTRoundTripAllocations sends one data segment from a to b and
+// runs the world to quiescence: transport and IP output, an ARP cache
+// hit, the driver and the ring, IP input and in-order delivery, the ack's
+// whole way back, and the retransmission timer that the ack left stale.
+// Datagrams ride pooled send and receive records, and segments and
+// timers are pooled too, so a warm round trip allocates nothing.
+func TestRDTRoundTripAllocations(t *testing.T) {
+	sched, _, a, b := inetPair(t)
+	conn := a.stack.RDTOpen(b.stack.Addr())
+	rconn := b.stack.RDTOpen(a.stack.Addr())
+	var delivered, tag uint32
+	rconn.OnDeliver(func(got uint32, n int, _ sim.Time) {
+		if got != tag || n != 1000 {
+			t.Errorf("delivered tag %d with %d bytes, want %d with 1000", got, n, tag)
+		}
+		delivered++
+	})
+	roundTrip := func() {
+		tag++
+		conn.Send(tag, 1000, nil)
+		sched.Run()
+	}
+	for i := 0; i < 4; i++ {
+		roundTrip()
+	}
+	if allocs := testing.AllocsPerRun(100, roundTrip); allocs > 0 {
+		t.Fatalf("warm RDT send → receive → ack round trip allocated %v times, want 0", allocs)
+	}
+	if delivered != 105 || conn.Stats().AcksRcvd != 105 || conn.InFlight() != 0 {
+		t.Fatalf("delivered %d, acks received %d, in flight %d; want 105, 105, 0",
+			delivered, conn.Stats().AcksRcvd, conn.InFlight())
+	}
+}
+
 func TestRDTWindowLimitsInflight(t *testing.T) {
 	sched, _, a, b := inetPair(t)
 	conn := a.stack.RDTOpen(b.stack.Addr())
 	b.stack.RDTOpen(a.stack.Addr())
-	for i := 0; i < 50; i++ {
+	for i := uint32(0); i < 50; i++ {
 		conn.Send(i, 500, nil)
 	}
 	if conn.InFlight() > RDTWindow {
@@ -298,7 +333,7 @@ func TestRDTWindowLimitsInflight(t *testing.T) {
 func TestIPPaysPerPacketHeaderCost(t *testing.T) {
 	sched, _, a, b := inetPair(t)
 	for i := 0; i < 10; i++ {
-		a.stack.SendDatagram(b.stack.Addr(), 100, nil, nil)
+		a.stack.SendDatagram(b.stack.Addr(), 100, 0, nil)
 	}
 	sched.Run()
 	// The stock driver recomputes the ring header for every packet.

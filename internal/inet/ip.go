@@ -37,9 +37,12 @@ type IPHeader struct {
 	ID       uint16
 }
 
-// Encode serializes the header with a valid checksum.
-func (h IPHeader) Encode() []byte {
-	b := make([]byte, IPHeaderSize)
+// Encode writes the header, with a valid checksum, into b (the caller's
+// buffer: a sender's capture lives in its pooled send record).
+//
+//ctmsvet:hotpath
+func (h IPHeader) Encode(b *[IPHeaderSize]byte) {
+	*b = [IPHeaderSize]byte{}
 	b[0] = 0x45
 	binary.BigEndian.PutUint16(b[2:], h.Length)
 	binary.BigEndian.PutUint16(b[4:], h.ID)
@@ -47,9 +50,8 @@ func (h IPHeader) Encode() []byte {
 	b[9] = byte(h.Proto)
 	binary.BigEndian.PutUint16(b[12:], uint16(h.Src))
 	binary.BigEndian.PutUint16(b[16:], uint16(h.Dst))
-	cs := Checksum(b)
+	cs := Checksum(b[:])
 	binary.BigEndian.PutUint16(b[10:], cs)
-	return b
 }
 
 // DecodeIPHeader parses and validates an encoded header.
@@ -84,12 +86,14 @@ const (
 
 // Datagram is one transport message travelling through the stack.
 type Datagram struct {
-	IP      IPHeader
-	Payload any
-	Bytes   int // transport payload size
-	Seq     uint32
-	Ack     bool
-	AckNum  uint32
+	IP IPHeader
+	// Tag is the sender's message tag, carried unchanged to the receiver
+	// (the stock relay numbers its packets with it).
+	Tag    uint32
+	Bytes  int // transport payload size
+	Seq    uint32
+	Ack    bool
+	AckNum uint32
 }
 
 // Stack is one machine's IP instance bound to its Token Ring driver.
@@ -104,8 +108,44 @@ type Stack struct {
 	rdt   map[ring.Addr]*RDTConn
 	dgRcv func(*Datagram, sim.Time)
 
-	prog  []rtpc.Seg // IP input program scratch; the driver copies it
+	// Every datagram in flight is a pooled record whose actions are built
+	// once, and every program is assembled in one scratch slice (Submit
+	// and Splice copy it).
+	sends sim.FreeList[ipSend]
+	rcvs  sim.FreeList[ipRecv]
+	prog  []rtpc.Seg
 	stats StackStats
+}
+
+// ipSend is one outgoing datagram from the moment its transport (or the
+// datagram service) hands it to IP until its envelope is dead: the
+// Datagram itself, the envelope with a permanent chain shell whose Tag
+// points at that Datagram, the header's capture bytes and the caller's
+// completion. The record returns to the stack's pool at one of two
+// points: at once when the datagram never reaches the driver (mbuf
+// exhaustion or an ARP failure), or through the envelope's two-phase
+// recycle, after both the transmit-complete interrupt and the receiving
+// stack's IP input handler have run.
+type ipSend struct {
+	dg      Datagram
+	out     tradapter.Outgoing
+	capture [IPHeaderSize]byte
+	done    func() // the caller's completion, fired once; may be nil
+	// prebuilt actions
+	output   func()                // enter IP output (the transport's last action)
+	alloc    func()                // IP output's action: mbufs, then ARP
+	resolved func(ring.Addr, bool) // the ARP answer
+	recycle  func(*tradapter.Outgoing)
+}
+
+// ipRecv carries one arriving datagram from the IP input handler, which
+// copies it out of the sender's envelope while the envelope is still
+// alive, to the protocol action that runs after the rx buffer is
+// released. It returns to the pool when that action finishes.
+type ipRecv struct {
+	dg    Datagram
+	ok    bool // the frame carried a datagram
+	input func()
 }
 
 // StackStats aggregates IP-level accounting.
@@ -141,97 +181,148 @@ func (s *Stack) Stats() StackStats { return s.stats }
 // ARPStats exposes the ARP cache accounting.
 func (s *Stack) ARPStats() ARPStats { return s.arp.stats }
 
-// OnDatagram installs the unreliable-datagram receive callback.
+// OnDatagram installs the unreliable-datagram receive callback. The
+// Datagram is the stack's pooled receive record: fn must copy what it
+// keeps, because the record carries a later datagram once fn returns.
 func (s *Stack) OnDatagram(fn func(*Datagram, sim.Time)) { s.dgRcv = fn }
 
 // SendDatagram transmits one unreliable datagram (keep-alive class
-// traffic). done may be nil.
-func (s *Stack) SendDatagram(dst ring.Addr, payloadBytes int, payload any, done func()) {
-	dg := &Datagram{Payload: payload, Bytes: payloadBytes}
-	dg.IP = IPHeader{Proto: ProtoDGram, Src: s.addr, Dst: dst}
-	s.output(dg, done)
+// traffic) carrying tag. done may be nil.
+func (s *Stack) SendDatagram(dst ring.Addr, payloadBytes int, tag uint32, done func()) {
+	sd := s.getSend()
+	sd.dg = Datagram{IP: IPHeader{Proto: ProtoDGram, Src: s.addr, Dst: dst}, Tag: tag, Bytes: payloadBytes}
+	sd.done = done
+	s.output(sd)
+}
+
+// getSend pops a free send record, building one (with its envelope's
+// permanent chain shell and callbacks) on the cold path only.
+//
+//ctmsvet:hotpath
+func (s *Stack) getSend() *ipSend {
+	if sd := s.sends.Get(); sd != nil {
+		return sd
+	}
+	sd := &ipSend{}                //ctmsvet:allow hotpath cold refill path, runs only until the send pool reaches steady state
+	sd.out.Chain = &kernel.Chain{} //ctmsvet:allow hotpath the chain shell is built once per pooled record, not per datagram
+	sd.out.Chain.Tag = &sd.dg
+	sd.out.Class = tradapter.ClassIP
+	sd.out.Capture = sd.capture[:]
+	sd.output = func() { s.output(sd) }                                  //ctmsvet:allow hotpath built once per pooled record, not per datagram
+	sd.alloc = func() { s.allocAndResolve(sd) }                          //ctmsvet:allow hotpath built once per pooled record, not per datagram
+	sd.resolved = func(hw ring.Addr, ok bool) { s.transmit(sd, hw, ok) } //ctmsvet:allow hotpath built once per pooled record, not per datagram
+	sd.out.Done = func(ring.DeliveryStatus) {                            //ctmsvet:allow hotpath built once per pooled record, not per datagram
+		s.k.Pool.Free(sd.out.Chain)
+		sd.complete()
+	}
+	sd.recycle = func(*tradapter.Outgoing) { s.sends.Put(sd) } //ctmsvet:allow hotpath built once per pooled record, not per datagram
+	return sd
+}
+
+// complete fires the caller's completion, once.
+//
+//ctmsvet:hotpath
+func (sd *ipSend) complete() {
+	if done := sd.done; done != nil {
+		sd.done = nil
+		done()
+	}
+}
+
+// drop ends a datagram that never reached the driver: its envelope was
+// never handed out, so the record goes straight back to the pool.
+//
+//ctmsvet:hotpath
+func (s *Stack) drop(sd *ipSend) {
+	s.stats.Dropped++
+	sd.complete()
+	s.sends.Put(sd)
 }
 
 // output runs the IP output path: per-packet header computation and
 // checksum (the cost TCP/IP pays that CTMSP avoids), ARP resolution, then
 // the driver queue at ordinary priority.
-func (s *Stack) output(dg *Datagram, done func()) {
+//
+//ctmsvet:hotpath
+func (s *Stack) output(sd *ipSend) {
 	s.ipID++
-	dg.IP.ID = s.ipID
-	dg.IP.Length = uint16(IPHeaderSize + dg.Bytes)
-	total := IPHeaderSize + dg.Bytes
+	sd.dg.IP.ID = s.ipID
+	sd.dg.IP.Length = uint16(IPHeaderSize + sd.dg.Bytes)
+	s.prog = append(s.prog[:0], rtpc.Do(IPOutput), rtpc.Do(ARPLookup), rtpc.Mark(sd.alloc)) //ctmsvet:allow hotpath program scratch grows to the longest program once
+	s.k.CPU().Submit(kernel.LevelSoftNet, s.prog, nil)
+}
 
-	segs := []rtpc.Seg{
-		rtpc.Do(IPOutput),
-		rtpc.Do(ARPLookup),
-		rtpc.Mark(func() {
-			ch := s.k.Pool.AllocNoWait(total)
-			if ch == nil {
-				s.stats.Dropped++
-				if done != nil {
-					done()
-				}
-				return
-			}
-			ch.Tag = dg
-			s.stats.IPOut++
-			s.stats.BytesOut += uint64(total)
-			s.arp.resolve(dg.IP.Dst, func(hwDst ring.Addr, ok bool) {
-				if !ok {
-					s.stats.Dropped++
-					s.k.Pool.Free(ch)
-					if done != nil {
-						done()
-					}
-					return
-				}
-				s.drv.Output(&tradapter.Outgoing{
-					Chain:   ch,
-					Size:    total,
-					Class:   tradapter.ClassIP,
-					Dst:     hwDst,
-					Capture: dg.IP.Encode(),
-					Done: func(st ring.DeliveryStatus) {
-						s.k.Pool.Free(ch)
-						if done != nil {
-							done()
-						}
-					},
-				})
-			})
-		}),
+//ctmsvet:hotpath
+func (s *Stack) allocAndResolve(sd *ipSend) {
+	total := IPHeaderSize + sd.dg.Bytes
+	if !s.k.Pool.AllocInto(sd.out.Chain, total) {
+		s.drop(sd)
+		return
 	}
-	s.k.CPU().Submit(kernel.LevelSoftNet, segs, nil)
+	s.stats.IPOut++
+	s.stats.BytesOut += uint64(total)
+	s.arp.resolve(sd.dg.IP.Dst, sd.resolved)
+}
+
+// transmit hands a resolved datagram's envelope to the driver.
+//
+//ctmsvet:hotpath
+func (s *Stack) transmit(sd *ipSend, hwDst ring.Addr, ok bool) {
+	if !ok {
+		s.k.Pool.Free(sd.out.Chain)
+		s.drop(sd)
+		return
+	}
+	sd.out.Size = IPHeaderSize + sd.dg.Bytes
+	sd.out.Dst = hwDst
+	sd.dg.IP.Encode(&sd.capture)
+	sd.out.SetRecycle(sd.recycle)
+	s.drv.Output(&sd.out)
+}
+
+// getRecv pops a free receive record, building one (with its permanent
+// input action) on the cold path only.
+//
+//ctmsvet:hotpath
+func (s *Stack) getRecv() *ipRecv {
+	if rr := s.rcvs.Get(); rr != nil {
+		return rr
+	}
+	rr := &ipRecv{}     //ctmsvet:allow hotpath cold refill path, runs only until the receive pool reaches steady state
+	rr.input = func() { //ctmsvet:allow hotpath built once per pooled record, not per datagram
+		if rr.ok {
+			s.stats.IPIn++
+			s.demux(&rr.dg)
+		} else {
+			s.stats.Dropped++
+		}
+		s.rcvs.Put(rr)
+	}
+	return rr
 }
 
 // ipInput is the driver split-point handler for IP frames.
+//
+//ctmsvet:hotpath
 func (s *Stack) ipInput(rcv *tradapter.Received) []rtpc.Seg {
 	// The stock path copies the packet out of the fixed DMA buffer into
 	// mbufs before protocol processing (§2's third copy); the copy loop
 	// is interruptible. The protocol action runs after the buffer is
-	// released, so it reads the frame captured here, never rcv.
-	f := rcv.Frame
+	// released and after the sender may have recycled its envelope, so
+	// the datagram is copied out here, while both are still alive.
+	rr := s.getRecv()
+	rr.ok = false
+	if out, ok := rcv.Frame.Payload.(*tradapter.Outgoing); ok {
+		if dg, ok := out.Chain.Tag.(*Datagram); ok {
+			rr.dg, rr.ok = *dg, true
+		}
+	}
 	segs := s.k.Machine.CopySegs(s.prog[:0], rcv.Size, rcv.Buffer.Kind, rtpc.SystemMemory)
-	s.prog = append(segs,
-		rcv.ReleaseSeg(),
-		rtpc.Then(IPInput, func() {
-			out, ok := f.Payload.(*tradapter.Outgoing)
-			if !ok {
-				s.stats.Dropped++
-				return
-			}
-			dg, ok := out.Chain.Tag.(*Datagram)
-			if !ok {
-				s.stats.Dropped++
-				return
-			}
-			s.stats.IPIn++
-			s.demux(dg)
-		}),
-	)
+	s.prog = append(segs, rcv.ReleaseSeg(), rtpc.Then(IPInput, rr.input)) //ctmsvet:allow hotpath program scratch grows to the longest program once
 	return s.prog
 }
 
+//ctmsvet:hotpath
 func (s *Stack) demux(dg *Datagram) {
 	at := s.k.Sched().Now()
 	switch dg.IP.Proto {

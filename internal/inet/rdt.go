@@ -37,13 +37,25 @@ type RDTStats struct {
 	BytesDeliver    uint64
 }
 
+// rdtSeg is one transport segment from Send until it is acknowledged.
+// Segments are pooled per connection: one returns to the pool when the
+// cumulative ack that covers it removes it from the window, and no
+// transmission in progress reads it after that (transmit copies what IP
+// needs into its send record).
 type rdtSeg struct {
-	seq     uint32
-	bytes   int
-	payload any
-	sentAt  sim.Time
-	acked   bool
-	done    func()
+	seq   uint32
+	bytes int
+	tag   uint32
+	done  func()
+}
+
+// rdtTimer is one armed retransmission timeout. Acks re-arm the timer
+// without cancelling the previous event: a stale timer finds its serial
+// overtaken and does nothing. Each timer record returns to the pool when
+// its event fires, stale or not.
+type rdtTimer struct {
+	serial uint64
+	fire   func()
 }
 
 // RDTConn is one direction-pair of the reliable transport between two
@@ -52,13 +64,17 @@ type RDTConn struct {
 	s    *Stack
 	peer ring.Addr
 
-	// send side
+	// send side: inflight holds at most RDTWindow segments, oldest first,
+	// and acked segments leave it by copying the rest down, so its array
+	// is allocated once.
 	sndNext   uint32
 	sndUna    uint32
 	inflight  []*rdtSeg
-	backlog   []*rdtSeg
+	backlog   sim.FIFO[*rdtSeg]
 	rtoArmed  bool
 	rtoSerial uint64
+	segs      sim.FreeList[rdtSeg]
+	timers    sim.FreeList[rdtTimer]
 
 	// fast retransmit state: duplicate cumulative acks signal a loss
 	// long before the coarse timer fires.
@@ -68,7 +84,7 @@ type RDTConn struct {
 
 	// receive side
 	rcvNext uint32
-	deliver func(payload any, n int, at sim.Time)
+	deliver func(tag uint32, n int, at sim.Time)
 
 	stats RDTStats
 }
@@ -78,13 +94,14 @@ func (s *Stack) RDTOpen(peer ring.Addr) *RDTConn {
 	if c, ok := s.rdt[peer]; ok {
 		return c
 	}
-	c := &RDTConn{s: s, peer: peer}
+	c := &RDTConn{s: s, peer: peer, inflight: make([]*rdtSeg, 0, RDTWindow)}
 	s.rdt[peer] = c
 	return c
 }
 
-// OnDeliver installs the in-order delivery callback.
-func (c *RDTConn) OnDeliver(fn func(payload any, n int, at sim.Time)) { c.deliver = fn }
+// OnDeliver installs the in-order delivery callback: it receives each
+// segment's tag and payload bytes.
+func (c *RDTConn) OnDeliver(fn func(tag uint32, n int, at sim.Time)) { c.deliver = fn }
 
 // Stats returns a snapshot of transport accounting.
 func (c *RDTConn) Stats() RDTStats { return c.stats }
@@ -93,83 +110,110 @@ func (c *RDTConn) Stats() RDTStats { return c.stats }
 func (c *RDTConn) InFlight() int { return len(c.inflight) }
 
 // Backlog reports segments waiting for window space.
-func (c *RDTConn) Backlog() int { return len(c.backlog) }
+func (c *RDTConn) Backlog() int { return c.backlog.Len() }
 
-// Send queues application payload of n bytes. Payloads larger than the
-// MTU are split into MTU-sized segments (the fragmentation the 2000-byte
-// CTMS packet suffers on the stock path). done fires when the LAST
-// segment of this payload is first transmitted (not acked).
-func (c *RDTConn) Send(payload any, n int, done func()) {
+// Send queues an application message of n bytes, tagged with tag.
+// Messages larger than the MTU are split into MTU-sized segments (the
+// fragmentation the 2000-byte CTMS packet suffers on the stock path),
+// each carrying the tag. done fires when the LAST segment of this message
+// is first transmitted (not acked).
+//
+//ctmsvet:hotpath
+func (c *RDTConn) Send(tag uint32, n int, done func()) {
 	if n <= 0 {
 		n = 1
 	}
 	for off := 0; off < n; off += MTU {
-		l := n - off
-		if l > MTU {
-			l = MTU
+		l := min(n-off, MTU)
+		seg := c.segs.Get()
+		if seg == nil {
+			seg = &rdtSeg{} //ctmsvet:allow hotpath cold refill path, runs only until the segment pool reaches steady state
 		}
-		seg := &rdtSeg{seq: c.sndNext, bytes: l, payload: payload}
+		*seg = rdtSeg{seq: c.sndNext, bytes: l, tag: tag}
 		if off+l >= n {
 			seg.done = done
 		}
 		c.sndNext++
-		c.backlog = append(c.backlog, seg)
+		c.backlog.Push(seg)
 	}
 	c.pump()
 }
 
+//ctmsvet:hotpath
 func (c *RDTConn) pump() {
-	for len(c.backlog) > 0 && len(c.inflight) < RDTWindow {
-		seg := c.backlog[0]
-		c.backlog = c.backlog[1:]
-		c.inflight = append(c.inflight, seg)
+	for c.backlog.Len() > 0 && len(c.inflight) < RDTWindow {
+		seg := c.backlog.Pop()
+		c.inflight = append(c.inflight, seg) //ctmsvet:allow hotpath the window array is allocated at RDTWindow by RDTOpen and never grows
 		c.transmit(seg, false)
 	}
 }
 
+// transmit runs the transport's per-segment processing, then hands the
+// segment to IP. The segment's completion moves to the send record here,
+// so the first transmission fires it and retransmissions do not.
+//
+//ctmsvet:hotpath
 func (c *RDTConn) transmit(seg *rdtSeg, isRetransmit bool) {
-	seg.sentAt = c.s.k.Sched().Now()
 	c.stats.SegsSent++
 	if isRetransmit {
 		c.stats.Retransmits++
 	}
-	dg := &Datagram{
-		Payload: seg.payload,
-		Bytes:   RDTHeaderSize + seg.bytes,
-		Seq:     seg.seq,
+	sd := c.s.getSend()
+	sd.dg = Datagram{
+		IP:    IPHeader{Proto: ProtoRDT, Src: c.s.addr, Dst: c.peer},
+		Tag:   seg.tag,
+		Bytes: RDTHeaderSize + seg.bytes,
+		Seq:   seg.seq,
 	}
-	dg.IP = IPHeader{Proto: ProtoRDT, Src: c.s.addr, Dst: c.peer}
-	// Transport processing cost, then the IP output path.
-	c.s.k.CPU().Submit(kernel.LevelSoftNet, []rtpc.Seg{
-		rtpc.Do(TransportSeg),
-		rtpc.Mark(func() {
-			c.s.output(dg, seg.done)
-			seg.done = nil
-		}),
-	}, nil)
+	sd.done, seg.done = seg.done, nil
+	c.submit(TransportSeg, sd)
 	c.armRTO()
 }
 
+// submit queues transport processing of cost, ending in IP output of sd.
+//
+//ctmsvet:hotpath
+func (c *RDTConn) submit(cost sim.Time, sd *ipSend) {
+	s := c.s
+	s.prog = append(s.prog[:0], rtpc.Do(cost), rtpc.Mark(sd.output)) //ctmsvet:allow hotpath program scratch grows to the longest program once
+	s.k.CPU().Submit(kernel.LevelSoftNet, s.prog, nil)
+}
+
+//ctmsvet:hotpath
 func (c *RDTConn) armRTO() {
 	if c.rtoArmed {
 		return
 	}
 	c.rtoArmed = true
 	c.rtoSerial++
-	serial := c.rtoSerial
-	c.s.k.Sched().After(rdtRTO, func() {
-		if c.rtoSerial != serial {
-			return
+	tm := c.timers.Get()
+	if tm == nil {
+		tm = &rdtTimer{}   //ctmsvet:allow hotpath cold refill path, runs only until the timer pool reaches steady state
+		tm.fire = func() { //ctmsvet:allow hotpath built once per pooled timer, not per arm
+			serial := tm.serial
+			c.timers.Put(tm)
+			c.expire(serial)
 		}
-		c.rtoArmed = false
-		if len(c.inflight) == 0 {
-			return
-		}
-		// Go-back-N: retransmit everything unacked.
-		for _, seg := range c.inflight {
-			c.transmit(seg, true)
-		}
-	})
+	}
+	tm.serial = c.rtoSerial
+	c.s.k.Sched().After(rdtRTO, tm.fire)
+}
+
+// expire is the retransmission timeout armed with serial.
+//
+//ctmsvet:hotpath
+func (c *RDTConn) expire(serial uint64) {
+	if c.rtoSerial != serial {
+		return
+	}
+	c.rtoArmed = false
+	if len(c.inflight) == 0 {
+		return
+	}
+	// Go-back-N: retransmit everything unacked.
+	for _, seg := range c.inflight {
+		c.transmit(seg, true)
+	}
 }
 
 func (c *RDTConn) cancelRTO() {
@@ -178,6 +222,8 @@ func (c *RDTConn) cancelRTO() {
 }
 
 // input handles an arriving transport datagram (data or ack).
+//
+//ctmsvet:hotpath
 func (c *RDTConn) input(dg *Datagram, at sim.Time) {
 	if dg.Ack {
 		c.handleAck(dg.AckNum)
@@ -189,7 +235,7 @@ func (c *RDTConn) input(dg *Datagram, at sim.Time) {
 		c.rcvNext++
 		c.stats.BytesDeliver += uint64(dg.Bytes - RDTHeaderSize)
 		if c.deliver != nil {
-			c.deliver(dg.Payload, dg.Bytes-RDTHeaderSize, at)
+			c.deliver(dg.Tag, dg.Bytes-RDTHeaderSize, at)
 		}
 	case dg.Seq < c.rcvNext:
 		// duplicate; re-ack below
@@ -201,24 +247,34 @@ func (c *RDTConn) input(dg *Datagram, at sim.Time) {
 	c.sendAck()
 }
 
+//ctmsvet:hotpath
 func (c *RDTConn) sendAck() {
 	c.stats.AcksSent++
-	ack := &Datagram{Bytes: rdtAckSize, Ack: true, AckNum: c.rcvNext}
-	ack.IP = IPHeader{Proto: ProtoRDT, Src: c.s.addr, Dst: c.peer}
-	c.s.k.CPU().Submit(kernel.LevelSoftNet, []rtpc.Seg{
-		rtpc.Do(TransportSeg / 2),
-		rtpc.Mark(func() { c.s.output(ack, nil) }),
-	}, nil)
+	sd := c.s.getSend()
+	sd.dg = Datagram{
+		IP:     IPHeader{Proto: ProtoRDT, Src: c.s.addr, Dst: c.peer},
+		Bytes:  rdtAckSize,
+		Ack:    true,
+		AckNum: c.rcvNext,
+	}
+	c.submit(TransportSeg/2, sd)
 }
 
+//ctmsvet:hotpath
 func (c *RDTConn) handleAck(ackNum uint32) {
 	c.stats.AcksRcvd++
-	advanced := false
-	for len(c.inflight) > 0 && c.inflight[0].seq < ackNum {
-		c.inflight = c.inflight[1:]
-		advanced = true
+	acked := 0
+	for acked < len(c.inflight) && c.inflight[acked].seq < ackNum {
+		acked++
 	}
-	if advanced {
+	if acked > 0 {
+		for _, seg := range c.inflight[:acked] {
+			*seg = rdtSeg{}
+			c.segs.Put(seg)
+		}
+		n := copy(c.inflight, c.inflight[acked:])
+		clear(c.inflight[n:])
+		c.inflight = c.inflight[:n]
 		c.sndUna = ackNum
 		c.dupAcks = 0
 		c.lastAckSeen = ackNum
@@ -254,5 +310,5 @@ func (c *RDTConn) handleAck(ackNum uint32) {
 // String summarizes connection state.
 func (c *RDTConn) String() string {
 	return fmt.Sprintf("rdt{peer=%d next=%d una=%d inflight=%d backlog=%d}",
-		c.peer, c.sndNext, c.sndUna, len(c.inflight), len(c.backlog))
+		c.peer, c.sndNext, c.sndUna, len(c.inflight), c.backlog.Len())
 }

@@ -100,10 +100,10 @@ type Pool struct {
 	// are not recycled by the pool: a sender Frees at tradapter's
 	// transmit-complete, which can run before the receive interrupt reads
 	// the packet, so a shell may be refilled only once its envelope is
-	// dead. That is the envelope owner's call — the VCA's send records and
-	// the router's envelopes refill their permanent shell (AllocInto)
-	// after the two-phase tradapter.Outgoing.SetRecycle — and the pool
-	// only guarantees Free never scribbles on Tag.
+	// dead. That is the envelope owner's call — the VCA's and inet's send
+	// records and the router's envelopes refill their permanent shell
+	// (AllocInto) after the two-phase tradapter.Outgoing.SetRecycle — and
+	// the pool only guarantees Free never scribbles on Tag.
 	freeSmall    []*Mbuf
 	freeClusters []*Mbuf
 }

@@ -1,7 +1,9 @@
 package ring
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -83,6 +85,9 @@ type Ring struct {
 	cfg      Config
 	rng      *sim.RNG
 	stations []*Station // stations[a-1] has address a
+	// promisc holds the promiscuous-MAC stations in address (attach)
+	// order: the only stations a MAC frame can reach.
+	promisc  []*Station
 	queues   [8][]*txRequest
 	rrCursor int // round-robin start position within a priority class
 
@@ -108,7 +113,7 @@ func New(sched *sim.Scheduler, cfg Config) *Ring {
 	r := &Ring{
 		sched: sched,
 		cfg:   cfg,
-		rng:   sim.NewRNG(cfg.Seed).Fork("ring-token-jitter"),
+		rng:   sim.NewRNG(sim.ForkSeed(cfg.Seed, "ring-token-jitter")),
 	}
 	r.maybeStartFn = r.maybeStart
 	return r
@@ -219,6 +224,18 @@ func (r *Ring) Station(a Addr) *Station {
 		return nil
 	}
 	return r.stations[i]
+}
+
+// setPromiscuousMAC adds st to, or removes it from, the promiscuous-MAC
+// index, keeping the index in address order.
+func (r *Ring) setPromiscuousMAC(st *Station, on bool) {
+	i, found := slices.BinarySearchFunc(r.promisc, st.addr, func(s *Station, a Addr) int { return cmp.Compare(s.addr, a) })
+	switch {
+	case on && !found:
+		r.promisc = slices.Insert(r.promisc, i, st)
+	case !on && found:
+		r.promisc = slices.Delete(r.promisc, i, i+1)
+	}
 }
 
 // Stations reports how many stations are attached.
@@ -352,12 +369,13 @@ func (r *Ring) finish(req *txRequest, start, end sim.Time, purged bool) {
 func (r *Ring) deliver(f *Frame, status *DeliveryStatus) {
 	if f.Dst == Broadcast || f.Kind == MAC {
 		src := r.Station(f.Src)
-		for _, st := range r.stations {
+		receivers := r.stations
+		if f.Kind == MAC {
+			receivers = r.promisc // adapters normally strip MAC frames in ROM
+		}
+		for _, st := range receivers {
 			if !st.inserted || st == src {
 				continue
-			}
-			if f.Kind == MAC && !st.promiscuousMAC {
-				continue // adapters normally strip MAC frames in ROM
 			}
 			if st.receive != nil {
 				st.receive(f, r.sched.Now())

@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -410,6 +411,56 @@ func TestTokenBits(t *testing.T) {
 	for p := 0; p < 8; p++ {
 		if got := int(EncodeAC(p, true) & 0x7); got != p {
 			t.Fatalf("priority %d encodes as %d", p, got)
+		}
+	}
+}
+
+// A MAC frame walks only the promiscuous-MAC index. Through promiscuity
+// toggles, removals and reinsertions, it must reach exactly the stations,
+// in exactly the order, that a walk over every attached station picks:
+// inserted, promiscuous and not the sender.
+func TestMACReceiversMatchFullWalk(t *testing.T) {
+	sched, r := newTestRing(t)
+	const n = 12
+	var sts []*Station
+	var got []Addr
+	for i := 0; i < n; i++ {
+		st := r.Attach("st")
+		st.OnReceive(func(f *Frame, _ sim.Time) {
+			if f.MAC == MACActiveMonitorPresent {
+				got = append(got, st.Addr())
+			}
+		})
+		sts = append(sts, st)
+	}
+	for step := 0; step < 60; step++ {
+		st := sts[(step*7)%n]
+		switch step % 4 {
+		case 0, 1:
+			st.SetPromiscuousMAC(!st.promiscuousMAC)
+		case 2:
+			st.Remove()
+		case 3:
+			if !st.Inserted() {
+				st.Reinsert(1)
+			}
+		}
+		sched.Run() // let any insertion's purges pass
+		sender := sts[(step*5)%n]
+		if !sender.Inserted() {
+			continue
+		}
+		var want []Addr
+		for _, s := range sts {
+			if s.Inserted() && s.promiscuousMAC && s != sender {
+				want = append(want, s.Addr())
+			}
+		}
+		got = got[:0]
+		sender.Transmit(NewMACFrame(sender.Addr(), MACActiveMonitorPresent), nil)
+		sched.Run()
+		if !slices.Equal(got, want) {
+			t.Fatalf("step %d: MAC frame from %d reached %v, the full walk gives %v", step, sender.Addr(), got, want)
 		}
 	}
 }

@@ -29,7 +29,13 @@ func (s *Station) OnReceive(fn func(*Frame, sim.Time)) { s.receive = fn }
 // SetPromiscuousMAC controls whether the adapter passes MAC frames up.
 // Real Token Ring adapters strip them in ROM; the paper discusses (and
 // rejects) running in this mode to detect Ring Purges.
-func (s *Station) SetPromiscuousMAC(on bool) { s.promiscuousMAC = on }
+func (s *Station) SetPromiscuousMAC(on bool) {
+	if on == s.promiscuousMAC {
+		return
+	}
+	s.promiscuousMAC = on
+	s.ring.setPromiscuousMAC(s, on)
+}
 
 // SetCopyGate installs a predicate consulted on frame arrival: returning
 // false means the adapter had no free receive buffer, so the frame's C bit

@@ -20,7 +20,7 @@ func NewMachine(sched *sim.Scheduler, name string, seed int64) *Machine {
 		Name:  name,
 		CPU:   NewCPU(sched, name),
 		sched: sched,
-		rng:   sim.NewRNG(seed).Fork("machine/" + name),
+		rng:   sim.NewRNG(sim.ForkSeed(seed, "machine/"+name)),
 	}
 }
 

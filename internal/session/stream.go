@@ -189,12 +189,11 @@ func (s *Stream) Start() { s.Dev.Start() }
 func (s *Stream) Stop() { s.Dev.Stop() }
 
 // Outcome is a stream's transport and playout accounting: the packets the
-// transmitter sent, the receiver's and the playout buffer's statistics,
-// and Delivered, the packets that reached playout in order or after a
-// gap.
+// transmitter sent, and the receiver's and the playout buffer's
+// statistics. Delivered (playout's) counts the packets that reached
+// playout, in order or after a gap: InOrder + Gaps.
 type Outcome struct {
-	Sent      uint64
-	Delivered uint64
+	Sent uint64
 	ctmsp.RxStats
 	playout.Stats
 }
@@ -209,11 +208,9 @@ func (o Outcome) DeliveredFraction() float64 {
 
 // Finish closes the stream's playout at end and reads its accounting.
 func (s *Stream) Finish(end sim.Time) Outcome {
-	rx := s.recv.Stats()
 	return Outcome{
-		Sent:      s.Tx.Stats().PacketsSent,
-		Delivered: rx.InOrder + rx.Gaps,
-		RxStats:   rx,
-		Stats:     s.play.Finish(end),
+		Sent:    s.Tx.Stats().PacketsSent,
+		RxStats: s.recv.Stats(),
+		Stats:   s.play.Finish(end),
 	}
 }

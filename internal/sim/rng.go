@@ -37,15 +37,21 @@ func (g *RNG) Seed() int64 { return g.seed }
 
 // Fork derives an independent generator whose stream depends only on the
 // parent seed and the label, not on how many draws the parent has made.
-func (g *RNG) Fork(label string) *RNG {
-	h := uint64(g.seed)
+func (g *RNG) Fork(label string) *RNG { return NewRNG(ForkSeed(g.seed, label)) }
+
+// ForkSeed is the seed of the child that Fork(label) derives from a
+// generator seeded with seed. NewRNG(ForkSeed(seed, label)) is
+// NewRNG(seed).Fork(label) without seeding the parent's source, which
+// costs as much as seeding the child.
+func ForkSeed(seed int64, label string) int64 {
+	h := uint64(seed)
 	for _, c := range label {
 		h = h*1099511628211 + uint64(c) // FNV-style mixing
 	}
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
-	return NewRNG(int64(h))
+	return int64(h)
 }
 
 // MixSeed derives an independent seed from base and a salt, so nearby

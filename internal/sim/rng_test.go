@@ -32,6 +32,33 @@ func TestRNGForkIndependentOfParentDraws(t *testing.T) {
 	}
 }
 
+// TestForkSeedMatchesFork checks that a generator seeded with ForkSeed
+// draws exactly the stream Fork gives, and pins the child seeds: every
+// golden output depends on this derivation.
+func TestForkSeedMatchesFork(t *testing.T) {
+	for _, c := range []struct {
+		seed  int64
+		label string
+		child int64
+	}{
+		{1991, "machine/tx", -2259518821065388613},
+		{7, "ring-token-jitter", 6934263197562494690},
+		{-3, "pcat-loop", -6655552185402096545},
+		{0, "", 0},
+	} {
+		if got := ForkSeed(c.seed, c.label); got != c.child {
+			t.Fatalf("ForkSeed(%d, %q) = %d, want %d", c.seed, c.label, got, c.child)
+		}
+		a := NewRNG(ForkSeed(c.seed, c.label))
+		b := NewRNG(c.seed).Fork(c.label)
+		for i := 0; i < 1000; i++ {
+			if x, y := a.Float64(), b.Float64(); x != y {
+				t.Fatalf("seed %d label %q: draw %d is %v, Fork's is %v", c.seed, c.label, i, x, y)
+			}
+		}
+	}
+}
+
 func TestRNGForkDistinctLabels(t *testing.T) {
 	g := NewRNG(1)
 	a := g.Fork("alpha")

@@ -248,7 +248,7 @@ func (g *KeepAliveGen) arm() {
 			return
 		}
 		size := g.lo + g.rng.Intn(g.hi-g.lo+1)
-		g.stack.SendDatagram(g.dst, size, "keepalive", nil)
+		g.stack.SendDatagram(g.dst, size, 0, nil)
 		g.sent++
 		g.arm()
 	})
