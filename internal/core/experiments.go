@@ -286,7 +286,7 @@ func runE7(s Scale) *Comparison {
 		for i := 0; i < 70; i++ {
 			r.Attach("pop")
 		}
-		g := workload.NewMACGen(r, mon, util, sim.NewRNG(seed))
+		g := workload.NewMACGen(r, mon, util, seed)
 		sched.RunUntil(dur)
 		g.Stop()
 		perSec := float64(g.Frames()) / dur.Seconds()

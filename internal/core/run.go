@@ -249,7 +249,7 @@ func (e *env) addBackground() {
 		}
 	}
 	mon := e.ring.Attach("monitor")
-	e.gens = append(e.gens, workload.NewMACGen(e.ring, mon, macUtil, e.rng))
+	e.gens = append(e.gens, workload.NewMACGen(e.ring, mon, macUtil, cfg.Seed))
 
 	if cfg.PublicNetwork && cfg.NetworkLoad != LoadNone {
 		// Third-party keep-alive chatter (AFS servers, other clients).
@@ -259,8 +259,8 @@ func (e *env) addBackground() {
 		if cfg.NetworkLoad == LoadHeavy {
 			mean = 20 * sim.Millisecond
 		}
-		e.gens = append(e.gens, workload.NewChatterGen(e.ring, c1, c2, 60, 300, mean, e.rng.Fork("chat-1")))
-		e.gens = append(e.gens, workload.NewChatterGen(e.ring, c2, c1, 60, 300, mean*2, e.rng.Fork("chat-2")))
+		e.gens = append(e.gens, workload.NewChatterGen(e.ring, c1, c2, 60, 300, mean, sim.ForkSeed(cfg.Seed, "chat-1")))
+		e.gens = append(e.gens, workload.NewChatterGen(e.ring, c2, c1, 60, 300, mean*2, sim.ForkSeed(cfg.Seed, "chat-2")))
 
 		// Compiles and kernel copies between third parties: 1522-byte
 		// bursts that load the ring but not the machines under test.
@@ -270,7 +270,7 @@ func (e *env) addBackground() {
 		if cfg.NetworkLoad == LoadHeavy {
 			burstMean = 120 * sim.Millisecond
 		}
-		e.gens = append(e.gens, workload.NewFileTransferGen(e.ring, f1, f2, burstMean, 3200*sim.Microsecond, e.rng.Fork("ft-3rd")))
+		e.gens = append(e.gens, workload.NewFileTransferGen(e.ring, f1, f2, burstMean, 3200*sim.Microsecond, sim.ForkSeed(cfg.Seed, "ft-3rd")))
 	}
 
 	if cfg.Multiprocessing {
@@ -291,8 +291,8 @@ func (e *env) addBackground() {
 		// test: this traffic shares the transmitter's driver queue with
 		// the CTMSP stream.
 		e.gens = append(e.gens,
-			workload.NewKeepAliveGen(e.sched, txStack, control.Addr(), 60, 300, 400*sim.Millisecond, e.rng.Fork("tx-ka")),
-			workload.NewKeepAliveGen(e.sched, rxStack, control.Addr(), 60, 300, 400*sim.Millisecond, e.rng.Fork("rx-ka")),
+			workload.NewKeepAliveGen(e.sched, txStack, control.Addr(), 60, 300, 400*sim.Millisecond, sim.ForkSeed(cfg.Seed, "tx-ka")),
+			workload.NewKeepAliveGen(e.sched, rxStack, control.Addr(), 60, 300, 400*sim.Millisecond, sim.ForkSeed(cfg.Seed, "rx-ka")),
 		)
 		// Competing processes ("multiprocessing mode but not heavily
 		// loaded").
@@ -305,9 +305,9 @@ func (e *env) addBackground() {
 		// interaction is what §5.3 blames for part of Figure 5-2's
 		// structure and Figure 5-4's 11–15 ms band.
 		fsrv := e.ring.Attach("afs-fileserver")
-		toTx := workload.NewFileTransferGen(e.ring, fsrv, e.txDrv.Station(), 700*sim.Millisecond, 5500*sim.Microsecond, e.rng.Fork("ft-to-tx"))
+		toTx := workload.NewFileTransferGen(e.ring, fsrv, e.txDrv.Station(), 700*sim.Millisecond, 5500*sim.Microsecond, sim.ForkSeed(cfg.Seed, "ft-to-tx"))
 		toTx.SetBurst(30*sim.Millisecond, 250*sim.Millisecond, 1.2)
-		toRx := workload.NewFileTransferGen(e.ring, fsrv, e.rxDrv.Station(), 1500*sim.Millisecond, 6400*sim.Microsecond, e.rng.Fork("ft-to-rx"))
+		toRx := workload.NewFileTransferGen(e.ring, fsrv, e.rxDrv.Station(), 1500*sim.Millisecond, 6400*sim.Microsecond, sim.ForkSeed(cfg.Seed, "ft-to-rx"))
 		toRx.SetBurst(30*sim.Millisecond, 250*sim.Millisecond, 1.2)
 		e.gens = append(e.gens, toTx, toRx)
 
@@ -332,7 +332,7 @@ func (e *env) addBackground() {
 
 	if cfg.Insertions {
 		// ~20/day ⇒ mean 72 min between insertions.
-		e.gens = append(e.gens, workload.NewInsertionGen(e.ring, 46*sim.Minute, e.rng))
+		e.gens = append(e.gens, workload.NewInsertionGen(e.ring, 46*sim.Minute, cfg.Seed))
 	}
 	if cfg.ForceInsertionAt > 0 {
 		// Worst-case injection: arm at the requested time, then wait for

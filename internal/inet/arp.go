@@ -110,22 +110,21 @@ func (a *ARP) sendRequest(dst ring.Addr) {
 	})
 }
 
-// input is the driver split-point handler for ARP frames.
+// input is the driver split-point handler for ARP frames. It reads the
+// payload here: the action below runs after Release, and by then the
+// driver may have recycled the frame.
 func (a *ARP) input(rcv *tradapter.Received) []rtpc.Seg {
-	f := rcv.Frame // the action below runs after Release; rcv is dead by then
+	var p *arpPayload
+	if out, ok := rcv.Frame.Payload.(*tradapter.Outgoing); ok {
+		p, _ = out.Chain.Tag.(*arpPayload)
+	}
 	return []rtpc.Seg{
 		a.s.k.Machine.CopySeg(rcv.Size, rcv.Buffer.Kind, rtpc.SystemMemory),
 		rcv.ReleaseSeg(),
 		rtpc.Then(IPInput, func() {
-			out, ok := f.Payload.(*tradapter.Outgoing)
-			if !ok {
-				return
+			if p != nil {
+				a.handle(p)
 			}
-			p, ok := out.Chain.Tag.(*arpPayload)
-			if !ok {
-				return
-			}
-			a.handle(p)
 		}),
 	}
 }

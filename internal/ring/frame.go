@@ -88,6 +88,53 @@ type Frame struct {
 	Capture []byte
 	Payload any    // opaque model payload (mbuf chain, protocol packet, ...)
 	Seq     uint64 // ring-global sequence number, assigned at transmit
+
+	// Pooled-frame recycling (SetRecycle): refs counts the holders that
+	// may still read the frame.
+	recycle func(*Frame)
+	refs    int32
+}
+
+// SetRecycle makes f a pooled frame: fn runs, with f, once the frame is
+// provably dead. Arming gives the frame one reference, its transmission's,
+// which the ring drops right after the transmitter's completion callback
+// — after delivery and after every tap has run. A receiver that keeps the
+// frame past its receive callback (an adapter holding it through card
+// latency and an rx buffer) takes a reference with Hold and drops it with
+// Release; receivers that read the frame only inside the callback, and
+// taps, take none. Arm the frame after building it and before Transmit:
+// building it again (DataFrame, MACFrame) disarms it. A holder that never
+// releases leaves the frame to the collector, and its pool refills on
+// its cold path.
+func (f *Frame) SetRecycle(fn func(*Frame)) {
+	f.recycle = fn
+	f.refs = 1
+}
+
+// Hold takes one more reference on a pooled frame; a no-op for a frame
+// that never armed recycling.
+//
+//ctmsvet:hotpath
+func (f *Frame) Hold() {
+	if f.recycle != nil {
+		f.refs++
+	}
+}
+
+// Release drops one reference; the last one runs the recycle hook. A
+// no-op for a frame that never armed recycling.
+//
+//ctmsvet:hotpath
+func (f *Frame) Release() {
+	if f.recycle == nil {
+		return
+	}
+	f.refs--
+	if f.refs == 0 {
+		fn := f.recycle
+		f.recycle = nil
+		fn(f)
+	}
 }
 
 // MaxCapture is the longest Capture a frame carries: "the first Token
@@ -138,9 +185,12 @@ func NewDataFrame(src, dst Addr, priority, size int, capture []byte, payload any
 	return &f
 }
 
-// NewMACFrame builds a ~20-byte MAC management frame.
-func NewMACFrame(src Addr, typ MACType) *Frame {
-	return &Frame{
+// MACFrame builds a ~20-byte MAC management frame, as a value for a
+// sender that keeps the frame in storage of its own.
+//
+//ctmsvet:hotpath
+func MACFrame(src Addr, typ MACType) Frame {
+	return Frame{
 		AC:       EncodeAC(7, false), // MAC frames travel at the highest priority
 		FC:       EncodeFC(MAC),
 		Src:      src,
@@ -150,6 +200,12 @@ func NewMACFrame(src Addr, typ MACType) *Frame {
 		MAC:      typ,
 		Size:     20,
 	}
+}
+
+// NewMACFrame is MACFrame on the heap.
+func NewMACFrame(src Addr, typ MACType) *Frame {
+	f := MACFrame(src, typ)
+	return &f
 }
 
 // DeliveryStatus is what the transmitting adapter learns when the frame it

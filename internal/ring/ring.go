@@ -302,6 +302,7 @@ func (r *Ring) start(req *txRequest) {
 	if !req.st.inserted {
 		// A de-inserted station cannot transmit; fail immediately.
 		req.done(DeliveryStatus{CompletedAt: now})
+		req.f.Release()
 		r.putReq(req)
 		r.sched.After(0, r.maybeStartFn)
 		return
@@ -361,6 +362,7 @@ func (r *Ring) finish(req *txRequest, start, end sim.Time, purged bool) {
 		tap(req.f, start, end, status)
 	}
 	req.done(status)
+	req.f.Release() // the transmission's reference (Frame.SetRecycle)
 	r.putReq(req)
 	r.maybeStart()
 }
@@ -434,8 +436,10 @@ func (r *Ring) Purge() {
 	}
 }
 
-// finishPurged reports a purge loss to the transmitter. The request stays
-// out of the pool: its end-of-frame event is still pending and recycles it.
+// finishPurged reports a purge loss to the transmitter and drops the
+// transmission's frame reference. The request stays out of the pool: its
+// end-of-frame event is still pending and recycles it, without reading
+// the frame.
 func (r *Ring) finishPurged(req *txRequest) {
 	status := DeliveryStatus{PurgeLost: true, CompletedAt: r.sched.Now()}
 	r.c.PurgeLost++
@@ -443,6 +447,7 @@ func (r *Ring) finishPurged(req *txRequest) {
 		tap(req.f, r.sched.Now(), r.sched.Now(), status)
 	}
 	req.done(status)
+	req.f.Release()
 }
 
 func (r *Ring) schedulePurgeEnd() {

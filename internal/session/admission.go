@@ -151,9 +151,15 @@ func (c *Controller) ReservedBits() int64 {
 //
 //ctmsvet:unit bit/s bits
 func (c *Controller) Admit(id int, class Class, bits int64) Decision {
-	sim.Checkf(bits > 0, "stream %d requests non-positive bandwidth", id)
+	// The guards test their condition first: the passing path runs once
+	// per live reservation and must not box the message arguments.
+	if bits <= 0 {
+		sim.Checkf(false, "stream %d requests non-positive bandwidth", id)
+	}
 	for _, r := range c.reservations {
-		sim.Checkf(r.id != id, "stream id %d already reserved", id)
+		if r.id == id {
+			sim.Checkf(false, "stream id %d already reserved", id)
+		}
 	}
 	avail := c.EffectiveBits() - c.ReservedBits()
 	if bits > avail {

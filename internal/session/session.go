@@ -309,7 +309,6 @@ func Run(cfg Config) (*Results, error) {
 
 	sched := sim.NewScheduler()
 	sched.SetTrace(cfg.Trace)
-	rng := sim.NewRNG(cfg.Seed)
 
 	r, bg := NewRing(sched, cfg.Seed, cfg.RingBitRate, cfg.BackgroundUtil)
 	ctrl := cfg.NewController()
@@ -433,7 +432,7 @@ func Run(cfg Config) (*Results, error) {
 	// departure.
 	if cfg.Population != nil {
 		pop := cfg.Population.WithDefaults()
-		arrivals := pop.Compile(rng.Fork("population"), cfg.Duration)
+		arrivals := pop.Compile(sim.NewRNG(sim.ForkSeed(cfg.Seed, "population")), cfg.Duration)
 		baseID := len(cfg.Streams)
 		results.Streams = append(results.Streams, make([]StreamResult, len(arrivals))...)
 		for j, a := range arrivals {

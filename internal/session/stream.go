@@ -57,19 +57,18 @@ func NewRing(sched *sim.Scheduler, seed, bitRate int64, backgroundUtil float64) 
 	}
 	bg := Background{Bits: int64(backgroundUtil * float64(bitRate))}
 	if backgroundUtil > 0 {
-		rng := sim.NewRNG(seed)
 		macUtil := backgroundUtil * 0.1
 		if macUtil > 0.01 {
 			macUtil = 0.01
 		}
 		mon := r.Attach("monitor")
-		bg.gens = append(bg.gens, workload.NewMACGen(r, mon, macUtil, rng.Fork("bg-mac")))
+		bg.gens = append(bg.gens, workload.NewMACGen(r, mon, macUtil, sim.ForkSeed(seed, "bg-mac")))
 		restUtil := backgroundUtil - macUtil
 		if restUtil > 0 {
 			src, dst := r.Attach("bg-src"), r.Attach("bg-dst")
 			frameTime := sim.WireTime(1522, bitRate)
 			mean := sim.Scale(frameTime, 1/restUtil)
-			bg.gens = append(bg.gens, workload.NewChatterGen(r, src, dst, 1522, 1522, mean, rng.Fork("bg-data")))
+			bg.gens = append(bg.gens, workload.NewChatterGen(r, src, dst, 1522, 1522, mean, sim.ForkSeed(seed, "bg-data")))
 		}
 	}
 	return r, bg

@@ -122,9 +122,14 @@ func (g *RNG) LogNormal(mu, sigma float64) Time {
 }
 
 // Pareto returns a bounded Pareto-distributed duration in [lo, hi] with
-// shape alpha. Heavy-tailed burst lengths use this.
+// shape alpha. Heavy-tailed burst lengths use this; the guard is
+// condition-first, like Uniform's.
+//
+//ctmsvet:hotpath
 func (g *RNG) Pareto(lo, hi Time, alpha float64) Time {
-	Checkf(hi > lo && lo > 0, "Pareto bounds invalid: [%v, %v]", lo, hi)
+	if hi <= lo || lo <= 0 {
+		Checkf(false, "Pareto bounds invalid: [%v, %v]", lo, hi)
+	}
 	l := float64(lo)
 	h := float64(hi)
 	u := g.r.Float64()
@@ -146,10 +151,15 @@ func (g *RNG) Pareto(lo, hi Time, alpha float64) Time {
 // uniform distribution. The sampler inverts a precomputed CDF with one
 // uniform draw, so the number of draws consumed per call is fixed —
 // unlike rejection samplers, inserting or removing one Zipf consumer
-// never perturbs the variates another Fork-derived stream sees.
+// never perturbs the variates another Fork-derived stream sees. The
+// guards are condition-first, like Uniform's.
 func (g *RNG) Zipf(n int, s float64) int {
-	Checkf(n > 0, "Zipf needs a positive rank count, got %d", n)
-	Checkf(s >= 0, "Zipf exponent must be non-negative, got %v", s)
+	if n <= 0 {
+		Checkf(false, "Zipf needs a positive rank count, got %d", n)
+	}
+	if !(s >= 0) {
+		Checkf(false, "Zipf exponent must be non-negative, got %v", s)
+	}
 	if n != g.zipfN || s != g.zipfS {
 		g.zipfN, g.zipfS = n, s
 		g.zipfCDF = zipfCDF(n, s)

@@ -169,43 +169,35 @@ type Outgoing struct {
 	queuedAt sim.Time
 	// frame is the packet's ring frame, built in place at each transmit
 	// command, so it lives exactly as long as the envelope.
-	frame ring.Frame
-	// Pooled-envelope recycling (SetRecycle): refs counts the two points
-	// after which the driver guarantees no further reads of this envelope.
-	recycle func(*Outgoing)
-	refs    int8
+	frame   ring.Frame
+	recycle func(*Outgoing) // SetRecycle's hook, armed on frame at transmit
 }
 
-// SetRecycle arms two-phase envelope recycling for pooled packets: fn runs
-// once the envelope is provably dead — after BOTH the transmit-complete
-// interrupt has run Done AND the receiving driver's class handler has
-// returned. Receivers read the envelope (class, routed fields, chain tag)
-// only synchronously inside their handler, and transmit-complete can fire
-// before or after that read, so neither side alone may reuse it. The
-// envelope's ring frame and the Capture bytes it points at die with it. Both
-// release points run on the same ring's scheduler — no cross-shard access.
-// A frame dropped before classification (rx-buffer exhaustion) never
-// reaches its second release; the envelope is then simply garbage
-// collected and its pool refills on the cold path.
-func (p *Outgoing) SetRecycle(fn func(*Outgoing)) {
-	p.recycle = fn
-	p.refs = 2
-}
+// SetRecycle arms envelope recycling for a pooled packet: fn runs once the
+// envelope is provably dead — after the transmit-complete interrupt has
+// run Done AND every receiving driver holding the frame has returned from
+// its class handler. Receivers read the envelope (class, routed fields,
+// chain tag) only synchronously inside their handler, and transmit-complete
+// can fire before or after that read, so neither side alone may reuse it.
+// The count is the envelope frame's own (ring.Frame.SetRecycle): the
+// driver arms it at each transmit command and holds the transmit side's
+// reference until transmit-complete, and a receiving driver holds its
+// reference from wire arrival until its class handler returns or it drops
+// the frame. The envelope's ring frame and the Capture bytes it points at
+// die with it. Every release runs on the same ring's scheduler — no
+// cross-shard access.
+func (p *Outgoing) SetRecycle(fn func(*Outgoing)) { p.recycle = fn }
 
-// release consumes one of the two envelope references; a no-op for
-// envelopes that never armed recycling.
+// recycleEnvelope is the ring-frame recycle hook of every pooled envelope:
+// the frame's last reference is gone, so the envelope around it goes back
+// to its owner.
 //
 //ctmsvet:hotpath
-func (p *Outgoing) release() {
-	if p.recycle == nil {
-		return
-	}
-	p.refs--
-	if p.refs == 0 {
-		fn := p.recycle
-		p.recycle = nil
-		fn(p)
-	}
+func recycleEnvelope(f *ring.Frame) {
+	p := f.Payload.(*Outgoing)
+	fn := p.recycle
+	p.recycle = nil
+	fn(p)
 }
 
 // Received is a packet arriving at the driver's split point. Each fixed
@@ -599,6 +591,10 @@ func (d *Driver) cardDone() {
 		prio = d.cfg.CTMSPRingPriority
 	}
 	p.frame = ring.DataFrame(d.st.Addr(), p.Dst, prio, p.Size+RingOverhead, p.Capture, p)
+	if p.recycle != nil {
+		p.frame.SetRecycle(recycleEnvelope)
+		p.frame.Hold() // the transmit side's reference, dropped at completeTx
+	}
 	d.st.Transmit(&p.frame, d.tx.transmitDone)
 }
 
@@ -630,7 +626,7 @@ func (d *Driver) completeTx() {
 	if p.Done != nil {
 		p.Done(s)
 	}
-	p.release() // transmit side is finished with the envelope
+	p.frame.Release() // transmit side is finished with the envelope
 	d.pumpWire()
 	d.pumpTx()
 }
@@ -702,7 +698,10 @@ func (d *Driver) getArrival() *rxArrival {
 
 // frameArrived runs when a frame addressed to this station completes on
 // the wire: card firmware latency, DMA into a fixed rx buffer, then the
-// receive interrupt.
+// receive interrupt. The arrival and then the rx slot keep the frame
+// until classification, so the driver holds a reference on a pooled frame
+// (ring.Frame.SetRecycle) from here until classify or the drop in
+// claimRxBuf. MAC frames are read here and not kept.
 //
 //ctmsvet:hotpath
 func (d *Driver) frameArrived(f *ring.Frame, _ sim.Time) {
@@ -710,6 +709,7 @@ func (d *Driver) frameArrived(f *ring.Frame, _ sim.Time) {
 		d.macFrame(f)
 		return
 	}
+	f.Hold()
 	d.rxPending++
 	a := d.getArrival()
 	a.f, a.size = f, f.Size-RingOverhead
@@ -728,6 +728,7 @@ func (d *Driver) claimRxBuf(f *ring.Frame, size int) {
 		d.rxPending--
 		d.stats.RxNoBuffer++
 		d.k.Sched().Trace().AddEvent(d.k.Sched().Now(), EvRxDrop, int64(d.rxPending), int64(size))
+		f.Release()
 		return
 	}
 	sl.buf.Fill(size, f)
@@ -751,11 +752,15 @@ func (d *Driver) classify(sl *rxSlot) {
 	h := d.handlers[class]
 	if h == nil {
 		rcv.Release()
-		d.envelopeSeen(f)
+		f.Release()
 		return
 	}
+	// Handlers read the frame and its envelope synchronously (routed
+	// fields, chain tag, capture bytes) and keep only copied values in
+	// the segments they return, so once the handler returns the receiver
+	// never touches the frame again and drops its reference.
 	segs := h(rcv)
-	d.envelopeSeen(f)
+	f.Release()
 	d.k.CPU().Splice(segs)
 }
 
@@ -775,19 +780,6 @@ func (d *Driver) macFrame(f *ring.Frame) {
 	}
 	d.prog = segs
 	d.k.CPU().Submit(kernel.LevelNet, segs, nil)
-}
-
-// envelopeSeen releases the receive-side envelope reference once the class
-// handler has returned: handlers read the Outgoing and its frame
-// synchronously (routed fields, chain tag, capture bytes) and keep only
-// copied values in the segments they return, so after this point the
-// receiver never touches the envelope.
-//
-//ctmsvet:hotpath
-func (d *Driver) envelopeSeen(f *ring.Frame) {
-	if p, ok := f.Payload.(*Outgoing); ok {
-		p.release()
-	}
 }
 
 // classOf maps a frame to its driver class by inspecting the payload tag.

@@ -20,7 +20,7 @@ func TestMACGenHitsTargetUtilization(t *testing.T) {
 	for _, util := range []float64{0.002, 0.010} {
 		sched, r := newRing()
 		mon := r.Attach("monitor")
-		g := NewMACGen(r, mon, util, sim.NewRNG(1))
+		g := NewMACGen(r, mon, util, 1)
 		sched.RunUntil(5 * sim.Minute)
 		g.Stop()
 		got := r.Utilization()
@@ -45,7 +45,7 @@ func TestChatterGenSizesInRange(t *testing.T) {
 	r.AddTap(func(f *ring.Frame, _, _ sim.Time, _ ring.DeliveryStatus) {
 		sizes = append(sizes, f.Size)
 	})
-	g := NewChatterGen(r, src, dst, 60, 300, 50*sim.Millisecond, sim.NewRNG(2))
+	g := NewChatterGen(r, src, dst, 60, 300, 50*sim.Millisecond, 2)
 	sched.RunUntil(10 * sim.Second)
 	g.Stop()
 	if len(sizes) < 100 {
@@ -69,7 +69,7 @@ func TestFileTransferGenBursts(t *testing.T) {
 		}
 		count++
 	})
-	g := NewFileTransferGen(r, src, dst, 200*sim.Millisecond, 3*sim.Millisecond, sim.NewRNG(3))
+	g := NewFileTransferGen(r, src, dst, 200*sim.Millisecond, 3*sim.Millisecond, 3)
 	g.SetBurst(10*sim.Millisecond, 200*sim.Millisecond, 1.2)
 	sched.RunUntil(20 * sim.Second)
 	g.Stop()
@@ -88,7 +88,7 @@ func TestFileTransferGenBursts(t *testing.T) {
 func TestInsertionGenCausesPurges(t *testing.T) {
 	sched, r := newRing()
 	r.Attach("am")
-	g := NewInsertionGen(r, 30*sim.Minute, sim.NewRNG(4))
+	g := NewInsertionGen(r, 30*sim.Minute, 4)
 	sched.RunUntil(4 * time120())
 	g.Stop()
 	sched.Run()
@@ -107,7 +107,7 @@ func TestInsertionRateMatchesPaper(t *testing.T) {
 	// ~20/day means a 117-minute run should usually see a couple.
 	sched, r := newRing()
 	r.Attach("am")
-	g := NewInsertionGen(r, sim.Hour+12*sim.Minute, sim.NewRNG(7)) // 20/day
+	g := NewInsertionGen(r, sim.Hour+12*sim.Minute, 7) // 20/day
 	sched.RunUntil(117 * sim.Minute)
 	g.Stop()
 	sched.Run()
@@ -130,7 +130,7 @@ func TestKeepAliveGenLoadsOwnStack(t *testing.T) {
 	peerDrv := newStockDriver(peerK, peerSt)
 	inet.NewStack(peerK, peerDrv)
 
-	g := NewKeepAliveGen(sched, stack, peerSt.Addr(), 60, 300, 500*sim.Millisecond, sim.NewRNG(6))
+	g := NewKeepAliveGen(sched, stack, peerSt.Addr(), 60, 300, 500*sim.Millisecond, 6)
 	sched.RunUntil(30 * sim.Second)
 	g.Stop()
 	sched.Run()
