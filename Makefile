@@ -55,12 +55,13 @@ race:
 
 # The sharded engine's dedicated race gate: E18 serial-vs-4-shard
 # bit-identity, the E20 mesh smoke (per-link windows, drain-round skip
-# protocol, pooled forwarding) and the randomized mesh oracle, all under
+# protocol, pooled forwarding), the randomized mesh oracle and the round
+# barrier's generation stress test (spinning and park-only), all under
 # the race detector. `make race` already covers them via ./..., but this
 # target keeps the smokes runnable (and named) on their own so a future
 # test filter can't silently drop them from ci.
 race-shards:
-	$(GO) test -race -run 'TestE18ShardedSmoke|TestShardSerialEquivalence|TestE20MeshSmoke|TestMeshOracleWorkerCounts' \
+	$(GO) test -race -run 'TestE18ShardedSmoke|TestShardSerialEquivalence|TestE20MeshSmoke|TestMeshOracleWorkerCounts|TestBarrierGenerations' \
 		./internal/core ./internal/topo
 
 # The real-run allocation budgets (internal/core/allocbudget_test.go)

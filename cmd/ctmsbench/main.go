@@ -234,7 +234,8 @@ func addTopoRows(rec *benchRecord, list string, dur sim.Time, base int64) error 
 			}
 			rec.Rows = append(rec.Rows, benchRow{fmt.Sprintf("topo %d rings × %d workers", spec.Rings, w), map[string]float64{
 				"forwarded_frames": float64(fwd), "rounds": float64(res.Engine.Rounds),
-				"rounds_skipped": float64(res.Engine.RoundsSkipped), colIdentical: identical,
+				"rounds_skipped": float64(res.Engine.RoundsSkipped), "ceiling": res.Engine.Ceiling(res.Events),
+				colIdentical: identical,
 			}})
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/router"
 	"repro/internal/sim"
@@ -165,33 +166,69 @@ func (s *shard) putArrival(a *arrival) {
 }
 
 // barrier is a reusable cyclic barrier: await blocks until all n workers
-// arrive, then releases the generation together.
+// arrive, then releases the generation together. A round is a few
+// hundred microseconds of work per worker, so a futex sleep and wake per
+// round costs a visible share of it: an early arrival first polls the
+// generation for a bounded number of iterations and parks on the
+// condition variable only after that. The release bumps gen under mu
+// and broadcasts, so a worker that gave up spinning and parked can never
+// miss it.
 type barrier struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	n       int
-	arrived int    // guarded by mu
-	gen     uint64 // guarded by mu
+	spin    int           // poll iterations before parking; 0 when oversubscribed
+	arrived int           // guarded by mu
+	gen     atomic.Uint64 // written under mu by the releasing arrival, polled without it
 }
 
+// barrierSpin bounds an early arrival's poll of the generation counter,
+// and barrierYieldEvery is how often that poll calls runtime.Gosched,
+// which lets the GC's and the runtime's own goroutines use a spinning
+// worker's P. The bound is an iteration count, never a clock (the
+// engine reads none). On a 2-core x86 VM the whole spin takes
+// 0.25–0.5 ms, about one round of per-worker work in the E20 mesh, so a
+// worker parks only when a round's wait is far longer than usual.
+const (
+	barrierSpin       = 1 << 15
+	barrierYieldEvery = 16
+)
+
+// newBarrier spins only when every worker can hold a P of its own: with
+// more workers than GOMAXPROCS a spinner would take the CPU from the
+// very worker it waits for, so those runs park at once.
 func newBarrier(n int) *barrier {
 	b := &barrier{n: n}
+	if n <= runtime.GOMAXPROCS(0) {
+		b.spin = barrierSpin
+	}
 	b.cond = sync.NewCond(&b.mu)
 	return b
 }
 
 func (b *barrier) await() {
 	b.mu.Lock()
-	gen := b.gen
+	gen := b.gen.Load()
 	b.arrived++
 	if b.arrived == b.n {
 		b.arrived = 0
-		b.gen++
+		b.gen.Add(1)
 		b.cond.Broadcast()
-	} else {
-		for gen == b.gen {
-			b.cond.Wait()
+		b.mu.Unlock()
+		return
+	}
+	b.mu.Unlock()
+	for i := 1; i <= b.spin; i++ {
+		if b.gen.Load() != gen {
+			return
 		}
+		if i%barrierYieldEvery == 0 {
+			runtime.Gosched()
+		}
+	}
+	b.mu.Lock()
+	for b.gen.Load() == gen {
+		b.cond.Wait()
 	}
 	b.mu.Unlock()
 }
@@ -234,18 +271,23 @@ func (s *shard) drainInboxes(bound sim.Time, round uint64) {
 
 // EngineStats is the engine's own accounting for one Run: how many
 // barrier rounds executed, how many were proven empty and skipped
-// analytically, and how long workers sat in the barrier (wall-clock,
-// measured only when a clock was injected via SetWallClock — the topo
-// package itself never reads one, keeping the simulation deterministic).
-// None of this is part of Fingerprint: two runs of the same Spec produce
-// identical Rounds and RoundsSkipped at any worker count, but stall and
-// wall nanos measure the host, not the model.
+// analytically, the span that bounds parallel speedup, and how long
+// workers sat in the barrier (wall-clock, measured only when a clock was
+// injected via SetWallClock — the topo package itself never reads one,
+// keeping the simulation deterministic). None of this is part of
+// Fingerprint: two runs of the same Spec produce identical Rounds,
+// RoundsSkipped and Span at any worker count, but stall and wall nanos
+// measure the host, not the model.
 type EngineStats struct {
 	// Rounds is the number of lookahead rounds the workers executed.
 	Rounds uint64
 	// RoundsSkipped counts rounds proven event-free from published shard
 	// statuses and inbox heads, advanced analytically with no barrier.
 	RoundsSkipped uint64
+	// Span sums, over the executed rounds, the events fired by that
+	// round's busiest shard: the run's critical path in events, since no
+	// round ends before its largest shard does.
+	Span uint64
 	// BarrierStallNanos sums the wall time all workers spent blocked in
 	// the barrier (0 for serial runs or when no wall clock is set).
 	BarrierStallNanos int64
@@ -253,14 +295,27 @@ type EngineStats struct {
 	WallNanos int64
 }
 
-// StallFraction is the fraction of total worker wall time spent blocked
-// at the barrier — the quantity the per-link windows and idle skips
-// exist to shrink.
+// StallFraction is the fraction of total worker wall time spent in the
+// barrier, spinning or parked: the wait of the workers that finished a
+// round before its busiest one, plus the hand-off itself. It measures
+// the host; Ceiling is the worker-invariant number the per-link windows
+// and idle skips exist to raise.
 func (e EngineStats) StallFraction(workers int) float64 {
 	if e.WallNanos <= 0 || workers <= 0 {
 		return 0
 	}
 	return float64(e.BarrierStallNanos) / (float64(e.WallNanos) * float64(workers))
+}
+
+// Ceiling is the work/span bound on parallel speedup, events / Span: the
+// speedup the window protocol would allow on unlimited cores with free
+// barriers. events is the run's total (Results.Events). It is a pure
+// function of the Spec, so it is the same at every worker count.
+func (e EngineStats) Ceiling(events uint64) float64 {
+	if e.Span == 0 {
+		return 0
+	}
+	return float64(events) / float64(e.Span)
 }
 
 // wallClock, when set, supplies wall-clock nanos for EngineStats. The
@@ -283,13 +338,15 @@ func engineNow() int64 {
 }
 
 // shardStatus is one shard's published scheduler state after a round:
-// its earliest pending event, if any. Written by the owning worker
-// before the barrier, read by every worker's skip check after it; the
+// its earliest pending event, if any, and how many events it fired in
+// the round. Written by the owning worker before the barrier, read by
+// every worker's skip check and by worker 0's span count after it; the
 // two parity slots keep a fast worker's next-round writes off a slow
 // worker's current-round reads.
 type shardStatus struct {
-	at sim.Time
-	ok bool
+	at    sim.Time
+	ok    bool
+	fired uint64
 }
 
 // engineRun is the shared state of one Run's worker phase.
@@ -298,6 +355,7 @@ type engineRun struct {
 	stall   []int64 // per-worker barrier wait, wall nanos
 	rounds  uint64  // written by worker 0 only
 	skipped uint64  // written by worker 0 only
+	span    uint64  // written by worker 0 only
 }
 
 // Run executes the network for the spec's duration and collects results.
@@ -337,21 +395,25 @@ func (n *Network) Run(workers int) *Results {
 	if workers == 1 {
 		n.runWorker(0, 1, nil, eng)
 	} else {
+		// Worker 0 runs on the calling goroutine, which would otherwise
+		// only sit in wg.Wait.
 		bar := newBarrier(workers)
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
+		wg.Add(workers - 1)
+		for w := 1; w < workers; w++ {
 			//ctmsvet:allow shardowned this is the ownership transfer itself: Run hands each worker its disjoint shard slice once, before any window starts, and joins them all before touching shard state again
 			go func(w int) {
 				defer wg.Done()
 				n.runWorker(w, workers, bar, eng)
 			}(w)
 		}
+		n.runWorker(0, workers, bar, eng)
 		wg.Wait()
 	}
 	n.engStats = EngineStats{
 		Rounds:        eng.rounds,
 		RoundsSkipped: eng.skipped,
+		Span:          eng.span,
 		WallNanos:     engineNow() - t0,
 	}
 	for _, s := range eng.stall {
@@ -425,9 +487,11 @@ func (n *Network) anyWorkDue(nb []sim.Time, st []shardStatus, round uint64) bool
 // the whole run) round by round: compute every shard's next per-link
 // bound, skip the round outright if it is provably empty, otherwise
 // drain the inboxes up to each owned shard's bound, run its scheduler to
-// it, publish its next-event status, and meet the other workers at the
-// barrier. The first round always executes (no statuses exist yet) and
-// so does the final round (so every clock ends exactly at the duration).
+// it, publish its next-event status and fired count, and meet the other
+// workers at the barrier, after which worker 0 adds the round's largest
+// per-shard count to the span. The first round always executes (no
+// statuses exist yet) and so does the final round (so every clock ends
+// exactly at the duration).
 func (n *Network) runWorker(w, workers int, bar *barrier, eng *engineRun) {
 	d := n.spec.Duration
 	b := make([]sim.Time, len(n.shards))  // bounds after the last round
@@ -455,14 +519,22 @@ func (n *Network) runWorker(w, workers int, bar *barrier, eng *engineRun) {
 		for i := w; i < len(n.shards); i += workers {
 			s := n.shards[i]
 			s.drainInboxes(nb[i], round)
+			fired := s.sched.Fired()
 			s.sched.RunUntil(nb[i])
 			at, ok := s.sched.NextAt()
-			eng.status[1-parity][i] = shardStatus{at: at, ok: ok}
+			eng.status[1-parity][i] = shardStatus{at: at, ok: ok, fired: s.sched.Fired() - fired}
 		}
 		if bar != nil {
 			t0 := engineNow()
 			bar.await()
 			eng.stall[w] += engineNow() - t0
+		}
+		if w == 0 {
+			var most uint64
+			for _, st := range eng.status[1-parity] {
+				most = max(most, st.fired)
+			}
+			eng.span += most
 		}
 		parity = 1 - parity
 		copy(b, nb)

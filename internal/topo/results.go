@@ -79,8 +79,8 @@ type Results struct {
 	// Events is the total event count across all shard schedulers.
 	Events uint64
 	// Engine is the run's barrier-round accounting (not fingerprinted:
-	// Rounds and RoundsSkipped are worker-invariant, but the stall and
-	// wall columns measure the host).
+	// Rounds, RoundsSkipped and Span are worker-invariant, but the stall
+	// and wall columns measure the host).
 	Engine EngineStats
 
 	Streams []StreamResult
@@ -221,8 +221,8 @@ func (r *Results) Report() string {
 		len(r.Streams), admitted, rejected)
 	fmt.Fprintf(&b, "engine: window=%v windows=%d workers=%d events=%d\n",
 		r.Window, r.Windows, r.Workers, r.Events)
-	fmt.Fprintf(&b, "engine: rounds=%d skipped=%d barrier-stall=%.1f%%\n",
-		r.Engine.Rounds, r.Engine.RoundsSkipped, 100*r.Engine.StallFraction(r.Workers))
+	fmt.Fprintf(&b, "engine: rounds=%d skipped=%d ceiling=%.2f barrier-stall=%.1f%%\n",
+		r.Engine.Rounds, r.Engine.RoundsSkipped, r.Engine.Ceiling(r.Events), 100*r.Engine.StallFraction(r.Workers))
 	for _, s := range r.Streams {
 		if !s.Decision.Admitted {
 			fmt.Fprintf(&b, "  %-14s %v REJECTED: %s\n", s.Spec.Name, s.Path, s.Decision.Reason)

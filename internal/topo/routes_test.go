@@ -248,9 +248,9 @@ func meshSpec(seed int64) Spec {
 
 // TestMeshOracleWorkerCounts is the mesh extension of the serial oracle:
 // randomized 9-ring grid meshes — redundant paths, heterogeneous link
-// latencies, a slow chord — must produce byte-identical fingerprints at
-// worker counts {1, 2, 3, K}, K the ring count. `make race-shards` runs
-// this under the race detector.
+// latencies, a slow chord — must produce byte-identical fingerprints,
+// round counts and work/span ceilings at worker counts {1, 2, 3, K}, K
+// the ring count. `make race-shards` runs this under the race detector.
 func TestMeshOracleWorkerCounts(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		seed := seed
@@ -265,6 +265,11 @@ func TestMeshOracleWorkerCounts(t *testing.T) {
 			}
 			ref := run(1)
 			want := ref.Fingerprint()
+			// A round fires at least its busiest shard's events and at
+			// most K times as many: 1 ≤ ceiling ≤ K.
+			if c := ref.Engine.Ceiling(ref.Events); c < 1 || c > float64(spec.Rings) {
+				t.Fatalf("ceiling %v outside [1, %d] (events %d, span %d)", c, spec.Rings, ref.Events, ref.Engine.Span)
+			}
 			for _, workers := range []int{2, 3, spec.Rings} {
 				got := run(workers)
 				if fp := got.Fingerprint(); fp != want {
@@ -272,10 +277,11 @@ func TestMeshOracleWorkerCounts(t *testing.T) {
 						workers, want, workers, fp)
 				}
 				if got.Engine.Rounds != ref.Engine.Rounds ||
-					got.Engine.RoundsSkipped != ref.Engine.RoundsSkipped {
-					t.Fatalf("workers=%d round accounting diverged: %d+%d vs serial %d+%d",
-						workers, got.Engine.Rounds, got.Engine.RoundsSkipped,
-						ref.Engine.Rounds, ref.Engine.RoundsSkipped)
+					got.Engine.RoundsSkipped != ref.Engine.RoundsSkipped ||
+					got.Engine.Ceiling(got.Events) != ref.Engine.Ceiling(ref.Events) {
+					t.Fatalf("workers=%d round accounting diverged: %d+%d ceiling %v vs serial %d+%d ceiling %v",
+						workers, got.Engine.Rounds, got.Engine.RoundsSkipped, got.Engine.Ceiling(got.Events),
+						ref.Engine.Rounds, ref.Engine.RoundsSkipped, ref.Engine.Ceiling(ref.Events))
 				}
 			}
 		})
