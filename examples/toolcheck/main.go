@@ -12,6 +12,7 @@ import (
 	"repro/internal/measure"
 	"repro/internal/rtpc"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 func main() {
@@ -21,9 +22,10 @@ func main() {
 	m := rtpc.NewMachine(sched, "host", 1)
 	k := kernel.New(m)
 
-	la := measure.NewLogicAnalyzer(sched)
-	pcat := measure.NewPCAT(sched, 42)
-	pd := measure.NewPseudoDev(k)
+	laAn, pcAn, pdAn := measure.NewAnalysis(2), measure.NewAnalysis(2), measure.NewAnalysis(2)
+	la := measure.NewLogicAnalyzer(sched, laAn)
+	pcat := measure.NewPCAT(sched, 42, pcAn)
+	pd := measure.NewPseudoDev(k, pdAn)
 
 	// A perfect 12 ms source, as the logic analyzer verified the VCA to
 	// be (±500 ns, §5.2.2). The handler-entry point trails by a fixed
@@ -44,19 +46,17 @@ func main() {
 	sched.RunUntil(pulses * 12 * sim.Millisecond)
 	pcat.Stop()
 
-	report := func(tool string, samples []measure.Sample) {
-		h := measure.InterOccurrence(samples, 2, tool)
+	report := func(tool string, h *stats.Histogram) {
 		fmt.Printf("%-16s n=%-6d mean=%9.1fµs  spread=[%0.f, %0.f]  sd=%.1fµs\n",
 			tool, h.N(), h.Mean(), h.Min(), h.Max(), h.Stddev())
 	}
 
 	fmt.Println("inter-occurrence of a source the logic analyzer proved exact:")
-	pcatIRQ := pcat.Samples()[measure.P1VCAIRQ]
-	report("logic analyzer", la.Samples()[measure.P1VCAIRQ])
-	report("PC/AT rig", pcatIRQ)
-	report("pseudo-device", pd.Samples()[measure.P2HandlerEntry])
+	h := pcAn.Finish().H[measure.H1InterIRQ]
+	report("logic analyzer", laAn.Finish().H[measure.H1InterIRQ])
+	report("PC/AT rig", h)
+	report("pseudo-device", pdAn.Finish().H[measure.H2InterEntry])
 
-	h := measure.InterOccurrence(pcatIRQ, 2, "pcat")
 	spread := (h.Max() - h.Min()) / 2
 	fmt.Printf("\nPC/AT spread ±%.0f µs — the paper measured ±120 µs and derived a\n", spread)
 	fmt.Printf("60 µs worst-case polling loop; our model uses %v.\n", measure.PCATLoopMax)
@@ -64,8 +64,7 @@ func main() {
 	fmt.Printf("perturbs the machine being measured by %v of CPU).\n", measure.PseudoDevRecordCost)
 
 	// Show the raw PC/AT record stream decoding across clock rollovers.
-	recs := pcat.Records()
 	fmt.Printf("\nPC/AT raw records: %d (16-bit clock wraps every %v; the 50 Hz\n",
-		len(recs), sim.Time(1<<16)*measure.PCATClockTick)
+		pcat.Records(), sim.Time(1<<16)*measure.PCATClockTick)
 	fmt.Println("marker on channel 8 lets the decoder count rollovers)")
 }

@@ -356,8 +356,9 @@ func runE10(s Scale) *Comparison {
 	// Validate the PC/AT tool exactly as §5.2.3 did: feed it the
 	// logic-analyzer-verified 12 ms source and look at the spread.
 	sched := sim.NewScheduler()
-	pcat := measure.NewPCAT(sched, 42)
-	la := measure.NewLogicAnalyzer(sched)
+	pcAn, laAn := measure.NewAnalysis(2), measure.NewAnalysis(2)
+	pcat := measure.NewPCAT(sched, 42, pcAn)
+	la := measure.NewLogicAnalyzer(sched, laAn)
 	n := 5000
 	if s.Duration > 0 {
 		n = int(s.Duration / (12 * sim.Millisecond))
@@ -372,8 +373,8 @@ func runE10(s Scale) *Comparison {
 	sched.RunUntil(sim.Time(n) * 12 * sim.Millisecond)
 	pcat.Stop()
 
-	hLA := measure.InterOccurrence(la.Samples()[measure.P1VCAIRQ], 2, "logic analyzer")
-	hPC := measure.InterOccurrence(pcat.Samples()[measure.P1VCAIRQ], 2, "pcat")
+	hLA := laAn.Finish().H[measure.H1InterIRQ]
+	hPC := pcAn.Finish().H[measure.H1InterIRQ]
 	c.addf("VCA source (logic analyzer)", "12 ms, no detectable variation",
 		hLA.Min() == 12000 && hLA.Max() == 12000, "[%.1f, %.1f] µs", hLA.Min(), hLA.Max())
 	spread := (hPC.Max() - hPC.Min()) / 2

@@ -63,9 +63,12 @@ type env struct {
 	txK, rxK     *kernel.Kernel
 	txDrv, rxDrv *tradapter.Driver
 
-	truth *measure.LogicAnalyzer
-	rec   measure.Recorder
-	pcat  *measure.PCAT
+	// truth is the logic analyzer and rec the configured tool (truth
+	// itself when that is the analyzer); each feeds its own analysis.
+	truth          *measure.LogicAnalyzer
+	rec            measure.Recorder
+	pcat           *measure.PCAT
+	truthAn, recAn *measure.Analysis
 
 	stacks map[*kernel.Kernel]*inet.Stack
 	gens   []interface{ Stop() }
@@ -134,13 +137,17 @@ func buildEnv(cfg Config) *env {
 
 	// Instruments: the logic analyzer always watches (ground truth);
 	// the configured tool is what "the paper" reads.
-	e.truth = measure.NewLogicAnalyzer(e.sched)
+	e.truthAn = measure.NewAnalysis(cfg.HistogramBinWidth)
+	e.truth = measure.NewLogicAnalyzer(e.sched, e.truthAn)
+	e.recAn = e.truthAn
 	switch cfg.Tool {
 	case ToolPCAT:
-		e.pcat = measure.NewPCAT(e.sched, cfg.Seed)
+		e.recAn = measure.NewAnalysis(cfg.HistogramBinWidth)
+		e.pcat = measure.NewPCAT(e.sched, cfg.Seed, e.recAn)
 		e.rec = e.pcat
 	case ToolPseudoDev:
-		e.rec = measure.NewPseudoDev(e.txK)
+		e.recAn = measure.NewAnalysis(cfg.HistogramBinWidth)
+		e.rec = measure.NewPseudoDev(e.txK, e.recAn)
 	default:
 		e.rec = e.truth
 	}
@@ -364,7 +371,7 @@ func (e *env) stopGens() {
 }
 
 // finish runs the scenario to its end: it starts the background and the
-// stream source, stops them at cfg.Duration, builds the histograms and
+// stream source, stops them at cfg.Duration, settles the histograms and
 // fills the results both protocols share; the stream accounting is the
 // caller's. When the logic analyzer is the configured tool, Hists is the
 // truth set itself.
@@ -376,16 +383,11 @@ func (e *env) finish(dev *vca.Device) *Results {
 	dev.Stop()
 	e.stopGens()
 
-	truth := measure.BuildHistograms(e.truth, cfg.HistogramBinWidth)
-	hists := truth
-	if e.rec != e.truth {
-		hists = measure.BuildHistograms(e.rec, cfg.HistogramBinWidth)
-	}
 	return &Results{
 		Config:    cfg,
 		Elapsed:   cfg.Duration,
-		Hists:     hists,
-		Truth:     truth,
+		Hists:     e.recAn.Finish(),
+		Truth:     e.truthAn.Finish(),
 		Ring:      e.ring.Counters(),
 		TxDriver:  e.txDrv.Stats(),
 		TxCPUUtil: float64(e.txK.CPU().Stats().BusyTime) / float64(cfg.Duration),

@@ -7,19 +7,17 @@ import "repro/internal/sim"
 // interrupt source was solid (±500 ns) and to bound the PC/AT tool's
 // polling-loop error (§5.2.2, §5.2.3).
 type LogicAnalyzer struct {
-	sched   *sim.Scheduler
-	samples [NumPoints][]Sample
+	sched *sim.Scheduler
+	sink  Sink
 }
 
-// NewLogicAnalyzer creates an analyzer on the given clock.
-func NewLogicAnalyzer(sched *sim.Scheduler) *LogicAnalyzer {
-	return &LogicAnalyzer{sched: sched}
+// NewLogicAnalyzer creates an analyzer on the given clock that hands its
+// samples to sink.
+func NewLogicAnalyzer(sched *sim.Scheduler, sink Sink) *LogicAnalyzer {
+	return &LogicAnalyzer{sched: sched, sink: sink}
 }
 
 // Record implements Recorder with an exact timestamp.
 func (l *LogicAnalyzer) Record(p Point, num uint32) {
-	l.samples[p] = append(l.samples[p], Sample{Num: num, T: l.sched.Now()})
+	l.sink.Add(p, Sample{Num: num, T: l.sched.Now()})
 }
-
-// Samples implements Recorder.
-func (l *LogicAnalyzer) Samples() [NumPoints][]Sample { return l.samples }

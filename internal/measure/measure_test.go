@@ -8,15 +8,17 @@ import (
 	"repro/internal/ring"
 	"repro/internal/rtpc"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 func TestLogicAnalyzerExact(t *testing.T) {
 	sched := sim.NewScheduler()
-	la := NewLogicAnalyzer(sched)
+	var log logSink
+	la := NewLogicAnalyzer(sched, &log)
 	sched.At(100*sim.Microsecond, func() { la.Record(P1VCAIRQ, 0) })
 	sched.At(12100*sim.Microsecond, func() { la.Record(P1VCAIRQ, 1) })
 	sched.Run()
-	s := la.Samples()[P1VCAIRQ]
+	s := log[P1VCAIRQ]
 	if len(s) != 2 || s[0].T != 100*sim.Microsecond || s[1].T != 12100*sim.Microsecond {
 		t.Fatalf("logic analyzer must be exact: %+v", s)
 	}
@@ -26,10 +28,11 @@ func TestPseudoDevQuantizesAndPerturbs(t *testing.T) {
 	sched := sim.NewScheduler()
 	m := rtpc.NewMachine(sched, "m", 1)
 	k := kernel.New(m)
-	pd := NewPseudoDev(k)
+	var log logSink
+	pd := NewPseudoDev(k, &log)
 	sched.At(300*sim.Microsecond, func() { pd.Record(P2HandlerEntry, 0) })
 	sched.Run()
-	s := pd.Samples()[P2HandlerEntry]
+	s := log[P2HandlerEntry]
 	if len(s) != 1 {
 		t.Fatal("sample lost")
 	}
@@ -41,14 +44,15 @@ func TestPseudoDevQuantizesAndPerturbs(t *testing.T) {
 	}
 	// The pseudo device cannot see the IRQ line.
 	pd.Record(P1VCAIRQ, 0)
-	if len(pd.Samples()[P1VCAIRQ]) != 0 || pd.Dropped() != 1 {
+	if len(log[P1VCAIRQ]) != 0 || pd.Dropped() != 1 {
 		t.Fatal("P1 is hardware-only")
 	}
 }
 
 func TestPCATErrorBounds(t *testing.T) {
 	sched := sim.NewScheduler()
-	pcat := NewPCAT(sched, 1)
+	var log logSink
+	pcat := NewPCAT(sched, 1, &log)
 	// A perfect 12 ms source, as §5.2.3's validation test.
 	for i := 0; i < 2000; i++ {
 		n := uint32(i)
@@ -57,7 +61,7 @@ func TestPCATErrorBounds(t *testing.T) {
 	// The marker repeater never drains the queue; bound the run.
 	sched.RunUntil(2000 * 12 * sim.Millisecond)
 	pcat.Stop()
-	s := pcat.Samples()[P1VCAIRQ]
+	s := log[P1VCAIRQ]
 	if len(s) != 2000 {
 		t.Fatalf("want 2000 samples, got %d", len(s))
 	}
@@ -76,7 +80,8 @@ func TestPCATRolloverReconstruction(t *testing.T) {
 	// Events far apart force multiple 131 ms clock rollovers; the 50 Hz
 	// marker must let the decoder reconstruct absolute times.
 	sched := sim.NewScheduler()
-	pcat := NewPCAT(sched, 2)
+	var log logSink
+	pcat := NewPCAT(sched, 2, &log)
 	times := []sim.Time{10 * sim.Millisecond, 500 * sim.Millisecond, 2 * sim.Second, 10 * sim.Second}
 	for i, at := range times {
 		n := uint32(i)
@@ -84,12 +89,12 @@ func TestPCATRolloverReconstruction(t *testing.T) {
 	}
 	sched.RunUntil(11 * sim.Second)
 	pcat.Stop()
-	s := pcat.Samples()[P3PreTransmit]
+	s := log[P3PreTransmit]
 	if len(s) != len(times) {
 		t.Fatalf("want %d samples, got %d", len(times), len(s))
 	}
-	if got := strobedChannels(pcat); got != 1<<P3PreTransmit {
-		t.Fatalf("P3 strobed channel mask %08b, want channel %d", got, P3PreTransmit)
+	if got := log.points(); got != 1<<P3PreTransmit {
+		t.Fatalf("P3 strobed point mask %04b, want point %d", got, P3PreTransmit)
 	}
 	for i, smp := range s {
 		err := smp.T - times[i]
@@ -104,7 +109,8 @@ func TestPCATRolloverReconstruction(t *testing.T) {
 func TestPCATDecodeProperty(t *testing.T) {
 	f := func(gaps []uint16) bool {
 		sched := sim.NewScheduler()
-		pcat := NewPCAT(sched, 3)
+		var log logSink
+		pcat := NewPCAT(sched, 3, &log)
 		at := sim.Time(0)
 		var want []sim.Time
 		for i, gp := range gaps {
@@ -116,8 +122,8 @@ func TestPCATDecodeProperty(t *testing.T) {
 		}
 		sched.RunUntil(at + 100*sim.Millisecond)
 		pcat.Stop()
-		s := pcat.Samples()[P4RxClassified]
-		if len(s) != len(want) || (len(s) > 0 && strobedChannels(pcat) != 1<<P4RxClassified) {
+		s := log[P4RxClassified]
+		if len(s) != len(want) || (len(s) > 0 && log.points() != 1<<P4RxClassified) {
 			return false
 		}
 		for i := range s {
@@ -145,7 +151,7 @@ func TestMatchedDeltaPairsByPacketNumber(t *testing.T) {
 		a = append(a, Sample{Num: uint32(i), T: sim.Time(i) * 12 * sim.Millisecond})
 		b = append(b, Sample{Num: uint32(i), T: sim.Time(i)*12*sim.Millisecond + 10700*sim.Microsecond})
 	}
-	h := MatchedDelta(a, b, 100, "h7")
+	h := streamPair(a, b)
 	if h.N() != 200 {
 		t.Fatalf("want 200 matches, got %d", h.N())
 	}
@@ -163,7 +169,7 @@ func TestMatchedDeltaSurvives7BitWrap(t *testing.T) {
 		a = append(a, Sample{Num: num, T: sim.Time(i) * 12 * sim.Millisecond})
 		b = append(b, Sample{Num: num, T: sim.Time(i)*12*sim.Millisecond + 5*sim.Millisecond})
 	}
-	h := MatchedDelta(a, b, 100, "wrap")
+	h := streamPair(a, b)
 	if h.N() != 300 {
 		t.Fatalf("want 300 matches across wraps, got %d", h.N())
 	}
@@ -178,7 +184,7 @@ func TestMatchedDeltaSkipsLostPackets(t *testing.T) {
 		}
 		b = append(b, Sample{Num: uint32(i), T: sim.Time(i)*12*sim.Millisecond + 5*sim.Millisecond})
 	}
-	h := MatchedDelta(a, b, 100, "loss")
+	h := streamPair(a, b)
 	if h.N() != 99 {
 		t.Fatalf("one lost packet should drop one match: %d", h.N())
 	}
@@ -188,23 +194,25 @@ func TestMatchedDeltaSkipsLostPackets(t *testing.T) {
 }
 
 func TestInterOccurrence(t *testing.T) {
-	var s []Sample
+	an := NewAnalysis(100)
 	for i := 0; i < 10; i++ {
-		s = append(s, Sample{T: sim.Time(i) * 12 * sim.Millisecond})
+		an.Add(P1VCAIRQ, Sample{T: sim.Time(i) * 12 * sim.Millisecond})
 	}
-	h := InterOccurrence(s, 100, "h1")
+	h := an.Finish().H[H1InterIRQ]
 	if h.N() != 9 || h.Mean() != 12000 {
 		t.Fatalf("inter-occurrence: n=%d mean=%v", h.N(), h.Mean())
 	}
 }
 
 // One probe feeds two recorders, as a run feeds the logic analyzer and
-// the configured tool: both build all seven histograms from the same
-// events, the analyzer exactly and the PC/AT rig within its error.
+// the configured tool: each tool's analysis builds all seven histograms
+// from the same events, the analyzer exactly and the PC/AT rig within its
+// error.
 func TestBuildHistogramsAndMultiRecorder(t *testing.T) {
 	sched := sim.NewScheduler()
-	la := NewLogicAnalyzer(sched)
-	pcat := NewPCAT(sched, 4)
+	laAn, pcAn := NewAnalysis(100), NewAnalysis(100)
+	la := NewLogicAnalyzer(sched, laAn)
+	pcat := NewPCAT(sched, 4, pcAn)
 	probe := func(p Point, n uint32) {
 		la.Record(p, n)
 		pcat.Record(p, n)
@@ -219,7 +227,7 @@ func TestBuildHistogramsAndMultiRecorder(t *testing.T) {
 	}
 	sched.RunUntil(51 * 12 * sim.Millisecond)
 	pcat.Stop()
-	hs := BuildHistograms(la, 100)
+	hs := laAn.Finish()
 	if hs.H[H1InterIRQ].Mean() != 12000 {
 		t.Fatalf("H1 mean %v", hs.H[H1InterIRQ].Mean())
 	}
@@ -233,7 +241,7 @@ func TestBuildHistogramsAndMultiRecorder(t *testing.T) {
 		t.Fatalf("H7 mean %v", hs.H[H7TxToRx].Mean())
 	}
 	// The second recorder saw everything too.
-	pc := BuildHistograms(pcat, 100)
+	pc := pcAn.Finish()
 	for id := H1InterIRQ; id < NumHistograms; id++ {
 		if id.Label() == "" {
 			t.Fatal("histogram labels must exist")
@@ -322,37 +330,56 @@ func TestTAPCaptureLimit(t *testing.T) {
 	}
 }
 
-// strobedChannels ORs the masks of the PC/AT's non-marker records.
-func strobedChannels(pcat *PCAT) uint8 {
+// logSink collects every sample a tool hands over, per point, in record
+// order: the log the tools no longer keep.
+type logSink [NumPoints][]Sample
+
+func (l *logSink) Add(p Point, s Sample) { l[p] = append(l[p], s) }
+
+// points is the mask of points that received a sample.
+func (l *logSink) points() uint8 {
 	var m uint8
-	for _, r := range pcat.Records() {
-		m |= r.Mask &^ (1 << PCATMarkerChannel)
+	for p, s := range l {
+		if len(s) > 0 {
+			m |= 1 << p
+		}
 	}
 	return m
 }
 
+// streamPair streams a and b, merged in time order, through an analysis as
+// points P3 and P4 and returns their matched-delta histogram, H7.
+func streamPair(a, b []Sample) *stats.Histogram {
+	an := NewAnalysis(100)
+	for len(a) > 0 || len(b) > 0 {
+		if len(b) == 0 || (len(a) > 0 && a[0].T <= b[0].T) {
+			an.Add(P3PreTransmit, a[0])
+			a = a[1:]
+		} else {
+			an.Add(P4RxClassified, b[0])
+			b = b[1:]
+		}
+	}
+	return an.Finish().H[H7TxToRx]
+}
+
 // Every point strobes its own channel, point p on channel p, carrying the
-// low 7 bits of the packet number.
+// low 7 bits of the packet number: one record each, decoded into one
+// sample on that point.
 func TestPCATPointsStrobeOwnChannels(t *testing.T) {
 	sched := sim.NewScheduler()
-	pcat := NewPCAT(sched, 6)
+	var log logSink
+	pcat := NewPCAT(sched, 6, &log)
 	for p := P1VCAIRQ; p < NumPoints; p++ {
 		pcat.Record(p, 0x80|uint32(10+p))
 	}
 	pcat.Stop()
-	recs := pcat.Records()
-	if len(recs) != int(NumPoints) {
-		t.Fatalf("%d records, want %d", len(recs), NumPoints)
+	if n := pcat.Records(); n != int(NumPoints) {
+		t.Fatalf("%d records, want %d", n, NumPoints)
 	}
-	for p, r := range recs {
-		if r.Mask != 1<<p || r.Vals[p] != uint8(10+p) {
-			t.Fatalf("P%d: mask %08b vals %v, want channel %d value %d", p+1, r.Mask, r.Vals, p, 10+p)
-		}
-	}
-	s := pcat.Samples()
 	for p := P1VCAIRQ; p < NumPoints; p++ {
-		if len(s[p]) != 1 || s[p][0].Num != uint32(10+p) {
-			t.Fatalf("%v samples %+v", p, s[p])
+		if len(log[p]) != 1 || log[p][0].Num != uint32(10+p) {
+			t.Fatalf("%v samples %+v, want one with value %d", p, log[p], 10+p)
 		}
 	}
 }

@@ -32,6 +32,7 @@ const pcatWrap = 1 << PCATClockBits
 
 // PCATRecord is one queued observation as the second PC/AT saves it to
 // disk: which channels had data, the 16-bit clock, and the port values.
+// DecodePCAT reads a saved stream of them.
 type PCATRecord struct {
 	Mask    uint8
 	Clock16 uint16
@@ -49,17 +50,24 @@ type PCATRecord struct {
 // costs), but its own service loop adds up to ±60 µs of timestamp error
 // and its clock quantizes to 2 µs — exactly the error budget §5.2.3
 // derives.
+//
+// Each record is decoded as it is captured, with the wrap counting that
+// DecodePCAT applies to a saved stream, and each point's sample goes to
+// the sink; the rig keeps no record stream.
 type PCAT struct {
 	sched   *sim.Scheduler
 	rng     *sim.RNG
-	records []PCATRecord
+	sink    Sink
+	clock   pcatClock
+	records int
 	lastAt  sim.Time // service times are monotone: the loop reads in order
 	marker  *sim.Repeater
 }
 
-// NewPCAT powers on the rig. The 50 Hz marker starts immediately.
-func NewPCAT(sched *sim.Scheduler, seed int64) *PCAT {
-	p := &PCAT{sched: sched, rng: sim.NewRNG(sim.ForkSeed(seed, "pcat-loop"))}
+// NewPCAT powers on the rig, handing its samples to sink. The 50 Hz
+// marker starts immediately.
+func NewPCAT(sched *sim.Scheduler, seed int64, sink Sink) *PCAT {
+	p := &PCAT{sched: sched, rng: sim.NewRNG(sim.ForkSeed(seed, "pcat-loop")), sink: sink}
 	p.marker = sched.Every(PCATMarkerPeriod, func() {
 		p.capture(PCATMarkerChannel, 1, 0) // the timer input needs no service delay draw
 	})
@@ -87,25 +95,33 @@ func (p *PCAT) capture(channel int, val uint8, delay sim.Time) {
 		at = p.lastAt
 	}
 	p.lastAt = at
-	ticks := at / PCATClockTick
-	rec := PCATRecord{Mask: 1 << channel, Clock16: uint16(ticks % pcatWrap)}
-	rec.Vals[channel] = val
-	p.records = append(p.records, rec)
-}
-
-// Samples implements Recorder by decoding the raw record stream once:
-// each point's samples are its channel's events.
-func (p *PCAT) Samples() [NumPoints][]Sample {
-	var out [NumPoints][]Sample
-	decoded, err := DecodePCAT(p.records)
-	if err == nil {
-		copy(out[:], decoded[:NumPoints])
+	p.records++
+	t := p.clock.time(uint16(at / PCATClockTick % pcatWrap))
+	if channel < int(NumPoints) {
+		p.sink.Add(Point(channel), Sample{Num: uint32(val), T: t})
 	}
-	return out
 }
 
-// Records exposes the raw stream (what the second PC/AT saved to disk).
-func (p *PCAT) Records() []PCATRecord { return p.records }
+// Records reports how many records the rig captured (what the second
+// PC/AT saved to disk), markers included.
+func (p *PCAT) Records() int { return p.records }
+
+// pcatClock rebuilds absolute times from the wrapped 16-bit clock values
+// of a record stream in capture order.
+type pcatClock struct {
+	wraps int64
+	prev  uint16
+}
+
+// time returns the absolute time of the next record's clock value:
+// whenever the value decreases, a rollover happened.
+func (c *pcatClock) time(clock16 uint16) sim.Time {
+	if clock16 < c.prev {
+		c.wraps++
+	}
+	c.prev = clock16
+	return sim.Time(c.wraps*pcatWrap+int64(clock16)) * PCATClockTick
+}
 
 // DecodePCAT reconstructs each channel's events from the wrapped 16-bit
 // clock stream, as Samples: Num is the 7-bit port value and T the
@@ -136,14 +152,9 @@ func DecodePCAT(records []PCATRecord) ([PCATChannels][]Sample, error) {
 			out[ch] = make([]Sample, 0, k)
 		}
 	}
-	var wraps int64
-	var prev uint16
-	for i, r := range records[:valid] {
-		if i > 0 && r.Clock16 < prev {
-			wraps++
-		}
-		prev = r.Clock16
-		abs := sim.Time(wraps*pcatWrap+int64(r.Clock16)) * PCATClockTick
+	var clock pcatClock
+	for _, r := range records[:valid] {
+		abs := clock.time(r.Clock16)
 		for ch := 0; ch < PCATChannels; ch++ {
 			if r.Mask&(1<<ch) != 0 {
 				out[ch] = append(out[ch], Sample{Num: uint32(r.Vals[ch]), T: abs})

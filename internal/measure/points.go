@@ -11,7 +11,7 @@
 //   - the TAP ring monitor recording every frame's control bytes, length
 //     and first 96 bytes,
 //   - and the analysis that turns recorded samples into the seven
-//     histograms of §5.3.
+//     histograms of §5.3 as they arrive.
 package measure
 
 import (
@@ -63,6 +63,10 @@ type Sample struct {
 // Recorder is anything that can be attached to the probe hooks.
 type Recorder interface {
 	Record(p Point, num uint32)
-	// Samples returns everything recorded, per point, in record order.
-	Samples() [NumPoints][]Sample
+}
+
+// Sink receives each sample as a tool timestamps it, in time order. A
+// run's sink is an Analysis; a tool keeps no log of its own.
+type Sink interface {
+	Add(p Point, s Sample)
 }

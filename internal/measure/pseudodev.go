@@ -21,12 +21,13 @@ const PseudoDevRecordCost = 18 * sim.Microsecond
 // It cannot observe the IRQ line (P1) — that point is hardware-only.
 type PseudoDev struct {
 	k       *kernel.Kernel
-	samples [NumPoints][]Sample
+	sink    Sink
 	dropped uint64
 }
 
-// NewPseudoDev opens the pseudo device on machine k.
-func NewPseudoDev(k *kernel.Kernel) *PseudoDev { return &PseudoDev{k: k} }
+// NewPseudoDev opens the pseudo device on machine k; its samples go to
+// sink.
+func NewPseudoDev(k *kernel.Kernel, sink Sink) *PseudoDev { return &PseudoDev{k: k, sink: sink} }
 
 // Record implements Recorder: quantized timestamp plus a recording cost
 // injected into the measured machine's CPU at interrupt level.
@@ -37,13 +38,10 @@ func (d *PseudoDev) Record(p Point, num uint32) {
 	}
 	now := d.k.Sched().Now()
 	quantized := now / PseudoDevClockGranularity * PseudoDevClockGranularity
-	d.samples[p] = append(d.samples[p], Sample{Num: num, T: quantized})
+	d.sink.Add(p, Sample{Num: num, T: quantized})
 	// The recording procedure itself runs on the measured CPU.
 	d.k.CPU().Submit(kernel.LevelNet, []rtpc.Seg{rtpc.Do(PseudoDevRecordCost)}, nil)
 }
-
-// Samples implements Recorder.
-func (d *PseudoDev) Samples() [NumPoints][]Sample { return d.samples }
 
 // Dropped reports events the tool could not observe.
 func (d *PseudoDev) Dropped() uint64 { return d.dropped }

@@ -7,8 +7,10 @@ import (
 )
 
 // RNG is a deterministic source of random variates for the model. It wraps
-// math/rand with helpers that produce the distributions the simulation
-// needs (exponential interarrivals, uniform jitter, truncated normals).
+// a math/rand generator over sim's own copy of math/rand's source (same
+// streams, cheaper seeding) with helpers that produce the distributions
+// the simulation needs (exponential interarrivals, uniform jitter,
+// truncated normals).
 //
 // Each subsystem should derive its own RNG with Fork so that adding or
 // removing one traffic source does not perturb the draws seen by another —
@@ -17,6 +19,7 @@ import (
 //ctmsvet:shardowned
 type RNG struct {
 	r    *rand.Rand
+	src  source
 	seed int64
 
 	// Zipf sampler state: the CDF is precomputed once per (n, s) pair and
@@ -29,7 +32,10 @@ type RNG struct {
 
 // NewRNG returns a generator seeded with seed.
 func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed)), seed: seed}
+	g := &RNG{seed: seed}
+	g.src.Seed(seed)
+	g.r = rand.New(&g.src)
+	return g
 }
 
 // Seed reports the seed this generator was created with.

@@ -11,16 +11,32 @@ import (
 // result) can be answered, and derives its fixed-width bins from them.
 // Only the quantile and fraction queries sort the samples; the bins are
 // counted in one unsorted pass and kept until the next Add.
+//
+// Add never copies a sample: it fills blocks that grow from histFirstBlock
+// to histMaxBlock, so filling n samples allocates about 8n bytes where an
+// appended slice's regrowth allocates several times that. The first query
+// that needs the samples flattens the blocks once into an exact-size
+// slice, after any samples flattened before.
 type Histogram struct {
 	BinWidth float64 // bin width in microseconds
 	Label    string
-	samples  []float64
+	samples  []float64   // flattened samples, sorted when sorted is set
+	blocks   [][]float64 // full blocks added since the last flatten
+	tail     []float64   // the block being filled
 	sorted   bool
 	binned   bool    // keys and bins count every sample
 	keys     []int64 // bin index of each of bins
 	bins     []Bin
 	Summary
 }
+
+// Sample block sizes: the first block is small, so the many short
+// histograms stay small, and blocks double up to 32 KiB, the largest
+// size the allocator serves from its size classes.
+const (
+	histFirstBlock = 32
+	histMaxBlock   = 4096
+)
 
 // NewHistogram returns a histogram with the given bin width (µs) and label.
 func NewHistogram(binWidth float64, label string) *Histogram {
@@ -33,9 +49,39 @@ func NewHistogram(binWidth float64, label string) *Histogram {
 // Add incorporates one sample (microseconds).
 func (h *Histogram) Add(x float64) {
 	h.Summary.Add(x)
-	h.samples = append(h.samples, x)
+	if len(h.tail) == cap(h.tail) {
+		h.grow()
+	}
+	h.tail = append(h.tail, x)
 	h.sorted = false
 	h.binned = false
+}
+
+// grow files the full tail block and starts the next one.
+func (h *Histogram) grow() {
+	size := histFirstBlock
+	if c := cap(h.tail); c > 0 {
+		h.blocks = append(h.blocks, h.tail)
+		size = min(2*c, histMaxBlock)
+	}
+	h.tail = make([]float64, 0, size)
+}
+
+// all returns every sample in one slice, flattening the blocks added since
+// the last call into an exact-size copy after the samples flattened
+// before.
+func (h *Histogram) all() []float64 {
+	if len(h.tail) == 0 {
+		return h.samples
+	}
+	flat := make([]float64, h.N())
+	n := copy(flat, h.samples)
+	for _, b := range h.blocks {
+		n += copy(flat[n:], b)
+	}
+	copy(flat[n:], h.tail)
+	h.samples, h.blocks, h.tail = flat, nil, nil
+	return flat
 }
 
 func (h *Histogram) binOf(x float64) int64 {
@@ -67,7 +113,7 @@ func (h *Histogram) binCounts() (keys []int64, bins []Bin) {
 		return h.keys, h.bins
 	}
 	count := make(map[int64]uint64)
-	for _, x := range h.samples {
+	for _, x := range h.all() {
 		count[h.binOf(x)]++
 	}
 	keys = h.keys[:0]
@@ -83,43 +129,43 @@ func (h *Histogram) binCounts() (keys []int64, bins []Bin) {
 	return keys, bins
 }
 
-func (h *Histogram) ensureSorted() {
+// sortedSamples returns every sample in ascending order.
+func (h *Histogram) sortedSamples() []float64 {
+	s := h.all()
 	if !h.sorted {
-		sort.Float64s(h.samples)
+		sort.Float64s(s)
 		h.sorted = true
 	}
+	return s
 }
 
 // Quantile returns the q-th quantile (0 ≤ q ≤ 1) by nearest rank.
 func (h *Histogram) Quantile(q float64) float64 {
-	if len(h.samples) == 0 {
+	if h.N() == 0 {
 		return 0
 	}
-	h.ensureSorted()
+	s := h.sortedSamples()
 	if q <= 0 {
-		return h.samples[0]
+		return s[0]
 	}
 	if q >= 1 {
-		return h.samples[len(h.samples)-1]
+		return s[len(s)-1]
 	}
-	i := int(q * float64(len(h.samples)))
-	if i >= len(h.samples) {
-		i = len(h.samples) - 1
+	i := int(q * float64(len(s)))
+	if i >= len(s) {
+		i = len(s) - 1
 	}
-	return h.samples[i]
+	return s[i]
 }
 
 // FractionWithin reports the fraction of samples x with lo ≤ x ≤ hi.
 // The paper states its results in exactly this form ("68% of the data
 // points fall within 500 µs of 2600 µs").
 func (h *Histogram) FractionWithin(lo, hi float64) float64 {
-	if len(h.samples) == 0 {
+	if h.N() == 0 {
 		return 0
 	}
-	h.ensureSorted()
-	i := sort.SearchFloat64s(h.samples, lo)
-	j := sort.Search(len(h.samples), func(k int) bool { return h.samples[k] > hi })
-	return float64(j-i) / float64(len(h.samples))
+	return float64(h.CountWithin(lo, hi)) / float64(h.N())
 }
 
 // FractionNear reports the fraction of samples within ±tol of center.
@@ -129,12 +175,12 @@ func (h *Histogram) FractionNear(center, tol float64) float64 {
 
 // CountWithin reports how many samples fall in [lo, hi].
 func (h *Histogram) CountWithin(lo, hi float64) uint64 {
-	if len(h.samples) == 0 {
+	if h.N() == 0 {
 		return 0
 	}
-	h.ensureSorted()
-	i := sort.SearchFloat64s(h.samples, lo)
-	j := sort.Search(len(h.samples), func(k int) bool { return h.samples[k] > hi })
+	s := h.sortedSamples()
+	i := sort.SearchFloat64s(s, lo)
+	j := sort.Search(len(s), func(k int) bool { return s[k] > hi })
 	return uint64(j - i)
 }
 
@@ -193,8 +239,8 @@ func coalescePeaks(peaks []float64, minGap float64) []float64 {
 // guaranteed to be insertion order: a quantile query may have sorted
 // them.
 func (h *Histogram) Samples() []float64 {
-	out := make([]float64, len(h.samples))
-	copy(out, h.samples)
+	out := make([]float64, h.N())
+	copy(out, h.all())
 	return out
 }
 

@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -276,5 +278,111 @@ func TestHistogramFractionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sliceHist is the plain-slice histogram the block storage replaced: one
+// appended slice, sorted in place by the first query that needs order.
+type sliceHist struct {
+	samples []float64
+	sorted  bool
+}
+
+func (r *sliceHist) sort() []float64 {
+	if !r.sorted {
+		slices.Sort(r.samples)
+		r.sorted = true
+	}
+	return r.samples
+}
+
+func (r *sliceHist) countWithin(lo, hi float64) uint64 {
+	var n uint64
+	for _, x := range r.sort() {
+		if x >= lo && x <= hi {
+			n++
+		}
+	}
+	return n
+}
+
+// Adds interleaved with every query, across block boundaries and after
+// earlier flattens, answer exactly what one appended slice answers.
+func TestHistogramBlocksMatchSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 40; trial++ {
+		h := NewHistogram(25, "blocks")
+		ref := &sliceHist{}
+		for op := 0; op < 3000; op++ {
+			if rng.Intn(50) != 0 {
+				x := float64(rng.Intn(2000)) - 300
+				if rng.Intn(3) == 0 {
+					x += rng.Float64()
+				}
+				h.Add(x)
+				ref.samples = append(ref.samples, x)
+				ref.sorted = false
+				continue
+			}
+			lo := float64(rng.Intn(2000)) - 300
+			hi := lo + float64(rng.Intn(800))
+			q := rng.Float64()
+			switch rng.Intn(5) {
+			case 0:
+				s := ref.sort()
+				want := s[min(int(q*float64(len(s))), len(s)-1)]
+				if got := h.Quantile(q); got != want {
+					t.Fatalf("trial %d op %d: Quantile(%v) = %v, want %v", trial, op, q, got, want)
+				}
+			case 1:
+				if got, want := h.CountWithin(lo, hi), ref.countWithin(lo, hi); got != want {
+					t.Fatalf("trial %d op %d: CountWithin = %d, want %d", trial, op, got, want)
+				}
+			case 2:
+				want := float64(ref.countWithin(lo, hi)) / float64(len(ref.samples))
+				if got := h.FractionWithin(lo, hi); got != want {
+					t.Fatalf("trial %d op %d: FractionWithin = %v, want %v", trial, op, got, want)
+				}
+			case 3:
+				if got := h.Samples(); !slices.Equal(got, ref.samples) {
+					t.Fatalf("trial %d op %d: Samples differ from the slice's order", trial, op)
+				}
+			case 4:
+				count := map[int64]uint64{}
+				for _, x := range ref.samples {
+					count[h.binOf(x)]++
+				}
+				var total uint64
+				for _, b := range h.Bins() {
+					if b.Count != count[h.binOf(b.Lo+h.BinWidth/2)] {
+						t.Fatalf("trial %d op %d: bin %+v miscounted", trial, op, b)
+					}
+					total += b.Count
+				}
+				if total != uint64(len(ref.samples)) {
+					t.Fatalf("trial %d op %d: bins hold %d of %d samples", trial, op, total, len(ref.samples))
+				}
+			}
+		}
+	}
+}
+
+// Filling n samples allocates about 8n bytes: the blocks, whose last one
+// is at most histMaxBlock long, and their headers, where an appended
+// slice's regrowth allocates several times n.
+func TestHistogramFillAllocatesOnce(t *testing.T) {
+	const n = 200_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h := NewHistogram(10, "fill")
+	for i := 0; i < n; i++ {
+		h.Add(float64(i % 977))
+	}
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(8*n+8*histMaxBlock+4096); got > limit {
+		t.Fatalf("filling %d samples allocated %d B, want at most %d", n, got, limit)
+	}
+	if h.N() != n || h.Quantile(1) != 976 {
+		t.Fatalf("n=%d max=%v", h.N(), h.Quantile(1))
 	}
 }
