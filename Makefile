@@ -54,10 +54,10 @@ race:
 	$(GO) test -race ./...
 
 # The sharded engine's dedicated race gate: E18 serial-vs-4-shard
-# bit-identity, the E20 mesh smoke (per-link windows, drain-round skip
-# protocol, pooled forwarding), the randomized mesh oracle and the round
-# barrier's generation stress test (spinning and park-only), all under
-# the race detector. `make race` already covers them via ./..., but this
+# bit-identity, the E20 mesh smoke (per-link windows, the barrier-decided
+# idle-round skip, pooled forwarding), the randomized mesh oracle with
+# its skip-heavy sparse cases and the round barrier's generation stress
+# test (spinning, park-only and one-party), all under the race detector. `make race` already covers them via ./..., but this
 # target keeps the smokes runnable (and named) on their own so a future
 # test filter can't silently drop them from ci.
 race-shards:

@@ -11,8 +11,8 @@ import (
 // scale must pass every metric — the {1,2,3,16}-worker bit-identity, the
 // worker-invariant round/skip accounting, and the sparse-mesh skip claim
 // — and `make race-shards` runs this under the race detector, giving the
-// per-link windows and the drain-round skip protocol real interleavings
-// to defend.
+// per-link windows and the barrier-decided idle-round skip real
+// interleavings to defend.
 func TestE20MeshSmoke(t *testing.T) {
 	cmp := runE20(Scale{Duration: 800 * sim.Millisecond})
 	if !cmp.AllOK() {

@@ -18,9 +18,6 @@ import (
 // not useful; use New.
 type Pool struct {
 	workers int
-
-	mu        sync.Mutex
-	completed uint64 // guarded by mu
 }
 
 // New returns a pool that runs at most workers jobs concurrently.
@@ -34,20 +31,6 @@ func New(workers int) *Pool {
 
 // Workers reports the pool's concurrency bound.
 func (p *Pool) Workers() int { return p.workers }
-
-// Completed reports how many jobs the pool has finished over its
-// lifetime — a cross-batch progress counter for long sweeps.
-func (p *Pool) Completed() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.completed
-}
-
-func (p *Pool) addCompleted(n uint64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.completed += n
-}
 
 // Run invokes job(i) for every i in [0, n) across the pool's workers and
 // blocks until all have finished. Jobs must write any output to their own
@@ -70,7 +53,6 @@ func (p *Pool) Run(n int, job func(i int)) {
 	if workers == 1 {
 		for i := 0; i < n; i++ {
 			job(i)
-			p.addCompleted(1)
 		}
 		return
 	}
@@ -84,7 +66,6 @@ func (p *Pool) Run(n int, job func(i int)) {
 			defer wg.Done()
 			for i := range idx {
 				runJob(job, i, panics)
-				p.addCompleted(1)
 			}
 		}()
 	}

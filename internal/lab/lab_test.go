@@ -103,14 +103,3 @@ func TestLabPoolRace(t *testing.T) {
 		}
 	}
 }
-
-func TestCompletedCountsAcrossBatches(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		p := lab.New(workers)
-		p.Run(10, func(int) {})
-		p.Run(7, func(int) {})
-		if got := p.Completed(); got != 17 {
-			t.Fatalf("workers=%d: Completed() = %d, want 17", workers, got)
-		}
-	}
-}

@@ -11,13 +11,18 @@ import (
 // TestBarrierGenerations drives the round barrier through 10,000
 // generations in both of its regimes: as many workers as GOMAXPROCS
 // (early arrivals spin before they park) and more workers than
-// GOMAXPROCS (they park at once). Each goroutine records the generation
-// it is entering; on leaving await it checks that no peer is still
-// behind it, i.e. that the barrier never releases a generation before
-// its last arrival. The first goroutine to see a violation keeps
-// releasing the barrier until its peers have left, so a broken barrier
-// fails the test instead of hanging it; a barrier that strands a parked
-// worker hangs it. `make race-shards` runs it under the race detector.
+// GOMAXPROCS (they park at once), plus the one-party barrier a serial
+// Run uses. Each goroutine writes the generation it is entering, with a
+// plain store, before it arrives. The action checks that it runs exactly
+// once per generation and that it sees every arrival's write for that
+// generation (so it runs only after the last arrival); each goroutine,
+// on leaving await, checks that the action for its generation has
+// already run. The first check to fail starts a releaser that keeps
+// bumping the generation until every goroutine has left, so a broken
+// barrier fails the test instead of hanging it; a barrier that strands
+// a parked worker hangs it. `make race-shards` runs it under the race
+// detector, which also reports an action that reads a write the barrier
+// did not order before it.
 func TestBarrierGenerations(t *testing.T) {
 	const generations = 10000
 	if runtime.GOMAXPROCS(0) < 2 {
@@ -27,44 +32,62 @@ func TestBarrierGenerations(t *testing.T) {
 	for _, tc := range []struct {
 		n    int
 		spin bool
-	}{{procs, true}, {procs + 2, false}} {
+	}{{procs, true}, {procs + 2, false}, {1, true}} {
 		t.Run(fmt.Sprintf("n=%d/procs=%d", tc.n, procs), func(t *testing.T) {
-			bar := newBarrier(tc.n)
+			var (
+				wg     sync.WaitGroup
+				failed atomic.Bool
+				left   atomic.Int64
+				runs   atomic.Uint64 // generations the action has closed
+				bar    *barrier
+			)
+			wrote := make([]uint64, tc.n) // wrote[i]: worker i's generation, plain stores
+			// fail reports once and starts the releaser, which frees
+			// every goroutine still in await until all have left.
+			fail := func(format string, args ...any) {
+				if !failed.CompareAndSwap(false, true) {
+					return
+				}
+				t.Errorf(format, args...)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for left.Load() < int64(tc.n) {
+						bar.mu.Lock()
+						bar.arrived = 0
+						bar.gen.Add(1)
+						bar.cond.Broadcast()
+						bar.mu.Unlock()
+						runtime.Gosched()
+					}
+				}()
+			}
+			bar = newBarrier(tc.n, func() {
+				if failed.Load() {
+					return
+				}
+				g := runs.Load() + 1
+				for j, w := range wrote {
+					if w != g {
+						fail("action %d saw worker %d in generation %d", g, j, w)
+						return
+					}
+				}
+				runs.Store(g)
+			})
 			if spins := bar.spin > 0; spins != tc.spin {
 				t.Fatalf("newBarrier(%d) with GOMAXPROCS %d: spin=%d, want spinning %v", tc.n, procs, bar.spin, tc.spin)
 			}
-			entered := make([]atomic.Uint64, tc.n)
-			var failed atomic.Bool
-			var left atomic.Int64
-			// release frees every peer still in await, until all the
-			// others have left the loop.
-			release := func() {
-				for left.Load() < int64(tc.n-1) {
-					bar.mu.Lock()
-					bar.arrived = 0
-					bar.gen.Add(1)
-					bar.cond.Broadcast()
-					bar.mu.Unlock()
-					runtime.Gosched()
-				}
-			}
-			var wg sync.WaitGroup
 			wg.Add(tc.n)
 			for i := range tc.n {
 				go func() {
 					defer wg.Done()
 					defer left.Add(1)
 					for g := uint64(1); g <= generations && !failed.Load(); g++ {
-						entered[i].Store(g)
+						wrote[i] = g
 						bar.await()
-						for j := range entered {
-							if e := entered[j].Load(); e < g {
-								if failed.CompareAndSwap(false, true) {
-									t.Errorf("worker %d left generation %d while worker %d was still in %d", i, g, j, e)
-									release()
-								}
-								return
-							}
+						if r := runs.Load(); r < g && !failed.Load() {
+							fail("worker %d left generation %d before its action ran (%d actions)", i, g, r)
 						}
 					}
 				}()
@@ -75,6 +98,9 @@ func TestBarrierGenerations(t *testing.T) {
 			}
 			if got := bar.gen.Load(); got != generations {
 				t.Fatalf("barrier generation %d after %d rounds", got, generations)
+			}
+			if got := runs.Load(); got != generations {
+				t.Fatalf("action ran %d times in %d generations", got, generations)
 			}
 		})
 	}

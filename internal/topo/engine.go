@@ -37,16 +37,9 @@ type inbox struct {
 
 	mu   sync.Mutex
 	msgs []crossMsg // guarded by mu
-	next uint64     // guarded by mu
-	sent uint64     // guarded by mu
-	// drainRound is the candidate-round index of the owner's most recent
-	// drain. The idle-skip check needs it: a fast worker that decides
-	// round q has work drains its inboxes while a slower worker is still
-	// evaluating q, removing the very evidence the slow worker needs to
-	// reach the same verdict. Seeing drainRound == q tells the slow
-	// worker "the owner already executed this round" and forces the same
-	// verdict even though the messages are gone.
-	drainRound uint64 // guarded by mu
+	// next is the next message's send seq, and so also the lifetime
+	// count of messages put.
+	next uint64 // guarded by mu
 }
 
 func newInbox(dir int, egress *router.Half) *inbox {
@@ -66,21 +59,16 @@ func (b *inbox) put(deliverAt sim.Time, f router.Forwarded) {
 		frame:     f,
 	})
 	b.next++
-	b.sent++
 	b.mu.Unlock()
 }
 
 // drainDue appends every message with deliverAt ≤ bound to into and
 // removes them from the queue. deliverAt is nondecreasing within an
-// inbox, so the due messages are exactly a prefix. round is the
-// candidate-round index of the executing round; it is recorded even
-// when nothing was due, so the idle-skip check of a worker still
-// evaluating this round sees that its owner already chose to execute.
+// inbox, so the due messages are exactly a prefix.
 //
 //ctmsvet:crossing drain receiver-side dequeue: runs only in the barrier step between windows, when the sending half's window is sealed
-func (b *inbox) drainDue(bound sim.Time, round uint64, into []crossMsg) []crossMsg {
+func (b *inbox) drainDue(bound sim.Time, into []crossMsg) []crossMsg {
 	b.mu.Lock()
-	b.drainRound = round
 	due := 0
 	for due < len(b.msgs) && b.msgs[due].deliverAt <= bound {
 		due++
@@ -97,21 +85,14 @@ func (b *inbox) drainDue(bound sim.Time, round uint64, into []crossMsg) []crossM
 	return into
 }
 
-// pendingDue reports whether this inbox forces candidate round `round`
-// (bounded by `bound` at the receiver) to execute: either a queued
-// message is due by the bound, or the owner already drained for exactly
-// this round (evidence consumed — see the drainRound field). The match
-// must be exact: drainRound > round means the owner *skipped* this
-// round and drained a later one, whose removals are provably irrelevant
-// here (everything it took was due strictly after this round's bound).
-// Racing appends cannot flip a false verdict either: a message sent
-// during execution of round r ≥ round carries deliverAt strictly beyond
-// nb(r) ≥ nb(round) (the conservation argument in DESIGN.md §9).
+// pendingDue reports whether a queued message is due by bound at the
+// receiver. Only the round decision calls it, while every worker waits
+// in the barrier, so no put or drain can race the head it reads.
 //
-//ctmsvet:crossing peek idle-skip peek: reads the drain round and the sealed head under the mutex, moves no messages
-func (b *inbox) pendingDue(bound sim.Time, round uint64) bool {
+//ctmsvet:crossing peek idle-skip peek: reads the sealed head under the mutex during the round decision, moves no messages
+func (b *inbox) pendingDue(bound sim.Time) bool {
 	b.mu.Lock()
-	due := b.drainRound == round || (len(b.msgs) > 0 && b.msgs[0].deliverAt <= bound)
+	due := len(b.msgs) > 0 && b.msgs[0].deliverAt <= bound
 	b.mu.Unlock()
 	return due
 }
@@ -166,9 +147,10 @@ func (s *shard) putArrival(a *arrival) {
 }
 
 // barrier is a reusable cyclic barrier: await blocks until all n workers
-// arrive, then releases the generation together. A round is a few
-// hundred microseconds of work per worker, so a futex sleep and wake per
-// round costs a visible share of it: an early arrival first polls the
+// arrive; the last arrival runs the action while the others wait, then
+// releases the generation together. A round is a few hundred
+// microseconds of work per worker, so a futex sleep and wake per round
+// costs a visible share of it: an early arrival first polls the
 // generation for a bounded number of iterations and parks on the
 // condition variable only after that. The release bumps gen under mu
 // and broadcasts, so a worker that gave up spinning and parked can never
@@ -178,6 +160,7 @@ type barrier struct {
 	cond    *sync.Cond
 	n       int
 	spin    int           // poll iterations before parking; 0 when oversubscribed
+	action  func()        // run by each generation's last arrival, before the release
 	arrived int           // guarded by mu
 	gen     atomic.Uint64 // written under mu by the releasing arrival, polled without it
 }
@@ -197,8 +180,8 @@ const (
 // newBarrier spins only when every worker can hold a P of its own: with
 // more workers than GOMAXPROCS a spinner would take the CPU from the
 // very worker it waits for, so those runs park at once.
-func newBarrier(n int) *barrier {
-	b := &barrier{n: n}
+func newBarrier(n int, action func()) *barrier {
+	b := &barrier{n: n, action: action}
 	if n <= runtime.GOMAXPROCS(0) {
 		b.spin = barrierSpin
 	}
@@ -206,12 +189,21 @@ func newBarrier(n int) *barrier {
 	return b
 }
 
+// await runs the action on the last arrival, after every other arrival
+// of the generation has taken and released mu and before the generation
+// moves, so no worker arrives or leaves while it runs: the action sees
+// everything the workers wrote before they arrived, and every worker
+// sees everything the action wrote once await returns. It runs outside
+// mu, so a worker that stops spinning can park meanwhile.
 func (b *barrier) await() {
 	b.mu.Lock()
 	gen := b.gen.Load()
 	b.arrived++
 	if b.arrived == b.n {
 		b.arrived = 0
+		b.mu.Unlock()
+		b.action()
+		b.mu.Lock()
 		b.gen.Add(1)
 		b.cond.Broadcast()
 		b.mu.Unlock()
@@ -240,10 +232,10 @@ func (b *barrier) await() {
 // regardless of how many workers the run uses.
 //
 //ctmsvet:hotpath
-func (s *shard) drainInboxes(bound sim.Time, round uint64) {
+func (s *shard) drainInboxes(bound sim.Time) {
 	due := s.scratch[:0]
 	for _, box := range s.in {
-		due = box.drainDue(bound, round, due)
+		due = box.drainDue(bound, due)
 	}
 	if len(due) > 0 {
 		// slices.SortFunc with a capture-free comparator: no interface
@@ -282,14 +274,17 @@ type EngineStats struct {
 	// Rounds is the number of lookahead rounds the workers executed.
 	Rounds uint64
 	// RoundsSkipped counts rounds proven event-free from published shard
-	// statuses and inbox heads, advanced analytically with no barrier.
+	// statuses and inbox heads, stepped over inside the previous round's
+	// barrier with no drain, run or barrier of their own.
 	RoundsSkipped uint64
 	// Span sums, over the executed rounds, the events fired by that
 	// round's busiest shard: the run's critical path in events, since no
 	// round ends before its largest shard does.
 	Span uint64
-	// BarrierStallNanos sums the wall time all workers spent blocked in
-	// the barrier (0 for serial runs or when no wall clock is set).
+	// BarrierStallNanos sums the wall time all workers spent in the
+	// barrier: waiting for the round's last arrival, and that arrival's
+	// round decision, which is all a serial run counts (0 when no wall
+	// clock is set).
 	BarrierStallNanos int64
 	// WallNanos is the wall time of the whole worker phase.
 	WallNanos int64
@@ -339,34 +334,38 @@ func engineNow() int64 {
 
 // shardStatus is one shard's published scheduler state after a round:
 // its earliest pending event, if any, and how many events it fired in
-// the round. Written by the owning worker before the barrier, read by
-// every worker's skip check and by worker 0's span count after it; the
-// two parity slots keep a fast worker's next-round writes off a slow
-// worker's current-round reads.
+// the round. The owning worker writes it before the barrier; only the
+// round decision reads it.
 type shardStatus struct {
 	at    sim.Time
 	ok    bool
 	fired uint64
 }
 
-// engineRun is the shared state of one Run's worker phase.
+// engineRun is the shared state of one Run's worker phase. Each worker
+// writes only its own shards' status slots and its stall slot; every
+// other field is written only by decide, which the barrier runs while
+// all the workers wait, and read by the workers after it.
 type engineRun struct {
-	status  [2][]shardStatus
-	stall   []int64 // per-worker barrier wait, wall nanos
-	rounds  uint64  // written by worker 0 only
-	skipped uint64  // written by worker 0 only
-	span    uint64  // written by worker 0 only
+	n      *Network
+	status []shardStatus
+	bound  []sim.Time // per-shard bound of the round to execute
+	next   []sim.Time // decide's scratch for the recurrence
+	stall  []int64    // per-worker barrier wait, wall nanos
+	done   bool       // the final round has executed
+
+	rounds, skipped, span uint64
 }
 
 // Run executes the network for the spec's duration and collects results.
 // workers ≤ 0 means GOMAXPROCS; workers is clamped to the shard count.
-// One worker steps its shards inline with no synchronization at all —
-// that run is the serial oracle — and any other worker count produces
-// bit-identical Results: shards only interact through inboxes, drains
-// happen at the same simulated times with the same merge order, and the
-// per-link conservative windows (every link latency ≥ the bridges'
-// switch cost) guarantee a round's drains can never see a racing
-// round's sends.
+// Every worker count runs the same loop — Run(1) with a one-party
+// barrier is the serial oracle — and produces bit-identical Results:
+// shards only interact through inboxes, drains happen at the same
+// simulated times with the same merge order, the round decision is made
+// once per round on sealed state, and the per-link conservative windows
+// (every link latency ≥ the bridges' switch cost) guarantee a round's
+// drains can never see a racing round's sends.
 func (n *Network) Run(workers int) *Results {
 	sim.Checkf(!n.ran, "topo: Network.Run is single-shot; Build a fresh network")
 	n.ran = true
@@ -376,9 +375,6 @@ func (n *Network) Run(workers int) *Results {
 	if workers > len(n.shards) {
 		workers = len(n.shards)
 	}
-	if workers < 1 {
-		workers = 1
-	}
 
 	// Shards publish process-wide metrics once at the end rather than
 	// racing tiny per-window flushes thousands of times a simulated
@@ -387,29 +383,32 @@ func (n *Network) Run(workers int) *Results {
 		s.sched.DeferMetricsFlush(true)
 	}
 
-	eng := &engineRun{stall: make([]int64, workers)}
-	for p := range eng.status {
-		eng.status[p] = make([]shardStatus, len(n.shards))
+	eng := &engineRun{
+		n:      n,
+		status: make([]shardStatus, len(n.shards)),
+		bound:  make([]sim.Time, len(n.shards)),
+		next:   make([]sim.Time, len(n.shards)),
+		stall:  make([]int64, workers),
+		rounds: 1,
 	}
+	// The first round always executes (no statuses exist yet); its bounds
+	// step the recurrence from b ≡ 0.
+	n.stepBounds(eng.next, eng.bound)
+	bar := newBarrier(workers, eng.decide)
 	t0 := engineNow()
-	if workers == 1 {
-		n.runWorker(0, 1, nil, eng)
-	} else {
-		// Worker 0 runs on the calling goroutine, which would otherwise
-		// only sit in wg.Wait.
-		bar := newBarrier(workers)
-		var wg sync.WaitGroup
-		wg.Add(workers - 1)
-		for w := 1; w < workers; w++ {
-			//ctmsvet:allow shardowned this is the ownership transfer itself: Run hands each worker its disjoint shard slice once, before any window starts, and joins them all before touching shard state again
-			go func(w int) {
-				defer wg.Done()
-				n.runWorker(w, workers, bar, eng)
-			}(w)
-		}
-		n.runWorker(0, workers, bar, eng)
-		wg.Wait()
+	// Worker 0 runs on the calling goroutine, which would otherwise only
+	// sit in wg.Wait.
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		//ctmsvet:allow shardowned this is the ownership transfer itself: Run hands each worker its disjoint shard slice once, before any window starts, and joins them all before touching shard state again
+		go func(w int) {
+			defer wg.Done()
+			n.runWorker(w, workers, bar, eng)
+		}(w)
 	}
+	n.runWorker(0, workers, bar, eng)
+	wg.Wait()
 	n.engStats = EngineStats{
 		Rounds:        eng.rounds,
 		RoundsSkipped: eng.skipped,
@@ -430,13 +429,12 @@ func (n *Network) Run(workers int) *Results {
 // stepBounds advances the per-link lookahead recurrence one round:
 // nb[i] = min(duration, min over shard i's incident links of
 // (b[peer] + link latency)), with linkless shards jumping straight to
-// the duration. The recurrence is a pure function of the topology, so
-// every worker iterates an identical copy with no communication; it is
+// the duration. The recurrence is a pure function of the topology; it is
 // monotone (nb ≥ b pointwise, by induction from b ≡ 0) and grows every
 // unfinished entry by at least the minimum link latency per round, so
 // it reaches the duration in at most ceil(duration/minLatency)+1 rounds
 // — and on a uniform-latency connected graph it reproduces the old
-// global grid k·window exactly, which is what keeps pre-PR fingerprints
+// global grid k·window exactly, which is what keeps the E18 fingerprints
 // byte-identical.
 func (n *Network) stepBounds(b, nb []sim.Time) {
 	d := n.spec.Duration
@@ -451,31 +449,48 @@ func (n *Network) stepBounds(b, nb []sim.Time) {
 	}
 }
 
-// anyWorkDue reports whether executing candidate round `round` to the
-// nb bounds would fire anything anywhere: a shard scheduler holding an
-// event at or before its bound, or an inbox that forces the round (a
-// due message, or its owner having already drained for exactly this
-// round). When it returns false the round is a provable no-op — every
-// RunUntil would only move a clock forward — and the workers advance
-// the recurrence without draining, running or barriering.
-//
-// The verdict must be identical across workers or the barrier counts
-// desynchronize. It is: statuses are parity-sealed at the last executed
-// round's barrier; racing appends carry delivery times strictly beyond
-// every bound compared here (conservation, DESIGN.md §9); and a fast
-// worker's racing *drain* — which removes the due messages a slower
-// evaluator still needs to see — leaves drainRound == round behind as
-// equivalent evidence (pendingDue). A worker can only decide "execute"
-// when the sealed state says so: the first worker to decide it must
-// have seen a sealed status or a due head, since drainRound only
-// reaches `round` after some worker already decided.
-func (n *Network) anyWorkDue(nb []sim.Time, st []shardStatus, round uint64) bool {
-	for i, s := range n.shards {
-		if st[i].ok && st[i].at <= nb[i] {
+// decide closes the round the workers just executed and sets up the
+// next. It adds the round's busiest shard to the span and ends the run
+// after the final round (every bound at the duration). Otherwise it
+// steps the recurrence past every provably empty round — one where no
+// shard holds an event and no inbox a message due by its bound, so
+// every RunUntil would only move a clock — to the next round that must
+// execute; the final round always executes, so every clock ends exactly
+// at the duration. The barrier runs decide on the round's last arrival
+// while every other worker waits, so the statuses and inbox heads it
+// reads are sealed, and all workers follow its one verdict.
+func (e *engineRun) decide() {
+	var most uint64
+	for _, st := range e.status {
+		most = max(most, st.fired)
+	}
+	e.span += most
+	d := e.n.spec.Duration
+	if slices.Min(e.bound) == d {
+		e.done = true
+		return
+	}
+	for {
+		e.n.stepBounds(e.bound, e.next)
+		e.bound, e.next = e.next, e.bound
+		if slices.Min(e.bound) == d || e.workDue() {
+			e.rounds++
+			return
+		}
+		e.skipped++
+	}
+}
+
+// workDue reports whether executing to the current bounds would fire
+// anything anywhere: a shard scheduler holding an event at or before its
+// bound, or an inbox with a message due by it.
+func (e *engineRun) workDue() bool {
+	for i, s := range e.n.shards {
+		if st := e.status[i]; st.ok && st.at <= e.bound[i] {
 			return true
 		}
 		for _, box := range s.in {
-			if box.pendingDue(nb[i], round) {
+			if box.pendingDue(e.bound[i]) {
 				return true
 			}
 		}
@@ -484,65 +499,22 @@ func (n *Network) anyWorkDue(nb []sim.Time, st []shardStatus, round uint64) bool
 }
 
 // runWorker advances this worker's shards (strided assignment, fixed for
-// the whole run) round by round: compute every shard's next per-link
-// bound, skip the round outright if it is provably empty, otherwise
-// drain the inboxes up to each owned shard's bound, run its scheduler to
-// it, publish its next-event status and fired count, and meet the other
-// workers at the barrier, after which worker 0 adds the round's largest
-// per-shard count to the span. The first round always executes (no
-// statuses exist yet) and so does the final round (so every clock ends
-// exactly at the duration).
+// the whole run) round by round: drain the inboxes up to each owned
+// shard's bound, run its scheduler to it, publish its next-event status
+// and fired count, and meet the other workers at the barrier, whose last
+// arrival decides the next round.
 func (n *Network) runWorker(w, workers int, bar *barrier, eng *engineRun) {
-	d := n.spec.Duration
-	b := make([]sim.Time, len(n.shards))  // bounds after the last round
-	nb := make([]sim.Time, len(n.shards)) // candidate bounds for this round
-	parity := 0
-	var rounds, skipped, round uint64
-	first := true
-	for {
-		round++ // candidate-round index: identical across workers because verdicts converge
-		n.stepBounds(b, nb)
-		final := true
-		for _, t := range nb {
-			if t < d {
-				final = false
-				break
-			}
-		}
-		if !first && !final && !n.anyWorkDue(nb, eng.status[parity], round) {
-			skipped++
-			copy(b, nb)
-			continue
-		}
-		first = false
-		rounds++
+	for !eng.done {
 		for i := w; i < len(n.shards); i += workers {
 			s := n.shards[i]
-			s.drainInboxes(nb[i], round)
+			s.drainInboxes(eng.bound[i])
 			fired := s.sched.Fired()
-			s.sched.RunUntil(nb[i])
+			s.sched.RunUntil(eng.bound[i])
 			at, ok := s.sched.NextAt()
-			eng.status[1-parity][i] = shardStatus{at: at, ok: ok, fired: s.sched.Fired() - fired}
+			eng.status[i] = shardStatus{at: at, ok: ok, fired: s.sched.Fired() - fired}
 		}
-		if bar != nil {
-			t0 := engineNow()
-			bar.await()
-			eng.stall[w] += engineNow() - t0
-		}
-		if w == 0 {
-			var most uint64
-			for _, st := range eng.status[1-parity] {
-				most = max(most, st.fired)
-			}
-			eng.span += most
-		}
-		parity = 1 - parity
-		copy(b, nb)
-		if final {
-			if w == 0 {
-				eng.rounds, eng.skipped = rounds, skipped
-			}
-			return
-		}
+		t0 := engineNow()
+		bar.await()
+		eng.stall[w] += engineNow() - t0
 	}
 }

@@ -160,7 +160,7 @@ func (n *Network) collect(workers int) *Results {
 //ctmsvet:crossing peek end-of-run accounting: reads the lifetime counter after all workers have joined, moves no messages
 func (b *inbox) sentTotal() uint64 {
 	b.mu.Lock()
-	s := b.sent
+	s := b.next
 	b.mu.Unlock()
 	return s
 }

@@ -246,16 +246,41 @@ func meshSpec(seed int64) Spec {
 	return spec
 }
 
+// sparseMeshSpec is meshSpec(seed) thinned to one stream and one burst
+// at 400 ms on an unloaded mesh, so most rounds have nothing to do and
+// the round decision steps over many empty rounds in a row.
+func sparseMeshSpec(seed int64) Spec {
+	spec := meshSpec(seed)
+	spec.Name = fmt.Sprintf("mesh-sparse-%d", seed)
+	spec.BackgroundUtil = 0
+	spec.Streams = spec.Streams[:1]
+	spec.Bursts = []BurstSpec{{SrcRing: 0, DstRing: spec.Rings - 1, At: 400 * sim.Millisecond, Count: 60, PacketBytes: 1000}}
+	return spec
+}
+
 // TestMeshOracleWorkerCounts is the mesh extension of the serial oracle:
 // randomized 9-ring grid meshes — redundant paths, heterogeneous link
 // latencies, a slow chord — must produce byte-identical fingerprints,
 // round counts and work/span ceilings at worker counts {1, 2, 3, K}, K
-// the ring count. `make race-shards` runs this under the race detector.
+// the ring count. The sparse cases must also skip rounds, so the skip
+// loop's runs of empty rounds stay covered. `make race-shards` runs this
+// under the race detector.
 func TestMeshOracleWorkerCounts(t *testing.T) {
+	type oracleCase struct {
+		name   string
+		spec   Spec
+		sparse bool
+	}
+	var cases []oracleCase
 	for seed := int64(1); seed <= 6; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			spec := meshSpec(seed)
+		cases = append(cases, oracleCase{fmt.Sprintf("seed%d", seed), meshSpec(seed), false})
+	}
+	for seed := int64(1); seed <= 2; seed++ {
+		cases = append(cases, oracleCase{fmt.Sprintf("sparse%d", seed), sparseMeshSpec(seed), true})
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := tc.spec
 			run := func(workers int) *Results {
 				n, err := Build(spec)
 				if err != nil {
@@ -269,6 +294,9 @@ func TestMeshOracleWorkerCounts(t *testing.T) {
 			// most K times as many: 1 ≤ ceiling ≤ K.
 			if c := ref.Engine.Ceiling(ref.Events); c < 1 || c > float64(spec.Rings) {
 				t.Fatalf("ceiling %v outside [1, %d] (events %d, span %d)", c, spec.Rings, ref.Events, ref.Engine.Span)
+			}
+			if tc.sparse && ref.Engine.RoundsSkipped == 0 {
+				t.Fatalf("sparse mesh skipped no rounds (%d executed)", ref.Engine.Rounds)
 			}
 			for _, workers := range []int{2, 3, spec.Rings} {
 				got := run(workers)
@@ -301,7 +329,7 @@ func TestInboxPoolsSteadyStateZeroAlloc(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		box.put(sim.Time(i), router.Forwarded{Size: 100})
 	}
-	s.scratch = box.drainDue(sim.Time(8), 1, s.scratch[:0])
+	s.scratch = box.drainDue(sim.Time(8), s.scratch[:0])
 	s.scratch = s.scratch[:0]
 	warm := make([]*arrival, 0, 4)
 	for i := 0; i < 4; i++ {
@@ -313,7 +341,7 @@ func TestInboxPoolsSteadyStateZeroAlloc(t *testing.T) {
 
 	if n := testing.AllocsPerRun(200, func() {
 		box.put(1, router.Forwarded{Size: 100})
-		s.scratch = box.drainDue(2, 3, s.scratch[:0])
+		s.scratch = box.drainDue(2, s.scratch[:0])
 		s.scratch = s.scratch[:0]
 	}); n != 0 {
 		t.Fatalf("inbox put/drain cycle allocates %.1f per op; want 0", n)
