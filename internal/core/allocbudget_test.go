@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/ring"
 	"repro/internal/session"
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -149,5 +150,28 @@ func TestStockUnixAllocationBudget(t *testing.T) {
 	}
 	if bytes > stockUnixByteBudget {
 		t.Fatalf("StockUnix(150000) allocates %.3f B per event in steady state, budget %.3f", bytes, stockUnixByteBudget)
+	}
+}
+
+// streamSetupAllocBudget is what session.NewStream allocates to attach
+// one stream to a ring: two hosts with their drivers, the connection, the
+// VCA drivers and the playout buffer.
+const streamSetupAllocBudget = 87
+
+// TestStreamSetupAllocationBudget pins the set-up cost a population run
+// pays for every arriving stream.
+func TestStreamSetupAllocationBudget(t *testing.T) {
+	sched := sim.NewScheduler()
+	r, _ := session.NewRing(sched, 1991, ring.DefaultBitRate, 0)
+	end := session.End{Sched: sched, Ring: r, Seed: 7}
+	spec := session.StreamSpec{Name: "setup", PacketBytes: 2000, Interval: 12 * sim.Millisecond, Class: session.ClassInteractive}
+	id := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		session.NewStream(id, spec, end, end, 0, 0, nil)
+		id++
+	})
+	t.Logf("session.NewStream: %.0f allocations per stream", allocs)
+	if allocs > streamSetupAllocBudget {
+		t.Fatalf("session.NewStream allocates %.0f times per stream, budget %d", allocs, streamSetupAllocBudget)
 	}
 }

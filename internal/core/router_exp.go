@@ -69,9 +69,7 @@ func simulateE14(s Scale) e14Run {
 		st := rg.Attach(name)
 		cfg := tradapter.DefaultConfig()
 		cfg.DMABufferKind = kind
-		drv := tradapter.New(k, st, cfg)
-		k.Register(drv)
-		return k, drv
+		return k, tradapter.New(k, st, cfg)
 	}
 	srcK, srcDrv := mk("src", r0, rtpc.IOChannelMemory)
 	_, dstDrv := mk("dst", r1, rtpc.SystemMemory)

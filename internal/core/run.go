@@ -46,11 +46,7 @@ func run(cfg Config, withTAP bool) (*Results, *measure.TAP, error) {
 	if cfg.Protocol == ProtocolStockUnix {
 		scenario = runStock
 	}
-	r, err := scenario(e)
-	if err != nil {
-		return nil, nil, err
-	}
-	return r, tap, nil
+	return scenario(e), tap, nil
 }
 
 // env is the common scenario substrate.
@@ -116,9 +112,7 @@ func buildEnv(cfg Config) *env {
 		m := rtpc.NewMachine(e.sched, name, cfg.Seed)
 		k := kernel.New(m)
 		st := e.ring.Attach(name)
-		drv := tradapter.New(k, st, trCfg)
-		k.Register(drv)
-		return k, drv
+		return k, tradapter.New(k, st, trCfg)
 	}
 	e.txK, e.txDrv = mkHost("tx", trCfg)
 	startKernelActivity(e.txK, e.rng.Fork("kern-tx"))
@@ -288,9 +282,7 @@ func (e *env) addBackground() {
 		control := e.ring.Attach("control")
 		ctlM := rtpc.NewMachine(e.sched, "control", cfg.Seed)
 		ctlK := kernel.New(ctlM)
-		ctlDrv := tradapter.New(ctlK, control, tradapter.StockConfig())
-		ctlK.Register(ctlDrv)
-		inet.NewStack(ctlK, ctlDrv)
+		inet.NewStack(ctlK, tradapter.New(ctlK, control, tradapter.StockConfig()))
 
 		txStack := e.stack(e.txK, e.txDrv)
 		rxStack := e.stack(e.rxK, e.rxDrv)
@@ -399,15 +391,12 @@ func (e *env) finish(dev *vca.Device) *Results {
 // runCTMSP executes the prototype path: the session layer's stream
 // between the two machines under test, with the §5.3 copy toggles and the
 // P1–P4 probes.
-func runCTMSP(e *env) (*Results, error) {
+func runCTMSP(e *env) *Results {
 	cfg := e.cfg
 	spec := session.StreamSpec{Name: cfg.Name, PacketBytes: cfg.PacketBytes, Interval: cfg.Interval}
 	txCfg := vca.TxConfig{CopyHeaderOnly: cfg.TxCopyHeaderOnly, CopyVCAToMbufs: cfg.TxCopyVCAToMbufs}
 	rxCfg := vca.RxConfig{CopyToMbufs: cfg.RxCopyToMbufs, CopyToDevice: cfg.RxCopyToVCA}
-	st, err := session.Wire(0, spec, e.txDrv, e.rxDrv, e.rxDrv.Station().Addr(), txCfg, rxCfg, cfg.PlayoutPrebuffer, nil)
-	if err != nil {
-		return nil, err
-	}
+	st := session.Wire(0, spec, e.txDrv, e.rxDrv, e.rxDrv.Station().Addr(), txCfg, rxCfg, cfg.PlayoutPrebuffer, nil)
 	st.Dev.OnIRQ = func(tick uint64, _ sim.Time) { e.record(measure.P1VCAIRQ, uint32(tick)) }
 	st.Tx.OnHandlerEntry = func(tick uint64, _ sim.Time) { e.record(measure.P2HandlerEntry, uint32(tick)) }
 	st.Tx.OnPreTransmit = func(num uint32, _ sim.Time) { e.record(measure.P3PreTransmit, num) }
@@ -420,5 +409,5 @@ func runCTMSP(e *env) (*Results, error) {
 	r := e.finish(st.Dev)
 	out := st.Finish(cfg.Duration)
 	r.Sent, r.Delivered, r.RxStats, r.Playout = out.Sent, out.Delivered, out.RxStats, out.Stats
-	return r, nil
+	return r
 }

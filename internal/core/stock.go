@@ -94,7 +94,7 @@ type stockIRQ struct {
 }
 
 // runStock executes the unmodified-UNIX baseline of §1.
-func runStock(e *env) (*Results, error) {
+func runStock(e *env) *Results {
 	cfg := e.cfg
 
 	txStack := e.stack(e.txK, e.txDrv)
@@ -180,5 +180,5 @@ func runStock(e *env) (*Results, error) {
 	}
 	// Source-side drops are the dominant stock-path failure.
 	r.RxStats.Gaps = txRelay.dropped
-	return r, nil
+	return r
 }

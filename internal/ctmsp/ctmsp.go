@@ -2,9 +2,10 @@
 // network-layer protocol added beside ARP and IP, specifically designed
 // for and limited to assisting data transfers between the network and
 // other devices. It assumes a static point-to-point connection between two
-// machines, so the Token Ring header is computed once per connection (via
-// a driver ioctl) and the per-packet work reduces to stamping a device
-// number and a packet number.
+// machines, so the Token Ring header is computed once per connection and
+// the per-packet work reduces to stamping a device number and a packet
+// number. The paper's one-time set-up ioctls are direct calls on the Token
+// Ring driver in the model, at no simulated cost.
 //
 // The receiver side implements the loss model §5 settles on: Ring Purge
 // may silently destroy at most one packet per purge, the transmitter
@@ -71,26 +72,16 @@ func DecodeHeader(b []byte) (Header, error) {
 	}, nil
 }
 
-// Classify reports whether the bytes begin a CTMSP packet — the cheap
-// test done at the driver's split point.
-//
-//ctmsvet:hotpath
-func Classify(b []byte) bool {
-	return len(b) >= 2 && binary.BigEndian.Uint16(b) == Magic
-}
-
 // TxStats aggregates connection-level transmit accounting.
 type TxStats struct {
 	PacketsBuilt uint64
 	MbufFailures uint64
 }
 
-// Conn is one static point-to-point CTMSP connection. It is created by
-// exchanging ioctls with the Token Ring driver: the ring header is
-// computed once and kept as connection state.
+// Conn is one static point-to-point CTMSP connection. The ring header is
+// computed once by the Token Ring driver and kept as connection state.
 type Conn struct {
 	k          *kernel.Kernel
-	drv        *tradapter.Driver
 	dst        ring.Addr
 	dstDevice  uint8
 	ringHeader []byte
@@ -98,20 +89,15 @@ type Conn struct {
 	stats      TxStats
 }
 
-// Dial establishes a connection. It performs the paper's setup ioctls:
-// request the precomputed Token Ring header and the driver output handle.
-func Dial(k *kernel.Kernel, drv *tradapter.Driver, dst ring.Addr, dstDevice uint8) (*Conn, error) {
-	hdr, err := k.Ioctl("tr0", "compute-header", dst)
-	if err != nil {
-		return nil, fmt.Errorf("ctmsp: dial: %w", err)
-	}
+// Dial establishes a connection from drv's machine to dst: the paper's
+// set-up step that has the Token Ring driver precompute the header.
+func Dial(drv *tradapter.Driver, dst ring.Addr, dstDevice uint8) *Conn {
 	return &Conn{
-		k:          k,
-		drv:        drv,
+		k:          drv.Kernel(),
 		dst:        dst,
 		dstDevice:  dstDevice,
-		ringHeader: hdr.([]byte),
-	}, nil
+		ringHeader: drv.ComputeHeader(dst),
+	}
 }
 
 // RingHeader exposes the precomputed header (tests verify it is built

@@ -56,18 +56,6 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestClassify(t *testing.T) {
-	if !Classify(encode(Header{})) {
-		t.Fatal("CTMSP packet not recognized")
-	}
-	if Classify([]byte{0x08, 0x00, 0x45}) {
-		t.Fatal("IP packet misclassified as CTMSP")
-	}
-	if Classify([]byte{0xC7}) {
-		t.Fatal("one byte cannot classify")
-	}
-}
-
 func newConn(t *testing.T) (*sim.Scheduler, *kernel.Kernel, *Conn) {
 	t.Helper()
 	sched := sim.NewScheduler()
@@ -76,12 +64,8 @@ func newConn(t *testing.T) (*sim.Scheduler, *kernel.Kernel, *Conn) {
 	k := kernel.New(m)
 	st := r.Attach("tx")
 	drv := tradapter.New(k, st, tradapter.DefaultConfig())
-	k.Register(drv)
 	dstSt := r.Attach("rx")
-	conn, err := Dial(k, drv, dstSt.Addr(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := Dial(drv, dstSt.Addr(), 1)
 	return sched, k, conn
 }
 
@@ -159,11 +143,7 @@ func TestBuildPacketMbufExhaustion(t *testing.T) {
 	k.Pool = kernel.NewPool(4, 1) // tiny pool
 	st := r.Attach("tx")
 	drv := tradapter.New(k, st, tradapter.DefaultConfig())
-	k.Register(drv)
-	conn, err := Dial(k, drv, r.Attach("rx").Addr(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := Dial(drv, r.Attach("rx").Addr(), 1)
 	p, capture := envelope()
 	if _, ok := conn.BuildPacket(p, capture, 1988, false); ok {
 		t.Fatal("tiny pool should fail the allocation")
@@ -287,11 +267,7 @@ func TestPoolBalancedAfterExhaustion(t *testing.T) {
 	k.Pool = kernel.NewPool(4, 1) // tiny pool
 	st := r.Attach("tx")
 	drv := tradapter.New(k, st, tradapter.DefaultConfig())
-	k.Register(drv)
-	conn, err := Dial(k, drv, r.Attach("rx").Addr(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := Dial(drv, r.Attach("rx").Addr(), 1)
 
 	// A small packet fits even the tiny pool; build it and free it.
 	p, capture := envelope()

@@ -73,7 +73,6 @@ func inetPair(t *testing.T) (*sim.Scheduler, *ring.Ring, *inetHost, *inetHost) {
 		k := kernel.New(m)
 		st := r.Attach(name)
 		drv := tradapter.New(k, st, tradapter.StockConfig())
-		k.Register(drv)
 		return &inetHost{k: k, drv: drv, stack: NewStack(k, drv)}
 	}
 	return sched, r, mk("a"), mk("b")

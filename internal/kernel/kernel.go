@@ -1,8 +1,6 @@
 package kernel
 
 import (
-	"fmt"
-
 	"repro/internal/rtpc"
 	"repro/internal/sim"
 )
@@ -37,52 +35,15 @@ const (
 	UserChunk = 200 * sim.Microsecond
 )
 
-// Driver is a device driver registered with the kernel. Drivers expose
-// ioctls; the paper's driver-to-driver wiring is done through new ioctl
-// commands that exchange function handles.
-type Driver interface {
-	DriverName() string
-	Ioctl(cmd string, arg any) (any, error)
-}
-
 // Kernel ties one machine's kernel state together.
 type Kernel struct {
 	Machine *rtpc.Machine
 	Pool    *Pool
-
-	drivers map[string]Driver
-	procs   []*Proc
 }
 
 // New builds a kernel for a machine with default pool sizing.
 func New(m *rtpc.Machine) *Kernel {
-	return &Kernel{
-		Machine: m,
-		Pool:    NewPool(0, 0),
-		drivers: make(map[string]Driver),
-	}
-}
-
-// Register attaches a driver. Registering two drivers with the same name
-// is a configuration bug and panics.
-func (k *Kernel) Register(d Driver) {
-	name := d.DriverName()
-	sim.Checkf(k.drivers[name] == nil, "driver %q registered twice", name)
-	k.drivers[name] = d
-}
-
-// Driver looks up a registered driver.
-func (k *Kernel) Driver(name string) Driver { return k.drivers[name] }
-
-// Ioctl dispatches an ioctl to a named driver. It models the syscall as
-// free (all the paper's ioctls are one-time connection setup, off the
-// measured path).
-func (k *Kernel) Ioctl(driver, cmd string, arg any) (any, error) {
-	d := k.drivers[driver]
-	if d == nil {
-		return nil, fmt.Errorf("kernel: ioctl on unknown driver %q", driver)
-	}
-	return d.Ioctl(cmd, arg)
+	return &Kernel{Machine: m, Pool: NewPool(0, 0)}
 }
 
 // Sched exposes the scheduler.

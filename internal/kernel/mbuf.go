@@ -1,9 +1,10 @@
 // Package kernel models the pieces of the AOS 4.3 (BSD) kernel the paper's
 // data path runs through: the mbuf buffer pool (whose allocation can stall
-// "an arbitrarily long time" when exhausted, §2), a device-driver and ioctl
-// framework (the paper adds new ioctls to wire drivers directly together),
-// and a user-process model with syscall and context-switch costs — the
-// stock transfer path the paper shows cannot sustain 150 KB/s.
+// "an arbitrarily long time" when exhausted, §2), interrupt levels, and a
+// user-process model with syscall and context-switch costs — the stock
+// transfer path the paper shows cannot sustain 150 KB/s. The paper's
+// one-time ioctls that wire drivers together are direct calls between
+// the drivers in the model, at no simulated cost.
 package kernel
 
 import (

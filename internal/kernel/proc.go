@@ -24,11 +24,9 @@ type Proc struct {
 	sleptAt      sim.Time
 }
 
-// NewProc registers a process with the kernel.
+// NewProc creates a process on the kernel.
 func (k *Kernel) NewProc(name string) *Proc {
-	p := &Proc{k: k, name: name}
-	k.procs = append(k.procs, p)
-	return p
+	return &Proc{k: k, name: name}
 }
 
 // Name reports the process name.

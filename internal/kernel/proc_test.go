@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"errors"
 	"testing"
 
 	"repro/internal/rtpc"
@@ -12,50 +11,6 @@ func newKernel() (*sim.Scheduler, *Kernel) {
 	sched := sim.NewScheduler()
 	m := rtpc.NewMachine(sched, "test", 1)
 	return sched, New(m)
-}
-
-type fakeDriver struct {
-	name string
-	last string
-}
-
-func (d *fakeDriver) DriverName() string { return d.name }
-func (d *fakeDriver) Ioctl(cmd string, arg any) (any, error) {
-	d.last = cmd
-	if cmd == "fail" {
-		return nil, errors.New("nope")
-	}
-	return arg, nil
-}
-
-func TestDriverRegistryAndIoctl(t *testing.T) {
-	_, k := newKernel()
-	d := &fakeDriver{name: "vca0"}
-	k.Register(d)
-	if k.Driver("vca0") != d {
-		t.Fatal("driver lookup failed")
-	}
-	out, err := k.Ioctl("vca0", "set-mode", 42)
-	if err != nil || out != 42 || d.last != "set-mode" {
-		t.Fatalf("ioctl plumbing broken: %v %v", out, err)
-	}
-	if _, err := k.Ioctl("nosuch", "x", nil); err == nil {
-		t.Fatal("ioctl on unknown driver should error")
-	}
-	if _, err := k.Ioctl("vca0", "fail", nil); err == nil {
-		t.Fatal("driver error should propagate")
-	}
-}
-
-func TestDuplicateDriverPanics(t *testing.T) {
-	_, k := newKernel()
-	k.Register(&fakeDriver{name: "tr0"})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration must panic")
-		}
-	}()
-	k.Register(&fakeDriver{name: "tr0"})
 }
 
 func TestProcSyscallCosts(t *testing.T) {

@@ -131,8 +131,10 @@ func (a *Analysis) Finish() *HistogramSet {
 //
 // It decides the waiting a-samples in order. The oldest pairs as soon as
 // its partner arrives, gives up once matchWindow b-samples have failed
-// it, and otherwise waits. So a matcher holds about one window of
-// b-samples and the a-samples behind a lost packet, never a whole run.
+// it or once it is more than matchedDeltaMax older than the latest
+// sample (any partner still to come is too late to pair), and otherwise
+// waits. So a matcher holds about one window of b-samples and at most
+// matchedDeltaMax of a-samples, never a whole run.
 type matcher struct {
 	h  *stats.Histogram
 	as fifo // a-samples not yet decided, oldest first
@@ -157,7 +159,7 @@ func (m *matcher) addB(s Sample) {
 
 // decide settles the waiting a-samples it can, oldest first; final means
 // no b-sample will arrive, so an a-sample still short of a partner gives
-// up. now is the latest sample's time, which no later a-sample precedes.
+// up. now is the latest sample's time, which no later sample precedes.
 func (m *matcher) decide(now sim.Time, final bool) {
 	for m.as.len() > 0 {
 		a := m.as.at(0)
@@ -179,7 +181,7 @@ func (m *matcher) decide(now sim.Time, final bool) {
 				m.bs.drop(o - m.dead + 1)
 				m.dead = 0
 			}
-		case !final:
+		case !final && (now-a.T).Microseconds() <= matchedDeltaMax:
 			m.scan = o
 			return
 		}

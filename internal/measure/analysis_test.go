@@ -186,7 +186,9 @@ func TestAnalysisMatchesBatch(t *testing.T) {
 // On a well-formed stream — every packet through all four points, point b
 // trailing point a by up to lag packets, isolated losses — a matcher holds
 // at most one window of b-samples and the a-samples behind one lost
-// packet. A point the tool cannot see leaves its pair holding nothing.
+// packet. A point the tool cannot see leaves its pair holding nothing,
+// and a point with no partner at all leaves its pair holding at most
+// matchedDeltaMax of a-samples.
 func TestAnalysisHoldsOneWindow(t *testing.T) {
 	for _, lag := range []int{0, 1, 3, 10} {
 		for _, blind := range []bool{false, true} {
@@ -224,6 +226,23 @@ func TestAnalysisHoldsOneWindow(t *testing.T) {
 				t.Fatalf("lag %d: H7 paired %d of %d delivered packets", lag, n, len(logs[P4RxClassified]))
 			}
 		}
+	}
+	// P1 alone, as in the tool-validation runs: no b-sample ever arrives,
+	// so each a-sample is given up once it is more than matchedDeltaMax
+	// older than the latest pulse — about 2 s, 168 pulses at 12 ms.
+	var logs [NumPoints][]Sample
+	an := NewAnalysis(100)
+	for i := 0; i < 20000; i++ {
+		s := Sample{Num: uint32(i) & 0x7F, T: sim.Time(i) * 12 * sim.Millisecond}
+		logs[P1VCAIRQ] = append(logs[P1VCAIRQ], s)
+		an.Add(P1VCAIRQ, s)
+		if n := an.pairs[0].as.len(); n > 168 {
+			t.Fatalf("P1 only: after pulse %d the matcher holds %d a-samples", i, n)
+		}
+	}
+	got, want := an.Finish(), batchHistograms(logs, 100)
+	for id := range want.H {
+		sameHistogram(t, 0, got.H[id], want.H[id])
 	}
 }
 

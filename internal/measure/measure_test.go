@@ -139,12 +139,6 @@ func TestPCATDecodeProperty(t *testing.T) {
 	}
 }
 
-func TestPCATDecodeRejectsEmptyMask(t *testing.T) {
-	if _, err := DecodePCAT([]PCATRecord{{}}); err == nil {
-		t.Fatal("empty mask should be a decode error")
-	}
-}
-
 func TestMatchedDeltaPairsByPacketNumber(t *testing.T) {
 	var a, b []Sample
 	for i := 0; i < 200; i++ {

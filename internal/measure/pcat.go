@@ -1,11 +1,6 @@
 package measure
 
-import (
-	"fmt"
-	"math/bits"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // PC/AT tool constants (§5.2.3).
 const (
@@ -30,15 +25,6 @@ const (
 // pcatWrap is the clock modulus.
 const pcatWrap = 1 << PCATClockBits
 
-// PCATRecord is one queued observation as the second PC/AT saves it to
-// disk: which channels had data, the 16-bit clock, and the port values.
-// DecodePCAT reads a saved stream of them.
-type PCATRecord struct {
-	Mask    uint8
-	Clock16 uint16
-	Vals    [PCATChannels]uint8
-}
-
 // PCAT models the two-machine PC/AT measurement rig. Instrumented kernel
 // code writes a 7-bit value to a channel and toggles the strobe line;
 // the tool's polling loop timestamps it with the 2 µs clock after a
@@ -51,9 +37,11 @@ type PCATRecord struct {
 // and its clock quantizes to 2 µs — exactly the error budget §5.2.3
 // derives.
 //
-// Each record is decoded as it is captured, with the wrap counting that
-// DecodePCAT applies to a saved stream, and each point's sample goes to
-// the sink; the rig keeps no record stream.
+// Each record is decoded as it is captured: a 16-bit clock value lower
+// than the previous record's is a rollover, and the 50 Hz marker
+// guarantees a record per 20 ms, so no 131 ms rollover period passes
+// unobserved — exactly why the paper wired the timer to the eighth port.
+// Each point's sample goes to the sink; the rig keeps no record stream.
 type PCAT struct {
 	sched   *sim.Scheduler
 	rng     *sim.RNG
@@ -107,7 +95,7 @@ func (p *PCAT) capture(channel int, val uint8, delay sim.Time) {
 func (p *PCAT) Records() int { return p.records }
 
 // pcatClock rebuilds absolute times from the wrapped 16-bit clock values
-// of a record stream in capture order.
+// of the records in capture order.
 type pcatClock struct {
 	wraps int64
 	prev  uint16
@@ -121,48 +109,4 @@ func (c *pcatClock) time(clock16 uint16) sim.Time {
 	}
 	c.prev = clock16
 	return sim.Time(c.wraps*pcatWrap+int64(clock16)) * PCATClockTick
-}
-
-// DecodePCAT reconstructs each channel's events from the wrapped 16-bit
-// clock stream, as Samples: Num is the 7-bit port value and T the
-// absolute time. The records are in capture order; whenever the clock
-// value decreases, a rollover happened. The 50 Hz marker guarantees at
-// least one record per 20 ms, so a 131 ms rollover period can never pass
-// unobserved — this is exactly why the paper wired the timer to the
-// eighth port.
-//
-// A first pass counts each channel's events, so every channel's slice is
-// allocated once at its final size. An empty mask is an error; the events
-// before it are still returned.
-func DecodePCAT(records []PCATRecord) ([PCATChannels][]Sample, error) {
-	var out [PCATChannels][]Sample
-	var n [PCATChannels]int
-	valid := len(records)
-	for i, r := range records {
-		if r.Mask == 0 {
-			valid = i
-			break
-		}
-		for m := r.Mask; m != 0; m &= m - 1 {
-			n[bits.TrailingZeros8(m)]++
-		}
-	}
-	for ch, k := range n {
-		if k > 0 {
-			out[ch] = make([]Sample, 0, k)
-		}
-	}
-	var clock pcatClock
-	for _, r := range records[:valid] {
-		abs := clock.time(r.Clock16)
-		for ch := 0; ch < PCATChannels; ch++ {
-			if r.Mask&(1<<ch) != 0 {
-				out[ch] = append(out[ch], Sample{Num: uint32(r.Vals[ch]), T: abs})
-			}
-		}
-	}
-	if valid < len(records) {
-		return out, fmt.Errorf("measure: record %d has empty mask", valid)
-	}
-	return out, nil
 }

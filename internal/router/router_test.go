@@ -41,9 +41,7 @@ func newTwoRings(t *testing.T) *twoRingRig {
 		if name != "src" {
 			c.DMABufferKind = rtpc.SystemMemory
 		}
-		drv := tradapter.New(k, st, c)
-		k.Register(drv)
-		return k, drv
+		return k, tradapter.New(k, st, c)
 	}
 	srcK, srcDrv := mk("src", r0)
 	dstK, dstDrv := mk("dst", r1)

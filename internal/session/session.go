@@ -329,7 +329,7 @@ func Run(cfg Config) (*Results, error) {
 	// admit decides stream id's admission now and, when it is admitted,
 	// reserves its bandwidth and builds its machinery, ready to Start; a
 	// rejected stream returns nil.
-	admit := func(id int, spec StreamSpec, res *StreamResult) (*stream, error) {
+	admit := func(id int, spec StreamSpec, res *StreamResult) *stream {
 		at := sched.Now()
 		offered := spec.OfferedBits()
 		res.Decision = Decision{Admitted: true, ReservedBits: offered}
@@ -339,7 +339,7 @@ func Run(cfg Config) (*Results, error) {
 		if !res.Decision.Admitted {
 			results.Rejected++
 			cfg.Trace.AddEvent(at, EvReject, int64(id), offered)
-			return nil, nil
+			return nil
 		}
 		results.Admitted++
 		cfg.Trace.AddEvent(at, EvAdmit, int64(id), res.Decision.ReservedBits)
@@ -361,21 +361,16 @@ func Run(cfg Config) (*Results, error) {
 		// by the stream index.
 		tx := End{Sched: sched, Ring: r, Seed: sim.MixSeed(cfg.Seed, uint64(id)*2+1)}
 		rx := End{Sched: sched, Ring: r, Seed: sim.MixSeed(cfg.Seed, uint64(id)*2+2)}
-		s, err := NewStream(id, spec, tx, rx, 0, cfg.PlayoutPrebuffer, onDelay)
-		if err != nil {
-			return nil, err
-		}
-		st := &stream{Stream: s, idx: id, spec: spec, startAt: at}
+		st := &stream{Stream: NewStream(id, spec, tx, rx, 0, cfg.PlayoutPrebuffer, onDelay),
+			idx: id, spec: spec, startAt: at}
 		live = append(live, st)
 		byID[id] = st
-		return st, nil
+		return st
 	}
 
 	for i, spec := range cfg.Streams {
 		results.Streams[i] = StreamResult{Spec: spec}
-		if _, err := admit(i, spec, &results.Streams[i]); err != nil {
-			return nil, err
-		}
+		admit(i, spec, &results.Streams[i])
 	}
 
 	// leave stops a live stream early — a purge-driven shed (EvShed) or a
@@ -451,10 +446,7 @@ func Run(cfg Config) (*Results, error) {
 			sched.At(a.At, func() {
 				offered := spec.OfferedBits()
 				cfg.Trace.AddEvent(arrival.At, EvArrive, int64(streamID), offered)
-				st, err := admit(streamID, spec, res)
-				// The spec was validated before the run; machinery
-				// construction cannot fail for it.
-				sim.Checkf(err == nil, "population stream %d: %v", streamID, err)
+				st := admit(streamID, spec, res)
 				if st == nil {
 					return
 				}

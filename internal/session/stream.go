@@ -102,15 +102,13 @@ type Stream struct {
 // rings, packets are MAC-addressed to via — the first-hop bridge on the
 // transmitter's ring — and carry their final (ring, station) in the
 // Outgoing's routed fields. The stream does not tick until Start.
-func NewStream(id int, spec StreamSpec, tx, rx End, via ring.Addr, prebuffer sim.Time, onDelay func(sim.Time)) (*Stream, error) {
+func NewStream(id int, spec StreamSpec, tx, rx End, via ring.Addr, prebuffer sim.Time, onDelay func(sim.Time)) *Stream {
 	trCfg := tradapter.DefaultConfig()
 	trCfg.CTMSPRingPriority = spec.Class.RingPriority()
 	mkHost := func(e End, role string) *tradapter.Driver {
 		name := fmt.Sprintf("%s-%s", spec.Name, role)
 		k := kernel.New(rtpc.NewMachine(e.Sched, name, e.Seed))
-		drv := tradapter.New(k, e.Ring.Attach(name), trCfg)
-		k.Register(drv)
-		return drv
+		return tradapter.New(k, e.Ring.Attach(name), trCfg)
 	}
 	txTR := mkHost(tx, "tx")
 	rxTR := mkHost(rx, "rx")
@@ -120,10 +118,7 @@ func NewStream(id int, spec StreamSpec, tx, rx End, via ring.Addr, prebuffer sim
 	if crossRing {
 		dialTo = via
 	}
-	s, err := Wire(id, spec, txTR, rxTR, dialTo, vca.DefaultTxConfig(), vca.DefaultRxConfigB(), prebuffer, onDelay)
-	if err != nil {
-		return nil, err
-	}
+	s := Wire(id, spec, txTR, rxTR, dialTo, vca.DefaultTxConfig(), vca.DefaultRxConfigB(), prebuffer, onDelay)
 	s.Tx.MaxOutstanding = maxOutstanding
 	if crossRing {
 		finalDst, routedRing := rxTR.Station().Addr(), rx.RingIdx+1
@@ -132,7 +127,7 @@ func NewStream(id int, spec StreamSpec, tx, rx End, via ring.Addr, prebuffer sim
 			out.RoutedRing = routedRing
 		}
 	}
-	return s, nil
+	return s
 }
 
 // Wire builds one stream between two hosts that already exist: a CTMSP
@@ -144,23 +139,17 @@ func NewStream(id int, spec StreamSpec, tx, rx End, via ring.Addr, prebuffer sim
 // called with each delivered packet's delay past (n+1)·Interval, packet
 // n's capture time on the device's clock when the device starts at 0.
 // The stream does not tick until Start.
-func Wire(id int, spec StreamSpec, txTR, rxTR *tradapter.Driver, dialTo ring.Addr, txCfg vca.TxConfig, rxCfg vca.RxConfig, prebuffer sim.Time, onDelay func(sim.Time)) (*Stream, error) {
+func Wire(id int, spec StreamSpec, txTR, rxTR *tradapter.Driver, dialTo ring.Addr, txCfg vca.TxConfig, rxCfg vca.RxConfig, prebuffer sim.Time, onDelay func(sim.Time)) *Stream {
 	txK, rxK := txTR.Kernel(), rxTR.Kernel()
 	// Connection ids are a uint8 namespace; population runs can exceed it,
 	// and the id only disambiguates packets on the shared ring trace, so
 	// wrapping is safe (identical to id+1 for the first 250 streams).
-	conn, err := ctmsp.Dial(txK, txTR, dialTo, uint8(id%250+1))
-	if err != nil {
-		return nil, fmt.Errorf("session: stream %d (%s): %w", id, spec.Name, err)
-	}
+	conn := ctmsp.Dial(txTR, dialTo, uint8(id%250+1))
 
 	dev := vca.NewDevice(txK)
 	dev.SetPeriod(spec.Interval)
 	txCfg.DataBytes = spec.PacketBytes - ctmsp.HeaderSize
-	txDrv, err := vca.NewTxDriver(txK, dev, conn, txCfg)
-	if err != nil {
-		return nil, fmt.Errorf("session: stream %d (%s): %w", id, spec.Name, err)
-	}
+	txDrv := vca.NewTxDriver(dev, txTR, conn, txCfg)
 
 	recv := &ctmsp.Receiver{}
 	rxDrv := vca.NewRxDriver(rxK, rxTR, recv, rxCfg)
@@ -177,7 +166,7 @@ func Wire(id int, spec StreamSpec, txTR, rxTR *tradapter.Driver, dialTo ring.Add
 			onDelay(at - sim.Time(h.PacketNum+1)*interval)
 		}
 	}
-	return &Stream{Dev: dev, Tx: txDrv, Rx: rxDrv, recv: recv, play: play}, nil
+	return &Stream{Dev: dev, Tx: txDrv, Rx: rxDrv, recv: recv, play: play}
 }
 
 // Start begins the stream's capture interrupts, the first one period from

@@ -132,9 +132,7 @@ func Build(spec Spec) (*Network, error) {
 	n.buildLinks()
 	n.buildRoutes()
 	for i, st := range spec.Streams {
-		if err := n.buildStream(i, st); err != nil {
-			return nil, err
-		}
+		n.buildStream(i, st)
 	}
 	for i, b := range spec.Bursts {
 		n.buildBurst(i, b)
@@ -241,7 +239,7 @@ func (n *Network) pathRings(src, dst int) []int {
 // shard. Cross-ring packets are MAC-addressed to the first-hop bridge;
 // the CTMSP header rides the mbuf tag end to end, so the receive path is
 // the session layer's unchanged.
-func (n *Network) buildStream(i int, spec StreamSpec) error {
+func (n *Network) buildStream(i int, spec StreamSpec) {
 	offered := spec.OfferedBits()
 	path := n.pathRings(spec.SrcRing, spec.DstRing)
 	st := &stream{spec: spec, path: path}
@@ -258,7 +256,7 @@ func (n *Network) buildStream(i int, spec StreamSpec) error {
 			for _, g := range granted {
 				n.shards[g].ctrl.Release(i)
 			}
-			return nil
+			return
 		}
 		granted = append(granted, r)
 	}
@@ -271,15 +269,10 @@ func (n *Network) buildStream(i int, spec StreamSpec) error {
 		return session.End{Sched: s.sched, Ring: s.ring, RingIdx: r,
 			Seed: sim.MixSeed(n.spec.Seed, saltStream+salt)}
 	}
-	ss, err := session.NewStream(i, spec.StreamSpec,
+	st.Stream = session.NewStream(i, spec.StreamSpec,
 		end(spec.SrcRing, uint64(i)*2), end(spec.DstRing, uint64(i)*2+1),
 		n.via[spec.SrcRing][spec.DstRing], n.spec.PlayoutPrebuffer, st.addDelay)
-	if err != nil {
-		return err
-	}
-	st.Stream = ss
-	ss.Start()
-	return nil
+	st.Start()
 }
 
 // addDelay is the stream's per-delivery delay hook.

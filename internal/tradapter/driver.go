@@ -349,30 +349,12 @@ func New(k *kernel.Kernel, st *ring.Station, cfg Config) *Driver {
 	return d
 }
 
-// DriverName implements kernel.Driver.
-func (d *Driver) DriverName() string { return "tr0" }
-
-// Ioctl implements the connection-setup commands the paper added.
-func (d *Driver) Ioctl(cmd string, arg any) (any, error) {
-	switch cmd {
-	case "compute-header":
-		// Build a Token Ring header for a destination once, for the life
-		// of the connection (§3's split-out header function).
-		dst, ok := arg.(ring.Addr)
-		if !ok {
-			return nil, fmt.Errorf("tr0: compute-header wants a ring.Addr")
-		}
-		d.stats.HeaderComps++
-		return BuildRingHeader(d.st.Addr(), dst), nil
-	case "get-output-handle":
-		// The function handle a source driver uses for direct
-		// driver-to-driver transmission (§2).
-		return d.Output, nil
-	case "config":
-		return d.cfg, nil
-	default:
-		return nil, fmt.Errorf("tr0: unknown ioctl %q", cmd)
-	}
+// ComputeHeader builds the Token Ring header for a destination once, for
+// the life of a connection (§3's split-out header function; the paper's
+// compute-header ioctl, a direct call at no simulated cost here).
+func (d *Driver) ComputeHeader(dst ring.Addr) []byte {
+	d.stats.HeaderComps++
+	return BuildRingHeader(d.st.Addr(), dst)
 }
 
 // Station exposes the underlying ring station.

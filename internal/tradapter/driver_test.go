@@ -19,9 +19,7 @@ func newHost(t *testing.T, sched *sim.Scheduler, r *ring.Ring, name string, cfg 
 	m := rtpc.NewMachine(sched, name, 7)
 	k := kernel.New(m)
 	st := r.Attach(name)
-	drv := New(k, st, cfg)
-	k.Register(drv)
-	return &host{k: k, drv: drv}
+	return &host{k: k, drv: New(k, st, cfg)}
 }
 
 func pair(t *testing.T, cfg Config) (*sim.Scheduler, *ring.Ring, *host, *host) {
@@ -138,11 +136,9 @@ func TestHeaderPrecomputeSavesWork(t *testing.T) {
 		t.Fatalf("per-packet header computation: want 5, got %d", got)
 	}
 
-	// With precompute, the only header computations are explicit ioctls.
+	// With precompute, the only header computation is the connection's.
 	sched2, _, tx2, rx2 := pair(t, DefaultConfig())
-	if _, err := tx2.k.Ioctl("tr0", "compute-header", rx2.drv.Station().Addr()); err != nil {
-		t.Fatal(err)
-	}
+	tx2.drv.ComputeHeader(rx2.drv.Station().Addr())
 	for i := 0; i < 5; i++ {
 		tx2.drv.Output(mkPacket(tx2.k, 500, ClassIP, rx2.drv.Station().Addr()))
 	}
@@ -315,27 +311,15 @@ func TestRxBufferExhaustionDropsFrames(t *testing.T) {
 	}
 }
 
-func TestIoctlInterface(t *testing.T) {
+func TestComputeHeader(t *testing.T) {
 	_, _, tx, rx := pair(t, DefaultConfig())
-	hdr, err := tx.k.Ioctl("tr0", "compute-header", rx.drv.Station().Addr())
-	if err != nil {
-		t.Fatal(err)
+	dst := rx.drv.Station().Addr()
+	hdr := tx.drv.ComputeHeader(dst)
+	if want := BuildRingHeader(tx.drv.Station().Addr(), dst); string(hdr) != string(want) || len(hdr) != 22 {
+		t.Fatalf("connection header % x, want the 22-byte % x", hdr, want)
 	}
-	if len(hdr.([]byte)) != 22 {
-		t.Fatalf("ring header should be 22 bytes, got %d", len(hdr.([]byte)))
-	}
-	if _, err := tx.k.Ioctl("tr0", "compute-header", "bogus"); err == nil {
-		t.Fatal("wrong arg type should error")
-	}
-	h, err := tx.k.Ioctl("tr0", "get-output-handle", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := h.(func(*Outgoing)); !ok {
-		t.Fatalf("output handle has wrong type: %T", h)
-	}
-	if _, err := tx.k.Ioctl("tr0", "nonsense", nil); err == nil {
-		t.Fatal("unknown ioctl should error")
+	if got := tx.drv.Stats().HeaderComps; got != 1 {
+		t.Fatalf("one connection header: want 1 computation, got %d", got)
 	}
 }
 

@@ -3,14 +3,14 @@
 // with no detectable variation (§5.2.2 verified ±500 ns with a logic
 // analyzer; we model it as exact and attribute all observed spread to the
 // host side, as the paper does), a 2K×16 on-card buffer reachable through
-// a byte-wide interface, and the device driver modifications of §5.1:
-// ioctls that set up the special mode, fetch and keep the precomputed
-// Token Ring header, and obtain the direct driver-to-driver handles.
+// a byte-wide interface, and the device driver modifications of §5.1: a
+// special mode that keeps the connection's precomputed Token Ring header
+// and hands each packet straight to the Token Ring driver. The paper sets
+// this up with one-time ioctls; in the model they are direct calls, at no
+// simulated cost.
 package vca
 
 import (
-	"fmt"
-
 	"repro/internal/ctmsp"
 	"repro/internal/kernel"
 	"repro/internal/ring"
@@ -131,9 +131,8 @@ type TxStats struct {
 // Token Ring driver — the §2 driver-to-driver path, no user process.
 type TxDriver struct {
 	k    *kernel.Kernel
-	dev  *Device
 	conn *ctmsp.Conn
-	out  func(*tradapter.Outgoing) // handle obtained by ioctl
+	tr   *tradapter.Driver // the §2 driver-to-driver call goes to tr.Output
 	cfg  TxConfig
 
 	// Probes for the measurement tools.
@@ -182,39 +181,14 @@ type txSend struct {
 	recycle func(*tradapter.Outgoing)
 }
 
-// DriverName implements kernel.Driver.
-func (t *TxDriver) DriverName() string { return "vca0" }
-
-// Ioctl implements the special-mode setup commands of §5.1.
-func (t *TxDriver) Ioctl(cmd string, arg any) (any, error) {
-	switch cmd {
-	case "get-stats":
-		return t.stats, nil
-	case "set-max-outstanding":
-		n, ok := arg.(int)
-		if !ok {
-			return nil, fmt.Errorf("vca0: set-max-outstanding wants an int")
-		}
-		t.MaxOutstanding = n
-		return nil, nil
-	default:
-		return nil, fmt.Errorf("vca0: unknown ioctl %q", cmd)
-	}
-}
-
-// NewTxDriver wires the VCA device to a CTMSP connection. It performs the
-// paper's setup: the CTMSP connection already holds the precomputed ring
-// header; the driver fetches the TR driver's output handle by ioctl and
-// hard-codes the call into its interrupt handler.
-func NewTxDriver(k *kernel.Kernel, dev *Device, conn *ctmsp.Conn, cfg TxConfig) (*TxDriver, error) {
-	h, err := k.Ioctl("tr0", "get-output-handle", nil)
-	if err != nil {
-		return nil, fmt.Errorf("vca: %w", err)
-	}
-	t := &TxDriver{k: k, dev: dev, conn: conn, out: h.(func(*tradapter.Outgoing)), cfg: cfg}
+// NewTxDriver wires the VCA device on tr's machine to a CTMSP connection.
+// It performs the paper's set-up as direct calls, at no simulated cost:
+// the connection already holds the precomputed ring header, and the
+// interrupt handler hands each packet straight to tr's Output.
+func NewTxDriver(dev *Device, tr *tradapter.Driver, conn *ctmsp.Conn, cfg TxConfig) *TxDriver {
+	t := &TxDriver{k: tr.Kernel(), conn: conn, tr: tr, cfg: cfg}
 	dev.irq = t.interrupt
-	k.Register(t)
-	return t, nil
+	return t
 }
 
 // Stats returns a snapshot of transmit accounting.
@@ -313,7 +287,7 @@ func (t *TxDriver) buildAndSend() {
 	if t.PatchOutgoing != nil {
 		t.PatchOutgoing(&sd.out)
 	}
-	t.out(&sd.out)
+	t.tr.Output(&sd.out)
 }
 
 // RxConfig selects the receive-side driver variants of §5.3.

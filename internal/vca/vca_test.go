@@ -33,9 +33,7 @@ func newRig(t *testing.T, txCfg TxConfig, rxCfg RxConfig) *rig {
 		m := rtpc.NewMachine(sched, name, 11)
 		k := kernel.New(m)
 		st := r.Attach(name)
-		drv := tradapter.New(k, st, trCfg)
-		k.Register(drv)
-		return k, drv
+		return k, tradapter.New(k, st, trCfg)
 	}
 	txK, txDrv := mkHost("tx", tradapter.DefaultConfig())
 	// Only the transmitter's DMA buffers live in IO Channel Memory.
@@ -43,15 +41,9 @@ func newRig(t *testing.T, txCfg TxConfig, rxCfg RxConfig) *rig {
 	rxTrCfg.DMABufferKind = rtpc.SystemMemory
 	rxK, rxDrv := mkHost("rx", rxTrCfg)
 
-	conn, err := ctmsp.Dial(txK, txDrv, rxDrv.Station().Addr(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := ctmsp.Dial(txDrv, rxDrv.Station().Addr(), 1)
 	dev := NewDevice(txK)
-	txDriver, err := NewTxDriver(txK, dev, conn, txCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	txDriver := NewTxDriver(dev, txDrv, conn, txCfg)
 	recv := &ctmsp.Receiver{}
 	rxDriver := NewRxDriver(rxK, rxDrv, recv, rxCfg)
 	return &rig{sched: sched, ring: r, txK: txK, rxK: rxK, dev: dev, tx: txDriver, rx: rxDriver, recv: recv}
@@ -193,9 +185,7 @@ func TestRxExamineInPlaceSkipsCopy(t *testing.T) {
 func TestMaxOutstandingDropsExcess(t *testing.T) {
 	cfg := DefaultTxConfig()
 	r := newRig(t, cfg, RxConfig{CopyToMbufs: true})
-	if _, err := r.txK.Ioctl("vca0", "set-max-outstanding", 1); err != nil {
-		t.Fatal(err)
-	}
+	r.tx.MaxOutstanding = 1
 	// Stall the ring so packets cannot drain: repeated purges.
 	for i := 0; i < 20; i++ {
 		r.sched.At(sim.Time(i)*9*sim.Millisecond, r.ring.Purge)
@@ -204,21 +194,49 @@ func TestMaxOutstandingDropsExcess(t *testing.T) {
 	r.sched.RunUntil(300 * sim.Millisecond)
 	r.dev.Stop()
 	r.sched.Run()
-	if r.tx.Stats().QueueDrops == 0 {
+	st := r.tx.Stats()
+	if st.QueueDrops == 0 {
 		t.Fatal("flow control should have dropped packets while the ring was purging")
+	}
+	// Every interrupt either sent its packet or dropped it at the device.
+	if st.PacketsSent+st.QueueDrops+st.MbufDrops != st.Interrupts {
+		t.Fatalf("interrupts unaccounted for: %+v", st)
 	}
 }
 
+// TestVCAIoctls checks the transmit driver's control surface: Stats
+// returns a snapshot the caller cannot alter, and MaxOutstanding's zero
+// value leaves the queue unbounded, so the purge stall that makes a
+// bound of one drop packets drops none at the device queue.
 func TestVCAIoctls(t *testing.T) {
 	r := newRig(t, DefaultTxConfig(), RxConfig{CopyToMbufs: true})
-	if _, err := r.txK.Ioctl("vca0", "get-stats", nil); err != nil {
-		t.Fatal(err)
+	if r.tx.MaxOutstanding != 0 {
+		t.Fatalf("default MaxOutstanding = %d, want 0 (unlimited)", r.tx.MaxOutstanding)
 	}
-	if _, err := r.txK.Ioctl("vca0", "set-max-outstanding", "x"); err == nil {
-		t.Fatal("wrong arg type must error")
+	snap := r.tx.Stats()
+	if snap != (TxStats{}) {
+		t.Fatalf("stats before start = %+v, want zero", snap)
 	}
-	if _, err := r.txK.Ioctl("vca0", "bogus", nil); err == nil {
-		t.Fatal("unknown ioctl must error")
+	snap.QueueDrops = 99
+	if r.tx.Stats().QueueDrops != 0 {
+		t.Fatal("Stats must return a copy, not the driver's own counters")
+	}
+	for i := 0; i < 20; i++ {
+		r.sched.At(sim.Time(i)*9*sim.Millisecond, r.ring.Purge)
+	}
+	r.dev.Start()
+	r.sched.RunUntil(300 * sim.Millisecond)
+	r.dev.Stop()
+	r.sched.Run()
+	st := r.tx.Stats()
+	if st.Interrupts == 0 {
+		t.Fatal("no interrupts counted")
+	}
+	if st.QueueDrops != 0 {
+		t.Fatalf("unbounded queue dropped %d packets", st.QueueDrops)
+	}
+	if st.PacketsSent+st.MbufDrops != st.Interrupts {
+		t.Fatalf("interrupts unaccounted for: %+v", st)
 	}
 }
 

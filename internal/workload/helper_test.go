@@ -8,7 +8,5 @@ import (
 
 // newStockDriver builds an unmodified Token Ring driver for a test host.
 func newStockDriver(k *kernel.Kernel, st *ring.Station) *tradapter.Driver {
-	drv := tradapter.New(k, st, tradapter.StockConfig())
-	k.Register(drv)
-	return drv
+	return tradapter.New(k, st, tradapter.StockConfig())
 }

@@ -23,7 +23,6 @@ func TestFileTransferFramesOutliveTheirReceiver(t *testing.T) {
 	cfg := tradapter.StockConfig()
 	cfg.RxBuffers = 2
 	drv := tradapter.New(k, r.Attach("client"), cfg)
-	k.Register(drv)
 
 	var (
 		classified int
