@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/ctmsp"
-	"repro/internal/kernel"
 	"repro/internal/ring"
 	"repro/internal/router"
 	"repro/internal/rtpc"
@@ -61,18 +60,16 @@ func simulateE14(s Scale) e14Run {
 	rc1 := rc0
 	rc1.Seed = seed + 1
 	r1 := ring.New(sched, rc1)
-	rt := router.NewPair(sched, "router", r0, r1, seed)
+	rt := router.NewPair("router", r0, r1, seed)
 
-	mk := func(name string, rg *ring.Ring, kind rtpc.MemoryKind) (*kernel.Kernel, *tradapter.Driver) {
-		m := rtpc.NewMachine(sched, name, seed)
-		k := kernel.New(m)
-		st := rg.Attach(name)
+	mk := func(name string, rg *ring.Ring, kind rtpc.MemoryKind) *tradapter.Driver {
 		cfg := tradapter.DefaultConfig()
 		cfg.DMABufferKind = kind
-		return k, tradapter.New(k, st, cfg)
+		return tradapter.NewHost(rg, name, seed, cfg)
 	}
-	srcK, srcDrv := mk("src", r0, rtpc.IOChannelMemory)
-	_, dstDrv := mk("dst", r1, rtpc.SystemMemory)
+	srcDrv := mk("src", r0, rtpc.IOChannelMemory)
+	dstDrv := mk("dst", r1, rtpc.SystemMemory)
+	srcK := srcDrv.Kernel()
 
 	// The 166 KB/s CTMS stream: one 2000-byte packet per 12 ms.
 	lat := stats.NewHistogram(100, "src→dst latency across router")

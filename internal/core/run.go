@@ -56,7 +56,6 @@ type env struct {
 	rng   *sim.RNG
 	ring  *ring.Ring
 
-	txK, rxK     *kernel.Kernel
 	txDrv, rxDrv *tradapter.Driver
 
 	// truth is the logic analyzer and rec the configured tool (truth
@@ -66,22 +65,19 @@ type env struct {
 	pcat           *measure.PCAT
 	truthAn, recAn *measure.Analysis
 
-	stacks map[*kernel.Kernel]*inet.Stack
-	gens   []interface{ Stop() }
+	txStack, rxStack *inet.Stack
+	gens             []interface{ Stop() }
 }
 
-// stack returns the machine's IP stack, creating it on first use so the
-// relay path and the background generators share one instance.
-func (e *env) stack(k *kernel.Kernel, drv *tradapter.Driver) *inet.Stack {
-	if e.stacks == nil {
-		e.stacks = make(map[*kernel.Kernel]*inet.Stack)
+// stacks returns the two machines' IP stacks, building them (tx first)
+// on first use so the relay path and the background generators share
+// one instance each.
+func (e *env) stacks() (tx, rx *inet.Stack) {
+	if e.txStack == nil {
+		e.txStack = inet.NewStack(e.txDrv)
+		e.rxStack = inet.NewStack(e.rxDrv)
 	}
-	if s, ok := e.stacks[k]; ok {
-		return s
-	}
-	s := inet.NewStack(k, drv)
-	e.stacks[k] = s
-	return s
+	return e.txStack, e.rxStack
 }
 
 // buildEnv constructs the ring, the two machines under test and the
@@ -108,21 +104,15 @@ func buildEnv(cfg Config) *env {
 	trCfg.PurgeInterrupt = cfg.PurgeInterrupt
 	trCfg.UnprotectedQueueBug = cfg.DriverRaceBug
 
-	mkHost := func(name string, trCfg tradapter.Config) (*kernel.Kernel, *tradapter.Driver) {
-		m := rtpc.NewMachine(e.sched, name, cfg.Seed)
-		k := kernel.New(m)
-		st := e.ring.Attach(name)
-		return k, tradapter.New(k, st, trCfg)
-	}
-	e.txK, e.txDrv = mkHost("tx", trCfg)
-	startKernelActivity(e.txK, e.rng.Fork("kern-tx"))
+	e.txDrv = tradapter.NewHost(e.ring, "tx", cfg.Seed, trCfg)
+	startKernelActivity(e.txDrv.Kernel(), e.rng.Fork("kern-tx"))
 	// The receiver keeps its fixed DMA buffers in system memory (the
 	// paper only moved the transmitter's; the toggle list is about the
 	// transmitter).
 	rxTrCfg := trCfg
 	rxTrCfg.DMABufferKind = rtpc.SystemMemory
-	e.rxK, e.rxDrv = mkHost("rx", rxTrCfg)
-	startKernelActivity(e.rxK, e.rng.Fork("kern-rx"))
+	e.rxDrv = tradapter.NewHost(e.ring, "rx", cfg.Seed, rxTrCfg)
+	startKernelActivity(e.rxDrv.Kernel(), e.rng.Fork("kern-rx"))
 
 	// Populate the campus ring.
 	for i := 0; i < session.PopulationStations; i++ {
@@ -141,7 +131,7 @@ func buildEnv(cfg Config) *env {
 		e.rec = e.pcat
 	case ToolPseudoDev:
 		e.recAn = measure.NewAnalysis(cfg.HistogramBinWidth)
-		e.rec = measure.NewPseudoDev(e.txK, e.recAn)
+		e.rec = measure.NewPseudoDev(e.txDrv.Kernel(), e.recAn)
 	default:
 		e.rec = e.truth
 	}
@@ -279,13 +269,10 @@ func (e *env) addBackground() {
 		// rig's own control-socket connection (§5.3 calls the socket
 		// traffic "an artifact of the test set up" and blames it for
 		// part of Figure 5-2's second peak).
-		control := e.ring.Attach("control")
-		ctlM := rtpc.NewMachine(e.sched, "control", cfg.Seed)
-		ctlK := kernel.New(ctlM)
-		inet.NewStack(ctlK, tradapter.New(ctlK, control, tradapter.StockConfig()))
+		control := inet.NewStack(tradapter.NewHost(e.ring, "control", cfg.Seed, tradapter.StockConfig()))
 
-		txStack := e.stack(e.txK, e.txDrv)
-		rxStack := e.stack(e.rxK, e.rxDrv)
+		txStack, rxStack := e.stacks()
+		txK, rxK := e.txDrv.Kernel(), e.rxDrv.Kernel()
 		// Socket keep-alives and AFS keep-alives from the machines under
 		// test: this traffic shares the transmitter's driver queue with
 		// the CTMSP stream.
@@ -295,8 +282,8 @@ func (e *env) addBackground() {
 		)
 		// Competing processes ("multiprocessing mode but not heavily
 		// loaded").
-		e.txK.NewProc("bg-tx").BackgroundLoad(10*sim.Millisecond, 0.20)
-		e.rxK.NewProc("bg-rx").BackgroundLoad(10*sim.Millisecond, 0.20)
+		txK.NewProc("bg-tx").BackgroundLoad(10*sim.Millisecond, 0.20)
+		rxK.NewProc("bg-rx").BackgroundLoad(10*sim.Millisecond, 0.20)
 
 		// AFS fetches INTO the machines under test: incoming 1522-byte
 		// bursts whose receive processing shares the network interrupt
@@ -321,11 +308,11 @@ func (e *env) addBackground() {
 		// between.
 		// The scan starts 1.75 ms before every eighth VCA tick, so it
 		// already holds splnet when the handler tries to start the copy.
-		startPhaseLockedScan(e.txK,
+		startPhaseLockedScan(txK,
 			72*sim.Millisecond, 10250*sim.Microsecond, 8650*sim.Microsecond)
-		startProtectedActivity(e.txK, e.rng.Fork("cachemgr-tx"),
+		startProtectedActivity(txK, e.rng.Fork("cachemgr-tx"),
 			40*sim.Millisecond, 2*sim.Millisecond, 6*sim.Millisecond)
-		startProtectedActivity(e.rxK, e.rng.Fork("cachemgr-rx"),
+		startProtectedActivity(rxK, e.rng.Fork("cachemgr-rx"),
 			700*sim.Millisecond, 2*sim.Millisecond, 6*sim.Millisecond)
 	}
 
@@ -382,8 +369,8 @@ func (e *env) finish(dev *vca.Device) *Results {
 		Truth:     e.truthAn.Finish(),
 		Ring:      e.ring.Counters(),
 		TxDriver:  e.txDrv.Stats(),
-		TxCPUUtil: float64(e.txK.CPU().Stats().BusyTime) / float64(cfg.Duration),
-		RxCPUUtil: float64(e.rxK.CPU().Stats().BusyTime) / float64(cfg.Duration),
+		TxCPUUtil: float64(e.txDrv.Kernel().CPU().Stats().BusyTime) / float64(cfg.Duration),
+		RxCPUUtil: float64(e.rxDrv.Kernel().CPU().Stats().BusyTime) / float64(cfg.Duration),
 		Copies:    CopiesFor(cfg),
 	}
 }

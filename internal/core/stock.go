@@ -96,9 +96,9 @@ type stockIRQ struct {
 // runStock executes the unmodified-UNIX baseline of §1.
 func runStock(e *env) *Results {
 	cfg := e.cfg
+	txK, rxK := e.txDrv.Kernel(), e.rxDrv.Kernel()
 
-	txStack := e.stack(e.txK, e.txDrv)
-	rxStack := e.stack(e.rxK, e.rxDrv)
+	txStack, rxStack := e.stacks()
 	conn := txStack.RDTOpen(rxStack.Addr())
 	rconn := rxStack.RDTOpen(txStack.Addr())
 
@@ -113,7 +113,7 @@ func runStock(e *env) *Results {
 	var sent, delivered uint64
 
 	// Transmit relay: read(vca) → write(socket).
-	txRelay := newStockRelay(e.txK, "relay-tx", queueCap, rtpc.CPUCopyUser, rtpc.CPUCopyUser, func(item stockItem) {
+	txRelay := newStockRelay(txK, "relay-tx", queueCap, rtpc.CPUCopyUser, rtpc.CPUCopyUser, func(item stockItem) {
 		e.record(measure.P3PreTransmit, item.num)
 		conn.Send(item.num, item.bytes, nil)
 	})
@@ -121,7 +121,7 @@ func runStock(e *env) *Results {
 	// The VCA interrupt on the stock path: DMA buffer → mbuf copy at
 	// interrupt level, then wake the relay. The program is built in one
 	// scratch slice (Submit copies it).
-	dev := vca.NewDevice(e.txK)
+	dev := vca.NewDevice(txK)
 	dev.SetPeriod(cfg.Interval)
 	var irqs sim.FreeList[stockIRQ]
 	var prog []rtpc.Seg
@@ -142,14 +142,14 @@ func runStock(e *env) *Results {
 		prog = append(prog[:0],
 			rtpc.Do(vca.DispatchCost),
 			rtpc.Mark(in.entry),
-			e.txK.Machine.CopySeg(cfg.PacketBytes, rtpc.SystemMemory, rtpc.SystemMemory),
+			txK.Machine.CopySeg(cfg.PacketBytes, rtpc.SystemMemory, rtpc.SystemMemory),
 			rtpc.Mark(in.push),
 		)
-		e.txK.CPU().Submit(kernel.LevelVCA, prog, nil)
+		txK.CPU().Submit(kernel.LevelVCA, prog, nil)
 	}
 
 	// Receive relay: read(socket) → write(vca device).
-	rxRelay := newStockRelay(e.rxK, "relay-rx", 64, rtpc.CPUCopyUser, rtpc.CPUCopyDevice, func(item stockItem) {
+	rxRelay := newStockRelay(rxK, "relay-rx", 64, rtpc.CPUCopyUser, rtpc.CPUCopyDevice, func(item stockItem) {
 		delivered++
 		e.record(measure.P4RxClassified, item.num)
 		play.Deliver(item.bytes, e.sched.Now())

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/kernel"
 	"repro/internal/ring"
-	"repro/internal/rtpc"
 	"repro/internal/sim"
 	"repro/internal/tradapter"
 )
@@ -60,13 +59,9 @@ func newConn(t *testing.T) (*sim.Scheduler, *kernel.Kernel, *Conn) {
 	t.Helper()
 	sched := sim.NewScheduler()
 	r := ring.New(sched, ring.DefaultConfig())
-	m := rtpc.NewMachine(sched, "tx", 1)
-	k := kernel.New(m)
-	st := r.Attach("tx")
-	drv := tradapter.New(k, st, tradapter.DefaultConfig())
-	dstSt := r.Attach("rx")
-	conn := Dial(drv, dstSt.Addr(), 1)
-	return sched, k, conn
+	drv := tradapter.NewHost(r, "tx", 1, tradapter.DefaultConfig())
+	conn := Dial(drv, r.Attach("rx").Addr(), 1)
+	return sched, drv.Kernel(), conn
 }
 
 // envelope is a fresh caller-owned envelope and capture buffer, the way
@@ -138,11 +133,9 @@ func TestBuildPacketCopyHeaderOnly(t *testing.T) {
 func TestBuildPacketMbufExhaustion(t *testing.T) {
 	sched := sim.NewScheduler()
 	r := ring.New(sched, ring.DefaultConfig())
-	m := rtpc.NewMachine(sched, "tx", 1)
-	k := kernel.New(m)
+	drv := tradapter.NewHost(r, "tx", 1, tradapter.DefaultConfig())
+	k := drv.Kernel()
 	k.Pool = kernel.NewPool(4, 1) // tiny pool
-	st := r.Attach("tx")
-	drv := tradapter.New(k, st, tradapter.DefaultConfig())
 	conn := Dial(drv, r.Attach("rx").Addr(), 1)
 	p, capture := envelope()
 	if _, ok := conn.BuildPacket(p, capture, 1988, false); ok {
@@ -262,11 +255,9 @@ func TestReceiverLossAccountingProperty(t *testing.T) {
 func TestPoolBalancedAfterExhaustion(t *testing.T) {
 	sched := sim.NewScheduler()
 	r := ring.New(sched, ring.DefaultConfig())
-	m := rtpc.NewMachine(sched, "tx", 1)
-	k := kernel.New(m)
+	drv := tradapter.NewHost(r, "tx", 1, tradapter.DefaultConfig())
+	k := drv.Kernel()
 	k.Pool = kernel.NewPool(4, 1) // tiny pool
-	st := r.Attach("tx")
-	drv := tradapter.New(k, st, tradapter.DefaultConfig())
 	conn := Dial(drv, r.Attach("rx").Addr(), 1)
 
 	// A small packet fits even the tiny pool; build it and free it.

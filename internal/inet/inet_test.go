@@ -4,9 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/kernel"
 	"repro/internal/ring"
-	"repro/internal/rtpc"
 	"repro/internal/sim"
 	"repro/internal/tradapter"
 )
@@ -58,22 +56,12 @@ func TestIPHeaderRoundTrip(t *testing.T) {
 	}
 }
 
-type inetHost struct {
-	k     *kernel.Kernel
-	drv   *tradapter.Driver
-	stack *Stack
-}
-
-func inetPair(t *testing.T) (*sim.Scheduler, *ring.Ring, *inetHost, *inetHost) {
+func inetPair(t *testing.T) (*sim.Scheduler, *ring.Ring, *Stack, *Stack) {
 	t.Helper()
 	sched := sim.NewScheduler()
 	r := ring.New(sched, ring.DefaultConfig())
-	mk := func(name string) *inetHost {
-		m := rtpc.NewMachine(sched, name, 3)
-		k := kernel.New(m)
-		st := r.Attach(name)
-		drv := tradapter.New(k, st, tradapter.StockConfig())
-		return &inetHost{k: k, drv: drv, stack: NewStack(k, drv)}
+	mk := func(name string) *Stack {
+		return NewStack(tradapter.NewHost(r, name, 3, tradapter.StockConfig()))
 	}
 	return sched, r, mk("a"), mk("b")
 }
@@ -81,8 +69,8 @@ func inetPair(t *testing.T) (*sim.Scheduler, *ring.Ring, *inetHost, *inetHost) {
 func TestDatagramDelivery(t *testing.T) {
 	sched, _, a, b := inetPair(t)
 	var got *Datagram
-	b.stack.OnDatagram(func(dg *Datagram, _ sim.Time) { d := *dg; got = &d })
-	a.stack.SendDatagram(b.stack.Addr(), 100, 77, nil)
+	b.OnDatagram(func(dg *Datagram, _ sim.Time) { d := *dg; got = &d })
+	a.SendDatagram(b.Addr(), 100, 77, nil)
 	sched.Run()
 	if got == nil {
 		t.Fatal("datagram not delivered")
@@ -95,18 +83,18 @@ func TestDatagramDelivery(t *testing.T) {
 func TestARPResolvesOnFirstSend(t *testing.T) {
 	sched, _, a, b := inetPair(t)
 	delivered := 0
-	b.stack.OnDatagram(func(*Datagram, sim.Time) { delivered++ })
-	a.stack.SendDatagram(b.stack.Addr(), 60, 0, nil)
+	b.OnDatagram(func(*Datagram, sim.Time) { delivered++ })
+	a.SendDatagram(b.Addr(), 60, 0, nil)
 	// The second send happens after resolution completes, so it hits the
 	// warm cache.
 	sched.After(sim.Second, func() {
-		a.stack.SendDatagram(b.stack.Addr(), 60, 0, nil)
+		a.SendDatagram(b.Addr(), 60, 0, nil)
 	})
 	sched.Run()
 	if delivered != 2 {
 		t.Fatalf("want 2 datagrams, got %d", delivered)
 	}
-	st := a.stack.ARPStats()
+	st := a.ARPStats()
 	if st.Requests != 1 {
 		t.Fatalf("one ARP request expected for a cold cache: %+v", st)
 	}
@@ -114,8 +102,8 @@ func TestARPResolvesOnFirstSend(t *testing.T) {
 		t.Fatalf("first send misses, later sends hit: %+v", st)
 	}
 	// B replied once.
-	if b.stack.ARPStats().Replies != 1 {
-		t.Fatalf("B should reply once: %+v", b.stack.ARPStats())
+	if b.ARPStats().Replies != 1 {
+		t.Fatalf("B should reply once: %+v", b.ARPStats())
 	}
 }
 
@@ -123,24 +111,24 @@ func TestARPTimeoutDropsPacket(t *testing.T) {
 	sched, r, a, _ := inetPair(t)
 	ghost := r.Attach("ghost") // on the ring, but no ARP responder
 	done := false
-	a.stack.SendDatagram(ghost.Addr(), 60, 0, func() { done = true })
+	a.SendDatagram(ghost.Addr(), 60, 0, func() { done = true })
 	sched.Run()
 	if !done {
 		t.Fatal("send completion must fire even on ARP failure")
 	}
-	st := a.stack.ARPStats()
+	st := a.ARPStats()
 	if st.Timeouts != 1 {
 		t.Fatalf("ARP should time out: %+v", st)
 	}
-	if a.stack.Stats().Dropped == 0 {
+	if a.Stats().Dropped == 0 {
 		t.Fatal("the queued packet should be dropped")
 	}
 }
 
 func TestRDTReliableDelivery(t *testing.T) {
 	sched, _, a, b := inetPair(t)
-	conn := a.stack.RDTOpen(b.stack.Addr())
-	rconn := b.stack.RDTOpen(a.stack.Addr())
+	conn := a.RDTOpen(b.Addr())
+	rconn := b.RDTOpen(a.Addr())
 	var got []uint32
 	rconn.OnDeliver(func(tag uint32, n int, _ sim.Time) { got = append(got, tag) })
 	for i := uint32(0); i < 10; i++ {
@@ -166,8 +154,8 @@ func TestRDTReliableDelivery(t *testing.T) {
 
 func TestRDTFragmentsLargePayload(t *testing.T) {
 	sched, _, a, b := inetPair(t)
-	conn := a.stack.RDTOpen(b.stack.Addr())
-	rconn := b.stack.RDTOpen(a.stack.Addr())
+	conn := a.RDTOpen(b.Addr())
+	rconn := b.RDTOpen(a.Addr())
 	bytes := 0
 	rconn.OnDeliver(func(_ uint32, n int, _ sim.Time) { bytes += n })
 	// A 2000-byte CTMS packet does not fit in one MTU: 2 segments.
@@ -183,12 +171,12 @@ func TestRDTFragmentsLargePayload(t *testing.T) {
 
 func TestRDTRecoversFromPurgeLoss(t *testing.T) {
 	sched, r, a, b := inetPair(t)
-	conn := a.stack.RDTOpen(b.stack.Addr())
-	rconn := b.stack.RDTOpen(a.stack.Addr())
+	conn := a.RDTOpen(b.Addr())
+	rconn := b.RDTOpen(a.Addr())
 	delivered := 0
 	rconn.OnDeliver(func(uint32, int, sim.Time) { delivered++ })
 	// Warm the ARP cache first so the purge hits a data frame.
-	a.stack.SendDatagram(b.stack.Addr(), 60, 0, nil)
+	a.SendDatagram(b.Addr(), 60, 0, nil)
 	sched.RunUntil(100 * sim.Millisecond)
 	for i := uint32(0); i < 5; i++ {
 		conn.Send(i, 500, nil)
@@ -227,13 +215,13 @@ func TestRDTRecoversFromPurgeLoss(t *testing.T) {
 
 func TestRDTFastRetransmitBeatsTimer(t *testing.T) {
 	sched, r, a, b := inetPair(t)
-	conn := a.stack.RDTOpen(b.stack.Addr())
-	rconn := b.stack.RDTOpen(a.stack.Addr())
+	conn := a.RDTOpen(b.Addr())
+	rconn := b.RDTOpen(a.Addr())
 	delivered := 0
 	var lastDelivery sim.Time
 	rconn.OnDeliver(func(uint32, int, sim.Time) { delivered++; lastDelivery = sched.Now() })
 	// Warm ARP.
-	a.stack.SendDatagram(b.stack.Addr(), 60, 0, nil)
+	a.SendDatagram(b.Addr(), 60, 0, nil)
 	sched.RunUntil(100 * sim.Millisecond)
 	// Send a window of segments; kill the FIRST data frame on the wire
 	// so the rest arrive out of order and generate duplicate acks.
@@ -284,8 +272,8 @@ func TestRDTFastRetransmitBeatsTimer(t *testing.T) {
 // timers are pooled too, so a warm round trip allocates nothing.
 func TestRDTRoundTripAllocations(t *testing.T) {
 	sched, _, a, b := inetPair(t)
-	conn := a.stack.RDTOpen(b.stack.Addr())
-	rconn := b.stack.RDTOpen(a.stack.Addr())
+	conn := a.RDTOpen(b.Addr())
+	rconn := b.RDTOpen(a.Addr())
 	var delivered, tag uint32
 	rconn.OnDeliver(func(got uint32, n int, _ sim.Time) {
 		if got != tag || n != 1000 {
@@ -312,8 +300,8 @@ func TestRDTRoundTripAllocations(t *testing.T) {
 
 func TestRDTWindowLimitsInflight(t *testing.T) {
 	sched, _, a, b := inetPair(t)
-	conn := a.stack.RDTOpen(b.stack.Addr())
-	b.stack.RDTOpen(a.stack.Addr())
+	conn := a.RDTOpen(b.Addr())
+	b.RDTOpen(a.Addr())
 	for i := uint32(0); i < 50; i++ {
 		conn.Send(i, 500, nil)
 	}
@@ -332,7 +320,7 @@ func TestRDTWindowLimitsInflight(t *testing.T) {
 func TestIPPaysPerPacketHeaderCost(t *testing.T) {
 	sched, _, a, b := inetPair(t)
 	for i := 0; i < 10; i++ {
-		a.stack.SendDatagram(b.stack.Addr(), 100, 0, nil)
+		a.SendDatagram(b.Addr(), 100, 0, nil)
 	}
 	sched.Run()
 	// The stock driver recomputes the ring header for every packet.

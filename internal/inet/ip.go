@@ -157,11 +157,11 @@ type StackStats struct {
 	FramesFragments uint64
 }
 
-// NewStack builds the IP instance and installs its receive handlers on
-// the driver's split point.
-func NewStack(k *kernel.Kernel, drv *tradapter.Driver) *Stack {
+// NewStack builds the IP instance on the driver's machine and installs
+// its receive handlers on the driver's split point.
+func NewStack(drv *tradapter.Driver) *Stack {
 	s := &Stack{
-		k:    k,
+		k:    drv.Kernel(),
 		drv:  drv,
 		addr: drv.Station().Addr(),
 		rdt:  make(map[ring.Addr]*RDTConn),

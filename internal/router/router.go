@@ -22,6 +22,7 @@ import (
 	"repro/internal/ring"
 	"repro/internal/rtpc"
 	"repro/internal/sim"
+	"repro/internal/tradapter"
 )
 
 // DefaultSwitchCost is the per-frame CPU cost of the forwarding decision
@@ -39,11 +40,12 @@ const DefaultSwitchCost = 180 * sim.Microsecond
 // shared kernel and the frame is queued on the other adapter at once.
 // Sources on ring 0 reach ring 1 by MAC-addressing the first half's
 // station and setting the Outgoing's routed fields (RoutedRing 2), and
-// vice versa.
-func NewPair(sched *sim.Scheduler, name string, r0, r1 *ring.Ring, seed int64) [2]*Half {
-	k := kernel.New(rtpc.NewMachine(sched, name, seed))
-	a := newHalf(k, name+"-p0", r0, 0, 2)
-	b := newHalf(k, name+"-p1", r1, 1, 2)
+// vice versa. The machine runs on r0's scheduler, which r1 must share.
+func NewPair(name string, r0, r1 *ring.Ring, seed int64) [2]*Half {
+	sim.Checkf(r1.Scheduler() == r0.Scheduler(), "router %s: its two rings run on different schedulers", name)
+	k := kernel.New(rtpc.NewMachine(r0.Scheduler(), name, seed))
+	a := newHalf(tradapter.New(k, r0.Attach(name+"-p0"), halfConfig()), 0, 2)
+	b := newHalf(tradapter.New(k, r1.Attach(name+"-p1"), halfConfig()), 1, 2)
 	a.Forward, b.Forward = b.Inject, a.Inject
 	return [2]*Half{a, b}
 }

@@ -2,6 +2,7 @@ package router
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/ctmsp"
@@ -17,9 +18,7 @@ type twoRingRig struct {
 	sched  *sim.Scheduler
 	r0, r1 *ring.Ring
 	rt     [2]*Half
-	srcK   *kernel.Kernel
 	srcDrv *tradapter.Driver
-	dstK   *kernel.Kernel
 	dstDrv *tradapter.Driver
 }
 
@@ -31,28 +30,20 @@ func newTwoRings(t *testing.T) *twoRingRig {
 	cfg2 := cfg
 	cfg2.Seed = cfg.Seed + 1
 	r1 := ring.New(sched, cfg2)
-	rt := NewPair(sched, "router", r0, r1, 9)
+	rt := NewPair("router", r0, r1, 9)
 
-	mk := func(name string, rg *ring.Ring) (*kernel.Kernel, *tradapter.Driver) {
-		m := rtpc.NewMachine(sched, name, 9)
-		k := kernel.New(m)
-		st := rg.Attach(name)
-		c := tradapter.DefaultConfig()
-		if name != "src" {
-			c.DMABufferKind = rtpc.SystemMemory
-		}
-		return k, tradapter.New(k, st, c)
-	}
-	srcK, srcDrv := mk("src", r0)
-	dstK, dstDrv := mk("dst", r1)
-	return &twoRingRig{sched: sched, r0: r0, r1: r1, rt: rt, srcK: srcK, srcDrv: srcDrv, dstK: dstK, dstDrv: dstDrv}
+	srcDrv := tradapter.NewHost(r0, "src", 9, tradapter.DefaultConfig())
+	dstCfg := tradapter.DefaultConfig()
+	dstCfg.DMABufferKind = rtpc.SystemMemory
+	dstDrv := tradapter.NewHost(r1, "dst", 9, dstCfg)
+	return &twoRingRig{sched: sched, r0: r0, r1: r1, rt: rt, srcDrv: srcDrv, dstDrv: dstDrv}
 }
 
 // send pushes one CTMSP packet from src toward dst via the router.
 func (rig *twoRingRig) send(num uint32, size int) {
-	ch := rig.srcK.Pool.AllocNoWait(size)
+	pool := rig.srcDrv.Kernel().Pool
+	ch := pool.AllocNoWait(size)
 	ch.Tag = ctmsp.Header{PacketNum: num, Length: uint32(size)}
-	pool := rig.srcK.Pool
 	p := &tradapter.Outgoing{
 		Chain:      ch,
 		Size:       size,
@@ -99,7 +90,7 @@ func TestRouterForwardsAcrossRings(t *testing.T) {
 func TestRouterDropsUnroutable(t *testing.T) {
 	rig := newTwoRings(t)
 	for _, routedRing := range []int{0, 1} {
-		ch := rig.srcK.Pool.AllocNoWait(500)
+		ch := rig.srcDrv.Kernel().Pool.AllocNoWait(500)
 		ch.Tag = ctmsp.Header{}
 		rig.srcDrv.Output(&tradapter.Outgoing{
 			Chain:      ch,
@@ -169,7 +160,7 @@ func TestRouterBidirectional(t *testing.T) {
 	})
 	rig.send(1, 1000)
 	// And one the other way.
-	ch := rig.dstK.Pool.AllocNoWait(1000)
+	ch := rig.dstDrv.Kernel().Pool.AllocNoWait(1000)
 	ch.Tag = ctmsp.Header{PacketNum: 2}
 	rig.dstDrv.Output(&tradapter.Outgoing{
 		Chain:      ch,
@@ -191,6 +182,20 @@ func TestRouterBidirectional(t *testing.T) {
 	}
 }
 
+// TestNewPairNeedsOneScheduler: the pair's one machine runs on r0's
+// scheduler, so rings on two schedulers are a set-up error.
+func TestNewPairNeedsOneScheduler(t *testing.T) {
+	r0 := ring.New(sim.NewScheduler(), ring.DefaultConfig())
+	r1 := ring.New(sim.NewScheduler(), ring.DefaultConfig())
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "invariant violated") || !strings.Contains(msg, "different schedulers") {
+			t.Fatalf("NewPair on two schedulers: recovered %q, want the scheduler invariant", msg)
+		}
+	}()
+	NewPair("router", r0, r1, 9)
+}
+
 // TestHalfEnvelopePoolReuses pins the split bridge's pooled egress: the
 // envelope a recycle returns is the envelope the next Inject reuses, its
 // permanent chain shell rides along, and the steady-state get/put cycle
@@ -199,7 +204,7 @@ func TestRouterBidirectional(t *testing.T) {
 func TestHalfEnvelopePoolReuses(t *testing.T) {
 	sched := sim.NewScheduler()
 	rg := ring.New(sched, ring.DefaultConfig())
-	h := NewHalf(sched, "half", rg, 0, 2, 9)
+	h := NewHalf("half", rg, 0, 2, 9)
 
 	e1 := h.getEnv()
 	if e1.out.Chain == nil || e1.out.Done == nil || e1.recycle == nil {
@@ -233,7 +238,7 @@ func TestHalfEnvelopePoolReuses(t *testing.T) {
 func TestHalfIngressDoesNotAllocate(t *testing.T) {
 	sched := sim.NewScheduler()
 	rg := ring.New(sched, ring.DefaultConfig())
-	h := NewHalf(sched, "half", rg, 0, 2, 9)
+	h := NewHalf("half", rg, 0, 2, 9)
 	var got Forwarded
 	forwarded := 0
 	h.Forward = func(f Forwarded) {
@@ -283,8 +288,8 @@ func TestForwardedCarriesCaptureByValue(t *testing.T) {
 		rcv.Release()
 		return nil
 	})
-	ch := rig.srcK.Pool.AllocNoWait(1500)
-	pool := rig.srcK.Pool
+	pool := rig.srcDrv.Kernel().Pool
+	ch := pool.AllocNoWait(1500)
 	rig.srcDrv.Output(&tradapter.Outgoing{
 		Chain:      ch,
 		Size:       1500,

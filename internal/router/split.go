@@ -101,22 +101,27 @@ type HalfStats struct {
 
 // NewHalf builds one port of a split bridge on its own machine attached
 // to rg, which is internetwork ring ringIdx of rings total.
-func NewHalf(sched *sim.Scheduler, name string, rg *ring.Ring, ringIdx, rings int, seed int64) *Half {
-	return newHalf(kernel.New(rtpc.NewMachine(sched, name, seed)), name, rg, ringIdx, rings)
+func NewHalf(name string, rg *ring.Ring, ringIdx, rings int, seed int64) *Half {
+	return newHalf(tradapter.NewHost(rg, name, seed, halfConfig()), ringIdx, rings)
 }
 
-// newHalf attaches a half running on kernel k to rg.
-func newHalf(k *kernel.Kernel, name string, rg *ring.Ring, ringIdx, rings int) *Half {
-	sim.Checkf(ringIdx >= 0 && ringIdx < rings, "half %s: ring index %d out of %d rings", name, ringIdx, rings)
+// halfConfig is a router adapter's configuration: routers copy; keep DMA fast.
+func halfConfig() tradapter.Config {
+	cfg := tradapter.DefaultConfig()
+	cfg.DMABufferKind = rtpc.SystemMemory
+	return cfg
+}
+
+// newHalf makes the adapter drv a half forwarding for internetwork ring
+// ringIdx of rings total.
+func newHalf(drv *tradapter.Driver, ringIdx, rings int) *Half {
+	sim.Checkf(ringIdx >= 0 && ringIdx < rings, "half %s: ring index %d out of %d rings", drv.Station().Name(), ringIdx, rings)
 	h := &Half{
-		k:       k,
+		k:       drv.Kernel(),
+		drv:     drv,
 		ringIdx: ringIdx,
 		nextHop: make([]ring.Addr, rings),
 	}
-	st := rg.Attach(name)
-	cfg := tradapter.DefaultConfig()
-	cfg.DMABufferKind = rtpc.SystemMemory // routers copy; keep DMA fast
-	h.drv = tradapter.New(k, st, cfg)
 	for _, class := range []tradapter.Class{tradapter.ClassCTMSP, tradapter.ClassIP, tradapter.ClassARP} {
 		class := class
 		h.drv.SetHandler(class, func(rcv *tradapter.Received) []rtpc.Seg {

@@ -359,8 +359,8 @@ func Run(cfg Config) (*Results, error) {
 		}
 		// Both hosts share the session's ring, seeded from the run seed
 		// by the stream index.
-		tx := End{Sched: sched, Ring: r, Seed: sim.MixSeed(cfg.Seed, uint64(id)*2+1)}
-		rx := End{Sched: sched, Ring: r, Seed: sim.MixSeed(cfg.Seed, uint64(id)*2+2)}
+		tx := End{Ring: r, Seed: sim.MixSeed(cfg.Seed, uint64(id)*2+1)}
+		rx := End{Ring: r, Seed: sim.MixSeed(cfg.Seed, uint64(id)*2+2)}
 		st := &stream{Stream: NewStream(id, spec, tx, rx, 0, cfg.PlayoutPrebuffer, onDelay),
 			idx: id, spec: spec, startAt: at}
 		live = append(live, st)

@@ -1,13 +1,9 @@
 package session
 
 import (
-	"fmt"
-
 	"repro/internal/ctmsp"
-	"repro/internal/kernel"
 	"repro/internal/playout"
 	"repro/internal/ring"
-	"repro/internal/rtpc"
 	"repro/internal/sim"
 	"repro/internal/tradapter"
 	"repro/internal/vca"
@@ -74,10 +70,10 @@ func NewRing(sched *sim.Scheduler, seed, bitRate int64, backgroundUtil float64) 
 	return r, bg
 }
 
-// End is where one side of a stream runs: the scheduler and ring its host
-// machine lives on, the ring's internetwork index, and the machine's seed.
+// End is where one side of a stream runs: the ring its host machine
+// lives on (and whose scheduler drives it), the ring's internetwork
+// index, and the machine's seed.
 type End struct {
-	Sched   *sim.Scheduler
 	Ring    *ring.Ring
 	RingIdx int
 	Seed    int64
@@ -105,13 +101,8 @@ type Stream struct {
 func NewStream(id int, spec StreamSpec, tx, rx End, via ring.Addr, prebuffer sim.Time, onDelay func(sim.Time)) *Stream {
 	trCfg := tradapter.DefaultConfig()
 	trCfg.CTMSPRingPriority = spec.Class.RingPriority()
-	mkHost := func(e End, role string) *tradapter.Driver {
-		name := fmt.Sprintf("%s-%s", spec.Name, role)
-		k := kernel.New(rtpc.NewMachine(e.Sched, name, e.Seed))
-		return tradapter.New(k, e.Ring.Attach(name), trCfg)
-	}
-	txTR := mkHost(tx, "tx")
-	rxTR := mkHost(rx, "rx")
+	txTR := tradapter.NewHost(tx.Ring, spec.Name+"-tx", tx.Seed, trCfg)
+	rxTR := tradapter.NewHost(rx.Ring, spec.Name+"-rx", rx.Seed, trCfg)
 
 	crossRing := tx.RingIdx != rx.RingIdx
 	dialTo := rxTR.Station().Addr()
@@ -140,22 +131,21 @@ func NewStream(id int, spec StreamSpec, tx, rx End, via ring.Addr, prebuffer sim
 // n's capture time on the device's clock when the device starts at 0.
 // The stream does not tick until Start.
 func Wire(id int, spec StreamSpec, txTR, rxTR *tradapter.Driver, dialTo ring.Addr, txCfg vca.TxConfig, rxCfg vca.RxConfig, prebuffer sim.Time, onDelay func(sim.Time)) *Stream {
-	txK, rxK := txTR.Kernel(), rxTR.Kernel()
 	// Connection ids are a uint8 namespace; population runs can exceed it,
 	// and the id only disambiguates packets on the shared ring trace, so
 	// wrapping is safe (identical to id+1 for the first 250 streams).
 	conn := ctmsp.Dial(txTR, dialTo, uint8(id%250+1))
 
-	dev := vca.NewDevice(txK)
+	dev := vca.NewDevice(txTR.Kernel())
 	dev.SetPeriod(spec.Interval)
 	txCfg.DataBytes = spec.PacketBytes - ctmsp.HeaderSize
 	txDrv := vca.NewTxDriver(dev, txTR, conn, txCfg)
 
 	recv := &ctmsp.Receiver{}
-	rxDrv := vca.NewRxDriver(rxK, rxTR, recv, rxCfg)
+	rxDrv := vca.NewRxDriver(rxTR, recv, rxCfg)
 	streamBytesPerSec := float64(txCfg.DataBytes) / spec.Interval.Seconds()
 	play := playout.New(streamBytesPerSec, prebuffer)
-	play.SetTrace(rxK.Sched().Trace())
+	play.SetTrace(rxTR.Kernel().Sched().Trace())
 	interval := spec.Interval
 	rxDrv.OnDelivered = func(h ctmsp.Header, at sim.Time, ev ctmsp.Event) {
 		if ev != ctmsp.InOrder && ev != ctmsp.Gap {

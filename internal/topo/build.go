@@ -3,10 +3,8 @@ package topo
 import (
 	"fmt"
 
-	"repro/internal/kernel"
 	"repro/internal/ring"
 	"repro/internal/router"
-	"repro/internal/rtpc"
 	"repro/internal/session"
 	"repro/internal/sim"
 	"repro/internal/tradapter"
@@ -171,9 +169,9 @@ func (n *Network) buildLinks() {
 	dir := 0
 	for li, ls := range spec.Links {
 		a, b := n.shards[ls.A], n.shards[ls.B]
-		halfA := router.NewHalf(a.sched, fmt.Sprintf("br%d-r%d", li, ls.A),
+		halfA := router.NewHalf(fmt.Sprintf("br%d-r%d", li, ls.A),
 			a.ring, ls.A, spec.Rings, sim.MixSeed(spec.Seed, saltHalf+uint64(li)*2))
-		halfB := router.NewHalf(b.sched, fmt.Sprintf("br%d-r%d", li, ls.B),
+		halfB := router.NewHalf(fmt.Sprintf("br%d-r%d", li, ls.B),
 			b.ring, ls.B, spec.Rings, sim.MixSeed(spec.Seed, saltHalf+uint64(li)*2+1))
 		lk := &link{spec: ls, halfA: halfA, halfB: halfB}
 		lk.ab = newInbox(dir, halfB)
@@ -266,8 +264,7 @@ func (n *Network) buildStream(i int, spec StreamSpec) {
 
 	end := func(r int, salt uint64) session.End {
 		s := n.shards[r]
-		return session.End{Sched: s.sched, Ring: s.ring, RingIdx: r,
-			Seed: sim.MixSeed(n.spec.Seed, saltStream+salt)}
+		return session.End{Ring: s.ring, RingIdx: r, Seed: sim.MixSeed(n.spec.Seed, saltStream+salt)}
 	}
 	st.Stream = session.NewStream(i, spec.StreamSpec,
 		end(spec.SrcRing, uint64(i)*2), end(spec.DstRing, uint64(i)*2+1),
@@ -292,15 +289,13 @@ func (st *stream) addDelay(lat sim.Time) {
 // mbuf pool or the bridge egress queue exercise the drop paths.
 func (n *Network) buildBurst(bi int, bs BurstSpec) {
 	src, dst := n.shards[bs.SrcRing], n.shards[bs.DstRing]
-	mk := func(s *shard, role string, salt uint64) (*kernel.Kernel, *tradapter.Driver) {
+	mk := func(s *shard, role string, salt uint64) *tradapter.Driver {
 		name := fmt.Sprintf("burst%d-%s", bi, role)
-		m := rtpc.NewMachine(s.sched, name, sim.MixSeed(n.spec.Seed, saltBurst+salt))
-		k := kernel.New(m)
-		stn := s.ring.Attach(name)
-		return k, tradapter.New(k, stn, tradapter.DefaultConfig())
+		return tradapter.NewHost(s.ring, name, sim.MixSeed(n.spec.Seed, saltBurst+salt), tradapter.DefaultConfig())
 	}
-	srcK, srcTR := mk(src, "src", uint64(bi)*2)
-	_, sinkTR := mk(dst, "sink", uint64(bi)*2+1)
+	srcTR := mk(src, "src", uint64(bi)*2)
+	sinkTR := mk(dst, "sink", uint64(bi)*2+1)
+	pool := srcTR.Kernel().Pool
 	sinkAddr := sinkTR.Station().Addr()
 	crossRing := bs.SrcRing != bs.DstRing
 	via := sinkAddr
@@ -317,7 +312,7 @@ func (n *Network) buildBurst(bi int, bs BurstSpec) {
 		}
 		src.sched.At(at, func() {
 			b.attempted++
-			ch := srcK.Pool.AllocNoWait(bs.PacketBytes)
+			ch := pool.AllocNoWait(bs.PacketBytes)
 			if ch == nil {
 				b.dropped++
 				return
@@ -332,7 +327,6 @@ func (n *Network) buildBurst(bi int, bs BurstSpec) {
 				out.RoutedDst = sinkAddr
 				out.RoutedRing = bs.DstRing + 1
 			}
-			pool := srcK.Pool
 			out.Done = func(ring.DeliveryStatus) { pool.Free(ch) }
 			b.queued++
 			srcTR.Output(out)

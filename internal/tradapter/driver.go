@@ -324,6 +324,16 @@ type rxArrival struct {
 	fn   func()
 }
 
+// NewHost builds one host on r, the paper's RT/PC with a Token Ring
+// adapter: a machine named name on the ring's scheduler, seeded from
+// seed, under its own kernel, attached to r as station name. The driver
+// is the host handle; Kernel and Station reach the rest. Only
+// router.NewPair, one machine with two adapters, builds hosts with New.
+func NewHost(r *ring.Ring, name string, seed int64, cfg Config) *Driver {
+	k := kernel.New(rtpc.NewMachine(r.Scheduler(), name, seed))
+	return New(k, r.Attach(name), cfg)
+}
+
 // New builds a driver for machine k attached to station st.
 func New(k *kernel.Kernel, st *ring.Station, cfg Config) *Driver {
 	if cfg.TxBuffers <= 0 {

@@ -9,29 +9,16 @@ import (
 	"repro/internal/sim"
 )
 
-type host struct {
-	k   *kernel.Kernel
-	drv *Driver
-}
-
-func newHost(t *testing.T, sched *sim.Scheduler, r *ring.Ring, name string, cfg Config) *host {
-	t.Helper()
-	m := rtpc.NewMachine(sched, name, 7)
-	k := kernel.New(m)
-	st := r.Attach(name)
-	return &host{k: k, drv: New(k, st, cfg)}
-}
-
-func pair(t *testing.T, cfg Config) (*sim.Scheduler, *ring.Ring, *host, *host) {
+func pair(t *testing.T, cfg Config) (*sim.Scheduler, *ring.Ring, *Driver, *Driver) {
 	t.Helper()
 	sched := sim.NewScheduler()
 	r := ring.New(sched, ring.DefaultConfig())
-	tx := newHost(t, sched, r, "tx", cfg)
+	tx := NewHost(r, "tx", 7, cfg)
 	// Only the transmitter's buffers move to IO Channel Memory in the
 	// paper; the receiver keeps system-memory DMA buffers.
 	rxCfg := cfg
 	rxCfg.DMABufferKind = rtpc.SystemMemory
-	rx := newHost(t, sched, r, "rx", rxCfg)
+	rx := NewHost(r, "rx", 7, rxCfg)
 	return sched, r, tx, rx
 }
 
@@ -40,21 +27,51 @@ func mkPacket(k *kernel.Kernel, size int, class Class, dst ring.Addr) *Outgoing 
 	return &Outgoing{Chain: ch, Size: size, Class: class, Dst: dst}
 }
 
+func TestNewHost(t *testing.T) {
+	sched := sim.NewScheduler()
+	r := ring.New(sched, ring.DefaultConfig())
+	r.Attach("pop")
+	names := []string{"a", "b", "c"}
+	hosts := make([]*Driver, len(names))
+	for i, name := range names {
+		hosts[i] = NewHost(r, name, 42, DefaultConfig())
+	}
+	for i, d := range hosts {
+		name := names[i]
+		st, m := d.Station(), d.Kernel().Machine
+		if st.Name() != name || m.Name != name {
+			t.Errorf("host %d: station %q, machine %q, want both %q", i, st.Name(), m.Name, name)
+		}
+		if want := ring.Addr(i + 2); st.Addr() != want || r.Station(want) != st {
+			t.Errorf("host %q: address %d, want %d in call order after the one prior station", name, st.Addr(), want)
+		}
+		if d.Kernel().Sched() != r.Scheduler() {
+			t.Errorf("host %q runs on another scheduler than its ring", name)
+		}
+		if got, want := m.RNG().Seed(), rtpc.NewMachine(sched, name, 42).RNG().Seed(); got != want {
+			t.Errorf("host %q: machine RNG seed %d, want %d (NewMachine's fork)", name, got, want)
+		}
+		if i > 0 && d.Kernel() == hosts[i-1].Kernel() {
+			t.Errorf("hosts %q and %q share a kernel", names[i-1], name)
+		}
+	}
+}
+
 func TestEndToEndPacket(t *testing.T) {
 	sched, _, tx, rx := pair(t, DefaultConfig())
 	var got *Received
-	rx.drv.SetHandler(ClassCTMSP, func(rcv *Received) []rtpc.Seg {
+	rx.SetHandler(ClassCTMSP, func(rcv *Received) []rtpc.Seg {
 		snap := *rcv // the Received belongs to its rx buffer once released
 		got = &snap
 		rcv.Release()
 		return nil
 	})
-	p := mkPacket(tx.k, 2000, ClassCTMSP, rx.drv.Station().Addr())
+	p := mkPacket(tx.k, 2000, ClassCTMSP, rx.Station().Addr())
 	var status ring.DeliveryStatus
 	var preAt sim.Time
 	p.Done = func(s ring.DeliveryStatus) { status = s }
 	p.PreTransmit = func() { preAt = sched.Now() }
-	tx.drv.Output(p)
+	tx.Output(p)
 	sched.Run()
 
 	if got == nil {
@@ -79,18 +96,18 @@ func TestDriverPriorityQueuesCTMSPFirst(t *testing.T) {
 	var order []Class
 	for _, c := range []Class{ClassCTMSP, ClassIP, ClassARP} {
 		c := c
-		rx.drv.SetHandler(c, func(rcv *Received) []rtpc.Seg {
+		rx.SetHandler(c, func(rcv *Received) []rtpc.Seg {
 			order = append(order, c)
 			rcv.Release()
 			return nil
 		})
 	}
-	dst := rx.drv.Station().Addr()
+	dst := rx.Station().Addr()
 	// Queue IP, IP, CTMSP while the first IP is being serviced: the
 	// CTMSP packet must overtake the second IP packet.
-	tx.drv.Output(mkPacket(tx.k, 1000, ClassIP, dst))
-	tx.drv.Output(mkPacket(tx.k, 1000, ClassIP, dst))
-	tx.drv.Output(mkPacket(tx.k, 1000, ClassCTMSP, dst))
+	tx.Output(mkPacket(tx.k, 1000, ClassIP, dst))
+	tx.Output(mkPacket(tx.k, 1000, ClassIP, dst))
+	tx.Output(mkPacket(tx.k, 1000, ClassCTMSP, dst))
 	sched.Run()
 	if len(order) != 3 {
 		t.Fatalf("want 3 packets, got %v", order)
@@ -107,16 +124,16 @@ func TestNoDriverPriorityIsFIFO(t *testing.T) {
 	var order []Class
 	for _, c := range []Class{ClassCTMSP, ClassIP} {
 		c := c
-		rx.drv.SetHandler(c, func(rcv *Received) []rtpc.Seg {
+		rx.SetHandler(c, func(rcv *Received) []rtpc.Seg {
 			order = append(order, c)
 			rcv.Release()
 			return nil
 		})
 	}
-	dst := rx.drv.Station().Addr()
-	tx.drv.Output(mkPacket(tx.k, 1000, ClassIP, dst))
-	tx.drv.Output(mkPacket(tx.k, 1000, ClassIP, dst))
-	tx.drv.Output(mkPacket(tx.k, 1000, ClassCTMSP, dst))
+	dst := rx.Station().Addr()
+	tx.Output(mkPacket(tx.k, 1000, ClassIP, dst))
+	tx.Output(mkPacket(tx.k, 1000, ClassIP, dst))
+	tx.Output(mkPacket(tx.k, 1000, ClassCTMSP, dst))
 	sched.Run()
 	if order[2] != ClassCTMSP {
 		t.Fatalf("without driver priority the queue is FIFO: %v", order)
@@ -127,33 +144,33 @@ func TestHeaderPrecomputeSavesWork(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PrecomputeHeader = false
 	sched, _, tx, rx := pair(t, cfg)
-	dst := rx.drv.Station().Addr()
+	dst := rx.Station().Addr()
 	for i := 0; i < 5; i++ {
-		tx.drv.Output(mkPacket(tx.k, 500, ClassIP, dst))
+		tx.Output(mkPacket(tx.k, 500, ClassIP, dst))
 	}
 	sched.Run()
-	if got := tx.drv.Stats().HeaderComps; got != 5 {
+	if got := tx.Stats().HeaderComps; got != 5 {
 		t.Fatalf("per-packet header computation: want 5, got %d", got)
 	}
 
 	// With precompute, the only header computation is the connection's.
 	sched2, _, tx2, rx2 := pair(t, DefaultConfig())
-	tx2.drv.ComputeHeader(rx2.drv.Station().Addr())
+	tx2.ComputeHeader(rx2.Station().Addr())
 	for i := 0; i < 5; i++ {
-		tx2.drv.Output(mkPacket(tx2.k, 500, ClassIP, rx2.drv.Station().Addr()))
+		tx2.Output(mkPacket(tx2.k, 500, ClassIP, rx2.Station().Addr()))
 	}
 	sched2.Run()
-	if got := tx2.drv.Stats().HeaderComps; got != 1 {
+	if got := tx2.Stats().HeaderComps; got != 1 {
 		t.Fatalf("precomputed header: want 1 computation, got %d", got)
 	}
 }
 
 func TestPreTransmitProbeFires(t *testing.T) {
 	sched, _, tx, rx := pair(t, DefaultConfig())
-	p := mkPacket(tx.k, 2000, ClassCTMSP, rx.drv.Station().Addr())
+	p := mkPacket(tx.k, 2000, ClassCTMSP, rx.Station().Addr())
 	var at sim.Time
 	p.PreTransmit = func() { at = sched.Now() }
-	tx.drv.Output(p)
+	tx.Output(p)
 	sched.Run()
 	// Point 3 should land after the 2000 µs copy into IO Channel Memory
 	// plus driver code, well before the ≈10.7 ms delivery.
@@ -165,11 +182,11 @@ func TestPreTransmitProbeFires(t *testing.T) {
 func TestCopyHeaderOnlyIsFaster(t *testing.T) {
 	run := func(copyBytes int) sim.Time {
 		sched, _, tx, rx := pair(t, DefaultConfig())
-		p := mkPacket(tx.k, 2000, ClassCTMSP, rx.drv.Station().Addr())
+		p := mkPacket(tx.k, 2000, ClassCTMSP, rx.Station().Addr())
 		p.CopyBytes = copyBytes
 		var at sim.Time
 		p.PreTransmit = func() { at = sched.Now() }
-		tx.drv.Output(p)
+		tx.Output(p)
 		sched.Run()
 		return at
 	}
@@ -186,16 +203,16 @@ func TestCopyHeaderOnlyIsFaster(t *testing.T) {
 func TestSequencePreservedUnderLoad(t *testing.T) {
 	sched, _, tx, rx := pair(t, DefaultConfig())
 	var got []int
-	rx.drv.SetHandler(ClassCTMSP, func(rcv *Received) []rtpc.Seg {
+	rx.SetHandler(ClassCTMSP, func(rcv *Received) []rtpc.Seg {
 		got = append(got, rcv.Frame.Payload.(*Outgoing).Chain.Tag.(int))
 		rcv.Release()
 		return nil
 	})
-	dst := rx.drv.Station().Addr()
+	dst := rx.Station().Addr()
 	for i := 0; i < 30; i++ {
 		p := mkPacket(tx.k, 800, ClassCTMSP, dst)
 		p.Chain.Tag = i
-		tx.drv.Output(p)
+		tx.Output(p)
 	}
 	sched.Run()
 	if len(got) != 30 {
@@ -211,15 +228,15 @@ func TestSequencePreservedUnderLoad(t *testing.T) {
 func TestPurgeLossIsSilentWithoutPurgeInterrupt(t *testing.T) {
 	sched, r, tx, rx := pair(t, DefaultConfig())
 	delivered := 0
-	rx.drv.SetHandler(ClassCTMSP, func(rcv *Received) []rtpc.Seg {
+	rx.SetHandler(ClassCTMSP, func(rcv *Received) []rtpc.Seg {
 		delivered++
 		rcv.Release()
 		return nil
 	})
-	p := mkPacket(tx.k, 2000, ClassCTMSP, rx.drv.Station().Addr())
+	p := mkPacket(tx.k, 2000, ClassCTMSP, rx.Station().Addr())
 	doneCalled := false
 	p.Done = func(s ring.DeliveryStatus) { doneCalled = true }
-	tx.drv.Output(p)
+	tx.Output(p)
 	// Purge while the frame is on the wire: it enters ≈7.3 ms after
 	// output (copy 2.2 + DMA 4.2 + card 0.9) and occupies it ≈4 ms.
 	sched.After(8*sim.Millisecond, r.Purge)
@@ -230,7 +247,7 @@ func TestPurgeLossIsSilentWithoutPurgeInterrupt(t *testing.T) {
 	if !doneCalled {
 		t.Fatal("driver must complete the packet (it cannot detect the purge)")
 	}
-	if tx.drv.Stats().Retransmits != 0 {
+	if tx.Stats().Retransmits != 0 {
 		t.Fatal("real adapter cannot retransmit on purge")
 	}
 }
@@ -240,20 +257,20 @@ func TestPurgeInterruptAblationRetransmits(t *testing.T) {
 	cfg.PurgeInterrupt = true
 	sched, r, tx, rx := pair(t, cfg)
 	delivered := 0
-	rx.drv.SetHandler(ClassCTMSP, func(rcv *Received) []rtpc.Seg {
+	rx.SetHandler(ClassCTMSP, func(rcv *Received) []rtpc.Seg {
 		delivered++
 		rcv.Release()
 		return nil
 	})
-	p := mkPacket(tx.k, 2000, ClassCTMSP, rx.drv.Station().Addr())
-	tx.drv.Output(p)
+	p := mkPacket(tx.k, 2000, ClassCTMSP, rx.Station().Addr())
+	tx.Output(p)
 	sched.After(8*sim.Millisecond, r.Purge)
 	sched.Run()
 	if delivered != 1 {
 		t.Fatalf("hypothetical purge-interrupt adapter should recover the packet, delivered=%d", delivered)
 	}
-	if tx.drv.Stats().Retransmits != 1 {
-		t.Fatalf("retransmit accounting: %+v", tx.drv.Stats())
+	if tx.Stats().Retransmits != 1 {
+		t.Fatalf("retransmit accounting: %+v", tx.Stats())
 	}
 }
 
@@ -266,7 +283,7 @@ func TestMACFramesCostInterruptsInPromiscuousMode(t *testing.T) {
 		mon.Transmit(ring.NewMACFrame(mon.Addr(), ring.MACStandbyMonitorPresent), nil)
 	}
 	sched.Run()
-	if got := rx.drv.Stats().RxMACFrames; got != 50 {
+	if got := rx.Stats().RxMACFrames; got != 50 {
 		t.Fatalf("promiscuous adapter should see all MAC frames, got %d", got)
 	}
 	if rx.k.CPU().Stats().BusyTime < 50*MACFrameCost {
@@ -281,7 +298,7 @@ func TestMACFramesFreeWhenNotPromiscuous(t *testing.T) {
 		mon.Transmit(ring.NewMACFrame(mon.Addr(), ring.MACStandbyMonitorPresent), nil)
 	}
 	sched.Run()
-	if got := rx.drv.Stats().RxMACFrames; got != 0 {
+	if got := rx.Stats().RxMACFrames; got != 0 {
 		t.Fatalf("normal adapter strips MAC frames in ROM, saw %d", got)
 	}
 }
@@ -293,7 +310,7 @@ func TestRxBufferExhaustionDropsFrames(t *testing.T) {
 	// A handler that never releases the buffer: the second frame finds
 	// no buffer and is lost with its C bit clear.
 	first := true
-	rx.drv.SetHandler(ClassCTMSP, func(rcv *Received) []rtpc.Seg {
+	rx.SetHandler(ClassCTMSP, func(rcv *Received) []rtpc.Seg {
 		if first {
 			first = false
 			return nil // leak the buffer deliberately
@@ -301,31 +318,31 @@ func TestRxBufferExhaustionDropsFrames(t *testing.T) {
 		rcv.Release()
 		return nil
 	})
-	dst := rx.drv.Station().Addr()
-	tx.drv.Output(mkPacket(tx.k, 1000, ClassCTMSP, dst))
-	tx.drv.Output(mkPacket(tx.k, 1000, ClassCTMSP, dst))
-	tx.drv.Output(mkPacket(tx.k, 1000, ClassCTMSP, dst))
+	dst := rx.Station().Addr()
+	tx.Output(mkPacket(tx.k, 1000, ClassCTMSP, dst))
+	tx.Output(mkPacket(tx.k, 1000, ClassCTMSP, dst))
+	tx.Output(mkPacket(tx.k, 1000, ClassCTMSP, dst))
 	sched.Run()
-	if rx.drv.Stats().RxNoBuffer == 0 {
+	if rx.Stats().RxNoBuffer == 0 {
 		t.Fatal("receiver should have run out of rx DMA buffers")
 	}
 }
 
 func TestComputeHeader(t *testing.T) {
 	_, _, tx, rx := pair(t, DefaultConfig())
-	dst := rx.drv.Station().Addr()
-	hdr := tx.drv.ComputeHeader(dst)
-	if want := BuildRingHeader(tx.drv.Station().Addr(), dst); string(hdr) != string(want) || len(hdr) != 22 {
+	dst := rx.Station().Addr()
+	hdr := tx.ComputeHeader(dst)
+	if want := BuildRingHeader(tx.Station().Addr(), dst); string(hdr) != string(want) || len(hdr) != 22 {
 		t.Fatalf("connection header % x, want the 22-byte % x", hdr, want)
 	}
-	if got := tx.drv.Stats().HeaderComps; got != 1 {
+	if got := tx.Stats().HeaderComps; got != 1 {
 		t.Fatalf("one connection header: want 1 computation, got %d", got)
 	}
 }
 
 func TestReleaseTwicePanics(t *testing.T) {
 	sched, _, tx, rx := pair(t, DefaultConfig())
-	rx.drv.SetHandler(ClassCTMSP, func(rcv *Received) []rtpc.Seg {
+	rx.SetHandler(ClassCTMSP, func(rcv *Received) []rtpc.Seg {
 		rcv.Release()
 		defer func() {
 			if recover() == nil {
@@ -335,7 +352,7 @@ func TestReleaseTwicePanics(t *testing.T) {
 		rcv.Release()
 		return nil
 	})
-	tx.drv.Output(mkPacket(tx.k, 500, ClassCTMSP, rx.drv.Station().Addr()))
+	tx.Output(mkPacket(tx.k, 500, ClassCTMSP, rx.Station().Addr()))
 	sched.Run()
 }
 
@@ -360,7 +377,7 @@ func TestRoundTripAllocations(t *testing.T) {
 	sched, _, tx, rx := pair(t, DefaultConfig())
 	var prog []rtpc.Seg
 	delivered := 0
-	rx.drv.SetHandler(ClassCTMSP, func(rcv *Received) []rtpc.Seg {
+	rx.SetHandler(ClassCTMSP, func(rcv *Received) []rtpc.Seg {
 		delivered++
 		prog = rx.k.Machine.CopySegs(prog[:0], rcv.Size, rcv.Buffer.Kind, rtpc.SystemMemory)
 		prog = append(prog, rcv.ReleaseSeg())
@@ -368,7 +385,7 @@ func TestRoundTripAllocations(t *testing.T) {
 	})
 	chain := &kernel.Chain{}
 	done := 0
-	p := &Outgoing{Chain: chain, Class: ClassCTMSP, Dst: rx.drv.Station().Addr()}
+	p := &Outgoing{Chain: chain, Class: ClassCTMSP, Dst: rx.Station().Addr()}
 	p.Done = func(ring.DeliveryStatus) {
 		done++
 		tx.k.Pool.Free(chain)
@@ -378,7 +395,7 @@ func TestRoundTripAllocations(t *testing.T) {
 			t.Fatal("mbuf pool exhausted")
 		}
 		p.Size = 2000
-		tx.drv.Output(p)
+		tx.Output(p)
 		sched.Run()
 	}
 	for i := 0; i < 4; i++ {

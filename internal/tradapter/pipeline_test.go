@@ -17,18 +17,18 @@ func TestDoubleBufferingPipelinesCopyAndWire(t *testing.T) {
 		r := ring.New(sched, ring.DefaultConfig())
 		cfg := DefaultConfig()
 		cfg.TxBuffers = txBuffers
-		tx := newHost(t, sched, r, "tx", cfg)
+		tx := NewHost(r, "tx", 7, cfg)
 		rxCfg := DefaultConfig()
 		rxCfg.DMABufferKind = rtpc.SystemMemory
-		rx := newHost(t, sched, r, "rx", rxCfg)
+		rx := NewHost(r, "rx", 7, rxCfg)
 		done := 0
-		rx.drv.SetHandler(ClassCTMSP, func(rcv *Received) []rtpc.Seg {
+		rx.SetHandler(ClassCTMSP, func(rcv *Received) []rtpc.Seg {
 			done++
 			rcv.Release()
 			return nil
 		})
 		for i := 0; i < 20; i++ {
-			tx.drv.Output(mkPacket(tx.k, 2000, ClassCTMSP, rx.drv.Station().Addr()))
+			tx.Output(mkPacket(tx.k, 2000, ClassCTMSP, rx.Station().Addr()))
 		}
 		sched.Run()
 		if done != 20 {
@@ -52,18 +52,18 @@ func TestDoubleBufferingPipelinesCopyAndWire(t *testing.T) {
 func TestPipelineOrderPreserved(t *testing.T) {
 	sched, _, tx, rx := pair(t, DefaultConfig())
 	var got []int
-	rx.drv.SetHandler(ClassCTMSP, func(rcv *Received) []rtpc.Seg {
+	rx.SetHandler(ClassCTMSP, func(rcv *Received) []rtpc.Seg {
 		got = append(got, rcv.Frame.Payload.(*Outgoing).Chain.Tag.(int))
 		rcv.Release()
 		return nil
 	})
-	dst := rx.drv.Station().Addr()
+	dst := rx.Station().Addr()
 	// Mixed sizes so copy times differ — order must still hold.
 	sizes := []int{2000, 100, 1500, 60, 2000, 300}
 	for i, s := range sizes {
 		p := mkPacket(tx.k, s, ClassCTMSP, dst)
 		p.Chain.Tag = i
-		tx.drv.Output(p)
+		tx.Output(p)
 	}
 	sched.Run()
 	if len(got) != len(sizes) {
@@ -82,14 +82,14 @@ func TestPipelineOrderPreserved(t *testing.T) {
 func TestWireThroughputBound(t *testing.T) {
 	sched, _, tx, rx := pair(t, DefaultConfig())
 	var times []sim.Time
-	rx.drv.SetHandler(ClassCTMSP, func(rcv *Received) []rtpc.Seg {
+	rx.SetHandler(ClassCTMSP, func(rcv *Received) []rtpc.Seg {
 		times = append(times, rcv.At)
 		rcv.Release()
 		return nil
 	})
-	dst := rx.drv.Station().Addr()
+	dst := rx.Station().Addr()
 	for i := 0; i < 10; i++ {
-		tx.drv.Output(mkPacket(tx.k, 2000, ClassCTMSP, dst))
+		tx.Output(mkPacket(tx.k, 2000, ClassCTMSP, dst))
 	}
 	sched.Run()
 	wire := sim.WireTime(2021, 4_000_000)

@@ -17,23 +17,23 @@ func TestUnprotectedQueueBugReorders(t *testing.T) {
 		r := ring.New(sched, ring.DefaultConfig())
 		cfg := DefaultConfig()
 		cfg.UnprotectedQueueBug = buggy
-		tx := newHost(t, sched, r, "tx", cfg)
+		tx := NewHost(r, "tx", 7, cfg)
 		rxCfg := DefaultConfig()
 		rxCfg.DMABufferKind = rtpc.SystemMemory
-		rx := newHost(t, sched, r, "rx", rxCfg)
+		rx := NewHost(r, "rx", 7, rxCfg)
 
 		var got []int
-		rx.drv.SetHandler(ClassCTMSP, func(rcv *Received) []rtpc.Seg {
+		rx.SetHandler(ClassCTMSP, func(rcv *Received) []rtpc.Seg {
 			got = append(got, rcv.Frame.Payload.(*Outgoing).Chain.Tag.(int))
 			rcv.Release()
 			return nil
 		})
-		dst := rx.drv.Station().Addr()
+		dst := rx.Station().Addr()
 		// A deep backlog, as a ring outage would leave behind.
 		for i := 0; i < 60; i++ {
 			p := mkPacket(tx.k, 1500, ClassCTMSP, dst)
 			p.Chain.Tag = i
-			tx.drv.Output(p)
+			tx.Output(p)
 		}
 		sched.Run()
 		if len(got) != 60 {
@@ -44,7 +44,7 @@ func TestUnprotectedQueueBugReorders(t *testing.T) {
 				reordered++
 			}
 		}
-		return reordered, tx.drv.Stats().QueueRaces
+		return reordered, tx.Stats().QueueRaces
 	}
 
 	reordered, races := run(true)

@@ -344,9 +344,10 @@ type rxAccept struct {
 	fn func()
 }
 
-// NewRxDriver installs the receive driver on the TR driver's split point.
-func NewRxDriver(k *kernel.Kernel, trdrv *tradapter.Driver, recv *ctmsp.Receiver, cfg RxConfig) *RxDriver {
-	r := &RxDriver{k: k, cfg: cfg, recv: recv}
+// NewRxDriver installs the receive driver on the TR driver's split point,
+// running on the TR driver's machine.
+func NewRxDriver(trdrv *tradapter.Driver, recv *ctmsp.Receiver, cfg RxConfig) *RxDriver {
+	r := &RxDriver{k: trdrv.Kernel(), cfg: cfg, recv: recv}
 	trdrv.SetHandler(tradapter.ClassCTMSP, r.handle)
 	return r
 }

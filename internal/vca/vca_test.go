@@ -16,8 +16,6 @@ import (
 type rig struct {
 	sched *sim.Scheduler
 	ring  *ring.Ring
-	txK   *kernel.Kernel
-	rxK   *kernel.Kernel
 	dev   *Device
 	tx    *TxDriver
 	rx    *RxDriver
@@ -29,24 +27,18 @@ func newRig(t *testing.T, txCfg TxConfig, rxCfg RxConfig) *rig {
 	sched := sim.NewScheduler()
 	r := ring.New(sched, ring.DefaultConfig())
 
-	mkHost := func(name string, trCfg tradapter.Config) (*kernel.Kernel, *tradapter.Driver) {
-		m := rtpc.NewMachine(sched, name, 11)
-		k := kernel.New(m)
-		st := r.Attach(name)
-		return k, tradapter.New(k, st, trCfg)
-	}
-	txK, txDrv := mkHost("tx", tradapter.DefaultConfig())
+	txDrv := tradapter.NewHost(r, "tx", 11, tradapter.DefaultConfig())
 	// Only the transmitter's DMA buffers live in IO Channel Memory.
 	rxTrCfg := tradapter.DefaultConfig()
 	rxTrCfg.DMABufferKind = rtpc.SystemMemory
-	rxK, rxDrv := mkHost("rx", rxTrCfg)
+	rxDrv := tradapter.NewHost(r, "rx", 11, rxTrCfg)
 
 	conn := ctmsp.Dial(txDrv, rxDrv.Station().Addr(), 1)
-	dev := NewDevice(txK)
+	dev := NewDevice(txDrv.Kernel())
 	txDriver := NewTxDriver(dev, txDrv, conn, txCfg)
 	recv := &ctmsp.Receiver{}
-	rxDriver := NewRxDriver(rxK, rxDrv, recv, rxCfg)
-	return &rig{sched: sched, ring: r, txK: txK, rxK: rxK, dev: dev, tx: txDriver, rx: rxDriver, recv: recv}
+	rxDriver := NewRxDriver(rxDrv, recv, rxCfg)
+	return &rig{sched: sched, ring: r, dev: dev, tx: txDriver, rx: rxDriver, recv: recv}
 }
 
 func TestVCAInterruptSourceIsExact(t *testing.T) {
@@ -173,7 +165,7 @@ func TestRxExamineInPlaceSkipsCopy(t *testing.T) {
 		r.sched.RunUntil(500 * sim.Millisecond)
 		r.dev.Stop()
 		r.sched.Run()
-		return r.rxK.CPU().Stats().BusyTime
+		return r.rx.k.CPU().Stats().BusyTime
 	}
 	full := run(DefaultRxConfigB())
 	inPlace := run(RxConfig{CopyToMbufs: false, CopyToDevice: false})

@@ -7,10 +7,9 @@ import (
 	"testing"
 
 	"repro/internal/inet"
-	"repro/internal/kernel"
 	"repro/internal/ring"
-	"repro/internal/rtpc"
 	"repro/internal/sim"
+	"repro/internal/tradapter"
 )
 
 // TestGeneratorsAllocateNothingPerFrame runs the MAC, chatter,
@@ -26,9 +25,8 @@ import (
 func TestGeneratorsAllocateNothingPerFrame(t *testing.T) {
 	sched, r := newRing()
 	host := func(name string) (*inet.Stack, *ring.Station) {
-		k := kernel.New(rtpc.NewMachine(sched, name, 5))
-		st := r.Attach(name)
-		return inet.NewStack(k, newStockDriver(k, st)), st
+		drv := tradapter.NewHost(r, name, 5, tradapter.StockConfig())
+		return inet.NewStack(drv), drv.Station()
 	}
 	tx, _ := host("tx")
 	_, rx := host("rx")

@@ -3,7 +3,6 @@ package workload
 import (
 	"testing"
 
-	"repro/internal/kernel"
 	"repro/internal/ring"
 	"repro/internal/rtpc"
 	"repro/internal/sim"
@@ -19,10 +18,9 @@ import (
 func TestFileTransferFramesOutliveTheirReceiver(t *testing.T) {
 	sched, r := newRing()
 	src := r.Attach("file-server")
-	k := kernel.New(rtpc.NewMachine(sched, "client", 5))
 	cfg := tradapter.StockConfig()
 	cfg.RxBuffers = 2
-	drv := tradapter.New(k, r.Attach("client"), cfg)
+	drv := tradapter.NewHost(r, "client", 5, cfg)
 
 	var (
 		classified int

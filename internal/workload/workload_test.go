@@ -5,10 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/inet"
-	"repro/internal/kernel"
 	"repro/internal/ring"
-	"repro/internal/rtpc"
 	"repro/internal/sim"
+	"repro/internal/tradapter"
 )
 
 func newRing() (*sim.Scheduler, *ring.Ring) {
@@ -118,19 +117,11 @@ func TestInsertionRateMatchesPaper(t *testing.T) {
 
 func TestKeepAliveGenLoadsOwnStack(t *testing.T) {
 	sched, r := newRing()
-	m := rtpc.NewMachine(sched, "tx", 5)
-	k := kernel.New(m)
-	st := r.Attach("tx")
-	drv := newStockDriver(k, st)
-	stack := inet.NewStack(k, drv)
+	drv := tradapter.NewHost(r, "tx", 5, tradapter.StockConfig())
+	stack := inet.NewStack(drv)
+	peer := inet.NewStack(tradapter.NewHost(r, "peer", 5, tradapter.StockConfig()))
 
-	peerM := rtpc.NewMachine(sched, "peer", 5)
-	peerK := kernel.New(peerM)
-	peerSt := r.Attach("peer")
-	peerDrv := newStockDriver(peerK, peerSt)
-	inet.NewStack(peerK, peerDrv)
-
-	g := NewKeepAliveGen(sched, stack, peerSt.Addr(), 60, 300, 500*sim.Millisecond, 6)
+	g := NewKeepAliveGen(sched, stack, peer.Addr(), 60, 300, 500*sim.Millisecond, 6)
 	sched.RunUntil(30 * sim.Second)
 	g.Stop()
 	sched.Run()
@@ -138,7 +129,7 @@ func TestKeepAliveGenLoadsOwnStack(t *testing.T) {
 		t.Fatalf("too few keep-alives: %d", g.Sent())
 	}
 	// The point of this generator: it burns the sender's CPU and driver.
-	if k.CPU().Stats().BusyTime == 0 {
+	if drv.Kernel().CPU().Stats().BusyTime == 0 {
 		t.Fatal("keep-alives must consume the sending machine's CPU")
 	}
 	if drv.Stats().TxQueued[0]+drv.Stats().TxQueued[1] == 0 {
