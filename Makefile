@@ -18,11 +18,12 @@ vet:
 
 # ctmsvet is the repo's own analyzer suite (internal/analyzers), all
 # four tiers: the syntactic determinism/exhaustive rules, the typed
-# mbuflife/locking/hotpath rules, the interprocedural
+# mbuflife/locking rules, the interprocedural
 # shardowned/seedflow/barrier rules, and the dimensional-inference dim
 # rule DESIGN.md §7 specifies. It exits nonzero with file:line:col diagnostics on any finding and
 # leaves the machine-readable artifact in ctmsvet.json for CI to
-# archive.
+# archive. Allocation on the data path is not linted: `allocs` below is
+# the allocation gate.
 lint:
 	$(GO) run ./cmd/ctmsvet -out ctmsvet.json
 
@@ -64,12 +65,17 @@ race-shards:
 	$(GO) test -race -run 'TestE18ShardedSmoke|TestShardSerialEquivalence|TestE20MeshSmoke|TestMeshOracleWorkerCounts|TestBarrierGenerations' \
 		./internal/core ./internal/topo
 
-# The real-run allocation budgets (internal/core/allocbudget_test.go)
-# hold whole runs to a number of allocations per event. The race
-# detector's instrumentation allocates, so that file is built without it
-# and `race` never runs it; this target does.
+# The allocation gate, the one check that the data path does not
+# allocate: the real-run budgets (internal/core/allocbudget_test.go hold
+# warmed whole runs to allocations and bytes per event) and every
+# per-layer testing.AllocsPerRun test, picked by name across ./... . A
+# new AllocsPerRun test must match ALLOC_TESTS. The race detector's
+# instrumentation allocates, so the budget file is built without it and
+# `race` never runs it; this target runs without -race.
+ALLOC_TESTS = AllocationBudget|DoesNotAllocate|ZeroAlloc|AllocateNothing|AllocatesOnce|RoundTripAllocations|FIFOOrderAcrossCompaction|HalfEnvelopePoolReuses|HistogramModeReusesBins
+
 allocs:
-	$(GO) test -count=1 -run AllocationBudget ./internal/core
+	$(GO) test -count=1 -run '$(ALLOC_TESTS)' ./...
 
 # The host-cost benchmark (bench/) is a module of its own, so ./... above
 # never reaches its tests. They include the bench/golden.json check that

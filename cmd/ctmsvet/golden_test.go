@@ -16,7 +16,7 @@ var update = flag.Bool("update", false, "rewrite the selection goldens under tes
 var goldenSelections = []string{
 	"",
 	"determinism", "exhaustive",
-	"mbuflife", "locking", "hotpath",
+	"mbuflife", "locking",
 	"shardowned", "seedflow", "barrier",
 	"dim",
 	"determinism,exhaustive", "seedflow,barrier", "mbuflife,locking,dim",

@@ -1,7 +1,7 @@
 // Command ctmsvet runs the repository's custom static-analysis suite
 // (see DESIGN.md §7), internal/analyzers: one Analyzer type run through
 // one Pass, in four tiers — syntactic (determinism, exhaustive), typed
-// (mbuflife, locking, hotpath), interprocedural (shardowned, seedflow,
+// (mbuflife, locking), interprocedural (shardowned, seedflow,
 // barrier) and dimensional (dim). It is the `make lint` step of
 // `make ci`.
 //

@@ -16,8 +16,8 @@ func FuzzAllowDirective(f *testing.F) {
 	f.Add("//ctmsvet:allow units")
 	f.Add("//ctmsvet:allow")
 	f.Add("//ctmsvet:allowx")
-	f.Add("//ctmsvet:allow  hotpath   reason with   spaces  ")
-	f.Add("// ctmsvet:allow hotpath leading space disqualifies")
+	f.Add("//ctmsvet:allow  locking   reason with   spaces  ")
+	f.Add("// ctmsvet:allow locking leading space disqualifies")
 	f.Add("//ctmsvet:enum")
 	f.Add("/*ctmsvet:allow block*/")
 	f.Add("")

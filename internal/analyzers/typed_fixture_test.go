@@ -12,7 +12,3 @@ func TestMbuflifeFixture(t *testing.T) {
 func TestLockingFixture(t *testing.T) {
 	runModuleFixture(t, "typed", "locking", Locking)
 }
-
-func TestHotpathFixture(t *testing.T) {
-	runModuleFixture(t, "typed", "hotpath", Hotpath)
-}

@@ -8,14 +8,14 @@ import (
 )
 
 // TestRepoComesCleanTyped is the typed tier's half of the lint gate:
-// the real repository must come clean under mbuflife, locking and
-// hotpath, so any future finding is a genuine ownership, lock or
-// allocation regression (or needs a reasoned //ctmsvet:allow).
+// the real repository must come clean under mbuflife and locking, so
+// any future finding is a genuine ownership or lock regression (or
+// needs a reasoned //ctmsvet:allow).
 func TestRepoComesCleanTyped(t *testing.T) {
 	if testing.Short() {
 		t.Skip("typed pass loads the whole module; skipped under -short")
 	}
-	for _, d := range runRealTree(t, "mbuflife", "locking", "hotpath") {
+	for _, d := range runRealTree(t, "mbuflife", "locking") {
 		t.Errorf("repo finding: %s", d)
 	}
 }
@@ -53,9 +53,9 @@ func runScratch(t *testing.T, root string, only ...string) []Diagnostic {
 
 // TestInjectedViolationsTyped is the typed acceptance check in reverse:
 // a scratch module carrying one of each headline violation — a chain
-// leaked on an error path, a double Free, a guarded-field access
-// without the lock, and an allocation in a hotpath function — must
-// fail with a diagnostic at the exact file and line of each.
+// leaked on an error path, a double Free and a guarded-field access
+// without the lock — must fail with a diagnostic at the exact file and
+// line of each.
 func TestInjectedViolationsTyped(t *testing.T) {
 	root := t.TempDir()
 	write := func(rel, content string) {
@@ -149,19 +149,7 @@ func (g *gauge) Peek() int {
 	return g.n
 }
 `)
-	write("hot.go", `package scratch
-
-import "fmt"
-
-// Describe is on the hot path but allocates via fmt.
-//
-//ctmsvet:hotpath
-func Describe(n int) string {
-	return fmt.Sprintf("n=%d", n)
-}
-`)
-
-	diags := runScratch(t, root, "mbuflife", "locking", "hotpath")
+	diags := runScratch(t, root, "mbuflife", "locking")
 	type want struct {
 		analyzer, file string
 		line           int
@@ -171,7 +159,6 @@ func Describe(n int) string {
 		{"mbuflife", "leak.go", 11, "never freed"},
 		{"mbuflife", "doublefree.go", 12, "freed again"},
 		{"locking", "locked.go", 12, "guarded by mu, which is not held"},
-		{"hotpath", "hot.go", 9, "fmt.Sprintf allocates"},
 	}
 	matched := make([]bool, len(wants))
 outer:

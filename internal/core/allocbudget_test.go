@@ -68,15 +68,17 @@ func steadyAllocsPerEvent(t *testing.T, short, long sim.Time, build func(sim.Tim
 // (ROADMAP.md lists them).
 //
 // The byte budgets pin the same windows in bytes, where the histogram
-// samples show: TestCaseB ≈2.18 and the stock relay ≈0.38 bytes per
-// event, down from 9.66 and 2.33 when the instruments logged every sample
-// and the histograms grew by appending.
+// samples show: TestCaseB ≈2.18, the E20 mesh ≈0.38 and the stock relay
+// ≈0.38 bytes per event, TestCaseB and the stock relay down from 9.66 and
+// 2.33 when the instruments logged every sample and the histograms grew
+// by appending.
 const (
 	testCaseBAllocBudget  = 0.00033
 	e20MeshAllocBudget    = 0.0049
 	e17SessionAllocBudget = 0.00017
 	stockUnixAllocBudget  = 0.00016
 	testCaseBByteBudget   = 2.7
+	e20MeshByteBudget     = 0.47
 	stockUnixByteBudget   = 0.47
 )
 
@@ -99,7 +101,7 @@ func TestTestCaseBAllocationBudget(t *testing.T) {
 }
 
 func TestE20MeshAllocationBudget(t *testing.T) {
-	per, _ := steadyAllocsPerEvent(t, 600*sim.Millisecond, 1200*sim.Millisecond, func(d sim.Time) func() {
+	per, bytes := steadyAllocsPerEvent(t, 600*sim.Millisecond, 1200*sim.Millisecond, func(d sim.Time) func() {
 		n, err := topo.Build(E20Topology(e20Side, SweepSeed(1991, 20), d))
 		if err != nil {
 			t.Fatal(err)
@@ -108,6 +110,9 @@ func TestE20MeshAllocationBudget(t *testing.T) {
 	})
 	if per > e20MeshAllocBudget {
 		t.Fatalf("the E20 mesh allocates %.5f times per event in steady state, budget %.5f", per, e20MeshAllocBudget)
+	}
+	if bytes > e20MeshByteBudget {
+		t.Fatalf("the E20 mesh allocates %.3f B per event in steady state, budget %.3f", bytes, e20MeshByteBudget)
 	}
 }
 

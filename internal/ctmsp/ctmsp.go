@@ -44,8 +44,6 @@ type Header struct {
 }
 
 // Encode serializes the header into b.
-//
-//ctmsvet:hotpath
 func (h Header) Encode(b *[HeaderSize]byte) {
 	binary.BigEndian.PutUint16(b[0:], Magic)
 	b[2] = Version
@@ -108,8 +106,6 @@ func (c *Conn) RingHeader() []byte { return c.ringHeader }
 func (c *Conn) Stats() TxStats { return c.stats }
 
 // NextHeader stamps the next packet header without building buffers.
-//
-//ctmsvet:hotpath
 func (c *Conn) NextHeader(dataLen int) Header {
 	h := Header{DstDevice: c.dstDevice, PacketNum: c.next, Length: uint32(HeaderSize + dataLen)}
 	c.next++
@@ -125,8 +121,6 @@ func (c *Conn) NextHeader(dataLen int) Header {
 //
 // copyHeaderOnly selects §5.3's "copy only header into fixed DMA buffer"
 // variant: the CPU copies the CTMSP and precomputed ring headers only.
-//
-//ctmsvet:hotpath
 func (c *Conn) BuildPacket(out *tradapter.Outgoing, capture *[HeaderSize]byte, dataLen int, copyHeaderOnly bool) (Header, bool) {
 	total := HeaderSize + dataLen
 	if !c.k.Pool.AllocInto(out.Chain, total) {
@@ -206,8 +200,6 @@ type Receiver struct {
 func (r *Receiver) Stats() RxStats { return r.stats }
 
 // Accept processes one arriving packet header and reports what happened.
-//
-//ctmsvet:hotpath
 func (r *Receiver) Accept(h Header, at sim.Time) Event {
 	r.stats.Received++
 	if !r.started {

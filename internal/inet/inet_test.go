@@ -269,7 +269,9 @@ func TestRDTFastRetransmitBeatsTimer(t *testing.T) {
 // hit, the driver and the ring, IP input and in-order delivery, the ack's
 // whole way back, and the retransmission timer that the ack left stale.
 // Datagrams ride pooled send and receive records, and segments and
-// timers are pooled too, so a warm round trip allocates nothing.
+// timers are pooled too, so a warm round trip allocates nothing. A
+// datagram the mbuf pool cannot hold ends at IP output instead, its send
+// record straight back in the pool, and allocates nothing either.
 func TestRDTRoundTripAllocations(t *testing.T) {
 	sched, _, a, b := inetPair(t)
 	conn := a.RDTOpen(b.Addr())
@@ -295,6 +297,19 @@ func TestRDTRoundTripAllocations(t *testing.T) {
 	if delivered != 105 || conn.Stats().AcksRcvd != 105 || conn.InFlight() != 0 {
 		t.Fatalf("delivered %d, acks received %d, in flight %d; want 105, 105, 0",
 			delivered, conn.Stats().AcksRcvd, conn.InFlight())
+	}
+
+	// 2 MiB needs more than the default pool's 1024 clusters.
+	dropped := func() {
+		a.SendDatagram(b.Addr(), 2<<20, 0, nil)
+		sched.Run()
+	}
+	dropped()
+	if allocs := testing.AllocsPerRun(100, dropped); allocs > 0 {
+		t.Fatalf("warm datagram dropped at IP output allocated %v times, want 0", allocs)
+	}
+	if got := a.Stats().Dropped; got != 102 {
+		t.Fatalf("IP dropped %d datagrams, want 102", got)
 	}
 }
 

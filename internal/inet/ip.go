@@ -39,8 +39,6 @@ type IPHeader struct {
 
 // Encode writes the header, with a valid checksum, into b (the caller's
 // buffer: a sender's capture lives in its pooled send record).
-//
-//ctmsvet:hotpath
 func (h IPHeader) Encode(b *[IPHeaderSize]byte) {
 	*b = [IPHeaderSize]byte{}
 	b[0] = 0x45
@@ -197,31 +195,27 @@ func (s *Stack) SendDatagram(dst ring.Addr, payloadBytes int, tag uint32, done f
 
 // getSend pops a free send record, building one (with its envelope's
 // permanent chain shell and callbacks) on the cold path only.
-//
-//ctmsvet:hotpath
 func (s *Stack) getSend() *ipSend {
 	if sd := s.sends.Get(); sd != nil {
 		return sd
 	}
-	sd := &ipSend{}                //ctmsvet:allow hotpath cold refill path, runs only until the send pool reaches steady state
-	sd.out.Chain = &kernel.Chain{} //ctmsvet:allow hotpath the chain shell is built once per pooled record, not per datagram
+	sd := &ipSend{}
+	sd.out.Chain = &kernel.Chain{}
 	sd.out.Chain.Tag = &sd.dg
 	sd.out.Class = tradapter.ClassIP
 	sd.out.Capture = sd.capture[:]
-	sd.output = func() { s.output(sd) }                                  //ctmsvet:allow hotpath built once per pooled record, not per datagram
-	sd.alloc = func() { s.allocAndResolve(sd) }                          //ctmsvet:allow hotpath built once per pooled record, not per datagram
-	sd.resolved = func(hw ring.Addr, ok bool) { s.transmit(sd, hw, ok) } //ctmsvet:allow hotpath built once per pooled record, not per datagram
-	sd.out.Done = func(ring.DeliveryStatus) {                            //ctmsvet:allow hotpath built once per pooled record, not per datagram
+	sd.output = func() { s.output(sd) }
+	sd.alloc = func() { s.allocAndResolve(sd) }
+	sd.resolved = func(hw ring.Addr, ok bool) { s.transmit(sd, hw, ok) }
+	sd.out.Done = func(ring.DeliveryStatus) {
 		s.k.Pool.Free(sd.out.Chain)
 		sd.complete()
 	}
-	sd.recycle = func(*tradapter.Outgoing) { s.sends.Put(sd) } //ctmsvet:allow hotpath built once per pooled record, not per datagram
+	sd.recycle = func(*tradapter.Outgoing) { s.sends.Put(sd) }
 	return sd
 }
 
 // complete fires the caller's completion, once.
-//
-//ctmsvet:hotpath
 func (sd *ipSend) complete() {
 	if done := sd.done; done != nil {
 		sd.done = nil
@@ -231,8 +225,6 @@ func (sd *ipSend) complete() {
 
 // drop ends a datagram that never reached the driver: its envelope was
 // never handed out, so the record goes straight back to the pool.
-//
-//ctmsvet:hotpath
 func (s *Stack) drop(sd *ipSend) {
 	s.stats.Dropped++
 	sd.complete()
@@ -242,17 +234,14 @@ func (s *Stack) drop(sd *ipSend) {
 // output runs the IP output path: per-packet header computation and
 // checksum (the cost TCP/IP pays that CTMSP avoids), ARP resolution, then
 // the driver queue at ordinary priority.
-//
-//ctmsvet:hotpath
 func (s *Stack) output(sd *ipSend) {
 	s.ipID++
 	sd.dg.IP.ID = s.ipID
 	sd.dg.IP.Length = uint16(IPHeaderSize + sd.dg.Bytes)
-	s.prog = append(s.prog[:0], rtpc.Do(IPOutput), rtpc.Do(ARPLookup), rtpc.Mark(sd.alloc)) //ctmsvet:allow hotpath program scratch grows to the longest program once
+	s.prog = append(s.prog[:0], rtpc.Do(IPOutput), rtpc.Do(ARPLookup), rtpc.Mark(sd.alloc))
 	s.k.CPU().Submit(kernel.LevelSoftNet, s.prog, nil)
 }
 
-//ctmsvet:hotpath
 func (s *Stack) allocAndResolve(sd *ipSend) {
 	total := IPHeaderSize + sd.dg.Bytes
 	if !s.k.Pool.AllocInto(sd.out.Chain, total) {
@@ -265,8 +254,6 @@ func (s *Stack) allocAndResolve(sd *ipSend) {
 }
 
 // transmit hands a resolved datagram's envelope to the driver.
-//
-//ctmsvet:hotpath
 func (s *Stack) transmit(sd *ipSend, hwDst ring.Addr, ok bool) {
 	if !ok {
 		s.k.Pool.Free(sd.out.Chain)
@@ -282,14 +269,12 @@ func (s *Stack) transmit(sd *ipSend, hwDst ring.Addr, ok bool) {
 
 // getRecv pops a free receive record, building one (with its permanent
 // input action) on the cold path only.
-//
-//ctmsvet:hotpath
 func (s *Stack) getRecv() *ipRecv {
 	if rr := s.rcvs.Get(); rr != nil {
 		return rr
 	}
-	rr := &ipRecv{}     //ctmsvet:allow hotpath cold refill path, runs only until the receive pool reaches steady state
-	rr.input = func() { //ctmsvet:allow hotpath built once per pooled record, not per datagram
+	rr := &ipRecv{}
+	rr.input = func() {
 		if rr.ok {
 			s.stats.IPIn++
 			s.demux(&rr.dg)
@@ -302,8 +287,6 @@ func (s *Stack) getRecv() *ipRecv {
 }
 
 // ipInput is the driver split-point handler for IP frames.
-//
-//ctmsvet:hotpath
 func (s *Stack) ipInput(rcv *tradapter.Received) []rtpc.Seg {
 	// The stock path copies the packet out of the fixed DMA buffer into
 	// mbufs before protocol processing (§2's third copy); the copy loop
@@ -318,11 +301,10 @@ func (s *Stack) ipInput(rcv *tradapter.Received) []rtpc.Seg {
 		}
 	}
 	segs := s.k.Machine.CopySegs(s.prog[:0], rcv.Size, rcv.Buffer.Kind, rtpc.SystemMemory)
-	s.prog = append(segs, rcv.ReleaseSeg(), rtpc.Then(IPInput, rr.input)) //ctmsvet:allow hotpath program scratch grows to the longest program once
+	s.prog = append(segs, rcv.ReleaseSeg(), rtpc.Then(IPInput, rr.input))
 	return s.prog
 }
 
-//ctmsvet:hotpath
 func (s *Stack) demux(dg *Datagram) {
 	at := s.k.Sched().Now()
 	switch dg.IP.Proto {

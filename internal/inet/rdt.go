@@ -117,8 +117,6 @@ func (c *RDTConn) Backlog() int { return c.backlog.Len() }
 // fragmentation the 2000-byte CTMS packet suffers on the stock path),
 // each carrying the tag. done fires when the LAST segment of this message
 // is first transmitted (not acked).
-//
-//ctmsvet:hotpath
 func (c *RDTConn) Send(tag uint32, n int, done func()) {
 	if n <= 0 {
 		n = 1
@@ -127,7 +125,7 @@ func (c *RDTConn) Send(tag uint32, n int, done func()) {
 		l := min(n-off, MTU)
 		seg := c.segs.Get()
 		if seg == nil {
-			seg = &rdtSeg{} //ctmsvet:allow hotpath cold refill path, runs only until the segment pool reaches steady state
+			seg = &rdtSeg{}
 		}
 		*seg = rdtSeg{seq: c.sndNext, bytes: l, tag: tag}
 		if off+l >= n {
@@ -139,11 +137,10 @@ func (c *RDTConn) Send(tag uint32, n int, done func()) {
 	c.pump()
 }
 
-//ctmsvet:hotpath
 func (c *RDTConn) pump() {
 	for c.backlog.Len() > 0 && len(c.inflight) < RDTWindow {
 		seg := c.backlog.Pop()
-		c.inflight = append(c.inflight, seg) //ctmsvet:allow hotpath the window array is allocated at RDTWindow by RDTOpen and never grows
+		c.inflight = append(c.inflight, seg) // RDTOpen allocates the window array at RDTWindow; it never grows
 		c.transmit(seg, false)
 	}
 }
@@ -151,8 +148,6 @@ func (c *RDTConn) pump() {
 // transmit runs the transport's per-segment processing, then hands the
 // segment to IP. The segment's completion moves to the send record here,
 // so the first transmission fires it and retransmissions do not.
-//
-//ctmsvet:hotpath
 func (c *RDTConn) transmit(seg *rdtSeg, isRetransmit bool) {
 	c.stats.SegsSent++
 	if isRetransmit {
@@ -171,15 +166,12 @@ func (c *RDTConn) transmit(seg *rdtSeg, isRetransmit bool) {
 }
 
 // submit queues transport processing of cost, ending in IP output of sd.
-//
-//ctmsvet:hotpath
 func (c *RDTConn) submit(cost sim.Time, sd *ipSend) {
 	s := c.s
-	s.prog = append(s.prog[:0], rtpc.Do(cost), rtpc.Mark(sd.output)) //ctmsvet:allow hotpath program scratch grows to the longest program once
+	s.prog = append(s.prog[:0], rtpc.Do(cost), rtpc.Mark(sd.output))
 	s.k.CPU().Submit(kernel.LevelSoftNet, s.prog, nil)
 }
 
-//ctmsvet:hotpath
 func (c *RDTConn) armRTO() {
 	if c.rtoArmed {
 		return
@@ -188,8 +180,8 @@ func (c *RDTConn) armRTO() {
 	c.rtoSerial++
 	tm := c.timers.Get()
 	if tm == nil {
-		tm = &rdtTimer{}   //ctmsvet:allow hotpath cold refill path, runs only until the timer pool reaches steady state
-		tm.fire = func() { //ctmsvet:allow hotpath built once per pooled timer, not per arm
+		tm = &rdtTimer{}
+		tm.fire = func() {
 			serial := tm.serial
 			c.timers.Put(tm)
 			c.expire(serial)
@@ -200,8 +192,6 @@ func (c *RDTConn) armRTO() {
 }
 
 // expire is the retransmission timeout armed with serial.
-//
-//ctmsvet:hotpath
 func (c *RDTConn) expire(serial uint64) {
 	if c.rtoSerial != serial {
 		return
@@ -222,8 +212,6 @@ func (c *RDTConn) cancelRTO() {
 }
 
 // input handles an arriving transport datagram (data or ack).
-//
-//ctmsvet:hotpath
 func (c *RDTConn) input(dg *Datagram, at sim.Time) {
 	if dg.Ack {
 		c.handleAck(dg.AckNum)
@@ -247,7 +235,6 @@ func (c *RDTConn) input(dg *Datagram, at sim.Time) {
 	c.sendAck()
 }
 
-//ctmsvet:hotpath
 func (c *RDTConn) sendAck() {
 	c.stats.AcksSent++
 	sd := c.s.getSend()
@@ -260,7 +247,6 @@ func (c *RDTConn) sendAck() {
 	c.submit(TransportSeg/2, sd)
 }
 
-//ctmsvet:hotpath
 func (c *RDTConn) handleAck(ackNum uint32) {
 	c.stats.AcksRcvd++
 	acked := 0

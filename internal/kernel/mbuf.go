@@ -154,8 +154,6 @@ func (p *Pool) available(small, clusters int) bool {
 
 // node pops a recycled mbuf of the requested kind, or allocates one on
 // the cold path before the free list reaches steady state.
-//
-//ctmsvet:hotpath
 func (p *Pool) node(cluster bool) *Mbuf {
 	list := &p.freeSmall
 	if cluster {
@@ -167,7 +165,7 @@ func (p *Pool) node(cluster bool) *Mbuf {
 		*list = (*list)[:n-1]
 		return m
 	}
-	return &Mbuf{Cluster: cluster} //ctmsvet:allow hotpath cold refill path, runs only until the node free list reaches steady state
+	return &Mbuf{Cluster: cluster}
 }
 
 func (p *Pool) build(small, clusters, n int) *Chain {
@@ -176,7 +174,6 @@ func (p *Pool) build(small, clusters, n int) *Chain {
 	return c
 }
 
-//ctmsvet:hotpath
 func (p *Pool) buildInto(c *Chain, small, clusters, n int) {
 	p.smallInUse += small
 	p.clustersInUse += clusters
@@ -210,7 +207,7 @@ func (p *Pool) buildInto(c *Chain, small, clusters, n int) {
 		tail = m
 	}
 	if head == nil {
-		sim.Checkf(false, "empty chain built for %d bytes", n) //ctmsvet:allow hotpath failure branch only; need() always shapes at least one mbuf
+		sim.Checkf(false, "empty chain built for %d bytes", n) // need() always shapes at least one mbuf
 	}
 	c.Head = head
 }
@@ -232,8 +229,6 @@ func (p *Pool) AllocNoWait(n int) *Chain {
 // envelopes use it so steady-state forwarding allocates no chain objects.
 // The shell must be empty — filling a chain that still owns buffers would
 // leak them past the accounting.
-//
-//ctmsvet:hotpath
 func (p *Pool) AllocInto(c *Chain, n int) bool {
 	if c.Head != nil {
 		sim.Checkf(false, "AllocInto on a chain that still holds %d mbufs", c.Mbufs())

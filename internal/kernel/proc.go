@@ -34,8 +34,6 @@ func (p *Proc) Name() string { return p.name }
 
 // userSegs slices a user compute cost into preemptible chunks, built in
 // the process's program scratch.
-//
-//ctmsvet:hotpath
 func (p *Proc) userSegs(cost sim.Time) []rtpc.Seg {
 	segs := p.prog[:0]
 	for cost > 0 {
@@ -44,10 +42,10 @@ func (p *Proc) userSegs(cost sim.Time) []rtpc.Seg {
 			c = cost
 		}
 		cost -= c
-		segs = append(segs, rtpc.Do(c)) //ctmsvet:allow hotpath program scratch grows to the longest compute burst once
+		segs = append(segs, rtpc.Do(c))
 	}
 	if len(segs) == 0 {
-		segs = append(segs, rtpc.Do(0)) //ctmsvet:allow hotpath program scratch grows to the longest compute burst once
+		segs = append(segs, rtpc.Do(0))
 	}
 	p.prog = segs
 	return segs
@@ -55,8 +53,6 @@ func (p *Proc) userSegs(cost sim.Time) []rtpc.Seg {
 
 // Compute burns user CPU time, then calls done. The process competes at
 // base level with every other process and kernel bottom half.
-//
-//ctmsvet:hotpath
 func (p *Proc) Compute(cost sim.Time, done func()) {
 	p.UserTime += cost
 	p.k.CPU().Submit(LevelBase, p.userSegs(cost), done)
@@ -64,8 +60,6 @@ func (p *Proc) Compute(cost sim.Time, done func()) {
 
 // Syscall models entry into the kernel, a body cost (for example a
 // copyin/copyout), and the return to user mode.
-//
-//ctmsvet:hotpath
 func (p *Proc) Syscall(body sim.Time, done func()) {
 	p.Syscalls++
 	p.prog = append(p.prog[:0],

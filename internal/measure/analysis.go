@@ -91,8 +91,6 @@ func NewAnalysis(binWidth float64) *Analysis {
 // Add implements Sink. Point p's inter-occurrence goes to histogram p+1,
 // and the sample joins the pairs (p−1, p) as a b-sample and (p, p+1) as
 // an a-sample.
-//
-//ctmsvet:hotpath
 func (a *Analysis) Add(p Point, s Sample) {
 	if a.flushed || s.T < a.now {
 		sim.Checkf(false, "measure: %v sample at %v after the analysis at %v (flushed %t)", p, s.T, a.now, a.flushed)

@@ -68,8 +68,6 @@ func New(rateBytesPerSec float64, prebuffer sim.Time) *Playout {
 }
 
 // drainTo advances the consumption clock to t.
-//
-//ctmsvet:hotpath
 func (p *Playout) drainTo(t sim.Time) {
 	if !p.started || t <= p.lastT {
 		return
@@ -107,8 +105,6 @@ func (p *Playout) drainTo(t sim.Time) {
 }
 
 // Deliver adds n stream bytes arriving at time t.
-//
-//ctmsvet:hotpath
 func (p *Playout) Deliver(n int, t sim.Time) {
 	sim.Checkf(n >= 0, "negative delivery")
 	if !p.started {

@@ -113,8 +113,6 @@ func (f *Frame) SetRecycle(fn func(*Frame)) {
 
 // Hold takes one more reference on a pooled frame; a no-op for a frame
 // that never armed recycling.
-//
-//ctmsvet:hotpath
 func (f *Frame) Hold() {
 	if f.recycle != nil {
 		f.refs++
@@ -123,8 +121,6 @@ func (f *Frame) Hold() {
 
 // Release drops one reference; the last one runs the recycle hook. A
 // no-op for a frame that never armed recycling.
-//
-//ctmsvet:hotpath
 func (f *Frame) Release() {
 	if f.recycle == nil {
 		return
@@ -160,8 +156,6 @@ func EncodeFC(kind FrameKind) byte {
 
 // DataFrame builds an LLC frame with sensible control bytes, as a value
 // for a sender that keeps the frame in storage of its own.
-//
-//ctmsvet:hotpath
 func DataFrame(src, dst Addr, priority, size int, capture []byte, payload any) Frame {
 	if len(capture) > MaxCapture {
 		capture = capture[:MaxCapture]
@@ -187,8 +181,6 @@ func NewDataFrame(src, dst Addr, priority, size int, capture []byte, payload any
 
 // MACFrame builds a ~20-byte MAC management frame, as a value for a
 // sender that keeps the frame in storage of its own.
-//
-//ctmsvet:hotpath
 func MACFrame(src Addr, typ MACType) Frame {
 	return Frame{
 		AC:       EncodeAC(7, false), // MAC frames travel at the highest priority

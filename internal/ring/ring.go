@@ -99,7 +99,6 @@ type Ring struct {
 
 	taps       []Tap
 	purgeHooks []func(at sim.Time)
-	reserved   int64
 	seq        uint64
 	c          Counters
 
@@ -121,14 +120,12 @@ func New(sched *sim.Scheduler, cfg Config) *Ring {
 
 // getReq pops a free transmit request, building one (with its permanent
 // end-of-frame callback) on the cold path only.
-//
-//ctmsvet:hotpath
 func (r *Ring) getReq() *txRequest {
 	if req := r.reqFree.Get(); req != nil {
 		return req
 	}
-	req := &txRequest{}  //ctmsvet:allow hotpath cold refill path, runs only until the request pool reaches steady state
-	req.endFn = func() { //ctmsvet:allow hotpath the end-of-frame closure is built once per pooled request, not per frame
+	req := &txRequest{}
+	req.endFn = func() {
 		if r.current != req {
 			// Purged mid-flight: the purge handler already finished it,
 			// and this stale event was the last reference.
@@ -141,8 +138,6 @@ func (r *Ring) getReq() *txRequest {
 }
 
 // putReq clears a finished request and returns it to the pool.
-//
-//ctmsvet:hotpath
 func (r *Ring) putReq(req *txRequest) {
 	req.st, req.f, req.onDone = nil, nil, nil
 	r.reqFree.Put(req)
@@ -176,23 +171,6 @@ func (r *Ring) AddTap(t Tap) { r.taps = append(r.taps, t) }
 // station's driver can.
 func (r *Ring) OnPurge(fn func(at sim.Time)) { r.purgeHooks = append(r.purgeHooks, fn) }
 
-// ReserveBits records bandwidth (bits/s) promised to a connection by an
-// admission controller; negative n releases a prior reservation. The ring
-// itself does not police reservations — the 802.5 priority mechanism is
-// the enforcement — but the bookkeeping lets tools report how much of the
-// wire is spoken for.
-//
-//ctmsvet:unit bit/s n
-func (r *Ring) ReserveBits(n int64) {
-	r.reserved += n
-	sim.Checkf(r.reserved >= 0, "ring reservation went negative")
-}
-
-// ReservedBits reports the bandwidth currently promised to connections.
-//
-//ctmsvet:unit bit/s result
-func (r *Ring) ReservedBits() int64 { return r.reserved }
-
 // WireTime reports how long a frame of n bytes occupies the ring,
 // including per-station repeat and cable latency.
 func (r *Ring) WireTime(n int) sim.Time {
@@ -216,8 +194,6 @@ func (r *Ring) Attach(name string) *Station {
 
 // Station looks up a station by address. Address 0, Broadcast and
 // addresses no station was given report nil.
-//
-//ctmsvet:hotpath
 func (r *Ring) Station(a Addr) *Station {
 	i := int(a) - 1
 	if i < 0 || i >= len(r.stations) {
@@ -242,22 +218,18 @@ func (r *Ring) setPromiscuousMAC(st *Station, on bool) {
 func (r *Ring) Stations() int { return len(r.stations) }
 
 // submit queues a transmit request and starts service if the ring is free.
-//
-//ctmsvet:hotpath
 func (r *Ring) submit(req *txRequest) {
 	p := req.f.Priority
 	if p < 0 || p >= 8 {
 		sim.Checkf(false, "frame priority %d out of range", p)
 	}
 	req.queued = r.sched.Now()
-	r.queues[p] = append(r.queues[p], req) //ctmsvet:allow hotpath priority queue grows to its backlog high-water mark once, then reuses the array
+	r.queues[p] = append(r.queues[p], req)
 	r.maybeStart()
 }
 
 // next dequeues the highest-priority pending request, round-robin within
 // the class so no station starves.
-//
-//ctmsvet:hotpath
 func (r *Ring) next() *txRequest {
 	for p := 7; p >= 0; p-- {
 		q := r.queues[p]
@@ -284,7 +256,6 @@ func (r *Ring) next() *txRequest {
 	return nil
 }
 
-//ctmsvet:hotpath
 func (r *Ring) maybeStart() {
 	if r.busy || r.purging {
 		return
@@ -296,7 +267,6 @@ func (r *Ring) maybeStart() {
 	r.start(req)
 }
 
-//ctmsvet:hotpath
 func (r *Ring) start(req *txRequest) {
 	now := r.sched.Now()
 	if !req.st.inserted {
@@ -334,8 +304,6 @@ func (r *Ring) start(req *txRequest) {
 
 // finish completes a transmission: delivers the frame, notifies taps and
 // the transmitter, and starts the next pending request.
-//
-//ctmsvet:hotpath
 func (r *Ring) finish(req *txRequest, start, end sim.Time, purged bool) {
 	r.busy = false
 	r.current = nil
@@ -367,7 +335,6 @@ func (r *Ring) finish(req *txRequest, start, end sim.Time, purged bool) {
 	r.maybeStart()
 }
 
-//ctmsvet:hotpath
 func (r *Ring) deliver(f *Frame, status *DeliveryStatus) {
 	if f.Dst == Broadcast || f.Kind == MAC {
 		src := r.Station(f.Src)
@@ -507,6 +474,6 @@ func (r *Ring) Current() *Frame {
 
 // String summarizes ring state.
 func (r *Ring) String() string {
-	return fmt.Sprintf("ring{stations=%d busy=%t purging=%t sent=%d util=%.2f%% reserved=%dbps}",
-		len(r.stations), r.busy, r.purging, r.c.FramesSent, 100*r.Utilization(), r.reserved)
+	return fmt.Sprintf("ring{stations=%d busy=%t purging=%t sent=%d util=%.2f%%}",
+		len(r.stations), r.busy, r.purging, r.c.FramesSent, 100*r.Utilization())
 }

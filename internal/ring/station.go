@@ -51,8 +51,6 @@ func (s *Station) canCopy() bool {
 
 // Transmit queues f for transmission. onDone (may be nil) fires when the
 // transmitter learns the outcome from the returning frame's A/C bits.
-//
-//ctmsvet:hotpath
 func (s *Station) Transmit(f *Frame, onDone func(DeliveryStatus)) {
 	f.Src = s.addr
 	req := s.ring.getReq()

@@ -154,8 +154,6 @@ func (h *Half) SetRoute(dstRing int, via ring.Addr) {
 // half are in transit to another ring. The switch decision and the one
 // unavoidable CPU copy happen here; the hand-off to the peer shard is the
 // final mark, carrying values only.
-//
-//ctmsvet:hotpath
 func (h *Half) ingress(class tradapter.Class, rcv *tradapter.Received) []rtpc.Seg {
 	out, ok := rcv.Frame.Payload.(*tradapter.Outgoing)
 	if !ok || out.RoutedRing == 0 || h.Forward == nil {
@@ -182,21 +180,19 @@ func (h *Half) ingress(class tradapter.Class, rcv *tradapter.Received) []rtpc.Se
 	hd.fwd.CaptureLen = copy(hd.fwd.Capture[:], rcv.Frame.Capture)
 	segs := append(h.prog[:0], rtpc.Do(DefaultSwitchCost))
 	segs = h.k.Machine.CopySegs(segs, hd.fwd.Size, rcv.Buffer.Kind, rtpc.SystemMemory)
-	segs = append(segs, rcv.ReleaseSeg(), rtpc.Mark(hd.fn)) //ctmsvet:allow hotpath program scratch grows to the longest ingress program once
+	segs = append(segs, rcv.ReleaseSeg(), rtpc.Mark(hd.fn))
 	h.prog = segs
 	return segs
 }
 
 // getHandoff pops a free hand-off record, building one (with its
 // permanent forwarding mark) on the cold path only.
-//
-//ctmsvet:hotpath
 func (h *Half) getHandoff() *handoff {
 	if hd := h.hands.Get(); hd != nil {
 		return hd
 	}
-	hd := &handoff{} //ctmsvet:allow hotpath cold refill path, runs only until the hand-off pool reaches steady state
-	hd.fn = func() { //ctmsvet:allow hotpath the forwarding mark is built once per pooled record, not per frame
+	hd := &handoff{}
+	hd.fn = func() {
 		fwd := hd.fwd
 		hd.fwd = Forwarded{}
 		h.hands.Put(hd)
@@ -209,24 +205,20 @@ func (h *Half) getHandoff() *handoff {
 
 // getEnv pops a free envelope, building one — permanent chain shell,
 // prebuilt chain-freeing Done and recycle hook — on the cold path only.
-//
-//ctmsvet:hotpath
 func (h *Half) getEnv() *env {
 	if e := h.envs.Get(); e != nil {
 		return e
 	}
-	e := &env{}                   //ctmsvet:allow hotpath cold refill path, runs only until the envelope pool reaches steady state
-	e.out.Chain = &kernel.Chain{} //ctmsvet:allow hotpath the chain shell is built once per pooled envelope, not per frame
+	e := &env{}
+	e.out.Chain = &kernel.Chain{}
 	pool, ch := h.k.Pool, e.out.Chain
-	e.out.Done = func(ring.DeliveryStatus) { pool.Free(ch) } //ctmsvet:allow hotpath the Done closure is built once per pooled envelope, not per frame
-	e.recycle = func(*tradapter.Outgoing) { h.putEnv(e) }    //ctmsvet:allow hotpath the recycle hook is built once per pooled envelope, not per frame
+	e.out.Done = func(ring.DeliveryStatus) { pool.Free(ch) }
+	e.recycle = func(*tradapter.Outgoing) { h.putEnv(e) }
 	return e
 }
 
 // putEnv clears a dead envelope and returns it to the pool. Runs via the
 // driver's recycle callback, on this half's own shard.
-//
-//ctmsvet:hotpath
 func (h *Half) putEnv(e *env) {
 	out := &e.out
 	out.Chain.Tag = nil
@@ -242,8 +234,6 @@ func (h *Half) putEnv(e *env) {
 // whole egress — envelope, chain shell, capture bytes, mbuf nodes,
 // completion hooks — comes from shard-owned free lists, so steady-state
 // forwarding allocates nothing.
-//
-//ctmsvet:hotpath
 func (h *Half) Inject(f Forwarded) {
 	e := h.getEnv()
 	out := &e.out

@@ -125,8 +125,6 @@ func NewCPU(sched *sim.Scheduler, name string) *CPU {
 
 // allocTask reuses a recycled task when one is available; the steady
 // state runs entirely off the free list.
-//
-//ctmsvet:hotpath
 func (c *CPU) allocTask() *task {
 	if n := len(c.free); n > 0 {
 		t := c.free[n-1]
@@ -134,19 +132,17 @@ func (c *CPU) allocTask() *task {
 		c.free = c.free[:n-1]
 		return t
 	}
-	return &task{} //ctmsvet:allow hotpath cold refill path, runs only until the free list reaches steady state
+	return &task{}
 }
 
 // recycleTask drops a completed task's references and returns it to the
 // free list.
-//
-//ctmsvet:hotpath
 func (c *CPU) recycleTask(t *task) {
 	clear(t.segs) // drop the actions' captures, keep the backing array
 	t.segs, t.onDone = t.segs[:0], nil
 	t.next = 0
 	if len(c.free) < maxFreeTasks {
-		c.free = append(c.free, t) //ctmsvet:allow hotpath free list capacity is preallocated at maxFreeTasks and the len guard keeps it there
+		c.free = append(c.free, t) // capacity is preallocated at maxFreeTasks; the len guard keeps it there
 	}
 }
 
@@ -195,15 +191,13 @@ func (c *CPU) Mask() int { return c.mask }
 // keeps ownership of segs and may reuse it as soon as Submit returns: a
 // device builds each program into one scratch slice instead of a fresh
 // slice per frame.
-//
-//ctmsvet:hotpath
 func (c *CPU) Submit(level int, segs []Seg, onDone func()) {
 	if level < 0 || level >= NumLevels {
 		sim.Checkf(false, "task level %d out of range", level)
 	}
 	t := c.allocTask()
 	t.level = level
-	t.segs = append(t.segs[:0], segs...) //ctmsvet:allow hotpath each recycled task's program buffer grows to the longest program once, then is reused
+	t.segs = append(t.segs[:0], segs...)
 	t.next = 0
 	t.onDone = onDone
 	t.submitted = c.sched.Now()
@@ -218,8 +212,6 @@ func (c *CPU) Submit(level int, segs []Seg, onDone func()) {
 // remaining segments; this lets handlers make data-dependent decisions.
 // It may be called only from inside a segment's action. Like Submit it
 // copies segs, so the caller may reuse its slice once Splice returns.
-//
-//ctmsvet:hotpath
 func (c *CPU) Splice(segs []Seg) {
 	t := c.acting
 	if t == nil {
@@ -229,7 +221,7 @@ func (c *CPU) Splice(segs []Seg) {
 		return
 	}
 	n := len(t.segs)
-	t.segs = append(t.segs, segs...) //ctmsvet:allow hotpath the task's program buffer grows to its longest spliced program once, then is reused
+	t.segs = append(t.segs, segs...)
 	if t.next < n {
 		// Open a gap at t.next for the spliced segments.
 		copy(t.segs[t.next+len(segs):], t.segs[t.next:n])
@@ -247,8 +239,6 @@ func (c *CPU) QueueDepth(level int) int { return c.pending[level].Len() }
 // Submit safe to call from inside segment callbacks without re-entering
 // the dispatcher. The callback is the prebuilt kickFn — this runs once
 // per task and must not allocate.
-//
-//ctmsvet:hotpath
 func (c *CPU) requestKick() {
 	if c.kick {
 		return
@@ -260,8 +250,6 @@ func (c *CPU) requestKick() {
 // bestPending reports the highest pending level above the spl mask, or -1:
 // the top bit of the ready mask once the levels at or below the mask are
 // cleared from it.
-//
-//ctmsvet:hotpath
 func (c *CPU) bestPending() int {
 	return bits.Len8(c.ready&^uint8(1<<(c.mask+1)-1)) - 1
 }
@@ -311,8 +299,6 @@ func (c *CPU) top() *task {
 // the simulator's innermost loop: the end-of-segment event reuses the
 // shared segEnd callback, so a segment costs one (recycled) scheduler
 // event and nothing else.
-//
-//ctmsvet:hotpath
 func (c *CPU) runSeg() {
 	t := c.top()
 	if t == nil {

@@ -262,8 +262,8 @@ func TestBufferLifecycle(t *testing.T) {
 	if b.InUse() {
 		t.Fatal("fresh buffer should be free")
 	}
-	b.Fill(2000, "pkt")
-	if !b.InUse() || b.Used() != 2000 || b.Content() != "pkt" {
+	b.Fill(2000)
+	if !b.InUse() || b.Used() != 2000 {
 		t.Fatal("fill not recorded")
 	}
 	b.Clear()
@@ -275,7 +275,7 @@ func TestBufferLifecycle(t *testing.T) {
 			t.Fatal("overrun must panic")
 		}
 	}()
-	b.Fill(5000, nil)
+	b.Fill(5000)
 }
 
 func TestDispatchWaitAccounting(t *testing.T) {

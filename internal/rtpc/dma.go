@@ -43,8 +43,6 @@ func (d *DMA) Bytes() uint64 { return d.bytes }
 
 // Transfer moves n bytes to/from a buffer in target memory, then calls
 // done. If the engine is busy the transfer queues behind earlier ones.
-//
-//ctmsvet:hotpath
 func (d *DMA) Transfer(n int, target MemoryKind, done func()) {
 	if n < 0 {
 		sim.Checkf(false, "negative DMA length %d", n)
@@ -53,7 +51,6 @@ func (d *DMA) Transfer(n int, target MemoryKind, done func()) {
 	d.pump()
 }
 
-//ctmsvet:hotpath
 func (d *DMA) pump() {
 	if d.busy || d.queue.Len() == 0 {
 		return
@@ -65,14 +62,12 @@ func (d *DMA) pump() {
 	d.cpu.dmaStarted(x.target)
 	d.cur = x
 	if d.endFn == nil {
-		d.endFn = d.end //ctmsvet:allow hotpath built once per engine, on its first transfer
+		d.endFn = d.end
 	}
 	d.cpu.Scheduler().After(DMACost(x.n, x.target), d.endFn)
 }
 
 // end completes the in-flight transfer and starts the next queued one.
-//
-//ctmsvet:hotpath
 func (d *DMA) end() {
 	x := d.cur
 	d.cur = dmaXfer{}

@@ -52,11 +52,9 @@ const copyChunkBytes = 400
 // CopySegs appends a chunked, interruptible copy of n bytes to segs and
 // returns the extended slice, so a device can build its whole program in
 // one reused scratch slice.
-//
-//ctmsvet:hotpath
 func (m *Machine) CopySegs(segs []Seg, n int, src, dst MemoryKind) []Seg {
 	if n <= copyChunkBytes {
-		return append(segs, m.CopySeg(n, src, dst)) //ctmsvet:allow hotpath appends into the caller's reused program scratch, which grows once
+		return append(segs, m.CopySeg(n, src, dst))
 	}
 	for n > 0 {
 		c := copyChunkBytes
@@ -64,7 +62,7 @@ func (m *Machine) CopySegs(segs []Seg, n int, src, dst MemoryKind) []Seg {
 			c = n
 		}
 		n -= c
-		segs = append(segs, m.CopySeg(c, src, dst)) //ctmsvet:allow hotpath appends into the caller's reused program scratch, which grows once
+		segs = append(segs, m.CopySeg(c, src, dst))
 	}
 	return segs
 }

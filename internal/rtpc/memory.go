@@ -114,8 +114,7 @@ type Buffer struct {
 	Kind MemoryKind
 	Size int
 
-	used    int
-	content any
+	used int
 }
 
 // NewBuffer allocates a model buffer.
@@ -124,30 +123,21 @@ func NewBuffer(name string, kind MemoryKind, size int) *Buffer {
 	return &Buffer{Name: name, Kind: kind, Size: size}
 }
 
-// Fill marks n bytes of the buffer as holding content. It panics on
-// overrun: a fixed DMA buffer overrun is a driver bug, not a model input.
-// The guard is condition-first so the passing case boxes no arguments.
-//
-//ctmsvet:hotpath
-func (b *Buffer) Fill(n int, content any) {
+// Fill marks n bytes of the buffer as occupied. It panics on overrun: a
+// fixed DMA buffer overrun is a driver bug, not a model input. The guard
+// is condition-first so the passing case boxes no arguments.
+func (b *Buffer) Fill(n int) {
 	if n > b.Size {
 		sim.Checkf(false, "buffer %q overrun: %d > %d", b.Name, n, b.Size)
 	}
 	b.used = n
-	b.content = content
 }
 
 // Clear releases the buffer.
-func (b *Buffer) Clear() {
-	b.used = 0
-	b.content = nil
-}
+func (b *Buffer) Clear() { b.used = 0 }
 
 // Used reports the occupied byte count.
 func (b *Buffer) Used() int { return b.used }
 
-// InUse reports whether the buffer currently holds content.
+// InUse reports whether any bytes of the buffer are occupied.
 func (b *Buffer) InUse() bool { return b.used > 0 }
-
-// Content returns what was stored by Fill.
-func (b *Buffer) Content() any { return b.content }

@@ -220,8 +220,9 @@ type Results struct {
 
 	Ring            ring.Counters
 	RingUtilization float64
-	// ReservedBitsEnd is the bandwidth still reserved when the run ended
-	// (admitted minus shed).
+	// ReservedBitsEnd is the bandwidth still reserved when the run ended:
+	// the Decision.ReservedBits of every admitted stream that was neither
+	// shed nor departed.
 	//
 	//ctmsvet:unit bit/s
 	ReservedBitsEnd int64
@@ -343,7 +344,6 @@ func Run(cfg Config) (*Results, error) {
 		}
 		results.Admitted++
 		cfg.Trace.AddEvent(at, EvAdmit, int64(id), res.Decision.ReservedBits)
-		r.ReserveBits(offered)
 		var onDelay func(sim.Time)
 		if popHist != nil {
 			onDelay = func(d sim.Time) {
@@ -387,7 +387,6 @@ func Run(cfg Config) (*Results, error) {
 		}
 		st.Stop()
 		ctrl.Release(st.idx)
-		r.ReserveBits(-st.spec.OfferedBits())
 		cfg.Trace.AddEvent(at, ev, int64(st.idx), st.spec.OfferedBits())
 	}
 
@@ -501,12 +500,14 @@ func Run(cfg Config) (*Results, error) {
 			end = st.departAt
 			results.Departed++
 		}
+		if !st.shed && !st.departed {
+			results.ReservedBitsEnd += res.Decision.ReservedBits
+		}
 		res.ActiveTime = end - st.startAt
 		res.Outcome = st.Finish(end)
 	}
 
 	results.Ring = r.Counters()
 	results.RingUtilization = r.Utilization()
-	results.ReservedBitsEnd = r.ReservedBits()
 	return results, nil
 }

@@ -233,6 +233,15 @@ func TestSessionFreeForAllDegradesEveryone(t *testing.T) {
 	if rf.Admitted != 16 || rf.Rejected != 0 {
 		t.Fatalf("free-for-all must run everything: %d/%d", rf.Admitted, rf.Rejected)
 	}
+	// Nothing is shed without admission, so every stream's bits stay
+	// booked to the end.
+	var offered int64
+	for _, s := range rf.Streams {
+		offered += s.Spec.OfferedBits()
+	}
+	if rf.ReservedBitsEnd != offered {
+		t.Fatalf("free-for-all ends with %d bits reserved, want all %d offered", rf.ReservedBitsEnd, offered)
+	}
 	// 16×347k ≈ 5.6 Mbit/s offered on a 4 Mbit/s ring: the losers of the
 	// free-for-all cannot win the token, so their playout buffers drain
 	// once and stay empty — they starve for most of the run, where the

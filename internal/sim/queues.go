@@ -14,15 +14,11 @@ type FIFO[T any] struct {
 func (q *FIFO[T]) Len() int { return len(q.items) - q.head }
 
 // Push appends v at the tail.
-//
-//ctmsvet:hotpath
 func (q *FIFO[T]) Push(v T) {
-	q.items = append(q.items, v) //ctmsvet:allow hotpath queue grows to steady-state depth once, then reuses its backing array
+	q.items = append(q.items, v)
 }
 
 // Pop removes and returns the head. The queue must not be empty.
-//
-//ctmsvet:hotpath
 func (q *FIFO[T]) Pop() T {
 	var zero T
 	v := q.items[q.head]
@@ -50,8 +46,6 @@ type FreeList[T any] struct {
 }
 
 // Get pops a recycled object, or returns nil.
-//
-//ctmsvet:hotpath
 func (l *FreeList[T]) Get() *T {
 	n := len(l.free)
 	if n == 0 {
@@ -64,8 +58,6 @@ func (l *FreeList[T]) Get() *T {
 }
 
 // Put returns an object the caller has cleared to the list.
-//
-//ctmsvet:hotpath
 func (l *FreeList[T]) Put(v *T) {
-	l.free = append(l.free, v) //ctmsvet:allow hotpath the list grows to the pool's in-flight high-water mark once, then reuses its array
+	l.free = append(l.free, v)
 }

@@ -87,8 +87,6 @@ func (g *RNG) Bool(p float64) bool { return g.r.Float64() < p }
 // Time arguments into Checkf's variadic slice — traffic sources draw
 // jitter once per frame, and those boxes showed up in allocation
 // profiles.
-//
-//ctmsvet:hotpath
 func (g *RNG) Uniform(lo, hi Time) Time {
 	if hi < lo {
 		Checkf(false, "Uniform bounds inverted: [%v, %v]", lo, hi)
@@ -102,8 +100,6 @@ func (g *RNG) Uniform(lo, hi Time) Time {
 // Exp returns an exponentially distributed duration with the given mean.
 // Used for Poisson interarrival processes (MAC frames, station insertions,
 // background traffic bursts).
-//
-//ctmsvet:hotpath
 func (g *RNG) Exp(mean Time) Time {
 	if mean <= 0 {
 		Checkf(false, "Exp mean must be positive, got %v", mean)
@@ -130,8 +126,6 @@ func (g *RNG) LogNormal(mu, sigma float64) Time {
 // Pareto returns a bounded Pareto-distributed duration in [lo, hi] with
 // shape alpha. Heavy-tailed burst lengths use this; the guard is
 // condition-first, like Uniform's.
-//
-//ctmsvet:hotpath
 func (g *RNG) Pareto(lo, hi Time, alpha float64) Time {
 	if hi <= lo || lo <= 0 {
 		Checkf(false, "Pareto bounds invalid: [%v, %v]", lo, hi)

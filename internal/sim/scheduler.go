@@ -74,15 +74,13 @@ func (h eventHeap) Swap(i, j int) {
 	h[j].index = int32(j)
 }
 
-//ctmsvet:hotpath
 func (h *eventHeap) Push(x any) {
 	e := x.(*Event)
 	e.home = homeOverflow
 	e.index = int32(len(*h))
-	*h = append(*h, e) //ctmsvet:allow hotpath heap grows to steady-state depth once, then reuses its backing array
+	*h = append(*h, e)
 }
 
-//ctmsvet:hotpath
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -152,8 +150,6 @@ const maxFreeEvents = 1024
 // alloc reuses a recycled Event when one is available. The simulation's
 // steady state (handlers that fire and re-arm) runs entirely off the free
 // list, so the inner event loop stops allocating per event.
-//
-//ctmsvet:hotpath
 func (s *Scheduler) alloc() *Event {
 	if n := len(s.free); n > 0 {
 		e := s.free[n-1]
@@ -162,18 +158,16 @@ func (s *Scheduler) alloc() *Event {
 		e.cancelled = false
 		return e
 	}
-	return &Event{s: s, home: homeNone} //ctmsvet:allow hotpath cold refill path, runs only until the free list reaches steady state
+	return &Event{s: s, home: homeNone}
 }
 
 // recycle returns a popped or cancelled event to the free list, dropping
 // its closure so it can be collected.
-//
-//ctmsvet:hotpath
 func (s *Scheduler) recycle(e *Event) {
 	e.fn = nil
 	e.home = homeNone
 	if len(s.free) < maxFreeEvents {
-		s.free = append(s.free, e) //ctmsvet:allow hotpath free list capacity is preallocated at maxFreeEvents and the len guard keeps it there
+		s.free = append(s.free, e) // capacity is preallocated at maxFreeEvents; the len guard keeps it there
 	}
 }
 
@@ -209,8 +203,6 @@ func (s *Scheduler) Trace() *Trace { return s.trace }
 // the overflow heap when the tick is past the wheel horizon. The caller
 // guarantees e.at >= s.now, and the cursor never passes the clock's tick,
 // so the event's tick is always at or ahead of the cursor.
-//
-//ctmsvet:hotpath
 func (s *Scheduler) enqueue(e *Event) {
 	tk := int64(e.at) >> tickShift
 	if tk < s.cursor {
@@ -226,8 +218,6 @@ func (s *Scheduler) enqueue(e *Event) {
 // bucketPut links an event in at the head of a wheel bucket's list.
 // Order within a bucket is irrelevant: step and NextAt pick the (at, seq)
 // minimum by a full scan.
-//
-//ctmsvet:hotpath
 func (s *Scheduler) bucketPut(e *Event, b int) {
 	head := s.wheel[b]
 	e.home = int32(b)
@@ -241,8 +231,6 @@ func (s *Scheduler) bucketPut(e *Event, b int) {
 
 // remove takes a pending event out of whichever queue holds it: an O(1)
 // unlink from its wheel bucket's list, or heap removal from the overflow.
-//
-//ctmsvet:hotpath
 func (s *Scheduler) remove(e *Event) {
 	if e.home == homeOverflow {
 		heap.Remove(&s.overflow, int(e.index))
@@ -265,8 +253,6 @@ func (s *Scheduler) remove(e *Event) {
 // ticks fall inside the new horizon move into their wheel buckets. Each
 // overflow event cascades at most once, so the cost is amortized O(log n)
 // per far-future event, paid only when its horizon opens.
-//
-//ctmsvet:hotpath
 func (s *Scheduler) advanceTo(tick int64) {
 	if tick <= s.cursor {
 		return // same horizon: everything in the overflow is still beyond it
@@ -284,8 +270,6 @@ func (s *Scheduler) advanceTo(tick int64) {
 // ticks in increasing order; the scan is read-only (the cursor commits
 // only when an event actually fires, so an aborted bounded step leaves no
 // trace). The caller guarantees the wheel is non-empty.
-//
-//ctmsvet:hotpath
 func (s *Scheduler) firstBucket() (*Event, int64) {
 	for k := int64(0); k < wheelSize; k++ {
 		tick := s.cursor + k
@@ -303,8 +287,6 @@ func (s *Scheduler) firstBucket() (*Event, int64) {
 // passing case never boxes the Checkf arguments into its variadic any
 // slice — At runs once per event, and those boxes were a measurable
 // slice of the event loop's allocations.
-//
-//ctmsvet:hotpath
 func (s *Scheduler) At(t Time, fn func()) *Event {
 	if t < s.now {
 		Checkf(false, "event scheduled at %v, before now %v", t, s.now)
@@ -320,8 +302,6 @@ func (s *Scheduler) At(t Time, fn func()) *Event {
 }
 
 // After schedules fn to run d after the current simulated time.
-//
-//ctmsvet:hotpath
 func (s *Scheduler) After(d Duration, fn func()) *Event {
 	if d < 0 {
 		Checkf(false, "event scheduled with negative delay %v", d)
@@ -359,7 +339,6 @@ type Repeater struct {
 	stopped bool
 }
 
-//ctmsvet:hotpath
 func (r *Repeater) arm() {
 	r.next = r.s.After(r.period, r.tick)
 }
@@ -414,8 +393,6 @@ func (s *Scheduler) NextAt() (Time, bool) {
 // non-empty its earliest bucket strictly precedes every overflow event;
 // within a bucket the linear min-scan picks the lowest (at, seq) — the
 // exact order the binary heap produced.
-//
-//ctmsvet:hotpath
 func (s *Scheduler) step(bound Time) bool {
 	var e *Event
 	if s.inWheel > 0 {

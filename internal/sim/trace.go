@@ -85,14 +85,12 @@ func NewTrace(max int) *Trace {
 // preallocated ring. No-op on a nil trace. This is the form hot paths use
 // — no formatting, no allocation, nothing retained that the collector
 // must scan.
-//
-//ctmsvet:hotpath
 func (t *Trace) AddEvent(at Time, kind EventKind, a, b int64) {
 	if t == nil {
 		return
 	}
 	if t.events == nil {
-		t.events = make([]EventEntry, t.max) //ctmsvet:allow hotpath one-time lazy allocation of the ring backing array, amortized over the run
+		t.events = make([]EventEntry, t.max)
 	}
 	i := t.ehead + t.elen
 	if i >= len(t.events) {

@@ -258,9 +258,6 @@ func (n *Network) buildStream(i int, spec StreamSpec) {
 		}
 		granted = append(granted, r)
 	}
-	for _, r := range path {
-		n.shards[r].ring.ReserveBits(offered)
-	}
 
 	end := func(r int, salt uint64) session.End {
 		s := n.shards[r]

@@ -123,14 +123,12 @@ type arrival struct {
 
 // getArrival pops a free arrival, building one (with its permanent
 // injection closure) on the cold path only.
-//
-//ctmsvet:hotpath
 func (s *shard) getArrival() *arrival {
 	if a := s.arrivals.Get(); a != nil {
 		return a
 	}
-	a := &arrival{owner: s} //ctmsvet:allow hotpath cold refill path, runs only until the arrival pool reaches steady state
-	a.fn = func() {         //ctmsvet:allow hotpath the injection closure is built once per pooled arrival, not per frame
+	a := &arrival{owner: s}
+	a.fn = func() {
 		a.egress.Inject(a.frame)
 		a.owner.putArrival(a)
 	}
@@ -138,8 +136,6 @@ func (s *shard) getArrival() *arrival {
 }
 
 // putArrival clears a fired arrival and returns it to the pool.
-//
-//ctmsvet:hotpath
 func (s *shard) putArrival(a *arrival) {
 	a.egress = nil
 	a.frame = router.Forwarded{}
@@ -230,8 +226,6 @@ func (b *barrier) await() {
 // merge order — (deliverAt, direction index, send seq) — is a total
 // order on messages, so the scheduler sees identical (at, seq) insertions
 // regardless of how many workers the run uses.
-//
-//ctmsvet:hotpath
 func (s *shard) drainInboxes(bound sim.Time) {
 	due := s.scratch[:0]
 	for _, box := range s.in {

@@ -119,7 +119,7 @@ func (n *Network) collect(workers int) *Results {
 		res.Rings[i] = RingResult{
 			Counters:     s.ring.Counters(),
 			Utilization:  s.ring.Utilization(),
-			ReservedBits: s.ring.ReservedBits(),
+			ReservedBits: s.ctrl.ReservedBits(),
 		}
 		res.Events += s.sched.Fired()
 	}

@@ -320,8 +320,7 @@ func TestMeshOracleWorkerCounts(t *testing.T) {
 // path at the unit level: once warm, an inbox put→drain cycle and an
 // arrival get→put cycle allocate nothing. (The whole-run budget is
 // internal/core's TestE20MeshAllocationBudget, and host cost is the
-// bench/ metro-mesh workload's allocs_per_event; these are the pieces
-// the hotpath analyzer also proves allocation-free statically.)
+// bench/ metro-mesh workload's allocs_per_event.)
 func TestInboxPoolsSteadyStateZeroAlloc(t *testing.T) {
 	box := newInbox(0, nil)
 	s := &shard{scratch: make([]crossMsg, 0, 16)}

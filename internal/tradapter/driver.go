@@ -191,8 +191,6 @@ func (p *Outgoing) SetRecycle(fn func(*Outgoing)) { p.recycle = fn }
 // recycleEnvelope is the ring-frame recycle hook of every pooled envelope:
 // the frame's last reference is gone, so the envelope around it goes back
 // to its owner.
-//
-//ctmsvet:hotpath
 func recycleEnvelope(f *ring.Frame) {
 	p := f.Payload.(*Outgoing)
 	fn := p.recycle
@@ -400,8 +398,6 @@ func BuildRingHeader(src, dst ring.Addr) []byte {
 
 // Output queues a packet for transmission. Safe to call from any level;
 // the driver's own work runs at network interrupt level.
-//
-//ctmsvet:hotpath
 func (d *Driver) Output(p *Outgoing) {
 	sim.Checkf(p.Size > 0, "zero-size packet")
 	q := 0
@@ -409,7 +405,7 @@ func (d *Driver) Output(p *Outgoing) {
 		q = 1
 	}
 	p.queuedAt = d.k.Sched().Now()
-	d.txQueues[q] = append(d.txQueues[q], p) //ctmsvet:allow hotpath tx queue grows to its backlog high-water mark once, then reuses the array
+	d.txQueues[q] = append(d.txQueues[q], p)
 	d.stats.TxQueued[p.Class]++
 	if depth := len(d.txQueues[0]) + len(d.txQueues[1]); depth > d.stats.MaxTxQueue {
 		d.stats.MaxTxQueue = depth
@@ -417,7 +413,6 @@ func (d *Driver) Output(p *Outgoing) {
 	d.pumpTx()
 }
 
-//ctmsvet:hotpath
 func (d *Driver) freeTxBuf() *rtpc.Buffer {
 	for _, b := range d.txBufs {
 		if !b.InUse() {
@@ -427,7 +422,6 @@ func (d *Driver) freeTxBuf() *rtpc.Buffer {
 	return nil
 }
 
-//ctmsvet:hotpath
 func (d *Driver) nextTx() *Outgoing {
 	for q := 1; q >= 0; q-- {
 		if len(d.txQueues[q]) == 0 {
@@ -473,8 +467,6 @@ func (d *Driver) initTx() {
 // buffer is free and no copy is in progress. The wire stage below is
 // constrained to send one packet completely before starting another —
 // that constraint is what preserves packet sequence (§3).
-//
-//ctmsvet:hotpath
 func (d *Driver) pumpTx() {
 	if d.copyActive {
 		return
@@ -488,10 +480,10 @@ func (d *Driver) pumpTx() {
 		return
 	}
 	if d.tx == nil {
-		d.initTx() //ctmsvet:allow hotpath cold path, builds the transmit callbacks once per driver
+		d.initTx()
 	}
 	d.copyActive = true
-	buf.Fill(p.Size, p) // reserve the buffer for this packet's copy
+	buf.Fill(p.Size) // reserve the buffer for this packet's copy
 	if w := d.k.Sched().Now() - p.queuedAt; w > d.stats.MaxQueueWait {
 		d.stats.MaxQueueWait = w
 	}
@@ -506,18 +498,18 @@ func (d *Driver) pumpTx() {
 	segs := append(d.prog[:0], rtpc.Do(120*sim.Microsecond))
 	if !d.cfg.PrecomputeHeader {
 		d.stats.HeaderComps++
-		segs = append(segs, rtpc.Do(HeaderComputeCost)) //ctmsvet:allow hotpath program scratch grows to the longest tx program once
+		segs = append(segs, rtpc.Do(HeaderComputeCost))
 	}
 	if p.NoCopy {
 		// Pointer transfer: only the descriptor list is built by the CPU.
-		segs = append(segs, rtpc.Do(60*sim.Microsecond)) //ctmsvet:allow hotpath program scratch grows to the longest tx program once
+		segs = append(segs, rtpc.Do(60*sim.Microsecond))
 	} else {
 		// The CPU copies the packet from mbufs (system memory) into the
 		// fixed DMA buffer — 1 µs/byte when the buffer is in IO Channel
 		// Memory. The copy loop is interruptible, so it is chunked.
 		segs = m.CopySegs(segs, copyBytes, rtpc.SystemMemory, d.cfg.DMABufferKind)
 	}
-	segs = append(segs, //ctmsvet:allow hotpath program scratch grows to the longest tx program once
+	segs = append(segs,
 		rtpc.Do(m.Jitter(40*sim.Microsecond)),
 		rtpc.Mark(d.tx.copyDone),
 	)
@@ -528,8 +520,6 @@ func (d *Driver) pumpTx() {
 
 // copyDone ends the copy stage: the packet sits in its fixed DMA buffer,
 // ready for the wire stage.
-//
-//ctmsvet:hotpath
 func (d *Driver) copyDone() {
 	item := d.copyJob
 	d.copyJob = wireItem{}
@@ -544,8 +534,6 @@ func (d *Driver) copyDone() {
 
 // pumpWire starts the adapter on the next fully-copied packet, strictly
 // in copy order.
-//
-//ctmsvet:hotpath
 func (d *Driver) pumpWire() {
 	if d.wireBusy || d.wireQ.Len() == 0 {
 		return
@@ -558,8 +546,6 @@ func (d *Driver) pumpWire() {
 // issueTransmit gives the adapter the transmit command for the wire
 // stage's packet: the card DMAs the frame out of the fixed buffer,
 // processes it, and puts it on the ring.
-//
-//ctmsvet:hotpath
 func (d *Driver) issueTransmit() {
 	p := d.wireJob.p
 	src := d.wireJob.buf.Kind
@@ -569,13 +555,11 @@ func (d *Driver) issueTransmit() {
 	d.txDMA.Transfer(p.Size, src, d.tx.dmaDone)
 }
 
-//ctmsvet:hotpath
 func (d *Driver) txDMADone() {
 	card := TxCardLatency + d.k.Machine.Jitter(CardJitterMax)
 	d.k.Sched().After(card, d.tx.cardDone)
 }
 
-//ctmsvet:hotpath
 func (d *Driver) cardDone() {
 	p := d.wireJob.p
 	prio := 0
@@ -591,16 +575,12 @@ func (d *Driver) cardDone() {
 }
 
 // txComplete is the transmit-complete interrupt.
-//
-//ctmsvet:hotpath
 func (d *Driver) txComplete(s ring.DeliveryStatus) {
 	d.wireStatus = s
 	d.k.CPU().Submit(kernel.LevelNet, d.tx.complete[:], nil)
 }
 
 // completeTx is the transmit-complete interrupt's work.
-//
-//ctmsvet:hotpath
 func (d *Driver) completeTx() {
 	p, buf, s := d.wireJob.p, d.wireJob.buf, d.wireStatus
 	if s.PurgeLost && d.cfg.PurgeInterrupt {
@@ -642,8 +622,6 @@ func (d *Driver) haveRxBuffer() bool {
 
 // claimRxSlot finds a free rx buffer, building its slot's callbacks the
 // first time the buffer is used.
-//
-//ctmsvet:hotpath
 func (d *Driver) claimRxSlot() *rxSlot {
 	for i := range d.rxSlots {
 		sl := &d.rxSlots[i]
@@ -651,7 +629,7 @@ func (d *Driver) claimRxSlot() *rxSlot {
 			continue
 		}
 		if sl.dmaDone == nil {
-			d.initRxSlot(sl) //ctmsvet:allow hotpath cold path, builds each rx buffer's callbacks on its first frame
+			d.initRxSlot(sl)
 		}
 		return sl
 	}
@@ -672,14 +650,12 @@ func (d *Driver) initRxSlot(sl *rxSlot) {
 
 // getArrival pops a free arrival record, building one (with its permanent
 // callback) on the cold path only.
-//
-//ctmsvet:hotpath
 func (d *Driver) getArrival() *rxArrival {
 	if a := d.arrivals.Get(); a != nil {
 		return a
 	}
-	a := &rxArrival{} //ctmsvet:allow hotpath cold refill path, runs only until the arrival pool reaches steady state
-	a.fn = func() {   //ctmsvet:allow hotpath the claim closure is built once per pooled arrival, not per frame
+	a := &rxArrival{}
+	a.fn = func() {
 		f, size := a.f, a.size
 		a.f = nil
 		d.arrivals.Put(a)
@@ -694,8 +670,6 @@ func (d *Driver) getArrival() *rxArrival {
 // until classification, so the driver holds a reference on a pooled frame
 // (ring.Frame.SetRecycle) from here until classify or the drop in
 // claimRxBuf. MAC frames are read here and not kept.
-//
-//ctmsvet:hotpath
 func (d *Driver) frameArrived(f *ring.Frame, _ sim.Time) {
 	if f.Kind == ring.MAC {
 		d.macFrame(f)
@@ -711,8 +685,6 @@ func (d *Driver) frameArrived(f *ring.Frame, _ sim.Time) {
 
 // claimRxBuf runs once the receive card latency has elapsed: the frame
 // takes a free rx buffer and the adapter DMAs it in.
-//
-//ctmsvet:hotpath
 func (d *Driver) claimRxBuf(f *ring.Frame, size int) {
 	sl := d.claimRxSlot()
 	if sl == nil {
@@ -723,7 +695,7 @@ func (d *Driver) claimRxBuf(f *ring.Frame, size int) {
 		f.Release()
 		return
 	}
-	sl.buf.Fill(size, f)
+	sl.buf.Fill(size)
 	sl.f, sl.size = f, size
 	d.rxPending--
 	d.rxDMA.Transfer(size, sl.buf.Kind, sl.dmaDone)
@@ -731,8 +703,6 @@ func (d *Driver) claimRxBuf(f *ring.Frame, size int) {
 
 // classify is the receive interrupt's split point: it classifies the
 // packet and splices the class handler's copy path into the interrupt.
-//
-//ctmsvet:hotpath
 func (d *Driver) classify(sl *rxSlot) {
 	f := sl.f
 	class := classOf(f)

@@ -197,8 +197,6 @@ func (t *TxDriver) Stats() TxStats { return t.stats }
 // interrupt is the VCA interrupt: it runs the handler at the VCA's
 // interrupt level. The delay from here to the handler's first segment is
 // measurement points 1→2 (histogram 5).
-//
-//ctmsvet:hotpath
 func (t *TxDriver) interrupt(tick uint64) {
 	t.stats.Interrupts++
 	m := t.k.Machine
@@ -210,9 +208,9 @@ func (t *TxDriver) interrupt(tick uint64) {
 		rtpc.Do(EntryCost+m.Jitter(EntryJitterMax)),
 	)
 	if t.cfg.CopyVCAToMbufs {
-		segs = append(segs, m.CopySeg(t.cfg.DataBytes, rtpc.DeviceMemory, rtpc.SystemMemory)) //ctmsvet:allow hotpath program scratch grows to the longest handler program once
+		segs = append(segs, m.CopySeg(t.cfg.DataBytes, rtpc.DeviceMemory, rtpc.SystemMemory))
 	}
-	segs = append(segs, //ctmsvet:allow hotpath program scratch grows to the longest handler program once
+	segs = append(segs,
 		rtpc.Do(AllocCost),
 		rtpc.Then(StampCost, in.send),
 	)
@@ -222,19 +220,17 @@ func (t *TxDriver) interrupt(tick uint64) {
 
 // getIntr pops a free interrupt record, building one (with its permanent
 // actions) on the cold path only.
-//
-//ctmsvet:hotpath
 func (t *TxDriver) getIntr() *txIntr {
 	if in := t.intrs.Get(); in != nil {
 		return in
 	}
-	in := &txIntr{}     //ctmsvet:allow hotpath cold refill path, runs only until the interrupt pool reaches steady state
-	in.entry = func() { //ctmsvet:allow hotpath the probe action is built once per pooled record, not per interrupt
+	in := &txIntr{}
+	in.entry = func() {
 		if t.OnHandlerEntry != nil {
 			t.OnHandlerEntry(in.tick, t.k.Sched().Now())
 		}
 	}
-	in.send = func() { //ctmsvet:allow hotpath the send action is built once per pooled record, not per interrupt
+	in.send = func() {
 		t.intrs.Put(in)
 		t.buildAndSend()
 	}
@@ -243,20 +239,18 @@ func (t *TxDriver) getIntr() *txIntr {
 
 // getSend pops a free packet record, building one (with its envelope's
 // permanent chain shell and callbacks) on the cold path only.
-//
-//ctmsvet:hotpath
 func (t *TxDriver) getSend() *txSend {
 	if sd := t.sends.Get(); sd != nil {
 		return sd
 	}
-	sd := &txSend{}                //ctmsvet:allow hotpath cold refill path, runs only until the packet pool reaches steady state
-	sd.out.Chain = &kernel.Chain{} //ctmsvet:allow hotpath the chain shell is built once per pooled record, not per packet
-	sd.out.PreTransmit = func() {  //ctmsvet:allow hotpath the probe is built once per pooled record, not per packet
+	sd := &txSend{}
+	sd.out.Chain = &kernel.Chain{}
+	sd.out.PreTransmit = func() {
 		if t.OnPreTransmit != nil {
 			t.OnPreTransmit(sd.num, t.k.Sched().Now())
 		}
 	}
-	sd.out.Done = func(s ring.DeliveryStatus) { //ctmsvet:allow hotpath the completion is built once per pooled record, not per packet
+	sd.out.Done = func(s ring.DeliveryStatus) {
 		t.k.Pool.Free(sd.out.Chain)
 		t.outstanding--
 		t.stats.PacketsSent++
@@ -264,11 +258,10 @@ func (t *TxDriver) getSend() *txSend {
 			t.OnTxDone(sd.num, s)
 		}
 	}
-	sd.recycle = func(*tradapter.Outgoing) { t.sends.Put(sd) } //ctmsvet:allow hotpath the recycle hook is built once per pooled record, not per packet
+	sd.recycle = func(*tradapter.Outgoing) { t.sends.Put(sd) }
 	return sd
 }
 
-//ctmsvet:hotpath
 func (t *TxDriver) buildAndSend() {
 	if t.MaxOutstanding > 0 && t.outstanding >= t.MaxOutstanding {
 		t.stats.QueueDrops++
@@ -358,8 +351,6 @@ func (r *RxDriver) Stats() RxStats { return r.stats }
 // handle runs at the split point, inside the receive interrupt. It reads
 // the CTMSP header from the packet's own bytes: the magic check is the
 // "shortest possible test" of measurement point 4.
-//
-//ctmsvet:hotpath
 func (r *RxDriver) handle(rcv *tradapter.Received) []rtpc.Seg {
 	h, err := ctmsp.DecodeHeader(rcv.Frame.Capture)
 	if err != nil {
@@ -377,9 +368,9 @@ func (r *RxDriver) handle(rcv *tradapter.Received) []rtpc.Seg {
 	segs := r.prog[:0]
 	if r.cfg.CopyToMbufs {
 		segs = m.CopySegs(segs, size, rcv.Buffer.Kind, rtpc.SystemMemory)
-		segs = append(segs, rcv.ReleaseSeg()) //ctmsvet:allow hotpath program scratch grows to the longest receive program once
+		segs = append(segs, rcv.ReleaseSeg())
 	} else {
-		segs = append(segs, //ctmsvet:allow hotpath program scratch grows to the longest receive program once
+		segs = append(segs,
 			rtpc.Do(ExamineCost),
 			rcv.ReleaseSeg(),
 		)
@@ -389,21 +380,19 @@ func (r *RxDriver) handle(rcv *tradapter.Received) []rtpc.Seg {
 	}
 	a := r.getAccept()
 	a.h = h
-	segs = append(segs, rtpc.Mark(a.fn)) //ctmsvet:allow hotpath program scratch grows to the longest receive program once
+	segs = append(segs, rtpc.Mark(a.fn))
 	r.prog = segs
 	return segs
 }
 
 // getAccept pops a free delivery record, building one (with its permanent
 // mark) on the cold path only.
-//
-//ctmsvet:hotpath
 func (r *RxDriver) getAccept() *rxAccept {
 	if a := r.accepts.Get(); a != nil {
 		return a
 	}
-	a := &rxAccept{} //ctmsvet:allow hotpath cold refill path, runs only until the delivery pool reaches steady state
-	a.fn = func() {  //ctmsvet:allow hotpath the delivery mark is built once per pooled record, not per packet
+	a := &rxAccept{}
+	a.fn = func() {
 		h := a.h
 		r.accepts.Put(a)
 		ev := r.recv.Accept(h, r.k.Sched().Now())

@@ -31,12 +31,10 @@ type framePool struct {
 func (p *framePool) init() { p.recycle = p.put }
 
 // send transmits fr from st in a pooled frame.
-//
-//ctmsvet:hotpath
 func (p *framePool) send(st *ring.Station, fr ring.Frame) {
 	f := p.free.Get()
 	if f == nil {
-		f = new(ring.Frame) //ctmsvet:allow hotpath cold refill path, runs only until the frame pool reaches its in-flight high-water mark
+		f = new(ring.Frame)
 	}
 	*f = fr
 	f.SetRecycle(p.recycle)
@@ -45,8 +43,6 @@ func (p *framePool) send(st *ring.Station, fr ring.Frame) {
 
 // put clears a dead frame — a holder that read it now would see an empty
 // frame, not a later one — and returns it to the pool.
-//
-//ctmsvet:hotpath
 func (p *framePool) put(f *ring.Frame) {
 	*f = ring.Frame{}
 	p.free.Put(f)
@@ -88,10 +84,8 @@ func (g *MACGen) Frames() uint64 { return g.frames }
 // Stop halts the generator.
 func (g *MACGen) Stop() { g.stop = true }
 
-//ctmsvet:hotpath
 func (g *MACGen) arm() { g.r.Scheduler().After(g.rng.Exp(g.mean), g.fireFn) }
 
-//ctmsvet:hotpath
 func (g *MACGen) fire() {
 	if g.stop {
 		return
@@ -137,10 +131,8 @@ func (g *ChatterGen) Frames() uint64 { return g.frames }
 // Stop halts the generator.
 func (g *ChatterGen) Stop() { g.stop = true }
 
-//ctmsvet:hotpath
 func (g *ChatterGen) arm() { g.r.Scheduler().After(g.rng.Exp(g.mean), g.fireFn) }
 
-//ctmsvet:hotpath
 func (g *ChatterGen) fire() {
 	if g.stop {
 		return
@@ -209,12 +201,9 @@ func (g *FileTransferGen) Bursts() uint64 { return g.bursts }
 // Stop halts the generator.
 func (g *FileTransferGen) Stop() { g.stop = true }
 
-//ctmsvet:hotpath
 func (g *FileTransferGen) arm() { g.r.Scheduler().After(g.rng.Exp(g.burstMean), g.burstFn) }
 
 // burst starts a burst: its length in frames, then the first frame.
-//
-//ctmsvet:hotpath
 func (g *FileTransferGen) burst() {
 	if g.stop {
 		return
@@ -230,8 +219,6 @@ func (g *FileTransferGen) burst() {
 
 // next sends the burst's next frame and paces the one after it, or arms
 // the next burst once this one is done.
-//
-//ctmsvet:hotpath
 func (g *FileTransferGen) next() {
 	if g.left <= 0 || g.stop {
 		g.arm()
@@ -269,10 +256,8 @@ func (g *InsertionGen) Insertions() uint64 { return g.insertions }
 // Stop halts the generator.
 func (g *InsertionGen) Stop() { g.stop = true }
 
-//ctmsvet:hotpath
 func (g *InsertionGen) arm() { g.r.Scheduler().After(g.rng.Exp(g.mean), g.fireFn) }
 
-//ctmsvet:hotpath
 func (g *InsertionGen) fire() {
 	if g.stop {
 		return
@@ -313,10 +298,8 @@ func (g *KeepAliveGen) Sent() uint64 { return g.sent }
 // Stop halts the generator.
 func (g *KeepAliveGen) Stop() { g.stop = true }
 
-//ctmsvet:hotpath
 func (g *KeepAliveGen) arm() { g.sched.After(g.rng.Exp(g.mean), g.fireFn) }
 
-//ctmsvet:hotpath
 func (g *KeepAliveGen) fire() {
 	if g.stop {
 		return

@@ -9,7 +9,7 @@
 # -seed N` once in a copy of BASE (default HEAD, exported with git
 # archive) and once in a copy of the working tree (its tracked and
 # untracked, not ignored files), flipping which side runs first each pair.
-# It prints every pair's event_rate, allocs_per_event,
+# It prints every pair's event_rate, setup_s, allocs_per_event,
 # alloc_bytes_per_event and peak_rss_mb, then per metric each side's
 # median and quartiles, the ratio of the medians, how many pairs the
 # working tree won (ties count for neither side), and whether the medians
@@ -23,9 +23,8 @@ pairs=${PAIRS:-10}
 workload=${WORKLOAD:-paper-stream}
 secs=${SECS:-8}
 seed=${SEED:-1991}
-metrics=(event_rate allocs_per_event alloc_bytes_per_event peak_rss_mb)
-higher_better=(1 0 0 0)
-scale=1000000 # values are kept as integers in millionths
+metrics=(event_rate setup_s allocs_per_event alloc_bytes_per_event peak_rss_mb)
+higher_better=(1 0 0 0 0)
 
 root=$(git rev-parse --show-toplevel)
 tmp=$(mktemp -d)
@@ -40,29 +39,16 @@ git -C "$root" ls-files -z --cached --others --exclude-standard |
 # One build cache for both sides: it is keyed by content.
 ln -s "$tmp/base/.bench_build/gocache" "$tmp/change/.bench_build/gocache"
 
-# millionths prints the decimal number $1 as an integer count of
-# millionths. The benchmark's JSON prints these metrics without exponent.
-millionths() {
-	local v=$1 int frac
-	if [[ ! $v =~ ^[0-9]+(\.[0-9]+)?$ ]]; then
-		echo "benchpairs: cannot read metric value '$v'" >&2
-		return 1
-	fi
-	int=${v%%.*}
-	frac=
-	if [[ $v == *.* ]]; then frac=${v#*.}; fi
-	frac=${frac}000000
-	echo $((10#$int * scale + 10#${frac:0:6}))
-}
+# Metric values are kept as the JSON's own decimal strings, exponent
+# notation included (encoding/json writes a sub-µs setup_s as 2.3e-07),
+# and every comparison and statistic is done in awk's floating point, so
+# no value rounds away.
+number='^[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?$'
 
-# show prints millionths $1 as a decimal with 4 places, or as a whole
-# number from 1000 up.
+# show prints $1 as a whole number from 1000 up, else to 5 significant
+# digits.
 show() {
-	if (($1 >= 1000 * scale)); then
-		printf '%d' $(($1 / scale))
-	else
-		printf '%d.%04d' $(($1 / scale)) $(($1 % scale / 100))
-	fi
+	awk -v v="$1" 'BEGIN { if (v >= 1000) printf "%d", v; else printf "%.5g", v }'
 }
 
 # run SIDE runs the workload once in SIDE's copy and records its metrics
@@ -79,7 +65,11 @@ run() {
 			echo "benchpairs: $side run has no $m: $line" >&2
 			exit 1
 		fi
-		v=$(millionths "${BASH_REMATCH[1]}")
+		v=${BASH_REMATCH[1]}
+		if [[ ! $v =~ $number ]]; then
+			echo "benchpairs: cannot read $m value '$v'" >&2
+			exit 1
+		fi
 		eval "${side}_$m+=($v)"
 	done
 }
@@ -106,21 +96,37 @@ for ((p = 1; p <= pairs; p++)); do
 	echo
 done
 
-# quartile K of the sorted values in $@ (K=1,2,3), by the exclusive
-# method of Python's statistics.quantiles(n=4) that the benchmark uses.
-quartile() {
-	local k=$1
-	shift
-	local xs=("$@") n=$# pos j
-	if ((n == 1)); then
-		echo "${xs[0]}"
-		return
-	fi
-	pos=$(((n + 1) * k))
-	j=$((pos / 4))
-	if ((j < 1)); then j=1; fi
-	if ((j > n - 1)); then j=$((n - 1)); fi
-	echo $((xs[j - 1] + (xs[j] - xs[j - 1]) * (pos - 4 * j) / 4))
+# summary reads one metric's pairs, "base change" per line, and prints
+# each side's median [q1, q3] (the exclusive method of Python's
+# statistics.quantiles(n=4) that the benchmark uses), the ratio of the
+# medians, the working tree's wins (ties count for neither side) and
+# whether the medians differ by more than the base's quartile spread.
+summary() {
+	awk -v name="$1" -v higher="$2" '
+	function show(v) { return v >= 1000 ? sprintf("%d", v) : sprintf("%.5g", v) }
+	function quartile(xs, n, k,    pos, j) {
+		if (n == 1) return xs[1]
+		pos = (n + 1) * k / 4
+		j = int(pos)
+		if (j < 1) j = 1
+		if (j > n - 1) j = n - 1
+		return xs[j] + (xs[j + 1] - xs[j]) * (pos - j)
+	}
+	function sort(xs, n,    i, j, t) {
+		for (i = 2; i <= n; i++)
+			for (j = i; j > 1 && xs[j - 1] > xs[j]; j--) { t = xs[j]; xs[j] = xs[j - 1]; xs[j - 1] = t }
+	}
+	{ n++; b[n] = $1 + 0; c[n] = $2 + 0; if (higher ? c[n] > b[n] : c[n] < b[n]) wins++ }
+	END {
+		sort(b, n); sort(c, n)
+		for (k = 1; k <= 3; k++) { bq[k] = quartile(b, n, k); cq[k] = quartile(c, n, k) }
+		gain = higher ? cq[2] - bq[2] : bq[2] - cq[2]
+		printf "%-22s %-30s %-30s %7s %6s %s\n", name,
+			show(bq[2]) " [" show(bq[1]) ", " show(bq[3]) "]",
+			show(cq[2]) " [" show(cq[1]) ", " show(cq[3]) "]",
+			sprintf("x%.3f", bq[2] > 0 ? cq[2] / bq[2] : 0), (wins + 0) "/" n,
+			(gain > bq[3] - bq[1] ? "yes" : "no")
+	}'
 }
 
 echo
@@ -128,20 +134,5 @@ printf '%-22s %-30s %-30s %7s %6s %s\n' metric 'base median [q1, q3]' 'change me
 for i in "${!metrics[@]}"; do
 	m=${metrics[$i]}
 	eval "bs=(\"\${base_$m[@]}\") cs=(\"\${change_$m[@]}\")"
-	wins=0
-	for ((p = 0; p < pairs; p++)); do
-		if ((higher_better[i] ? cs[p] > bs[p] : cs[p] < bs[p])); then wins=$((wins + 1)); fi
-	done
-	mapfile -t bs < <(printf '%s\n' "${bs[@]}" | sort -n)
-	mapfile -t cs < <(printf '%s\n' "${cs[@]}" | sort -n)
-	bq=($(quartile 1 "${bs[@]}") $(quartile 2 "${bs[@]}") $(quartile 3 "${bs[@]}"))
-	cq=($(quartile 1 "${cs[@]}") $(quartile 2 "${cs[@]}") $(quartile 3 "${cs[@]}"))
-	gain=$((higher_better[i] ? cq[1] - bq[1] : bq[1] - cq[1]))
-	beyond=no
-	if ((gain > bq[2] - bq[0])); then beyond=yes; fi
-	ratio=$((bq[1] > 0 ? cq[1] * 1000 / bq[1] : 0))
-	printf '%-22s %-30s %-30s %7s %6s %s\n' "$m" \
-		"$(show "${bq[1]}") [$(show "${bq[0]}"), $(show "${bq[2]}")]" \
-		"$(show "${cq[1]}") [$(show "${cq[0]}"), $(show "${cq[2]}")]" \
-		"x$((ratio / 1000)).$(printf '%03d' $((ratio % 1000)))" "$wins/$pairs" "$beyond"
+	for ((p = 0; p < pairs; p++)); do echo "${bs[p]} ${cs[p]}"; done | summary "$m" "${higher_better[i]}"
 done
