@@ -80,9 +80,14 @@ type CPU struct {
 	kickFn  func()
 	segEnd  func()  // shared end-of-segment callback
 	segTask *task   // task whose segment is in flight (inSeg)
-	segFn   func()  // that segment's completion action
 	acting  *task   // task whose segment action is running; Splice's target
 	free    []*task // recycled task objects
+
+	// lane holds the in-flight segment's end and the quiet boundaries
+	// after it (see runSeg); booked counts the lane's Started entries
+	// already booked into stats and segTask.next.
+	lane   sim.Lane
+	booked int
 
 	sysDMAActive int // DMA engines currently targeting system memory
 
@@ -108,11 +113,13 @@ func NewCPU(sched *sim.Scheduler, name string) *CPU {
 	}
 	// One segment is in flight at a time (inSeg gates dispatch and
 	// preemption happens only at segment boundaries), so a single shared
-	// callback reading segTask/segFn replaces a fresh closure per segment.
+	// callback reading segTask replaces a fresh closure per segment.
 	c.segEnd = func() {
+		c.book()
 		c.inSeg = false
-		t, fn := c.segTask, c.segFn
-		c.segTask, c.segFn = nil, nil
+		t := c.segTask
+		fn := t.segs[t.next-1].Fn
+		c.segTask = nil
 		if fn != nil {
 			c.acting = t
 			fn()
@@ -120,6 +127,7 @@ func NewCPU(sched *sim.Scheduler, name string) *CPU {
 		}
 		c.dispatch()
 	}
+	c.lane.Init(sched, c.segEnd)
 	return c
 }
 
@@ -153,7 +161,10 @@ func (c *CPU) Now() sim.Time { return c.sched.Now() }
 func (c *CPU) Scheduler() *sim.Scheduler { return c.sched }
 
 // Stats returns a snapshot of CPU accounting.
-func (c *CPU) Stats() CPUStats { return c.stats }
+func (c *CPU) Stats() CPUStats {
+	c.book()
+	return c.stats
+}
 
 // Utilization reports the busy fraction of elapsed time.
 func (c *CPU) Utilization() float64 {
@@ -161,6 +172,7 @@ func (c *CPU) Utilization() float64 {
 	if now == 0 {
 		return 0
 	}
+	c.book()
 	return float64(c.stats.BusyTime) / float64(now)
 }
 
@@ -170,12 +182,14 @@ func (c *CPU) Utilization() float64 {
 func (c *CPU) Spl(level int) int {
 	old := c.mask
 	c.mask = level
+	c.lane.Truncate()
 	return old
 }
 
 // SplX restores a mask saved by Spl.
 func (c *CPU) SplX(old int) {
 	c.mask = old
+	c.lane.Truncate()
 	c.requestKick()
 }
 
@@ -204,6 +218,9 @@ func (c *CPU) Submit(level int, segs []Seg, onDone func()) {
 	t.started = false
 	c.pending[level].Push(t)
 	c.ready |= 1 << level
+	if c.inSeg && c.bestPending() > c.segTask.level {
+		c.lane.Truncate() // the next boundary preempts
+	}
 	c.requestKick()
 }
 
@@ -296,9 +313,19 @@ func (c *CPU) top() *task {
 }
 
 // runSeg executes the current task's next segment. Per-segment work is
-// the simulator's innermost loop: the end-of-segment event reuses the
-// shared segEnd callback, so a segment costs one (recycled) scheduler
-// event and nothing else.
+// the simulator's innermost loop: the segment's end is the CPU's lane
+// boundary, which calls the shared segEnd callback.
+//
+// The boundaries after it are handed to the lane as a quiet run while
+// each would only start the next segment: the segment ending there has
+// no action and is not the task's last. Such a boundary's segEnd would
+// find nothing to run and nothing above the task's level pending (runSeg
+// starts the best task), so it would start the next segment, taking the
+// seq the lane takes in its place. Three things can change that decision
+// or the next segment's cost, and each truncates the run so that the
+// next boundary calls segEnd again: a Submit that leaves a pending level
+// above the running task's, Spl and SplX, and a system-memory DMA start
+// or end. What quiet boundaries start is booked by book.
 func (c *CPU) runSeg() {
 	t := c.top()
 	if t == nil {
@@ -318,22 +345,53 @@ func (c *CPU) runSeg() {
 	seg := &t.segs[t.next]
 	t.next++
 
-	dur := seg.Cost
-	if c.sysDMAActive > 0 {
-		dur = sim.Scale(dur, 1+DMASysInterference*float64(c.sysDMAActive))
-	}
+	dur := c.cost(seg.Cost)
 	c.inSeg = true
 	c.stats.SegsRun++
 	c.stats.BusyTime += dur
 	c.segTask = t
-	c.segFn = seg.Fn
-	c.sched.After(dur, c.segEnd)
+	c.lane.Arm(dur)
+	c.booked = 0
+	for j := t.next; j < len(t.segs) && t.segs[j-1].Fn == nil; j++ {
+		if !c.lane.Quiet(c.cost(t.segs[j].Cost)) {
+			break
+		}
+	}
+}
+
+// cost reports how long a segment of the given cost takes now: each
+// active system-memory DMA stretches it by DMASysInterference.
+func (c *CPU) cost(base sim.Time) sim.Time {
+	if c.sysDMAActive > 0 {
+		return sim.Scale(base, 1+DMASysInterference*float64(c.sysDMAActive))
+	}
+	return base
+}
+
+// book accounts for the segments the lane's quiet boundaries started
+// since the last call, as runSeg would have one by one: each advances the
+// in-flight task and counts toward SegsRun and BusyTime.
+func (c *CPU) book() {
+	started := c.lane.Started()
+	if len(started) == c.booked {
+		return
+	}
+	for _, d := range started[c.booked:] {
+		c.stats.BusyTime += d
+	}
+	n := len(started) - c.booked
+	c.stats.SegsRun += uint64(n)
+	c.segTask.next += n
+	c.booked = len(started)
 }
 
 // dmaStarted/dmaEnded are called by DMA engines to register cycle steal.
+// A change in system-memory DMA changes the next segment's cost, so it
+// truncates the CPU's quiet run.
 func (c *CPU) dmaStarted(target MemoryKind) {
 	if target == SystemMemory {
 		c.sysDMAActive++
+		c.lane.Truncate()
 	}
 }
 
@@ -341,6 +399,7 @@ func (c *CPU) dmaEnded(target MemoryKind) {
 	if target == SystemMemory {
 		c.sysDMAActive--
 		sim.Checkf(c.sysDMAActive >= 0, "DMA bookkeeping underflow")
+		c.lane.Truncate()
 	}
 }
 

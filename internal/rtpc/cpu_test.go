@@ -417,3 +417,32 @@ func TestDispatchCycleDoesNotAllocate(t *testing.T) {
 		t.Fatalf("segment actions ran %d times for %d completed tasks", marks, done)
 	}
 }
+
+// TestQuietRunDoesNotAllocate: a chunked copy's action-free segments end
+// at quiet boundaries, which the scheduler fires in place and the CPU
+// books lazily. A warm cycle over them allocates nothing, and every one
+// of them is quiet.
+func TestQuietRunDoesNotAllocate(t *testing.T) {
+	sched, cpu := newCPU()
+	done := 0
+	segs := []Seg{Do(40 * sim.Microsecond)}
+	for range 6 {
+		segs = append(segs, Do(100*sim.Microsecond))
+	}
+	segs = append(segs, Then(10*sim.Microsecond, func() { done++ }))
+	cycle := func() {
+		cpu.Submit(2, segs, nil)
+		sched.Run()
+	}
+	cycle()
+	quiet := sched.QuietFired()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("a warm quiet run allocated %v times, want 0", allocs)
+	}
+	if got, want := sched.QuietFired()-quiet, uint64(101*(len(segs)-1)); got != want {
+		t.Fatalf("%d boundaries fired quietly in 101 tasks, want %d", got, want)
+	}
+	if st := cpu.Stats(); st.SegsRun != uint64(102*len(segs)) || done != 102 {
+		t.Fatalf("SegsRun %d and %d actions after 102 tasks of %d segments", st.SegsRun, done, len(segs))
+	}
+}

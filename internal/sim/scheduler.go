@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -16,12 +15,10 @@ import (
 // a different, unrelated event. Cancel a pending event as many times as
 // you like; do not keep the pointer around once the event has run.
 type Event struct {
-	at        Time
-	seq       uint64
+	key       // (at, seq), and the position within the overflow heap
 	fn        func()
 	cancelled bool
-	home      int32      // wheel bucket index, or homeOverflow / homeNone
-	index     int32      // position within the overflow heap
+	home      int32      // wheel bucket index, or homeOverflow / homeFIFO / homeNone
 	s         *Scheduler // owner, for eager removal and recycling
 	// next and prev link the event into its wheel bucket's intrusive
 	// list, so filing an event into a bucket never allocates.
@@ -34,6 +31,8 @@ const (
 	homeNone int32 = -1
 	// homeOverflow marks an event parked in the far-future overflow heap.
 	homeOverflow int32 = -2
+	// homeFIFO marks an event in the same-instant FIFO.
+	homeFIFO int32 = -3
 )
 
 // When reports the simulated time at which the event is due to fire.
@@ -41,55 +40,24 @@ func (e *Event) When() Time { return e.at }
 
 // Cancel prevents the event from firing and removes it from its queue
 // immediately, so long runs that schedule and cancel many timers do not
-// grow the wheel or the overflow heap. Cancelling an event that has
-// already fired or was already cancelled is a no-op.
+// grow the wheel or the overflow heap; a same-instant event stays in its
+// FIFO, which drops it when it reaches the head. Cancelling an event that
+// has already fired or was already cancelled is a no-op.
 func (e *Event) Cancel() {
 	if e.cancelled || e.home == homeNone {
 		return
 	}
 	e.cancelled = true
-	if e.s != nil {
-		e.s.remove(e)
-		e.s.recycle(e)
+	if e.home == homeFIFO {
+		e.s.fifoLive--
+		return
 	}
+	e.s.remove(e)
+	e.s.recycle(e)
 }
 
 // Cancelled reports whether Cancel has been called on the event.
 func (e *Event) Cancelled() bool { return e.cancelled }
-
-// eventHeap is the overflow queue for events beyond the wheel horizon,
-// ordered by (at, seq) exactly as the wheel fires.
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq // FIFO among simultaneous events
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = int32(i)
-	h[j].index = int32(j)
-}
-
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.home = homeOverflow
-	e.index = int32(len(*h))
-	*h = append(*h, e)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.home = homeNone
-	*h = old[:n-1]
-	return e
-}
 
 // Timing-wheel geometry. The wheel covers the near future in fixed-width
 // ticks: events within wheelSize ticks of the cursor sit in their tick's
@@ -119,23 +87,40 @@ const (
 const maxTime = Time(math.MaxInt64)
 
 // Scheduler is the discrete-event engine. It owns the simulated clock and
-// a hierarchical timing wheel of pending events (near-future buckets plus
-// a far-future overflow heap). Events scheduled for the same instant fire
-// in the order they were scheduled, which keeps runs deterministic; the
-// (at, seq) order is bit-identical to the binary heap this replaced.
+// three sources of pending work: a hierarchical timing wheel of events
+// (near-future buckets plus a far-future overflow heap), a FIFO of events
+// scheduled for the current instant, and a heap of armed lanes (see
+// Lane). Every pending item carries an (at, seq) key, and step fires the
+// smallest of the three sources' minima, so events scheduled for the same
+// instant fire in the order they were scheduled, which keeps runs
+// deterministic; the (at, seq) order is bit-identical to the binary heap
+// this replaced.
 //
 //ctmsvet:shardowned
 type Scheduler struct {
 	now      Time
 	seq      uint64
-	cursor   int64     // wheel tick of the last dispatched event
-	wheel    []*Event  // wheelSize bucket list heads; tick t lives at wheel[t&wheelMask]
-	inWheel  int       // events currently in wheel buckets
-	overflow eventHeap // events at or past cursor+wheelSize ticks
-	free     []*Event  // recycled Event objects, reused by At/After
+	cursor   int64             // wheel tick of the last dispatched wheel event
+	wheel    []*Event          // wheelSize bucket list heads; tick t lives at wheel[t&wheelMask]
+	inWheel  int               // events currently in wheel buckets
+	wmin     *Event            // the wheel's (at, seq) minimum, or nil when not known
+	overflow timedHeap[*Event] // events at or past cursor+wheelSize ticks
+	fifo     FIFO[*Event]      // events scheduled for the instant they were scheduled at
+	fifoLive int               // fifo entries not cancelled
+	lanes    timedHeap[*Lane]  // armed lanes
+	free     []*Event          // recycled Event objects, reused by At/After
 	stopped  bool
 	fired    uint64
+	quiet    uint64 // lane boundaries fired without a callback
 	trace    *Trace
+
+	// The FIFO's and the lane heap's first backing arrays, inside the
+	// scheduler: the few events the model queues for one instant
+	// (dispatch kicks, zero-cost completions) and one lane per CPU on a
+	// scheduler fit, so neither allocates as the run starts, on each of a
+	// mesh's many shard schedulers. A larger load grows onto the heap.
+	fifoArr [16]*Event
+	laneArr [16]heapSlot[*Lane]
 
 	// metrics flush watermarks and deferral flag (see total.go)
 	flushedNow   Time
@@ -176,18 +161,26 @@ func (s *Scheduler) recycle(e *Event) {
 // wheel's bucket table is allocated up front; buckets are lists threaded
 // through the events, so they need no storage of their own.
 func NewScheduler() *Scheduler {
-	return &Scheduler{
+	s := &Scheduler{
 		wheel: make([]*Event, wheelSize),
 		free:  make([]*Event, 0, maxFreeEvents),
 	}
+	s.fifo.items = s.fifoArr[:0]
+	s.lanes = s.laneArr[:0]
+	return s
 }
 
 // Now reports the current simulated time.
 func (s *Scheduler) Now() Time { return s.now }
 
 // Fired reports how many events have been dispatched so far; useful for
-// tests and for sanity checks on run size.
+// tests and for sanity checks on run size. Quiet lane boundaries count:
+// each stands for the event it replaced.
 func (s *Scheduler) Fired() uint64 { return s.fired }
+
+// QuietFired reports how many of the Fired events were quiet lane
+// boundaries, fired in place without a callback.
+func (s *Scheduler) QuietFired() uint64 { return s.quiet }
 
 // SetTrace attaches the structured trace that model components record
 // their domain events into (through Trace). The scheduler itself records
@@ -209,16 +202,20 @@ func (s *Scheduler) enqueue(e *Event) {
 		Checkf(false, "event at %v maps to tick %d behind the wheel cursor %d", e.at, tk, s.cursor)
 	}
 	if tk >= s.cursor+wheelSize {
-		heap.Push(&s.overflow, e)
+		e.home = homeOverflow
+		s.overflow.push(e, &e.key)
 		return
 	}
 	s.bucketPut(e, int(tk&wheelMask))
 }
 
 // bucketPut links an event in at the head of a wheel bucket's list.
-// Order within a bucket is irrelevant: step and NextAt pick the (at, seq)
-// minimum by a full scan.
+// Order within a bucket is irrelevant: wheelMin picks the (at, seq)
+// minimum by a full scan, and a put keeps its cached result current.
 func (s *Scheduler) bucketPut(e *Event, b int) {
+	if s.inWheel == 0 || s.wmin != nil && e.before(&s.wmin.key) {
+		s.wmin = e
+	}
 	head := s.wheel[b]
 	e.home = int32(b)
 	e.prev, e.next = nil, head
@@ -233,8 +230,12 @@ func (s *Scheduler) bucketPut(e *Event, b int) {
 // unlink from its wheel bucket's list, or heap removal from the overflow.
 func (s *Scheduler) remove(e *Event) {
 	if e.home == homeOverflow {
-		heap.Remove(&s.overflow, int(e.index))
+		s.overflow.remove(int(e.index))
+		e.home = homeNone
 		return
+	}
+	if e == s.wmin {
+		s.wmin = nil
 	}
 	if e.prev != nil {
 		e.prev.next = e.next
@@ -258,8 +259,8 @@ func (s *Scheduler) advanceTo(tick int64) {
 		return // same horizon: everything in the overflow is still beyond it
 	}
 	s.cursor = tick
-	for len(s.overflow) > 0 && int64(s.overflow[0].at)>>tickShift < s.cursor+wheelSize {
-		e := heap.Pop(&s.overflow).(*Event)
+	for len(s.overflow) > 0 && int64(s.overflow[0].k.at)>>tickShift < s.cursor+wheelSize {
+		e := s.overflow.pop()
 		s.bucketPut(e, int((int64(e.at)>>tickShift)&wheelMask))
 	}
 }
@@ -281,12 +282,46 @@ func (s *Scheduler) firstBucket() (*Event, int64) {
 	return nil, 0
 }
 
+// wheelMin finds the wheel's (at, seq) minimum, the first occupied
+// bucket's, by a full scan of that bucket, and caches it in wmin until it
+// leaves the wheel or a put files an earlier event. The wheel must not be
+// empty.
+func (s *Scheduler) wheelMin() *Event {
+	e, _ := s.firstBucket()
+	for c := e.next; c != nil; c = c.next {
+		if c.before(&e.key) {
+			e = c
+		}
+	}
+	s.wmin = e
+	return e
+}
+
+// fifoHead reports the same-instant FIFO's first live event, dropping the
+// cancelled ones ahead of it, or nil when none is queued.
+func (s *Scheduler) fifoHead() *Event {
+	for s.fifo.Len() > 0 {
+		e := s.fifo.items[s.fifo.head]
+		if !e.cancelled {
+			return e
+		}
+		s.fifo.Pop()
+		s.recycle(e)
+	}
+	return nil
+}
+
 // At schedules fn to run at absolute simulated time t. Scheduling in the
 // past is an invariant violation: the model must never depend on
 // re-ordering history. The guards are written condition-first so the
 // passing case never boxes the Checkf arguments into its variadic any
 // slice — At runs once per event, and those boxes were a measurable
 // slice of the event loop's allocations.
+//
+// An event for the current instant goes to the same-instant FIFO instead
+// of the wheel. That is exact: its seq is the largest yet, so it fires
+// after everything already pending at now and before anything scheduled
+// later, which is FIFO order.
 func (s *Scheduler) At(t Time, fn func()) *Event {
 	if t < s.now {
 		Checkf(false, "event scheduled at %v, before now %v", t, s.now)
@@ -297,6 +332,12 @@ func (s *Scheduler) At(t Time, fn func()) *Event {
 	e := s.alloc()
 	e.at, e.seq, e.fn = t, s.seq, fn
 	s.seq++
+	if t == s.now {
+		e.home = homeFIFO
+		s.fifo.Push(e)
+		s.fifoLive++
+		return e
+	}
 	s.enqueue(e)
 	return e
 }
@@ -354,65 +395,78 @@ func (r *Repeater) Stop() {
 // Stop halts the run loop after the currently dispatching event returns.
 func (s *Scheduler) Stop() { s.stopped = true }
 
-// Pending reports the number of live (non-cancelled) events queued.
-// Cancelled events leave their bucket or the overflow heap eagerly, so
-// this is just two counters — O(1), safe to poll from hot paths.
-func (s *Scheduler) Pending() int { return s.inWheel + len(s.overflow) }
+// Pending reports the number of live (non-cancelled) events queued, an
+// armed lane counting as one. Cancelled events leave their bucket or the
+// overflow heap eagerly and the FIFO keeps a live count, so this is a sum
+// of counters — O(1), safe to poll from hot paths.
+func (s *Scheduler) Pending() int {
+	return s.inWheel + len(s.overflow) + s.fifoLive + len(s.lanes)
+}
+
+// next reports the earliest pending event, lanes aside: the smaller
+// (at, seq) of the timed events' minimum and the same-instant FIFO's
+// head, or nil when neither holds one; and the lane at the lane heap's
+// root when that fires before it, else nil. Wheel events occupy ticks in
+// [cursor, cursor+wheelSize) and overflow events sit at or past
+// cursor+wheelSize, so when the wheel is non-empty its minimum strictly
+// precedes every overflow event.
+func (s *Scheduler) next() (e *Event, l *Lane) {
+	e = s.wmin
+	if e == nil {
+		if s.inWheel > 0 {
+			e = s.wheelMin()
+		} else if len(s.overflow) > 0 {
+			e = s.overflow[0].v
+		}
+	}
+	if s.fifo.Len() > 0 {
+		if f := s.fifoHead(); f != nil && (e == nil || f.before(&e.key)) {
+			e = f
+		}
+	}
+	if len(s.lanes) > 0 && (e == nil || s.lanes[0].v.before(&e.key)) {
+		l = s.lanes[0].v
+	}
+	return e, l
+}
 
 // NextAt reports the timestamp of the earliest pending event without
-// dispatching it, or ok=false when the queue is empty. Wheel events always
-// precede overflow events (step's ordering argument), so the earliest
-// occupied bucket's min — or failing that the overflow root — is the
-// queue-wide minimum. The conservative-window engine uses this to decide
-// whether a lookahead window holds any work at all before paying for a
-// barrier round.
+// dispatching it, or ok=false when the queue is empty. The
+// conservative-window engine uses this to decide whether a lookahead
+// window holds any work at all before paying for a barrier round.
 func (s *Scheduler) NextAt() (Time, bool) {
-	if s.inWheel > 0 {
-		head, _ := s.firstBucket()
-		at := head.at
-		for c := head.next; c != nil; c = c.next {
-			if c.at < at {
-				at = c.at
-			}
-		}
-		return at, true
-	}
-	if len(s.overflow) > 0 {
-		return s.overflow[0].at, true
+	switch e, l := s.next(); {
+	case l != nil:
+		return l.at, true
+	case e != nil:
+		return e.at, true
 	}
 	return 0, false
 }
 
-// step dispatches the earliest pending event if it is due at or before
-// bound. It reports false when the queue is empty or the next event lies
-// beyond the bound. Neither queue ever holds cancelled events (Cancel
-// removes them eagerly), so whatever the scan finds is live.
-//
-// Order: wheel events occupy ticks in [cursor, cursor+wheelSize) and
-// overflow events sit at or past cursor+wheelSize, so when the wheel is
-// non-empty its earliest bucket strictly precedes every overflow event;
-// within a bucket the linear min-scan picks the lowest (at, seq) — the
-// exact order the binary heap produced.
+// step dispatches the earliest pending item if it is due at or before
+// bound: the smallest (at, seq) among the timed events' minimum, the
+// same-instant FIFO's head and the lane heap's root. It reports false
+// when nothing is pending or the next item lies beyond the bound. No
+// queue yields a cancelled event: the wheel and the overflow drop them
+// eagerly and fifoHead skips them.
 func (s *Scheduler) step(bound Time) bool {
-	var e *Event
-	if s.inWheel > 0 {
-		head, tick := s.firstBucket()
-		e = head
-		for c := head.next; c != nil; c = c.next {
-			if c.at < e.at || (c.at == e.at && c.seq < e.seq) {
-				e = c
-			}
-		}
-		if e.at > bound {
+	e, l := s.next()
+	if l != nil {
+		if l.at > bound {
 			return false
 		}
-		s.remove(e)
-		s.advanceTo(tick)
+		s.fireLane(l, e, bound)
+		return true
+	}
+	if e == nil || e.at > bound {
+		return false
+	}
+	if e.home == homeFIFO {
+		s.fifo.Pop()
+		s.fifoLive--
 	} else {
-		if len(s.overflow) == 0 || s.overflow[0].at > bound {
-			return false
-		}
-		e = heap.Pop(&s.overflow).(*Event)
+		s.remove(e)
 		s.advanceTo(int64(e.at) >> tickShift)
 	}
 	if e.at < s.now {

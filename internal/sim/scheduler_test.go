@@ -315,3 +315,29 @@ func TestWheelFirstPassDoesNotAllocate(t *testing.T) {
 		t.Fatalf("first pass over the wheel allocated %v times, want 0", allocs)
 	}
 }
+
+// TestSameInstantFIFODoesNotAllocate: once the FIFO's array and the free
+// list are warm, scheduling for the current instant, cancelling one such
+// event and firing the rest reuse both, so the zero-delay kicks the
+// model schedules per task cost no allocation.
+func TestSameInstantFIFODoesNotAllocate(t *testing.T) {
+	s := NewScheduler()
+	fired := 0
+	fn := func() { fired++ }
+	round := func() {
+		s.After(0, fn)
+		s.At(s.Now(), fn).Cancel()
+		s.After(0, fn)
+		s.RunUntil(s.Now() + 1)
+	}
+	round()
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("a same-instant push, cancel and pop allocated %v times, want 0", allocs)
+	}
+	if fired != 2*102 {
+		t.Fatalf("fired %d same-instant events, want %d", fired, 2*102)
+	}
+	if s.Pending() != 0 || s.fifo.Len() != 0 {
+		t.Fatalf("FIFO left %d pending, %d queued", s.Pending(), s.fifo.Len())
+	}
+}

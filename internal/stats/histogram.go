@@ -106,27 +106,54 @@ func (h *Histogram) Bins() []Bin {
 
 // binCounts returns the non-empty bins and their indexes, in ascending
 // order. It counts each sample's bin in one pass over the unsorted
-// samples, sorts only the distinct indexes, and keeps the result until the
-// next Add.
+// samples and keeps the result until the next Add. The counts go into a
+// dense slice spanning the lowest to the highest bin, unless that span is
+// more than 4× the sample count (or overflows int64), when a map of the
+// distinct indexes, sorted afterwards, is smaller.
 func (h *Histogram) binCounts() (keys []int64, bins []Bin) {
 	if h.binned {
 		return h.keys, h.bins
 	}
-	count := make(map[int64]uint64)
-	for _, x := range h.all() {
-		count[h.binOf(x)]++
-	}
-	keys = h.keys[:0]
-	for k := range count { //ctmsvet:allow determinism keys are sorted immediately below, so output order is independent of map iteration order
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	bins = h.bins[:0]
-	for _, k := range keys {
-		bins = append(bins, Bin{Lo: float64(k) * h.BinWidth, Hi: float64(k+1) * h.BinWidth, Count: count[k]})
+	xs := h.all()
+	keys, bins = h.keys[:0], h.bins[:0]
+	if len(xs) > 0 {
+		lo, hi := h.binOf(xs[0]), h.binOf(xs[0])
+		for _, x := range xs[1:] {
+			b := h.binOf(x)
+			lo, hi = min(lo, b), max(hi, b)
+		}
+		if span := hi - lo; span >= 0 && span < 4*int64(len(xs)) {
+			dense := make([]uint64, span+1)
+			for _, x := range xs {
+				dense[h.binOf(x)-lo]++
+			}
+			for i, n := range dense {
+				if n > 0 {
+					keys = append(keys, lo+int64(i))
+					bins = append(bins, h.bin(lo+int64(i), n))
+				}
+			}
+		} else {
+			count := make(map[int64]uint64)
+			for _, x := range xs {
+				count[h.binOf(x)]++
+			}
+			for k := range count { //ctmsvet:allow determinism keys are sorted immediately below, so output order is independent of map iteration order
+				keys = append(keys, k)
+			}
+			slices.Sort(keys)
+			for _, k := range keys {
+				bins = append(bins, h.bin(k, count[k]))
+			}
+		}
 	}
 	h.keys, h.bins, h.binned = keys, bins, true
 	return keys, bins
+}
+
+// bin returns bin k holding n samples.
+func (h *Histogram) bin(k int64, n uint64) Bin {
+	return Bin{Lo: float64(k) * h.BinWidth, Hi: float64(k+1) * h.BinWidth, Count: n}
 }
 
 // sortedSamples returns every sample in ascending order.

@@ -249,6 +249,14 @@ func TestHistogramBinsMatchPerSampleCount(t *testing.T) {
 	if !check(0.3, []float64{-5.699999999999999, -5.7, -5.699999999999999, -5.8}) {
 		t.Fatal("a sample rounded one bin low is miscounted")
 	}
+	// A spread of bins narrower than 4× the sample count is counted in a
+	// dense slice, a wider one in a map.
+	if !check(10, []float64{3, 14, 15, 92, 65, 35, 89, 79, 32, 38, -4}) {
+		t.Fatal("densely counted bins are wrong")
+	}
+	if !check(1, []float64{-1e12, 0, 7, 7, 1e12}) {
+		t.Fatal("sparsely counted bins are wrong")
+	}
 	f := func(xs []int16, width uint8) bool {
 		vs := make([]float64, len(xs))
 		for i, x := range xs {
