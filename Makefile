@@ -7,7 +7,7 @@ GO ?= go
 
 .PHONY: ci fmt vet lint lint-fast build examples examples-golden test race race-shards allocs bench-test bench-check bench-baseline bench-pairs api-check api-golden clean
 
-ci: fmt vet lint build examples race race-shards allocs bench-test bench-check api-check
+ci: fmt vet lint build examples race-shards race allocs bench-test bench-check api-check
 
 # gofmt drift anywhere in the tree, bench/ included, fails the build.
 fmt:
@@ -18,22 +18,21 @@ vet:
 
 # ctmsvet is the repo's own analyzer suite (internal/analyzers), all
 # four tiers: the syntactic determinism/exhaustive rules, the typed
-# mbuflife/locking rules, the interprocedural
-# shardowned/seedflow/barrier rules, and the dimensional-inference dim
-# rule DESIGN.md §7 specifies. It exits nonzero with file:line:col diagnostics on any finding and
+# mbuflife rule, the interprocedural shardowned/seedflow/barrier rules,
+# and the dimensional-inference dim rule DESIGN.md §7 specifies. It
+# exits nonzero with file:line:col diagnostics on any finding and
 # leaves the machine-readable artifact in ctmsvet.json for CI to
 # archive. Allocation on the data path is not linted: `allocs` below is
 # the allocation gate.
 lint:
 	$(GO) run ./cmd/ctmsvet -out ctmsvet.json
 
-# The edit-compile loop's lint: the syntactic tier alone (selecting
-# only its analyzers skips the go/types load), restricted to files
-# differing from HEAD — sub-second on a clean tree, still instant with a
-# handful of files in flight. The full tree and all four tiers run in
-# `make lint` (and ci), which stays the gate.
+# The edit-compile loop's lint: the syntactic tier alone over the whole
+# tree (selecting only its analyzers skips the go/types load, so it
+# takes a fraction of a second). All four tiers run in `make lint` (and
+# ci), which stays the gate.
 lint-fast:
-	$(GO) run ./cmd/ctmsvet -analyzers determinism,exhaustive -changed HEAD
+	$(GO) run ./cmd/ctmsvet -analyzers determinism,exhaustive
 
 build:
 	$(GO) build ./...
@@ -51,18 +50,25 @@ examples-golden:
 test:
 	$(GO) test ./...
 
+# Both race targets stop at the first report (halt_on_error), so a race
+# fails in moments instead of running the rest of the suite first.
 race:
-	$(GO) test -race ./...
+	GORACE=halt_on_error=1 $(GO) test -race ./...
 
 # The sharded engine's dedicated race gate: E18 serial-vs-4-shard
 # bit-identity, the E20 mesh smoke (per-link windows, the barrier-decided
 # idle-round skip, pooled forwarding), the randomized mesh oracle with
 # its skip-heavy sparse cases and the round barrier's generation stress
-# test (spinning, park-only and one-party), all under the race detector. `make race` already covers them via ./..., but this
-# target keeps the smokes runnable (and named) on their own so a future
-# test filter can't silently drop them from ci.
+# test (spinning, park-only and one-party), all under the race detector.
+# It is the one gate on the engine's mutex-guarded fields (the inbox and
+# the barrier's arrival count): an unlocked access is a race report, a
+# lock left held hangs the mesh until the 2-minute timeout (the run
+# takes seconds). `make race` already covers these tests via ./..., but
+# this target keeps them runnable (and named) on their own, and ci runs
+# it first so a held lock fails in minutes rather than at go test's
+# 10-minute default.
 race-shards:
-	$(GO) test -race -run 'TestE18ShardedSmoke|TestShardSerialEquivalence|TestE20MeshSmoke|TestMeshOracleWorkerCounts|TestBarrierGenerations' \
+	GORACE=halt_on_error=1 $(GO) test -race -timeout 2m -run 'TestE18ShardedSmoke|TestShardSerialEquivalence|TestE20MeshSmoke|TestMeshOracleWorkerCounts|TestBarrierGenerations' \
 		./internal/core ./internal/topo
 
 # The allocation gate, the one check that the data path does not

@@ -16,10 +16,10 @@ var update = flag.Bool("update", false, "rewrite the selection goldens under tes
 var goldenSelections = []string{
 	"",
 	"determinism", "exhaustive",
-	"mbuflife", "locking",
+	"mbuflife",
 	"shardowned", "seedflow", "barrier",
 	"dim",
-	"determinism,exhaustive", "seedflow,barrier", "mbuflife,locking,dim",
+	"determinism,exhaustive", "seedflow,barrier", "mbuflife,dim",
 }
 
 // TestCLIGoldenSelections pins how selection and scope behave across

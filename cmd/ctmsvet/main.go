@@ -1,9 +1,8 @@
 // Command ctmsvet runs the repository's custom static-analysis suite
 // (see DESIGN.md §7), internal/analyzers: one Analyzer type run through
 // one Pass, in four tiers — syntactic (determinism, exhaustive), typed
-// (mbuflife, locking), interprocedural (shardowned, seedflow,
-// barrier) and dimensional (dim). It is the `make lint` step of
-// `make ci`.
+// (mbuflife), interprocedural (shardowned, seedflow, barrier) and
+// dimensional (dim). It is the `make lint` step of `make ci`.
 //
 // The -analyzers selection decides what runs. The syntactic tier parses
 // the module and validates every //ctmsvet:allow directive on every
@@ -18,7 +17,6 @@
 //	ctmsvet -root DIR           # analyze the module rooted at DIR
 //	ctmsvet -analyzers a,b,c    # run only the named analyzers
 //	ctmsvet -analyzers determinism,exhaustive  # syntactic tier only (make lint-fast)
-//	ctmsvet -changed HEAD       # report only findings in files differing from a git ref
 //	ctmsvet -json               # machine-readable diagnostics on stdout
 //	ctmsvet -out findings.json  # also write the JSON artifact to a file
 //	ctmsvet -list               # print the analyzer names
@@ -38,7 +36,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 
@@ -59,7 +56,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		jsonMode     = fs.Bool("json", false, "emit diagnostics as a JSON array")
 		analyzerList = fs.String("analyzers", "", "comma-separated analyzers to run (default: all; see -list)")
 		outPath      = fs.String("out", "", "write the findings JSON artifact to this file")
-		changedRef   = fs.String("changed", "", "report only findings in files differing from this git ref (plus untracked files)")
 		list         = fs.Bool("list", false, "print the analyzer names and exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -79,8 +75,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	// Diagnostics carry the paths the loader saw; absolutize the root so
-	// -changed's git paths compare equal to them.
+	// Diagnostics carry the paths the loader saw, and the typed load
+	// absolutizes its root: absolutize it here too, so every finding
+	// prints an absolute path whichever tier found it.
 	if abs, err := filepath.Abs(dir); err == nil {
 		dir = abs
 	}
@@ -89,31 +86,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for _, n := range strings.Split(*analyzerList, ",") {
 		if n = strings.TrimSpace(n); n != "" {
 			only = append(only, n)
-		}
-	}
-
-	var changed map[string]bool
-	if *changedRef != "" {
-		var err error
-		changed, err = changedFiles(dir, *changedRef)
-		if err != nil {
-			fmt.Fprintf(stderr, "ctmsvet: %v\n", err)
-			return 2
-		}
-		if len(changed) == 0 {
-			// Nothing differs from the ref: the findings set is empty
-			// by construction, so skip the analysis entirely — this is
-			// what makes `make lint-fast` sub-second on a clean tree.
-			if *jsonMode {
-				fmt.Fprintln(stdout, "[]")
-			}
-			if *outPath != "" {
-				if err := os.WriteFile(*outPath, []byte("[]\n"), 0o644); err != nil {
-					fmt.Fprintf(stderr, "ctmsvet: %v\n", err)
-					return 2
-				}
-			}
-			return 0
 		}
 	}
 
@@ -137,16 +109,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		diags = analyzers.MergeDiagnostics(diags, tdiags)
 	}
-	if changed != nil {
-		var kept []analyzers.Diagnostic
-		for _, d := range diags {
-			if changed[d.File] {
-				kept = append(kept, d)
-			}
-		}
-		diags = kept
-	}
-
 	if *outPath != "" {
 		artifact, err := analyzers.MarshalJSONDiagnostics(diags)
 		if err != nil {
@@ -190,77 +152,4 @@ func needsTypes(only []string) bool {
 		}
 	}
 	return false
-}
-
-// changedFiles returns the set of .go files under root that differ from
-// the git ref — modified/added relative to the ref plus untracked files
-// — as absolute paths, for filtering diagnostics. Analysis still runs
-// over the whole module (an interprocedural finding in a changed file
-// can depend on unchanged code), only the report is restricted.
-//
-// The diff runs with --name-status -M so renames are followed: an R row
-// lists old path then new, and the findings live in the new one.
-// (--name-only would contribute only the pre-rename path, silently
-// skipping every finding in a renamed file.)
-func changedFiles(root, ref string) (map[string]bool, error) {
-	top, err := gitOut(root, "rev-parse", "--show-toplevel")
-	if err != nil {
-		return nil, fmt.Errorf("-changed %s: %v", ref, err)
-	}
-	diff, err := gitOut(root, "diff", "--name-status", "-M", ref)
-	if err != nil {
-		return nil, fmt.Errorf("-changed %s: %v", ref, err)
-	}
-	untracked, err := gitOut(root, "ls-files", "--others", "--exclude-standard")
-	if err != nil {
-		return nil, fmt.Errorf("-changed %s: %v", ref, err)
-	}
-	absRoot, err := filepath.Abs(root)
-	if err != nil {
-		return nil, err
-	}
-	changed := make(map[string]bool)
-	add := func(line string) {
-		line = strings.TrimSpace(line)
-		if line == "" || !strings.HasSuffix(line, ".go") {
-			return
-		}
-		abs := filepath.Join(top, filepath.FromSlash(line))
-		// Only files inside the analyzed module matter.
-		if rel, err := filepath.Rel(absRoot, abs); err != nil || strings.HasPrefix(rel, "..") {
-			return
-		}
-		changed[abs] = true
-	}
-	for _, line := range strings.Split(diff, "\n") {
-		// --name-status rows are status<TAB>path, with rename/copy rows
-		// status<TAB>old<TAB>new; the file that exists now is the last
-		// column.
-		cols := strings.Split(line, "\t")
-		if len(cols) < 2 {
-			continue
-		}
-		status := strings.TrimSpace(cols[0])
-		if strings.HasPrefix(status, "D") {
-			continue // a deleted file has no findings to report
-		}
-		add(cols[len(cols)-1])
-	}
-	for _, line := range strings.Split(untracked, "\n") {
-		add(line)
-	}
-	return changed, nil
-}
-
-// gitOut runs one git subcommand in dir and returns trimmed stdout.
-func gitOut(dir string, args ...string) (string, error) {
-	cmd := exec.Command("git", append([]string{"-C", dir}, args...)...)
-	out, err := cmd.Output()
-	if err != nil {
-		if ee, ok := err.(*exec.ExitError); ok && len(ee.Stderr) > 0 {
-			return "", fmt.Errorf("git %s: %s", strings.Join(args, " "), strings.TrimSpace(string(ee.Stderr)))
-		}
-		return "", fmt.Errorf("git %s: %v", strings.Join(args, " "), err)
-	}
-	return strings.TrimSpace(string(out)), nil
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -151,103 +150,6 @@ func TestCLIListFlag(t *testing.T) {
 		if !strings.Contains(stdout, name) {
 			t.Fatalf("-list output missing tier representative %q:\n%s", name, stdout)
 		}
-	}
-}
-
-// gitIn runs git in dir, failing the test on error.
-func gitIn(t *testing.T, dir string, args ...string) {
-	t.Helper()
-	cmd := exec.Command("git", append([]string{"-C", dir}, args...)...)
-	cmd.Env = append(os.Environ(),
-		"GIT_AUTHOR_NAME=t", "GIT_AUTHOR_EMAIL=t@t",
-		"GIT_COMMITTER_NAME=t", "GIT_COMMITTER_EMAIL=t@t")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("git %v: %v\n%s", args, err, out)
-	}
-}
-
-// TestCLIChangedFlag pins the -changed contract: findings are
-// restricted to files differing from the ref, and a tree with no
-// changed Go files short-circuits to success without analyzing.
-func TestCLIChangedFlag(t *testing.T) {
-	if _, err := exec.LookPath("git"); err != nil {
-		t.Skip("git not available")
-	}
-	dir := scratchModule(t)
-	gitIn(t, dir, "init", "-q")
-	gitIn(t, dir, "add", ".")
-	gitIn(t, dir, "commit", "-qm", "seed")
-
-	// Nothing differs from HEAD: exit 0 even though the tree has a
-	// finding — the changed set is empty, so nothing is reported.
-	code, stdout, stderr := runCLI(t, "-root", dir, "-analyzers", "determinism,exhaustive", "-changed", "HEAD")
-	if code != 0 {
-		t.Fatalf("exit %d on unchanged tree\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
-	}
-
-	// Add a second violating file without committing: only the new
-	// file's finding is reported, the committed one stays filtered.
-	extra := `package main
-
-//ctmsvet:enum
-type Dial int
-
-const (
-	DialA Dial = iota
-	DialB
-)
-
-func spin(d Dial) int {
-	switch d {
-	case DialA:
-		return 0
-	}
-	return 1
-}
-`
-	if err := os.WriteFile(filepath.Join(dir, "extra.go"), []byte(extra), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, stdout, _ = runCLI(t, "-root", dir, "-analyzers", "determinism,exhaustive", "-changed", "HEAD")
-	if code != 1 {
-		t.Fatalf("exit %d with an uncommitted violation, want 1", code)
-	}
-	if !strings.Contains(stdout, "Dial misses DialB") || strings.Contains(stdout, "Phase misses Done") {
-		t.Fatalf("-changed should report only the uncommitted file's finding:\n%s", stdout)
-	}
-
-	// An unusable ref is a usage error, not a silent full run.
-	code, _, stderr = runCLI(t, "-root", dir, "-analyzers", "determinism,exhaustive", "-changed", "no-such-ref")
-	if code != 2 || !strings.Contains(stderr, "no-such-ref") {
-		t.Fatalf("exit %d for a bad ref (stderr %q), want 2 naming the ref", code, stderr)
-	}
-}
-
-// TestCLIChangedFollowsRenames: a rename row in the diff contributes
-// its new path to the changed set. Before this was fixed, an R row added
-// only the old path — which no finding carries — so violations in a
-// renamed file silently vanished from the gate.
-func TestCLIChangedFollowsRenames(t *testing.T) {
-	if _, err := exec.LookPath("git"); err != nil {
-		t.Skip("git not available")
-	}
-	dir := scratchModule(t)
-	gitIn(t, dir, "init", "-q")
-	gitIn(t, dir, "add", ".")
-	gitIn(t, dir, "commit", "-qm", "seed")
-
-	// Rename the violating file and commit, so diffing against the first
-	// commit produces an R row rather than a delete/add pair.
-	gitIn(t, dir, "mv", "main.go", "described.go")
-	gitIn(t, dir, "commit", "-qm", "rename")
-
-	code, stdout, stderr := runCLI(t, "-root", dir, "-analyzers", "determinism,exhaustive", "-changed", "HEAD~1")
-	if code != 1 {
-		t.Fatalf("exit %d, want 1: the renamed file's finding must survive the filter\nstdout:\n%s\nstderr:\n%s",
-			code, stdout, stderr)
-	}
-	if !strings.Contains(stdout, "described.go") || !strings.Contains(stdout, "Phase misses Done") {
-		t.Fatalf("finding should be reported at the post-rename path:\n%s", stdout)
 	}
 }
 

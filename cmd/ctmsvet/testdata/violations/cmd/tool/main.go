@@ -40,7 +40,7 @@ type link struct {
 func main() {
 	_ = time.Now()
 	l := link{MTUBytes: 1500}
-	l.RateBits = l.MTUBytes //ctmsvet:allow locking
+	l.RateBits = l.MTUBytes //ctmsvet:allow dim
 	_ = send(&kernel.Pool{}, 64)
 	unchecked()
 }

@@ -5,8 +5,8 @@
 //   - syntactic (determinism, exhaustive): go/ast only, no module
 //     loading, so it runs in milliseconds and works on fixture packages
 //     that never compile;
-//   - typed (mbuflife, locking): go/types facts over the
-//     type-checked module (typed.go);
+//   - typed (mbuflife): go/types facts over the type-checked module
+//     (typed.go);
 //   - interprocedural (shardowned, seedflow, barrier): module-wide
 //     annotations and a call graph held on the run's World (inter.go);
 //   - dimensional (dim): bits/bytes/seconds inference, solved once per
@@ -92,7 +92,7 @@ type Analyzer struct {
 // vocabulary and the known-set for //ctmsvet:allow validation: a
 // directive naming a typed analyzer stays valid in a syntactic-only
 // run.
-var Suite = []*Analyzer{Determinism, Exhaustive, Mbuflife, Locking, Shardowned, Seedflow, Barrier, Dimensional}
+var Suite = []*Analyzer{Determinism, Exhaustive, Mbuflife, Shardowned, Seedflow, Barrier, Dimensional}
 
 // AnalyzerNames returns the suite's names in suite order.
 func AnalyzerNames() []string {

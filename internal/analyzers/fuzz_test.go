@@ -16,13 +16,13 @@ func FuzzAllowDirective(f *testing.F) {
 	f.Add("//ctmsvet:allow units")
 	f.Add("//ctmsvet:allow")
 	f.Add("//ctmsvet:allowx")
-	f.Add("//ctmsvet:allow  locking   reason with   spaces  ")
-	f.Add("// ctmsvet:allow locking leading space disqualifies")
+	f.Add("//ctmsvet:allow  dim   reason with   spaces  ")
+	f.Add("// ctmsvet:allow dim leading space disqualifies")
 	f.Add("//ctmsvet:enum")
 	f.Add("/*ctmsvet:allow block*/")
 	f.Add("")
 	f.Add("//ctmsvet:allow\tmbuflife tab separated")
-	f.Add("//ctmsvet:allow locking nbsp reason")
+	f.Add("//ctmsvet:allow dim nbsp reason")
 
 	f.Add("//ctmsvet:allow shardowned worker spawn is the ownership transfer")
 	f.Add("//ctmsvet:allow seedflow replay harness reuses the compiled seed")

@@ -9,9 +9,9 @@ import (
 // Mbuflife is the ownership analyzer for mbuf chains — the paper's §2
 // data-path argument made checkable. Chains of fixed DMA buffers are
 // handed driver-to-driver by pointer; the whole budget collapses if
-// anyone leaks or double-frees them. A *kernel.Chain obtained from
-// Pool.AllocNoWait (or owned inside a Pool.Alloc callback) must, on
-// every path, be consumed exactly once:
+// anyone leaks or double-frees them. A *kernel.Chain obtained from a
+// kernel.Pool method (AllocNoWait) must, on every path, be consumed
+// exactly once:
 //
 //   - freed via Pool.Free,
 //   - returned to the caller,
@@ -29,7 +29,7 @@ import (
 // a leak.
 var Mbuflife = &Analyzer{
 	Name: "mbuflife",
-	Doc:  "chains from Pool.Alloc/AllocNoWait must be freed, returned, stored or handed off exactly once on every path",
+	Doc:  "chains from Pool.AllocNoWait must be freed, returned, stored or handed off exactly once on every path",
 	Tier: TierTyped,
 	Run:  runMbuflife,
 }
@@ -71,7 +71,7 @@ func runMbuflife(p *Pass) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			w.funcBody(fd.Body, nil)
+			w.funcBody(fd.Body)
 		}
 	}
 }
@@ -94,7 +94,7 @@ func isChainPointer(t types.Type) bool {
 }
 
 // poolMethod returns the method name if call invokes a method on
-// kernel.Pool (Free, Alloc, AllocNoWait, ...), else "".
+// kernel.Pool (Free, AllocNoWait, ...), else "".
 func (w *mbufWalker) poolMethod(call *ast.CallExpr) string {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -204,14 +204,9 @@ func (w *mbufWalker) moveVar(e ast.Expr, v *types.Var, env mbufEnv) {
 }
 
 // funcBody analyzes one function or closure body in a fresh
-// environment; params are chain parameters owned on entry (the
-// Pool.Alloc callback contract).
-func (w *mbufWalker) funcBody(body *ast.BlockStmt, params []*types.Var) {
-	env := make(mbufEnv)
-	for _, v := range params {
-		env[v] = chainVal{state: chainOwned, allocPos: v.Pos()}
-	}
-	env, terminated := w.stmts(body.List, env)
+// environment.
+func (w *mbufWalker) funcBody(body *ast.BlockStmt) {
+	env, terminated := w.stmts(body.List, make(mbufEnv))
 	if !terminated {
 		w.leakAll(env, body.Rbrace)
 	}
@@ -610,39 +605,17 @@ func (w *mbufWalker) expr(e ast.Expr, env mbufEnv) {
 }
 
 func (w *mbufWalker) call(call *ast.CallExpr, env mbufEnv) {
-	switch w.poolMethod(call) {
-	case "Free":
-		if len(call.Args) == 1 {
-			if v, ok := w.chainVar(call.Args[0], env); ok {
-				cv := env[v]
-				switch cv.state {
-				case chainFreed, chainDeferFreed:
-					w.p.Reportf(call.Pos(), "chain %s freed again (allocated at %s)", v.Name(), w.pos(cv.allocPos))
-					env[v] = chainVal{state: chainMixed, allocPos: cv.allocPos}
-				case chainOwned:
-					env[v] = chainVal{state: chainFreed, allocPos: cv.allocPos}
-				}
-				return
+	if w.poolMethod(call) == "Free" && len(call.Args) == 1 {
+		if v, ok := w.chainVar(call.Args[0], env); ok {
+			cv := env[v]
+			switch cv.state {
+			case chainFreed, chainDeferFreed:
+				w.p.Reportf(call.Pos(), "chain %s freed again (allocated at %s)", v.Name(), w.pos(cv.allocPos))
+				env[v] = chainVal{state: chainMixed, allocPos: cv.allocPos}
+			case chainOwned:
+				env[v] = chainVal{state: chainFreed, allocPos: cv.allocPos}
 			}
-		}
-	case "Alloc":
-		// Pool.Alloc(n, fn): the callback's *Chain parameter is owned
-		// inside the callback body.
-		if len(call.Args) == 2 {
-			w.expr(call.Args[0], env)
-			if lit, ok := ast.Unparen(call.Args[1]).(*ast.FuncLit); ok {
-				w.captures(lit, env)
-				var params []*types.Var
-				for _, f := range lit.Type.Params.List {
-					for _, n := range f.Names {
-						if v, ok := w.p.ObjectOf(n).(*types.Var); ok && isChainPointer(v.Type()) {
-							params = append(params, v)
-						}
-					}
-				}
-				w.funcBody(lit.Body, params)
-				return
-			}
+			return
 		}
 	}
 	w.expr(call.Fun, env)
@@ -659,11 +632,6 @@ func (w *mbufWalker) call(call *ast.CallExpr, env mbufEnv) {
 // (the Done-callback pattern — the closure that frees it owns it), and
 // the closure's own body is analyzed as a fresh function.
 func (w *mbufWalker) funcLit(lit *ast.FuncLit, env mbufEnv) {
-	w.captures(lit, env)
-	w.funcBody(lit.Body, nil)
-}
-
-func (w *mbufWalker) captures(lit *ast.FuncLit, env mbufEnv) {
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		id, ok := n.(*ast.Ident)
 		if !ok {
@@ -676,4 +644,5 @@ func (w *mbufWalker) captures(lit *ast.FuncLit, env mbufEnv) {
 		}
 		return true
 	})
+	w.funcBody(lit.Body)
 }

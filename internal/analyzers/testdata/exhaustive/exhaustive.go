@@ -175,3 +175,24 @@ func lineCommentDirective(m Mode) int {
 	}
 	return 1
 }
+
+// Priority's last constant, PriorityUrgent, is declared in urgent.go:
+// a switch covering every value this file declares still misses it.
+//
+//ctmsvet:enum
+type Priority int
+
+const (
+	PriorityLow Priority = iota
+	PriorityHigh
+)
+
+func crossFile(pr Priority) int {
+	switch pr { // want `switch over Priority misses PriorityUrgent`
+	case PriorityLow:
+		return 0
+	case PriorityHigh:
+		return 1
+	}
+	return 2
+}

@@ -17,8 +17,5 @@ type Pool struct{}
 // AllocNoWait returns a chain or nil when the pool is exhausted.
 func (p *Pool) AllocNoWait(n int) *Chain { return &Chain{Len: n} }
 
-// Alloc hands an owned chain to fn.
-func (p *Pool) Alloc(n int, fn func(*Chain)) { fn(&Chain{Len: n}) }
-
 // Free returns a chain to the pool.
 func (p *Pool) Free(c *Chain) { c.Head = nil }

@@ -65,14 +65,6 @@ func overwriteLeak(p *kernel.Pool) {
 	}
 }
 
-// callbackLeak: the chain handed to a Pool.Alloc callback is owned
-// inside the callback and must be consumed there.
-func callbackLeak(p *kernel.Pool) {
-	p.Alloc(16, func(ch *kernel.Chain) { // want `chain ch is never freed, returned, stored or handed off on the path reaching line \d+`
-		_ = ch.Len
-	})
-}
-
 // ---- clean patterns: no diagnostics expected below this line ----
 
 func freeBalanced(p *kernel.Pool, size int) error {
@@ -127,12 +119,6 @@ func returned(p *kernel.Pool) *kernel.Chain {
 	}
 	ch.Tag = 7
 	return ch // caller owns it
-}
-
-func callbackFreed(p *kernel.Pool) {
-	p.Alloc(16, func(ch *kernel.Chain) {
-		p.Free(ch)
-	})
 }
 
 func storedGlobally(p *kernel.Pool) {

@@ -8,7 +8,3 @@ import "testing"
 func TestMbuflifeFixture(t *testing.T) {
 	runModuleFixture(t, "typed", "mbuflife", Mbuflife)
 }
-
-func TestLockingFixture(t *testing.T) {
-	runModuleFixture(t, "typed", "locking", Locking)
-}

@@ -8,14 +8,14 @@ import (
 )
 
 // TestRepoComesCleanTyped is the typed tier's half of the lint gate:
-// the real repository must come clean under mbuflife and locking, so
-// any future finding is a genuine ownership or lock regression (or
-// needs a reasoned //ctmsvet:allow).
+// the real repository must come clean under mbuflife, so any future
+// finding is a genuine ownership regression (or needs a reasoned
+// //ctmsvet:allow).
 func TestRepoComesCleanTyped(t *testing.T) {
 	if testing.Short() {
 		t.Skip("typed pass loads the whole module; skipped under -short")
 	}
-	for _, d := range runRealTree(t, "mbuflife", "locking") {
+	for _, d := range runRealTree(t, "mbuflife") {
 		t.Errorf("repo finding: %s", d)
 	}
 }
@@ -53,9 +53,8 @@ func runScratch(t *testing.T, root string, only ...string) []Diagnostic {
 
 // TestInjectedViolationsTyped is the typed acceptance check in reverse:
 // a scratch module carrying one of each headline violation — a chain
-// leaked on an error path, a double Free and a guarded-field access
-// without the lock — must fail with a diagnostic at the exact file and
-// line of each.
+// leaked on an error path and a double Free — must fail with a
+// diagnostic at the exact file and line of each.
 func TestInjectedViolationsTyped(t *testing.T) {
 	root := t.TempDir()
 	write := func(rel, content string) {
@@ -90,11 +89,6 @@ func (p *Pool) AllocNoWait(n int) *Chain {
 		return nil
 	}
 	return &Chain{Len: n}
-}
-
-// Alloc allocates and hands the chain to fn.
-func (p *Pool) Alloc(n int, fn func(*Chain)) {
-	fn(&Chain{Len: n})
 }
 
 // Free returns the chain to the pool.
@@ -135,21 +129,7 @@ func Finish(p *kernel.Pool) {
 	p.Free(ch)
 }
 `)
-	write("locked.go", `package scratch
-
-import "sync"
-
-type gauge struct {
-	mu sync.Mutex
-	n  int // guarded by mu
-}
-
-// Peek reads the guarded field without holding mu.
-func (g *gauge) Peek() int {
-	return g.n
-}
-`)
-	diags := runScratch(t, root, "mbuflife", "locking")
+	diags := runScratch(t, root, "mbuflife")
 	type want struct {
 		analyzer, file string
 		line           int
@@ -158,7 +138,6 @@ func (g *gauge) Peek() int {
 	wants := []want{
 		{"mbuflife", "leak.go", 11, "never freed"},
 		{"mbuflife", "doublefree.go", 12, "freed again"},
-		{"locking", "locked.go", 12, "guarded by mu, which is not held"},
 	}
 	matched := make([]bool, len(wants))
 outer:

@@ -31,14 +31,6 @@ type Mbuf struct {
 	Next    *Mbuf
 }
 
-// Cap reports the mbuf's payload capacity.
-func (m *Mbuf) Cap() int {
-	if m.Cluster {
-		return ClusterSize
-	}
-	return MbufDataSize
-}
-
 // Chain is a linked list of mbufs holding one packet.
 type Chain struct {
 	Head *Mbuf

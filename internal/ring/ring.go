@@ -457,12 +457,6 @@ func (r *Ring) Insertion(purges int) {
 	}
 }
 
-// Purging reports whether the ring is currently unusable due to a purge.
-func (r *Ring) Purging() bool { return r.purging }
-
-// Busy reports whether a frame currently occupies the ring.
-func (r *Ring) Busy() bool { return r.busy }
-
 // Current returns the frame occupying the ring, or nil. Tests use it to
 // time fault injection deterministically.
 func (r *Ring) Current() *Frame {

@@ -246,12 +246,6 @@ func (c *CPU) Splice(segs []Seg) {
 	}
 }
 
-// Busy reports whether a segment is executing right now.
-func (c *CPU) Busy() bool { return c.inSeg }
-
-// QueueDepth reports pending tasks at a level.
-func (c *CPU) QueueDepth(level int) int { return c.pending[level].Len() }
-
 // requestKick schedules a dispatch pass. Using a zero-delay event keeps
 // Submit safe to call from inside segment callbacks without re-entering
 // the dispatcher. The callback is the prebuilt kickFn — this runs once

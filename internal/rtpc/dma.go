@@ -32,9 +32,6 @@ func NewDMA(cpu *CPU) *DMA {
 	return &DMA{cpu: cpu}
 }
 
-// Busy reports whether a transfer is in progress.
-func (d *DMA) Busy() bool { return d.busy }
-
 // Transfers reports how many transfers have started.
 func (d *DMA) Transfers() uint64 { return d.started }
 

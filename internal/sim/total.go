@@ -17,19 +17,12 @@ var (
 )
 
 // TotalSimulated reports the simulated time advanced by all schedulers in
-// this process since start (or since the last ResetTotals).
+// this process since start.
 func TotalSimulated() Time { return Time(totalSimulated.Load()) }
 
 // TotalFired reports the events dispatched by all schedulers in this
-// process since start (or since the last ResetTotals).
+// process since start.
 func TotalFired() uint64 { return totalFired.Load() }
-
-// ResetTotals zeroes the process-wide counters. Benchmarks call this
-// between measurement windows.
-func ResetTotals() {
-	totalSimulated.Store(0)
-	totalFired.Store(0)
-}
 
 // flushMetrics publishes this scheduler's progress since the last flush
 // into the process-wide totals. Called from the Run/RunUntil epilogue —

@@ -75,9 +75,6 @@ func (d *Device) Stop() {
 	}
 }
 
-// Ticks reports how many interrupts have fired.
-func (d *Device) Ticks() uint64 { return d.ticks }
-
 // SetIRQ installs the host-side interrupt action. NewTxDriver does this
 // for the CTMS path; alternative drivers (the stock relay) install their
 // own handler here.
