@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet lint lint-fast build examples examples-golden test race race-shards allocs bench-test bench-check bench-baseline bench-pairs api-check api-golden clean
+.PHONY: ci fmt vet lint lint-fast build examples test race race-shards allocs bench-test bench-check bench-baseline bench-pairs api-check goldens clean
 
 ci: fmt vet lint build examples race-shards race allocs bench-test bench-check api-check
 
@@ -40,12 +40,10 @@ build:
 # The example programs and the tools (tapdump -o and -i, ringsim,
 # ctmsplot), run end to end: build only compiles them. Each one's stdout
 # must match its golden in examples/testdata/, and any difference or
-# nonzero exit fails here. examples-golden re-pins the goldens.
+# nonzero exit fails here. With UPDATE_GOLDEN set, run.sh re-pins the
+# goldens instead (make goldens does this).
 examples:
 	bash examples/run.sh
-
-examples-golden:
-	bash examples/run.sh -update
 
 test:
 	$(GO) test ./...
@@ -126,15 +124,33 @@ bench-pairs:
 		bash scripts/benchpairs.sh
 
 # The public API surface (go doc -all of the root package) is pinned in
-# api/golden.txt: api-check fails on any drift, api-golden accepts it.
+# api/golden.txt: api-check fails on any drift, and with UPDATE_GOLDEN
+# set (make goldens sets it) re-pins the file instead.
 # Pinning go doc output catches signature changes AND doc-comment changes,
 # both of which are API in a reproduction whose README quotes them.
 api-check:
-	$(GO) doc -all . | diff -u api/golden.txt - \
-		|| { echo "public API drifted from api/golden.txt; run 'make api-golden' to accept"; exit 1; }
+	if [ -n "$$UPDATE_GOLDEN" ]; then $(GO) doc -all . > api/golden.txt; else \
+		$(GO) doc -all . | diff -u api/golden.txt - \
+		|| { echo "public API drifted from api/golden.txt; run 'make goldens' to accept"; exit 1; }; fi
 
-api-golden:
-	$(GO) doc -all . > api/golden.txt
+# The one re-pin command, for a reviewed change that moves pinned
+# output. It re-pins every golden test (internal/golden writes instead
+# of comparing when UPDATE_GOLDEN is set), the examples, the API
+# surface and bench's output digest at each scale bench/golden.json
+# pins, then lists the files that moved. A failing step does not stop
+# the rest: a change that moves goldens can also fail a plain assertion,
+# which no re-pin mends, and the list should still be whole; the target
+# then exits nonzero. BENCH.baseline.json stays on bench-baseline: its
+# lint rows hold wall times, which never reproduce byte for byte.
+BENCH_GOLDEN_SCALES = 0.01 0.2 1
+
+goldens:
+	@fail=0; \
+	UPDATE_GOLDEN=1 $(GO) test -count=1 ./... || fail=1; \
+	UPDATE_GOLDEN=1 bash examples/run.sh || fail=1; \
+	UPDATE_GOLDEN=1 $(MAKE) --no-print-directory api-check || fail=1; \
+	for s in $(BENCH_GOLDEN_SCALES); do bash bench/run.sh -write-golden -scale $$s || fail=1; done; \
+	echo "git status --short:"; git status --short; exit $$fail
 
 clean:
 	$(GO) clean ./...

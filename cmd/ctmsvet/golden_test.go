@@ -1,14 +1,12 @@
 package main
 
 import (
-	"flag"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-)
 
-var update = flag.Bool("update", false, "rewrite the selection goldens under testdata/golden")
+	"repro/internal/golden"
+)
 
 // goldenSelections are the -analyzers values TestCLIGoldenSelections
 // pins over testdata/violations: the full run, every analyzer alone, and
@@ -27,7 +25,8 @@ var goldenSelections = []string{
 // some inside their reporting scope and some outside it (cmd/tool, the
 // root package), plus malformed allow, crossing and unit directives;
 // each selection's -json output, with paths made root-relative, must
-// match its golden byte for byte. Refresh with -update.
+// match its golden byte for byte. Re-pin with `make goldens` only for an
+// intended finding change, and review the diff.
 func TestCLIGoldenSelections(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("testdata", "violations"))
 	if err != nil {
@@ -41,20 +40,7 @@ func TestCLIGoldenSelections(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			code, stdout, stderr := runCLI(t, "-root", root, "-json", "-analyzers", sel)
 			got := strings.ReplaceAll(stdout, root+string(filepath.Separator), "")
-			path := filepath.Join("testdata", "golden", name+".json")
-			if *update {
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != string(want) {
-				t.Errorf("-analyzers %q output drifted from %s\ngot:\n%s\nwant:\n%s", sel, path, got, want)
-			}
+			golden.Check(t, filepath.Join("testdata", "golden", name+".json"), []byte(got))
 			wantCode := 1
 			if strings.TrimSpace(got) == "[]" {
 				wantCode = 0

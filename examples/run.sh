@@ -3,18 +3,14 @@
 # diffs each one's stdout against its golden in examples/testdata/. Any
 # difference or nonzero exit fails. From the repository root:
 #
-#   bash examples/run.sh           # check
-#   bash examples/run.sh -update   # re-pin the goldens after an intended change
+#   bash examples/run.sh                   # check
+#   UPDATE_GOLDEN=1 bash examples/run.sh   # re-pin the goldens after an intended change
 #
 # The tools run inside a temporary directory and are given relative paths,
 # so the paths they print do not depend on where that directory is.
 set -euo pipefail
 
 golden="$PWD/examples/testdata"
-update=0
-if [ "${1:-}" = "-update" ]; then
-	update=1
-fi
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/bin/" ./examples/... ./cmd/tapdump ./cmd/ringsim ./cmd/ctmsplot
@@ -30,7 +26,7 @@ check() {
 		fail=1
 		return
 	fi
-	if [ "$update" = 1 ]; then
+	if [ -n "${UPDATE_GOLDEN:-}" ]; then
 		cp "$tmp/$name.out" "$golden/$name.golden"
 	elif ! diff -u "$golden/$name.golden" "$tmp/$name.out"; then
 		echo "examples: $name output differs from examples/testdata/$name.golden" >&2

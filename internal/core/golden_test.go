@@ -1,10 +1,10 @@
 package core
 
 import (
-	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/golden"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -15,8 +15,8 @@ import (
 // pooled forwarding path and the per-link windows existed. On a
 // uniform-latency line the per-link lookahead recurrence collapses to
 // the old global window grid and the route table reproduces the old
-// per-stream BFS tie-breaks, so these bytes must never change: any
-// drift means an "optimisation" silently moved an observable event.
+// per-stream BFS tie-breaks. Drift means an observable event moved;
+// re-pin only on review.
 func TestE18GoldenFingerprints(t *testing.T) {
 	cases := []struct {
 		golden   string
@@ -28,20 +28,12 @@ func TestE18GoldenFingerprints(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.golden, func(t *testing.T) {
-			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
-			if err != nil {
-				t.Fatal(err)
-			}
 			spec := E18Topology(tc.rings, SweepSeed(1991, 18), tc.duration)
 			n, err := topo.Build(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := n.Run(1).Fingerprint()
-			if got != string(want) {
-				t.Fatalf("serial fingerprint drifted from the pre-refactor golden %s:\n--- golden ---\n%s\n--- got ---\n%s",
-					tc.golden, want, got)
-			}
+			golden.Check(t, filepath.Join("testdata", tc.golden), []byte(n.Run(1).Fingerprint()))
 		})
 	}
 }

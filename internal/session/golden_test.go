@@ -2,11 +2,11 @@ package session
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/golden"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -14,7 +14,8 @@ import (
 // TestRunGolden pins one session run byte for byte: static streams on a
 // loaded ring plus a churning population, a forced insertion and an
 // insertion storm, so admission, shedding, departures, background load
-// and the playout-latency histogram all contribute.
+// and the playout-latency histogram all contribute. Re-pin with
+// `make goldens` only on review.
 func TestRunGolden(t *testing.T) {
 	cfg := Config{
 		Name:             "golden",
@@ -48,13 +49,5 @@ func TestRunGolden(t *testing.T) {
 		res.Admitted, res.Rejected, res.ShedN, res.Departed, res.ReservedBitsEnd, res.RingUtilization)
 	fmt.Fprintf(&b, "ring %+v\n", res.Ring)
 	fmt.Fprintf(&b, "%s p50=%v p99=%v\n", res.PlayoutLatency, res.PlayoutLatency.Quantile(0.5), res.PlayoutLatency.Quantile(0.99))
-	got := b.String()
-	path := filepath.Join("testdata", "run_population_storm.golden")
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Fatalf("session run drifted from %s:\n--- golden ---\n%s--- got ---\n%s", path, want, got)
-	}
+	golden.Check(t, filepath.Join("testdata", "run_population_storm.golden"), []byte(b.String()))
 }

@@ -107,22 +107,6 @@ func (g *RNG) Exp(mean Time) Time {
 	return Time(g.r.ExpFloat64() * float64(mean))
 }
 
-// Normal returns a normally distributed duration truncated at zero.
-func (g *RNG) Normal(mean, stddev Time) Time {
-	v := float64(mean) + g.r.NormFloat64()*float64(stddev)
-	if v < 0 {
-		v = 0
-	}
-	return Time(v)
-}
-
-// LogNormal returns a log-normally distributed duration whose underlying
-// normal has the given mu and sigma (in log-nanosecond space). Long-tailed
-// kernel code-path costs use this.
-func (g *RNG) LogNormal(mu, sigma float64) Time {
-	return Time(math.Exp(mu + sigma*g.r.NormFloat64()))
-}
-
 // Pareto returns a bounded Pareto-distributed duration in [lo, hi] with
 // shape alpha. Heavy-tailed burst lengths use this; the guard is
 // condition-first, like Uniform's.

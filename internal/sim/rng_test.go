@@ -102,15 +102,6 @@ func TestExpMean(t *testing.T) {
 	}
 }
 
-func TestNormalTruncation(t *testing.T) {
-	g := NewRNG(5)
-	for i := 0; i < 10000; i++ {
-		if g.Normal(Microsecond, 100*Microsecond) < 0 {
-			t.Fatal("Normal must be truncated at zero")
-		}
-	}
-}
-
 func TestParetoBounds(t *testing.T) {
 	g := NewRNG(6)
 	lo, hi := Millisecond, 100*Millisecond

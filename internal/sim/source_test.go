@@ -54,8 +54,6 @@ func TestRNGMatchesMathRand(t *testing.T) {
 			{"Bool", func(r *RNG) float64 { return map[bool]float64{true: 1}[r.Bool(0.3)] }},
 			{"Uniform", func(r *RNG) float64 { return float64(r.Uniform(Microsecond, Second)) }},
 			{"Exp", func(r *RNG) float64 { return float64(r.Exp(Millisecond)) }},
-			{"Normal", func(r *RNG) float64 { return float64(r.Normal(Millisecond, 300*Microsecond)) }},
-			{"LogNormal", func(r *RNG) float64 { return float64(r.LogNormal(10, 0.5)) }},
 			{"Pareto", func(r *RNG) float64 { return float64(r.Pareto(Microsecond, Second, 1.2)) }},
 			{"Zipf", func(r *RNG) float64 { return float64(r.Zipf(50, 0.8)) }},
 			{"Pick", func(r *RNG) float64 { return float64(Pick(r, picks)) }},

@@ -64,29 +64,6 @@ func (s *Summary) Min() float64 { return s.min }
 // Max reports the largest sample, or 0 with no samples.
 func (s *Summary) Max() float64 { return s.max }
 
-// Merge folds other into s, as if every sample of other had been added.
-func (s *Summary) Merge(other *Summary) {
-	if other.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *other
-		return
-	}
-	n1, n2 := float64(s.n), float64(other.n)
-	d := other.mean - s.mean
-	tot := n1 + n2
-	s.mean += d * n2 / tot
-	s.m2 += other.m2 + d*d*n1*n2/tot
-	s.n += other.n
-	if other.min < s.min {
-		s.min = other.min
-	}
-	if other.max > s.max {
-		s.max = other.max
-	}
-}
-
 // String renders the summary compactly in microseconds.
 func (s *Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.1fµs sd=%.1fµs min=%.1fµs max=%.1fµs",

@@ -43,70 +43,6 @@ func TestSummarySingleSample(t *testing.T) {
 	}
 }
 
-func TestSummaryMerge(t *testing.T) {
-	var a, b, all Summary
-	xs := []float64{1, 5, 2, 8, 3, 9, 4, 4, 7, 6}
-	for i, x := range xs {
-		all.Add(x)
-		if i < 4 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(&b)
-	if a.N() != all.N() {
-		t.Fatalf("merge N: got %d want %d", a.N(), all.N())
-	}
-	if !almostEq(a.Mean(), all.Mean(), 1e-9) || !almostEq(a.Var(), all.Var(), 1e-9) {
-		t.Fatalf("merge stats diverge: %v/%v vs %v/%v", a.Mean(), a.Var(), all.Mean(), all.Var())
-	}
-	if a.Min() != all.Min() || a.Max() != all.Max() {
-		t.Fatal("merge min/max wrong")
-	}
-}
-
-func TestSummaryMergeEmpty(t *testing.T) {
-	var a, b Summary
-	a.Add(3)
-	a.Merge(&b) // merging empty is a no-op
-	if a.N() != 1 || a.Mean() != 3 {
-		t.Fatal("merge with empty changed stats")
-	}
-	b.Merge(&a) // merging into empty copies
-	if b.N() != 1 || b.Mean() != 3 {
-		t.Fatal("merge into empty should copy")
-	}
-}
-
-// Property: Merge(a, b) equals adding all samples to one summary.
-func TestSummaryMergeProperty(t *testing.T) {
-	f := func(xs, ys []float32) bool {
-		var a, b, all Summary
-		for _, x := range xs {
-			a.Add(float64(x))
-			all.Add(float64(x))
-		}
-		for _, y := range ys {
-			b.Add(float64(y))
-			all.Add(float64(y))
-		}
-		a.Merge(&b)
-		if a.N() != all.N() {
-			return false
-		}
-		if a.N() == 0 {
-			return true
-		}
-		scale := math.Max(1, math.Abs(all.Mean()))
-		return almostEq(a.Mean(), all.Mean(), 1e-6*scale) &&
-			almostEq(a.Var(), all.Var(), 1e-4*math.Max(1, all.Var()))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: mean is always within [min, max].
 func TestSummaryMeanBoundsProperty(t *testing.T) {
 	f := func(xs []float32) bool {

@@ -1,21 +1,18 @@
 package ctms_test
 
 import (
-	"bytes"
 	"encoding/json"
-	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	ctms "repro"
+	"repro/internal/golden"
 )
-
-var updateGolden = os.Getenv("UPDATE_GOLDEN") != ""
 
 // TestOptionsJSONGolden pins the scenario-file format: Test Case B
 // marshals to exactly testdata/options.golden.json, and that file parses
-// back to exactly Test Case B. Regenerate with UPDATE_GOLDEN=1 go test.
+// back to exactly Test Case B. Re-pin with `make goldens`.
 func TestOptionsJSONGolden(t *testing.T) {
 	opts := ctms.TestCaseB()
 	got, err := json.MarshalIndent(opts, "", "  ")
@@ -24,22 +21,10 @@ func TestOptionsJSONGolden(t *testing.T) {
 	}
 	got = append(got, '\n')
 
-	path := filepath.Join("testdata", "options.golden.json")
-	if updateGolden {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("scenario format drifted from the golden file (UPDATE_GOLDEN=1 to accept):\n--- got\n%s--- want\n%s", got, want)
-	}
+	golden.Check(t, filepath.Join("testdata", "options.golden.json"), got)
 
 	var back ctms.Options
-	if err := json.Unmarshal(want, &back); err != nil {
+	if err := json.Unmarshal(got, &back); err != nil {
 		t.Fatal(err)
 	}
 	if back != opts {

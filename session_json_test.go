@@ -1,9 +1,7 @@
 package ctms_test
 
 import (
-	"bytes"
 	"encoding/json"
-	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -11,6 +9,7 @@ import (
 	"time"
 
 	ctms "repro"
+	"repro/internal/golden"
 )
 
 // populationScenario is the canonical population session the golden file
@@ -44,8 +43,8 @@ func populationScenario() ctms.SessionOptions {
 
 // TestSessionJSONGolden pins the session scenario format: the canonical
 // population scenario marshals to exactly testdata/population.golden.json
-// and that file parses back to the same struct. Regenerate with
-// UPDATE_GOLDEN=1 go test.
+// and that file parses back to the same struct. Re-pin with
+// `make goldens`.
 func TestSessionJSONGolden(t *testing.T) {
 	opts := populationScenario()
 	got, err := json.MarshalIndent(opts, "", "  ")
@@ -54,22 +53,10 @@ func TestSessionJSONGolden(t *testing.T) {
 	}
 	got = append(got, '\n')
 
-	path := filepath.Join("testdata", "population.golden.json")
-	if updateGolden {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("session scenario format drifted from the golden file (UPDATE_GOLDEN=1 to accept):\n--- got\n%s--- want\n%s", got, want)
-	}
+	golden.Check(t, filepath.Join("testdata", "population.golden.json"), got)
 
 	var back ctms.SessionOptions
-	if err := json.Unmarshal(want, &back); err != nil {
+	if err := json.Unmarshal(got, &back); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(back, opts) {
