@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet lint lint-fast build examples test race race-shards allocs bench-test bench-check bench-baseline bench-pairs api-check goldens clean
+.PHONY: ci fmt vet lint lint-fast build examples test race race-shards allocs bench-test bench-check bench-pairs api-check goldens clean
 
 ci: fmt vet lint build examples race-shards race allocs bench-test bench-check api-check
 
@@ -88,26 +88,18 @@ allocs:
 bench-test:
 	cd bench && $(GO) test ./...
 
-# Determinism gate: run the whole E1–E20 matrix at smoke scale, plus
-# the E20 mesh rows, the E19 population rows and the lint timings, and
-# compare against the committed baseline. ctmsbench exits nonzero when an
-# experiment deviates from the paper's shape or a sharded mesh run leaves
-# its serial fingerprint, and -compare when any count (matrix events and
-# sim_seconds, experiment verdicts, mesh rounds and skips, forwarded
-# frames, population admissions) differs from the baseline by even one,
-# or a lint tier takes more than twice its baseline wall time plus
-# 0.5 s. Every count is the same at any parallelism and on any host, so
-# the gate runs at default parallelism. Host cost (speed, allocations) is
-# bench/'s to gate. Both targets read BENCH_FLAGS, so the check always
-# runs what the baseline recorded. Refresh it with: make bench-baseline.
-BENCH_FLAGS = -minutes 0.5 -topo 4,8 -population -lint
-
+# Determinism gate: cmd/ctmsbench's TestCountRecord runs the whole
+# E1–E20 matrix at smoke scale, the E20 mesh rows and the E19 population
+# rows through the code path ctmsbench runs, and checks every exact count
+# (matrix events and sim_seconds, experiment verdicts, mesh rounds, skips,
+# forwarded frames, ceiling and serial identity, population admissions)
+# against cmd/ctmsbench/testdata/counts.golden, one field per line, so a
+# failure names the first field that moved and how many moved. Every
+# count is the same at any parallelism and on any host; host cost (speed,
+# allocations) is bench/'s to gate. The test file is built without -race,
+# so `race` skips it and this target runs it. make goldens re-pins it.
 bench-check:
-	$(GO) run ./cmd/ctmsbench $(BENCH_FLAGS) \
-		-benchout /tmp/ctmsbench-check.json -compare BENCH.baseline.json
-
-bench-baseline:
-	$(GO) run ./cmd/ctmsbench $(BENCH_FLAGS) -benchout BENCH.baseline.json
+	$(GO) test -count=1 -run TestCountRecord ./cmd/ctmsbench
 
 # A perf claim's evidence: PAIRS alternated pairs of one bench/ workload,
 # BASE (a commit) against the working tree, with each side's median and
@@ -134,14 +126,14 @@ api-check:
 		|| { echo "public API drifted from api/golden.txt; run 'make goldens' to accept"; exit 1; }; fi
 
 # The one re-pin command, for a reviewed change that moves pinned
-# output. It re-pins every golden test (internal/golden writes instead
-# of comparing when UPDATE_GOLDEN is set), the examples, the API
+# output. It re-pins every golden test, ctmsbench's count record
+# included (internal/golden writes instead of comparing when
+# UPDATE_GOLDEN is set), the examples, the API
 # surface and bench's output digest at each scale bench/golden.json
 # pins, then lists the files that moved. A failing step does not stop
 # the rest: a change that moves goldens can also fail a plain assertion,
 # which no re-pin mends, and the list should still be whole; the target
-# then exits nonzero. BENCH.baseline.json stays on bench-baseline: its
-# lint rows hold wall times, which never reproduce byte for byte.
+# then exits nonzero.
 BENCH_GOLDEN_SCALES = 0.01 0.2 1
 
 goldens:

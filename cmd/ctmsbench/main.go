@@ -3,18 +3,19 @@
 // DESIGN.md) across a worker pool and prints paper-vs-measured
 // comparisons plus ASCII versions of Figures 5-2, 5-3 and 5-4.
 //
-// Each run writes BENCH.json: exact counts, the same at any -parallel and
-// on any host, that -compare requires to equal the baseline's. The lint
-// tier wall times are its only host-timed numbers; a tier may grow to
-// twice its baseline plus 0.5 s. Host cost (wall time, event rate,
-// allocations) is the bench/ module's to measure, not this command's.
+// Each run also prints its count record, one "--- row.column = value"
+// line per field: exact counts, the same at any -parallel and on any
+// host. TestCountRecord pins the record of the smoke-scale matrix with
+// -topo 4,8 -population in testdata/counts.golden (make bench-check).
+// Host cost (wall time, event rate, allocations) is the bench/ module's
+// to measure, not this command's.
 //
 // Usage (ctmsbench -h lists every flag):
 //
 //	ctmsbench                        # the matrix at the default 4-minute scale
 //	ctmsbench -experiment E4 -full   # one experiment at the paper's 117 minutes
 //	ctmsbench -markdown -parallel 8  # an EXPERIMENTS.md-style report, 8 workers
-//	ctmsbench -topo 4,8 -population -lint -compare BENCH.baseline.json
+//	ctmsbench -minutes 0.5 -topo 4,8 -population  # the pinned record
 //
 // -scenario runs ctms.Options scenarios from a JSON file (one object or an
 // array, the format testdata/options.golden.json pins) instead.
@@ -22,7 +23,6 @@ package main
 
 import (
 	"cmp"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -30,33 +30,11 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	ctms "repro"
-	"repro/internal/analyzers"
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/topo"
-)
-
-// benchRecord is the BENCH.json schema (documented in EXPERIMENTS.md):
-// one table of named rows, the host that timed the lint rows beside it.
-type benchRecord struct {
-	Rows     []benchRow `json:"rows"`
-	LintHost string     `json:"lint_host,omitempty"`
-}
-
-// benchRow is one row of values by name: the matrix totals, an
-// experiment's verdict, a topo mesh, a population rate or a lint tier.
-type benchRow struct {
-	Name   string             `json:"name"`
-	Values map[string]float64 `json:"values"`
-}
-
-// Columns the gate treats specially: identity, lint wall time.
-const (
-	colIdentical = "identical"
-	colWall      = "wall_seconds"
 )
 
 func main() {
@@ -72,11 +50,8 @@ func realMain() int {
 		seed       = flag.Int64("seed", 0, "override the default seed")
 		markdown   = flag.Bool("markdown", false, "emit a markdown report")
 		parallel   = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for the matrix (1 = serial)")
-		benchout   = flag.String("benchout", "BENCH.json", "write the machine-readable count record here (empty disables)")
-		compare    = flag.String("compare", "", "compare this run against a baseline BENCH.json; exit nonzero on any difference")
 		topoSides  = flag.String("topo", "", "comma-separated E20 mesh grid sides to run serially and sharded (e.g. 4,8; empty disables)")
 		population = flag.Bool("population", false, "run the E19 population offered-load sweep and record its counts")
-		lint       = flag.Bool("lint", false, "time the four ctmsvet tiers on this tree and record their rows")
 	)
 	flag.Parse()
 
@@ -104,25 +79,24 @@ func realMain() int {
 		}
 		exps = []core.Experiment{e}
 	}
-
-	simBefore, firedBefore := sim.TotalSimulated(), sim.TotalFired()
-	results := core.RunMatrix(exps, scale, *parallel)
-	totals := map[string]float64{
-		"scale_minutes": float64(scale.Duration) / float64(sim.Minute),
-		"sim_seconds":   (sim.TotalSimulated() - simBefore).Seconds(),
-		"events":        float64(sim.TotalFired() - firedBefore),
-	}
-	rec := benchRecord{Rows: []benchRow{{"matrix", totals}}}
-	failures := 0
-	for _, mr := range results {
-		ok := 0.0
-		if mr.Comparison.AllOK() {
-			ok = 1
-		} else {
-			failures++
+	var sides []int
+	for _, part := range strings.Split(*topoSides, ",") {
+		if part = strings.TrimSpace(part); part == "" {
+			continue
 		}
-		rec.Rows = append(rec.Rows, benchRow{"experiment " + mr.Experiment.ID,
-			map[string]float64{"ok": ok, "metrics": float64(len(mr.Comparison.Metrics))}})
+		side, err := strconv.Atoi(part)
+		if err != nil || side < 2 || side > 16 {
+			fmt.Fprintf(os.Stderr, "ctmsbench: -topo: bad grid side %q (want 2..16)\n", part)
+			return 2
+		}
+		sides = append(sides, side)
+	}
+
+	results, rec, err := record(exps, scale, *parallel, sides, *population)
+	if err != nil {
+		return fail(err)
+	}
+	for _, mr := range results {
 		if *markdown {
 			printMarkdown(mr.Experiment, mr.Comparison)
 			continue
@@ -134,210 +108,132 @@ func realMain() int {
 		}
 		fmt.Println()
 	}
-	totals["failures"] = float64(failures)
-
-	// The addenda run after the matrix so its events and sim_seconds
-	// count the matrix alone.
-	base := cmp.Or(*seed, 1991)
-	var err error
-	if *topoSides != "" {
-		err = addTopoRows(&rec, *topoSides, scale.Duration, base)
-	}
-	if *population && err == nil {
-		err = addPopulationRows(&rec, scale.Duration, base, *parallel)
-	}
-	if *lint && err == nil {
-		rec.LintHost = fmt.Sprintf("%s/%s gomaxprocs=%d", runtime.GOOS, runtime.GOARCH, runtime.GOMAXPROCS(0))
-		err = addLintRows(&rec)
-	}
-	if err != nil {
-		return fail(err)
-	}
-	if g, names := rec.gated(); !*markdown {
-		for _, name := range names {
-			if !strings.HasPrefix(name, "experiment ") {
-				fmt.Printf("--- %s = %s\n", name, num(g[name]))
+	if !*markdown {
+		for _, line := range rec.lines() {
+			if !strings.HasPrefix(line, "experiment ") {
+				fmt.Printf("--- %s\n", line)
 			}
 		}
 	}
 
-	if *benchout != "" {
-		data, err := json.MarshalIndent(rec, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*benchout, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			return fail(err)
-		}
-	}
-	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "ctmsbench: %d experiment(s) deviated from the paper's shape\n", failures)
+	if failures := rec["matrix.failures"]; failures > 0 {
+		fmt.Fprintf(os.Stderr, "ctmsbench: %g experiment(s) deviated from the paper's shape\n", failures)
 		return 1
 	}
-	// Fingerprint identity is checked here, whether or not -compare runs:
-	// a sharded run that leaves its serial oracle is wrong on any host.
-	for _, r := range rec.Rows {
-		if v, ok := r.Values[colIdentical]; ok && v != 1 {
-			fmt.Fprintf(os.Stderr, "ctmsbench: %s diverged from the serial fingerprint\n", r.Name)
+	// A sharded run that leaves its serial oracle is wrong on any host.
+	for field, v := range rec {
+		if strings.HasSuffix(field, ".identical") && v != 1 {
+			fmt.Fprintf(os.Stderr, "ctmsbench: %s diverged from the serial fingerprint\n", strings.TrimSuffix(field, ".identical"))
 			return 1
 		}
-	}
-	if *compare != "" {
-		var baseRec benchRecord
-		data, err := os.ReadFile(*compare)
-		if err == nil {
-			err = json.Unmarshal(data, &baseRec)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ctmsbench: baseline %s: %v\n", *compare, err)
-			return 3
-		}
-		if problems := compareBench(baseRec, rec); len(problems) > 0 {
-			fmt.Fprintf(os.Stderr, "ctmsbench: differs from %s:\n  %s\n", *compare, strings.Join(problems, "\n  "))
-			return 3
-		}
-		fmt.Printf("--- every gated field matches %s\n", *compare)
 	}
 	return 0
 }
 
-// addTopoRows runs the E20 metro mesh per grid side, serially (the
+// counts is a count record: every field by name, "row.column". A row is
+// the matrix totals, an experiment's verdict, a topo mesh or a
+// population rate.
+type counts map[string]float64
+
+func (c counts) put(row string, values map[string]float64) {
+	for col, v := range values {
+		c[row+"."+col] = v
+	}
+}
+
+// lines lists the record one "row.column = value" line per field,
+// sorted, each value with the fewest digits that still round-trip.
+func (c counts) lines() []string {
+	lines := make([]string, 0, len(c))
+	for field, v := range c {
+		lines = append(lines, field+" = "+strconv.FormatFloat(v, 'f', -1, 64))
+	}
+	sort.Strings(lines)
+	return lines
+}
+
+// record runs the matrix, then the E20 mesh per grid side and, with
+// population, the E19 sweep, and returns the matrix results in order and
+// the count record. The addenda run after the matrix, so its events and
+// sim_seconds count the matrix alone.
+func record(exps []core.Experiment, scale core.Scale, parallel int, sides []int, population bool) ([]core.MatrixResult, counts, error) {
+	c := counts{}
+	simBefore, firedBefore := sim.TotalSimulated(), sim.TotalFired()
+	results := core.RunMatrix(exps, scale, parallel)
+	failures := 0
+	for _, mr := range results {
+		ok := 0.0
+		if mr.Comparison.AllOK() {
+			ok = 1
+		} else {
+			failures++
+		}
+		c.put("experiment "+mr.Experiment.ID, map[string]float64{"ok": ok, "metrics": float64(len(mr.Comparison.Metrics))})
+	}
+	c.put("matrix", map[string]float64{
+		"scale_minutes": float64(scale.Duration) / float64(sim.Minute),
+		"sim_seconds":   (sim.TotalSimulated() - simBefore).Seconds(),
+		"events":        float64(sim.TotalFired() - firedBefore),
+		"failures":      float64(failures),
+	})
+
+	base := cmp.Or(scale.Seed, 1991)
+	for _, side := range sides {
+		if err := topoRows(c, side, scale.Duration, base); err != nil {
+			return results, c, err
+		}
+	}
+	if population {
+		// The simulated duration is the matrix scale capped at 12 s (E19's own cap).
+		dur := min(cmp.Or(scale.Duration, 12*sim.Second), 12*sim.Second)
+		points, err := core.PopulationSweep(core.SweepSeed(base, 19), dur, []float64{1, 4, 16, 32}, parallel)
+		for _, p := range points {
+			c.put(fmt.Sprintf("population %g/s", p.OfferedPerSec), map[string]float64{
+				"arrivals": float64(p.Arrivals), "admitted": float64(p.Admitted), "rejected": float64(p.Rejected),
+				"shed": float64(p.Shed), "departed": float64(p.Departed), "latency_samples": float64(p.LatencyN),
+			})
+		}
+		if err != nil {
+			return results, c, err
+		}
+	}
+	return results, c, nil
+}
+
+// topoRows runs the E20 metro mesh of one grid side serially (the
 // bit-identity reference) and at min(rings, 4) workers whatever the host:
 // identity must hold under time-sharing too, and the rows stay host-free.
 // The simulated duration is the matrix scale capped at 2 s (E20's own).
-func addTopoRows(rec *benchRecord, list string, dur sim.Time, base int64) error {
+func topoRows(c counts, side int, dur sim.Time, base int64) error {
 	dur = min(cmp.Or(dur, 2*sim.Second), 2*sim.Second)
-	for _, part := range strings.Split(list, ",") {
-		side, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || side < 2 || side > 16 {
-			return fmt.Errorf("-topo: bad grid side %q (want 2..16)", part)
-		}
-		spec := core.E20Topology(side, core.SweepSeed(base, 20), dur)
-		var ref string
-		for _, w := range []int{1, min(spec.Rings, 4)} {
-			n, err := topo.Build(spec)
-			if err != nil {
-				return err
-			}
-			res := n.Run(w)
-			fp := res.Fingerprint()
-			if w == 1 {
-				ref = fp
-			}
-			var fwd uint64
-			for _, l := range res.Links {
-				fwd += l.A.Forwarded + l.B.Forwarded
-			}
-			identical := 0.0
-			if fp == ref {
-				identical = 1
-			}
-			rec.Rows = append(rec.Rows, benchRow{fmt.Sprintf("topo %d rings × %d workers", spec.Rings, w), map[string]float64{
-				"forwarded_frames": float64(fwd), "rounds": float64(res.Engine.Rounds),
-				"rounds_skipped": float64(res.Engine.RoundsSkipped), "ceiling": res.Engine.Ceiling(res.Events),
-				colIdentical: identical,
-			}})
-		}
-	}
-	return nil
-}
-
-// addPopulationRows runs the E19 sweep at light load, the budget
-// crossover and deep overload. The simulated duration is the matrix scale
-// capped at 12 s (E19's own cap).
-func addPopulationRows(rec *benchRecord, dur sim.Time, base int64, parallel int) error {
-	dur = min(cmp.Or(dur, 12*sim.Second), 12*sim.Second)
-	points, err := core.PopulationSweep(core.SweepSeed(base, 19), dur, []float64{1, 4, 16, 32}, parallel)
-	for _, p := range points {
-		rec.Rows = append(rec.Rows, benchRow{fmt.Sprintf("population %g/s", p.OfferedPerSec), map[string]float64{
-			"arrivals": float64(p.Arrivals), "admitted": float64(p.Admitted), "rejected": float64(p.Rejected),
-			"shed": float64(p.Shed), "departed": float64(p.Departed), "latency_samples": float64(p.LatencyN),
-		}})
-	}
-	return err
-}
-
-// addLintRows times the four ctmsvet tiers over this module, each run
-// as a selection of its analyzers. The typed row includes the go/types
-// load; inter and dim reuse it, as `make lint`.
-func addLintRows(rec *benchRecord) error {
-	root, err := analyzers.FindModuleRoot(".")
-	if err != nil {
-		return fmt.Errorf("-lint: %w", err)
-	}
-	var mod *analyzers.Module
-	for _, tier := range []analyzers.Tier{analyzers.TierSyntactic, analyzers.TierTyped, analyzers.TierInter, analyzers.TierDim} {
-		var names []string
-		for _, a := range analyzers.Suite {
-			if a.Tier == tier {
-				names = append(names, a.Name)
-			}
-		}
-		start := time.Now()
-		if tier == analyzers.TierSyntactic {
-			_, err = analyzers.RunRepo(root, names...)
-		} else {
-			if mod == nil {
-				mod, err = analyzers.LoadTypedModule(root)
-			}
-			if err == nil {
-				_, err = analyzers.RunModule(mod, names...)
-			}
-		}
+	spec := core.E20Topology(side, core.SweepSeed(base, 20), dur)
+	var ref string
+	for _, w := range []int{1, min(spec.Rings, 4)} {
+		n, err := topo.Build(spec)
 		if err != nil {
-			return fmt.Errorf("-lint %s tier: %w", tier, err)
+			return err
 		}
-		rec.Rows = append(rec.Rows, benchRow{"lint " + string(tier), map[string]float64{colWall: time.Since(start).Seconds()}})
+		res := n.Run(w)
+		fp := res.Fingerprint()
+		if w == 1 {
+			ref = fp
+		}
+		var fwd uint64
+		for _, l := range res.Links {
+			fwd += l.A.Forwarded + l.B.Forwarded
+		}
+		identical := 0.0
+		if fp == ref {
+			identical = 1
+		}
+		c.put(fmt.Sprintf("topo %d rings × %d workers", spec.Rings, w), map[string]float64{
+			"forwarded_frames": float64(fwd), "rounds": float64(res.Engine.Rounds),
+			"rounds_skipped": float64(res.Engine.RoundsSkipped), "ceiling": res.Engine.Ceiling(res.Events),
+			"identical": identical,
+		})
 	}
 	return nil
 }
-
-// gated maps each gated field, "row.column", to its value — every value
-// in the record but topo identity — and lists the names in order.
-func (r benchRecord) gated() (map[string]float64, []string) {
-	f := map[string]float64{}
-	var names []string
-	for _, row := range r.Rows {
-		for col, v := range row.Values {
-			if name := row.Name + "." + col; col != colIdentical {
-				f[name] = v
-				names = append(names, name)
-			}
-		}
-	}
-	sort.Strings(names)
-	return f, names
-}
-
-// compareBench checks a record against a baseline and returns one line
-// per difference, each naming its field: a value that moved, or a field
-// on one side only. Every field must match exactly except a lint wall
-// time, which may grow to twice the baseline plus half a second.
-func compareBench(base, rec benchRecord) []string {
-	want, names := base.gated()
-	got, runNames := rec.gated()
-	var problems []string
-	for _, name := range names {
-		v, ok := got[name]
-		switch b, wall := want[name], strings.HasSuffix(name, "."+colWall); {
-		case !ok:
-			problems = append(problems, fmt.Sprintf("%s: in the baseline, missing from this run", name))
-		case wall && v > 2*b+0.5:
-			problems = append(problems, fmt.Sprintf("%s = %.2fs, more than double the baseline %.2fs (limit %.2fs)", name, v, b, 2*b+0.5))
-		case !wall && v != b:
-			problems = append(problems, fmt.Sprintf("%s = %s, baseline %s", name, num(v), num(b)))
-		}
-	}
-	for _, name := range runNames {
-		if _, ok := want[name]; !ok {
-			problems = append(problems, fmt.Sprintf("%s: in this run, missing from the baseline", name))
-		}
-	}
-	return problems
-}
-
-// num formats a gated value with the fewest digits that still round-trip.
-func num(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
 
 // runScenarios loads a JSON scenario file (one ctms.Options or an array)
 // and runs each scenario, printing its report. A nonzero seed overrides

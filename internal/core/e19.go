@@ -44,8 +44,8 @@ func e19Population(arrivalsPerSec float64) *workload.PopulationSpec {
 }
 
 // PopulationPoint is one offered-load point of the E19 sweep, exported
-// (with PopulationSweep) so ctmsbench can record the same curves in
-// BENCH.json.
+// (with PopulationSweep) so ctmsbench can record the same curves in its
+// count record.
 type PopulationPoint struct {
 	OfferedPerSec float64 // offered arrivals/s
 	Arrivals      int     // compiled arrivals (population streams)

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/golden"
 	"repro/internal/sim"
 )
 
@@ -11,14 +13,13 @@ import (
 // place without a callback (rtpc.CPU's lane). Fired counts them like any
 // other event, so the run's event count cannot show a fall-back to one
 // callback per segment; this count does. Both numbers are exact and
-// move only if the model's events move.
+// move only if the model's events move; testdata/quiet_boundaries.golden
+// holds them.
 func TestTestCaseBQuietBoundaries(t *testing.T) {
 	cfg := TestCaseB()
 	cfg.Duration = 10 * sim.Second
 	e := buildEnv(cfg)
 	runCTMSP(e)
-	const wantFired, wantQuiet = 81027, 38332
-	if fired, quiet := e.sched.Fired(), e.sched.QuietFired(); fired != wantFired || quiet != wantQuiet {
-		t.Fatalf("Test Case B, 10 s: %d events fired, %d of them quiet; want %d and %d", fired, quiet, wantFired, wantQuiet)
-	}
+	got := fmt.Sprintf("fired %d\nquiet %d\n", e.sched.Fired(), e.sched.QuietFired())
+	golden.Check(t, "testdata/quiet_boundaries.golden", []byte(got))
 }

@@ -11,6 +11,7 @@ package golden
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io/fs"
 	"os"
 	"strconv"
@@ -20,10 +21,11 @@ import (
 
 // Check compares got with the file at path. On a difference it fails
 // the test with the first differing line, named path:N, both sides of
-// that line and both line counts; a missing file fails too. Neither
-// stops the test, so the caller's other assertions still run. When
-// UPDATE_GOLDEN is non-empty, Check writes got to path instead and does
-// not fail.
+// that line, both line counts and, when they are equal, how many lines
+// differ (for a one-field-per-line record, how many fields moved); a
+// missing file fails too. Neither stops the test, so the caller's other
+// assertions still run. When UPDATE_GOLDEN is non-empty, Check writes got
+// to path instead and does not fail.
 func Check(t testing.TB, path string, got []byte) {
 	t.Helper()
 	if os.Getenv("UPDATE_GOLDEN") != "" {
@@ -49,8 +51,18 @@ func Check(t testing.TB, path string, got []byte) {
 	for n < len(g) && n < len(w) && g[n] == w[n] {
 		n++
 	}
-	t.Errorf("%s:%d: output differs from the golden (re-pin with UPDATE_GOLDEN=1 if intended)\n  golden: %s\n  got:    %s\n  golden has %d lines, got %d",
+	msg := fmt.Sprintf("%s:%d: output differs from the golden (re-pin with UPDATE_GOLDEN=1 if intended)\n  golden: %s\n  got:    %s\n  golden has %d lines, got %d",
 		path, n+1, line(w, n), line(g, n), len(w), len(g))
+	if len(g) == len(w) {
+		k := 0
+		for i := n; i < len(g); i++ {
+			if g[i] != w[i] {
+				k++
+			}
+		}
+		msg += fmt.Sprintf("; %d of %d lines differ", k, len(g))
+	}
+	t.Errorf("%s", msg)
 }
 
 // lines splits b after each newline, so a missing final newline is a

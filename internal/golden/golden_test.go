@@ -61,6 +61,18 @@ func TestCheckNamesFirstDifferingLine(t *testing.T) {
 	}
 }
 
+func TestCheckCountsDifferingLines(t *testing.T) {
+	t.Setenv("UPDATE_GOLDEN", "")
+	path := writeGolden(t, "a\nb\nc\nd\n")
+	var f fakeT
+	Check(&f, path, []byte("a\nB\nc\nD\n"))
+	for _, want := range []string{path + ":2:", "golden has 4 lines, got 4", "2 of 4 lines differ"} {
+		if !strings.Contains(f.msg, want) {
+			t.Errorf("message lacks %q:\n%s", want, f.msg)
+		}
+	}
+}
+
 func TestCheckMissingFile(t *testing.T) {
 	t.Setenv("UPDATE_GOLDEN", "")
 	path := filepath.Join(t.TempDir(), "absent.golden")
